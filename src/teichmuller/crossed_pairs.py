@@ -237,6 +237,7 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
     if Gamma.order > cap or G.order > cap:
         raise CrossedPairError("aut_g_of_e size cap exceeded")
     into_n = {amb.ext.kernel_hom(n): n for n in range(N.order)}
+    gm = np.array(Gamma.mul, dtype=np.int64)
     pairs = []
     n_nontriv = [n for n in range(N.order) if n != N.identity]
     for x in range(G.order):
@@ -252,7 +253,6 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
                 m, n = ae.gamma_parts(y)
                 alpha[y] = ae.gamma_index(M.mul[lx[m]][c[n]], ix[n])
             # homomorphism check, vectorized (bijectivity is automatic here)
-            gm = _gamma_mul_array(Gamma)
             if np.array_equal(alpha[gm], gm[alpha[:, None], alpha[None, :]]):
                 pairs.append((tuple(int(v) for v in alpha), x))
     pairs.sort()
@@ -287,19 +287,6 @@ def _first_preimage(hom: GroupHom, target: int) -> int:
         if hom(g) == target:
             return g
     raise CrossedPairError("missing preimage")
-
-
-_GAMMA_MUL_CACHE: dict = {}
-
-
-def _gamma_mul_array(Gamma: FiniteGroup) -> np.ndarray:
-    key = id(Gamma)
-    if key not in _GAMMA_MUL_CACHE:
-        _GAMMA_MUL_CACHE[key] = np.array(Gamma.mul, dtype=np.int64)
-        if len(_GAMMA_MUL_CACHE) > 64:
-            _GAMMA_MUL_CACHE.clear()
-            _GAMMA_MUL_CACHE[key] = np.array(Gamma.mul, dtype=np.int64)
-    return _GAMMA_MUL_CACHE[key]
 
 
 def diag1_report(autdata: AutGeGroup, h1n_order: Optional[int] = None) -> dict:
@@ -589,6 +576,11 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
     amb = ambient
     amb.validate()
     G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
+    n_nontriv = [n for n in range(N.order) if n != N.identity]
+    total = M.order ** (len(n_nontriv) ** 2)
+    if total > cocycle_budget:
+        raise CrossedPairError(
+            f"2-cocycle enumeration of size {total} exceeds budget {cocycle_budget}")
     moduleG, _, _ = amb.gmodule()
     moduleN_of_G, _, _ = amb.restricted_gmodule(amb.ext.kernel_hom)
     moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()
@@ -597,12 +589,7 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
     h3g = cohomology(G, moduleG, 3)
     h2q = cohomology(Q, moduleQ, 2)
     h3q = cohomology(Q, moduleQ, 3)
-    n_nontriv = [n for n in range(N.order) if n != N.identity]
-    total = M.order ** (len(n_nontriv) ** 2)
     truncated = False
-    if total > cocycle_budget:
-        raise CrossedPairError(
-            f"2-cocycle enumeration of size {total} exceeds budget {cocycle_budget}")
     nact = amb.n_action()
     pairs: list[CrossedPair] = []
     autdata_cache: dict = {}

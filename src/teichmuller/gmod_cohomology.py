@@ -427,10 +427,9 @@ def _compute_core(module: GModule, n: int) -> _CoreCohomology:
     m = module.exponent
     indexer = _Indexer(G, n, k)
     dmat = _coboundary_matrix(module, n, m)
-    diag_rows = np.zeros((indexer.count, indexer.count), dtype=np.int64)
-    moduli = np.tile(d, indexer.count // k) if k else np.zeros(0, dtype=np.int64)
-    np.fill_diagonal(diag_rows, moduli % m)
-    stacked = np.vstack([dmat, diag_rows])
+    moduli = np.tile(d, indexer.count // k) % m if k else np.zeros(0, dtype=np.int64)
+    # the rows with d_i = m are zero; they would never pivot or change
+    stacked = np.vstack([dmat, np.diag(moduli)[moduli != 0]])
     kernel = diagonalize_mod(stacked, m, want_U=False).kernel()
     if kernel.size == 0:
         kernel = np.zeros((indexer.count, 0), dtype=np.int64)
@@ -797,13 +796,14 @@ def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
     """A cochain c with dc = z, or None when [z] != 0.
 
     Solves the coboundary linear system over Z/m in the same scaled free model
-    used by ``cohomology``.
+    used by ``cohomology``.  In degree 0 it always returns None: there are no
+    (-1)-cochains.
     """
     H._check(z)
     M = H.module
     n = H.degree
     if n == 0:
-        return None if z.table.any() else None
+        return None
     if M.rank == 0:
         return zero_cochain(M, n - 1)
     if H._summand_indices is not None:

@@ -5,6 +5,12 @@ by invertible transformations; that diagonalization drives kernels, solving,
 image membership, cokernel presentations and invertibility tests.  All
 matrices are int64 numpy arrays with entries reduced into [0, m).
 
+The elimination in ``diagonalize_mod`` scans the active block once per pivot
+(an argmin over a narrow gcd array) and updates only the rows and columns the
+pivot changes, so a sparse system costs about its nonzeros plus that scan.
+Dot products of r-term vectors reach r * (m - 1)^2, so ``diagonalize_mod``
+refuses m with max(rows, cols) * (m - 1)^2 >= 2^63 before any work.
+
 This is internal plumbing shared by the cohomology and finite-ring modules;
 the integer-exact interface lives in exact_linalg.
 """
@@ -110,42 +116,47 @@ def diagonalize_mod(A, m: int, want_inverses: bool = False, want_U: bool = True,
     gcd(d_i, m) | gcd(d_{i+1}, m) is enforced, so the diagonal is canonical.
     U or V tracking can be disabled to halve the work on large one-sided
     problems (kernels need only V).
+
+    Cost: one argmin per pivot over the active block of a gcd array in the
+    narrowest unsigned type that holds m; each clear then touches only the
+    lines with a nonzero quotient, where the pivot's line is nonzero, and
+    recomputes gcds only there.  Raises ValueError when max(rows, cols) *
+    (m - 1)^2 >= 2^63, which bounds the int64 dot products here, in
+    ``solve`` and in ``inverse_mod``.
     """
+    shape = np.shape(A)
+    if max(shape, default=0) * (m - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"modulus m={m} overflows int64 arithmetic on a matrix of shape {shape}")
     A = as_mod_array(A, m)
     rows, cols = A.shape
     U = np.eye(rows, dtype=np.int64) if want_U else None
     V = np.eye(cols, dtype=np.int64) if want_V else None
     Ui = np.eye(rows, dtype=np.int64) if want_inverses and want_U else None
     Vi = np.eye(cols, dtype=np.int64) if want_inverses and want_V else None
-    gcd_table = np.gcd(np.arange(m if m > 1 else 2, dtype=np.int64), m)
+    # gcd(0, m) = m and every nonzero entry has gcd < m, so zeros never win
+    # the argmin and a block minimum of m means the block is zero
+    gcds = np.gcd(A, m).astype(np.min_scalar_type(m))
+    # a column operation is a row operation on the transposes: each side is
+    # (matrix, gcds, transform, inverse transform) seen from its rows
+    sides = ((A, gcds, U, Ui),
+             (A.T, gcds.T, None if V is None else V.T, None if Vi is None else Vi.T))
     t = 0
     limit = min(rows, cols)
-    gcds = gcd_table[A]
     while t < limit:
         sub = gcds[t:, t:]
-        if not A[t:, t:].any():
+        pivot = divmod(int(np.argmin(sub)), cols - t)
+        if sub[pivot] == m:
             break
-        # pivot: minimal gcd(entry, m) among nonzero entries, then position
-        masked = np.where(A[t:, t:] != 0, sub, m + 1)
-        flat = int(np.argmin(masked))
-        pi, pj = divmod(flat, cols - t)
-        pi += t
-        pj += t
-        if pi != t:
-            A[[t, pi]] = A[[pi, t]]
-            gcds[[t, pi]] = gcds[[pi, t]]
-            if want_U:
-                U[[t, pi]] = U[[pi, t]]
-            if Ui is not None:
-                Ui[:, [t, pi]] = Ui[:, [pi, t]]
-        if pj != t:
-            A[:, [t, pj]] = A[:, [pj, t]]
-            gcds[:, [t, pj]] = gcds[:, [pj, t]]
-            if want_V:
-                V[:, [t, pj]] = V[:, [pj, t]]
-            if Vi is not None:
-                Vi[[t, pj]] = Vi[[pj, t]]
-        # normalize pivot to gcd(pivot, m)
+        for (X, gx, T, Ti), p in zip(sides, pivot):
+            p += t
+            if p != t:
+                X[[t, p]] = X[[p, t]]
+                gx[[t, p]] = gx[[p, t]]
+                if T is not None:
+                    T[[t, p]] = T[[p, t]]
+                if Ti is not None:
+                    Ti[:, [t, p]] = Ti[:, [p, t]]
+        # normalize pivot to gcd(pivot, m); a unit leaves the row's gcds as they are
         u = unit_multiplier(int(A[t, t]), m)
         if u != 1:
             A[t] = (A[t] * u) % m
@@ -154,35 +165,35 @@ def diagonalize_mod(A, m: int, want_inverses: bool = False, want_U: bool = True,
             if Ui is not None:
                 Ui[:, t] = (Ui[:, t] * pow(u, -1, m)) % m
         g = int(A[t, t])
-        # clear column t below, row t to the right
-        q = A[t + 1:, t] // g
-        if q.any():
-            A[t + 1:] = (A[t + 1:] - np.outer(q, A[t])) % m
-            if want_U:
-                U[t + 1:] = (U[t + 1:] - np.outer(q, U[t])) % m
-            if Ui is not None:
-                Ui[:, t] = (Ui[:, t] + Ui[:, t + 1:] @ q) % m
-        q = A[t, t + 1:] // g
-        if q.any():
-            A[:, t + 1:] = (A[:, t + 1:] - np.outer(A[:, t], q)) % m
-            if want_V:
-                V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], q)) % m
-            if Vi is not None:
-                Vi[t] = (Vi[t] + q @ Vi[t + 1:]) % m
-        gcds[t:, t:] = gcd_table[A[t:, t:]]
+        # clear column t below, then row t to the right: only the lines with a
+        # nonzero quotient change, and only where the pivot's line is nonzero
+        for X, gx, T, Ti in sides:
+            q = X[t + 1:, t] // g
+            r = q.nonzero()[0]
+            if r.size:
+                q = q[r]
+                r += t + 1
+                block = r[:, None], X[t].nonzero()[0]
+                new = (X[block] - q[:, None] * X[t, block[1]]) % m
+                X[block] = new
+                gx[block] = np.gcd(new, m)
+                if T is not None:
+                    T[r] = (T[r] - q[:, None] * T[t]) % m
+                if Ti is not None:
+                    Ti[:, t] = (Ti[:, t] + Ti[:, r] @ q) % m
         if A[t + 1:, t].any() or A[t, t + 1:].any():
             continue  # residues left a smaller pivot candidate
-        # divisibility of the remaining block by the pivot gcd
-        if t + 1 < limit:
+        # divisibility of the remaining block by the pivot gcd (always true for g = 1)
+        if g > 1 and t + 1 < limit:
             rem = gcds[t + 1:, t + 1:] % g
             if rem.any():
-                bad = int(np.argmax(rem.any(axis=1)))
-                A[t] = (A[t] + A[t + 1 + bad]) % m
-                gcds[t] = gcd_table[A[t]]
+                bad = t + 1 + int(np.argmax(rem.any(axis=1)))
+                A[t] = (A[t] + A[bad]) % m
+                gcds[t, t:] = np.gcd(A[t, t:], m)
                 if want_U:
-                    U[t] = (U[t] + U[t + 1 + bad]) % m
+                    U[t] = (U[t] + U[bad]) % m
                 if Ui is not None:
-                    Ui[:, t + 1 + bad] = (Ui[:, t + 1 + bad] - Ui[:, t]) % m
+                    Ui[:, bad] = (Ui[:, bad] - Ui[:, t]) % m
                 continue
         t += 1
     d = np.array([gcd(int(A[i, i]), m) for i in range(limit)], dtype=np.int64)
@@ -336,7 +347,7 @@ def inverse_mod(A, m: int) -> np.ndarray | None:
         return None
     # A = U^-1 D V^-1  =>  A^-1 = V D^-1 U
     dinv = np.array([pow(int(x), -1, m) if m > 1 else 0 for x in diag.d], dtype=np.int64)
-    return (diag.V @ (dinv[:, None] * diag.U)) % m
+    return (diag.V @ ((dinv[:, None] * diag.U) % m)) % m
 
 
 def submodule_size(A, m: int) -> int:

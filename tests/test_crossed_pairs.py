@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -44,6 +45,7 @@ from teichmuller.crossed_pairs import (
     qnormal_galois_product,
     xpext_enumerate,
 )
+from teichmuller import crossed_pairs
 from teichmuller.normal_algebras import teichmuller_cocycle
 
 
@@ -84,6 +86,22 @@ def test_diag1_z4_inside_klein():
     report = diag1_report(aut)
     assert report["all"]
     assert aut.out_to_Q.is_surjective()
+
+
+def test_aut_g_of_e_alternating_gammas_with_freed_objects():
+    # Gamma is Klein four, C4, or Z/2 x C4 (order 8, in the Q8 ambient); each
+    # is freed before the next is built, so a new Gamma may reuse an old address
+    cases = [(klein_ambient(), [[0, 0], [0, 0]]), (klein_ambient(), [[0, 0], [0, 1]]),
+             (q8_ambient(), [[0] * 4 for _ in range(4)])]
+    seen = {}
+    for i in range(90):
+        amb, f = cases[i % 3]
+        aut = aut_g_of_e(extension_from_cocycle(amb, f))
+        got = (aut.pairs, aut.group.mul, aut.out.order)
+        assert seen.setdefault(i % 3, got) == got
+        del aut
+        gc.collect()
+    assert seen[0][0] != seen[2][0]
 
 
 def test_der_subgroup():
@@ -189,6 +207,17 @@ def test_xpext_q8_full_exactness():
     assert (1,) in report.delta_classes
     # im(Delta) = ker(inf) = all of H^3(C_2, Z/2) here
     assert set(report.delta_classes) == {(0,), (1,)}
+
+
+def test_xpext_budget_checked_before_cohomology(monkeypatch):
+    # Q8 ambient with M = Z/4: 4^9 cocycle tables on N = C4, over the default budget
+    G, ext = metacyclic(4, 2, 3, 2)
+    amb = Ambient(ext=ext, Mgrp=cyclic(4), action=trivial_action(G, cyclic(4)))
+    computed = []
+    monkeypatch.setattr(crossed_pairs, "cohomology", lambda *args: computed.append(args))
+    with pytest.raises(CrossedPairError, match="262144"):
+        xpext_enumerate(amb)
+    assert computed == []
 
 
 def test_five_term_exactness():

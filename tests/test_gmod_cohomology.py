@@ -14,6 +14,7 @@ from teichmuller.gmod_cohomology import (
     ModuleMap,
     NotACocycle,
     coboundary,
+    coboundary_preimage,
     cohomology,
     cyclic_h3_class_order,
     cyclic_h3_equal,
@@ -124,6 +125,16 @@ def test_h0_is_fixed_module():
     M2 = trivial_gmodule(G, [3, 6])
     H2 = cohomology(G, M2, 0)
     assert H2.invariant_factors == (3, 6)
+
+
+def test_coboundary_preimage_degree0_is_none():
+    # there are no (-1)-cochains, so no 0-cochain is a coboundary of one
+    C2 = cyclic(2)
+    M = negation_module(C2, 4)
+    H = cohomology(C2, M, 0)
+    assert H.invariant_factors == (2,)
+    for z in (zero_cochain(M, 0), H.generator(0)):
+        assert coboundary_preimage(H, z) is None
 
 
 def test_h3_c2_z2():

@@ -1,8 +1,17 @@
+import itertools
 import random
+from math import gcd
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from teichmuller.gmod_cohomology import _coboundary_matrix, trivial_gmodule
+from teichmuller.groups import quaternion_table
 from teichmuller.modlinalg import (
+    ModDiagonalization,
+    as_mod_array,
     cokernel_mod,
     diagonalize_mod,
     enumerate_colspan,
@@ -17,6 +26,173 @@ from teichmuller.modlinalg import (
 
 def random_matrix(rng, r, c, m):
     return np.array([[rng.randrange(m) for _ in range(c)] for _ in range(r)], dtype=np.int64)
+
+
+def dense_diagonalize_mod(A, m: int, want_inverses: bool = False, want_U: bool = True,
+                          want_V: bool = True) -> ModDiagonalization:
+    """Reference: the dense elimination that rescans and rewrites the whole
+    active block at every pivot, with an O(m) gcd lookup table.  Only for
+    small m.  ``diagonalize_mod`` must reproduce it bit for bit.
+
+    Diagonalize A over Z/m by invertible row/column operations.
+
+    Pivots are chosen by smallest gcd with m (then position), every diagonal
+    entry is normalized to a divisor of m, and the divisibility chain
+    gcd(d_i, m) | gcd(d_{i+1}, m) is enforced, so the diagonal is canonical.
+    U or V tracking can be disabled to halve the work on large one-sided
+    problems (kernels need only V).
+    """
+    A = as_mod_array(A, m)
+    rows, cols = A.shape
+    U = np.eye(rows, dtype=np.int64) if want_U else None
+    V = np.eye(cols, dtype=np.int64) if want_V else None
+    Ui = np.eye(rows, dtype=np.int64) if want_inverses and want_U else None
+    Vi = np.eye(cols, dtype=np.int64) if want_inverses and want_V else None
+    gcd_table = np.gcd(np.arange(m if m > 1 else 2, dtype=np.int64), m)
+    t = 0
+    limit = min(rows, cols)
+    gcds = gcd_table[A]
+    while t < limit:
+        sub = gcds[t:, t:]
+        if not A[t:, t:].any():
+            break
+        # pivot: minimal gcd(entry, m) among nonzero entries, then position
+        masked = np.where(A[t:, t:] != 0, sub, m + 1)
+        flat = int(np.argmin(masked))
+        pi, pj = divmod(flat, cols - t)
+        pi += t
+        pj += t
+        if pi != t:
+            A[[t, pi]] = A[[pi, t]]
+            gcds[[t, pi]] = gcds[[pi, t]]
+            if want_U:
+                U[[t, pi]] = U[[pi, t]]
+            if Ui is not None:
+                Ui[:, [t, pi]] = Ui[:, [pi, t]]
+        if pj != t:
+            A[:, [t, pj]] = A[:, [pj, t]]
+            gcds[:, [t, pj]] = gcds[:, [pj, t]]
+            if want_V:
+                V[:, [t, pj]] = V[:, [pj, t]]
+            if Vi is not None:
+                Vi[[t, pj]] = Vi[[pj, t]]
+        # normalize pivot to gcd(pivot, m)
+        u = unit_multiplier(int(A[t, t]), m)
+        if u != 1:
+            A[t] = (A[t] * u) % m
+            if want_U:
+                U[t] = (U[t] * u) % m
+            if Ui is not None:
+                Ui[:, t] = (Ui[:, t] * pow(u, -1, m)) % m
+        g = int(A[t, t])
+        # clear column t below, row t to the right
+        q = A[t + 1:, t] // g
+        if q.any():
+            A[t + 1:] = (A[t + 1:] - np.outer(q, A[t])) % m
+            if want_U:
+                U[t + 1:] = (U[t + 1:] - np.outer(q, U[t])) % m
+            if Ui is not None:
+                Ui[:, t] = (Ui[:, t] + Ui[:, t + 1:] @ q) % m
+        q = A[t, t + 1:] // g
+        if q.any():
+            A[:, t + 1:] = (A[:, t + 1:] - np.outer(A[:, t], q)) % m
+            if want_V:
+                V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], q)) % m
+            if Vi is not None:
+                Vi[t] = (Vi[t] + q @ Vi[t + 1:]) % m
+        gcds[t:, t:] = gcd_table[A[t:, t:]]
+        if A[t + 1:, t].any() or A[t, t + 1:].any():
+            continue  # residues left a smaller pivot candidate
+        # divisibility of the remaining block by the pivot gcd
+        if t + 1 < limit:
+            rem = gcds[t + 1:, t + 1:] % g
+            if rem.any():
+                bad = int(np.argmax(rem.any(axis=1)))
+                A[t] = (A[t] + A[t + 1 + bad]) % m
+                gcds[t] = gcd_table[A[t]]
+                if want_U:
+                    U[t] = (U[t] + U[t + 1 + bad]) % m
+                if Ui is not None:
+                    Ui[:, t + 1 + bad] = (Ui[:, t + 1 + bad] - Ui[:, t]) % m
+                continue
+        t += 1
+    d = np.array([gcd(int(A[i, i]), m) for i in range(limit)], dtype=np.int64)
+    return ModDiagonalization(m=m, rows=rows, cols=cols, d=d,
+                              U=U % m if want_U else None,
+                              V=V % m if want_V else None,
+                              U_inv=Ui % m if Ui is not None else None,
+                              V_inv=Vi % m if Vi is not None else None)
+
+
+def assert_same_diagonalization(got: ModDiagonalization, want: ModDiagonalization):
+    for name in ("d", "U", "V", "U_inv", "V_inv"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+ORACLE_MODULI = (2, 3, 4, 6, 8, 9, 12, 25, 27, 30, 36)
+
+
+@st.composite
+def oracle_cases(draw):
+    m = draw(st.sampled_from(ORACLE_MODULI))
+    shape = (draw(st.integers(0, 12)), draw(st.integers(0, 12)))
+    if draw(st.booleans()):
+        entries = st.integers(0, m - 1)
+    else:  # sparse: about four entries in five are zero
+        entries = st.integers(0, 5 * m - 1).map(lambda x: x if x < m else 0)
+    A = draw(arrays(np.int64, shape, elements=entries))
+    flags = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    return A, m, flags
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_cases())
+def test_diagonalize_matches_dense_oracle(case):
+    A, m, flags = case
+    assert_same_diagonalization(diagonalize_mod(A.copy(), m, *flags),
+                                dense_diagonalize_mod(A.copy(), m, *flags))
+
+
+def test_h2_q8_system_matches_oracle_with_and_without_zero_rows():
+    # the stacked H^2(Q8, Z/2) system: the 343x49 bar differential over 49
+    # zero rows (d_i = m), which cohomology no longer stacks
+    dmat = _coboundary_matrix(trivial_gmodule(quaternion_table(), (2,)), 2, 2)
+    stacked = np.vstack([dmat, np.zeros((49, 49), dtype=np.int64)])
+    assert stacked.shape == (392, 49)
+    kernels = []
+    for A in (stacked, dmat):
+        for flags in itertools.product((False, True), repeat=3):
+            assert_same_diagonalization(diagonalize_mod(A, 2, *flags),
+                                        dense_diagonalize_mod(A, 2, *flags))
+        kernels.append(diagonalize_mod(A, 2, want_U=False).kernel())
+    assert np.array_equal(kernels[0], kernels[1])
+
+
+def test_inverse_mod_large_modulus_exact():
+    # 6 * (3^19 - 1)^2 < 2^63: every product must still be exact
+    m = 3 ** 19
+    rng = random.Random(7)
+    for _ in range(20):
+        A = random_matrix(rng, 6, 6, m)
+        inv = inverse_mod(A, m)
+        if inv is not None:
+            break
+    assert inv is not None
+    rows = [[int(x) for x in row] for row in A]
+    cols = [[int(inv[i, j]) for i in range(6)] for j in range(6)]
+    prod = [[sum(a * b for a, b in zip(row, col)) % m for col in cols] for row in rows]
+    assert prod == [[int(i == j) for j in range(6)] for i in range(6)]
+
+
+@pytest.mark.parametrize("m", [2 ** 32, 2 ** 40, 2 ** 62])
+def test_diagonalize_refuses_int64_overflow(m):
+    with pytest.raises(ValueError, match=f"m={m}.*shape \\(2, 2\\)"):
+        diagonalize_mod(np.eye(2, dtype=np.int64), m)
+    with pytest.raises(ValueError, match=f"m={m}"):
+        inverse_mod(np.eye(2, dtype=np.int64), m)
 
 
 def test_unit_multiplier():
