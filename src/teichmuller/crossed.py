@@ -29,6 +29,8 @@ from .groups import (
     abelian_structure,
     direct_product,
     fiber_product,
+    mixed_radix_decode,
+    mixed_radix_encode,
     quotient_group,
     subgroup_of,
 )
@@ -125,9 +127,9 @@ class Crossed2Extension:
 
         Returns (GModule, elem_to_coords, coords_to_elem).
         """
-        pres, elem_to_coords, coords_to_elem = abelian_structure(self.M)
+        factors, elem_to_coords, coords_to_elem = abelian_structure(self.M)
         into_c = {self.iota(m): m for m in range(self.M.order)}
-        k = len(pres.invariant_factors)
+        k = len(factors)
         # one lift per element of G
         lifts = {}
         for gamma in range(self.Gamma.order):
@@ -145,7 +147,7 @@ class Crossed2Extension:
                 cols.append(elem_to_coords[into_c[acted]])
             mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
             mats.append(mat)
-        module = GModule(self.G, pres.invariant_factors, tuple(mats))
+        module = GModule(self.G, factors, tuple(mats))
         return module, elem_to_coords, coords_to_elem
 
 
@@ -200,24 +202,12 @@ def trivial_crossed2(Q: FiniteGroup, M: GModule) -> Crossed2Extension:
     """e_0: 0 -> M = M -> 0 -> Q = Q -> 1 with the module action as structure."""
     if M.group.mul != Q.mul:
         raise CrossedModuleError("module must be over Q")
-    Mgrp = abelian_group_from_factors(M.invariant_factors)
-
-    def encode(coords):
-        i = 0
-        for x, d in zip(coords, M.invariant_factors):
-            i = i * d + (x % d)
-        return i
-
-    def decode(i):
-        out = []
-        for d in reversed(M.invariant_factors):
-            out.append(i % d)
-            i //= d
-        return tuple(reversed(out))
-
+    factors = M.invariant_factors
+    Mgrp = abelian_group_from_factors(factors)
     rows = []
     for q in range(Q.order):
-        rows.append(tuple(encode(M.act(q, decode(i))) for i in range(Mgrp.order)))
+        rows.append(tuple(mixed_radix_encode(M.act(q, mixed_radix_decode(i, factors)), factors)
+                          for i in range(Mgrp.order)))
     action = GroupAction(Q, Mgrp, tuple(rows))
     iota = GroupHom(Mgrp, Mgrp, tuple(range(Mgrp.order)))
     boundary = GroupHom(Mgrp, Q, tuple(Q.identity for _ in range(Mgrp.order)))

@@ -92,14 +92,14 @@ class Ambient:
 
     def gmodule(self):
         """M as a G-module in invariant-factor coordinates, with bridges."""
-        pres, e2c, c2e = abelian_structure(self.Mgrp)
-        k = len(pres.invariant_factors)
+        factors, e2c, c2e = abelian_structure(self.Mgrp)
+        k = len(factors)
         basis = [c2e[tuple(1 if j == i else 0 for j in range(k))] for i in range(k)]
         mats = []
         for g in range(self.G.order):
             cols = [e2c[self.action.act(g, b)] for b in basis]
             mats.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
-        return GModule(self.G, pres.invariant_factors, tuple(mats)), list(e2c), c2e
+        return GModule(self.G, factors, tuple(mats)), list(e2c), c2e
 
     def restricted_gmodule(self, hom: GroupHom):
         """The same module over the source of hom (hom: H -> G)."""
@@ -107,15 +107,18 @@ class Ambient:
         return GModule(hom.source, module.invariant_factors,
                        tuple(module.action[hom(h)] for h in range(hom.source.order))), e2c, c2e
 
+    def fixed_elements(self) -> tuple[int, ...]:
+        """The elements of M^N, the part of M fixed by N, in increasing order."""
+        return tuple(m for m in range(self.Mgrp.order)
+                     if all(self.action.act(self.ext.kernel_hom(n), m) == m
+                            for n in range(self.N.order)))
+
     def fixed_submodule_gmodule(self):
         """M^N as a Q-module plus the inclusion M^N -> M over G ->> Q."""
-        module, e2c, c2e = self.gmodule()
-        fixed_elems = [m for m in range(self.Mgrp.order)
-                       if all(self.action.act(self.ext.kernel_hom(n), m) == m
-                              for n in range(self.N.order))]
+        fixed_elems = self.fixed_elements()
         MN, incl = subgroup_of(self.Mgrp, fixed_elems)
-        presN, e2cN, c2eN = abelian_structure(MN)
-        kN = len(presN.invariant_factors)
+        factorsN, e2cN, c2eN = abelian_structure(MN)
+        kN = len(factorsN)
         basis = [c2eN[tuple(1 if j == i else 0 for j in range(kN))] for i in range(kN)]
         # Q-action: lift q to G (well defined on fixed points)
         sec = self.ext.section()
@@ -128,14 +131,14 @@ class Ambient:
                 idx = fixed_elems.index(acted)
                 cols.append(e2cN[idx])
             mats.append(tuple(tuple(cols[j][i] for j in range(kN)) for i in range(kN)))
-        moduleN = GModule(self.Q, presN.invariant_factors, tuple(mats))
-        return moduleN, MN, incl, (presN, e2cN, c2eN)
+        moduleN = GModule(self.Q, factorsN, tuple(mats))
+        return moduleN, MN, incl, (factorsN, e2cN, c2eN)
 
     def inflation_map(self, degree_target_module=None) -> ModuleMap:
         """mu: M^N -> M over pi: G ->> Q (inflation H^*(Q, M^N) -> H^*(G, M))."""
         module, e2c, c2e = self.gmodule()
-        moduleN, MN, incl, (presN, e2cN, c2eN) = self.fixed_submodule_gmodule()
-        kN = len(presN.invariant_factors)
+        moduleN, MN, incl, (factorsN, e2cN, c2eN) = self.fixed_submodule_gmodule()
+        kN = len(factorsN)
         k = module.rank
         cols = []
         for i in range(kN):
@@ -296,8 +299,7 @@ def diag1_report(autdata: AutGeGroup, h1n_order: Optional[int] = None) -> dict:
     Gamma = autdata.ae.Gamma
     report = {}
     # middle column: ker(beta) = M^N inside Gamma
-    fixed = [m for m in range(M.order)
-             if all(amb.action.act(amb.ext.kernel_hom(n), m) == m for n in range(N.order))]
+    fixed = amb.fixed_elements()
     ker_beta = autdata.beta.kernel()
     expect = sorted(autdata.ae.gamma_index(m, N.identity) for m in fixed)
     report["ker_beta_is_MN"] = sorted(ker_beta) == expect
@@ -424,10 +426,7 @@ def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Co
                         for y in range(Gamma.order)))
     piB = GroupHom.checked(B, Q, tuple(q for (_, q) in belems))
     # M^N -> Gamma
-    fixed = [m for m in range(amb.Mgrp.order)
-             if all(amb.action.act(amb.ext.kernel_hom(n), m) == m
-                    for n in range(amb.N.order))]
-    MN, mn_incl = subgroup_of(amb.Mgrp, fixed)
+    MN, mn_incl = subgroup_of(amb.Mgrp, amb.fixed_elements())
     iota = GroupHom.checked(
         MN, Gamma, tuple(cp.ae.gamma_index(mn_incl(m), amb.N.identity)
                          for m in range(MN.order)))
@@ -560,7 +559,6 @@ class XpextReport:
     h2q_image_in_h2g: set
     h3q_classes: dict             # coords -> inflation image in H^3(G, M)
     verdicts: dict
-    truncated: bool = False
 
 
 def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
@@ -589,7 +587,6 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
     h3g = cohomology(G, moduleG, 3)
     h2q = cohomology(Q, moduleQ, 2)
     h3q = cohomology(Q, moduleQ, 3)
-    truncated = False
     nact = amb.n_action()
     pairs: list[CrossedPair] = []
     autdata_cache: dict = {}
@@ -644,7 +641,6 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
     h3q_map = {c: map_on_cohomology(infl, h3q, h3g, list(c)) for c in h3q.all_classes()}
     zero3g = tuple([0] * len(h3g.invariant_factors))
     verdicts = {}
-    zero2g = tuple([0] * len(h2g.invariant_factors))
     ker_j = {c for c, b in j_images.items() if b == zero_bucket}
     verdicts["exact_at_H2G"] = ker_j == h2q_image
     im_j = set(j_images.values())
@@ -660,7 +656,7 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
     return XpextReport(ambient=amb, buckets=buckets, delta_classes=delta_classes,
                        zero_bucket=zero_bucket, j_images=j_images,
                        h2q_image_in_h2g=h2q_image, h3q_classes=h3q_map,
-                       verdicts=verdicts, truncated=truncated)
+                       verdicts=verdicts)
 
 
 def _find_bucket(buckets, cp) -> int:
@@ -761,7 +757,7 @@ def degree1_delta(ambient: Ambient, d_table, seed: int = 0) -> Cochain:
         if found is None:
             raise CrossedPairError("derivation class is not Q-fixed")
         m_of_q[q] = found
-    moduleQ, MNgrp, MN_incl, (presN, e2cN, _) = amb.fixed_submodule_gmodule()
+    moduleQ, MNgrp, MN_incl, (_, e2cN, _) = amb.fixed_submodule_gmodule()
     fixed_lookup = {MN_incl(i): i for i in range(MNgrp.order)}
     kN = moduleQ.rank
     table = np.zeros((Q.order, Q.order, kN), dtype=np.int64)
@@ -1070,7 +1066,7 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     theta = tuple(gal.act_matrix(ae.gamma_parts(y)[1]) % m for y in range(Gamma.order))
     spec = CrossedProductSpec(A=A, base_action=base_action_N, ext=ae.ext_e,
                               i_images=i_images, theta=theta)
-    res = crossed_product(spec, form="v2", seed=seed)
+    res = crossed_product(spec, seed=seed)
     C = res.C
     R = res.R
     rR = R.rank
@@ -1126,7 +1122,7 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     # bridge: U(T)^N coordinates -> units of R
     from .modlinalg import diagonalize_mod as _dg
     r_diag = _dg(res.r_embed, m)
-    moduleQ, MNgrp, MN_incl, (presN, e2cN, c2eN) = amb.fixed_submodule_gmodule()
+    moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()
 
     def bridge_unit(mn_index: int) -> np.ndarray:
         t_vec = data.units.element(MN_incl(mn_index))

@@ -1,353 +1,26 @@
-"""Exact integer linear algebra: Smith normal form, modular solving, finite
-abelian quotients.
+"""Finite abelian groups presented by integer relations, in invariant-factor form.
 
-Everything here works with arbitrary-precision Python integers.  Matrices are
-immutable (tuple-of-rows) so values can be shared freely.  The Smith reduction
-uses a fixed pivot rule (smallest nonzero absolute value, then lowest row/col
-index) so all outputs are reproducible.
+A finite abelian group of known order is a quotient of Z^n by a relation
+lattice that contains order * Z^n, so it equals (Z/order)^n modulo the same
+relations; ``modlinalg.cokernel_mod`` gives its invariant factors, coordinates
+and lifts.  ``groups.abelian_structure`` and the regluing of split cohomology
+groups present their groups through ``abelian_quotient``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from .modlinalg import ModCokernel, cokernel_mod
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix with entries stored row-major as nested tuples."""
+def abelian_quotient(relations, order: int) -> ModCokernel:
+    """Present Z^n / (column span of ``relations``), a group of ``order`` elements.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if not data:
-            return IntMatrix(0, 0, ())
-        return IntMatrix(len(data), len(data[0]), data)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    @staticmethod
-    def diagonal(diag: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
-        n = len(diag)
-        r = rows if rows is not None else n
-        c = cols if cols is not None else n
-        return IntMatrix(r, c, tuple(tuple(int(diag[i]) if i == j and i < n else 0 for j in range(c)) for i in range(r)))
-
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        return self.entries[idx[0]][idx[1]]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        cols = list(zip(*other.entries)) if other.entries else []
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries
-        )
-        if self.rows and not other.cols:
-            data = tuple(() for _ in range(self.rows))
-        return IntMatrix(self.rows, other.cols, data)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
-
-@dataclass(frozen=True)
-class SnfDecomposition:
-    """U @ A @ V == D with U, V unimodular and D in Smith form."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix
-    V_inv: IntMatrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        n = min(self.D.rows, self.D.cols)
-        return tuple(self.D[i, i] for i in range(n))
-
-
-class _Work:
-    """Mutable elimination state: A plus the four transformation matrices."""
-
-    def __init__(self, A: IntMatrix):
-        self.a = [list(r) for r in A.entries]
-        self.rows = A.rows
-        self.cols = A.cols
-        self.u = [[1 if i == j else 0 for j in range(A.rows)] for i in range(A.rows)]
-        self.ui = [[1 if i == j else 0 for j in range(A.rows)] for i in range(A.rows)]
-        self.v = [[1 if i == j else 0 for j in range(A.cols)] for i in range(A.cols)]
-        self.vi = [[1 if i == j else 0 for j in range(A.cols)] for i in range(A.cols)]
-
-    # Row ops act as U <- E U (so U tracks all of them); U_inv gets E^-1 on the right.
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for r in self.ui:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for r in self.a:
-            r[i], r[j] = r[j], r[i]
-        for r in self.v:
-            r[i], r[j] = r[j], r[i]
-        self.vi[i], self.vi[j] = self.vi[j], self.vi[i]
-
-    def negate_row(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for r in self.ui:
-            r[i] = -r[i]
-
-    def add_row(self, dst, src, k):
-        # row_dst += k * row_src
-        if k == 0:
-            return
-        self.a[dst] = [x + k * y for x, y in zip(self.a[dst], self.a[src])]
-        self.u[dst] = [x + k * y for x, y in zip(self.u[dst], self.u[src])]
-        for r in self.ui:
-            r[src] -= k * r[dst]
-
-    def add_col(self, dst, src, k):
-        if k == 0:
-            return
-        for r in self.a:
-            r[dst] += k * r[src]
-        for r in self.v:
-            r[dst] += k * r[src]
-        self.vi[src] = [x - k * y for x, y in zip(self.vi[src], self.vi[dst])]
-
-
-def _pivot(work: _Work, t: int) -> Optional[tuple[int, int]]:
-    best = None
-    for i in range(t, work.rows):
-        row = work.a[i]
-        for j in range(t, work.cols):
-            x = row[j]
-            if x != 0:
-                key = (abs(x), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with unimodular transforms and their inverses.
-
-    The diagonal is nonnegative with d_1 | d_2 | ... ; pivoting always picks the
-    entry of smallest absolute value (ties broken by position), which makes the
-    decomposition deterministic.
+    ``relations`` is an integer array with n rows and one column per relator.
+    Raises ValueError, naming both orders, when the relations do not present
+    a group of ``order`` elements modulo ``order``.
     """
-    work = _Work(A)
-    t = 0
-    limit = min(work.rows, work.cols)
-    while t < limit:
-        pos = _pivot(work, t)
-        if pos is None:
-            break
-        work.swap_rows(t, pos[0])
-        work.swap_cols(t, pos[1])
-        if work.a[t][t] < 0:
-            work.negate_row(t)
-        # Clear row/column t; restart whenever a division leaves a remainder,
-        # since the remainder is a strictly smaller candidate pivot.
-        dirty = False
-        for i in range(t + 1, work.rows):
-            x = work.a[i][t]
-            if x:
-                q = x // work.a[t][t]
-                work.add_row(i, t, -q)
-                if work.a[i][t]:
-                    dirty = True
-        for j in range(t + 1, work.cols):
-            x = work.a[t][j]
-            if x:
-                q = x // work.a[t][t]
-                work.add_col(j, t, -q)
-                if work.a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # Divisibility: d_t must divide every remaining entry.
-        p = work.a[t][t]
-        viol = None
-        for i in range(t + 1, work.rows):
-            for j in range(t + 1, work.cols):
-                if work.a[i][j] % p:
-                    viol = i
-                    break
-            if viol is not None:
-                break
-        if viol is not None:
-            work.add_row(t, viol, 1)
-            continue
-        t += 1
-    U = IntMatrix.from_rows(work.u) if work.rows else IntMatrix(0, 0, ())
-    V = IntMatrix.from_rows(work.v) if work.cols else IntMatrix(0, 0, ())
-    Ui = IntMatrix.from_rows(work.ui) if work.rows else IntMatrix(0, 0, ())
-    Vi = IntMatrix.from_rows(work.vi) if work.cols else IntMatrix(0, 0, ())
-    D = IntMatrix.from_rows(work.a) if work.rows else IntMatrix(0, A.cols, tuple())
-    if work.rows == 0:
-        D = IntMatrix.zero(0, A.cols)
-        U = IntMatrix.identity(0)
-        Ui = IntMatrix.identity(0)
-    if work.cols == 0:
-        D = IntMatrix.zero(A.rows, 0)
-        V = IntMatrix.identity(0)
-        Vi = IntMatrix.identity(0)
-    return SnfDecomposition(U=U, D=D, V=V, U_inv=Ui, V_inv=Vi)
-
-
-def solve_mod(A: IntMatrix, b: Sequence[int], m: int):
-    """Solve A x = b (mod m).
-
-    Returns (particular solution, kernel basis) or None when inconsistent.
-    The kernel basis spans all homogeneous solutions modulo m.
-    """
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if len(b) != A.rows:
-        raise ValueError("right-hand side length mismatch")
-    snf = smith_normal_form(A)
-    d = snf.diagonal
-    ub = snf.U.apply(b)
-    y = [0] * A.cols
-    for i in range(A.rows):
-        rhs = ub[i] % m
-        if i < len(d):
-            g = gcd(d[i], m)
-            if rhs % g:
-                return None
-            mg = m // g
-            # d_i * y_i = rhs (mod m)  <=>  (d_i/g) y_i = rhs/g (mod m/g)
-            y[i] = ((rhs // g) * pow(d[i] // g, -1, mg)) % mg if mg > 1 else 0
-        elif rhs:
-            return None
-    x = snf.V.apply(y)
-    x = tuple(v % m for v in x)
-    kernel = []
-    for j in range(A.cols):
-        dj = d[j] if j < len(d) else 0
-        scale = m // gcd(dj, m)
-        if scale % m == 0:
-            continue
-        vec = tuple((snf.V[i, j] * scale) % m for i in range(A.cols))
-        if any(vec):
-            kernel.append(vec)
-    return x, kernel
-
-
-@dataclass(frozen=True)
-class FinAbPresentation:
-    """A finite abelian group Z^rank / relations in invariant-factor form.
-
-    ``to_coords`` maps an ambient integer vector to coordinates in
-    prod Z/invariant_factors[i]; ``from_coords`` lifts coordinates back to a
-    representative ambient vector.  Round-tripping is the identity on the
-    quotient.
-    """
-
-    invariant_factors: tuple[int, ...]
-    ambient_rank: int
-    to_coords_matrix: IntMatrix
-    from_coords_matrix: IntMatrix
-
-    def __post_init__(self):
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
-    def coords(self, vec: Sequence[int]) -> tuple[int, ...]:
-        raw = self.to_coords_matrix.apply(vec)
-        return tuple(x % d for x, d in zip(raw, self.invariant_factors))
-
-    def lift(self, coords: Sequence[int]) -> tuple[int, ...]:
-        if len(coords) != len(self.invariant_factors):
-            raise ValueError("coordinate length mismatch")
-        return self.from_coords_matrix.apply(coords)
-
-    def elements(self) -> Iterable[tuple[int, ...]]:
-        def rec(i, acc):
-            if i == len(self.invariant_factors):
-                yield tuple(acc)
-                return
-            for x in range(self.invariant_factors[i]):
-                yield from rec(i + 1, acc + [x])
-        yield from rec(0, [])
-
-
-class InfiniteQuotientError(ValueError):
-    pass
-
-
-def abelian_quotient(relations: IntMatrix, ambient_rank: int) -> FinAbPresentation:
-    """Present Z^ambient_rank / (column span of ``relations``).
-
-    The relation matrix has one column per relator; its rows live in the
-    ambient Z^rank.  Raises InfiniteQuotientError when the quotient is not
-    finite (detected by a zero or missing SNF diagonal entry).
-    """
-    if relations.rows != ambient_rank:
-        raise ValueError("relations must have ambient_rank rows")
-    snf = smith_normal_form(relations)
-    d = snf.diagonal
-    if len(d) < ambient_rank or any(x == 0 for x in d):
-        raise InfiniteQuotientError("quotient is infinite")
-    keep = [i for i in range(ambient_rank) if d[i] != 1]
-    factors = tuple(d[i] for i in keep)
-    to_rows = tuple(snf.U.row(i) for i in keep)
-    to_mat = IntMatrix(len(keep), ambient_rank, to_rows)
-    from_cols = tuple(tuple(snf.U_inv[i, j] for j in keep) for i in range(ambient_rank))
-    from_mat = IntMatrix(ambient_rank, len(keep), from_cols)
-    return FinAbPresentation(
-        invariant_factors=factors,
-        ambient_rank=ambient_rank,
-        to_coords_matrix=to_mat,
-        from_coords_matrix=from_mat,
-    )
+    cok = cokernel_mod(relations, order)
+    if cok.order != order:
+        raise ValueError(f"relations present a group of order {cok.order} modulo {order}, "
+                         f"not one of order {order}")
+    return cok

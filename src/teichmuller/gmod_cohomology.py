@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact_linalg import IntMatrix, abelian_quotient
+from .exact_linalg import abelian_quotient
 from .groups import FiniteGroup, GroupHom, cyclic
 from .modlinalg import (
     ModCokernel,
@@ -469,7 +469,8 @@ class CohomologyGroup:
     invariant_factors: tuple[int, ...]
     _cores: list = field(repr=False, default_factory=list)
     _summand_indices: Optional[list] = field(repr=False, default=None)
-    _glue: Optional[object] = field(repr=False, default=None)
+    # invariant-factor form of the direct sum of the summands' groups
+    _glue: Optional[ModCokernel] = field(repr=False, default=None)
 
     @property
     def order(self) -> int:
@@ -509,7 +510,8 @@ class CohomologyGroup:
             return zero_cochain(self.module, self.degree)
         if self._summand_indices is None:
             return self._cores[0].generator(coords)
-        flat = self._glue.lift(coords)
+        src_factors = [f for core in self._cores for f in core.invariant_factors]
+        flat = [int(x) % f for x, f in zip(self._glue.lift(coords), src_factors)]
         out = zero_cochain(self.module, self.degree)
         offset = 0
         for core, i in zip(self._cores, self._summand_indices):
@@ -530,31 +532,6 @@ class CohomologyGroup:
         while any((c * k) % f for c, f in zip(coords, self.invariant_factors)):
             k += 1
         return k
-
-
-class _Glue:
-    """Invariant-factor form of a direct sum of cyclic groups."""
-
-    def __init__(self, factors: Sequence[int]):
-        self.src_factors = tuple(int(f) for f in factors)
-        if not factors:
-            self.pres = None
-            self.factors = ()
-            return
-        rel = IntMatrix.diagonal(list(self.src_factors))
-        self.pres = abelian_quotient(rel, len(self.src_factors))
-        self.factors = self.pres.invariant_factors
-
-    def coords(self, parts) -> tuple[int, ...]:
-        if self.pres is None:
-            return ()
-        return self.pres.coords(list(parts))
-
-    def lift(self, coords) -> tuple[int, ...]:
-        if self.pres is None:
-            return ()
-        vec = self.pres.lift(list(coords))
-        return tuple(int(x) % f for x, f in zip(vec, self.src_factors))
 
 
 DEFAULT_COL_BUDGET = 4096
@@ -592,7 +569,8 @@ def cohomology(G: FiniteGroup, M: GModule, n: int,
     for i in range(k):
         cores.append(_compute_core(M.summand(i), n))
         indices.append(i)
-    glue = _Glue([f for core in cores for f in core.invariant_factors])
+    src_factors = [f for core in cores for f in core.invariant_factors]
+    glue = abelian_quotient(np.diag(np.array(src_factors, dtype=np.int64)), prod(src_factors))
     return CohomologyGroup(G, M, n, glue.factors, _cores=cores,
                            _summand_indices=indices, _glue=glue)
 

@@ -16,6 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .exact_linalg import abelian_quotient
+
 DEFAULT_ORDER_CAP = 256
 ISO_SEARCH_CAP = 128
 AUT_SEARCH_CAP = 64
@@ -366,6 +368,23 @@ def fiber_product(f: GroupHom, g: GroupHom) -> tuple[FiniteGroup, GroupHom, Grou
     return P, proj1, proj2
 
 
+def mixed_radix_decode(i: int, factors: Sequence[int]) -> tuple[int, ...]:
+    """Digits of the index i in prod Z/factors, the last digit varying fastest."""
+    out = []
+    for d in reversed(factors):
+        out.append(i % d)
+        i //= d
+    return tuple(reversed(out))
+
+
+def mixed_radix_encode(v: Sequence[int], factors: Sequence[int]) -> int:
+    """Index of the digit vector v (reduced mod factors); inverse of the decode."""
+    i = 0
+    for x, d in zip(v, factors):
+        i = i * d + (x % d)
+    return i
+
+
 def abelian_group_from_factors(factors: Sequence[int]) -> FiniteGroup:
     """The group Z/d_1 + ... + Z/d_k with mixed-radix element indexing."""
     factors = [int(d) for d in factors]
@@ -374,34 +393,19 @@ def abelian_group_from_factors(factors: Sequence[int]) -> FiniteGroup:
         n *= d
     if n > DEFAULT_ORDER_CAP:
         raise GroupError("abelian group too large for a table")
-
-    def decode(i):
-        out = []
-        for d in reversed(factors):
-            out.append(i % d)
-            i //= d
-        return tuple(reversed(out))
-
-    def encode(v):
-        i = 0
-        for x, d in zip(v, factors):
-            i = i * d + (x % d)
-        return i
-
-    mul = [[encode(tuple(a + b for a, b in zip(decode(i), decode(j)))) for j in range(n)]
-           for i in range(n)]
-    labels = ["+".join(f"{x}" for x in decode(i)) for i in range(n)] if factors else ["0"]
+    digits = [mixed_radix_decode(i, factors) for i in range(n)]
+    mul = [[mixed_radix_encode([a + b for a, b in zip(x, y)], factors) for y in digits]
+           for x in digits]
+    labels = ["+".join(f"{x}" for x in v) for v in digits] if factors else ["0"]
     return FiniteGroup.from_table(mul, labels=labels)
 
 
 def abelian_structure(M: FiniteGroup):
     """Invariant-factor presentation of an abelian table group.
 
-    Returns (presentation, elem_to_coords, coords_to_elem): coordinates are
-    tuples in prod Z/d_i, additive for the group law.
+    Returns (invariant_factors, elem_to_coords, coords_to_elem): coordinates
+    are tuples in prod Z/d_i, additive for the group law.
     """
-    from .exact_linalg import IntMatrix, abelian_quotient
-
     if not M.is_abelian():
         raise GroupError("abelian_structure needs an abelian group")
     gens = M.minimal_generators()
@@ -436,14 +440,14 @@ def abelian_structure(M: FiniteGroup):
                 expo[M.mul[elem][x]] = tuple(nv)
     if len(expo) != M.order:
         raise GroupError("generator closure failed (group not abelian?)")
-    rel_mat = IntMatrix.from_rows([[relations[c][r] for c in range(g)] for r in range(g)]) \
-        if g else IntMatrix(0, 0, ())
-    pres = abelian_quotient(rel_mat, g)
-    elem_to_coords = [pres.coords(expo[e]) for e in range(M.order)]
+    # one relator per column, and one exponent vector per column
+    pres = abelian_quotient(np.array(relations, dtype=np.int64).reshape(g, g).T, M.order)
+    exponents = np.array([expo[e] for e in range(M.order)], dtype=np.int64).reshape(M.order, g)
+    elem_to_coords = [tuple(c) for c in pres.coords(exponents.T).T.tolist()]
     coords_to_elem = {c: e for e, c in enumerate(elem_to_coords)}
     if len(coords_to_elem) != M.order:
         raise GroupError("presentation does not separate elements")
-    return pres, elem_to_coords, coords_to_elem
+    return pres.factors, elem_to_coords, coords_to_elem
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ pivot changes, so a sparse system costs about its nonzeros plus that scan.
 Dot products of r-term vectors reach r * (m - 1)^2, so ``diagonalize_mod``
 refuses m with max(rows, cols) * (m - 1)^2 >= 2^63 before any work.
 
-This is internal plumbing shared by the cohomology and finite-ring modules;
-the integer-exact interface lives in exact_linalg.
+This is the one exact linear-algebra layer of the package: cohomology, finite
+rings and the finite abelian presentations of exact_linalg all run on it.
 """
 
 from __future__ import annotations
@@ -247,9 +247,13 @@ class ModCokernel:
             o *= f
         return o
 
-    def coords(self, v) -> tuple[int, ...]:
+    def coords(self, v):
+        """The class of v as a tuple; for a 2-D v, the classes of its columns
+        as the columns of an array."""
         v = np.mod(np.asarray(v, dtype=np.int64), self.m)
         y = (self._U @ v) % self.m
+        if y.ndim == 2:
+            return y[list(self._keep)] % np.array(self.factors, dtype=np.int64)[:, None]
         return tuple(int(y[i]) % f for i, f in zip(self._keep, self.factors))
 
     def lift(self, coords) -> np.ndarray:

@@ -185,8 +185,8 @@ class UnitModule:
 def unit_module(base_action: BaseAction) -> UnitModule:
     S, Q = base_action.S, base_action.Q
     units = units_group(S)
-    pres, e2c, c2e = abelian_structure(units.group)
-    k = len(pres.invariant_factors)
+    factors, e2c, c2e = abelian_structure(units.group)
+    k = len(factors)
     mats = []
     basis_elems = []
     for i in range(k):
@@ -200,7 +200,7 @@ def unit_module(base_action: BaseAction) -> UnitModule:
             acted = (mat_q @ u_vec) % S.modulus
             cols.append(e2c[units.index_of(acted)])
         mats.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
-    module = GModule(Q, pres.invariant_factors, tuple(mats))
+    module = GModule(Q, factors, tuple(mats))
     return UnitModule(units=units, module=module, elem_to_coords=tuple(e2c),
                       coords_to_elem=c2e)
 
@@ -457,7 +457,6 @@ class CrossedProductSpec:
 @dataclass
 class CrossedProductResult:
     spec: CrossedProductSpec
-    form: str
     C: Algebra                   # the crossed product, over R = S^Q
     R: FinCommRing
     r_embed: np.ndarray          # R -> S
@@ -466,7 +465,6 @@ class CrossedProductResult:
     phi: list                    # phi[p][q] in K
     a_to_c: np.ndarray           # flat embedding A -> C
     v_units: list                # flat C-vectors
-    checks: dict
 
     def s_to_c(self) -> np.ndarray:
         return (self.a_to_c @ self.spec.A.base_embedding()) % self.C.modulus
@@ -484,17 +482,9 @@ def _sde_flat(A: Algebra, s_vec, i: int) -> np.ndarray:
     return out
 
 
-def crossed_product(spec: CrossedProductSpec, form: str = "v2", seed: int = 0,
+def crossed_product(spec: CrossedProductSpec, seed: int = 0,
                     validate: bool = True) -> CrossedProductResult:
-    """Build the crossed product algebra; both constructions are available.
-
-    v2 builds directly on the left-A-basis {v_q}; v1 builds the twisted group
-    algebra A^t Gamma, forms the two-sided ideal <y - j(y)>, and takes the
-    linear-span quotient (the checks record that the Prop-3.1 basis map is an
-    isomorphism onto the v2 algebra).
-    """
-    if form not in ("v1", "v2"):
-        raise NormalStructureError("form must be 'v1' or 'v2'")
+    """Build the crossed product algebra directly on the left-A-basis {v_q}."""
     if validate:
         spec.validate()
     A, Q, Gamma = spec.A, spec.Q, spec.Gamma
@@ -583,151 +573,9 @@ def crossed_product(spec: CrossedProductSpec, form: str = "v2", seed: int = 0,
             ci = c_index(q, b_idx // sigma, b_idx % sigma)
             vec[ci * rR:(ci + 1) * rR] = blocks[b_idx]
         v_units.append(vec % m)
-    checks: dict = {}
-    result = CrossedProductResult(spec=spec, form=form, C=C, R=R, r_embed=r_embed,
-                                  s_basis=s_basis, section=sec, phi=phi,
-                                  a_to_c=a_to_c, v_units=v_units, checks=checks)
-    if form == "v1":
-        checks.update(_v1_quotient_checks(spec, result))
-        if not checks["prop31_isomorphism"]:
-            raise NormalStructureError("v1 quotient does not match the v2 algebra")
-    return result
-
-
-def _v1_quotient_checks(spec: CrossedProductSpec, res: CrossedProductResult) -> dict:
-    """Build A^t Gamma / <y - j(y)> and certify the Prop-3.1 basis map.
-
-    The twisted group algebra is materialized as an algebra over R; the ideal
-    is closed as a linear span with a fixed reduction order; the map
-    x |-> (x v_{pi(x)}^{-1}) v_{pi(x)} is checked to be a surjective algebra
-    morphism with kernel exactly the ideal.
-    """
-    A, Q, Gamma = spec.A, spec.Q, spec.Gamma
-    S, R = A.base, res.R
-    m = A.modulus
-    sigma = res.s_basis.shape[1]
-    n = A.rank
-    sR, rR = S.rank, R.rank
-    expand_s = _expand_over_subring(S, R, res.r_embed, res.s_basis)
-    dimT = Gamma.order * n * sigma
-
-    def t_index(g, i, d):
-        return (g * n + i) * sigma + d
-
-    zero_r = tuple([0] * rR)
-
-    def expand_blocks(x_flat):
-        out = [None] * (n * sigma)
-        for i in range(n):
-            coords = expand_s(x_flat[i * sR:(i + 1) * sR])
-            for d in range(sigma):
-                out[i * sigma + d] = coords[d]
-        return out
-
-    struct = [[None] * dimT for _ in range(dimT)]
-    for g, i, d in itertools.product(range(Gamma.order), range(n), range(sigma)):
-        u1 = _sde_flat(A, res.s_basis[:, d], i)
-        th = spec.theta_mat(g)
-        for h, j, e in itertools.product(range(Gamma.order), range(n), range(sigma)):
-            u2 = _sde_flat(A, res.s_basis[:, e], j)
-            x = A.mul(u1, (th @ u2) % m)
-            blocks = expand_blocks(x)
-            vec = [zero_r] * dimT
-            gh = Gamma.mul[g][h]
-            for b in range(n * sigma):
-                vec[t_index(gh, b // sigma, b % sigma)] = tuple(int(v) for v in blocks[b])
-            struct[t_index(g, i, d)][t_index(h, j, e)] = tuple(vec)
-    unit_blocks = expand_blocks(A.flat_unit())
-    unit = [zero_r] * dimT
-    for b in range(n * sigma):
-        unit[t_index(Gamma.identity, b // sigma, b % sigma)] = \
-            tuple(int(v) for v in unit_blocks[b])
-    TG = Algebra(base=R, rank=dimT, structure=tuple(tuple(r) for r in struct),
-                 unit=tuple(unit), name=f"({A.name})^t Gamma")
-    flatT = TG.flat_rank
-    tensor = TG.flat_tensor
-    # ideal generators: j(y)-basis-element minus the embedded unit i(y)
-    gens = []
-    for y in range(spec.K.order):
-        vec = np.zeros(flatT, dtype=np.int64)
-        g = spec.ext.kernel_hom(y)
-        blocks = expand_blocks(A.flat_unit())
-        for b in range(n * sigma):
-            ti = t_index(g, b // sigma, b % sigma)
-            vec[ti * rR:(ti + 1) * rR] += np.array(blocks[b], dtype=np.int64)
-        blocks = expand_blocks(spec.i_vec(y))
-        for b in range(n * sigma):
-            ti = t_index(Gamma.identity, b // sigma, b % sigma)
-            vec[ti * rR:(ti + 1) * rR] -= np.array(blocks[b], dtype=np.int64)
-        gens.append(vec % m)
-    span = np.stack(gens, axis=1)
-    size = submodule_size(span, m)
-    while True:
-        # close under left and right multiplication by all basis vectors
-        prods = []
-        for b in range(flatT):
-            Lb = tensor[b]          # (x -> e_b * x): [j, c] at fixed a=b -> transpose
-            prods.append((tensor[b].T @ span) % m)      # e_b * span
-            prods.append((np.einsum("ac,ak->ck", tensor[:, b, :], span)) % m)  # span * e_b
-        new_span = np.hstack([span] + prods) % m
-        new_size = submodule_size(new_span, m)
-        # compress back to a manageable generator count via diagonalization
-        dg = diagonalize_mod(new_span, m, want_inverses=True)
-        keep = []
-        for idx in range(len(dg.d)):
-            scale = int(dg.d[idx])
-            if scale % m == 0:
-                continue
-            keep.append((dg.U_inv[:, idx] * scale) % m)
-        span = np.stack(keep, axis=1) if keep else np.zeros((flatT, 0), dtype=np.int64)
-        if new_size == size:
-            break
-        size = new_size
-    ideal = span
-    checks = {"ideal_dim_log": size, "tg_dim": flatT}
-    # Prop 3.1 map on the basis: (s_d e_i g) -> s_d e_i i(g v_{pi g}^{-1}) v_{pi g}
-    dimC = res.C.rank
-    flatC = res.C.flat_rank
-    into_k = {spec.ext.kernel_hom(y): y for y in range(spec.K.order)}
-    cols = []
-    for g, i, d in itertools.product(range(Gamma.order), range(n), range(sigma)):
-        q = spec.ext.quotient_hom(g)
-        k_elt = into_k[Gamma.mul[g][Gamma.inv[res.section[q]]]]
-        a_part = A.mul(_sde_flat(A, res.s_basis[:, d], i), spec.i_vec(k_elt))
-        c_vec = (res.a_to_c @ a_part) % m
-        c_vec = _c_mul(res, c_vec, res.v_units[q])
-        cols.append((t_index(g, i, d), c_vec))
-    Phi = np.zeros((flatC, flatT), dtype=np.int64)
-    for (ti, c_vec) in cols:
-        # extend R-linearly over the rR coordinates of the source block
-        for u in range(rR):
-            ru = np.zeros(rR, dtype=np.int64)
-            ru[u] = 1
-            scaled = res.C.scalar_mul(ru, c_vec)
-            Phi[:, ti * rR + u] = scaled
-    # checks: kills the ideal, multiplicative, surjective, kernel = ideal
-    kills = not ((Phi @ ideal) % m).any()
-    mult_ok = True
-    for a in range(flatT):
-        lhs = (Phi @ tensor[a].T) % m                  # Phi(e_a * e_b) columns
-        ea_img = Phi[:, a]
-        rhs = np.stack([res.C.mul(ea_img, Phi[:, b]) for b in range(flatT)], axis=1)
-        if not np.array_equal(lhs, rhs):
-            mult_ok = False
-            break
-    surj = submodule_size(Phi, m) == res.C.size
-    ker = kernel_mod(Phi, m)
-    ker_eq = colspans_equal(ker, ideal, m)
-    checks.update({"prop31_kills_ideal": bool(kills),
-                   "prop31_multiplicative": bool(mult_ok),
-                   "prop31_surjective": bool(surj),
-                   "prop31_kernel_is_ideal": bool(ker_eq)})
-    checks["prop31_isomorphism"] = bool(kills and mult_ok and surj and ker_eq)
-    return checks
-
-
-def _c_mul(res: CrossedProductResult, x, y) -> np.ndarray:
-    return res.C.mul(x, y)
+    return CrossedProductResult(spec=spec, C=C, R=R, r_embed=r_embed,
+                                s_basis=s_basis, section=sec, phi=phi,
+                                a_to_c=a_to_c, v_units=v_units)
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +783,7 @@ def deuring_embedding_from_splitting(rep: OutRep, ext: GroupExtension,
         if find_conjugator(A, diff) is None:
             raise NormalStructureError(
                 "splitting induces a different Q-normal structure than the rep")
-    res = crossed_product(spec, form="v2", seed=seed)
+    res = crossed_product(spec, seed=seed)
     C = res.C
     checks: dict = {}
     # chi(q) = v_q normalizes A and induces the right grade on S

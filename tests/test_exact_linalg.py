@@ -1,200 +1,91 @@
+import itertools
 import random
+from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from teichmuller.exact_linalg import (
-    FinAbPresentation,
-    InfiniteQuotientError,
-    IntMatrix,
-    abelian_quotient,
-    smith_normal_form,
-    solve_mod,
-)
+from teichmuller.exact_linalg import abelian_quotient
+from teichmuller.groups import abelian_group_from_factors, abelian_structure
 
 
-def brute_solutions(A, b, m):
-    """All x in (Z/m)^cols with A x = b mod m, by enumeration."""
-    sols = []
-
-    def rec(i, acc):
-        if i == A.cols:
-            if all(sum(A[r, c] * acc[c] for c in range(A.cols)) % m == b[r] % m for r in range(A.rows)):
-                sols.append(tuple(acc))
-            return
-        for v in range(m):
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    return set(sols)
+def det(rows) -> int:
+    """Integer determinant by cofactor expansion (small matrices only)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
 
 
-def test_snf_identity():
-    snf = smith_normal_form(IntMatrix.identity(3))
-    assert snf.D.entries == IntMatrix.identity(3).entries
+def quotient_order(R) -> int:
+    """|Z^n / colspan(R)|: the gcd of the n x n minors, 0 when infinite."""
+    n, k = len(R), len(R[0])
+    g = 0
+    for cols in itertools.combinations(range(k), n):
+        g = gcd(g, det([[R[i][j] for j in cols] for i in range(n)]))
+    return g
 
 
-def test_snf_zero():
-    snf = smith_normal_form(IntMatrix.zero(2, 2))
-    assert snf.D.entries == IntMatrix.zero(2, 2).entries
-
-
-def test_snf_hand_example():
-    A = IntMatrix.from_rows([[2, 4], [6, 8]])
-    snf = smith_normal_form(A)
-    assert snf.diagonal == (2, 4)
-    assert (snf.U @ A @ snf.V).entries == snf.D.entries
-
-
-def test_snf_transforms_are_inverse_pairs():
-    rng = random.Random(7)
-    for _ in range(40):
-        r = rng.randrange(1, 5)
-        c = rng.randrange(1, 5)
-        A = IntMatrix.from_rows([[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)])
-        snf = smith_normal_form(A)
-        assert (snf.U @ snf.U_inv).entries == IntMatrix.identity(r).entries
-        assert (snf.V @ snf.V_inv).entries == IntMatrix.identity(c).entries
-        assert (snf.U @ A @ snf.V).entries == snf.D.entries
-        # recomposition through the inverses reproduces A
-        assert (snf.U_inv @ snf.D @ snf.V_inv).entries == A.entries
-        d = snf.diagonal
-        assert all(x >= 0 for x in d)
-        for a, b in zip(d, d[1:]):
-            assert b == 0 or (a != 0 and b % a == 0) or (a == 0 and b == 0)
-
-
-def test_snf_deterministic():
-    A = IntMatrix.from_rows([[3, 1, 2], [0, 5, 7], [2, 2, 2]])
-    s1 = smith_normal_form(A)
-    s2 = smith_normal_form(A)
-    assert s1.U.entries == s2.U.entries and s1.V.entries == s2.V.entries
-
-
-def test_solve_mod_identity_system():
-    A = IntMatrix.from_rows([[1]])
-    res = solve_mod(A, [5], 7)
-    assert res is not None
-    x, kernel = res
-    assert x == (5,)
-    assert kernel == []
-
-
-def test_solve_mod_derived_example():
-    # A=[2], b=[4], m=8: solutions {2, 6} = 2 + <4>
-    A = IntMatrix.from_rows([[2]])
-    res = solve_mod(A, [4], 8)
-    assert res is not None
-    x, kernel = res
-    assert (2 * x[0]) % 8 == 4
-    assert kernel == [(4,)]
-    assert {(x[0] + k * 4) % 8 for k in range(2)} == {2, 6}
-
-
-def test_solve_mod_inconsistent():
-    A = IntMatrix.from_rows([[2]])
-    assert solve_mod(A, [1], 4) is None
-
-
-def test_solve_mod_matches_enumeration():
-    rng = random.Random(3)
-    for _ in range(60):
-        r = rng.randrange(1, 4)
-        c = rng.randrange(1, 4)
-        m = rng.choice([2, 3, 4, 5, 6, 8])
-        A = IntMatrix.from_rows([[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)])
-        b = [rng.randrange(m) for _ in range(r)]
-        expected = brute_solutions(A, b, m)
-        res = solve_mod(A, b, m)
-        if not expected:
-            assert res is None
-            continue
-        assert res is not None
-        x, kernel = res
-        assert x in expected
-        # span the kernel and translate
-        reached = {x}
-        frontier = [x]
-        while frontier:
-            cur = frontier.pop()
-            for k in kernel:
-                nxt = tuple((a + b2) % m for a, b2 in zip(cur, k))
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        assert reached == expected
+def all_coords(pres):
+    return itertools.product(*[range(f) for f in pres.factors])
 
 
 def test_abelian_quotient_diag():
-    pres = abelian_quotient(IntMatrix.diagonal([2, 4]), 2)
-    assert pres.invariant_factors == (2, 4)
+    pres = abelian_quotient(np.diag([2, 4]), 8)
+    assert pres.factors == (2, 4)
 
 
 def test_abelian_quotient_unit_factor_dropped():
-    pres = abelian_quotient(IntMatrix.from_rows([[2, 0], [0, 1]]), 2)
-    assert pres.invariant_factors == (2,)
+    pres = abelian_quotient(np.array([[2, 0], [0, 1]]), 2)
+    assert pres.factors == (2,)
 
 
 def test_abelian_quotient_via_snf_example():
-    pres = abelian_quotient(IntMatrix.from_rows([[2, 4], [6, 8]]), 2)
-    assert pres.invariant_factors == (2, 4)
+    pres = abelian_quotient(np.array([[2, 4], [6, 8]]), 8)
+    assert pres.factors == (2, 4)
 
 
-def test_abelian_quotient_infinite():
-    with pytest.raises(InfiniteQuotientError):
-        abelian_quotient(IntMatrix.from_rows([[1, 0], [0, 0]]), 2)
+def test_abelian_quotient_wrong_order_raises():
+    # Z/2 + Z/4 has 8 elements: modulo 4 or modulo 16 the relations still
+    # present a group of order 8
+    for order in (4, 16):
+        with pytest.raises(ValueError, match=f"order 8 modulo {order}.*order {order}"):
+            abelian_quotient(np.diag([2, 4]), order)
 
 
 def test_abelian_quotient_roundtrip_and_count():
     rng = random.Random(11)
-    for _ in range(30):
+    checked = 0
+    while checked < 30:
         n = rng.randrange(1, 4)
         k = rng.randrange(n, n + 2)
-        while True:
-            R = IntMatrix.from_rows([[rng.randrange(-4, 5) for _ in range(k)] for _ in range(n)])
-            try:
-                pres = abelian_quotient(R, n)
-                break
-            except InfiniteQuotientError:
-                continue
+        R = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(n)]
+        order = quotient_order(R)
+        if not 0 < order <= 4096:
+            continue
+        checked += 1
+        pres = abelian_quotient(np.array(R, dtype=np.int64), order)
         # round trip through coords
-        for coords in pres.elements():
+        for coords in all_coords(pres):
             assert pres.coords(pres.lift(coords)) == coords
-        # order equals brute-force coset count for small cases
-        bound = 8
-        if pres.order <= 4096 and n <= 3 and all(abs(R[i, j]) <= 4 for i in range(n) for j in range(R.cols)):
-            seen = set()
+        # order equals the brute-force coset count of (Z/order)^n / span(R)
+        if order ** n <= 4096:
             span = {tuple([0] * n)}
-            frontier = [tuple([0] * n)]
-            # enumerate the sublattice modulo a box given by the product of factors
-            mod = pres.order
-            gens = [tuple(R[i, j] for i in range(n)) for j in range(R.cols)]
+            frontier = list(span)
+            gens = [tuple(R[i][j] for i in range(n)) for j in range(k)]
             while frontier:
                 cur = frontier.pop()
                 for g in gens:
-                    for sgn in (1, -1):
-                        nxt = tuple((a + sgn * b) % mod for a, b in zip(cur, g))
-                        if nxt not in span:
-                            span.add(nxt)
-                            frontier.append(nxt)
-            count = 0
-            def rec(i, acc):
-                nonlocal count
-                if i == n:
-                    if tuple(acc) in reps:
-                        return
-                    for s in span:
-                        reps.add(tuple((a + b) % mod for a, b in zip(acc, s)))
-                    count += 1
-                    return
-                for v in range(mod):
-                    rec(i + 1, acc + [v])
-            reps = set()
-            rec(0, [])
-            assert count == pres.order
+                    nxt = tuple((a + b) % order for a, b in zip(cur, g))
+                    if nxt not in span:
+                        span.add(nxt)
+                        frontier.append(nxt)
+            assert order ** n // len(span) == pres.order == order
 
 
 def test_coords_additive():
-    pres = abelian_quotient(IntMatrix.from_rows([[2, 4], [6, 8]]), 2)
+    pres = abelian_quotient(np.array([[2, 4], [6, 8]]), 8)
     rng = random.Random(5)
     for _ in range(20):
         v = [rng.randrange(-10, 10) for _ in range(2)]
@@ -202,4 +93,42 @@ def test_coords_additive():
         s = [a + b for a, b in zip(v, w)]
         cs = pres.coords(s)
         cv, cw = pres.coords(v), pres.coords(w)
-        assert cs == tuple((a + b) % d for a, b, d in zip(cv, cw, pres.invariant_factors))
+        assert cs == tuple((a + b) % d for a, b, d in zip(cv, cw, pres.factors))
+
+
+def canonical_factors(factors) -> tuple[int, ...]:
+    """Invariant factors of Z/f_1 + ... + Z/f_k from its prime-power parts."""
+    powers: dict[int, list[int]] = {}
+    for f in factors:
+        p = 2
+        while f > 1:
+            q = 1
+            while f % p == 0:
+                f //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    out = []
+    for i in range(max((len(v) for v in powers.values()), default=0)):
+        d = 1
+        for v in powers.values():
+            v = sorted(v, reverse=True)
+            d *= v[i] if i < len(v) else 1
+        out.append(d)
+    return tuple(sorted(out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=4).filter(
+    lambda fs: np.prod(fs, dtype=np.int64) <= 256))
+def test_abelian_structure_is_canonical_and_additive(factors):
+    M = abelian_group_from_factors(factors)
+    inv, e2c, c2e = abelian_structure(M)
+    assert inv == canonical_factors(factors)
+    assert len(set(e2c)) == M.order and len(c2e) == M.order
+    assert all(c2e[c] == e for e, c in enumerate(e2c))
+    for a in range(M.order):
+        for b in range(M.order):
+            assert e2c[M.mul[a][b]] == tuple(
+                (x + y) % f for x, y, f in zip(e2c[a], e2c[b], inv))

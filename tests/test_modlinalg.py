@@ -312,3 +312,108 @@ def test_cokernel_brute_force():
 def test_submodule_size():
     A = np.array([[2, 0], [0, 1]], dtype=np.int64)
     assert submodule_size(A, 4) == 8
+
+
+# Smith form over Z/m and solving mod m: the properties once checked on the
+# integer Smith normal form, on the diagonalization that replaced it.
+
+def test_snf_identity():
+    dg = diagonalize_mod(np.eye(3, dtype=np.int64), 7)
+    assert dg.d.tolist() == [1, 1, 1]
+
+
+def test_snf_zero():
+    dg = diagonalize_mod(np.zeros((2, 2), dtype=np.int64), 6)
+    assert [x % 6 for x in dg.d.tolist()] == [0, 0]
+
+
+def test_snf_hand_example():
+    A = np.array([[2, 4], [6, 8]], dtype=np.int64)
+    dg = diagonalize_mod(A, 16)
+    assert dg.d.tolist() == [2, 4]
+    assert np.array_equal((dg.U @ A @ dg.V) % 16, np.diag([2, 4]))
+
+
+def test_snf_transforms_are_inverse_pairs():
+    rng = random.Random(7)
+    for _ in range(40):
+        m = rng.choice([4, 6, 9, 12, 16])
+        r, c = rng.randrange(1, 5), rng.randrange(1, 5)
+        A = np.array([[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)],
+                     dtype=np.int64)
+        dg = diagonalize_mod(A, m, want_inverses=True)
+        D = np.zeros((r, c), dtype=np.int64)
+        D[np.arange(len(dg.d)), np.arange(len(dg.d))] = dg.d % m
+        assert np.array_equal((dg.U @ dg.U_inv) % m, np.eye(r, dtype=np.int64))
+        assert np.array_equal((dg.V @ dg.V_inv) % m, np.eye(c, dtype=np.int64))
+        assert np.array_equal((dg.U @ A @ dg.V) % m, D)
+        # recomposition through the inverses reproduces A
+        assert np.array_equal((dg.U_inv @ D @ dg.V_inv) % m, A % m)
+        for a, b in zip(dg.d.tolist(), dg.d.tolist()[1:]):
+            assert m % a == 0 and b % a == 0
+
+
+def test_snf_deterministic():
+    A = np.array([[3, 1, 2], [0, 5, 7], [2, 2, 2]], dtype=np.int64)
+    d1, d2 = diagonalize_mod(A, 12), diagonalize_mod(A, 12)
+    assert np.array_equal(d1.U, d2.U) and np.array_equal(d1.V, d2.V)
+
+
+def brute_solutions(A, b, m):
+    """All x in (Z/m)^cols with A x = b mod m, by enumeration."""
+    return {x for x in itertools.product(range(m), repeat=A.shape[1])
+            if not ((A @ np.array(x, dtype=np.int64) - b) % m).any()}
+
+
+def test_solve_mod_identity_system():
+    dg = diagonalize_mod(np.array([[1]]), 7)
+    assert dg.solve(np.array([5])).tolist() == [5]
+    assert dg.kernel().shape == (1, 0)
+
+
+def test_solve_mod_derived_example():
+    # A=[2], b=[4], m=8: solutions {2, 6} = 2 + <4>
+    dg = diagonalize_mod(np.array([[2]]), 8)
+    x = int(dg.solve(np.array([4]))[0])
+    assert (2 * x) % 8 == 4
+    assert dg.kernel().tolist() == [[4]]
+    assert {(x + k * 4) % 8 for k in range(2)} == {2, 6}
+
+
+def test_solve_mod_inconsistent():
+    assert diagonalize_mod(np.array([[2]]), 4).solve(np.array([1])) is None
+
+
+def test_solve_mod_matches_enumeration():
+    rng = random.Random(3)
+    for _ in range(60):
+        r, c = rng.randrange(1, 4), rng.randrange(1, 4)
+        m = rng.choice([2, 3, 4, 5, 6, 8])
+        A = np.array([[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)],
+                     dtype=np.int64)
+        b = np.array([rng.randrange(m) for _ in range(r)], dtype=np.int64)
+        expected = brute_solutions(A, b, m)
+        dg = diagonalize_mod(A, m)
+        x = dg.solve(b)
+        if not expected:
+            assert x is None
+            continue
+        assert x is not None
+        x = tuple(int(v) for v in x)
+        assert x in expected
+        # the kernel translates x onto every solution
+        K = dg.kernel()
+        kernel = set(enumerate_colspan(K, m)) if K.size else {tuple([0] * c)}
+        assert {tuple((a + k) % m for a, k in zip(x, kv)) for kv in kernel} == expected
+
+
+def test_cokernel_coords_of_columns():
+    rng = random.Random(6)
+    for _ in range(20):
+        m = rng.choice([4, 6, 8, 12])
+        n, k = rng.randrange(1, 4), rng.randrange(0, 3)
+        cok = cokernel_mod(random_matrix(rng, n, k, m), m, n)
+        V = random_matrix(rng, n, 5, m)
+        C = cok.coords(V)
+        assert C.shape == (len(cok.factors), 5)
+        assert [tuple(col) for col in C.T.tolist()] == [cok.coords(V[:, j]) for j in range(5)]
