@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact_linalg import abelian_quotient
 from .groups import FiniteGroup, GroupHom, cyclic
 from .modlinalg import (
     ModCokernel,
@@ -510,13 +509,13 @@ class CohomologyGroup:
             return zero_cochain(self.module, self.degree)
         if self._summand_indices is None:
             return self._cores[0].generator(coords)
-        src_factors = [f for core in self._cores for f in core.invariant_factors]
-        flat = [int(x) % f for x, f in zip(self._glue.lift(coords), src_factors)]
+        flat = self._glue.lift(coords)
         out = zero_cochain(self.module, self.degree)
         offset = 0
         for core, i in zip(self._cores, self._summand_indices):
             width = len(core.invariant_factors)
-            sub = core.generator(flat[offset:offset + width])
+            part = flat[offset:offset + width] % np.array(core.invariant_factors, dtype=np.int64)
+            sub = core.generator(part)
             out.table[..., i] = sub.table[..., 0]
             offset += width
         out._reduce_inplace()
@@ -570,7 +569,9 @@ def cohomology(G: FiniteGroup, M: GModule, n: int,
         cores.append(_compute_core(M.summand(i), n))
         indices.append(i)
     src_factors = [f for core in cores for f in core.invariant_factors]
-    glue = abelian_quotient(np.diag(np.array(src_factors, dtype=np.int64)), prod(src_factors))
+    # lcm kills every summand, so Z/lcm is exact and stays small where the
+    # product of the factors would overflow int64
+    glue = cokernel_mod(np.diag(np.array(src_factors, dtype=np.int64)), lcm(*src_factors))
     return CohomologyGroup(G, M, n, glue.factors, _cores=cores,
                            _summand_indices=indices, _glue=glue)
 

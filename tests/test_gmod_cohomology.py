@@ -5,7 +5,15 @@ from math import gcd
 import numpy as np
 import pytest
 
-from teichmuller.groups import FiniteGroup, GroupHom, cyclic, direct_product, metacyclic, quaternion_table
+from teichmuller.groups import (
+    FiniteGroup,
+    GroupHom,
+    abelian_group_from_factors,
+    cyclic,
+    direct_product,
+    metacyclic,
+    quaternion_table,
+)
 from teichmuller.gmod_cohomology import (
     BudgetExceeded,
     Cochain,
@@ -374,3 +382,28 @@ def test_diagonal_split_matches_unsplit():
     gen1 = H.generator(1)
     assert H.class_of(gen0) == (1, 0)
     assert H.class_of(gen1) == (0, 1)
+
+
+def _negate_second(G, d):
+    """(Z/d)^2 over C_2 = {0,1}, the generator negating the second summand."""
+    return GModule(G, (d, d), (((1, 0), (0, 1)), ((1, 0), (0, d - 1))))
+
+
+@pytest.mark.parametrize("G, M, n, expected", [
+    # order 2^36: gluing modulo the order would overflow int64
+    (abelian_group_from_factors((2, 2, 2)), lambda G: trivial_gmodule(G, [2] * 6), 2, (2,) * 36),
+    (cyclic(2), lambda G: trivial_gmodule(G, [1 << 16, 1 << 16]), 0, (1 << 16, 1 << 16)),
+    # the summands give Z/4 then Z/2, out of divisibility order
+    (cyclic(2), lambda G: _negate_second(G, 4), 0, (2, 4)),
+], ids=["order_2_36", "order_2_32", "out_of_order"])
+def test_split_module_glues_modulo_lcm(G, M, n, expected):
+    rng = random.Random(11)
+    M = M(G)
+    H = cohomology(G, M, n)
+    assert H.invariant_factors == expected
+    for _ in range(4):
+        coords = tuple(rng.randrange(f) for f in expected)
+        z = H.lift(coords)
+        if n:
+            z = z + coboundary(random_cochain(M, n - 1, rng))
+        assert H.class_of(z) == coords
