@@ -1,4 +1,4 @@
-"""Crossed modules and crossed 2-fold extensions.
+"""Crossed modules, crossed 2-fold extensions, and the obstruction cocycle.
 
 A crossed 2-fold extension 0 -> M -> C -> Gamma -> G -> 1 carries a class in
 H^3(G, M); the class is extracted by the classical obstruction formula: choose
@@ -8,31 +8,32 @@ h: G x G -> C of the section defect, then
     xi(x, y, z) = h(x,y) h(xy,z) ( s(x).h(y,z) * h(x,yz) )^{-1}
 
 lands in M and is a normalized 3-cocycle whose class does not depend on the
-choices.  Congruence questions are always decided at the class level.
+choices.  ``obstruction_cocycle`` evaluates this formula over caller-supplied
+group operations; it is shared with the Teichmuller cocycle of a Q-normal
+algebra (``normal_algebras.teichmuller_cocycle``), where h is a table of
+conjugating units and s(x) acts as the lift w_x.  Congruence questions are
+always decided at the class level.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .gmod_cohomology import Cochain, GModule
+from .gmod_cohomology import Cochain, GModule, gmodule_of_action
 from .groups import (
     FiniteGroup,
     GroupAction,
     GroupError,
     GroupHom,
     abelian_group_from_factors,
-    abelian_structure,
     direct_product,
     fiber_product,
     mixed_radix_decode,
     mixed_radix_encode,
     quotient_group,
-    subgroup_of,
 )
 
 
@@ -127,28 +128,29 @@ class Crossed2Extension:
 
         Returns (GModule, elem_to_coords, coords_to_elem).
         """
-        factors, elem_to_coords, coords_to_elem = abelian_structure(self.M)
-        into_c = {self.iota(m): m for m in range(self.M.order)}
-        k = len(factors)
-        # one lift per element of G
-        lifts = {}
-        for gamma in range(self.Gamma.order):
-            lifts.setdefault(self.pi(gamma), gamma)
-        mats = []
-        basis_elems = []
-        for i in range(k):
-            coord = tuple(1 if j == i else 0 for j in range(k))
-            basis_elems.append(coords_to_elem[coord])
-        for g in range(self.G.order):
-            gamma = lifts[g]
-            cols = []
-            for i in range(k):
-                acted = self.action.act(gamma, self.iota(basis_elems[i]))
-                cols.append(elem_to_coords[into_c[acted]])
-            mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-            mats.append(mat)
-        module = GModule(self.G, factors, tuple(mats))
-        return module, elem_to_coords, coords_to_elem
+        into_m = {self.iota(m): m for m in range(self.M.order)}
+        sect = self.pi.section()
+        return gmodule_of_action(
+            self.G, self.M, lambda g, m: into_m[self.action.act(sect[g], self.iota(m))])
+
+
+def obstruction_cocycle(module: GModule, h, act, mul, inv, coords) -> Cochain:
+    """The 3-cochain xi(x,y,z) = h(x,y) h(xy,z) (x.h(y,z) h(x,yz))^-1 over module.
+
+    ``h[x][y]`` are values in a (possibly nonabelian) group given by ``mul``
+    and ``inv``, ``act(x, v)`` is the action of x in module.group on a value,
+    and ``coords(v)`` gives the module coordinates of a value, raising when v
+    is not in the module.  Arguments equal to the identity give zero.
+    """
+    G = module.group
+    table = np.zeros((G.order,) * 3 + (module.rank,), dtype=np.int64)
+    for x, y, z in itertools.product(range(G.order), repeat=3):
+        if G.identity in (x, y, z):
+            continue
+        xy, yz = G.mul[x][y], G.mul[y][z]
+        tail = mul(act(x, h[y][z]), h[x][yz])
+        table[x, y, z] = coords(mul(mul(h[x][y], h[xy][z]), inv(tail)))
+    return Cochain(module, 3, table)
 
 
 def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain:
@@ -160,13 +162,7 @@ def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain
     G, Gamma, C = e2.G, e2.Gamma, e2.C
     module, elem_to_coords, _ = e2.gmodule()
     into_m = {e2.iota(m): m for m in range(e2.M.order)}
-    # seeded set-section of pi with s(1) = 1
-    fibers: dict[int, list[int]] = {}
-    for gamma in range(Gamma.order):
-        fibers.setdefault(e2.pi(gamma), []).append(gamma)
-    sect = [0] * G.order
-    for g, fib in fibers.items():
-        sect[g] = Gamma.identity if g == G.identity else fib[(section_seed + 7 * g) % len(fib)]
+    sect = e2.pi.section(section_seed)
     # seeded normalized lift h with boundary(h(x,y)) = s(x)s(y)s(xy)^-1
     dfibers: dict[int, list[int]] = {}
     for c in range(C.order):
@@ -183,19 +179,14 @@ def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain
                 raise CrossedModuleError(
                     "section defect has no boundary preimage (corrupted extension)")
             h[x][y] = fib[(section_seed + 3 * x + 11 * y) % len(fib)]
-    k = module.rank
-    table = np.zeros((G.order,) * 3 + (k,), dtype=np.int64)
-    for x, y, z in itertools.product(range(G.order), repeat=3):
-        if G.identity in (x, y, z):
-            continue
-        xy, yz = G.mul[x][y], G.mul[y][z]
-        acted = e2.action.act(sect[x], h[y][z])
-        tail = C.mul[acted][h[x][yz]]
-        val = C.mul[C.mul[h[x][y]][h[xy][z]]][C.inv[tail]]
-        if val not in into_m:
+
+    def coords(c):
+        if c not in into_m:
             raise CrossedModuleError("obstruction landed outside M (corrupted extension)")
-        table[x, y, z] = elem_to_coords[into_m[val]]
-    return Cochain(module, 3, table)
+        return elem_to_coords[into_m[c]]
+
+    return obstruction_cocycle(module, h, lambda x, c: e2.action.act(sect[x], c),
+                               lambda a, b: C.mul[a][b], lambda a: C.inv[a], coords)
 
 
 def trivial_crossed2(Q: FiniteGroup, M: GModule) -> Crossed2Extension:

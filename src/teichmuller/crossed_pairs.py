@@ -18,18 +18,16 @@ built from that table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .groups import (
     FiniteGroup,
     GroupAction,
-    GroupError,
     GroupExtension,
     GroupHom,
-    abelian_structure,
     cyclic,
     direct_product,
     group_from_2cocycle,
@@ -37,7 +35,6 @@ from .groups import (
     metacyclic,
     quotient_group,
     subgroup_of,
-    trivial_action,
 )
 from .gmod_cohomology import (
     Cochain,
@@ -45,12 +42,15 @@ from .gmod_cohomology import (
     GModule,
     ModuleMap,
     cohomology,
+    gmodule_of_action,
     inclusion_module_map,
     map_on_cohomology,
     pullback_cochain,
-    zero_cochain,
 )
 from .crossed import Crossed2Extension, cocycle_of_crossed2
+from .finrings import galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
+from .modlinalg import diagonalize_mod
+from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
 
 
 class CrossedPairError(ValueError):
@@ -92,14 +92,7 @@ class Ambient:
 
     def gmodule(self):
         """M as a G-module in invariant-factor coordinates, with bridges."""
-        factors, e2c, c2e = abelian_structure(self.Mgrp)
-        k = len(factors)
-        basis = [c2e[tuple(1 if j == i else 0 for j in range(k))] for i in range(k)]
-        mats = []
-        for g in range(self.G.order):
-            cols = [e2c[self.action.act(g, b)] for b in basis]
-            mats.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
-        return GModule(self.G, factors, tuple(mats)), list(e2c), c2e
+        return gmodule_of_action(self.G, self.Mgrp, self.action.act)
 
     def restricted_gmodule(self, hom: GroupHom):
         """The same module over the source of hom (hom: H -> G)."""
@@ -115,24 +108,13 @@ class Ambient:
 
     def fixed_submodule_gmodule(self):
         """M^N as a Q-module plus the inclusion M^N -> M over G ->> Q."""
-        fixed_elems = self.fixed_elements()
-        MN, incl = subgroup_of(self.Mgrp, fixed_elems)
-        factorsN, e2cN, c2eN = abelian_structure(MN)
-        kN = len(factorsN)
-        basis = [c2eN[tuple(1 if j == i else 0 for j in range(kN))] for i in range(kN)]
+        MN, incl = subgroup_of(self.Mgrp, self.fixed_elements())
+        into_mn = {incl(i): i for i in range(MN.order)}
         # Q-action: lift q to G (well defined on fixed points)
         sec = self.ext.section()
-        mats = []
-        for q in range(self.Q.order):
-            g = sec[q]
-            cols = []
-            for b in basis:
-                acted = self.action.act(g, incl(b))
-                idx = fixed_elems.index(acted)
-                cols.append(e2cN[idx])
-            mats.append(tuple(tuple(cols[j][i] for j in range(kN)) for i in range(kN)))
-        moduleN = GModule(self.Q, factorsN, tuple(mats))
-        return moduleN, MN, incl, (factorsN, e2cN, c2eN)
+        moduleN, e2cN, c2eN = gmodule_of_action(
+            self.Q, MN, lambda q, b: into_mn[self.action.act(sec[q], incl(b))])
+        return moduleN, MN, incl, (moduleN.invariant_factors, e2cN, c2eN)
 
     def inflation_map(self, degree_target_module=None) -> ModuleMap:
         """mu: M^N -> M over pi: G ->> Q (inflation H^*(Q, M^N) -> H^*(G, M))."""
@@ -368,7 +350,7 @@ def crossed_pair_structures(autdata: AutGeGroup) -> list[CrossedPair]:
                 for q in range(Q.order):
                     if autdata.out.mul[psi[p]][psi[q]] != psi[Q.mul[p][q]]:
                         return
-            lifts = tuple(_first_preimage_out(autdata, psi[q]) for q in range(Q.order))
+            lifts = tuple(_first_preimage(autdata.to_out, psi[q]) for q in range(Q.order))
             out.append(CrossedPair(autdata=autdata, psi=tuple(psi), lifts=lifts))
             return
         q = gens_first[i]
@@ -394,13 +376,6 @@ def crossed_pair_structures(autdata: AutGeGroup) -> list[CrossedPair]:
     for cp in out:
         seen.setdefault(cp.psi, cp)
     return [seen[k] for k in sorted(seen)]
-
-
-def _first_preimage_out(autdata: AutGeGroup, o: int) -> int:
-    for i in range(autdata.group.order):
-        if autdata.to_out(i) == o:
-            return i
-    raise CrossedPairError("missing preimage in Aut_G(e)")
 
 
 def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Cochain]:
@@ -801,7 +776,7 @@ def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
     trans = {}
     for c in h1n.all_classes():
         z = h1n.lift(list(c))
-        d_table = [c2e_of(moduleN, z, n, amb) for n in range(N.order)]
+        d_table = [c2e[tuple(int(v) for v in z.table[n])] for n in range(N.order)]
         if h1_class_is_q_fixed(amb, d_table, h1n):
             fixed_classes.append(c)
             trans[c] = h2q.class_of(degree1_delta(amb, d_table, seed=seed))
@@ -822,12 +797,6 @@ def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
     report["exact_at_H2Q"] = im_trans == ker_inf2
     report["all"] = all(v for v in report.values() if isinstance(v, bool))
     return report
-
-
-def c2e_of(module, z: Cochain, n: int, amb: Ambient) -> int:
-    """Element index of a degree-1 cochain value (coords -> M element)."""
-    _, _, c2e = amb.gmodule()
-    return c2e[tuple(int(v) for v in z.table[n])]
 
 
 # ---------------------------------------------------------------------------
@@ -944,6 +913,7 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
     reason = None
     search_size = G.order * (Mgrp.order ** (r - 1))
     if search_size <= pair_budget:
+        sec = ext.section()
         feuler = [[(1 if n1 + n2 >= r else 0) % ell for n2 in range(r)] for n1 in range(r)]
         ae = extension_from_cocycle(amb, feuler)
         autdata = aut_g_of_e(ae, cap=max(96, ae.Gamma.order, G.order))
@@ -952,7 +922,7 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
         lifts = [None] * s
         L = ell * r
         for q in range(s):
-            x = ext.section()[q]
+            x = sec[q]
             tq = pow(t, q, L)
             alpha = [0] * ae.Gamma.order
             for y in range(ae.Gamma.order):
@@ -990,7 +960,6 @@ class QNormalGaloisData:
     kappa_G: tuple                # G-element -> matrix on T
 
     def validate(self) -> None:
-        from .finrings import galois_check, is_ring_morphism_matrix
         self.ambient.validate()
         T = self.gal.T
         m = T.modulus
@@ -1015,7 +984,6 @@ class QNormalGaloisData:
 
 def qnormal_galois_product(gal, Q: FiniteGroup) -> QNormalGaloisData:
     """G = N x Q with Q acting trivially on T (kappa_Q trivial on S)."""
-    from .finrings import units_group
     N = gal.N
     G = direct_product(N, Q)
     kernel_hom = GroupHom.checked(N, G, tuple(n * Q.order + Q.identity for n in range(N.order)))
@@ -1049,8 +1017,6 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     coordinates of U(T)^N (the Delta-side module) to units of the center of
     the product (the Teichmuller-side module).
     """
-    from .finrings import ring_as_algebra, units_group
-    from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
     gal = data.gal
     amb = data.ambient
     T = gal.T
@@ -1071,10 +1037,11 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     R = res.R
     rR = R.rank
     sigma = res.s_basis.shape[1]
+    r_diag = diagonalize_mod(res.r_embed, m)
     # sigma_psi lifts on C
     sec = amb.ext.section(seed)
     lifts = []
-    into_k = {ae.ext_e.kernel_hom(u): u for u in range(data.units.group.order)}
+    into_k = spec.kernel_index()
     for q in range(Q.order):
         a_idx = cp.lifts[q]
         alpha, x = cp.autdata.pairs[a_idx]
@@ -1103,10 +1070,7 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     for q in range(Q.order):
         x = sec[q]
         kap_x = np.asarray(data.kappa_G[x], dtype=np.int64)
-        dg = None
         cols = []
-        from .modlinalg import diagonalize_mod
-        r_diag = diagonalize_mod(res.r_embed, m)
         for u in range(rR):
             ru = np.zeros(rR, dtype=np.int64)
             ru[u] = 1
@@ -1120,8 +1084,6 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     rep = OutRep(base_action=base_action_Q, A=C, lifts=tuple(lifts),
                  name="crossed pair algebra")
     # bridge: U(T)^N coordinates -> units of R
-    from .modlinalg import diagonalize_mod as _dg
-    r_diag = _dg(res.r_embed, m)
     moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()
 
     def bridge_unit(mn_index: int) -> np.ndarray:

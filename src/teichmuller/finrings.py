@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupError
+from .groups import FiniteGroup
 from .modlinalg import (
     colspans_equal,
     diagonalize_mod,
@@ -31,7 +31,6 @@ from .modlinalg import (
     inverse_mod,
     invertible_mod,
     kernel_mod,
-    solve_matrix_mod,
     submodule_size,
 )
 
@@ -106,12 +105,6 @@ class FinCommRing:
     def elements(self):
         for tup in itertools.product(range(self.modulus), repeat=self.rank):
             yield np.array(tup, dtype=np.int64)
-
-    def element_index(self, a) -> int:
-        idx = 0
-        for x in np.asarray(a) % self.modulus:
-            idx = idx * self.modulus + int(x)
-        return idx
 
     def validate(self) -> None:
         m, n = self.modulus, self.rank
@@ -295,35 +288,6 @@ def is_ring_morphism_matrix(R: FinCommRing, mat: np.ndarray) -> bool:
             if not np.array_equal(lhs, rhs):
                 return False
     return True
-
-
-def ring_automorphisms_table(R: FinCommRing, mats: Sequence[np.ndarray]) -> FiniteGroup:
-    """Close a set of automorphism matrices into a table group."""
-    m = R.modulus
-    seen = {}
-    elems = []
-    ident = np.eye(R.rank, dtype=np.int64)
-    frontier = [ident] + [np.asarray(x, dtype=np.int64) % m for x in mats]
-    for x in frontier:
-        key = x.tobytes()
-        if key not in seen:
-            seen[key] = len(elems)
-            elems.append(x)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            for b in list(elems):
-                c = (a @ b) % m
-                key = c.tobytes()
-                if key not in seen:
-                    if len(elems) >= 256:
-                        raise RingError("automorphism closure exceeded cap")
-                    seen[key] = len(elems)
-                    elems.append(c)
-                    changed = True
-    mul = [[seen[((a @ b) % m).tobytes()] for b in elems] for a in elems]
-    return FiniteGroup.from_table(mul), elems
 
 
 def frobenius_lift(R: FinCommRing) -> np.ndarray:
@@ -912,13 +876,6 @@ class GaloisData:
                 if not np.array_equal(lhs, self.act_matrix(self.N.mul[a][b]) % m):
                     raise RingError("action is not a group homomorphism")
 
-    def s_elements(self):
-        """All elements of the embedded copy of S inside T."""
-        m = self.T.modulus
-        for coords in itertools.product(range(m), repeat=self.S.rank):
-            vec = (self.embed @ np.array(coords, dtype=np.int64)) % m
-            yield vec
-
 
 def _fixed_module(T: FinCommRing, N: FiniteGroup, action) -> np.ndarray:
     m = T.modulus
@@ -1219,33 +1176,6 @@ def galois_from_free_action(points: int, perms: Sequence[Sequence[int]],
 
 # ---------------------------------------------------------------------------
 # algebra maps
-
-@dataclass(frozen=True)
-class AlgebraMap:
-    """Linear map between algebras in flat coordinates, optionally graded.
-
-    A grade q marks the map as q-semilinear over the base: it restricts on the
-    embedded base ring to the action of q (checked by the structures that own
-    the base action, e.g. OutRep).
-    """
-
-    source: Algebra
-    target: Algebra
-    matrix: tuple
-    grade: Optional[int] = None
-
-    @staticmethod
-    def from_array(source: Algebra, target: Algebra, mat, grade=None) -> "AlgebraMap":
-        mat = np.asarray(mat, dtype=np.int64) % target.modulus
-        return AlgebraMap(source, target,
-                          tuple(tuple(int(x) for x in row) for row in mat), grade)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
-
-    def __call__(self, vec) -> np.ndarray:
-        return (self.as_array() @ np.asarray(vec, dtype=np.int64)) % self.target.modulus
-
 
 def is_algebra_morphism(source: Algebra, target: Algebra, mat) -> bool:
     """Multiplicative and unital in flat coordinates."""

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupHom, cyclic
+from .groups import FiniteGroup, GroupHom, abelian_structure, cyclic
 from .modlinalg import (
     ModCokernel,
     ModDiagonalization,
@@ -160,6 +160,23 @@ def trivial_gmodule(G: FiniteGroup, factors: Sequence[int]) -> GModule:
     k = len(factors)
     ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
     return GModule(G, factors, tuple(ident for _ in range(G.order)))
+
+
+def gmodule_of_action(G: FiniteGroup, M: FiniteGroup, act):
+    """The abelian table group M as a G-module, with act(g, m) an M element.
+
+    Returns (GModule, elem_to_coords, coords_to_elem) in the invariant-factor
+    coordinates of ``abelian_structure(M)``; column i of each action matrix is
+    the image of the i-th unit-coordinate basis element.
+    """
+    factors, e2c, c2e = abelian_structure(M)
+    k = len(factors)
+    basis = [c2e[tuple(int(j == i) for j in range(k))] for i in range(k)]
+    mats = []
+    for g in range(G.order):
+        cols = [e2c[act(g, b)] for b in basis]
+        mats.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
+    return GModule(G, factors, tuple(mats)), e2c, c2e
 
 
 def _unembed(vec, factors, m):
@@ -535,19 +552,19 @@ class CohomologyGroup:
 
 DEFAULT_COL_BUDGET = 4096
 DEFAULT_TOTAL_BUDGET = 40000
+MAX_DEGREE = 4
 
 
 def cohomology(G: FiniteGroup, M: GModule, n: int,
                col_budget: int = DEFAULT_COL_BUDGET,
-               total_budget: int = DEFAULT_TOTAL_BUDGET,
-               max_degree: int = 4) -> CohomologyGroup:
+               total_budget: int = DEFAULT_TOTAL_BUDGET) -> CohomologyGroup:
     """H^n(G, M) by Smith-style reduction of the normalized bar complex."""
     if M.group.mul != G.mul:
         raise CohomologyError("module is not over the given group")
     if n < 0:
         raise CohomologyError("degree must be nonnegative")
-    if n > max_degree:
-        raise BudgetExceeded(f"degree {n} exceeds configured maximum {max_degree}")
+    if n > MAX_DEGREE:
+        raise BudgetExceeded(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
     k = M.rank
     if k == 0:
         return CohomologyGroup(G, M, n, ())
@@ -615,13 +632,6 @@ class ModuleMap:
                 for j in range(ks):
                     if (int(left[i, j]) - int(right[i, j])) % dt[i]:
                         raise CohomologyError("module map is not equivariant")
-
-    def apply(self, vec) -> tuple[int, ...]:
-        return tuple(
-            sum(self.matrix[i][j] * int(vec[j]) for j in range(self.source.rank))
-            % self.target.invariant_factors[i]
-            for i in range(self.target.rank)
-        )
 
 
 def pullback_cochain(mm: ModuleMap, z: Cochain) -> Cochain:

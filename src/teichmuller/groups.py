@@ -11,8 +11,8 @@ and automorphism searches all live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -182,6 +182,23 @@ class GroupHom:
     def image(self) -> list[int]:
         return sorted(set(self.images))
 
+    def section(self, seed: int = 0) -> list[int]:
+        """A set section s of a surjective hom: s(1) = 1 and self(s(q)) = q.
+
+        Each fiber is indexed by ``seed``; the result is a list over the target.
+        """
+        G, Q = self.source, self.target
+        fibers: dict[int, list[int]] = {}
+        for g in range(G.order):
+            fibers.setdefault(self.images[g], []).append(g)
+        sec = [0] * Q.order
+        for q, fiber in fibers.items():
+            if q == Q.identity:
+                sec[q] = G.identity
+            else:
+                sec[q] = fiber[(seed + 13 * q) % len(fiber)]
+        return sec
+
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
         if other.target is not self.source and other.target.mul != self.source.mul:
@@ -229,17 +246,7 @@ class GroupExtension:
 
     def section(self, seed: int = 0) -> list[int]:
         """A set section of the quotient map with s(1) = 1, seed-dependent."""
-        G, Q = self.middle, self.quotient_group
-        fibers: dict[int, list[int]] = {}
-        for g in range(G.order):
-            fibers.setdefault(self.quotient_hom(g), []).append(g)
-        sec = [0] * Q.order
-        for q, fiber in fibers.items():
-            if q == Q.identity:
-                sec[q] = G.identity
-            else:
-                sec[q] = fiber[(seed + 13 * q) % len(fiber)]
-        return sec
+        return self.quotient_hom.section(seed)
 
 
 @dataclass(frozen=True)

@@ -359,10 +359,6 @@ def submodule_size(A, m: int) -> int:
     return diagonalize_mod(A, m).image_size()
 
 
-def in_colspan(diag: ModDiagonalization, v) -> bool:
-    return diag.solve(np.asarray(v, dtype=np.int64)) is not None
-
-
 def colspans_equal(A, B, m: int) -> bool:
     A = as_mod_array(np.asarray(A, dtype=np.int64), m)
     B = as_mod_array(np.asarray(B, dtype=np.int64), m)

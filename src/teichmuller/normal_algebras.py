@@ -7,37 +7,31 @@ automorphism matrix w_q per q in Q, semilinear of grade q over the base, with
 w_1 = 1 and every defect w_p w_q w_{pq}^{-1} inner.  Out(A) is never
 materialized; inner-ness is decided by solving the conjugator equations.
 
-The Teichmuller cocycle is extracted exactly like the crossed-module
-obstruction: choose units f(p,q) trivializing the defects, then
+The Teichmuller cocycle is extracted by the crossed-module obstruction
+routine ``crossed.obstruction_cocycle``: choose units f(p,q) trivializing the
+defects, then
 
     xi(p,q,r) = f(p,q) f(pq,r) ( w_p(f(q,r)) f(p,qr) )^{-1}
 
 lands in the units of the base ring and is a normalized 3-cocycle whose class
-is independent of every choice made.
+is independent of every choice made.  U(S) is made a Q-module by the shared
+builder ``gmod_cohomology.gmodule_of_action``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .groups import (
-    FiniteGroup,
-    GroupAction,
-    GroupError,
-    GroupExtension,
-    GroupHom,
-    abelian_structure,
-)
-from .gmod_cohomology import Cochain, GModule
+from .crossed import obstruction_cocycle
+from .groups import FiniteGroup, GroupExtension, GroupHom
+from .gmod_cohomology import Cochain, GModule, gmodule_of_action
 from .finrings import (
     Algebra,
-    AlgebraMap,
     FinCommRing,
-    RingError,
     UnitsGroup,
     conjugation_matrix,
     diagonalize_mod,
@@ -47,13 +41,11 @@ from .finrings import (
     is_ring_morphism_matrix,
     inverse_mod,
     kernel_mod,
-    ring_as_algebra,
-    subring_from_module,
     units_group,
     _expand_over_subring,
     _module_basis_over_subring,
 )
-from .modlinalg import colspans_equal, invertible_mod, solve_matrix_mod, submodule_size
+from .modlinalg import colspans_equal, invertible_mod, submodule_size
 
 
 class NormalStructureError(ValueError):
@@ -112,9 +104,6 @@ class OutRep:
 
     def lift(self, q: int) -> np.ndarray:
         return np.asarray(self.lifts[q], dtype=np.int64)
-
-    def lift_map(self, q: int) -> AlgebraMap:
-        return AlgebraMap.from_array(self.A, self.A, self.lift(q), grade=q)
 
     def defect(self, p: int, q: int) -> np.ndarray:
         """w_p w_q w_{pq}^{-1}, an automorphism over S."""
@@ -185,22 +174,9 @@ class UnitModule:
 def unit_module(base_action: BaseAction) -> UnitModule:
     S, Q = base_action.S, base_action.Q
     units = units_group(S)
-    factors, e2c, c2e = abelian_structure(units.group)
-    k = len(factors)
-    mats = []
-    basis_elems = []
-    for i in range(k):
-        coord = tuple(1 if j == i else 0 for j in range(k))
-        basis_elems.append(c2e[coord])
-    for q in range(Q.order):
-        mat_q = base_action.mat(q)
-        cols = []
-        for i in range(k):
-            u_vec = units.element(basis_elems[i])
-            acted = (mat_q @ u_vec) % S.modulus
-            cols.append(e2c[units.index_of(acted)])
-        mats.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
-    module = GModule(Q, factors, tuple(mats))
+    module, e2c, c2e = gmodule_of_action(
+        Q, units.group,
+        lambda q, u: units.index_of((base_action.mat(q) @ units.element(u)) % S.modulus))
     return UnitModule(units=units, module=module, elem_to_coords=tuple(e2c),
                       coords_to_elem=c2e)
 
@@ -244,23 +220,18 @@ def teichmuller_cocycle(rep: OutRep, seed: int = 0,
                 raise NormalStructureError(
                     f"defect at ({p},{q}) is not inner: not a Q-normal structure")
             f[p][q] = u
-    emb = A.base_embedding()
-    emb_diag = diagonalize_mod(emb, m)
-    k = unit_mod.module.rank
-    table = np.zeros((Q.order,) * 3 + (k,), dtype=np.int64)
-    for p, q, r in itertools.product(range(Q.order), repeat=3):
-        if Q.identity in (p, q, r):
-            continue
-        pq, qr = Q.mul[p][q], Q.mul[q][r]
-        head = A.mul(f[p][q], f[pq][r])
-        tail = A.mul((rep.lift(p) @ f[q][r]) % m, f[p][qr])
-        val = A.mul(head, A.inv(tail))
+    emb_diag = diagonalize_mod(A.base_embedding(), m)
+    lifts = [rep.lift(p) for p in range(Q.order)]
+
+    def coords(val):
         s_coords = emb_diag.solve(val)
         if s_coords is None:
             raise NormalStructureError(
                 "teichmuller value escaped the base ring (corrupted input)")
-        table[p, q, r] = unit_mod.coords_of_unit_vec(s_coords)
-    z = Cochain(unit_mod.module, 3, table)
+        return unit_mod.coords_of_unit_vec(s_coords)
+
+    z = obstruction_cocycle(unit_mod.module, f, lambda p, u: (lifts[p] @ u) % m,
+                            A.mul, A.inv, coords)
     return TeichWitness(rep=rep, unit_mod=unit_mod, f=f, cocycle=z)
 
 
@@ -433,25 +404,21 @@ class CrossedProductSpec:
             if not np.array_equal(self.theta_mat(jy) % m,
                                   conjugation_matrix(A, self.i_vec(y))):
                 raise NormalStructureError("theta(j(y)) differs from Inn(i(y))")
+        into_k = self.kernel_index()
         for g in range(Gamma.order):
             for y in range(K.order):
-                conj = None
                 gy = Gamma.mul[Gamma.mul[g][self.ext.kernel_hom(y)]][Gamma.inv[g]]
                 # g j(y) g^-1 lies in j(K)
-                pre = [z for z in range(K.order) if self.ext.kernel_hom(z) == gy]
-                if len(pre) != 1:
+                if gy not in into_k:
                     raise NormalStructureError("kernel is not normal in Gamma")
-                lhs = self.i_vec(pre[0])
+                lhs = self.i_vec(into_k[gy])
                 rhs = (self.theta_mat(g) @ self.i_vec(y)) % m
                 if not np.array_equal(lhs % m, rhs):
                     raise NormalStructureError("i is not Gamma-equivariant")
 
-    def induced_out_rep(self, seed: int = 0) -> OutRep:
-        """The Q-normal structure sigma_theta induced by the morphism."""
-        sec = self.ext.section(seed)
-        lifts = tuple(self.theta_mat(sec[q]) % self.A.modulus for q in range(self.Q.order))
-        return OutRep(base_action=self.base_action, A=self.A, lifts=lifts,
-                      name="sigma_theta")
+    def kernel_index(self) -> dict:
+        """Gamma element j(y) -> y, for the image of K in Gamma."""
+        return {self.ext.kernel_hom(y): y for y in range(self.K.order)}
 
 
 @dataclass
@@ -469,10 +436,6 @@ class CrossedProductResult:
     def s_to_c(self) -> np.ndarray:
         return (self.a_to_c @ self.spec.A.base_embedding()) % self.C.modulus
 
-    def c_basis_layout(self) -> tuple[int, int, int, int]:
-        """(|Q|, rank_A, sigma, rank_R) block layout of C's basis."""
-        return (self.spec.Q.order, self.spec.A.rank, self.s_basis.shape[1], self.R.rank)
-
 
 def _sde_flat(A: Algebra, s_vec, i: int) -> np.ndarray:
     """Flat A-vector of (s * e_i) for an S-element s."""
@@ -482,11 +445,9 @@ def _sde_flat(A: Algebra, s_vec, i: int) -> np.ndarray:
     return out
 
 
-def crossed_product(spec: CrossedProductSpec, seed: int = 0,
-                    validate: bool = True) -> CrossedProductResult:
+def crossed_product(spec: CrossedProductSpec, seed: int = 0) -> CrossedProductResult:
     """Build the crossed product algebra directly on the left-A-basis {v_q}."""
-    if validate:
-        spec.validate()
+    spec.validate()
     A, Q, Gamma = spec.A, spec.Q, spec.Gamma
     S = A.base
     m = A.modulus
@@ -497,7 +458,7 @@ def crossed_product(spec: CrossedProductSpec, seed: int = 0,
     sigma = s_basis.shape[1]
     expand_s = _expand_over_subring(S, R, r_embed, s_basis)
     sec = spec.ext.section(seed)
-    into_k = {spec.ext.kernel_hom(y): y for y in range(spec.K.order)}
+    into_k = spec.kernel_index()
     phi = [[0] * Q.order for _ in range(Q.order)]
     for p in range(Q.order):
         for q in range(Q.order):
@@ -550,8 +511,7 @@ def crossed_product(spec: CrossedProductSpec, seed: int = 0,
             tuple(int(v) for v in unit_blocks[b_idx])
     C = Algebra(base=R, rank=dimC, structure=tuple(tuple(r) for r in struct),
                 unit=tuple(unit), name=f"({A.name}) xt {Q.order}")
-    if validate:
-        C.validate()
+    C.validate()
     # A -> C and the v_q units
     a_cols = []
     for i in range(n):
@@ -892,8 +852,7 @@ def _twisted_unit_extension(rep: OutRep, phi_units, cap: int):
             w = A.mul(A.mul(units.element(u), (rep.lift(p) @ units.element(v)) % m),
                       phi(p, q))
             mul[idx(u, p)][idx(v, q)] = idx(units.index_of(w), Q.mul[p][q])
-    from .groups import FiniteGroup as FG
-    Gamma = FG.from_table(mul, cap=max(cap, 256))
+    Gamma = FiniteGroup.from_table(mul, cap=max(cap, 256))
     K = units.group
     kernel_hom = GroupHom.checked(K, Gamma, tuple(idx(u, Q.identity) for u in range(nu)))
     quotient_hom = GroupHom.checked(Gamma, Q, tuple(g % Q.order for g in range(nu * Q.order)))

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from teichmuller.groups import (
@@ -15,10 +16,18 @@ from teichmuller.crossed import (
     CrossedModule,
     baer_sum,
     cocycle_of_crossed2,
+    obstruction_cocycle,
     trivial_crossed2,
     validate_crossed_module,
 )
-from teichmuller.gmod_cohomology import cohomology, is_cocycle, trivial_gmodule
+from teichmuller.gmod_cohomology import (
+    GModule,
+    coboundary,
+    cohomology,
+    is_cocycle,
+    random_cochain,
+    trivial_gmodule,
+)
 
 
 def metacyclic_crossed2(r, s, t, f, ell):
@@ -140,3 +149,30 @@ def test_e0_baer_sum_with_itself():
     assert cocycle_of_crossed2(s).is_zero() or \
         cohomology(Q, M, 3).class_of(cocycle_of_crossed2(s)) == \
         tuple([0] * len(cohomology(Q, M, 3).invariant_factors))
+
+
+def abelian_obstruction_cases():
+    S3, _ = metacyclic(3, 2, 2, 0)
+    sign = tuple(((1,),) if g < 3 else ((2,),) for g in range(S3.order))
+    C2 = cyclic(2)
+    return [
+        ("C2_Z4neg", GModule(C2, (4,), (((1,),), ((3,),)))),
+        ("S3_Z3sign", GModule(S3, (3,), sign)),
+        ("C4_Z2xZ4", trivial_gmodule(cyclic(4), [2, 4])),
+    ]
+
+
+@pytest.mark.parametrize("label,module", abelian_obstruction_cases(),
+                         ids=[c[0] for c in abelian_obstruction_cases()])
+def test_obstruction_of_abelian_values_is_minus_coboundary(label, module):
+    """With values in the module itself, xi = h(x,y) + h(xy,z) - x.h(y,z) - h(x,yz) = -dh."""
+    rng = random.Random(label)
+    G = module.group
+    for _ in range(5):
+        c = random_cochain(module, 2, rng)
+        h = [[c.value(x, y) for y in range(G.order)] for x in range(G.order)]
+        xi = obstruction_cocycle(module, h, module.act,
+                                 lambda a, b: module.reduce(np.add(a, b)),
+                                 lambda a: module.reduce(np.negative(a)),
+                                 lambda v: v)
+        assert np.array_equal(xi.table, (coboundary(c) * -1).table)

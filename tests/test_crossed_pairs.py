@@ -5,19 +5,25 @@ import numpy as np
 import pytest
 
 from teichmuller.groups import (
+    GroupAction,
     GroupExtension,
     GroupHom,
+    abelian_group_from_factors,
     abelian_structure,
     cyclic,
     direct_product,
     identity_hom,
     is_two_cocycle,
     metacyclic,
+    mixed_radix_decode,
+    mixed_radix_encode,
     trivial_action,
 )
-from teichmuller.finrings import GaloisData, fixed_subring, frobenius_lift, galois_from_free_action, galois_ring, gf
+from teichmuller.crossed import trivial_crossed2
+from teichmuller.finrings import GaloisData, fixed_subring, frobenius_lift, galois_from_free_action, galois_ring, gf, map_ring
 from teichmuller.gmod_cohomology import (
     Cochain,
+    GModule,
     ModuleMap,
     cohomology,
     cyclic_h3_equal,
@@ -39,6 +45,7 @@ from teichmuller.crossed_pairs import (
     find_congruence,
     five_term_report,
     j_map,
+    metacyclic_crossed2,
     metacyclic_instance,
     metacyclic_legal,
     pushout_extension,
@@ -46,7 +53,7 @@ from teichmuller.crossed_pairs import (
     xpext_enumerate,
 )
 from teichmuller import crossed_pairs
-from teichmuller.normal_algebras import teichmuller_cocycle
+from teichmuller.normal_algebras import BaseAction, teichmuller_cocycle, unit_module
 
 
 def klein_ambient():
@@ -402,3 +409,60 @@ def test_normalcrossed_class_set_battery_b():
         classes.add(delta_cls)
     # Thm: the set of crossed-pair-algebra classes is ker(inf), as the tool computes it
     assert classes == ker_inf
+
+
+def assert_coordinates_respect_action(module, e2c, act, elements):
+    for g in range(module.group.order):
+        for m in elements:
+            assert e2c[act(g, m)] == module.act(g, e2c[m]), (g, m)
+
+
+def test_built_modules_translate_the_action():
+    """elem_to_coords[act(g, m)] == module.act(g, elem_to_coords[m]) for each builder."""
+    C3 = cyclic(3)
+    shift = [np.roll(np.eye(3, dtype=np.int64), g, axis=0) for g in range(3)]
+    # C_3 rotating the digits of (Z/2)^3: an action matrix that is not symmetric
+    M3 = abelian_group_from_factors([2, 2, 2])
+    rot = GroupAction(C3, M3, tuple(
+        tuple(mixed_radix_encode(shift[g] @ mixed_radix_decode(m, [2, 2, 2]), [2, 2, 2])
+              for m in range(8)) for g in range(3)))
+    one = cyclic(1)
+    rot_ext = GroupExtension(GroupHom.checked(one, C3, (0,)), identity_hom(C3))
+    # G(4,4,3,2) acting on Z/4 through x -> 3
+    G, ext = metacyclic(4, 4, 3, 2)
+    M = cyclic(4)
+    rows = tuple(tuple((m * pow(3, g // 4, 4)) % 4 for m in range(4)) for g in range(G.order))
+    ambients = [Ambient(ext=rot_ext, Mgrp=M3, action=rot),
+                Ambient(ext=ext, Mgrp=M, action=GroupAction(G, M, rows)),
+                battery_a().ambient, klein_ambient()]
+    for i, amb in enumerate(ambients):
+        module, e2c, _ = amb.gmodule()
+        assert_coordinates_respect_action(module, e2c, amb.action.act, range(amb.Mgrp.order))
+        moduleN, MN, incl, (_, e2cN, _) = amb.fixed_submodule_gmodule()
+        into_mn = {incl(i): i for i in range(MN.order)}
+        sec = amb.ext.section()
+        assert_coordinates_respect_action(
+            moduleN, e2cN, lambda q, b: into_mn[amb.action.act(sec[q], incl(b))],
+            range(MN.order))
+        if i < 2:
+            assert len(set(module.action)) > 1 and len(set(moduleN.action)) > 1
+    rot_module = GModule(C3, (2, 2, 2), tuple(tuple(map(tuple, a)) for a in shift))
+    for e2 in [metacyclic_crossed2(4, 2, 3, 2, 2), metacyclic_crossed2(4, 4, 3, 2, 4),
+               trivial_crossed2(C3, rot_module)]:
+        module, e2c, _ = e2.gmodule()
+        into_m = {e2.iota(m): m for m in range(e2.M.order)}
+        for lift_seed in range(3):
+            sect = e2.pi.section(lift_seed)
+            assert_coordinates_respect_action(
+                module, e2c, lambda g, m: into_m[e2.action.act(sect[g], e2.iota(m))],
+                range(e2.M.order))
+    for S, mats in [(gf(2, 2), (np.eye(2, dtype=np.int64), frobenius_lift(gf(2, 2)))),
+                    (map_ring(3, gf(3, 1)), tuple(shift))]:
+        base = BaseAction(cyclic(len(mats)), S, mats)
+        um = unit_module(base)
+        units = um.units
+        assert len(set(um.module.action)) > 1
+        assert_coordinates_respect_action(
+            um.module, um.elem_to_coords,
+            lambda q, u: units.index_of((base.mat(q) @ units.element(u)) % S.modulus),
+            range(units.group.order))
