@@ -28,6 +28,7 @@ from .groups import (
     GroupAction,
     GroupExtension,
     GroupHom,
+    check_normalized_two_cocycle,
     cyclic,
     direct_product,
     group_from_2cocycle,
@@ -100,6 +101,16 @@ class Ambient:
         return GModule(hom.source, module.invariant_factors,
                        tuple(module.action[hom(h)] for h in range(hom.source.order))), e2c, c2e
 
+    def corrections(self):
+        """Every correction c: N -> M with c(1) = 0, as a list over N."""
+        N, M = self.N, self.Mgrp
+        n_nontriv = [n for n in range(N.order) if n != N.identity]
+        for cvals in itertools.product(range(M.order), repeat=len(n_nontriv)):
+            c = [M.identity] * N.order
+            for n, v in zip(n_nontriv, cvals):
+                c[n] = v
+            yield c
+
     def fixed_elements(self) -> tuple[int, ...]:
         """The elements of M^N, the part of M fixed by N, in increasing order."""
         return tuple(m for m in range(self.Mgrp.order)
@@ -116,7 +127,7 @@ class Ambient:
             self.Q, MN, lambda q, b: into_mn[self.action.act(sec[q], incl(b))])
         return moduleN, MN, incl, (moduleN.invariant_factors, e2cN, c2eN)
 
-    def inflation_map(self, degree_target_module=None) -> ModuleMap:
+    def inflation_map(self) -> ModuleMap:
         """mu: M^N -> M over pi: G ->> Q (inflation H^*(Q, M^N) -> H^*(G, M))."""
         module, e2c, c2e = self.gmodule()
         moduleN, MN, incl, (factorsN, e2cN, c2eN) = self.fixed_submodule_gmodule()
@@ -224,15 +235,11 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
     into_n = {amb.ext.kernel_hom(n): n for n in range(N.order)}
     gm = np.array(Gamma.mul, dtype=np.int64)
     pairs = []
-    n_nontriv = [n for n in range(N.order) if n != N.identity]
     for x in range(G.order):
         # i_x must preserve N (automatic), compute it on indices
         ix = [into_n[G.conj(x, amb.ext.kernel_hom(n))] for n in range(N.order)]
         lx = [amb.action.act(x, m) for m in range(M.order)]
-        for cvals in itertools.product(range(M.order), repeat=len(n_nontriv)):
-            c = [M.identity] * N.order
-            for n, v in zip(n_nontriv, cvals):
-                c[n] = v
+        for c in amb.corrections():
             alpha = np.zeros(Gamma.order, dtype=np.int64)
             for y in range(Gamma.order):
                 m, n = ae.gamma_parts(y)
@@ -423,43 +430,42 @@ def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Co
 def j_map(ambient: Ambient, h_table, autdata_cache: Optional[dict] = None) -> CrossedPair:
     """From a normalized 2-cocycle h on G with values in M.
 
-    e is the restriction of the extension over N; psi(q) is conjugation by any
-    lift of q.  The result satisfies Delta(j(h)) = 0 by (13.11)-exactness.
+    e is the restriction over N of the extension E of G by h; psi(q) is
+    conjugation by the lift (0, x) of q, x = s(q).  E is not built: in it
+
+        (0,x)(m,g)(0,x)^-1 = (x.m + h(x,g) + xg.a + h(xg,x^-1), xgx^-1)
+
+    with a = -x^-1.h(x,x^-1).  Only Aut_G(e) is built, when ``autdata_cache``
+    (keyed by the restricted cocycle table) misses.  The result satisfies
+    Delta(j(h)) = 0 by (13.11)-exactness.
     """
     G, N, M, Q = ambient.G, ambient.N, ambient.Mgrp, ambient.Q
-    ext_bigE = group_from_2cocycle(G, M, ambient.action, h_table)
-    E = ext_bigE.middle
-    # restricted cocycle on N
-    f = [[h_table[ambient.ext.kernel_hom(n1)][ambient.ext.kernel_hom(n2)]
-          for n2 in range(N.order)] for n1 in range(N.order)]
-    ae = extension_from_cocycle(ambient, f)
-    key = ae.f
-    if autdata_cache is not None and key in autdata_cache:
-        autdata = autdata_cache[key]
-    else:
-        autdata = aut_g_of_e(ae)
+    check_normalized_two_cocycle(G, M, ambient.action, h_table)
+    kh, act, mul = ambient.ext.kernel_hom, ambient.action.act, M.mul
+    f = tuple(tuple(h_table[kh(n1)][kh(n2)] for n2 in range(N.order)) for n1 in range(N.order))
+    autdata = None if autdata_cache is None else autdata_cache.get(f)
+    if autdata is None:
+        autdata = aut_g_of_e(extension_from_cocycle(ambient, f))
         if autdata_cache is not None:
-            autdata_cache[key] = autdata
-    Gamma = ae.Gamma
+            autdata_cache[f] = autdata
+    ae = autdata.ae
+    into_n = {kh(n): n for n in range(N.order)}
     sec = ambient.ext.section()
     psi = [None] * Q.order
     lifts = [None] * Q.order
     for q in range(Q.order):
         x = sec[q]
-        x_in_E = M.identity + M.order * x  # element (0, x) of E
-        alpha = [0] * Gamma.order
-        for y in range(Gamma.order):
+        x_inv = G.inv[x]
+        a = M.inv[act(x_inv, h_table[x][x_inv])]
+        alpha = [0] * ae.Gamma.order
+        for y in range(ae.Gamma.order):
             m, n = ae.gamma_parts(y)
-            y_in_E = m + M.order * ambient.ext.kernel_hom(n)
-            conj = E.conj(x_in_E, y_in_E)
-            m2, g2 = conj % M.order, conj // M.order
-            n2 = None
-            for nn in range(N.order):
-                if ambient.ext.kernel_hom(nn) == g2:
-                    n2 = nn
-                    break
+            g = kh(n)
+            xg = G.mul[x][g]
+            n2 = into_n.get(G.mul[xg][x_inv])
             if n2 is None:
                 raise CrossedPairError("conjugation left the restricted subgroup")
+            m2 = mul[mul[mul[act(x, m)][h_table[x][g]]][act(xg, a)]][h_table[xg][x_inv]]
             alpha[y] = ae.gamma_index(m2, n2)
         idx = autdata.pair_index(tuple(alpha), x)
         if idx is None:
@@ -474,26 +480,42 @@ def j_map(ambient: Ambient, h_table, autdata_cache: Optional[dict] = None) -> Cr
 # ---------------------------------------------------------------------------
 # congruence of crossed pairs
 
+def _correction_map(ae: AbExtension, c) -> list[int]:
+    """phi_c(m, n) = (m + c(n), n), on Gamma indices."""
+    M = ae.ambient.Mgrp
+    return [ae.gamma_index(M.mul[m][c[n]], n)
+            for m, n in map(ae.gamma_parts, range(ae.Gamma.order))]
+
+
+def _transported_psi(cp: CrossedPair, phi, autdata: AutGeGroup) -> Optional[tuple]:
+    """psi carried along phi into autdata's Out_G(e): each lift (alpha, x) goes
+    to (phi alpha phi^-1, x).  None when a transported pair is not in autdata."""
+    inv_phi = [0] * len(phi)
+    for y, z in enumerate(phi):
+        inv_phi[z] = y
+    psi = []
+    for lift in cp.lifts:
+        a, x = cp.autdata.pairs[lift]
+        idx = autdata.pair_index(tuple(phi[a[y]] for y in inv_phi), x)
+        if idx is None:
+            return None
+        psi.append(autdata.to_out(idx))
+    return tuple(psi)
+
+
 def find_congruence(cp1: CrossedPair, cp2: CrossedPair) -> Optional[list[int]]:
     """An extension isomorphism (1, phi, 1) carrying psi_1 to psi_2, or None.
 
     phi(m, n) = (m + c(n), n) for an M-correction c, searched exhaustively.
+    This is the brute-force oracle of ``congruence_key``.
     """
     ae1, ae2 = cp1.ae, cp2.ae
     amb = ae1.ambient
     if ae2.ambient is not amb and ae2.ambient != amb:
         raise CrossedPairError("pairs live over different ambients")
-    M, N, Q = amb.Mgrp, amb.N, amb.Q
     G1, G2 = ae1.Gamma, ae2.Gamma
-    n_nontriv = [n for n in range(N.order) if n != N.identity]
-    for cvals in itertools.product(range(M.order), repeat=len(n_nontriv)):
-        c = [M.identity] * N.order
-        for n, v in zip(n_nontriv, cvals):
-            c[n] = v
-        phi = [0] * G1.order
-        for y in range(G1.order):
-            m, n = ae1.gamma_parts(y)
-            phi[y] = ae2.gamma_index(M.mul[m][c[n]], n)
+    for c in amb.corrections():
+        phi = _correction_map(ae1, c)
         ok = True
         for y1 in range(G1.order):
             for y2 in range(G1.order):
@@ -502,23 +524,32 @@ def find_congruence(cp1: CrossedPair, cp2: CrossedPair) -> Optional[list[int]]:
                     break
             if not ok:
                 break
-        if not ok:
-            continue
-        inv_phi = [0] * G2.order
-        for y in range(G1.order):
-            inv_phi[phi[y]] = y
-        # transported psi: alpha -> phi alpha phi^-1 paired with the same x
-        match = True
-        for q in range(Q.order):
-            a, x = cp1.autdata.pairs[cp1.lifts[q]]
-            transported = tuple(phi[a[inv_phi[y]]] for y in range(G2.order))
-            idx = cp2.autdata.pair_index(transported, x)
-            if idx is None or cp2.autdata.to_out(idx) != cp2.psi[q]:
-                match = False
-                break
-        if match:
+        if ok and _transported_psi(cp1, phi, cp2.autdata) == cp2.psi:
             return phi
     return None
+
+
+def congruence_key(cp: CrossedPair, autdata_cache: dict) -> tuple:
+    """A complete congruence invariant (f*, psi*): equal exactly for congruent pairs.
+
+    The corrections c: N -> M form a group, and phi_c(m, n) = (m + c(n), n)
+    carries Gamma_f onto Gamma_{f_c}, f_c(p,q) = f(p,q) + c(pq) - c(p) - p.c(q).
+    f* is the least f_c; psi* is the least psi transported along a phi_c with
+    f_c = f*, read in Out_G(e*) of ``autdata_cache[f*]`` (built on a miss).
+    """
+    amb = cp.ae.ambient
+    M, N, f = amb.Mgrp, amb.N, cp.ae.f
+    nact = amb.n_action()
+
+    def f_c(c, p, q):  # f(p,q) + c(pq) - (c(p) + p.c(q))
+        return M.mul[M.mul[f[p][q]][c[N.mul[p][q]]]][M.inv[M.mul[c[p]][nact.act(p, c[q])]]]
+    twisted = [(tuple(tuple(f_c(c, p, q) for q in range(N.order)) for p in range(N.order)), c)
+               for c in amb.corrections()]
+    f_star = min(fc for fc, _ in twisted)
+    if f_star not in autdata_cache:
+        autdata_cache[f_star] = aut_g_of_e(extension_from_cocycle(amb, f_star))
+    return f_star, min(_transported_psi(cp, _correction_map(cp.ae, c), autdata_cache[f_star])
+                       for fc, c in twisted if fc == f_star)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +571,11 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
                     seed: int = 0) -> XpextReport:
     """Desk-scale enumeration of crossed pairs with exactness verdicts.
 
-    Enumerates normalized 2-cocycles on N with Q-fixed class, the crossed-pair
-    structures on each, buckets them by congruence, and checks the set-level
-    exactness of the right half of the eight-term sequence:
+    Enumerates normalized 2-cocycles on N with Q-fixed class and the
+    crossed-pair structures on each.  It buckets them by ``congruence_key``
+    (a dict in first-seen order, so the buckets are those of a pairwise
+    ``find_congruence`` loop) and checks the set-level exactness of the right
+    half of the eight-term sequence:
 
         H^2(Q,M^N) -inf-> H^2(G,M) -j-> Xpext -Delta-> H^3(Q,M^N) -inf-> H^3(G,M)
     """
@@ -554,7 +587,7 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
     if total > cocycle_budget:
         raise CrossedPairError(
             f"2-cocycle enumeration of size {total} exceeds budget {cocycle_budget}")
-    moduleG, _, _ = amb.gmodule()
+    moduleG, _, c2e = amb.gmodule()
     moduleN_of_G, _, _ = amb.restricted_gmodule(amb.ext.kernel_hom)
     moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()
     h2n = cohomology(N, moduleN_of_G, 2)
@@ -577,17 +610,12 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
         autdata = aut_g_of_e(ae)
         autdata_cache[ae.f] = autdata
         pairs.extend(crossed_pair_structures(autdata))
-    # bucket by congruence
-    buckets: list[list[CrossedPair]] = []
+    # bucket by congruence key
+    by_key: dict = {}
     for cp in pairs:
-        placed = False
-        for bucket in buckets:
-            if find_congruence(bucket[0], cp) is not None:
-                bucket.append(cp)
-                placed = True
-                break
-        if not placed:
-            buckets.append([cp])
+        by_key.setdefault(congruence_key(cp, autdata_cache), []).append(cp)
+    buckets = list(by_key.values())
+    bucket_of = {key: i for i, key in enumerate(by_key)}
     # Delta on each bucket (checked constant across members)
     delta_classes = []
     for bucket in buckets:
@@ -601,14 +629,13 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
     # the split pair bucket (zero element)
     zero_h = [[M.identity] * G.order for _ in range(G.order)]
     zero_cp = j_map(amb, zero_h, autdata_cache)
-    zero_bucket = _find_bucket(buckets, zero_cp)
+    zero_bucket = _find_bucket(bucket_of, zero_cp, autdata_cache)
     # j images
     j_images = {}
     for coords in h2g.all_classes():
         zc = h2g.lift(list(coords))
-        h_table = _cochain_to_table(zc, amb)
-        cp = j_map(amb, h_table, autdata_cache)
-        j_images[coords] = _find_bucket(buckets, cp)
+        cp = j_map(amb, _cochain_to_table(zc, c2e), autdata_cache)
+        j_images[coords] = _find_bucket(bucket_of, cp, autdata_cache)
     # inflation H^2(Q, M^N) -> H^2(G, M)
     infl = amb.inflation_map()
     h2q_image = {map_on_cohomology(infl, h2q, h2g, list(c)) for c in h2q.all_classes()}
@@ -634,22 +661,18 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
                        verdicts=verdicts)
 
 
-def _find_bucket(buckets, cp) -> int:
-    for i, bucket in enumerate(buckets):
-        if find_congruence(bucket[0], cp) is not None:
-            return i
-    raise CrossedPairError("crossed pair not matched by any enumerated bucket")
+def _find_bucket(bucket_of: dict, cp, autdata_cache: dict) -> int:
+    index = bucket_of.get(congruence_key(cp, autdata_cache))
+    if index is None:
+        raise CrossedPairError("crossed pair not matched by any enumerated bucket")
+    return index
 
 
-def _cochain_to_table(z: Cochain, amb: Ambient):
-    """Back-convert a degree-2 cochain over the G-module to an M-index table."""
-    moduleG, e2c, c2e = amb.gmodule()
-    G = amb.G
-    table = [[amb.Mgrp.identity] * G.order for _ in range(G.order)]
-    for g1 in range(G.order):
-        for g2 in range(G.order):
-            table[g1][g2] = c2e[tuple(int(v) for v in z.table[g1, g2])]
-    return table
+def _cochain_to_table(z: Cochain, c2e):
+    """Back-convert a degree-2 cochain to an M-index table (c2e from ``gmodule``)."""
+    order = z.table.shape[0]
+    return [[c2e[tuple(int(v) for v in z.table[g1, g2])] for g2 in range(order)]
+            for g1 in range(order)]
 
 
 def _transport_to_moduleQ(z: Cochain, moduleQ: GModule, MNgrp: FiniteGroup, amb: Ambient) -> Cochain:

@@ -544,12 +544,8 @@ def is_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> Op
     return None
 
 
-def group_from_2cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> GroupExtension:
-    """The extension M >--> E -->> Q twisted by the normalized 2-cocycle f.
-
-    f is an order x order table of M-element indices; the set E is M x Q with
-    (m, p)(n, q) = (m + p.n + f(p, q), pq) and index(m, q) = m + |M|*q.
-    """
+def check_normalized_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> None:
+    """Raise GroupError unless f is a normalized 2-cocycle with values in abelian M."""
     if not M.is_abelian():
         raise GroupError("cocycle extension needs an abelian kernel")
     for q in range(Q.order):
@@ -558,6 +554,15 @@ def group_from_2cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) 
     witness = is_two_cocycle(Q, M, action, f)
     if witness is not None:
         raise GroupError(f"2-cocycle identity fails at {witness}")
+
+
+def group_from_2cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> GroupExtension:
+    """The extension M >--> E -->> Q twisted by the normalized 2-cocycle f.
+
+    f is an order x order table of M-element indices; the set E is M x Q with
+    (m, p)(n, q) = (m + p.n + f(p, q), pq) and index(m, q) = m + |M|*q.
+    """
+    check_normalized_two_cocycle(Q, M, action, f)
     nm, nq = M.order, Q.order
     mul = [[0] * (nm * nq) for _ in range(nm * nq)]
     for m, p, n2, q in itertools.product(range(nm), range(nq), range(nm), range(nq)):

@@ -1,17 +1,20 @@
 import gc
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from teichmuller.groups import (
     GroupAction,
+    GroupError,
     GroupExtension,
     GroupHom,
     abelian_group_from_factors,
     abelian_structure,
     cyclic,
     direct_product,
+    group_from_2cocycle,
     identity_hom,
     is_two_cocycle,
     metacyclic,
@@ -25,17 +28,22 @@ from teichmuller.gmod_cohomology import (
     Cochain,
     GModule,
     ModuleMap,
+    coboundary,
     cohomology,
     cyclic_h3_equal,
     cyclic_unit_module,
     is_cocycle,
     map_on_cohomology,
+    random_cochain,
 )
 from teichmuller.crossed_pairs import (
     Ambient,
+    CrossedPair,
     CrossedPairError,
+    _cochain_to_table,
     aut_g_of_e,
     class_is_q_fixed,
+    congruence_key,
     crossed_pair_algebra,
     crossed_pair_structures,
     degree1_delta,
@@ -72,6 +80,61 @@ def q8_ambient():
     G, ext = metacyclic(4, 2, 3, 2)
     M = cyclic(2)
     return Ambient(ext=ext, Mgrp=M, action=trivial_action(G, M))
+
+
+def klein_neg_ambient():
+    """The Klein ambient with M = Z/4, on which N's generator acts by negation."""
+    amb = klein_ambient()
+    M = cyclic(4)
+    rows = tuple(tuple(m * (-1) ** (g // 2) % 4 for m in range(4)) for g in range(4))
+    amb = Ambient(ext=amb.ext, Mgrp=M, action=GroupAction(amb.G, M, rows))
+    amb.validate()
+    assert amb.n_action().table[1] == (0, 3, 2, 1)
+    return amb
+
+
+def c4_z5_ambient():
+    """C_2 >-> C_4 ->> C_2 with C_4 acting on Z/5 through 2: x.m != m for the lift x of q."""
+    G, M = cyclic(4), cyclic(5)
+    ext = GroupExtension(GroupHom.checked(cyclic(2), G, (0, 2)),
+                         GroupHom.checked(G, cyclic(2), (0, 1, 0, 1)))
+    rows = tuple(tuple(m * 2 ** g % 5 for m in range(5)) for g in range(4))
+    amb = Ambient(ext=ext, Mgrp=M, action=GroupAction(G, M, rows))
+    amb.validate()
+    return amb
+
+
+def enumerated_pairs(amb, cap=96):
+    """The crossed pairs in xpext_enumerate's order, and the Aut_G(e) table by f."""
+    M, N = amb.Mgrp, amb.N
+    nact = amb.n_action()
+    h2n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 2)
+    out, autdata_cache = [], {}
+    nt = [n for n in range(N.order) if n != N.identity]
+    for combo in itertools.product(range(M.order), repeat=len(nt) ** 2):
+        f = [[M.identity] * N.order for _ in range(N.order)]
+        for idx, (n1, n2) in enumerate(itertools.product(nt, repeat=2)):
+            f[n1][n2] = combo[idx]
+        if is_two_cocycle(N, M, nact, f) is not None:
+            continue
+        if not class_is_q_fixed(amb, f, h2n):
+            continue
+        ae = extension_from_cocycle(amb, f)
+        aut = aut_g_of_e(ae, cap=cap)
+        autdata_cache[ae.f] = aut
+        out.extend(crossed_pair_structures(aut))
+    return out, autdata_cache
+
+
+def h2g_tables(amb):
+    """One normalized cocycle table per class of H^2(G, M), each plus a coboundary."""
+    moduleG, _, c2e = amb.gmodule()
+    h2g = cohomology(amb.G, moduleG, 2)
+    rng = random.Random(5)
+    for coords in h2g.all_classes():
+        z = h2g.lift(list(coords))
+        for rep in (z, z + coboundary(random_cochain(moduleG, 1, rng))):
+            yield coords, _cochain_to_table(rep, c2e)
 
 
 def test_diag1_exactness_split_case():
@@ -170,13 +233,12 @@ def test_delta_constant_on_congruent_pairs_and_seeds():
 
 def test_j_map_lands_in_kernel_of_delta():
     amb = klein_ambient()
-    moduleG, _, _ = amb.gmodule()
+    moduleG, _, c2e = amb.gmodule()
     moduleQ, _, _, _ = amb.fixed_submodule_gmodule()
     h2g = cohomology(amb.G, moduleG, 2)
     h3q = cohomology(amb.Q, moduleQ, 3)
-    from teichmuller.crossed_pairs import _cochain_to_table
     for coords in h2g.all_classes():
-        table = _cochain_to_table(h2g.lift(list(coords)), amb)
+        table = _cochain_to_table(h2g.lift(list(coords)), c2e)
         cp = j_map(amb, table)
         _, z = delta(cp)
         assert h3q.class_of(Cochain(moduleQ, 3, z.table.copy())) == (0,)
@@ -186,15 +248,14 @@ def test_cohomologous_representatives_give_congruent_pairs():
     amb = klein_ambient()
     moduleG, e2c, c2e = amb.gmodule()
     h2g = cohomology(amb.G, moduleG, 2)
-    from teichmuller.crossed_pairs import _cochain_to_table
     from teichmuller.gmod_cohomology import coboundary, random_cochain
     import random
     rng = random.Random(3)
     coords = (1, 0, 0)
     z1 = h2g.lift(list(coords))
     z2 = z1 + coboundary(random_cochain(moduleG, 1, rng))
-    cp1 = j_map(amb, _cochain_to_table(z1, amb))
-    cp2 = j_map(amb, _cochain_to_table(z2, amb))
+    cp1 = j_map(amb, _cochain_to_table(z1, c2e))
+    cp2 = j_map(amb, _cochain_to_table(z2, c2e))
     assert find_congruence(cp1, cp2) is not None
 
 
@@ -225,6 +286,94 @@ def test_xpext_budget_checked_before_cohomology(monkeypatch):
     with pytest.raises(CrossedPairError, match="262144"):
         xpext_enumerate(amb)
     assert computed == []
+
+
+def pairwise_buckets(pairs):
+    """Bucketing by pairwise find_congruence against each bucket's first member."""
+    buckets = []
+    for cp in pairs:
+        for bucket in buckets:
+            if find_congruence(bucket[0], cp) is not None:
+                bucket.append(cp)
+                break
+        else:
+            buckets.append([cp])
+    return buckets
+
+
+def pair_data(cp):
+    return cp.ae.f, cp.psi, cp.lifts
+
+
+@pytest.mark.parametrize("make_ambient",
+                         [klein_ambient, q8_ambient, klein_neg_ambient, c4_z5_ambient])
+def test_congruence_key_matches_find_congruence(make_ambient):
+    amb = make_ambient()
+    enumerated, autdata_cache = enumerated_pairs(amb)
+    # j-images of cohomologous tables: congruent pairs built apart from the enumeration
+    pairs = enumerated + [j_map(amb, table, autdata_cache) for _, table in h2g_tables(amb)]
+    keys = [congruence_key(cp, autdata_cache) for cp in pairs]
+    congruent = 0
+    for cp1, k1 in zip(pairs, keys):
+        for cp2, k2 in zip(pairs, keys):
+            found = find_congruence(cp1, cp2) is not None
+            assert (k1 == k2) == found, (pair_data(cp1), pair_data(cp2))
+            congruent += found and cp1 is not cp2
+    assert congruent
+    report = xpext_enumerate(amb)
+    oracle = pairwise_buckets(enumerated)
+    assert [list(map(pair_data, b)) for b in report.buckets] == \
+        [list(map(pair_data, b)) for b in oracle]
+
+
+def j_map_via_extension(ambient, h_table):
+    """The j map read off the built extension E of G by h (oracle of j_map)."""
+    G, N, M, Q = ambient.G, ambient.N, ambient.Mgrp, ambient.Q
+    E = group_from_2cocycle(G, M, ambient.action, h_table).middle
+    kh = ambient.ext.kernel_hom
+    ae = extension_from_cocycle(
+        ambient, [[h_table[kh(n1)][kh(n2)] for n2 in range(N.order)] for n1 in range(N.order)])
+    autdata = aut_g_of_e(ae)
+    into_n = {kh(n): n for n in range(N.order)}
+    sec = ambient.ext.section()
+    psi, lifts = [], []
+    for q in range(Q.order):
+        x_in_E = M.identity + M.order * sec[q]
+        alpha = []
+        for y in range(ae.Gamma.order):
+            m, n = ae.gamma_parts(y)
+            conj = E.conj(x_in_E, m + M.order * kh(n))
+            alpha.append(ae.gamma_index(conj % M.order, into_n[conj // M.order]))
+        lifts.append(autdata.pair_index(tuple(alpha), sec[q]))
+        psi.append(autdata.to_out(lifts[-1]))
+    return CrossedPair(autdata=autdata, psi=tuple(psi), lifts=tuple(lifts))
+
+
+@pytest.mark.parametrize("make_ambient",
+                         [klein_ambient, q8_ambient, klein_neg_ambient, c4_z5_ambient])
+def test_j_map_matches_conjugation_in_built_extension(make_ambient):
+    amb = make_ambient()
+    autdata_cache = {}
+    for coords, table in h2g_tables(amb):
+        want = pair_data(j_map_via_extension(amb, table))
+        assert pair_data(j_map(amb, table)) == want, coords
+        assert pair_data(j_map(amb, table, autdata_cache)) == want, coords
+
+
+def test_j_map_checks_the_cocycle_before_searching(monkeypatch):
+    amb = klein_ambient()
+    not_normalized = [[0, 1, 0, 0]] + [[0] * 4 for _ in range(3)]
+    not_cocycle = [[0] * 4, [0, 1, 0, 0], [0] * 4, [0] * 4]
+    assert is_two_cocycle(amb.G, amb.Mgrp, amb.action, not_cocycle) is not None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("aut_g_of_e called on an invalid cocycle")
+
+    monkeypatch.setattr(crossed_pairs, "aut_g_of_e", refuse)
+    with pytest.raises(GroupError, match="not normalized"):
+        j_map(amb, not_normalized)
+    with pytest.raises(GroupError, match="identity fails"):
+        j_map(amb, not_cocycle, {})
 
 
 def test_five_term_exactness():
@@ -310,24 +459,7 @@ def battery_a():
 
 
 def all_crossed_pairs(data):
-    amb = data.ambient
-    M, N = amb.Mgrp, amb.N
-    nact = amb.n_action()
-    h2n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 2)
-    out = []
-    nt = [n for n in range(N.order) if n != N.identity]
-    for combo in itertools.product(range(M.order), repeat=len(nt) ** 2):
-        f = [[M.identity] * N.order for _ in range(N.order)]
-        for idx, (n1, n2) in enumerate(itertools.product(nt, repeat=2)):
-            f[n1][n2] = combo[idx]
-        if is_two_cocycle(N, M, nact, f) is not None:
-            continue
-        if not class_is_q_fixed(amb, f, h2n):
-            continue
-        ae = extension_from_cocycle(amb, f)
-        aut = aut_g_of_e(ae, cap=112)
-        out.extend(crossed_pair_structures(aut))
-    return out
+    return enumerated_pairs(data.ambient, cap=112)[0]
 
 
 def bridge_module_map(data, w_unit_mod, moduleQ, MNgrp, bridge):
