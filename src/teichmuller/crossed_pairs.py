@@ -18,7 +18,7 @@ built from that table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -50,7 +50,7 @@ from .gmod_cohomology import (
 )
 from .crossed import Crossed2Extension, cocycle_of_crossed2
 from .finrings import galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
-from .modlinalg import diagonalize_mod
+from .modlinalg import diagonalize_mod, first_nonmultiplicative_pair
 from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
 
 
@@ -58,16 +58,30 @@ class CrossedPairError(ValueError):
     pass
 
 
+COCYCLE_TABLE_BUDGET = 1 << 14  # normalized tables on N that xpext_enumerate walks
+PAIR_SEARCH_BUDGET = 1 << 13    # Aut_G(e) candidates of metacyclic_instance's pair
+
+
 # ---------------------------------------------------------------------------
 # ambient data
 
 @dataclass(frozen=True)
 class Ambient:
-    """N >-> G ->> Q with an abelian table group M carrying a G-action."""
+    """N >-> G ->> Q with an abelian table group M carrying a G-action.
+
+    The ambient holds what the maps of the eight-term sequence read, each
+    built on first use and keyed by content: M as a G-module (``gmodule``)
+    with its coordinates, the module's restrictions (``restricted_gmodule``,
+    keyed by the images of the restricting map), M^N as a Q-module
+    (``fixed_submodule_gmodule``) and one Aut_G(e) per normalized cocycle
+    table f on N (``aut_data``, keyed by the entries of f).  ``_held`` takes
+    no part in construction, equality or hashing.
+    """
 
     ext: GroupExtension          # N -> G -> Q
     Mgrp: FiniteGroup
     action: GroupAction          # G on Mgrp
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def G(self) -> FiniteGroup:
@@ -81,6 +95,12 @@ class Ambient:
     def Q(self) -> FiniteGroup:
         return self.ext.quotient_group
 
+    def _hold(self, key, build):
+        held = self._held.get(key)
+        if held is None:
+            held = self._held[key] = build()
+        return held
+
     def n_action(self) -> GroupAction:
         rows = tuple(self.action.table[self.ext.kernel_hom(n)] for n in range(self.N.order))
         return GroupAction(self.N, self.Mgrp, rows)
@@ -93,13 +113,33 @@ class Ambient:
 
     def gmodule(self):
         """M as a G-module in invariant-factor coordinates, with bridges."""
-        return gmodule_of_action(self.G, self.Mgrp, self.action.act)
+        return self._hold("gmodule", lambda: gmodule_of_action(self.G, self.Mgrp, self.action.act))
 
     def restricted_gmodule(self, hom: GroupHom):
-        """The same module over the source of hom (hom: H -> G)."""
-        module, e2c, c2e = self.gmodule()
-        return GModule(hom.source, module.invariant_factors,
-                       tuple(module.action[hom(h)] for h in range(hom.source.order))), e2c, c2e
+        """The same module over the source of the injective hom: H -> G."""
+        def build():
+            module, e2c, c2e = self.gmodule()
+            return GModule(hom.source, module.invariant_factors,
+                           tuple(module.action[g] for g in hom.images)), e2c, c2e
+        return self._hold(("restricted", hom.images), build)
+
+    def fixed_submodule_gmodule(self):
+        """M^N as a Q-module plus the inclusion M^N -> M over G ->> Q."""
+        def build():
+            MN, incl = subgroup_of(self.Mgrp, self.fixed_elements())
+            into_mn = {incl(i): i for i in range(MN.order)}
+            # Q-action: lift q to G (well defined on fixed points)
+            sec = self.ext.section()
+            moduleN, e2cN, c2eN = gmodule_of_action(
+                self.Q, MN, lambda q, b: into_mn[self.action.act(sec[q], incl(b))])
+            return moduleN, MN, incl, (moduleN.invariant_factors, e2cN, c2eN)
+        return self._hold("fixed_submodule", build)
+
+    def aut_data(self, f) -> "AutGeGroup":
+        """Aut_G(e) of the extension of N by M with normalized cocycle table f,
+        built by ``aut_g_of_e`` with its default cap."""
+        key = tuple(map(tuple, f))
+        return self._hold(("aut_data", key), lambda: aut_g_of_e(extension_from_cocycle(self, key)))
 
     def corrections(self):
         """Every correction c: N -> M with c(1) = 0, as a list over N."""
@@ -117,29 +157,43 @@ class Ambient:
                      if all(self.action.act(self.ext.kernel_hom(n), m) == m
                             for n in range(self.N.order)))
 
-    def fixed_submodule_gmodule(self):
-        """M^N as a Q-module plus the inclusion M^N -> M over G ->> Q."""
-        MN, incl = subgroup_of(self.Mgrp, self.fixed_elements())
-        into_mn = {incl(i): i for i in range(MN.order)}
-        # Q-action: lift q to G (well defined on fixed points)
-        sec = self.ext.section()
-        moduleN, e2cN, c2eN = gmodule_of_action(
-            self.Q, MN, lambda q, b: into_mn[self.action.act(sec[q], incl(b))])
-        return moduleN, MN, incl, (moduleN.invariant_factors, e2cN, c2eN)
-
     def inflation_map(self) -> ModuleMap:
         """mu: M^N -> M over pi: G ->> Q (inflation H^*(Q, M^N) -> H^*(G, M))."""
-        module, e2c, c2e = self.gmodule()
-        moduleN, MN, incl, (factorsN, e2cN, c2eN) = self.fixed_submodule_gmodule()
+        module, e2c, _ = self.gmodule()
+        moduleN, _, incl, (factorsN, _, c2eN) = self.fixed_submodule_gmodule()
         kN = len(factorsN)
-        k = module.rank
-        cols = []
-        for i in range(kN):
-            b = c2eN[tuple(1 if j == i else 0 for j in range(kN))]
-            cols.append(e2c[incl(b)])
-        mat = tuple(tuple(cols[j][i] for j in range(kN)) for i in range(k))
+        cols = [e2c[incl(c2eN[tuple(int(j == i) for j in range(kN))])] for i in range(kN)]
+        mat = tuple(tuple(cols[j][i] for j in range(kN)) for i in range(module.rank))
         return ModuleMap(group_map=self.ext.quotient_hom, source=moduleN,
                          target=module, matrix=mat)
+
+    def cochain(self, table, module: GModule) -> Cochain:
+        """The cochain over ``module`` (M over G or a subgroup) with the M-element
+        values ``table``: a list over the group for degree 1, nested for degree 2."""
+        coords, _ = self._coords()
+        t = np.asarray(table, dtype=np.int64)
+        return Cochain(module, t.ndim, coords[t])
+
+    def table(self, z: Cochain) -> list:
+        """The M-element values of a cochain over M, nested as ``cochain`` takes them."""
+        _, c2e = self._coords()
+        shape = z.table.shape[:-1]
+        flat = z.table.reshape(int(np.prod(shape)), z.module.rank).tolist()
+        return np.array([c2e[tuple(v)] for v in flat], dtype=np.int64).reshape(shape).tolist()
+
+    def _coords(self):
+        """M's coordinates as an array with one row per element, and their inverse."""
+        return self._hold("coords", lambda: (np.array(self.gmodule()[1], dtype=np.int64),
+                                             self.gmodule()[2]))
+
+    def twist(self, table, x: int) -> np.ndarray:
+        """x.c for an M-element table c over N, x in G (the Q-twist of a cochain):
+        (x.c)(n_1, .., n_k) = x.c(x^-1 n_1 x, .., x^-1 n_k x)."""
+        G, kh = self.G, self.ext.kernel_hom
+        into_n = {g: n for n, g in enumerate(kh.images)}
+        conj = [into_n[G.conj(G.inv[x], g)] for g in kh.images]
+        t = np.asarray(table, dtype=np.int64)
+        return np.array(self.action.table[x], dtype=np.int64)[t[np.ix_(*[conj] * t.ndim)]]
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +223,12 @@ def extension_from_cocycle(ambient: Ambient, f) -> AbExtension:
     return AbExtension(ambient=ambient, f=tuple(tuple(row) for row in f), ext_e=ext)
 
 
-def class_is_q_fixed(ambient: Ambient, f, h2n: CohomologyGroup) -> bool:
-    """[e] in H^2(N, M) fixed under the standard Q-action (via any G-lifts)."""
-    module, e2c, c2e = ambient.restricted_gmodule(ambient.ext.kernel_hom)
-    k = module.rank
-    N, G = ambient.N, ambient.G
-    into_n = {ambient.ext.kernel_hom(n): n for n in range(N.order)}
-
-    def cochain_of(table) -> Cochain:
-        t = np.zeros((N.order,) * 2 + (k,), dtype=np.int64)
-        for n1 in range(N.order):
-            for n2 in range(N.order):
-                t[n1, n2] = e2c[table[n1][n2]]
-        return Cochain(module, 2, t)
-
-    base = h2n.class_of(cochain_of(f))
-    for x in range(G.order):
-        twisted = [[0] * N.order for _ in range(N.order)]
-        for n1 in range(N.order):
-            for n2 in range(N.order):
-                a = into_n[G.conj(G.inv[x], ambient.ext.kernel_hom(n1))]
-                b = into_n[G.conj(G.inv[x], ambient.ext.kernel_hom(n2))]
-                twisted[n1][n2] = ambient.action.act(x, f[a][b])
-        if h2n.class_of(cochain_of(twisted)) != base:
-            return False
-    return True
+def class_is_q_fixed(ambient: Ambient, table, H: CohomologyGroup) -> bool:
+    """Is the class in H = H^n(N, M) (n = 1 or 2) of the M-element cocycle
+    table on N fixed under the Q-twist by every x in G?"""
+    base = H.class_of(ambient.cochain(table, H.module))
+    return all(H.class_of(ambient.cochain(ambient.twist(table, x), H.module)) == base
+               for x in range(ambient.G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +443,7 @@ def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Co
                         for y in range(Gamma.order)))
     piB = GroupHom.checked(B, Q, tuple(q for (_, q) in belems))
     # M^N -> Gamma
-    MN, mn_incl = subgroup_of(amb.Mgrp, amb.fixed_elements())
+    _, MN, mn_incl, _ = amb.fixed_submodule_gmodule()
     iota = GroupHom.checked(
         MN, Gamma, tuple(cp.ae.gamma_index(mn_incl(m), amb.N.identity)
                          for m in range(MN.order)))
@@ -427,7 +462,7 @@ def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Co
 # ---------------------------------------------------------------------------
 # the j map: restrict an extension of G and conjugate
 
-def j_map(ambient: Ambient, h_table, autdata_cache: Optional[dict] = None) -> CrossedPair:
+def j_map(ambient: Ambient, h_table) -> CrossedPair:
     """From a normalized 2-cocycle h on G with values in M.
 
     e is the restriction over N of the extension E of G by h; psi(q) is
@@ -435,19 +470,16 @@ def j_map(ambient: Ambient, h_table, autdata_cache: Optional[dict] = None) -> Cr
 
         (0,x)(m,g)(0,x)^-1 = (x.m + h(x,g) + xg.a + h(xg,x^-1), xgx^-1)
 
-    with a = -x^-1.h(x,x^-1).  Only Aut_G(e) is built, when ``autdata_cache``
-    (keyed by the restricted cocycle table) misses.  The result satisfies
+    with a = -x^-1.h(x,x^-1).  Aut_G(e) is the one ``ambient.aut_data`` holds
+    for the restricted table f = h|N, built on its first use.  h is checked to
+    be a normalized cocycle before that.  The result satisfies
     Delta(j(h)) = 0 by (13.11)-exactness.
     """
     G, N, M, Q = ambient.G, ambient.N, ambient.Mgrp, ambient.Q
     check_normalized_two_cocycle(G, M, ambient.action, h_table)
     kh, act, mul = ambient.ext.kernel_hom, ambient.action.act, M.mul
     f = tuple(tuple(h_table[kh(n1)][kh(n2)] for n2 in range(N.order)) for n1 in range(N.order))
-    autdata = None if autdata_cache is None else autdata_cache.get(f)
-    if autdata is None:
-        autdata = aut_g_of_e(extension_from_cocycle(ambient, f))
-        if autdata_cache is not None:
-            autdata_cache[f] = autdata
+    autdata = ambient.aut_data(f)
     ae = autdata.ae
     into_n = {kh(n): n for n in range(N.order)}
     sec = ambient.ext.section()
@@ -529,13 +561,14 @@ def find_congruence(cp1: CrossedPair, cp2: CrossedPair) -> Optional[list[int]]:
     return None
 
 
-def congruence_key(cp: CrossedPair, autdata_cache: dict) -> tuple:
+def congruence_key(cp: CrossedPair) -> tuple:
     """A complete congruence invariant (f*, psi*): equal exactly for congruent pairs.
 
     The corrections c: N -> M form a group, and phi_c(m, n) = (m + c(n), n)
     carries Gamma_f onto Gamma_{f_c}, f_c(p,q) = f(p,q) + c(pq) - c(p) - p.c(q).
     f* is the least f_c; psi* is the least psi transported along a phi_c with
-    f_c = f*, read in Out_G(e*) of ``autdata_cache[f*]`` (built on a miss).
+    f_c = f*, read in the Out_G(e*) that the pair's ambient holds for the
+    table f* (``Ambient.aut_data``).
     """
     amb = cp.ae.ambient
     M, N, f = amb.Mgrp, amb.N, cp.ae.f
@@ -546,9 +579,8 @@ def congruence_key(cp: CrossedPair, autdata_cache: dict) -> tuple:
     twisted = [(tuple(tuple(f_c(c, p, q) for q in range(N.order)) for p in range(N.order)), c)
                for c in amb.corrections()]
     f_star = min(fc for fc, _ in twisted)
-    if f_star not in autdata_cache:
-        autdata_cache[f_star] = aut_g_of_e(extension_from_cocycle(amb, f_star))
-    return f_star, min(_transported_psi(cp, _correction_map(cp.ae, c), autdata_cache[f_star])
+    autdata = amb.aut_data(f_star)
+    return f_star, min(_transported_psi(cp, _correction_map(cp.ae, c), autdata)
                        for fc, c in twisted if fc == f_star)
 
 
@@ -567,37 +599,38 @@ class XpextReport:
     verdicts: dict
 
 
-def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
-                    seed: int = 0) -> XpextReport:
+def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     """Desk-scale enumeration of crossed pairs with exactness verdicts.
 
-    Enumerates normalized 2-cocycles on N with Q-fixed class and the
-    crossed-pair structures on each.  It buckets them by ``congruence_key``
-    (a dict in first-seen order, so the buckets are those of a pairwise
-    ``find_congruence`` loop) and checks the set-level exactness of the right
-    half of the eight-term sequence:
+    Enumerates the normalized 2-cocycle tables on N with Q-fixed class, at
+    most ``COCYCLE_TABLE_BUDGET`` of them, and the crossed-pair structures on
+    each.  It buckets them by ``congruence_key`` (a dict in first-seen order,
+    so the buckets are those of a pairwise ``find_congruence`` loop, the
+    tests' oracle) and checks the set-level exactness of the right half of
+    the eight-term sequence:
 
         H^2(Q,M^N) -inf-> H^2(G,M) -j-> Xpext -Delta-> H^3(Q,M^N) -inf-> H^3(G,M)
+
+    Every module and Aut_G(e) table comes from what the ambient holds, so the
+    keys and the j-images reuse the tables the enumeration built.
     """
     amb = ambient
     amb.validate()
     G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
     n_nontriv = [n for n in range(N.order) if n != N.identity]
     total = M.order ** (len(n_nontriv) ** 2)
-    if total > cocycle_budget:
-        raise CrossedPairError(
-            f"2-cocycle enumeration of size {total} exceeds budget {cocycle_budget}")
-    moduleG, _, c2e = amb.gmodule()
-    moduleN_of_G, _, _ = amb.restricted_gmodule(amb.ext.kernel_hom)
-    moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()
-    h2n = cohomology(N, moduleN_of_G, 2)
+    if total > COCYCLE_TABLE_BUDGET:
+        raise CrossedPairError(f"2-cocycle enumeration of size {total} exceeds "
+                               f"COCYCLE_TABLE_BUDGET = {COCYCLE_TABLE_BUDGET}")
+    moduleG, _, _ = amb.gmodule()
+    moduleQ, MNgrp, _, _ = amb.fixed_submodule_gmodule()
+    h2n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 2)
     h2g = cohomology(G, moduleG, 2)
     h3g = cohomology(G, moduleG, 3)
     h2q = cohomology(Q, moduleQ, 2)
     h3q = cohomology(Q, moduleQ, 3)
     nact = amb.n_action()
     pairs: list[CrossedPair] = []
-    autdata_cache: dict = {}
     for combo in itertools.product(range(M.order), repeat=len(n_nontriv) ** 2):
         f = [[M.identity] * N.order for _ in range(N.order)]
         for idx, (n1, n2) in enumerate(itertools.product(n_nontriv, repeat=2)):
@@ -606,14 +639,11 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
             continue
         if not class_is_q_fixed(amb, f, h2n):
             continue
-        ae = extension_from_cocycle(amb, f)
-        autdata = aut_g_of_e(ae)
-        autdata_cache[ae.f] = autdata
-        pairs.extend(crossed_pair_structures(autdata))
+        pairs.extend(crossed_pair_structures(amb.aut_data(f)))
     # bucket by congruence key
     by_key: dict = {}
     for cp in pairs:
-        by_key.setdefault(congruence_key(cp, autdata_cache), []).append(cp)
+        by_key.setdefault(congruence_key(cp), []).append(cp)
     buckets = list(by_key.values())
     bucket_of = {key: i for i, key in enumerate(by_key)}
     # Delta on each bucket (checked constant across members)
@@ -628,32 +658,29 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
         delta_classes.append(classes.pop())
     # the split pair bucket (zero element)
     zero_h = [[M.identity] * G.order for _ in range(G.order)]
-    zero_cp = j_map(amb, zero_h, autdata_cache)
-    zero_bucket = _find_bucket(bucket_of, zero_cp, autdata_cache)
+    zero_bucket = _find_bucket(bucket_of, j_map(amb, zero_h))
     # j images
     j_images = {}
     for coords in h2g.all_classes():
-        zc = h2g.lift(list(coords))
-        cp = j_map(amb, _cochain_to_table(zc, c2e), autdata_cache)
-        j_images[coords] = _find_bucket(bucket_of, cp, autdata_cache)
+        cp = j_map(amb, amb.table(h2g.lift(list(coords))))
+        j_images[coords] = _find_bucket(bucket_of, cp)
     # inflation H^2(Q, M^N) -> H^2(G, M)
     infl = amb.inflation_map()
     h2q_image = {map_on_cohomology(infl, h2q, h2g, list(c)) for c in h2q.all_classes()}
     # inflation H^3(Q, M^N) -> H^3(G, M)
     h3q_map = {c: map_on_cohomology(infl, h3q, h3g, list(c)) for c in h3q.all_classes()}
     zero3g = tuple([0] * len(h3g.invariant_factors))
+    zero3q = tuple([0] * len(h3q.invariant_factors))
     verdicts = {}
     ker_j = {c for c, b in j_images.items() if b == zero_bucket}
     verdicts["exact_at_H2G"] = ker_j == h2q_image
     im_j = set(j_images.values())
-    ker_delta = {i for i, dc in enumerate(delta_classes)
-                 if dc == tuple([0] * len(h3q.invariant_factors))}
+    ker_delta = {i for i, dc in enumerate(delta_classes) if dc == zero3q}
     verdicts["exact_at_Xpext"] = im_j == ker_delta
     im_delta = set(delta_classes)
     ker_inf3 = {c for c, img in h3q_map.items() if img == zero3g}
     verdicts["exact_at_H3Q"] = im_delta == ker_inf3
-    verdicts["delta_j_zero"] = all(delta_classes[b] == tuple([0] * len(h3q.invariant_factors))
-                                   for b in im_j)
+    verdicts["delta_j_zero"] = all(delta_classes[b] == zero3q for b in im_j)
     verdicts["all"] = all(v for v in verdicts.values() if isinstance(v, bool))
     return XpextReport(ambient=amb, buckets=buckets, delta_classes=delta_classes,
                        zero_bucket=zero_bucket, j_images=j_images,
@@ -661,18 +688,11 @@ def xpext_enumerate(ambient: Ambient, cocycle_budget: int = 1 << 14,
                        verdicts=verdicts)
 
 
-def _find_bucket(bucket_of: dict, cp, autdata_cache: dict) -> int:
-    index = bucket_of.get(congruence_key(cp, autdata_cache))
+def _find_bucket(bucket_of: dict, cp) -> int:
+    index = bucket_of.get(congruence_key(cp))
     if index is None:
         raise CrossedPairError("crossed pair not matched by any enumerated bucket")
     return index
-
-
-def _cochain_to_table(z: Cochain, c2e):
-    """Back-convert a degree-2 cochain to an M-index table (c2e from ``gmodule``)."""
-    order = z.table.shape[0]
-    return [[c2e[tuple(int(v) for v in z.table[g1, g2])] for g2 in range(order)]
-            for g1 in range(order)]
 
 
 def _transport_to_moduleQ(z: Cochain, moduleQ: GModule, MNgrp: FiniteGroup, amb: Ambient) -> Cochain:
@@ -688,29 +708,6 @@ def _transport_to_moduleQ(z: Cochain, moduleQ: GModule, MNgrp: FiniteGroup, amb:
 # ---------------------------------------------------------------------------
 # the five-term part: restriction, degree-1 Delta (transgression)
 
-def h1_class_is_q_fixed(ambient: Ambient, d_table, h1n: CohomologyGroup) -> bool:
-    """Is the class of the derivation d: N -> M fixed under the Q-twist?"""
-    moduleN, e2c, _ = ambient.restricted_gmodule(ambient.ext.kernel_hom)
-    N, G = ambient.N, ambient.G
-    into_n = {ambient.ext.kernel_hom(n): n for n in range(N.order)}
-
-    def cochain_of(table):
-        t = np.zeros((N.order, moduleN.rank), dtype=np.int64)
-        for n in range(N.order):
-            t[n] = e2c[table[n]]
-        return Cochain(moduleN, 1, t)
-
-    base = h1n.class_of(cochain_of(d_table))
-    for x in range(G.order):
-        twisted = [ambient.Mgrp.identity] * N.order
-        for n in range(N.order):
-            a = into_n[G.conj(G.inv[x], ambient.ext.kernel_hom(n))]
-            twisted[n] = ambient.action.act(x, d_table[a])
-        if h1n.class_of(cochain_of(twisted)) != base:
-            return False
-    return True
-
-
 def degree1_delta(ambient: Ambient, d_table, seed: int = 0) -> Cochain:
     """Transgression H^1(N, M)^Q -> H^2(Q, M^N) by partial cochain extension.
 
@@ -724,22 +721,13 @@ def degree1_delta(ambient: Ambient, d_table, seed: int = 0) -> Cochain:
     into_n = {amb.ext.kernel_hom(n): n for n in range(N.order)}
     sec = amb.ext.section(seed)
 
-    def act(x, m):
-        return amb.action.act(x, m)
-
-    def twisted_d(x):
-        out = [M.identity] * N.order
-        for n in range(N.order):
-            a = into_n[G.conj(G.inv[x], amb.ext.kernel_hom(n))]
-            out[n] = act(x, d_table[a])
-        return out
-
+    act = amb.action.act
     m_of_q = [None] * Q.order
     for q in range(Q.order):
         if q == Q.identity:
             m_of_q[q] = M.identity
             continue
-        td = twisted_d(sec[q])
+        td = amb.twist(d_table, sec[q]).tolist()
         found = None
         for cand in range(M.order):
             ok = True
@@ -779,37 +767,34 @@ def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
     """Set-level exactness of the classical five-term part of the sequence."""
     amb = ambient
     G, N, Q = amb.G, amb.N, amb.Q
-    moduleG, e2c, c2e = amb.gmodule()
-    moduleN, _, _ = amb.restricted_gmodule(amb.ext.kernel_hom)
-    moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()
+    moduleG, _, _ = amb.gmodule()
+    moduleQ, _, _, _ = amb.fixed_submodule_gmodule()
     h1q = cohomology(Q, moduleQ, 1)
     h1g = cohomology(G, moduleG, 1)
-    h1n = cohomology(N, moduleN, 1)
+    h1n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 1)
     h2q = cohomology(Q, moduleQ, 2)
     h2g = cohomology(G, moduleG, 2)
     infl = amb.inflation_map()
     res_map = inclusion_module_map(amb.ext.kernel_hom, moduleG)
     # maps on class sets
     inf1 = {c: map_on_cohomology(infl, h1q, h1g, list(c)) for c in h1q.all_classes()}
-    h1n_for_res = cohomology(N, res_map.target, 1)
-    res1 = {c: h1n_for_res.class_of(pullback_cochain(res_map, h1g.lift(list(c))))
+    # res_map.target equals h1n's module in content
+    res1 = {c: h1n.class_of(pullback_cochain(res_map, h1g.lift(list(c))))
             for c in h1g.all_classes()}
     # identify H^1(N, M)^Q and the transgression values
     fixed_classes = []
     trans = {}
     for c in h1n.all_classes():
-        z = h1n.lift(list(c))
-        d_table = [c2e[tuple(int(v) for v in z.table[n])] for n in range(N.order)]
-        if h1_class_is_q_fixed(amb, d_table, h1n):
+        d_table = amb.table(h1n.lift(list(c)))
+        if class_is_q_fixed(amb, d_table, h1n):
             fixed_classes.append(c)
             trans[c] = h2q.class_of(degree1_delta(amb, d_table, seed=seed))
     inf2 = {c: map_on_cohomology(infl, h2q, h2g, list(c)) for c in h2q.all_classes()}
-    zero_g1 = tuple([0] * len(h1g.invariant_factors))
     zero_q2 = tuple([0] * len(h2q.invariant_factors))
     zero_g2 = tuple([0] * len(h2g.invariant_factors))
     report = {}
     report["inf1_injective"] = len(set(inf1.values())) == h1q.order
-    ker_res = {c for c, v in res1.items() if v == tuple([0] * len(h1n_for_res.invariant_factors))}
+    ker_res = {c for c, v in res1.items() if v == tuple([0] * len(h1n.invariant_factors))}
     report["exact_at_H1G"] = ker_res == set(inf1.values())
     im_res = set(res1.values())
     report["res_lands_in_fixed_part"] = im_res <= set(fixed_classes)
@@ -909,12 +894,12 @@ def metacyclic_crossed2(r: int, s: int, t: int, f: int, ell: int) -> Crossed2Ext
 
 
 def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
-                        seed: int = 0, pair_budget: int = 1 << 13) -> MetacyclicInstance:
+                        seed: int = 0) -> MetacyclicInstance:
     """The full metacyclic pipeline for legal parameters.
 
     Builds e_{l r}, the crossed 2-fold extension, extracts its class cocycle,
-    and (within the search budget) the explicit crossed pair whose Delta is
-    the same class.
+    and, when the Aut_G(e) search has at most ``PAIR_SEARCH_BUDGET``
+    candidates, the explicit crossed pair whose Delta is the same class.
     """
     if not metacyclic_legal(r, s, t, f, ell):
         raise CrossedPairError("ell does not divide gcd((t^s-1)/r, r) "
@@ -935,7 +920,7 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
     cp = None
     reason = None
     search_size = G.order * (Mgrp.order ** (r - 1))
-    if search_size <= pair_budget:
+    if search_size <= PAIR_SEARCH_BUDGET:
         sec = ext.section()
         feuler = [[(1 if n1 + n2 >= r else 0) % ell for n2 in range(r)] for n1 in range(r)]
         ae = extension_from_cocycle(amb, feuler)
@@ -960,7 +945,8 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
         cp = CrossedPair(autdata=autdata, psi=tuple(psi), lifts=tuple(lifts))
         cp.validate()
     else:
-        reason = f"pair search of size {search_size} exceeds budget {pair_budget}"
+        reason = (f"pair search of size {search_size} exceeds "
+                  f"PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
     return MetacyclicInstance(r=r, s=s, t=t, f=f, ell=ell, G=G, ambient=amb,
                               e2=e2, xi=xi, K=(t - 1) * f // r, unit=t % ell,
                               cp=cp, cp_skip_reason=reason)
@@ -990,11 +976,9 @@ class QNormalGaloisData:
         for g in range(G.order):
             if not is_ring_morphism_matrix(T, np.asarray(self.kappa_G[g]) % m):
                 raise CrossedPairError("kappa_G is not by ring automorphisms")
-        for g in range(G.order):
-            for h in range(G.order):
-                lhs = (np.asarray(self.kappa_G[g]) @ np.asarray(self.kappa_G[h])) % m
-                if not np.array_equal(lhs, np.asarray(self.kappa_G[G.mul[g][h]]) % m):
-                    raise CrossedPairError("kappa_G is not a homomorphism")
+        pair = first_nonmultiplicative_pair(self.kappa_G, G.mul, m)
+        if pair is not None:
+            raise CrossedPairError(f"kappa_G is not a homomorphism at {pair}")
         for n in range(self.ambient.N.order):
             g = self.ambient.ext.kernel_hom(n)
             if not np.array_equal(np.asarray(self.kappa_G[g]) % m,

@@ -28,6 +28,7 @@ from .modlinalg import (
     colspans_equal,
     diagonalize_mod,
     enumerate_colspan,
+    first_nonmultiplicative_pair,
     inverse_mod,
     invertible_mod,
     kernel_mod,
@@ -870,11 +871,9 @@ class GaloisData:
         ident = self.act_matrix(self.N.identity)
         if not np.array_equal(ident % m, np.eye(self.T.rank, dtype=np.int64)):
             raise RingError("identity must act trivially")
-        for a in range(self.N.order):
-            for b in range(self.N.order):
-                lhs = (self.act_matrix(a) @ self.act_matrix(b)) % m
-                if not np.array_equal(lhs, self.act_matrix(self.N.mul[a][b]) % m):
-                    raise RingError("action is not a group homomorphism")
+        pair = first_nonmultiplicative_pair(self.action, self.N.mul, m)
+        if pair is not None:
+            raise RingError(f"action is not a group homomorphism at {pair}")
 
 
 def _fixed_module(T: FinCommRing, N: FiniteGroup, action) -> np.ndarray:

@@ -11,7 +11,7 @@ and automorphism searches all live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,12 +29,16 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
+    """A group on 0..order-1 by its table.  ``_held`` keeps data derived from
+    the table (``abelian_structure``); it takes no part in equality or hashing."""
+
     order: int
     mul: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
     labels: Optional[tuple[str, ...]] = None
     generators: Optional[tuple[int, ...]] = None
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_table(mul: Sequence[Sequence[int]], labels=None, generators=None,
@@ -411,8 +415,13 @@ def abelian_structure(M: FiniteGroup):
     """Invariant-factor presentation of an abelian table group.
 
     Returns (invariant_factors, elem_to_coords, coords_to_elem): coordinates
-    are tuples in prod Z/d_i, additive for the group law.
+    are tuples in prod Z/d_i, additive for the group law; elem_to_coords is a
+    tuple over M and coords_to_elem a dict.  The presentation is computed
+    once and held by M, so every caller shares it and none may write into it.
     """
+    held = M._held.get("abelian_structure")
+    if held is not None:
+        return held
     if not M.is_abelian():
         raise GroupError("abelian_structure needs an abelian group")
     gens = M.minimal_generators()
@@ -450,11 +459,12 @@ def abelian_structure(M: FiniteGroup):
     # one relator per column, and one exponent vector per column
     pres = abelian_quotient(np.array(relations, dtype=np.int64).reshape(g, g).T, M.order)
     exponents = np.array([expo[e] for e in range(M.order)], dtype=np.int64).reshape(M.order, g)
-    elem_to_coords = [tuple(c) for c in pres.coords(exponents.T).T.tolist()]
+    elem_to_coords = tuple(map(tuple, pres.coords(exponents.T).T.tolist()))
     coords_to_elem = {c: e for e, c in enumerate(elem_to_coords)}
     if len(coords_to_elem) != M.order:
         raise GroupError("presentation does not separate elements")
-    return pres.factors, elem_to_coords, coords_to_elem
+    held = M._held["abelian_structure"] = (pres.factors, elem_to_coords, coords_to_elem)
+    return held
 
 
 # ---------------------------------------------------------------------------

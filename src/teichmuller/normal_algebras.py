@@ -45,7 +45,7 @@ from .finrings import (
     _expand_over_subring,
     _module_basis_over_subring,
 )
-from .modlinalg import colspans_equal, invertible_mod, submodule_size
+from .modlinalg import colspans_equal, first_nonmultiplicative_pair, invertible_mod, submodule_size
 
 
 class NormalStructureError(ValueError):
@@ -73,11 +73,9 @@ class BaseAction:
         for q in range(self.Q.order):
             if not is_ring_morphism_matrix(self.S, self.mat(q) % m):
                 raise NormalStructureError(f"kappa({q}) is not a ring automorphism")
-        for p in range(self.Q.order):
-            for q in range(self.Q.order):
-                if not np.array_equal((self.mat(p) @ self.mat(q)) % m,
-                                      self.mat(self.Q.mul[p][q]) % m):
-                    raise NormalStructureError("kappa is not a homomorphism")
+        pair = first_nonmultiplicative_pair(self.matrices, self.Q.mul, m)
+        if pair is not None:
+            raise NormalStructureError(f"kappa is not a homomorphism at {pair}")
 
     def fixed_ring(self):
         return fixed_subring(self.S, [self.mat(q) for q in range(self.Q.order)],
@@ -135,11 +133,7 @@ class OutRep:
                         f"defect at ({p},{q}) is not inner: not a Q-normal structure")
 
     def is_equivariant(self) -> bool:
-        m = self.A.modulus
-        return all(
-            np.array_equal((self.lift(p) @ self.lift(q)) % m,
-                           self.lift(self.Q.mul[p][q]) % m)
-            for p in range(self.Q.order) for q in range(self.Q.order))
+        return first_nonmultiplicative_pair(self.lifts, self.Q.mul, self.A.modulus) is None
 
 
 def equivariant_rep(base_action: BaseAction, A: Algebra, lifts, name: str = "") -> OutRep:
@@ -147,8 +141,9 @@ def equivariant_rep(base_action: BaseAction, A: Algebra, lifts, name: str = "") 
     rep = OutRep(base_action=base_action, A=A,
                  lifts=tuple(np.asarray(w, dtype=np.int64) % A.modulus for w in lifts),
                  name=name)
-    if not rep.is_equivariant():
-        raise NormalStructureError("lift table is not an exact homomorphism")
+    pair = first_nonmultiplicative_pair(rep.lifts, rep.Q.mul, A.modulus)
+    if pair is not None:
+        raise NormalStructureError(f"lift table is not an exact homomorphism at {pair}")
     return rep
 
 
@@ -367,54 +362,53 @@ class CrossedProductSpec:
         return np.array(self.i_images[y], dtype=np.int64)
 
     def validate(self) -> None:
-        A, Q, Gamma, K = self.A, self.Q, self.Gamma, self.K
+        A, Gamma, K = self.A, self.Gamma, self.K
         m = A.modulus
         self.ext.validate()
         self.base_action.validate()
         emb = A.base_embedding()
+        thetas = np.mod(np.asarray(self.theta, dtype=np.int64), m)
+        checked = set()          # theta takes few distinct values: check each once
         for g in range(Gamma.order):
-            th = self.theta_mat(g) % m
+            th, q = thetas[g], self.ext.quotient_hom(g)
+            if (th.tobytes(), q) in checked:
+                continue
+            checked.add((th.tobytes(), q))
             if not is_algebra_morphism(A, A, th) or not invertible_mod(th, m):
                 raise NormalStructureError(f"theta({g}) is not an algebra automorphism")
-            q = self.ext.quotient_hom(g)
             if not np.array_equal((th @ emb) % m, (emb @ self.base_action.mat(q)) % m):
                 raise NormalStructureError(f"theta({g}) has the wrong grade")
+        pair = first_nonmultiplicative_pair(thetas, Gamma.mul, m)
+        if pair is not None:
+            raise NormalStructureError(f"theta is not a homomorphism at {pair}")
+        # row y of I is i(y); left[y] and right[y] multiply by it on either side
+        I = np.array(self.i_images, dtype=np.int64).reshape(K.order, A.flat_rank)
+        if not all(A.is_unit(v) for v in I):
+            raise NormalStructureError("i(K) contains a non-unit")
+        if len(np.unique(I, axis=0)) != K.order:
+            raise NormalStructureError("i is not injective")
+        left = np.einsum("ya,abc->ycb", I, A.flat_tensor) % m
+        right = np.einsum("yb,abc->yca", I, A.flat_tensor) % m
+        for y in range(K.order):
+            bad = np.flatnonzero(((left[y] @ I.T) % m != I[list(K.mul[y])].T).any(axis=0))
+            if bad.size:
+                raise NormalStructureError(f"i is not multiplicative at ({y}, {bad[0]})")
+        # crossed-module morphism conditions; for the unit u = i(y),
+        # theta(j(y)) = Inn(u) says theta(j(y))(a) u = u a for every a
+        gmul, j_img = np.array(Gamma.mul), np.array(self.ext.kernel_hom.images)
+        bad = np.flatnonzero(((right @ thetas[j_img]) % m != left).any(axis=(1, 2)))
+        if bad.size:
+            raise NormalStructureError(f"theta(j(y)) differs from Inn(i(y)) at y = {bad[0]}")
+        # conj[g, y] = y' with j(y') = g j(y) g^-1, or -1 when that lies outside j(K)
+        into_k = np.full(Gamma.order, -1)
+        into_k[j_img] = np.arange(K.order)
+        conj = into_k[gmul[gmul[:, j_img], np.array(Gamma.inv)[:, None]]]
+        for g, y in np.argwhere(conj < 0)[:1]:
+            raise NormalStructureError(f"kernel is not normal in Gamma at ({g}, {y})")
         for g in range(Gamma.order):
-            for h in range(Gamma.order):
-                if not np.array_equal((self.theta_mat(g) @ self.theta_mat(h)) % m,
-                                      self.theta_mat(Gamma.mul[g][h]) % m):
-                    raise NormalStructureError("theta is not a homomorphism")
-        seen = set()
-        for y in range(K.order):
-            v = self.i_vec(y)
-            if not A.is_unit(v):
-                raise NormalStructureError("i(K) contains a non-unit")
-            key = tuple(int(x) for x in v)
-            if key in seen:
-                raise NormalStructureError("i is not injective")
-            seen.add(key)
-        for y in range(K.order):
-            for z in range(K.order):
-                lhs = A.mul(self.i_vec(y), self.i_vec(z))
-                if not np.array_equal(lhs, self.i_vec(K.mul[y][z])):
-                    raise NormalStructureError("i is not multiplicative")
-        # crossed-module morphism conditions
-        for y in range(K.order):
-            jy = self.ext.kernel_hom(y)
-            if not np.array_equal(self.theta_mat(jy) % m,
-                                  conjugation_matrix(A, self.i_vec(y))):
-                raise NormalStructureError("theta(j(y)) differs from Inn(i(y))")
-        into_k = self.kernel_index()
-        for g in range(Gamma.order):
-            for y in range(K.order):
-                gy = Gamma.mul[Gamma.mul[g][self.ext.kernel_hom(y)]][Gamma.inv[g]]
-                # g j(y) g^-1 lies in j(K)
-                if gy not in into_k:
-                    raise NormalStructureError("kernel is not normal in Gamma")
-                lhs = self.i_vec(into_k[gy])
-                rhs = (self.theta_mat(g) @ self.i_vec(y)) % m
-                if not np.array_equal(lhs % m, rhs):
-                    raise NormalStructureError("i is not Gamma-equivariant")
+            bad = np.flatnonzero((I[conj[g]] % m != (I @ thetas[g].T) % m).any(axis=1))
+            if bad.size:
+                raise NormalStructureError(f"i is not Gamma-equivariant at ({g}, {bad[0]})")
 
     def kernel_index(self) -> dict:
         """Gamma element j(y) -> y, for the image of K in Gamma."""

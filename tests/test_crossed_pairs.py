@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -40,7 +41,6 @@ from teichmuller.crossed_pairs import (
     Ambient,
     CrossedPair,
     CrossedPairError,
-    _cochain_to_table,
     aut_g_of_e,
     class_is_q_fixed,
     congruence_key,
@@ -105,11 +105,11 @@ def c4_z5_ambient():
 
 
 def enumerated_pairs(amb, cap=96):
-    """The crossed pairs in xpext_enumerate's order, and the Aut_G(e) table by f."""
+    """The crossed pairs in xpext_enumerate's order, on Aut_G(e) tables built here."""
     M, N = amb.Mgrp, amb.N
     nact = amb.n_action()
     h2n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 2)
-    out, autdata_cache = [], {}
+    out = []
     nt = [n for n in range(N.order) if n != N.identity]
     for combo in itertools.product(range(M.order), repeat=len(nt) ** 2):
         f = [[M.identity] * N.order for _ in range(N.order)]
@@ -120,21 +120,19 @@ def enumerated_pairs(amb, cap=96):
         if not class_is_q_fixed(amb, f, h2n):
             continue
         ae = extension_from_cocycle(amb, f)
-        aut = aut_g_of_e(ae, cap=cap)
-        autdata_cache[ae.f] = aut
-        out.extend(crossed_pair_structures(aut))
-    return out, autdata_cache
+        out.extend(crossed_pair_structures(aut_g_of_e(ae, cap=cap)))
+    return out
 
 
 def h2g_tables(amb):
     """One normalized cocycle table per class of H^2(G, M), each plus a coboundary."""
-    moduleG, _, c2e = amb.gmodule()
+    moduleG, _, _ = amb.gmodule()
     h2g = cohomology(amb.G, moduleG, 2)
     rng = random.Random(5)
     for coords in h2g.all_classes():
         z = h2g.lift(list(coords))
         for rep in (z, z + coboundary(random_cochain(moduleG, 1, rng))):
-            yield coords, _cochain_to_table(rep, c2e)
+            yield coords, amb.table(rep)
 
 
 def test_diag1_exactness_split_case():
@@ -233,12 +231,12 @@ def test_delta_constant_on_congruent_pairs_and_seeds():
 
 def test_j_map_lands_in_kernel_of_delta():
     amb = klein_ambient()
-    moduleG, _, c2e = amb.gmodule()
+    moduleG, _, _ = amb.gmodule()
     moduleQ, _, _, _ = amb.fixed_submodule_gmodule()
     h2g = cohomology(amb.G, moduleG, 2)
     h3q = cohomology(amb.Q, moduleQ, 3)
     for coords in h2g.all_classes():
-        table = _cochain_to_table(h2g.lift(list(coords)), c2e)
+        table = amb.table(h2g.lift(list(coords)))
         cp = j_map(amb, table)
         _, z = delta(cp)
         assert h3q.class_of(Cochain(moduleQ, 3, z.table.copy())) == (0,)
@@ -246,7 +244,7 @@ def test_j_map_lands_in_kernel_of_delta():
 
 def test_cohomologous_representatives_give_congruent_pairs():
     amb = klein_ambient()
-    moduleG, e2c, c2e = amb.gmodule()
+    moduleG, _, _ = amb.gmodule()
     h2g = cohomology(amb.G, moduleG, 2)
     from teichmuller.gmod_cohomology import coboundary, random_cochain
     import random
@@ -254,8 +252,8 @@ def test_cohomologous_representatives_give_congruent_pairs():
     coords = (1, 0, 0)
     z1 = h2g.lift(list(coords))
     z2 = z1 + coboundary(random_cochain(moduleG, 1, rng))
-    cp1 = j_map(amb, _cochain_to_table(z1, c2e))
-    cp2 = j_map(amb, _cochain_to_table(z2, c2e))
+    cp1 = j_map(amb, amb.table(z1))
+    cp2 = j_map(amb, amb.table(z2))
     assert find_congruence(cp1, cp2) is not None
 
 
@@ -309,10 +307,10 @@ def pair_data(cp):
                          [klein_ambient, q8_ambient, klein_neg_ambient, c4_z5_ambient])
 def test_congruence_key_matches_find_congruence(make_ambient):
     amb = make_ambient()
-    enumerated, autdata_cache = enumerated_pairs(amb)
+    enumerated = enumerated_pairs(amb)
     # j-images of cohomologous tables: congruent pairs built apart from the enumeration
-    pairs = enumerated + [j_map(amb, table, autdata_cache) for _, table in h2g_tables(amb)]
-    keys = [congruence_key(cp, autdata_cache) for cp in pairs]
+    pairs = enumerated + [j_map(amb, table) for _, table in h2g_tables(amb)]
+    keys = [congruence_key(cp) for cp in pairs]
     congruent = 0
     for cp1, k1 in zip(pairs, keys):
         for cp2, k2 in zip(pairs, keys):
@@ -352,12 +350,13 @@ def j_map_via_extension(ambient, h_table):
 @pytest.mark.parametrize("make_ambient",
                          [klein_ambient, q8_ambient, klein_neg_ambient, c4_z5_ambient])
 def test_j_map_matches_conjugation_in_built_extension(make_ambient):
-    amb = make_ambient()
-    autdata_cache = {}
-    for coords, table in h2g_tables(amb):
-        want = pair_data(j_map_via_extension(amb, table))
-        assert pair_data(j_map(amb, table)) == want, coords
-        assert pair_data(j_map(amb, table, autdata_cache)) == want, coords
+    # a cold ambient holds nothing yet; the warm one holds the Aut_G(e) tables
+    # of every earlier table
+    warm = make_ambient()
+    for coords, table in h2g_tables(warm):
+        want = pair_data(j_map_via_extension(warm, table))
+        assert pair_data(j_map(make_ambient(), table)) == want, coords
+        assert pair_data(j_map(warm, table)) == want, coords
 
 
 def test_j_map_checks_the_cocycle_before_searching(monkeypatch):
@@ -373,11 +372,11 @@ def test_j_map_checks_the_cocycle_before_searching(monkeypatch):
     with pytest.raises(GroupError, match="not normalized"):
         j_map(amb, not_normalized)
     with pytest.raises(GroupError, match="identity fails"):
-        j_map(amb, not_cocycle, {})
+        j_map(amb, not_cocycle)
 
 
 def test_five_term_exactness():
-    for amb in (klein_ambient(), q8_ambient()):
+    for amb in (klein_ambient(), q8_ambient(), klein_neg_ambient(), c4_z5_ambient()):
         report = five_term_report(amb)
         assert report["all"], report
 
@@ -390,8 +389,7 @@ def test_degree1_delta_values_are_cocycles():
     for c in h1n.all_classes():
         z = h1n.lift(list(c))
         d_table = [int(z.table[n][0]) for n in range(amb.N.order)]
-        from teichmuller.crossed_pairs import h1_class_is_q_fixed
-        if not h1_class_is_q_fixed(amb, d_table, h1n):
+        if not class_is_q_fixed(amb, d_table, h1n):
             continue
         out = degree1_delta(amb, d_table)
         assert is_cocycle(out) is None
@@ -459,7 +457,7 @@ def battery_a():
 
 
 def all_crossed_pairs(data):
-    return enumerated_pairs(data.ambient, cap=112)[0]
+    return enumerated_pairs(data.ambient, cap=112)
 
 
 def bridge_module_map(data, w_unit_mod, moduleQ, MNgrp, bridge):
@@ -598,3 +596,61 @@ def test_built_modules_translate_the_action():
             um.module, um.elem_to_coords,
             lambda q, u: units.index_of((base.mat(q) @ units.element(u)) % S.modulus),
             range(units.group.order))
+
+
+def test_qnormal_kappa_names_the_failing_pair():
+    data = battery_a()
+    data.validate()
+    # G = N x Q acts through N; kappa of (0, q) replaced by the swap of (1, 0)
+    kappa = list(data.kappa_G)
+    kappa[1] = kappa[2]
+    bad = dataclasses.replace(data, kappa_G=tuple(kappa))
+    with pytest.raises(CrossedPairError, match=r"kappa_G is not a homomorphism at \(1, 2\)"):
+        bad.validate()
+
+
+# ---------------------------------------------------------------------------
+# data held by the ambient
+
+@pytest.mark.parametrize("make_ambient", [klein_ambient, q8_ambient, klein_neg_ambient])
+def test_ambient_holds_its_modules_and_aut_tables(make_ambient):
+    amb = make_ambient()
+    f = [[amb.Mgrp.identity] * amb.N.order for _ in range(amb.N.order)]
+    builders = [
+        lambda a: a.gmodule(),
+        lambda a: a.fixed_submodule_gmodule(),
+        lambda a: a.restricted_gmodule(a.ext.kernel_hom),
+        lambda a: a.aut_data(f),
+        lambda a: abelian_structure(a.Mgrp),
+    ]
+    for build in builders:
+        held = build(amb)
+        assert build(amb) is held
+        assert build(make_ambient()) == held
+    xpext_enumerate(amb)
+    fresh = make_ambient()
+    assert amb._held and not fresh._held
+    assert amb == fresh and hash(amb) == hash(fresh)
+    assert amb.Mgrp == fresh.Mgrp and hash(amb.Mgrp) == hash(fresh.Mgrp)
+    assert repr(amb) == repr(fresh)
+
+
+def test_aut_data_is_keyed_by_table_content():
+    amb = klein_ambient()
+    as_lists = amb.aut_data([[0, 0], [0, 1]])
+    assert amb.aut_data(((0, 0), (0, 1))) is as_lists
+    assert amb.aut_data([[0, 0], [0, 0]]) is not as_lists
+    assert as_lists == aut_g_of_e(extension_from_cocycle(amb, [[0, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("make_ambient", [klein_ambient, q8_ambient, klein_neg_ambient])
+def test_ambient_table_and_cochain_are_inverse(make_ambient):
+    amb = make_ambient()
+    moduleG, _, _ = amb.gmodule()
+    moduleN, _, _ = amb.restricted_gmodule(amb.ext.kernel_hom)
+    rng = random.Random(11)
+    for module, degree in [(moduleG, 2), (moduleN, 1), (moduleN, 2)]:
+        z = random_cochain(module, degree, rng)
+        table = amb.table(z)
+        assert np.array_equal(amb.cochain(table, module).table, z.table)
+        assert amb.table(amb.cochain(table, module)) == table

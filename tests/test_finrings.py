@@ -258,3 +258,17 @@ def test_galois_f16_over_f4():
                       action=(np.eye(4, dtype=np.int64), fr2))
     report = galois_check(data)
     assert report["criterion_i"] and report["criterion_iii"] and report["criterion_iv"]
+
+
+def test_galois_action_names_the_failing_pair():
+    # C_3 acting on F_8 by powers of Frobenius, then fr^2 replaced by fr:
+    # fr fr = fr^2 differs from the table's entry at 1 * 1 = 2
+    T = gf(2, 3)
+    fr = frobenius_lift(T)
+    S, embed = fixed_subring(T, [fr])
+    eye = np.eye(T.rank, dtype=np.int64)
+    good = GaloisData(T=T, S=S, embed=embed, N=cyclic(3), action=(eye, fr, fr @ fr % 2))
+    good.validate_action()
+    bad = GaloisData(T=T, S=S, embed=embed, N=cyclic(3), action=(eye, fr, fr))
+    with pytest.raises(RingError, match=r"action is not a group homomorphism at \(1, 1\)"):
+        bad.validate_action()

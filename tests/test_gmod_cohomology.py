@@ -37,6 +37,7 @@ from teichmuller.gmod_cohomology import (
     trivial_gmodule,
     zero_cochain,
 )
+from teichmuller import gmod_cohomology
 
 
 def negation_module(G, ell):
@@ -255,11 +256,18 @@ def test_nonabelian_group_cohomology():
     assert cohomology(Q8, M, 3).invariant_factors == (2,)
 
 
-def test_budget_guard():
-    G = cyclic(6)
+def test_budget_guard(monkeypatch):
+    # H^3(C4 x C4, Z/2): 15^3 = 3,375 columns fit BAR_COLUMN_BUDGET, but the
+    # 54,000 rows put the system over BAR_SIZE_BUDGET
+    G = direct_product(cyclic(4), cyclic(4))
     M = trivial_gmodule(G, [2])
-    with pytest.raises(BudgetExceeded):
-        cohomology(G, M, 4, col_budget=10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination started on a refused system")
+
+    monkeypatch.setattr(gmod_cohomology, "_compute_core", refuse)
+    with pytest.raises(BudgetExceeded, match="3375 columns / 54000 rows exceeds .*BAR_SIZE_BUDGET"):
+        cohomology(G, M, 3)
 
 
 def test_map_on_cohomology_identity_and_trivial_restriction():
@@ -407,3 +415,14 @@ def test_split_module_glues_modulo_lcm(G, M, n, expected):
         if n:
             z = z + coboundary(random_cochain(M, n - 1, rng))
         assert H.class_of(z) == coords
+
+
+def test_module_validate_names_the_failing_pair():
+    # C_4 acting on Z/5 through 2, and on Z/2 + Z/4 trivially: both valid
+    G = cyclic(4)
+    GModule(G, (5,), tuple(((pow(2, g, 5),),) for g in range(4))).validate()
+    trivial_gmodule(G, [2, 4]).validate()
+    # the action of 2 replaced by that of 1: 2 * 2 = 4 differs from the entry at 1 + 1 = 2
+    bad = GModule(G, (5,), (((1,),), ((2,),), ((2,),), ((3,),)))
+    with pytest.raises(CohomologyError, match=r"action is not a homomorphism at \(1, 1\)"):
+        bad.validate()

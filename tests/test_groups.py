@@ -7,6 +7,8 @@ from teichmuller.groups import (
     FiniteGroup,
     GroupError,
     GroupHom,
+    abelian_group_from_factors,
+    abelian_structure,
     automorphism_group,
     cyclic,
     direct_product,
@@ -179,3 +181,20 @@ def test_section_hits_identity():
         assert sec[ext.quotient_group.identity] == ext.middle.identity
         for q in range(ext.quotient_group.order):
             assert ext.quotient_hom(sec[q]) == q
+
+
+def test_group_holds_its_presentation():
+    for make in (lambda: abelian_group_from_factors((2, 4)),
+                 lambda: direct_product(cyclic(6), cyclic(4))):
+        M = make()
+        held = abelian_structure(M)
+        assert abelian_structure(M) is held
+        fresh = make()
+        assert abelian_structure(fresh) == held and abelian_structure(fresh) is not held
+        factors, elem_to_coords, coords_to_elem = held
+        assert isinstance(elem_to_coords, tuple)
+        assert all(coords_to_elem[c] == e for e, c in enumerate(elem_to_coords))
+        # the held data takes no part in equality, hashing or the repr
+        other = make()
+        assert M._held and not other._held
+        assert M == other and hash(M) == hash(other) and repr(M) == repr(other)

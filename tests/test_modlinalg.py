@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from teichmuller.gmod_cohomology import _coboundary_matrix, trivial_gmodule
-from teichmuller.groups import quaternion_table
+from teichmuller.groups import cyclic, quaternion_table
 from teichmuller.modlinalg import (
     ModDiagonalization,
     as_mod_array,
     cokernel_mod,
     diagonalize_mod,
     enumerate_colspan,
+    first_nonmultiplicative_pair,
     inverse_mod,
     invertible_mod,
     kernel_mod,
@@ -417,3 +418,27 @@ def test_cokernel_coords_of_columns():
         C = cok.coords(V)
         assert C.shape == (len(cok.factors), 5)
         assert [tuple(col) for col in C.T.tolist()] == [cok.coords(V[:, j]) for j in range(5)]
+
+
+def pairwise_first_failure(mats, mul, m):
+    """The pair-by-pair loop that first_nonmultiplicative_pair replaces (its oracle)."""
+    for g in range(len(mats)):
+        for h in range(len(mats)):
+            if not np.array_equal((mats[g] @ mats[h]) % m, mats[mul[g][h]] % m):
+                return g, h
+    return None
+
+
+def test_first_nonmultiplicative_pair_matches_the_pairwise_loop():
+    # C_4 acting on (Z/5)^2 by powers of a rotation of order 4, then each
+    # matrix in turn replaced by another one of the table
+    m, G = 5, cyclic(4)
+    rot = np.array([[0, 4], [1, 0]], dtype=np.int64)
+    mats = [np.linalg.matrix_power(rot, g) % m for g in range(4)]
+    assert first_nonmultiplicative_pair(mats, G.mul, m) is None
+    for g, other in itertools.permutations(range(4), 2):
+        bad = list(mats)
+        bad[g] = mats[other]
+        want = pairwise_first_failure(bad, G.mul, m)
+        assert want is not None
+        assert first_nonmultiplicative_pair(bad, G.mul, m) == want

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from teichmuller.groups import cyclic
+from teichmuller.groups import GroupExtension, GroupHom, cyclic, direct_product
 from teichmuller.gmod_cohomology import cohomology, coboundary_preimage, is_cocycle
 from teichmuller.finrings import (
     Algebra,
@@ -40,6 +40,7 @@ from teichmuller.normal_algebras import (
     unit_module,
     _sde_flat,
 )
+from teichmuller.finrings import units_group
 from teichmuller.modlinalg import colspans_equal, diagonalize_mod, kernel_mod, submodule_size
 
 
@@ -397,3 +398,100 @@ def test_non_normal_rep_is_rejected():
     rep = OutRep(base_action=base, A=A, lifts=(np.eye(2, dtype=np.int64), fr))
     with pytest.raises(NormalStructureError):
         rep.validate()
+
+
+# ---------------------------------------------------------------------------
+# batched validation: a corrupted table is refused with its first failing pair
+
+def first_failing_pair(ok, rows, cols):
+    """The first (a, b) in row-major order with ok(a, b) false: the loop each check replaced."""
+    return next(((a, b) for a in range(rows) for b in range(cols) if not ok(a, b)), None)
+
+
+def frobenius_c3_on_f8():
+    """C_3 acting on F_8 by powers of Frobenius: (1, fr, fr^2)."""
+    T = gf(2, 3)
+    fr = frobenius_lift(T)
+    return T, (np.eye(T.rank, dtype=np.int64), fr, fr @ fr % 2)
+
+
+def test_base_action_and_lift_table_name_the_failing_pair():
+    T, mats = frobenius_c3_on_f8()
+    base = BaseAction(cyclic(3), T, mats)
+    base.validate()
+    A = ring_as_algebra(T)
+    assert equivariant_rep(base, A, mats).is_equivariant()
+    # fr^2 replaced by fr: fr fr differs from the entry at 1 * 1 = 2
+    bad = (mats[0], mats[1], mats[1])
+    with pytest.raises(NormalStructureError, match=r"kappa is not a homomorphism at \(1, 1\)"):
+        BaseAction(cyclic(3), T, bad).validate()
+    with pytest.raises(NormalStructureError,
+                       match=r"lift table is not an exact homomorphism at \(1, 1\)"):
+        equivariant_rep(base, A, bad)
+    assert not OutRep(base_action=base, A=A, lifts=bad).is_equivariant()
+
+
+def m2f2_splitting_spec():
+    """The split extension GL_2(F_2) x C_2 of the trivial structure on M_2(F_2)."""
+    S = gf(2, 1)
+    A = matrix_algebra(S, 2)
+    eye = np.eye(A.flat_rank, dtype=np.int64)
+    rep = equivariant_rep(trivial_base_action(cyclic(2), S), A, [eye, eye])
+    ext, i_images, theta = semidirect_splitting(rep)
+    return CrossedProductSpec(A=A, base_action=rep.base_action, ext=ext,
+                              i_images=i_images, theta=theta)
+
+
+def test_crossed_product_spec_names_the_failing_theta_and_i_pairs():
+    spec = m2f2_splitting_spec()
+    spec.validate()
+    A, Gamma, K, m = spec.A, spec.Gamma, spec.K, spec.A.modulus
+    # theta of two kernel elements with different inner parts, swapped
+    g1, *rest = (g for g in spec.ext.kernel_hom.images if g != Gamma.identity)
+    g2 = next(g for g in rest if not np.array_equal(spec.theta[g], spec.theta[g1]))
+    theta = list(spec.theta)
+    theta[g1], theta[g2] = theta[g2], theta[g1]
+    want = first_failing_pair(
+        lambda g, h: np.array_equal(theta[g] @ theta[h] % m, theta[Gamma.mul[g][h]] % m),
+        Gamma.order, Gamma.order)
+    with pytest.raises(NormalStructureError,
+                       match=rf"theta is not a homomorphism at \({want[0]}, {want[1]}\)"):
+        CrossedProductSpec(A=A, base_action=spec.base_action, ext=spec.ext,
+                           i_images=spec.i_images, theta=tuple(theta)).validate()
+    # the units of two elements of K swapped
+    i_images = list(spec.i_images)
+    i_images[1], i_images[2] = i_images[2], i_images[1]
+    want = first_failing_pair(
+        lambda y, z: np.array_equal(A.mul(i_images[y], i_images[z]), i_images[K.mul[y][z]]),
+        K.order, K.order)
+    with pytest.raises(NormalStructureError,
+                       match=rf"i is not multiplicative at \({want[0]}, {want[1]}\)"):
+        CrossedProductSpec(A=A, base_action=spec.base_action, ext=spec.ext,
+                           i_images=tuple(i_images), theta=spec.theta).validate()
+
+
+def test_crossed_product_spec_names_the_failing_equivariance_pair():
+    # U(F_4) x C_2 with theta through the Frobenius grade: the direct product
+    # conjugates K trivially, so i(g y g^-1) = i(y) differs from fr(i(y))
+    S = gf(2, 2)
+    fr = frobenius_lift(S)
+    eye = np.eye(S.rank, dtype=np.int64)
+    A = ring_as_algebra(S)
+    units = units_group(A)
+    K = units.group
+    Gamma = direct_product(K, cyclic(2))
+    ext = GroupExtension(GroupHom.checked(K, Gamma, tuple(2 * y for y in range(K.order))),
+                         GroupHom.checked(Gamma, cyclic(2), tuple(g % 2 for g in range(Gamma.order))))
+    i_images = tuple(tuple(int(x) for x in units.element(y)) for y in range(K.order))
+    theta = tuple(fr if g % 2 else eye for g in range(Gamma.order))
+    spec = CrossedProductSpec(A=A, base_action=BaseAction(cyclic(2), S, (eye, fr)), ext=ext,
+                              i_images=i_images, theta=theta)
+    want = first_failing_pair(
+        lambda g, y: np.array_equal(
+            spec.i_vec(spec.kernel_index()[Gamma.conj(g, 2 * y)]) % 2,
+            theta[g] @ spec.i_vec(y) % 2),
+        Gamma.order, K.order)
+    assert want is not None
+    with pytest.raises(NormalStructureError,
+                       match=rf"i is not Gamma-equivariant at \({want[0]}, {want[1]}\)"):
+        spec.validate()
