@@ -63,10 +63,7 @@ def validate_crossed_module(cm: CrossedModule) -> list[str]:
         return report
     act = np.array(cm.action.table, dtype=np.int64)
     bnd = np.array(cm.boundary.images, dtype=np.int64)
-    gmul = np.array(Gamma.mul, dtype=np.int64)
-    ginv = np.array(Gamma.inv, dtype=np.int64)
-    cmul = np.array(C.mul, dtype=np.int64)
-    cinv = np.array(C.inv, dtype=np.int64)
+    gmul, ginv, cmul, cinv = Gamma.table, Gamma.inverse, C.table, C.inverse
     # equivariance: bnd[act[g, c]] == g * bnd[c] * g^-1
     lhs = bnd[act]
     rhs = gmul[gmul[np.arange(Gamma.order)[:, None], bnd[None, :]],
@@ -114,13 +111,11 @@ class Crossed2Extension:
             report.append("exactness fails at Gamma")
         if not self.M.is_abelian():
             report.append("M is not abelian")
-        # centrality of M in C
-        for m in range(self.M.order):
-            im = self.iota(m)
-            for c in range(self.C.order):
-                if self.C.mul[im][c] != self.C.mul[c][im]:
-                    report.append(f"M is not central in C (element {self.M.label(m)})")
-                    break
+        # centrality of M in C: row iota(m) of C's table equals its column
+        ct = self.C.table
+        iota = np.array(self.iota.images)
+        for m in np.flatnonzero((ct[iota] != ct[:, iota].T).any(axis=1)):
+            report.append(f"M is not central in C (element {self.M.label(int(m))})")
         return report
 
     def gmodule(self):

@@ -59,7 +59,7 @@ class CrossedPairError(ValueError):
 
 
 COCYCLE_TABLE_BUDGET = 1 << 14  # normalized tables on N that xpext_enumerate walks
-PAIR_SEARCH_BUDGET = 1 << 13    # Aut_G(e) candidates of metacyclic_instance's pair
+PAIR_SEARCH_BUDGET = 1 << 13    # Aut_G(e) candidates, |G| |M|^(|N|-1), of one search
 
 
 # ---------------------------------------------------------------------------
@@ -260,42 +260,57 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
 
     alpha is determined by x and a correction c: N -> M via
     alpha(m, n) = (l_x(m) + c(n), i_x(n)); candidates are filtered by the
-    homomorphism property.
+    homomorphism property.  The candidates of one x are one array, checked
+    by batched gathers in the narrowest index dtype.
     """
     amb = ae.ambient
     G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
     Gamma = ae.Gamma
     if Gamma.order > cap or G.order > cap:
         raise CrossedPairError("aut_g_of_e size cap exceeded")
-    into_n = {amb.ext.kernel_hom(n): n for n in range(N.order)}
-    gm = np.array(Gamma.mul, dtype=np.int64)
+    search_size = G.order * M.order ** (N.order - 1)
+    if search_size > PAIR_SEARCH_BUDGET:
+        raise CrossedPairError(f"Aut_G(e) search of size {search_size} exceeds "
+                               f"PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
+    nm, ng = M.order, Gamma.order
+    kh = np.array(amb.ext.kernel_hom.images)
+    into_n = np.full(G.order, -1)
+    into_n[kh] = np.arange(N.order)
+    ix = into_n[G.table[G.table[:, kh], G.inverse[:, None]]]    # ix[x, n]: i_x(n)
+    lx = np.array(amb.action.table)                               # lx[x, m]: l_x(m)
+    corr = np.array(list(amb.corrections()))
+    dt = np.min_scalar_type(max(ng, G.order) - 1)
+    gm = Gamma.table.astype(dt)
+    lifts = M.identity + nm * np.arange(N.order)                  # y = (0, n)
     pairs = []
     for x in range(G.order):
-        # i_x must preserve N (automatic), compute it on indices
-        ix = [into_n[G.conj(x, amb.ext.kernel_hom(n))] for n in range(N.order)]
-        lx = [amb.action.act(x, m) for m in range(M.order)]
-        for c in amb.corrections():
-            alpha = np.zeros(Gamma.order, dtype=np.int64)
-            for y in range(Gamma.order):
-                m, n = ae.gamma_parts(y)
-                alpha[y] = ae.gamma_index(M.mul[lx[m]][c[n]], ix[n])
-            # homomorphism check, vectorized (bijectivity is automatic here)
-            if np.array_equal(alpha[gm], gm[alpha[:, None], alpha[None, :]]):
-                pairs.append((tuple(int(v) for v in alpha), x))
+        # one row per correction c: alpha[y] at y = m + |M| n (indices get
+        # added, so int64 until the narrow homomorphism checks)
+        alpha = (M.table[lx[x], corr[:, :, None]] + nm * ix[x][:, None]).reshape(len(corr), ng)
+        cand = alpha.astype(dt)
+        # alpha(yz) = alpha(y) alpha(z): first on the rows y of the lifts of N,
+        # where c enters, then on the whole table for the candidates left
+        cand = cand[(cand[:, gm[lifts]] == gm[cand[:, lifts, None], cand[:, None, :]]).all(axis=(1, 2))]
+        ok = (cand[:, gm] == gm[cand[:, :, None], cand[:, None, :]]).all(axis=(1, 2))
+        pairs.extend((tuple(a), x) for a in cand[ok].tolist())
     pairs.sort()
-    index = {p: i for i, p in enumerate(pairs)}
     k = len(pairs)
-    mul = [[0] * k for _ in range(k)]
-    for i, (a1, x1) in enumerate(pairs):
-        for j, (a2, x2) in enumerate(pairs):
-            comp = tuple(a1[a2[y]] for y in range(Gamma.order))
-            mul[i][j] = index[(comp, G.mul[x1][x2])]
-    group = FiniteGroup.from_table(mul, cap=max(256, k))
-    beta_images = []
-    for y in range(Gamma.order):
-        conj = tuple(Gamma.conj(y, z) for z in range(Gamma.order))
-        m, n = ae.gamma_parts(y)
-        beta_images.append(index[(conj, amb.ext.kernel_hom(n))])
+    A = np.array([a for a, _ in pairs], dtype=dt)
+    X = np.array([x for _, x in pairs], dtype=np.int64)
+
+    def keys(alphas, xs) -> list:
+        """One bytes key per (alpha, x), from the rows of alphas and the entries of xs."""
+        rows = np.concatenate([alphas, xs[..., None].astype(dt)], axis=-1).reshape(-1, ng + 1)
+        return rows.view(np.dtype((np.void, rows.itemsize * (ng + 1)))).ravel().tolist()
+
+    index = {key: i for i, key in enumerate(keys(A, X))}
+    # [i, j]: (alpha_i after alpha_j, x_i x_j)
+    comp = keys(A[:, A], G.table[X[:, None], X])
+    group = FiniteGroup.from_table(np.array([index[key] for key in comp]).reshape(k, k),
+                                   cap=max(256, k))
+    # beta(y) = (conjugation by y, image of y's N-part in G)
+    conj = Gamma.table[Gamma.table, Gamma.inverse[:, None]].astype(dt)
+    beta_images = [index[key] for key in keys(conj, kh[np.arange(ng) // nm])]
     beta = GroupHom.checked(Gamma, group, tuple(beta_images))
     to_G = GroupHom.checked(group, G, tuple(x for (_, x) in pairs))
     out, to_out = quotient_group(group, sorted(set(beta_images)))
@@ -976,7 +991,7 @@ class QNormalGaloisData:
         for g in range(G.order):
             if not is_ring_morphism_matrix(T, np.asarray(self.kappa_G[g]) % m):
                 raise CrossedPairError("kappa_G is not by ring automorphisms")
-        pair = first_nonmultiplicative_pair(self.kappa_G, G.mul, m)
+        pair = first_nonmultiplicative_pair(self.kappa_G, G.table, m)
         if pair is not None:
             raise CrossedPairError(f"kappa_G is not a homomorphism at {pair}")
         for n in range(self.ambient.N.order):

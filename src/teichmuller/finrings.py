@@ -871,7 +871,7 @@ class GaloisData:
         ident = self.act_matrix(self.N.identity)
         if not np.array_equal(ident % m, np.eye(self.T.rank, dtype=np.int64)):
             raise RingError("identity must act trivially")
-        pair = first_nonmultiplicative_pair(self.action, self.N.mul, m)
+        pair = first_nonmultiplicative_pair(self.action, self.N.table, m)
         if pair is not None:
             raise RingError(f"action is not a group homomorphism at {pair}")
 

@@ -116,7 +116,7 @@ class GModule:
             raise CohomologyError("identity must act as the identity matrix")
         # homomorphism, row i taken mod d_i, and invertibility of each action map
         if k:
-            pair = first_nonmultiplicative_pair(acts, G.mul, rows)
+            pair = first_nonmultiplicative_pair(acts, G.table, rows)
             if pair is not None:
                 raise CohomologyError(f"action is not a homomorphism at {pair}")
             m = self.exponent
@@ -268,7 +268,7 @@ def coboundary(c: Cochain) -> Cochain:
     order = G.order
     if k == 0:
         return zero_cochain(M, n + 1)
-    mul = np.array(G.mul, dtype=np.int64)
+    mul = G.table
     out = np.zeros((order,) * (n + 1) + (k,), dtype=np.int64)
     if n == 0:
         acts = M.action_matrices()

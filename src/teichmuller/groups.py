@@ -1,11 +1,15 @@
 """Finite groups as explicit multiplication tables.
 
-Element are integer indices 0..order-1.  Construction goes through
-``FiniteGroup.from_table`` which checks associativity/identity/inverses
-(vectorized, so full validation stays cheap up to the table-size cap).
-Homomorphisms, extensions, actions, subgroup/quotient plumbing, the
-metacyclic family, extensions from 2-cocycles, and small-scale isomorphism
-and automorphism searches all live here.
+Elements are integer indices 0..order-1.  ``FiniteGroup.from_table`` is the
+one constructor: it checks identity, associativity and inverses, and the
+group then holds its table once more as a read-only int64 array
+(``table``, ``inverse``).  The checks on tables (associativity, homomorphisms,
+actions, the 2-cocycle identity) and the table of an extension built from a
+2-cocycle are gathers on those arrays.  Gathers whose results are only
+compared run in the narrowest unsigned dtype that holds an index; indices
+that are added to stay int64, since narrow integers wrap.  Homomorphisms,
+extensions, actions, subgroup/quotient plumbing and the metacyclic family
+also live here.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import numpy as np
 from .exact_linalg import abelian_quotient
 
 DEFAULT_ORDER_CAP = 256
-ISO_SEARCH_CAP = 128
-AUT_SEARCH_CAP = 64
 
 
 class GroupError(ValueError):
@@ -29,8 +31,14 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A group on 0..order-1 by its table.  ``_held`` keeps data derived from
-    the table (``abelian_structure``); it takes no part in equality or hashing."""
+    """A group on 0..order-1 by its table.
+
+    ``table`` and ``inverse`` hold ``mul`` and ``inv`` once more as read-only
+    int64 arrays for vectorized checks; ``_held`` keeps data derived from the
+    table (``abelian_structure``).  None of the three takes part in
+    construction, equality, hashing or the repr, and the arrays stay out of
+    the pickled state.
+    """
 
     order: int
     mul: tuple[tuple[int, ...], ...]
@@ -39,6 +47,8 @@ class FiniteGroup:
     labels: Optional[tuple[str, ...]] = None
     generators: Optional[tuple[int, ...]] = None
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def from_table(mul: Sequence[Sequence[int]], labels=None, generators=None,
@@ -51,32 +61,43 @@ class FiniteGroup:
         t = np.array(mul, dtype=np.int64)
         if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             raise GroupError("malformed multiplication table")
-        # identity
-        ident = None
-        for e in range(n):
-            if np.array_equal(t[e], np.arange(n)) and np.array_equal(t[:, e], np.arange(n)):
-                ident = e
-                break
-        if ident is None:
+        ar = np.arange(n)
+        units = np.flatnonzero((t == ar).all(axis=1) & (t.T == ar).all(axis=1))
+        if not units.size:
             raise GroupError("no identity element")
-        # associativity: t[t[a,b],c] == t[a,t[b,c]], chunked to bound memory
+        ident = int(units[0])
+        # associativity: t[t[a,b],c] == t[a,t[b,c]] in the narrowest index
+        # dtype, chunked over a to bound memory
+        u = t.astype(np.min_scalar_type(n - 1))
         step = n if n <= 128 else max(1, (1 << 21) // (n * n))
         for lo in range(0, n, step):
-            blk = slice(lo, min(lo + step, n))
-            left = t[t[blk], :]
-            right = t[np.arange(lo, blk.stop)[:, None, None], t[None, :, :]]
-            if not np.array_equal(left, right):
+            rows = u[lo:lo + step]
+            if not np.array_equal(u[rows], rows[:, u]):
                 raise GroupError("multiplication table is not associative")
-        inv = [-1] * n
-        for a in range(n):
-            hits = np.where(t[a] == ident)[0]
-            if len(hits) != 1:
-                raise GroupError("element without unique inverse")
-            inv[a] = int(hits[0])
-        return FiniteGroup(order=n, mul=tuple(tuple(int(x) for x in row) for row in mul),
-                           identity=ident, inv=tuple(inv),
-                           labels=tuple(labels) if labels else None,
-                           generators=tuple(generators) if generators else None)
+        hits = t == ident
+        if (hits.sum(axis=1) != 1).any():
+            raise GroupError("element without unique inverse")
+        inverse = hits.argmax(axis=1)
+        G = FiniteGroup(order=n, mul=tuple(map(tuple, t.tolist())), identity=ident,
+                        inv=tuple(inverse.tolist()),
+                        labels=tuple(labels) if labels else None,
+                        generators=tuple(generators) if generators else None)
+        G._hold_arrays(t, inverse)
+        return G
+
+    def _hold_arrays(self, t: np.ndarray, inverse: np.ndarray) -> None:
+        t.flags.writeable = inverse.flags.writeable = False
+        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "inverse", inverse)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["table"], state["inverse"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._hold_arrays(np.array(self.mul, dtype=np.int64), np.array(self.inv, dtype=np.int64))
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
@@ -159,17 +180,29 @@ class GroupHom:
     @staticmethod
     def checked(source, target, images) -> "GroupHom":
         hom = GroupHom(source, target, tuple(int(x) for x in images))
+        outside = [x for x in hom.images if not 0 <= x < target.order]
+        if outside:
+            raise GroupError(f"image {outside[0]} lies outside the target of order {target.order}")
         if not hom.is_valid():
-            raise GroupError("not a homomorphism")
+            raise GroupError(f"not a homomorphism at {hom.first_failing_pair()}")
         return hom
 
+    def _defects(self) -> np.ndarray:
+        """defects[a, b] is True where f(ab) != f(a) f(b); images must be in range."""
+        im = np.array(self.images)
+        return im[self.source.table] != self.target.table[im[:, None], im]
+
     def is_valid(self) -> bool:
-        src, im = self.source, self.images
-        if im[src.identity] != self.target.identity:
+        im, T = self.images, self.target
+        if min(im) < 0 or max(im) >= T.order or im[self.source.identity] != T.identity:
             return False
-        tmul = self.target.mul
-        return all(im[src.mul[a][b]] == tmul[im[a]][im[b]]
-                   for a in range(src.order) for b in range(src.order))
+        return not self._defects().any()
+
+    def first_failing_pair(self) -> Optional[tuple[int, int]]:
+        """The first (a, b), in row-major order, with f(ab) != f(a) f(b); None
+        for a homomorphism.  The images must lie in the target."""
+        bad = np.argwhere(self._defects())
+        return (int(bad[0, 0]), int(bad[0, 1])) if len(bad) else None
 
     def __call__(self, a: int) -> int:
         return self.images[a]
@@ -283,18 +316,16 @@ class GroupAction:
             raise GroupError("action entry is not a permutation")
         if not np.array_equal(arr[G.identity], np.arange(n)):
             raise GroupError("identity does not act trivially")
-        mul = np.array(G.mul, dtype=np.int64)
-        # composed[g, h, x] = table[g][table[h][x]] must equal table[mul[g,h]][x]
-        composed = arr[np.arange(G.order)[:, None, None], arr[None, :, :]]
-        if not np.array_equal(composed, arr[mul]):
+        arr = arr.astype(np.min_scalar_type(n - 1))
+        # table[g][table[h][x]] must equal table[gh][x]
+        if not np.array_equal(arr[:, arr], arr[G.table]):
             raise GroupError("action is not a homomorphism")
         if isinstance(self.carrier, FiniteGroup):
-            C = self.carrier
-            cmul = np.array(C.mul, dtype=np.int64)
-            for g in range(G.order):
-                perm = arr[g]
-                if not np.array_equal(perm[cmul], cmul[perm[:, None], perm[None, :]]):
-                    raise GroupError("action is not by automorphisms")
+            # each distinct permutation once: perm[xy] == perm[x] perm[y]
+            perms = np.array(list(dict.fromkeys(self.table)), dtype=arr.dtype)
+            cmul = self.carrier.table.astype(arr.dtype)
+            if not np.array_equal(perms[:, cmul], cmul[perms[:, :, None], perms[:, None, :]]):
+                raise GroupError("action is not by automorphisms")
 
 
 def trivial_action(G: FiniteGroup, carrier: FiniteGroup | int) -> GroupAction:
@@ -545,13 +576,12 @@ def quaternion_table() -> FiniteGroup:
 # extensions from 2-cocycles
 
 def is_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> Optional[tuple]:
-    """None when f satisfies the (multiplicative) 2-cocycle identity, else a witness."""
-    for p, q, r in itertools.product(range(Q.order), repeat=3):
-        lhs = M.mul[action.act(p, f[q][r])][f[p][Q.mul[q][r]]]
-        rhs = M.mul[f[p][q]][f[Q.mul[p][q]][r]]
-        if lhs != rhs:
-            return (p, q, r)
-    return None
+    """None when f satisfies the (multiplicative) 2-cocycle identity, else the
+    lexicographically first failing (p, q, r)."""
+    F, A, Mt = np.array(f, dtype=np.int64), np.array(action.table), M.table
+    # [p, q, r]: p.f(q, r) + f(p, qr)  against  f(p, q) + f(pq, r)
+    bad = np.argwhere(Mt[A[:, F], F[:, Q.table]] != Mt[F[:, :, None], F[Q.table]])
+    return tuple(int(i) for i in bad[0]) if len(bad) else None
 
 
 def check_normalized_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> None:
@@ -574,11 +604,10 @@ def group_from_2cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) 
     """
     check_normalized_two_cocycle(Q, M, action, f)
     nm, nq = M.order, Q.order
-    mul = [[0] * (nm * nq) for _ in range(nm * nq)]
-    for m, p, n2, q in itertools.product(range(nm), range(nq), range(nm), range(nq)):
-        val = M.mul[M.mul[m][action.act(p, n2)]][f[p][q]]
-        mul[m + nm * p][n2 + nm * q] = val + nm * Q.mul[p][q]
-    E = FiniteGroup.from_table(mul)
+    F, A = np.array(f, dtype=np.int64), np.array(action.table, dtype=np.int64)
+    # axes (p, m, q, n): row m + nm*p times column n + nm*q
+    val = M.table[M.table[np.arange(nm)[:, None, None], A[:, None, None, :]], F[:, None, :, None]]
+    E = FiniteGroup.from_table((val + nm * Q.table[:, None, :, None]).reshape(nm * nq, nm * nq))
     kernel_hom = GroupHom.checked(M, E, tuple(m + nm * Q.identity for m in range(nm)))
     quotient_hom = GroupHom.checked(E, Q, tuple(g // nm for g in range(nm * nq)))
     ext = GroupExtension(kernel_hom, quotient_hom)
@@ -607,104 +636,3 @@ def two_cocycle_of_extension(ext: GroupExtension, seed: int = 0):
         g = G.mul[sec[p]][sec[q]]
         f[p][q] = into[G.mul[g][G.inv[sec[Q.mul[p][q]]]]]
     return f, action
-
-
-# ---------------------------------------------------------------------------
-# isomorphism / automorphism search
-
-def _close_partial(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
-    """Extend gen |-> image to a full hom table by closing under products.
-
-    Returns the image table or None on conflict.
-    """
-    table = [-1] * G.order
-    table[G.identity] = H.identity
-    frontier = [G.identity]
-    for g, h in zip(gens, images):
-        if table[g] == -1:
-            table[g] = h
-            frontier.append(g)
-        elif table[g] != h:
-            return None
-    known = [g for g in range(G.order) if table[g] != -1]
-    changed = True
-    while changed:
-        changed = False
-        known = [g for g in range(G.order) if table[g] != -1]
-        for a in known:
-            for b in known:
-                ab = G.mul[a][b]
-                im = H.mul[table[a]][table[b]]
-                if table[ab] == -1:
-                    table[ab] = im
-                    changed = True
-                elif table[ab] != im:
-                    return None
-    if any(x == -1 for x in table):
-        return None
-    return tuple(table)
-
-
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup, cap: int = ISO_SEARCH_CAP) -> Optional[GroupHom]:
-    """A bijective homomorphism G -> H found by generator-image backtracking."""
-    if G.order > cap or H.order > cap:
-        raise GroupError(f"isomorphism search capped at order {cap}")
-    if G.order != H.order:
-        return None
-    if G.order_profile() != H.order_profile():
-        return None
-    gens = G.minimal_generators()
-    orders = [G.element_order(g) for g in gens]
-    candidates = [[h for h in range(H.order) if H.element_order(h) == o] for o in orders]
-
-    def backtrack(i, chosen):
-        if i == len(gens):
-            table = _close_partial(G, H, gens, chosen)
-            if table and len(set(table)) == G.order:
-                return table
-            return None
-        for h in candidates[i]:
-            res = backtrack(i + 1, chosen + [h])
-            if res:
-                return res
-        return None
-
-    table = backtrack(0, [])
-    if table is None:
-        return None
-    return GroupHom.checked(G, H, table)
-
-
-def automorphism_group(G: FiniteGroup, cap: int = AUT_SEARCH_CAP) -> tuple[FiniteGroup, tuple[tuple[int, ...], ...]]:
-    """Aut(G) as a table group plus each element's permutation of G.
-
-    The search backtracks over generator images, pruned by element order; the
-    found automorphisms are sorted so the output is canonical.
-    """
-    if G.order > cap:
-        raise GroupError(f"automorphism search capped at order {cap}")
-    gens = G.minimal_generators()
-    orders = [G.element_order(g) for g in gens]
-    candidates = [[h for h in range(G.order) if G.element_order(h) == o] for o in orders]
-    found = []
-
-    def backtrack(i, chosen):
-        if i == len(gens):
-            table = _close_partial(G, G, gens, chosen)
-            if table and len(set(table)) == G.order:
-                found.append(table)
-            return
-        for h in candidates[i]:
-            backtrack(i + 1, chosen + [h])
-
-    backtrack(0, [])
-    perms = sorted(set(found))
-    index = {p: i for i, p in enumerate(perms)}
-    k = len(perms)
-    mul = [[0] * k for _ in range(k)]
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            comp = tuple(p[q[x]] for x in range(G.order))  # p after q
-            mul[i][j] = index[comp]
-    A = FiniteGroup.from_table(mul, cap=max(DEFAULT_ORDER_CAP, k))
-    return A, tuple(perms)

@@ -73,7 +73,7 @@ class BaseAction:
         for q in range(self.Q.order):
             if not is_ring_morphism_matrix(self.S, self.mat(q) % m):
                 raise NormalStructureError(f"kappa({q}) is not a ring automorphism")
-        pair = first_nonmultiplicative_pair(self.matrices, self.Q.mul, m)
+        pair = first_nonmultiplicative_pair(self.matrices, self.Q.table, m)
         if pair is not None:
             raise NormalStructureError(f"kappa is not a homomorphism at {pair}")
 
@@ -133,7 +133,7 @@ class OutRep:
                         f"defect at ({p},{q}) is not inner: not a Q-normal structure")
 
     def is_equivariant(self) -> bool:
-        return first_nonmultiplicative_pair(self.lifts, self.Q.mul, self.A.modulus) is None
+        return first_nonmultiplicative_pair(self.lifts, self.Q.table, self.A.modulus) is None
 
 
 def equivariant_rep(base_action: BaseAction, A: Algebra, lifts, name: str = "") -> OutRep:
@@ -141,7 +141,7 @@ def equivariant_rep(base_action: BaseAction, A: Algebra, lifts, name: str = "") 
     rep = OutRep(base_action=base_action, A=A,
                  lifts=tuple(np.asarray(w, dtype=np.int64) % A.modulus for w in lifts),
                  name=name)
-    pair = first_nonmultiplicative_pair(rep.lifts, rep.Q.mul, A.modulus)
+    pair = first_nonmultiplicative_pair(rep.lifts, rep.Q.table, A.modulus)
     if pair is not None:
         raise NormalStructureError(f"lift table is not an exact homomorphism at {pair}")
     return rep
@@ -378,7 +378,7 @@ class CrossedProductSpec:
                 raise NormalStructureError(f"theta({g}) is not an algebra automorphism")
             if not np.array_equal((th @ emb) % m, (emb @ self.base_action.mat(q)) % m):
                 raise NormalStructureError(f"theta({g}) has the wrong grade")
-        pair = first_nonmultiplicative_pair(thetas, Gamma.mul, m)
+        pair = first_nonmultiplicative_pair(thetas, Gamma.table, m)
         if pair is not None:
             raise NormalStructureError(f"theta is not a homomorphism at {pair}")
         # row y of I is i(y); left[y] and right[y] multiply by it on either side
@@ -390,19 +390,19 @@ class CrossedProductSpec:
         left = np.einsum("ya,abc->ycb", I, A.flat_tensor) % m
         right = np.einsum("yb,abc->yca", I, A.flat_tensor) % m
         for y in range(K.order):
-            bad = np.flatnonzero(((left[y] @ I.T) % m != I[list(K.mul[y])].T).any(axis=0))
+            bad = np.flatnonzero(((left[y] @ I.T) % m != I[K.table[y]].T).any(axis=0))
             if bad.size:
                 raise NormalStructureError(f"i is not multiplicative at ({y}, {bad[0]})")
         # crossed-module morphism conditions; for the unit u = i(y),
         # theta(j(y)) = Inn(u) says theta(j(y))(a) u = u a for every a
-        gmul, j_img = np.array(Gamma.mul), np.array(self.ext.kernel_hom.images)
+        gmul, j_img = Gamma.table, np.array(self.ext.kernel_hom.images)
         bad = np.flatnonzero(((right @ thetas[j_img]) % m != left).any(axis=(1, 2)))
         if bad.size:
             raise NormalStructureError(f"theta(j(y)) differs from Inn(i(y)) at y = {bad[0]}")
         # conj[g, y] = y' with j(y') = g j(y) g^-1, or -1 when that lies outside j(K)
         into_k = np.full(Gamma.order, -1)
         into_k[j_img] = np.arange(K.order)
-        conj = into_k[gmul[gmul[:, j_img], np.array(Gamma.inv)[:, None]]]
+        conj = into_k[gmul[gmul[:, j_img], Gamma.inverse[:, None]]]
         for g, y in np.argwhere(conj < 0)[:1]:
             raise NormalStructureError(f"kernel is not normal in Gamma at ({g}, {y})")
         for g in range(Gamma.order):

@@ -1,0 +1,181 @@
+"""Loop versions of the table-group checks and searches, kept as test oracles.
+
+The package runs homomorphism checks, the 2-cocycle identity, the table of an
+extension by a 2-cocycle and the Aut_G(e) search as gathers on each group's
+held arrays; the loops here are what they replaced, element by element.  The
+isomorphism and automorphism searches have no caller in the package and live
+here only.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional, Sequence
+
+import numpy as np
+
+from teichmuller.groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, GroupHom
+
+ISO_SEARCH_CAP = 128
+AUT_SEARCH_CAP = 64
+
+
+def is_valid_oracle(hom: GroupHom) -> bool:
+    src, im = hom.source, hom.images
+    if im[src.identity] != hom.target.identity:
+        return False
+    tmul = hom.target.mul
+    return all(im[src.mul[a][b]] == tmul[im[a]][im[b]]
+               for a in range(src.order) for b in range(src.order))
+
+
+def is_two_cocycle_oracle(Q: FiniteGroup, M: FiniteGroup, action, f) -> Optional[tuple]:
+    """None when f satisfies the 2-cocycle identity, else the first failing (p, q, r)."""
+    for p, q, r in itertools.product(range(Q.order), repeat=3):
+        lhs = M.mul[action.act(p, f[q][r])][f[p][Q.mul[q][r]]]
+        rhs = M.mul[f[p][q]][f[Q.mul[p][q]][r]]
+        if lhs != rhs:
+            return (p, q, r)
+    return None
+
+
+def extension_table_oracle(Q: FiniteGroup, M: FiniteGroup, action, f) -> list:
+    """The table of M x Q with (m, p)(n, q) = (m + p.n + f(p, q), pq), index m + |M| q."""
+    nm, nq = M.order, Q.order
+    mul = [[0] * (nm * nq) for _ in range(nm * nq)]
+    for m, p, n2, q in itertools.product(range(nm), range(nq), range(nm), range(nq)):
+        val = M.mul[M.mul[m][action.act(p, n2)]][f[p][q]]
+        mul[m + nm * p][n2 + nm * q] = val + nm * Q.mul[p][q]
+    return mul
+
+
+def aut_g_of_e_oracle(ae) -> tuple[list, list, list]:
+    """The sorted pairs (alpha, x) of Aut_G(e), its table and the images of beta."""
+    amb = ae.ambient
+    G, N, M = amb.G, amb.N, amb.Mgrp
+    Gamma = ae.Gamma
+    into_n = {amb.ext.kernel_hom(n): n for n in range(N.order)}
+    gm = np.array(Gamma.mul, dtype=np.int64)
+    pairs = []
+    for x in range(G.order):
+        ix = [into_n[G.conj(x, amb.ext.kernel_hom(n))] for n in range(N.order)]
+        lx = [amb.action.act(x, m) for m in range(M.order)]
+        for c in amb.corrections():
+            alpha = np.zeros(Gamma.order, dtype=np.int64)
+            for y in range(Gamma.order):
+                m, n = ae.gamma_parts(y)
+                alpha[y] = ae.gamma_index(M.mul[lx[m]][c[n]], ix[n])
+            if np.array_equal(alpha[gm], gm[alpha[:, None], alpha[None, :]]):
+                pairs.append((tuple(int(v) for v in alpha), x))
+    pairs.sort()
+    index = {p: i for i, p in enumerate(pairs)}
+    k = len(pairs)
+    mul = [[0] * k for _ in range(k)]
+    for i, (a1, x1) in enumerate(pairs):
+        for j, (a2, x2) in enumerate(pairs):
+            comp = tuple(a1[a2[y]] for y in range(Gamma.order))
+            mul[i][j] = index[(comp, G.mul[x1][x2])]
+    beta_images = []
+    for y in range(Gamma.order):
+        conj = tuple(Gamma.conj(y, z) for z in range(Gamma.order))
+        m, n = ae.gamma_parts(y)
+        beta_images.append(index[(conj, amb.ext.kernel_hom(n))])
+    return pairs, mul, beta_images
+
+
+def _close_partial(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
+    """Extend gen |-> image to a full hom table by closing under products.
+
+    Returns the image table or None on conflict.
+    """
+    table = [-1] * G.order
+    table[G.identity] = H.identity
+    frontier = [G.identity]
+    for g, h in zip(gens, images):
+        if table[g] == -1:
+            table[g] = h
+            frontier.append(g)
+        elif table[g] != h:
+            return None
+    known = [g for g in range(G.order) if table[g] != -1]
+    changed = True
+    while changed:
+        changed = False
+        known = [g for g in range(G.order) if table[g] != -1]
+        for a in known:
+            for b in known:
+                ab = G.mul[a][b]
+                im = H.mul[table[a]][table[b]]
+                if table[ab] == -1:
+                    table[ab] = im
+                    changed = True
+                elif table[ab] != im:
+                    return None
+    if any(x == -1 for x in table):
+        return None
+    return tuple(table)
+
+
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup, cap: int = ISO_SEARCH_CAP) -> Optional[GroupHom]:
+    """A bijective homomorphism G -> H found by generator-image backtracking."""
+    if G.order > cap or H.order > cap:
+        raise GroupError(f"isomorphism search capped at order {cap}")
+    if G.order != H.order:
+        return None
+    if G.order_profile() != H.order_profile():
+        return None
+    gens = G.minimal_generators()
+    orders = [G.element_order(g) for g in gens]
+    candidates = [[h for h in range(H.order) if H.element_order(h) == o] for o in orders]
+
+    def backtrack(i, chosen):
+        if i == len(gens):
+            table = _close_partial(G, H, gens, chosen)
+            if table and len(set(table)) == G.order:
+                return table
+            return None
+        for h in candidates[i]:
+            res = backtrack(i + 1, chosen + [h])
+            if res:
+                return res
+        return None
+
+    table = backtrack(0, [])
+    if table is None:
+        return None
+    return GroupHom.checked(G, H, table)
+
+
+def automorphism_group(G: FiniteGroup, cap: int = AUT_SEARCH_CAP) -> tuple[FiniteGroup, tuple[tuple[int, ...], ...]]:
+    """Aut(G) as a table group plus each element's permutation of G.
+
+    The search backtracks over generator images, pruned by element order; the
+    found automorphisms are sorted so the output is canonical.
+    """
+    if G.order > cap:
+        raise GroupError(f"automorphism search capped at order {cap}")
+    gens = G.minimal_generators()
+    orders = [G.element_order(g) for g in gens]
+    candidates = [[h for h in range(G.order) if G.element_order(h) == o] for o in orders]
+    found = []
+
+    def backtrack(i, chosen):
+        if i == len(gens):
+            table = _close_partial(G, G, gens, chosen)
+            if table and len(set(table)) == G.order:
+                found.append(table)
+            return
+        for h in candidates[i]:
+            backtrack(i + 1, chosen + [h])
+
+    backtrack(0, [])
+    perms = sorted(set(found))
+    index = {p: i for i, p in enumerate(perms)}
+    k = len(perms)
+    mul = [[0] * k for _ in range(k)]
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            comp = tuple(p[q[x]] for x in range(G.order))  # p after q
+            mul[i][j] = index[comp]
+    A = FiniteGroup.from_table(mul, cap=max(DEFAULT_ORDER_CAP, k))
+    return A, tuple(perms)

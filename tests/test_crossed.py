@@ -44,6 +44,17 @@ def metacyclic_crossed2(r, s, t, f, ell):
                              boundary=boundary, pi=ext.quotient_hom, action=action)
 
 
+def test_validate_names_each_non_central_element():
+    # M = C3 onto the rotations of C = S3: 1 and 2 are not central, 0 is
+    S3, M, C2 = metacyclic(3, 2, 2, 0)[0], cyclic(3), cyclic(2)
+    ext = Crossed2Extension(
+        M=M, C=S3, Gamma=C2, G=cyclic(1), iota=GroupHom(M, S3, (0, 1, 2)),
+        boundary=GroupHom(S3, C2, tuple(g // 3 for g in range(6))),
+        pi=GroupHom(C2, cyclic(1), (0, 0)), action=trivial_action(C2, S3))
+    central = [line for line in ext.validate() if "not central" in line]
+    assert central == [f"M is not central in C (element {M.label(m)})" for m in (1, 2)]
+
+
 def test_conjugation_crossed_module():
     G = quaternion_table()
     conj = GroupAction(G, G, tuple(tuple(G.conj(g, c) for c in range(G.order))

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teichmuller.groups import (
     GroupAction,
@@ -62,6 +63,8 @@ from teichmuller.crossed_pairs import (
 )
 from teichmuller import crossed_pairs
 from teichmuller.normal_algebras import BaseAction, teichmuller_cocycle, unit_module
+
+from group_oracles import aut_g_of_e_oracle, extension_table_oracle, is_two_cocycle_oracle
 
 
 def klein_ambient():
@@ -170,6 +173,47 @@ def test_aut_g_of_e_alternating_gammas_with_freed_objects():
         del aut
         gc.collect()
     assert seen[0][0] != seen[2][0]
+
+
+TEST_AMBIENTS = [klein_ambient, klein_neg_ambient, q8_ambient, c4_z5_ambient]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TEST_AMBIENTS), st.integers(0, 2 ** 32 - 1))
+def test_aut_g_of_e_and_extension_match_the_loops(make_ambient, seed):
+    # a random normalized cocycle on N: a lifted class of H^2(N, M) plus the
+    # coboundary of a random normalized 1-cochain
+    amb = make_ambient()
+    rng = random.Random(seed)
+    module = amb.restricted_gmodule(amb.ext.kernel_hom)[0]
+    h2n = cohomology(amb.N, module, 2)
+    z = h2n.lift(list(rng.choice(list(h2n.all_classes()))))
+    f = amb.table(z + coboundary(random_cochain(module, 1, rng)))
+    M, N, nact = amb.Mgrp, amb.N, amb.n_action()
+    assert is_two_cocycle(N, M, nact, f) is None
+    ae = extension_from_cocycle(amb, f)
+    assert [list(row) for row in ae.Gamma.mul] == extension_table_oracle(N, M, nact, f)
+    aut = aut_g_of_e(ae)
+    pairs, mul, beta_images = aut_g_of_e_oracle(ae)
+    assert aut.pairs == pairs
+    assert [list(row) for row in aut.group.mul] == mul
+    assert list(aut.beta.images) == beta_images
+    # a random normalized table on N: the same first witness as the loop
+    g = [[M.identity if N.identity in (p, q) else rng.randrange(M.order)
+          for q in range(N.order)] for p in range(N.order)]
+    assert is_two_cocycle(N, M, nact, g) == is_two_cocycle_oracle(N, M, nact, g)
+
+
+def test_aut_g_of_e_refuses_a_search_over_budget():
+    # N = C8 in G = C8 x C2 with M = Z/5: 16 * 5^7 candidates, refused before
+    # any correction is built
+    G = direct_product(cyclic(8), cyclic(2))
+    ext = GroupExtension(GroupHom.checked(cyclic(8), G, tuple(2 * n for n in range(8))),
+                         GroupHom.checked(G, cyclic(2), tuple(g % 2 for g in range(16))))
+    amb = Ambient(ext=ext, Mgrp=cyclic(5), action=trivial_action(G, cyclic(5)))
+    ae = extension_from_cocycle(amb, [[0] * 8 for _ in range(8)])
+    with pytest.raises(CrossedPairError, match="1250000 exceeds PAIR_SEARCH_BUDGET"):
+        aut_g_of_e(ae)
 
 
 def test_der_subgroup():

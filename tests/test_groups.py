@@ -1,27 +1,38 @@
 import itertools
+import pickle
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teichmuller.groups import (
     FiniteGroup,
+    GroupAction,
     GroupError,
     GroupHom,
     abelian_group_from_factors,
     abelian_structure,
-    automorphism_group,
     cyclic,
     direct_product,
     fiber_product,
-    find_isomorphism,
     group_from_2cocycle,
     identity_hom,
+    is_two_cocycle,
     metacyclic,
     quaternion_table,
     quotient_group,
     subgroup_of,
     trivial_action,
     two_cocycle_of_extension,
+)
+
+from group_oracles import (
+    automorphism_group,
+    extension_table_oracle,
+    find_isomorphism,
+    is_two_cocycle_oracle,
+    is_valid_oracle,
 )
 
 
@@ -198,3 +209,178 @@ def test_group_holds_its_presentation():
         other = make()
         assert M._held and not other._held
         assert M == other and hash(M) == hash(other) and repr(M) == repr(other)
+
+
+def cyclic_table(n: int) -> list:
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def test_from_table_rejects_a_table_without_identity():
+    with pytest.raises(GroupError, match="no identity"):
+        FiniteGroup.from_table([[0, 0], [0, 0]])
+
+
+def test_from_table_rejects_a_non_unit():
+    # the monoid {1, 0} under multiplication: associative with identity 1,
+    # but no element inverts 0
+    with pytest.raises(GroupError, match="without unique inverse"):
+        FiniteGroup.from_table([[0, 0], [0, 1]])
+
+
+def perturbed(n: int) -> list:
+    """Z/n with two entries of the last row swapped: identity 0 kept, not associative."""
+    t = cyclic_table(n)
+    t[n - 1][1], t[n - 1][2] = t[n - 1][2], t[n - 1][1]
+    return t
+
+
+@pytest.mark.parametrize("n", [130, 256, 257])
+def test_from_table_chunked_and_at_the_dtype_boundary(n):
+    # orders above 128 take the chunked associativity check; 256 is the last
+    # order whose indices fit in uint8, 257 the first to need uint16
+    G = FiniteGroup.from_table(cyclic_table(n), cap=n)
+    assert G.identity == 0 and G.inv[1] == n - 1 and G.mul[n - 1][2] == 1
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup.from_table(perturbed(n), cap=n)
+    if n > 256:
+        with pytest.raises(GroupError, match="exceeds cap"):
+            FiniteGroup.from_table(cyclic_table(n))
+
+
+def test_from_table_checks_every_chunk():
+    # C32 x P with P = perturbed(8), indexed x + 32 p: every row a < 32 lies
+    # in C32 x {1}, which associates with everything, so each failing triple
+    # has a >= 32, past the first chunk of 32 rows at order 256
+    P = perturbed(8)
+    table = [[(x + y) % 32 + 32 * P[p][q] for q in range(8) for y in range(32)]
+             for p in range(8) for x in range(32)]
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup.from_table(table)
+
+
+def test_group_holds_read_only_arrays():
+    G = quaternion_table()
+    assert G.table.dtype == np.int64 and G.inverse.dtype == np.int64
+    assert G.table.tolist() == [list(row) for row in G.mul]
+    assert G.inverse.tolist() == list(G.inv)
+    for arr in (G.table, G.inverse):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # the arrays take no part in the pickled state and come back on loading
+    assert "table" not in G.__getstate__() and "inverse" not in G.__getstate__()
+    H = pickle.loads(pickle.dumps(G))
+    assert H == G and np.array_equal(H.table, G.table) and not H.table.flags.writeable
+    assert np.array_equal(H.inverse, G.inverse)
+
+
+def test_checked_names_an_out_of_range_image():
+    C2 = cyclic(2)
+    with pytest.raises(GroupError, match="image 2 lies outside the target of order 2"):
+        GroupHom.checked(C2, C2, (0, 2))
+    assert not GroupHom(C2, C2, (0, 2)).is_valid()
+    assert not GroupHom(C2, C2, (0, -1)).is_valid()
+
+
+def test_checked_names_the_first_failing_pair():
+    C4 = cyclic(4)
+    with pytest.raises(GroupError, match=r"not a homomorphism at \(1, 1\)"):
+        GroupHom.checked(C4, C4, (0, 2, 1, 3))
+    assert GroupHom(C4, C4, (0, 2, 1, 3)).first_failing_pair() == (1, 1)
+    assert GroupHom(C4, C4, (0, 3, 2, 1)).first_failing_pair() is None
+
+
+def test_action_validate_checks_homomorphism_and_automorphisms():
+    Q8, C2, C4 = quaternion_table(), cyclic(2), cyclic(4)
+    # conjugation: each inner automorphism of Q8 appears twice
+    GroupAction(Q8, Q8, tuple(tuple(Q8.conj(g, c) for c in range(8)) for g in range(8))).validate()
+    with pytest.raises(GroupError, match="not a homomorphism"):
+        GroupAction(C2, 3, ((0, 1, 2), (1, 2, 0))).validate()
+    # C4 ->> C2 acting on Z/4 by translation by 2: a homomorphism into the
+    # permutations, repeated twice, but not by automorphisms
+    shift = tuple(tuple((x + 2 * (g % 2)) % 4 for x in range(4)) for g in range(4))
+    GroupAction(C4, 4, shift).validate()
+    with pytest.raises(GroupError, match="not by automorphisms"):
+        GroupAction(C4, C4, shift).validate()
+
+
+SMALL_GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), cyclic(6),
+                direct_product(cyclic(2), cyclic(2)), metacyclic(3, 2, 2, 0)[0],
+                quaternion_table()]
+
+
+def first_failing_pair_oracle(hom):
+    S, T, im = hom.source, hom.target, hom.images
+    return next(((a, b) for a in range(S.order) for b in range(S.order)
+                 if im[S.mul[a][b]] != T.mul[im[a]][im[b]]), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_valid_matches_the_loop(data):
+    S = data.draw(st.sampled_from(SMALL_GROUPS))
+    T = data.draw(st.sampled_from(SMALL_GROUPS))
+    if data.draw(st.booleans()):
+        # a homomorphism most of the time: the power map a -> a^k into S
+        k = data.draw(st.integers(0, 12))
+        T, images = S, tuple(S.power(a, k) for a in range(S.order))
+    else:
+        images = tuple(data.draw(st.lists(st.integers(0, T.order - 1),
+                                          min_size=S.order, max_size=S.order)))
+    hom = GroupHom(S, T, images)
+    assert hom.is_valid() == is_valid_oracle(hom)
+    assert hom.first_failing_pair() == first_failing_pair_oracle(hom)
+
+
+def cocycle_cases():
+    """(Q, M, action, base cocycle): trivial and nontrivial actions and classes."""
+    C2, C3, C4, Z4, Z5 = cyclic(2), cyclic(3), cyclic(4), cyclic(4), cyclic(5)
+    S3 = metacyclic(3, 2, 2, 0)[0]
+    V = direct_product(cyclic(2), cyclic(2))
+
+    def carry(Q, M, k):  # f(p, q) = k when p + q wraps around in Z/|Q|
+        return [[k if p + q >= Q.order else 0 for q in range(Q.order)] for p in range(Q.order)]
+
+    def zero(Q, M):
+        return [[M.identity] * Q.order for _ in range(Q.order)]
+
+    neg4 = GroupAction(C2, Z4, ((0, 1, 2, 3), (0, 3, 2, 1)))
+    mul2 = GroupAction(C4, Z5, tuple(tuple(m * 2 ** g % 5 for m in range(5)) for g in range(4)))
+    sign3 = GroupAction(S3, C3, tuple(((0, 1, 2) if g < 3 else (0, 2, 1)) for g in range(6)))
+    neg_v = GroupAction(V, Z4, tuple(((0, 1, 2, 3) if g < 2 else (0, 3, 2, 1)) for g in range(4)))
+    return [
+        (C2, Z4, trivial_action(C2, Z4), carry(C2, Z4, 1)),
+        (C4, C2, trivial_action(C4, C2), carry(C4, C2, 1)),
+        (C3, C3, trivial_action(C3, C3), carry(C3, C3, 2)),
+        (C2, Z4, neg4, carry(C2, Z4, 2)),
+        (C4, Z5, mul2, zero(C4, Z5)),
+        (S3, C3, sign3, zero(S3, C3)),
+        (V, Z4, neg_v, zero(V, Z4)),
+        (V, C2, trivial_action(V, C2), zero(V, C2)),
+    ]
+
+
+COCYCLE_CASES = cocycle_cases()
+
+
+def twisted(Q, M, action, f, c):
+    """f times the coboundary of the normalized 1-cochain c: a cohomologous cocycle."""
+    return [[M.mul[M.mul[M.mul[f[p][q]][action.act(p, c[q])]][M.inv[c[Q.mul[p][q]]]]][c[p]]
+             for q in range(Q.order)] for p in range(Q.order)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cocycle_check_and_extension_table_match_the_loops(data):
+    Q, M, action, base = data.draw(st.sampled_from(COCYCLE_CASES))
+    values = st.integers(0, M.order - 1)
+    c = [M.identity if q == Q.identity else data.draw(values) for q in range(Q.order)]
+    f = twisted(Q, M, action, base, c)
+    assert is_two_cocycle(Q, M, action, f) is None
+    assert is_two_cocycle_oracle(Q, M, action, f) is None
+    E = group_from_2cocycle(Q, M, action, f).middle
+    assert [list(row) for row in E.mul] == extension_table_oracle(Q, M, action, f)
+    # a random normalized table: the same verdict and the same first witness
+    g = [[M.identity if Q.identity in (p, q) else data.draw(values) for q in range(Q.order)]
+         for p in range(Q.order)]
+    assert is_two_cocycle(Q, M, action, g) == is_two_cocycle_oracle(Q, M, action, g)
