@@ -61,7 +61,7 @@ def validate_crossed_module(cm: CrossedModule) -> list[str]:
     except GroupError as exc:
         report.append(f"action invalid: {exc}")
         return report
-    act = np.array(cm.action.table, dtype=np.int64)
+    act = cm.action.perms
     bnd = np.array(cm.boundary.images, dtype=np.int64)
     gmul, ginv, cmul, cinv = Gamma.table, Gamma.inverse, C.table, C.inverse
     # equivariance: bnd[act[g, c]] == g * bnd[c] * g^-1

@@ -277,7 +277,7 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
     into_n = np.full(G.order, -1)
     into_n[kh] = np.arange(N.order)
     ix = into_n[G.table[G.table[:, kh], G.inverse[:, None]]]    # ix[x, n]: i_x(n)
-    lx = np.array(amb.action.table)                               # lx[x, m]: l_x(m)
+    lx = amb.action.perms                                         # lx[x, m]: l_x(m)
     corr = np.array(list(amb.corrections()))
     dt = np.min_scalar_type(max(ng, G.order) - 1)
     gm = Gamma.table.astype(dt)

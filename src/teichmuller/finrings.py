@@ -45,7 +45,12 @@ class RingError(ValueError):
 
 @dataclass(frozen=True)
 class FinCommRing:
-    """Commutative ring, free of the given rank over Z/modulus."""
+    """Commutative ring, free of the given rank over Z/modulus.
+
+    ``_held`` keeps data derived from the ring (its ``units_group`` and
+    ``fixed_subring`` results); it takes no part in construction, equality,
+    hashing or the repr.
+    """
 
     modulus: int
     rank: int
@@ -54,6 +59,7 @@ class FinCommRing:
     name: str = ""
     labels: Optional[tuple[str, ...]] = None
     meta: tuple = ()            # provenance for constructions (frobenius etc.)
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def tensor(self) -> np.ndarray:
@@ -377,19 +383,31 @@ def subring_from_module(T: FinCommRing, gens: np.ndarray, name: str = "") -> tup
 
 
 def fixed_subring(T: FinCommRing, mats: Sequence[np.ndarray], name: str = "") -> tuple[FinCommRing, np.ndarray]:
-    """The subring of elements fixed by all the given automorphism matrices."""
+    """The subring of elements fixed by all the given automorphism matrices.
+
+    T holds the result per name and matrices (by content), so equal actions
+    share one subring and what it holds, such as its units group; the
+    embedding matrix is read-only.
+    """
     m = T.modulus
+    acts = np.array([np.asarray(a, dtype=np.int64) % m for a in mats],
+                    dtype=np.int64).reshape(len(mats), T.rank, T.rank)
+    key = ("fixed_subring", name, acts.tobytes())
+    held = T._held.get(key)
+    if held is not None:
+        return held
     if not mats:
         gens = np.eye(T.rank, dtype=np.int64)
     else:
-        stacked = np.vstack([(np.asarray(a, dtype=np.int64) - np.eye(T.rank, dtype=np.int64)) % m
-                             for a in mats])
-        gens = kernel_mod(stacked, m)
+        gens = kernel_mod(((acts - np.eye(T.rank, dtype=np.int64)) % m).reshape(-1, T.rank), m)
         if gens.size == 0:
             gens = np.zeros((T.rank, 0), dtype=np.int64)
     # the fixed module always contains 1
     gens = np.hstack([gens, T.one().reshape(-1, 1)])
-    return subring_from_module(T, gens, name=name or f"{T.name}^fix")
+    R, embed = subring_from_module(T, gens, name=name or f"{T.name}^fix")
+    embed.flags.writeable = False
+    T._held[key] = (R, embed)
+    return R, embed
 
 
 # ---------------------------------------------------------------------------
@@ -737,12 +755,22 @@ class UnitsGroup:
 
 
 def units_group(A, cap: int = UNITS_CAP) -> UnitsGroup:
-    """All invertible elements with their multiplication table."""
-    if isinstance(A, FinCommRing):
-        A = ring_as_algebra(A)
+    """All invertible elements with their multiplication table.
+
+    A FinCommRing computes its units group once and holds it, so every caller
+    shares the same group and none may write into it.
+    """
     if A.size > cap:
         raise RingError(f"unit enumeration capped at {cap} elements")
-    m = A.modulus
+    if isinstance(A, FinCommRing):
+        held = A._held.get("units_group")
+        if held is None:
+            held = A._held["units_group"] = _enumerate_units(ring_as_algebra(A))
+        return held
+    return _enumerate_units(A)
+
+
+def _enumerate_units(A: "Algebra") -> UnitsGroup:
     units = []
     for x in A.elements():
         if A.is_unit(x):

@@ -1,24 +1,33 @@
 """Group cohomology H^n(G, M) of a finite group with coefficients in a finite
-abelian G-module, computed on the normalized bar complex.
+abelian G-module, computed on a free resolution held by the group.
 
 A GModule stores the coefficient group in invariant-factor coordinates
 (M = Z/d_1 + ... + Z/d_k, d_1 | d_2 | ...) together with one integer action
-matrix per group element.  Normalized cochains are dense integer tables
-indexed by full tuples of group elements, zero whenever an argument is the
-identity.
+matrix per group element.  Callers see normalized bar cochains: dense integer
+tables indexed by full tuples of group elements, zero whenever an argument is
+the identity.
 
-The kernel/image linear algebra runs over Z/m with m = d_k: the mixed-modulus
-cochain groups embed into free (Z/m)-modules by scaling coordinate i with
-m/d_i, which turns the coboundary into an integer matrix over Z/m and makes
-kernels, coboundary spans and quotient presentations available through
-modlinalg.  When every action matrix is diagonal the module splits into rank
-one summands that are computed independently and reglued; that keeps large
-trivial-action computations (the cyclic sweeps) cheap.
+Underneath, H^n is the cohomology of Hom_G(F, M) = M^{r_n}, where F is a free
+Z/m[G]-resolution of Z/m (m = d_k) that G builds one degree at a time and
+holds per modulus (``free_resolution``).  F_{n+1} is generated by the kernel
+of d_n, taking generators outside the radical (g - 1)K + pK first, which gives
+the minimal resolution of a p-group.  Two chain maps per degree compare F
+with the normalized bar resolution B: Phi: F -> B through the bar complex's
+contracting homotopy, and Psi: B -> F through one multi-right-hand-side solve
+against d_n.  ``class_of`` pulls a bar cocycle back along Phi and ``lift``
+pushes a class along Psi, so the bar complex itself, with its (|G| - 1)^n
+columns, is never eliminated.
+
+The kernel/image linear algebra runs over Z/m: the mixed-modulus cochain
+groups embed into free (Z/m)-modules by scaling coordinate i with m/d_i,
+which turns the coboundary into an integer matrix over Z/m and makes kernels,
+coboundary spans and quotient presentations available through modlinalg.
+When every action matrix is diagonal the module splits into rank one
+summands that are computed independently and reglued.
 
 For cyclic groups there is also a direct degree-3 class invariant obtained by
 pushing cocycles through the comparison maps between the bar resolution and
-the period-2 resolution; it identifies classes in H^3(C_s, Z/l) in O(s) time
-and is what makes the big metacyclic instances feasible.
+the period-2 resolution; it identifies classes in H^3(C_s, Z/l) in O(s) time.
 """
 
 from __future__ import annotations
@@ -36,7 +45,10 @@ from .modlinalg import (
     ModDiagonalization,
     cokernel_mod,
     diagonalize_mod,
+    extending_rows_mod_p,
     first_nonmultiplicative_pair,
+    prime_factors,
+    row_basis_mod_p,
     solve_matrix_mod,
 )
 
@@ -120,8 +132,7 @@ class GModule:
             if pair is not None:
                 raise CohomologyError(f"action is not a homomorphism at {pair}")
             m = self.exponent
-            for g in range(G.order):
-                tl = _tilde_matrix(np.array(self.action[g], dtype=np.int64), d, d, m)
+            for tl in _tilde_matrix(acts, d, d, m):
                 stacked = np.vstack([tl, np.diag(np.array(d, dtype=np.int64))])
                 ker = diagonalize_mod(stacked % m, m, want_U=False).kernel()
                 if ker.size and any(self.reduce(_unembed(kcol, d, m)) != (0,) * k
@@ -173,16 +184,14 @@ def _unembed(vec, factors, m):
     return tuple(int(x) // (m // factors[i % len(factors)]) for i, x in enumerate(vec))
 
 
-def _tilde_matrix(mat: np.ndarray, row_factors, col_factors, m) -> np.ndarray:
-    """Rescale an integer module-map matrix to act on the free (Z/m) model."""
-    out = np.zeros_like(mat)
-    for i, di in enumerate(row_factors):
-        for j, dj in enumerate(col_factors):
-            num = int(mat[i, j]) * dj
-            if num % di:
-                raise CohomologyError("module map is not well defined")
-            out[i, j] = (num // di) % m
-    return out
+def _tilde_matrix(mat, row_factors, col_factors, m) -> np.ndarray:
+    """Rescale integer module-map matrices (the last two axes) to act on the
+    free (Z/m) model."""
+    num = np.asarray(mat, dtype=np.int64) * np.array(col_factors, dtype=np.int64)
+    rows = np.array(row_factors, dtype=np.int64)[:, None]
+    if (num % rows).any():
+        raise CohomologyError("module map is not well defined")
+    return (num // rows) % m
 
 
 @dataclass
@@ -312,140 +321,302 @@ def is_cocycle(c: Cochain) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# reduced coordinates (nontrivial tuples only)
+# normalized bar symbols and the scaled free (Z/m) model of bar cochains
 
-class _Indexer:
-    def __init__(self, G: FiniteGroup, n: int, k: int):
-        self.G = G
-        self.n = n
-        self.k = k
-        self.elems = [g for g in range(G.order) if g != G.identity]
-        self.pos = {g: i for i, g in enumerate(self.elems)}
-        self.E = len(self.elems)
-        self.count = (self.E ** n) * k
-
-    def tuple_index(self, tup) -> int:
-        idx = 0
-        for g in tup:
-            idx = idx * self.E + self.pos[g]
-        return idx
-
-    def tuples(self):
-        yield from itertools.product(self.elems, repeat=self.n)
+def _bar_positions(G: FiniteGroup, n: int) -> np.ndarray:
+    """Flat positions in a (|G|,)*n table of the symbols [t_1|...|t_n] with
+    every t_i != 1, in lexicographic order."""
+    nonid = np.flatnonzero(np.arange(G.order) != G.identity)
+    pos = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        pos = (pos[:, None] * G.order + nonid).ravel()
+    return pos
 
 
-def _reduced_from_cochain(c: Cochain, indexer: _Indexer, m: int) -> np.ndarray:
+def _symbol_index(digits: np.ndarray, E: int) -> np.ndarray:
+    """Lexicographic index of each symbol (a column of letter digits in
+    0..E-1), or E^len for a symbol with an identity letter (digit -1)."""
+    idx = np.zeros(digits.shape[1], dtype=np.int64)
+    for row in digits:
+        idx = idx * E + row
+    idx[(digits < 0).any(axis=0)] = E ** len(digits)
+    return idx
+
+
+def _bar_faces(table: np.ndarray, identity: int, n: int):
+    """(t_1, faces) for the symbols [t_1|...|t_n], t_i != 1, in order, with
+    d[t] = t_1 [face 0] + sum_i sign_i [face i] in the normalized bar
+    resolution; ``faces`` lists (sign_i, symbol index of face i), the index
+    E^(n-1) standing for a degenerate face."""
+    E = len(table) - 1
+    nonid = np.flatnonzero(np.arange(E + 1) != identity)
+    letter = np.full(E + 1, -1, dtype=np.int64)
+    letter[nonid] = np.arange(E)
+    digits = np.indices((E,) * n).reshape(n, -1)
+    faces = [(1, _symbol_index(digits[1:], E))]
+    for i in range(1, n):
+        merged = letter[table[nonid[digits[i - 1]], nonid[digits[i]]]]
+        face = np.concatenate([digits[:i - 1], merged[None], digits[i + 1:]])
+        faces.append(((-1) ** i, _symbol_index(face, E)))
+    faces.append(((-1) ** n, _symbol_index(digits[:-1], E)))
+    return nonid[digits[0]], faces
+
+
+def _reduced_from_cochain(c: Cochain, m: int) -> np.ndarray:
     """Embed a normalized cochain into the free (Z/m) model (scaled coords)."""
-    M = c.module
-    d = M.invariant_factors
-    v = np.zeros(indexer.count, dtype=np.int64)
-    k = M.rank
-    for t_idx, tup in enumerate(indexer.tuples()):
-        vals = c.table[tup]
-        for i in range(k):
-            v[t_idx * k + i] = (int(vals[i]) * (m // d[i])) % m
-    return v
+    scale = m // np.array(c.module.invariant_factors, dtype=np.int64)
+    values = c.table.reshape(-1, c.module.rank)[_bar_positions(c.module.group, c.degree)]
+    return (values * scale % m).reshape(-1)
 
 
-def _cochain_from_reduced(v: np.ndarray, module: GModule, indexer: _Indexer, m: int) -> Cochain:
-    d = module.invariant_factors
-    k = module.rank
-    G = module.group
-    table = np.zeros((G.order,) * indexer.n + (k,), dtype=np.int64)
-    for t_idx, tup in enumerate(indexer.tuples()):
-        for i in range(k):
-            x = int(v[t_idx * k + i]) % m
-            scale = m // d[i]
-            if x % scale:
-                raise CohomologyError("vector does not lie in the embedded cochain group")
-            table[tup + (i,)] = x // scale
-    return Cochain(module, indexer.n, table)
+def _cochain_from_reduced(v: np.ndarray, module: GModule, n: int, m: int) -> Cochain:
+    scale = m // np.array(module.invariant_factors, dtype=np.int64)
+    x = (np.asarray(v, dtype=np.int64) % m).reshape(-1, module.rank)
+    if (x % scale).any():
+        raise CohomologyError("vector does not lie in the embedded cochain group")
+    table = np.zeros((module.group.order ** n, module.rank), dtype=np.int64)
+    table[_bar_positions(module.group, n)] = x // scale
+    return Cochain(module, n, table.reshape((module.group.order,) * n + (module.rank,)))
 
 
 def _coboundary_matrix(module: GModule, n: int, m: int) -> np.ndarray:
-    """D-tilde: the degree-n differential on the scaled free (Z/m) model."""
-    G = module.group
-    k = module.rank
-    d = module.invariant_factors
-    src = _Indexer(G, n, k)
-    dst = _Indexer(G, n + 1, k)
-    out = np.zeros((dst.count, src.count), dtype=np.int64)
-    acts = [np.array(module.action[g], dtype=np.int64) for g in range(G.order)]
-    tilde_acts = {g: _tilde_matrix(acts[g], d, d, m) for g in set(range(G.order)) - {G.identity}}
-    ident = G.identity
-    eye = np.eye(k, dtype=np.int64)
-    for t_idx, tup in enumerate(dst.tuples()):
-        r0 = t_idx * k
-        # term 0
-        rest = tup[1:]
-        if ident not in rest:
-            c0 = src.tuple_index(rest) * k
-            out[r0:r0 + k, c0:c0 + k] += tilde_acts[tup[0]]
-        # middle terms
-        for i in range(1, n + 1):
-            merged = G.mul[tup[i - 1]][tup[i]]
-            newt = tup[:i - 1] + (merged,) + tup[i + 1:]
-            if ident in newt:
-                continue
-            c0 = src.tuple_index(newt) * k
-            sign = 1 if i % 2 == 0 else -1
-            out[r0:r0 + k, c0:c0 + k] += sign * eye
-        # last term
-        head = tup[:n]
-        if ident not in head:
-            c0 = src.tuple_index(head) * k
-            sign = 1 if (n + 1) % 2 == 0 else -1
-            out[r0:r0 + k, c0:c0 + k] += sign * eye
-    return np.mod(out, m)
+    """D-tilde: the degree-n bar differential on the scaled free (Z/m) model,
+    one k x k block per pair of symbols (row: length n + 1, column: n)."""
+    G, k = module.group, module.rank
+    d = np.array(module.invariant_factors, dtype=np.int64)
+    E = G.order - 1
+    t1, faces = _bar_faces(G.table, G.identity, n + 1)
+    blocks = [_tilde_matrix(module.action_matrices(), d, d, m)[t1]]
+    blocks += [sign * np.eye(k, dtype=np.int64) for sign, _ in faces[1:]]
+    out = np.zeros((E ** (n + 1), k, E ** n, k), dtype=np.int64)
+    rows = np.arange(E ** (n + 1))
+    for (_, cols), block in zip(faces, blocks):
+        # one column per row in each face, so no pair repeats within a face
+        keep = cols < E ** n
+        out[rows[keep], :, cols[keep], :] += block[keep] if block.ndim == 3 else block
+    return np.mod(out.reshape(E ** (n + 1) * k, E ** n * k), m)
+
+
+# ---------------------------------------------------------------------------
+# the free Z/m[G]-resolution of Z/m held by each group
+
+# cells of any one matrix the resolution path builds or eliminates
+RESOLUTION_CELL_BUDGET = 1 << 22
+
+
+def _check_budget(what: str, rows: int, cols: int, m: int) -> None:
+    if rows * cols > RESOLUTION_CELL_BUDGET:
+        raise BudgetExceeded(f"{what}: a {rows} x {cols} matrix over Z/{m} exceeds "
+                             f"RESOLUTION_CELL_BUDGET = {RESOLUTION_CELL_BUDGET} cells")
+
+
+class FreeResolution:
+    """A free resolution ... -> F_1 -> F_0 -> Z/m of Z/m over R = Z/m[G].
+
+    F_n = R^{r_n}.  An element of F_n is an (r_n, |G|) array whose entry
+    [j, g] is the coefficient of g e_j.  For n >= 1, ``diffs[n][j]`` is
+    d(e_j) in F_{n-1}; ``diags[n]`` diagonalizes d_n as a Z/m-matrix from
+    F_n to F_{n-1}.  ``phis[n]``
+    (r_n x E^n, E = |G| - 1) gives Phi(e_j) as a Z/m-combination of the
+    normalized bar symbols [t_1|...|t_n], t_i != 1, in lexicographic order;
+    ``psis[n]`` (E^n x r_n x |G|) gives Psi([t]) in F_n.  Each list grows
+    one degree at a time, as far as a caller asks.
+    """
+
+    def __init__(self, G: FiniteGroup, m: int):
+        N = G.order
+        self.m = m
+        self.order = N
+        self.table = G.table
+        # (h.x)[..., g] = x[..., shift[h, g]], since h^-1 g is where g came from
+        self.shift = G.table[G.inverse]
+        self.identity = G.identity
+        self.nonid = np.flatnonzero(np.arange(N) != G.identity)
+        self.gens = G.minimal_generators()
+        self.ranks = [1]
+        self.diffs = [None]
+        self.diags = [None]
+        self.phis = [np.ones((1, 1), dtype=np.int64)]
+        psi0 = np.zeros((1, 1, N), dtype=np.int64)
+        psi0[0, 0, G.identity] = 1
+        self.psis = [psi0]
+
+    def matrix(self, D: np.ndarray) -> np.ndarray:
+        """The Z/m-matrix of the R-map e_j -> D[j] from R^{len(D)} to R^{r}:
+        column (j, h) holds h.D[j]."""
+        r_new, r_old, N = D.shape
+        return D[:, :, self.shift].transpose(1, 3, 0, 2).reshape(r_old * N, r_new * N)
+
+    def extend(self, top: int) -> None:
+        """Build d_n for every n <= top."""
+        while len(self.ranks) <= top:
+            self._next_degree()
+
+    def _next_degree(self) -> None:
+        n, m, N = len(self.ranks) - 1, self.m, self.order
+        r = self.ranks[n]
+        if n:
+            kernel = self.diags[n].kernel()      # columns generate K = ker d_n over Z/m
+        else:
+            # the augmentation ideal, with basis g - 1 for g != 1
+            kernel = np.zeros((N, N - 1), dtype=np.int64)
+            kernel[self.nonid, np.arange(N - 1)] = 1
+            kernel[self.identity] = m - 1
+        taken = self._radical_first(kernel, r, n)
+        # add kernel generators outside the R-span until it is all of K
+        while True:
+            D = kernel[:, taken].T.reshape(len(taken), r, N)
+            M = self.matrix(D)
+            _check_budget(f"d_{n + 1}", *M.shape, m)
+            diag = diagonalize_mod(M, m)
+            outside = np.flatnonzero(~diag.in_image(kernel))
+            if outside.size == 0:
+                break
+            taken.append(int(outside[0]))
+        self.ranks.append(len(taken))
+        self.diffs.append(D)
+        self.diags.append(diag)
+
+    def _radical_first(self, kernel: np.ndarray, r: int, n: int) -> list[int]:
+        """Kernel columns whose classes span K/((g - 1)K + pK) over F_p, for
+        each prime p | m in turn.
+
+        K is a direct summand of F_n over Z/m, so K meets pF_n in pK, and the
+        classes can be read mod p.  For a p-group these columns generate K,
+        minimally.
+        """
+        N, c = self.order, kernel.shape[1]
+        _check_budget(f"generators of F_{n + 1}", r * N, c * (len(self.gens) + 1), self.m)
+        K = kernel.reshape(r, N, c)
+        radical = [(K[:, self.shift[g], :] - K).reshape(r * N, c) for g in self.gens]
+        taken: list[int] = []
+        for p in prime_factors(self.m):
+            B, piv = row_basis_mod_p(np.hstack(radical + [kernel[:, taken]]).T, p)
+            taken += extending_rows_mod_p(B, piv, kernel.T, p)
+        return taken
+
+    def phi(self, n: int) -> np.ndarray:
+        """Phi(e_j) = s(Phi(d e_j)), with s(g[t]) = [g|t] the bar's contracting
+        homotopy; Phi_{n-1} lives on the identity coefficients, so
+        Phi_n[j, (g, t)] = sum_i d(e_j)[i, g] Phi_{n-1}[i, t] for g != 1."""
+        E = len(self.nonid)
+        while len(self.phis) <= n:
+            k = len(self.phis)
+            D = self.diffs[k][:, :, self.nonid]
+            _check_budget(f"Phi_{k}", D.shape[0], E ** k, self.m)
+            P = np.einsum("jig,it->jgt", D, self.phis[-1]).reshape(D.shape[0], E ** k)
+            self.phis.append(P % self.m)
+        return self.phis[n]
+
+    def psi(self, n: int) -> np.ndarray:
+        """Psi([t]) solves d_n y = Psi(d[t]), all symbols t in one solve."""
+        E, N, m = len(self.nonid), self.order, self.m
+        while len(self.psis) <= n:
+            k = len(self.psis)
+            prev = self.psis[-1]
+            r = prev.shape[1]
+            _check_budget(f"Psi_{k}", E ** k, max(r, self.ranks[k]) * N, m)
+            # one zero row more stands for the degenerate symbols
+            X = np.concatenate([prev, np.zeros((1, r, N), dtype=np.int64)])
+            t1, faces = _bar_faces(self.table, self.identity, k)
+            rhs = X[faces[0][1][:, None, None], np.arange(r)[None, :, None],
+                    self.shift[t1][:, None, :]]
+            for sign, face in faces[1:]:
+                rhs += sign * X[face]
+            Y = solve_matrix_mod(self.diags[k], rhs.reshape(E ** k, r * N).T)
+            if Y is None:
+                raise CohomologyError("a bar cycle has no preimage in F (internal error)")
+            self.psis.append(Y.T.reshape(E ** k, self.ranks[k], N))
+        return self.psis[n]
+
+
+def free_resolution(G: FiniteGroup, m: int) -> FreeResolution:
+    """The free Z/m[G]-resolution of Z/m that G holds, made on first use."""
+    key = ("free_resolution", m)
+    F = G._held.get(key)
+    if F is None:
+        F = G._held[key] = FreeResolution(G, m)
+    return F
 
 
 @dataclass
 class _CoreCohomology:
+    """H^n of Hom_G(F, M) = M^{r_n} on the scaled free (Z/m) model, read and
+    written through bar cochains."""
+
     module: GModule
     degree: int
     m: int
-    indexer: _Indexer
+    resolution: FreeResolution
+    symbols: np.ndarray                # flat table positions of the bar symbols
     cocycle_gens: np.ndarray           # columns span the embedded cocycle module
     gens_diag: ModDiagonalization
     cok: ModCokernel
+    # one bar cocycle per class coordinate, made on the first lift
+    lifts: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         return self.cok.factors
 
     def class_vector(self, c: Cochain) -> tuple[int, ...]:
-        v = _reduced_from_cochain(c, self.indexer, self.m)
-        coeff = self.gens_diag.solve(v)
+        m, d = self.m, self.module.invariant_factors
+        w = (self.resolution.phis[self.degree] @ c.table.reshape(-1, len(d))[self.symbols]) % m
+        coeff = self.gens_diag.solve(((w * (m // np.array(d, dtype=np.int64))) % m).reshape(-1))
         if coeff is None:
             raise CohomologyError("cocycle does not lie in the computed kernel")
         return self.cok.coords(coeff)
 
     def generator(self, coords) -> Cochain:
-        coeff = self.cok.lift(coords)
-        v = (self.cocycle_gens @ coeff) % self.m
-        return _cochain_from_reduced(v, self.module, self.indexer, self.m)
+        if self.lifts is None:
+            self.lifts = self._bar_lifts()
+        coords = np.asarray(coords, dtype=np.int64)
+        return Cochain(self.module, self.degree, np.tensordot(coords, self.lifts, axes=1))
+
+    def _bar_lifts(self) -> np.ndarray:
+        """The cocycle w_s lifted from each unit class coordinate s, unscaled,
+        then w_s(Psi[t]) = sum_(j, g) Psi[t][j, g] g.w_s(e_j) on every bar
+        symbol t."""
+        M, m, n, k = self.module, self.m, self.degree, self.module.rank
+        d = np.array(M.invariant_factors, dtype=np.int64)
+        t = len(self.cok.factors)
+        coeffs = np.array([self.cok.lift(u) for u in np.eye(t, dtype=np.int64)],
+                          dtype=np.int64).reshape(t, self.cocycle_gens.shape[1])
+        w = ((self.cocycle_gens @ coeffs.T) % m).reshape(len(self.cocycle_gens) // k, k, t)
+        w //= (m // d)[:, None]
+        moved = np.einsum("gab,jbs->jgas", M.action_matrices(), w) % d[:, None]
+        values = np.einsum("ujg,jgas->sua", self.resolution.psis[n], moved) % d
+        lifts = np.zeros((t, M.group.order ** n, k), dtype=np.int64)
+        lifts[:, self.symbols] = values
+        return lifts.reshape((t,) + (M.group.order,) * n + (k,))
 
 
 def _compute_core(module: GModule, n: int) -> _CoreCohomology:
-    G = module.group
-    k = module.rank
+    G, k, m = module.group, module.rank, module.exponent
     d = np.array(module.invariant_factors, dtype=np.int64)
-    m = module.exponent
-    indexer = _Indexer(G, n, k)
-    dmat = _coboundary_matrix(module, n, m)
-    moduli = np.tile(d, indexer.count // k) % m if k else np.zeros(0, dtype=np.int64)
+    F = free_resolution(G, m)
+    F.extend(n + 1)
+    tilde = _tilde_matrix(module.action_matrices(), d, d, m)
+
+    def coboundary_matrix(deg):
+        # (delta w)(e_j) = w(d e_j) = sum_(i, g) d(e_j)[i, g] g.w(e_i)
+        D = F.diffs[deg]
+        return np.einsum("jig,gab->jaib", D, tilde).reshape(len(D) * k, D.shape[1] * k) % m
+
+    r = F.ranks[n]
+    count = r * k
+    dmat = coboundary_matrix(n + 1)
+    _check_budget(f"degree-{n} cocycles", len(dmat) + count, count, m)
+    moduli = np.tile(d, r) % m
     # the rows with d_i = m are zero; they would never pivot or change
     stacked = np.vstack([dmat, np.diag(moduli)[moduli != 0]])
     kernel = diagonalize_mod(stacked, m, want_U=False).kernel()
     if kernel.size == 0:
-        kernel = np.zeros((indexer.count, 0), dtype=np.int64)
+        kernel = np.zeros((count, 0), dtype=np.int64)
     if n == 0:
-        bmat = np.zeros((indexer.count, 0), dtype=np.int64)
+        bmat = np.zeros((count, 0), dtype=np.int64)
     else:
-        prev = _Indexer(G, n - 1, k)
-        dprev = _coboundary_matrix(module, n - 1, m)
-        scales = np.array([m // d[i % k] for i in range(prev.count)], dtype=np.int64)
-        bmat = (dprev * scales[None, :]) % m
+        bmat = (coboundary_matrix(n) * np.tile(m // d, F.ranks[n - 1])[None, :]) % m
     gens_diag = diagonalize_mod(kernel, m, want_inverses=False)
     X = solve_matrix_mod(gens_diag, bmat)
     if X is None:
@@ -455,8 +626,13 @@ def _compute_core(module: GModule, n: int) -> _CoreCohomology:
     if rel.size == 0:
         rel = np.zeros((kernel.shape[1], 0), dtype=np.int64)
     cok = cokernel_mod(rel, m, n=kernel.shape[1])
-    return _CoreCohomology(module=module, degree=n, m=m, indexer=indexer,
-                           cocycle_gens=kernel, gens_diag=gens_diag, cok=cok)
+    # the comparison maps of degree n, built (and checked against the budget)
+    # now rather than at the first class_of or lift
+    F.psi(n)
+    F.phi(n)
+    return _CoreCohomology(module=module, degree=n, m=m, resolution=F,
+                           symbols=_bar_positions(G, n), cocycle_gens=kernel,
+                           gens_diag=gens_diag, cok=cok)
 
 
 @dataclass
@@ -540,18 +716,18 @@ class CohomologyGroup:
         return k
 
 
-# bar systems of (|G|-1)^n columns per coordinate; larger ones are refused
-BAR_COLUMN_BUDGET = 4096
-BAR_SIZE_BUDGET = 40000         # rows plus columns
 MAX_DEGREE = 4
 
 
 def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
-    """H^n(G, M) by Smith-style reduction of the normalized bar complex.
+    """H^n(G, M) on the free Z/m[G]-resolution of Z/m held by the module's group.
 
-    Nothing is held between calls.  Holding each H^n on its module was tried:
-    on the xpext_search benchmark it raised peak memory by about 4% and did
-    not lower the wall time.
+    The resolution, its differentials and its comparison maps with the bar
+    complex are built once per group and modulus m, as far as the degree asks,
+    and held (``free_resolution``); the cocycle and coboundary systems of M
+    are built per call.  Every matrix is checked against
+    RESOLUTION_CELL_BUDGET before it is built or eliminated, the smallest
+    comparison map (E^n x |G|) before any work.
     """
     if M.group.mul != G.mul:
         raise CohomologyError("module is not over the given group")
@@ -562,15 +738,8 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
     k = M.rank
     if k == 0:
         return CohomologyGroup(G, M, n, ())
-    E = G.order - 1
+    _check_budget(f"Psi_{n}", (G.order - 1) ** n, G.order, M.exponent)
     split = k > 1 and M.is_diagonal_action()
-    unit_cols = (E ** n)
-    unit_rows = (E ** (n + 1)) + unit_cols
-    per = 1 if split else k
-    if unit_cols * per > BAR_COLUMN_BUDGET or (unit_rows + unit_cols) * per > BAR_SIZE_BUDGET:
-        raise BudgetExceeded(
-            f"bar complex size {unit_cols * per} columns / {unit_rows * per} rows exceeds "
-            f"BAR_COLUMN_BUDGET = {BAR_COLUMN_BUDGET} or BAR_SIZE_BUDGET = {BAR_SIZE_BUDGET}")
     if not split:
         core = _compute_core(M, n)
         return CohomologyGroup(G, M, n, core.invariant_factors, _cores=[core])
@@ -778,9 +947,9 @@ def cyclic_h3_class_order(z: Cochain) -> int:
 def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
     """A cochain c with dc = z, or None when [z] != 0.
 
-    Solves the coboundary linear system over Z/m in the same scaled free model
-    used by ``cohomology``.  In degree 0 it always returns None: there are no
-    (-1)-cochains.
+    Solves the bar coboundary system from degree n - 1, with its
+    (|G| - 1)^(n-1) columns per module coordinate, over Z/m in the scaled free
+    model.  In degree 0 it always returns None: there are no (-1)-cochains.
     """
     H._check(z)
     M = H.module
@@ -801,19 +970,12 @@ def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
             out.table[..., i] = pre.table[..., 0]
         out._reduce_inplace()
         return out
-    core = H._cores[0]
-    m = core.m
-    G = M.group
-    k = M.rank
-    d = np.array(M.invariant_factors, dtype=np.int64)
-    prev = _Indexer(G, n - 1, k)
-    dprev = _coboundary_matrix(M, n - 1, m)
-    scales = np.array([m // d[i % k] for i in range(prev.count)], dtype=np.int64)
-    bmat = (dprev * scales[None, :]) % m
-    target = _reduced_from_cochain(z, core.indexer, m)
-    sol = diagonalize_mod(bmat, m).solve(target)
+    m = H._cores[0].m
+    scale = np.tile(m // np.array(M.invariant_factors, dtype=np.int64), (M.group.order - 1) ** (n - 1))
+    bmat = (_coboundary_matrix(M, n - 1, m) * scale[None, :]) % m
+    sol = diagonalize_mod(bmat, m).solve(_reduced_from_cochain(z, m))
     if sol is None:
         return None
-    c = _cochain_from_reduced((sol * scales) % m, M, prev, m)
+    c = _cochain_from_reduced((sol * scale) % m, M, n - 1, m)
     assert np.array_equal(coboundary(c).table, z.table)
     return c

@@ -3,9 +3,10 @@
 Elements are integer indices 0..order-1.  ``FiniteGroup.from_table`` is the
 one constructor: it checks identity, associativity and inverses, and the
 group then holds its table once more as a read-only int64 array
-(``table``, ``inverse``).  The checks on tables (associativity, homomorphisms,
-actions, the 2-cocycle identity) and the table of an extension built from a
-2-cocycle are gathers on those arrays.  Gathers whose results are only
+(``table``, ``inverse``), and an action its permutations (``perms``).  The
+checks on tables (associativity, homomorphisms, actions, the 2-cocycle
+identity, normality), the table of an extension built from a 2-cocycle and
+that of a quotient are gathers on those arrays.  Gathers whose results are only
 compared run in the narrowest unsigned dtype that holds an index; indices
 that are added to stay int64, since narrow integers wrap.  Homomorphisms,
 extensions, actions, subgroup/quotient plumbing and the metacyclic family
@@ -291,11 +292,24 @@ class GroupAction:
     """Action of ``actor`` on a carrier, stored as one permutation per element.
 
     When the carrier is a FiniteGroup the permutations must be automorphisms.
+    ``perms`` holds ``table`` once more as a read-only int64 array (None for a
+    ragged table, which ``validate`` rejects); it takes no part in
+    construction, equality, hashing or the repr.
     """
 
     actor: FiniteGroup
     carrier: FiniteGroup | int
     table: tuple[tuple[int, ...], ...]
+    perms: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            perms = np.array(self.table, dtype=np.int64)
+        except ValueError:
+            perms = None
+        else:
+            perms.flags.writeable = False
+        object.__setattr__(self, "perms", perms)
 
     @property
     def carrier_size(self) -> int:
@@ -309,8 +323,8 @@ class GroupAction:
         G = self.actor
         if len(self.table) != G.order:
             raise GroupError("action table has wrong length")
-        arr = np.array(self.table, dtype=np.int64)
-        if arr.shape != (G.order, n):
+        arr = self.perms
+        if arr is None or arr.shape != (G.order, n):
             raise GroupError("action table has wrong shape")
         if not np.array_equal(np.sort(arr, axis=1), np.tile(np.arange(n), (G.order, 1))):
             raise GroupError("action entry is not a permutation")
@@ -373,27 +387,22 @@ def subgroup_of(G: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup, G
 
 
 def quotient_group(G: FiniteGroup, normal_elements: Sequence[int]) -> tuple[FiniteGroup, GroupHom]:
-    """G / N for a normal subgroup given by its element set, with projection."""
-    nset = set(normal_elements)
-    if G.identity not in nset:
+    """G / N for a normal subgroup given by its element set, with projection.
+
+    Cosets are numbered by their least element, the order in which a scan of
+    G meets them.
+    """
+    nel = np.array(sorted(set(normal_elements)), dtype=np.int64)
+    member = np.zeros(G.order, dtype=bool)
+    member[nel] = True
+    if not member[G.identity]:
         raise GroupError("normal subgroup must contain the identity")
-    for g in range(G.order):
-        for n in nset:
-            if G.conj(g, n) not in nset:
-                raise GroupError("subgroup is not normal")
-    coset_of = [-1] * G.order
-    reps = []
-    for g in range(G.order):
-        if coset_of[g] != -1:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for n in nset:
-            coset_of[G.mul[g][n]] = idx
-    k = len(reps)
-    mul = [[coset_of[G.mul[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
-    Q = FiniteGroup.from_table(mul)
-    return Q, GroupHom(G, Q, tuple(coset_of))
+    # g n g^-1 for every (g, n)
+    if not member[G.table[G.table[:, nel], G.inverse[:, None]]].all():
+        raise GroupError("subgroup is not normal")
+    reps, coset_of = np.unique(G.table[:, nel].min(axis=1), return_inverse=True)
+    Q = FiniteGroup.from_table(coset_of[G.table[np.ix_(reps, reps)]])
+    return Q, GroupHom(G, Q, tuple(coset_of.tolist()))
 
 
 def fiber_product(f: GroupHom, g: GroupHom) -> tuple[FiniteGroup, GroupHom, GroupHom]:
@@ -578,7 +587,7 @@ def quaternion_table() -> FiniteGroup:
 def is_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> Optional[tuple]:
     """None when f satisfies the (multiplicative) 2-cocycle identity, else the
     lexicographically first failing (p, q, r)."""
-    F, A, Mt = np.array(f, dtype=np.int64), np.array(action.table), M.table
+    F, A, Mt = np.array(f, dtype=np.int64), action.perms, M.table
     # [p, q, r]: p.f(q, r) + f(p, qr)  against  f(p, q) + f(pq, r)
     bad = np.argwhere(Mt[A[:, F], F[:, Q.table]] != Mt[F[:, :, None], F[Q.table]])
     return tuple(int(i) for i in bad[0]) if len(bad) else None
@@ -604,7 +613,7 @@ def group_from_2cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) 
     """
     check_normalized_two_cocycle(Q, M, action, f)
     nm, nq = M.order, Q.order
-    F, A = np.array(f, dtype=np.int64), np.array(action.table, dtype=np.int64)
+    F, A = np.array(f, dtype=np.int64), action.perms
     # axes (p, m, q, n): row m + nm*p times column n + nm*q
     val = M.table[M.table[np.arange(nm)[:, None, None], A[:, None, None, :]], F[:, None, :, None]]
     E = FiniteGroup.from_table((val + nm * Q.table[:, None, :, None]).reshape(nm * nq, nm * nq))

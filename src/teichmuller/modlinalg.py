@@ -11,13 +11,18 @@ pivot changes, so a sparse system costs about its nonzeros plus that scan.
 Dot products of r-term vectors reach r * (m - 1)^2, so ``diagonalize_mod``
 refuses m with max(rows, cols) * (m - 1)^2 >= 2^63 before any work.
 
+Solving runs all right-hand sides of one system at once, and large products
+go through float64 BLAS where every sum stays exact (below 2^53).  Over a
+prime field, ``row_basis_mod_p`` and ``extending_rows_mod_p`` pick, in order,
+the rows that enlarge a span.
+
 This is the one exact linear-algebra layer of the package: cohomology, finite
 rings and the finite abelian presentations of exact_linalg all run on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
@@ -45,6 +50,16 @@ def unit_multiplier(a: int, m: int) -> int:
     return pow(cand, -1, m)
 
 
+def _matmul_mod(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
+    """A @ B mod m for entries in [0, m).  Large products run in float64 BLAS,
+    which is exact while every sum stays below 2^53; numpy's int64 product
+    has no BLAS and is about ten times slower there."""
+    cols = B.shape[1] if B.ndim == 2 else 1
+    if A.size * cols >= 1 << 15 and A.shape[1] * (m - 1) ** 2 < 1 << 53:
+        return np.mod(A.astype(np.float64) @ B.astype(np.float64), m).astype(np.int64)
+    return (A @ B) % m
+
+
 @dataclass
 class ModDiagonalization:
     """U @ A @ V = diag(d) over Z/m, with U, V invertible mod m.
@@ -60,25 +75,34 @@ class ModDiagonalization:
     V: np.ndarray
     U_inv: np.ndarray
     V_inv: np.ndarray
+    row_divisors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # (U A V)[i, i] = row_divisors[i]: U b lies in the image of the
+        # diagonal exactly when each entry i is a multiple of it (m past the
+        # diagonal)
+        g = np.full(self.rows, self.m, dtype=np.int64)
+        g[:len(self.d)] = np.gcd(self.d, self.m)
+        self.row_divisors = g
 
     def solve(self, b: np.ndarray):
-        """One x with A x = b (mod m), or None."""
+        """One x with A x = b (mod m), or None; for a 2-D b, one column of x
+        per column of b, and None when any column has no solution."""
         m = self.m
-        y = (self.U @ np.mod(b, m)) % m
-        x = np.zeros(self.cols, dtype=np.int64)
-        nd = len(self.d)
-        for i in range(self.rows):
-            rhs = int(y[i])
-            if i < nd and i < self.cols:
-                di = int(self.d[i])
-                g = gcd(di, m)
-                if rhs % g:
-                    return None
-                mg = m // g
-                x[i] = ((rhs // g) * pow(di // g, -1, mg)) % mg if mg > 1 else 0
-            elif rhs % m:
-                return None
-        return (self.V @ x) % m
+        y = _matmul_mod(self.U, np.mod(b, m), m)
+        q, rem = np.divmod(y, self.row_divisors if y.ndim == 1 else self.row_divisors[:, None])
+        if rem.any():
+            return None
+        # the diagonal entries divide m, so x_i = y_i / d_i (0 where d_i = m)
+        x = np.zeros((self.cols,) + y.shape[1:], dtype=np.int64)
+        r = len(self.d)
+        x[:r] = q[:r]
+        return _matmul_mod(self.V, x, m)
+
+    def in_image(self, B: np.ndarray) -> np.ndarray:
+        """For each column of B, whether it lies in the column span of A."""
+        y = _matmul_mod(self.U, np.mod(B, self.m), self.m)
+        return ~(y % self.row_divisors[:, None]).any(axis=0)
 
     def kernel(self) -> np.ndarray:
         """Columns generate {x : A x = 0 mod m}."""
@@ -210,19 +234,9 @@ def kernel_mod(A, m: int) -> np.ndarray:
 
 
 def solve_matrix_mod(diag: ModDiagonalization, B) -> np.ndarray | None:
-    """Solve A X = B columnwise against a stored diagonalization."""
-    B = as_mod_array(np.asarray(B, dtype=np.int64), diag.m)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    cols = []
-    for j in range(B.shape[1]):
-        x = diag.solve(B[:, j])
-        if x is None:
-            return None
-        cols.append(x)
-    if not cols:
-        return np.zeros((diag.cols, 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
+    """Solve A X = B columnwise against a stored diagonalization; None when
+    some column has no solution."""
+    return diag.solve(as_mod_array(np.asarray(B, dtype=np.int64), diag.m))
 
 
 @dataclass
@@ -278,7 +292,7 @@ def cokernel_mod(R, m: int, n: int | None = None) -> ModCokernel:
     return ModCokernel(m=m, n=rows, factors=factors, _U=diag.U, _U_inv=diag.U_inv, _keep=keep)
 
 
-def _prime_factors(m: int) -> list[int]:
+def prime_factors(m: int) -> list[int]:
     out = []
     p = 2
     while p * p <= m:
@@ -335,12 +349,62 @@ def _full_rank_mod_p(A: np.ndarray, p: int) -> bool:
     return True
 
 
+def row_basis_mod_p(A, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon basis (B, piv) of the row space of A over F_p.
+
+    B[:, piv] is the identity, so v - v[piv] @ B vanishes exactly when v lies
+    in the row space.
+    """
+    A = np.mod(np.asarray(A, dtype=np.int64), p)
+    piv: list[int] = []
+    for col in range(A.shape[1]):
+        t = len(piv)
+        if t == A.shape[0]:
+            break
+        cand = np.flatnonzero(A[t:, col])
+        if cand.size == 0:
+            continue
+        s = t + int(cand[0])
+        if s != t:
+            A[[t, s]] = A[[s, t]]
+        A[t] = (A[t] * pow(int(A[t, col]), -1, p)) % p
+        others = np.flatnonzero(A[:, col])
+        others = others[others != t]
+        if others.size:
+            A[others] = (A[others] - np.outer(A[others, col], A[t])) % p
+        piv.append(col)
+    return A[:len(piv)], piv
+
+
+def extending_rows_mod_p(B: np.ndarray, piv: list[int], V, p: int) -> list[int]:
+    """Indices of the rows of V that, taken in order, each leave the span of
+    the rows of B and of the rows taken before them, over F_p.
+
+    (B, piv) is a basis from ``row_basis_mod_p``.  Each row taken costs one
+    update of the reduced candidates.
+    """
+    V = np.mod(np.asarray(V, dtype=np.int64), p)
+    if piv:
+        V = (V - V[:, piv] @ B) % p
+    taken = []
+    while True:
+        live = np.flatnonzero(V.any(axis=1))
+        if live.size == 0:
+            return taken
+        j = int(live[0])
+        taken.append(j)
+        v = V[j]
+        q = int(np.flatnonzero(v)[0])
+        v = (v * pow(int(v[q]), -1, p)) % p
+        V = (V - np.outer(V[:, q], v)) % p
+
+
 def invertible_mod(A, m: int) -> bool:
     A = np.asarray(A, dtype=np.int64)
     if A.shape[0] != A.shape[1]:
         return False
     # invertible over Z/m iff invertible over F_p for every prime p | m
-    return all(_full_rank_mod_p(A, p) for p in _prime_factors(m))
+    return all(_full_rank_mod_p(A, p) for p in prime_factors(m))
 
 
 def inverse_mod(A, m: int) -> np.ndarray | None:

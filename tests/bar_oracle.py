@@ -1,0 +1,90 @@
+"""H^n(G, M) on the normalized bar complex, kept as a test oracle.
+
+The package computes cohomology on a free resolution held by the group; this
+is the elimination it replaced: the degree-n bar differential, with its
+(|G| - 1)^n columns per module coordinate, taken apart over Z/m with no
+diagonal split.  Use it for |G| <= 8 and degrees <= 3.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from teichmuller.gmod_cohomology import (
+    Cochain,
+    CohomologyError,
+    CohomologyGroup,
+    GModule,
+    _coboundary_matrix,
+    _cochain_from_reduced,
+    _reduced_from_cochain,
+)
+from teichmuller.modlinalg import (
+    ModCokernel,
+    ModDiagonalization,
+    cokernel_mod,
+    diagonalize_mod,
+    solve_matrix_mod,
+)
+
+
+@dataclass
+class BarCore:
+    module: GModule
+    degree: int
+    m: int
+    cocycle_gens: np.ndarray           # columns span the embedded cocycle module
+    gens_diag: ModDiagonalization
+    cok: ModCokernel
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        return self.cok.factors
+
+    def class_vector(self, c: Cochain) -> tuple[int, ...]:
+        v = _reduced_from_cochain(c, self.m)
+        coeff = self.gens_diag.solve(v)
+        if coeff is None:
+            raise CohomologyError("cocycle does not lie in the computed kernel")
+        return self.cok.coords(coeff)
+
+    def generator(self, coords) -> Cochain:
+        coeff = self.cok.lift(coords)
+        v = (self.cocycle_gens @ coeff) % self.m
+        return _cochain_from_reduced(v, self.module, self.degree, self.m)
+
+
+def bar_core(module: GModule, n: int) -> BarCore:
+    G = module.group
+    k = module.rank
+    d = np.array(module.invariant_factors, dtype=np.int64)
+    m = module.exponent
+    count = (G.order - 1) ** n * k
+    dmat = _coboundary_matrix(module, n, m)
+    moduli = np.tile(d, count // k) % m
+    stacked = np.vstack([dmat, np.diag(moduli)[moduli != 0]])
+    kernel = diagonalize_mod(stacked, m, want_U=False).kernel()
+    if kernel.size == 0:
+        kernel = np.zeros((count, 0), dtype=np.int64)
+    if n == 0:
+        bmat = np.zeros((count, 0), dtype=np.int64)
+    else:
+        scales = np.tile(m // d, (G.order - 1) ** (n - 1))
+        bmat = (_coboundary_matrix(module, n - 1, m) * scales[None, :]) % m
+    gens_diag = diagonalize_mod(kernel, m, want_inverses=False)
+    X = solve_matrix_mod(gens_diag, bmat)
+    assert X is not None, "coboundaries escaped the cocycle module"
+    R = gens_diag.kernel()
+    rel = np.hstack([R, X]) if R.size else X
+    if rel.size == 0:
+        rel = np.zeros((kernel.shape[1], 0), dtype=np.int64)
+    cok = cokernel_mod(rel, m, n=kernel.shape[1])
+    return BarCore(module=module, degree=n, m=m, cocycle_gens=kernel, gens_diag=gens_diag, cok=cok)
+
+
+def bar_cohomology(module: GModule, n: int) -> CohomologyGroup:
+    """H^n(G, M) with ``class_of`` and ``lift`` on the bar complex."""
+    core = bar_core(module, n)
+    return CohomologyGroup(module.group, module, n, core.invariant_factors, _cores=[core])

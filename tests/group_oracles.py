@@ -1,8 +1,9 @@
 """Loop versions of the table-group checks and searches, kept as test oracles.
 
 The package runs homomorphism checks, the 2-cocycle identity, the table of an
-extension by a 2-cocycle and the Aut_G(e) search as gathers on each group's
-held arrays; the loops here are what they replaced, element by element.  The
+extension by a 2-cocycle, quotient groups and the Aut_G(e) search as gathers
+on each group's held arrays; the loops here are what they replaced, element
+by element.  The
 isomorphism and automorphism searches have no caller in the package and live
 here only.
 """
@@ -27,6 +28,30 @@ def is_valid_oracle(hom: GroupHom) -> bool:
     tmul = hom.target.mul
     return all(im[src.mul[a][b]] == tmul[im[a]][im[b]]
                for a in range(src.order) for b in range(src.order))
+
+
+def quotient_group_oracle(G: FiniteGroup, normal_elements: Sequence[int]):
+    """G / N and its projection, by loops over G and N."""
+    nset = set(normal_elements)
+    if G.identity not in nset:
+        raise GroupError("normal subgroup must contain the identity")
+    for g in range(G.order):
+        for n in nset:
+            if G.conj(g, n) not in nset:
+                raise GroupError("subgroup is not normal")
+    coset_of = [-1] * G.order
+    reps = []
+    for g in range(G.order):
+        if coset_of[g] != -1:
+            continue
+        idx = len(reps)
+        reps.append(g)
+        for n in nset:
+            coset_of[G.mul[g][n]] = idx
+    k = len(reps)
+    mul = [[coset_of[G.mul[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
+    Q = FiniteGroup.from_table(mul)
+    return Q, GroupHom(G, Q, tuple(coset_of))
 
 
 def is_two_cocycle_oracle(Q: FiniteGroup, M: FiniteGroup, action, f) -> Optional[tuple]:

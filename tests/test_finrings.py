@@ -274,3 +274,13 @@ def test_galois_action_names_the_failing_pair():
     bad = GaloisData(T=T, S=S, embed=embed, N=cyclic(3), action=(eye, fr, fr))
     with pytest.raises(RingError, match=r"action is not a group homomorphism at \(1, 1\)"):
         bad.validate_action()
+
+
+def test_a_ring_holds_its_units_group():
+    R = gf(3, 2)
+    U = units_group(R)
+    assert units_group(R) is U and U.group.order == 8
+    # an equal ring built anew enumerates its own, equal group
+    assert units_group(gf(3, 2)).group.mul == U.group.mul
+    with pytest.raises(RingError, match="capped at 4"):
+        units_group(R, cap=4)

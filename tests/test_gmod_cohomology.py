@@ -1,9 +1,13 @@
 import itertools
 import random
+import re
+import time
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teichmuller.groups import (
     FiniteGroup,
@@ -14,8 +18,10 @@ from teichmuller.groups import (
     metacyclic,
     quaternion_table,
 )
+from teichmuller.modlinalg import diagonalize_mod
 from teichmuller.gmod_cohomology import (
     BudgetExceeded,
+    _bar_positions,
     Cochain,
     CohomologyError,
     GModule,
@@ -29,6 +35,7 @@ from teichmuller.gmod_cohomology import (
     cyclic_h3_invariant,
     cyclic_reference_generator,
     cyclic_unit_module,
+    free_resolution,
     inclusion_module_map,
     is_cocycle,
     map_on_cohomology,
@@ -38,6 +45,8 @@ from teichmuller.gmod_cohomology import (
     zero_cochain,
 )
 from teichmuller import gmod_cohomology
+
+from bar_oracle import bar_cohomology
 
 
 def negation_module(G, ell):
@@ -256,18 +265,58 @@ def test_nonabelian_group_cohomology():
     assert cohomology(Q8, M, 3).invariant_factors == (2,)
 
 
-def test_budget_guard(monkeypatch):
-    # H^3(C4 x C4, Z/2): 15^3 = 3,375 columns fit BAR_COLUMN_BUDGET, but the
-    # 54,000 rows put the system over BAR_SIZE_BUDGET
-    G = direct_product(cyclic(4), cyclic(4))
+def test_resolution_budget_refuses_before_any_elimination(monkeypatch):
+    # H^3 of a group of order 64: the comparison map Psi_3 alone has at least
+    # 63^3 x 64 cells, so nothing is eliminated
+    G = direct_product(direct_product(cyclic(4), cyclic(4)), cyclic(4))
     M = trivial_gmodule(G, [2])
 
     def refuse(*args, **kwargs):
         raise AssertionError("elimination started on a refused system")
 
-    monkeypatch.setattr(gmod_cohomology, "_compute_core", refuse)
-    with pytest.raises(BudgetExceeded, match="3375 columns / 54000 rows exceeds .*BAR_SIZE_BUDGET"):
+    monkeypatch.setattr(gmod_cohomology, "diagonalize_mod", refuse)
+    with pytest.raises(BudgetExceeded, match=r"Psi_3: a 250047 x 64 matrix over Z/2 exceeds "
+                                             r"RESOLUTION_CELL_BUDGET = 4194304 cells"):
         cohomology(G, M, 3)
+
+
+def test_resolution_budget_is_checked_before_each_elimination(monkeypatch):
+    """With the budget set to each size in turn, every matrix gmod_cohomology
+    eliminates fits it, and each refusal names its matrix, shape and m.  For
+    H^2(Q8, Z/2) the comparison map Psi_2 (49 x 8) is checked first, the
+    generator search for F_2 (16 x 27) later, and Psi_2 at its full size
+    (49 x 16) last."""
+
+    def checked(A, m, *args, **kwargs):
+        assert np.size(A) <= gmod_cohomology.RESOLUTION_CELL_BUDGET, np.shape(A)
+        return diagonalize_mod(A, m, *args, **kwargs)
+
+    monkeypatch.setattr(gmod_cohomology, "diagonalize_mod", checked)
+    refused = []
+    for budget in (60, 400, 500, 1000):
+        monkeypatch.setattr(gmod_cohomology, "RESOLUTION_CELL_BUDGET", budget)
+        Q8 = quaternion_table()
+        try:
+            H = cohomology(Q8, trivial_gmodule(Q8, [2]), 2)
+        except BudgetExceeded as exc:
+            found = re.fullmatch(rf"(.+): a (\d+) x (\d+) matrix over Z/2 exceeds "
+                                 rf"RESOLUTION_CELL_BUDGET = {budget} cells", str(exc))
+            assert found and int(found[2]) * int(found[3]) > budget, str(exc)
+            refused.append(found.groups())
+        else:
+            assert budget == 1000 and H.invariant_factors == (2, 2)
+    assert refused == [("Psi_2", "49", "8"), ("generators of F_2", "16", "27"),
+                       ("Psi_2", "49", "16")]
+
+
+def test_h3_c4xc4_z2_is_four_copies_of_z2():
+    # Kunneth: H^3(C4 x C4, Z/2) = (Z/2)^4; the bar complex had 3,375 columns
+    G = direct_product(cyclic(4), cyclic(4))
+    start = time.perf_counter()
+    H = cohomology(G, trivial_gmodule(G, [2]), 3)
+    assert H.invariant_factors == (2, 2, 2, 2)
+    assert_round_trips(H, random.Random(21), 3)
+    assert time.perf_counter() - start < 5
 
 
 def test_map_on_cohomology_identity_and_trivial_restriction():
@@ -426,3 +475,225 @@ def test_module_validate_names_the_failing_pair():
     bad = GModule(G, (5,), (((1,),), ((2,),), ((2,),), ((3,),)))
     with pytest.raises(CohomologyError, match=r"action is not a homomorphism at \(1, 1\)"):
         bad.validate()
+
+
+# ---------------------------------------------------------------------------
+# the held free resolution against the bar complex
+
+def assert_round_trips(H, rng, trials):
+    """class_of(lift(c) + a coboundary) == c for random classes c."""
+    M, n = H.module, H.degree
+    for _ in range(trials):
+        coords = tuple(rng.randrange(f) for f in H.invariant_factors)
+        z = H.lift(coords)
+        assert is_cocycle(z) is None
+        if n:
+            z = z + coboundary(random_cochain(M, n - 1, rng))
+        assert H.class_of(z) == coords
+
+
+def module_from_generators(G, factors, images):
+    """The G-module on prod Z/factors where each generator g acts by images[g]."""
+    k = len(factors)
+    acts = {G.identity: np.eye(k, dtype=np.int64)}
+    frontier = [G.identity]
+    while frontier:
+        a = frontier.pop()
+        for g, mat in images.items():
+            b = G.mul[g][a]
+            if b not in acts:
+                acts[b] = (np.array(mat, dtype=np.int64) @ acts[a]) % max(factors)
+                frontier.append(b)
+    M = GModule(G, tuple(factors), tuple(tuple(map(tuple, acts[g].tolist()))
+                                         for g in range(G.order)))
+    M.validate()
+    return M
+
+
+def oracle_cases():
+    """(label, module) over C2-C6, Klein, S3, Q8 and D8: trivial, sign and
+    non-diagonal modules."""
+    C2, C3, C4, C5, C6 = (cyclic(s) for s in (2, 3, 4, 5, 6))
+    V = direct_product(cyclic(2), cyclic(2))
+    S3, D8, Q8 = metacyclic(3, 2, 2, 0)[0], metacyclic(4, 2, 3, 0)[0], quaternion_table()
+    neg, unip, rot = ((-1,),), ((1, 1), (0, 1)), ((0, 1), (1, 1))
+    one, eye = ((1,),), ((1, 0), (0, 1))
+    # generators and a character onto C_2: (group, {generator: parity})
+    signed = {"C2": (C2, {1: 1}), "C4": (C4, {1: 1}), "C6": (C6, {1: 1}),
+              "V": (V, {1: 0, 2: 1}), "S3": (S3, {1: 0, 3: 1}), "D8": (D8, {1: 0, 4: 1}),
+              "Q8": (Q8, {2: 0, 4: 1})}
+    cases = [("C3_triv3", trivial_gmodule(C3, [3])), ("C3_rot22", module_from_generators(C3, (2, 2), {1: rot})),
+             ("C5_triv5", trivial_gmodule(C5, [5])), ("C6_triv6", trivial_gmodule(C6, [6])),
+             ("C4_triv24", trivial_gmodule(C4, [2, 4])), ("V_triv22", trivial_gmodule(V, [2, 2])),
+             ("S3_nat22", module_from_generators(S3, (2, 2), {1: rot, 3: ((0, 1), (1, 0))}))]
+    for name, (G, parity) in signed.items():
+        cases.append((f"{name}_triv2", trivial_gmodule(G, [2])))
+        cases.append((f"{name}_sign4", module_from_generators(
+            G, (4,), {g: neg if p else one for g, p in parity.items()})))
+        cases.append((f"{name}_unip22", module_from_generators(
+            G, (2, 2), {g: unip if p else eye for g, p in parity.items()})))
+    cases.append(("S3_sign3", module_from_generators(S3, (3,), {1: one, 3: neg})))
+    # (Z/4)^2 with an element of order 4 acting by a rotation, and D8 by the
+    # rotation and a reflection: actions by matrices that do not commute
+    rot4, flip4 = ((0, 3), (1, 0)), ((1, 0), (0, 3))
+    cases.append(("C4_rot44", module_from_generators(C4, (4, 4), {1: rot4})))
+    cases.append(("D8_dihedral44", module_from_generators(D8, (4, 4), {1: rot4, 4: flip4})))
+    # Z/2 + Z/4 with the second coordinate feeding the first: mixed moduli, not diagonal
+    for name in ("C2", "V", "D8"):
+        G, parity = signed[name]
+        cases.append((f"{name}_mixed24", module_from_generators(
+            G, (2, 4), {g: unip if p else eye for g, p in parity.items()})))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+_ORACLE = {}
+
+
+def oracle(label, M, n):
+    key = (label, n)
+    if key not in _ORACLE:
+        _ORACLE[key] = bar_cohomology(M, n)
+    return _ORACLE[key]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(ORACLE_CASES), st.integers(0, 3), st.integers(0, 1 << 32))
+def test_resolution_matches_the_bar_oracle(case, n, seed):
+    label, M = case
+    G = M.group
+    if (G.order - 1) ** n * M.rank > 400:
+        n -= 1                           # keep the bar oracle small
+    H, B = cohomology(G, M, n), oracle(label, M, n)
+    assert H.invariant_factors == B.invariant_factors, label
+    rng = random.Random(seed)
+
+    def bound():
+        return coboundary(random_cochain(M, n - 1, rng)) if n else zero_cochain(M, 0)
+
+    # the same partition of cocycles into classes: on every oracle class, two
+    # cohomologous representatives get one class, and distinct classes differ
+    classes = list(B.all_classes()) if B.order <= 64 else [
+        tuple(rng.randrange(f) for f in B.invariant_factors) for _ in range(16)]
+    images = {}
+    for c in classes:
+        z = B.lift(c)
+        image = H.class_of(z + bound())
+        assert H.class_of(z + bound()) == image
+        images[c] = image
+    assert len(set(images.values())) == len(images)
+    # and each class of the resolution lifts to a cocycle the oracle reads back
+    assert_round_trips(H, rng, 4)
+    for _ in range(4):
+        coords = tuple(rng.randrange(f) for f in H.invariant_factors)
+        back = B.class_of(H.lift(coords) + bound())
+        assert H.class_of(B.lift(back)) == coords
+
+
+RESOLUTION_CASES = [(cyclic(1), 2), (cyclic(2), 4), (cyclic(6), 6), (cyclic(5), 3),
+                    (direct_product(cyclic(2), cyclic(2)), 2), (metacyclic(3, 2, 2, 0)[0], 2),
+                    (metacyclic(3, 2, 2, 0)[0], 3), (quaternion_table(), 2),
+                    (quaternion_table(), 4), (metacyclic(4, 2, 3, 0)[0], 2)]
+
+
+@pytest.mark.parametrize("G, m", RESOLUTION_CASES,
+                         ids=[f"order{G.order}_Z{m}" for G, m in RESOLUTION_CASES])
+def test_resolution_is_an_exact_complex(G, m):
+    F = free_resolution(G, m)
+    F.extend(4)
+    N = G.order
+    mats = [np.ones((1, N), dtype=np.int64)] + [F.matrix(F.diffs[n]) for n in range(1, 5)]
+    for n in range(4):
+        # d o d = 0 (with the augmentation first), and ker d_n = im d_(n+1)
+        assert not ((mats[n] @ mats[n + 1]) % m).any(), n
+        kernel = m ** (F.ranks[n] * N) // diagonalize_mod(mats[n], m).image_size()
+        assert diagonalize_mod(mats[n + 1], m).image_size() == kernel, n
+    assert F.ranks[0] == 1 and (G.order > 1 or F.ranks[1:] == [0] * 4)
+
+
+@pytest.mark.parametrize("G, p", [(cyclic(2), 2), (cyclic(4), 2), (cyclic(9), 3),
+                                  (direct_product(cyclic(2), cyclic(2)), 2),
+                                  (quaternion_table(), 2), (metacyclic(4, 2, 3, 0)[0], 2),
+                                  (direct_product(cyclic(4), cyclic(4)), 2)],
+                         ids=["C2", "C4", "C9", "V", "Q8", "D8", "C4xC4"])
+def test_resolution_of_a_p_group_is_minimal(G, p):
+    """Generators taken outside (g - 1)K + pK first: r_n = dim H^n(G, F_p)."""
+    F = free_resolution(G, p)
+    dims = [len(cohomology(G, trivial_gmodule(G, [p]), n).invariant_factors) for n in range(4)]
+    assert F.ranks[:4] == dims
+
+
+@pytest.mark.parametrize("G, m", RESOLUTION_CASES[1:],
+                         ids=[f"order{G.order}_Z{m}" for G, m in RESOLUTION_CASES[1:]])
+def test_comparison_maps_are_chain_maps(G, m):
+    """Phi and Psi commute with the differentials, checked with coefficients in
+    the regular module Z/m[G], on which Hom_G(-, Z/m[G]) is faithful."""
+    N = G.order
+    M = GModule(G, (m,) * N, tuple(tuple(tuple(int(G.mul[g][b] == a) for b in range(N))
+                                         for a in range(N)) for g in range(N)))
+    F, acts = free_resolution(G, m), M.action_matrices()
+    F.extend(3)
+    rng = random.Random(N * m)
+
+    def psi_star(n, w):       # w in M^(r_n) -> bar values on the symbols
+        moved = np.einsum("gab,jb->jga", acts, w)
+        return np.einsum("tjg,jga->ta", F.psi(n), moved) % m
+
+    def delta_f(n, w):        # M^(r_(n-1)) -> M^(r_n)
+        return np.einsum("jig,gab,ib->ja", F.diffs[n], acts, w) % m
+
+    for n in range(1, 4):
+        z = random_cochain(M, n - 1, rng)
+        dz = coboundary(z).table.reshape(-1, N)[_bar_positions(G, n)]
+        lhs = F.phi(n) @ dz % m
+        rhs = delta_f(n, F.phi(n - 1) @ z.table.reshape(-1, N)[_bar_positions(G, n - 1)] % m)
+        assert np.array_equal(lhs, rhs), n
+        w = np.array([[rng.randrange(m) for _ in range(N)] for _ in range(F.ranks[n - 1])],
+                     dtype=np.int64).reshape(F.ranks[n - 1], N)
+        table = np.zeros((N ** (n - 1), N), dtype=np.int64)
+        table[_bar_positions(G, n - 1)] = psi_star(n - 1, w)
+        pushed = coboundary(Cochain(M, n - 1, table.reshape((N,) * (n - 1) + (N,))))
+        assert np.array_equal(pushed.table.reshape(-1, N)[_bar_positions(G, n)],
+                              psi_star(n, delta_f(n, w))), n
+
+
+def test_trivial_group():
+    T = cyclic(1)
+    M = trivial_gmodule(T, [2, 4])
+    assert cohomology(T, M, 0).invariant_factors == (2, 4)
+    for n in (1, 2, 3, 4):
+        H = cohomology(T, M, n)
+        assert H.invariant_factors == ()
+        assert H.class_of(zero_cochain(M, n)) == ()
+        assert H.lift(()).is_zero()
+    assert free_resolution(T, 4).ranks == [1, 0, 0, 0, 0, 0]
+    assert_round_trips(cohomology(T, M, 0), random.Random(3), 4)
+
+
+KNOWN_VALUES = [
+    # (group, module factors, degree, invariant factors, seconds)
+    (quaternion_table(), 2, 4, (2,), 2),
+    (cyclic(12), 2, 3, (2,), 1),
+    # Q16 = metacyclic(8, 2, 7, 4): H_3(Q16) = Z/16
+    (metacyclic(8, 2, 7, 4)[0], 2, 3, (2,), 5),
+    (metacyclic(8, 2, 7, 4)[0], 4, 3, (4,), 5),
+    # D16 = metacyclic(8, 2, 7, 0): Poincare series 1/(1-t)^2 over F_2
+    (metacyclic(8, 2, 7, 0)[0], 2, 3, (2, 2, 2, 2), 5),
+]
+
+
+@pytest.mark.parametrize("G, d, n, factors, seconds", KNOWN_VALUES,
+                         ids=["H4_Q8_Z2", "H3_C12_Z2", "H3_Q16_Z2", "H3_Q16_Z4", "H3_D16_Z2"])
+def test_known_values(G, d, n, factors, seconds):
+    M = trivial_gmodule(G, [d])
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        H = cohomology(G, M, n)
+        assert_round_trips(H, random.Random(n * d), 2)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.invariant_factors == factors
+    assert elapsed < seconds and peak < 200 << 20, (elapsed, peak)

@@ -28,6 +28,7 @@ from teichmuller.groups import (
 )
 
 from group_oracles import (
+    quotient_group_oracle,
     automorphism_group,
     extension_table_oracle,
     find_isomorphism,
@@ -384,3 +385,33 @@ def test_cocycle_check_and_extension_table_match_the_loops(data):
     g = [[M.identity if Q.identity in (p, q) else data.draw(values) for q in range(Q.order)]
          for p in range(Q.order)]
     assert is_two_cocycle(Q, M, action, g) == is_two_cocycle_oracle(Q, M, action, g)
+
+
+def test_action_holds_a_read_only_array():
+    C2, Z4 = cyclic(2), cyclic(4)
+    neg = GroupAction(C2, Z4, ((0, 1, 2, 3), (0, 3, 2, 1)))
+    assert neg.perms.tolist() == [list(row) for row in neg.table]
+    assert not neg.perms.flags.writeable
+    assert neg == GroupAction(C2, Z4, ((0, 1, 2, 3), (0, 3, 2, 1)))
+    assert "perms" not in repr(neg)
+    with pytest.raises(GroupError, match="wrong shape"):
+        GroupAction(C2, Z4, ((0, 1, 2, 3), (0, 3, 2))).validate()
+
+
+@pytest.mark.parametrize("G", SMALL_GROUPS, ids=lambda G: f"order{G.order}")
+def test_quotient_group_matches_the_loop(G):
+    """Every subgroup generated by one or two elements: the same quotient table
+    and coset numbering as the loop for a normal one, the same refusal otherwise."""
+    subgroups = {tuple(G.closure(list(gens))) for k in (1, 2)
+                 for gens in itertools.combinations(range(G.order), k)}
+    for elems in sorted(subgroups):
+        try:
+            want = quotient_group_oracle(G, elems)
+        except GroupError as exc:
+            with pytest.raises(GroupError, match=str(exc)):
+                quotient_group(G, elems)
+            continue
+        Q, proj = quotient_group(G, elems)
+        assert (Q.mul, proj.images) == (want[0].mul, want[1].images)
+    with pytest.raises(GroupError, match="must contain the identity"):
+        quotient_group(G, [])

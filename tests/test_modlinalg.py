@@ -14,11 +14,14 @@ from teichmuller.modlinalg import (
     as_mod_array,
     cokernel_mod,
     diagonalize_mod,
+    _matmul_mod,
     enumerate_colspan,
+    extending_rows_mod_p,
     first_nonmultiplicative_pair,
     inverse_mod,
     invertible_mod,
     kernel_mod,
+    row_basis_mod_p,
     solve_matrix_mod,
     submodule_size,
     unit_multiplier,
@@ -442,3 +445,58 @@ def test_first_nonmultiplicative_pair_matches_the_pairwise_loop():
         want = pairwise_first_failure(bad, G.mul, m)
         assert want is not None
         assert first_nonmultiplicative_pair(bad, G.mul, m) == want
+
+
+def test_solve_columns_and_in_image_match_one_column_at_a_time():
+    rng = random.Random(12)
+    for _ in range(60):
+        m = rng.choice([2, 4, 6, 8, 9, 12])
+        r, c = rng.randrange(1, 6), rng.randrange(1, 6)
+        A = random_matrix(rng, r, c, m)
+        # half the right-hand sides in the image, half random
+        B = np.hstack([(A @ random_matrix(rng, c, 3, m)) % m, random_matrix(rng, r, 3, m)])
+        dg = diagonalize_mod(A, m)
+        singles = [dg.solve(B[:, j]) for j in range(B.shape[1])]
+        assert dg.in_image(B).tolist() == [x is not None for x in singles]
+        inside = [j for j, x in enumerate(singles) if x is not None]
+        X = dg.solve(B[:, inside])
+        assert np.array_equal(X, np.stack([singles[j] for j in inside], axis=1).reshape(c, -1))
+        assert np.array_equal((A @ X) % m, B[:, inside])
+        assert (dg.solve(B) is None) == (len(inside) < B.shape[1])
+
+
+@pytest.mark.parametrize("m, n", [(2, 40), (9, 64), (1 << 20, 40), (1 << 24, 40), (1 << 26, 40)])
+def test_matmul_mod_is_exact_on_both_paths(m, n):
+    # sums of n products below 2^53 take the float64 path (the first three),
+    # larger ones int64
+    rng = random.Random(m)
+    A, B = random_matrix(rng, n, n, m), random_matrix(rng, n, n, m)
+    exact = np.array([[sum(int(a) * int(b) for a, b in zip(row, col)) % m for col in B.T]
+                      for row in A], dtype=np.int64)
+    assert np.array_equal(_matmul_mod(A, B, m), exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(0, 6), st.integers(1, 5),
+       st.integers(0, 1 << 30))
+def test_extending_rows_mod_p_matches_greedy_rank(p, base_rows, cand_rows, width, seed):
+    """Each taken row raises the span's size, in order, over a basis from
+    row_basis_mod_p; sizes come from diagonalize_mod."""
+    rng = random.Random(seed)
+    base = random_matrix(rng, base_rows, width, p).reshape(base_rows, width)
+    cands = random_matrix(rng, cand_rows, width, p).reshape(cand_rows, width)
+    if cand_rows > 1 and rng.random() < 0.5:
+        cands[-1] = (cands[0] + 2 * cands[1]) % p      # a dependent row
+    B, piv = row_basis_mod_p(base, p)
+    assert np.array_equal(B[:, piv], np.eye(len(piv), dtype=np.int64))
+    assert submodule_size(B.T.reshape(width, -1), p) == submodule_size(base.T.reshape(width, -1), p)
+
+    def size(rows):
+        return submodule_size(np.array(rows, dtype=np.int64).reshape(-1, width).T, p)
+
+    want, kept = [], list(base)
+    for j, row in enumerate(cands):
+        if size(kept + [row]) > size(kept):
+            want.append(j)
+            kept.append(row)
+    assert extending_rows_mod_p(B, piv, cands, p) == want
