@@ -47,9 +47,8 @@ class RingError(ValueError):
 class FinCommRing:
     """Commutative ring, free of the given rank over Z/modulus.
 
-    ``_held`` keeps data derived from the ring (its ``units_group`` and
-    ``fixed_subring`` results); it takes no part in construction, equality,
-    hashing or the repr.
+    ``_held`` keeps data derived from the ring (its ``units_group``); it
+    takes no part in construction, equality, hashing or the repr.
     """
 
     modulus: int
@@ -383,31 +382,19 @@ def subring_from_module(T: FinCommRing, gens: np.ndarray, name: str = "") -> tup
 
 
 def fixed_subring(T: FinCommRing, mats: Sequence[np.ndarray], name: str = "") -> tuple[FinCommRing, np.ndarray]:
-    """The subring of elements fixed by all the given automorphism matrices.
-
-    T holds the result per name and matrices (by content), so equal actions
-    share one subring and what it holds, such as its units group; the
-    embedding matrix is read-only.
-    """
+    """The subring of elements fixed by all the given automorphism matrices."""
     m = T.modulus
-    acts = np.array([np.asarray(a, dtype=np.int64) % m for a in mats],
-                    dtype=np.int64).reshape(len(mats), T.rank, T.rank)
-    key = ("fixed_subring", name, acts.tobytes())
-    held = T._held.get(key)
-    if held is not None:
-        return held
     if not mats:
         gens = np.eye(T.rank, dtype=np.int64)
     else:
-        gens = kernel_mod(((acts - np.eye(T.rank, dtype=np.int64)) % m).reshape(-1, T.rank), m)
+        stacked = np.vstack([(np.asarray(a, dtype=np.int64) - np.eye(T.rank, dtype=np.int64)) % m
+                             for a in mats])
+        gens = kernel_mod(stacked, m)
         if gens.size == 0:
             gens = np.zeros((T.rank, 0), dtype=np.int64)
     # the fixed module always contains 1
     gens = np.hstack([gens, T.one().reshape(-1, 1)])
-    R, embed = subring_from_module(T, gens, name=name or f"{T.name}^fix")
-    embed.flags.writeable = False
-    T._held[key] = (R, embed)
-    return R, embed
+    return subring_from_module(T, gens, name=name or f"{T.name}^fix")
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ the minimal resolution of a p-group.  Two chain maps per degree compare F
 with the normalized bar resolution B: Phi: F -> B through the bar complex's
 contracting homotopy, and Psi: B -> F through one multi-right-hand-side solve
 against d_n.  ``class_of`` pulls a bar cocycle back along Phi and ``lift``
-pushes a class along Psi, so the bar complex itself, with its (|G| - 1)^n
-columns, is never eliminated.
+pushes a class along Psi, so ``cohomology`` never eliminates the bar complex
+itself, with its (|G| - 1)^n columns; only ``coboundary_preimage`` solves the
+bar system one degree down, under the same cell budget.
 
 The kernel/image linear algebra runs over Z/m: the mixed-modulus cochain
 groups embed into free (Z/m)-modules by scaling coordinate i with m/d_i,
@@ -950,6 +951,8 @@ def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
     Solves the bar coboundary system from degree n - 1, with its
     (|G| - 1)^(n-1) columns per module coordinate, over Z/m in the scaled free
     model.  In degree 0 it always returns None: there are no (-1)-cochains.
+    Raises BudgetExceeded before any work when the row transform of that
+    system, (|G| - 1)^n * rank squared cells, exceeds RESOLUTION_CELL_BUDGET.
     """
     H._check(z)
     M = H.module
@@ -971,6 +974,9 @@ def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
         out._reduce_inplace()
         return out
     m = H._cores[0].m
+    rows = (M.group.order - 1) ** n * M.rank
+    # the rows x rows transform U is the largest matrix the solve holds
+    _check_budget(f"U of the degree-{n - 1} bar coboundaries", rows, rows, m)
     scale = np.tile(m // np.array(M.invariant_factors, dtype=np.int64), (M.group.order - 1) ** (n - 1))
     bmat = (_coboundary_matrix(M, n - 1, m) * scale[None, :]) % m
     sol = diagonalize_mod(bmat, m).solve(_reduced_from_cochain(z, m))

@@ -11,10 +11,9 @@ pivot changes, so a sparse system costs about its nonzeros plus that scan.
 Dot products of r-term vectors reach r * (m - 1)^2, so ``diagonalize_mod``
 refuses m with max(rows, cols) * (m - 1)^2 >= 2^63 before any work.
 
-Solving runs all right-hand sides of one system at once, and large products
-go through float64 BLAS where every sum stays exact (below 2^53).  Over a
-prime field, ``row_basis_mod_p`` and ``extending_rows_mod_p`` pick, in order,
-the rows that enlarge a span.
+Solving runs all right-hand sides of one system at once.  Over a prime
+field, ``row_basis_mod_p`` and ``extending_rows_mod_p`` pick, in order, the
+rows that enlarge a span.
 
 This is the one exact linear-algebra layer of the package: cohomology, finite
 rings and the finite abelian presentations of exact_linalg all run on it.
@@ -50,16 +49,6 @@ def unit_multiplier(a: int, m: int) -> int:
     return pow(cand, -1, m)
 
 
-def _matmul_mod(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
-    """A @ B mod m for entries in [0, m).  Large products run in float64 BLAS,
-    which is exact while every sum stays below 2^53; numpy's int64 product
-    has no BLAS and is about ten times slower there."""
-    cols = B.shape[1] if B.ndim == 2 else 1
-    if A.size * cols >= 1 << 15 and A.shape[1] * (m - 1) ** 2 < 1 << 53:
-        return np.mod(A.astype(np.float64) @ B.astype(np.float64), m).astype(np.int64)
-    return (A @ B) % m
-
-
 @dataclass
 class ModDiagonalization:
     """U @ A @ V = diag(d) over Z/m, with U, V invertible mod m.
@@ -89,7 +78,7 @@ class ModDiagonalization:
         """One x with A x = b (mod m), or None; for a 2-D b, one column of x
         per column of b, and None when any column has no solution."""
         m = self.m
-        y = _matmul_mod(self.U, np.mod(b, m), m)
+        y = (self.U @ np.mod(b, m)) % m
         q, rem = np.divmod(y, self.row_divisors if y.ndim == 1 else self.row_divisors[:, None])
         if rem.any():
             return None
@@ -97,11 +86,11 @@ class ModDiagonalization:
         x = np.zeros((self.cols,) + y.shape[1:], dtype=np.int64)
         r = len(self.d)
         x[:r] = q[:r]
-        return _matmul_mod(self.V, x, m)
+        return (self.V @ x) % m
 
     def in_image(self, B: np.ndarray) -> np.ndarray:
         """For each column of B, whether it lies in the column span of A."""
-        y = _matmul_mod(self.U, np.mod(B, self.m), self.m)
+        y = (self.U @ np.mod(B, self.m)) % self.m
         return ~(y % self.row_divisors[:, None]).any(axis=0)
 
     def kernel(self) -> np.ndarray:
@@ -332,21 +321,7 @@ def _full_rank_mod_p(A: np.ndarray, p: int) -> bool:
     """Full rank of a square matrix over the prime field F_p."""
     if p == 2:
         return _full_rank_gf2(A % 2)
-    A = (A % p).astype(np.int64).copy()
-    n = A.shape[0]
-    for col in range(n):
-        cand = np.nonzero(A[col:, col])[0]
-        if cand.size == 0:
-            return False
-        piv = col + int(cand[0])
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-        inv = pow(int(A[col, col]), -1, p)
-        A[col, col:] = (A[col, col:] * inv) % p
-        below = col + 1 + np.nonzero(A[col + 1:, col])[0]
-        if below.size:
-            A[below, col:] = (A[below, col:] - np.outer(A[below, col], A[col, col:])) % p
-    return True
+    return len(row_basis_mod_p(A, p)[1]) == A.shape[0]
 
 
 def row_basis_mod_p(A, p: int) -> tuple[np.ndarray, list[int]]:

@@ -309,6 +309,23 @@ def test_resolution_budget_is_checked_before_each_elimination(monkeypatch):
                        ("Psi_2", "49", "16")]
 
 
+def test_coboundary_preimage_budget_refuses_before_any_elimination(monkeypatch):
+    # H^4(C16, Z/2) is admitted, but the bar solve one degree down would hold
+    # a 15^4 x 15^4 row transform
+    G = cyclic(16)
+    H = cohomology(G, trivial_gmodule(G, [2]), 4)
+    assert H.invariant_factors == (2,)
+    z = H.generator(0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination started on a refused system")
+
+    monkeypatch.setattr(gmod_cohomology, "diagonalize_mod", refuse)
+    with pytest.raises(BudgetExceeded, match=r"U of the degree-3 bar coboundaries: a 50625 x 50625 "
+                                             r"matrix over Z/2 exceeds RESOLUTION_CELL_BUDGET"):
+        coboundary_preimage(H, z)
+
+
 def test_h3_c4xc4_z2_is_four_copies_of_z2():
     # Kunneth: H^3(C4 x C4, Z/2) = (Z/2)^4; the bar complex had 3,375 columns
     G = direct_product(cyclic(4), cyclic(4))

@@ -14,7 +14,6 @@ from teichmuller.modlinalg import (
     as_mod_array,
     cokernel_mod,
     diagonalize_mod,
-    _matmul_mod,
     enumerate_colspan,
     extending_rows_mod_p,
     first_nonmultiplicative_pair,
@@ -270,6 +269,8 @@ def test_inverse_mod():
             assert np.array_equal((A @ inv) % m, np.eye(n, dtype=np.int64))
             assert np.array_equal((inv @ A) % m, np.eye(n, dtype=np.int64))
             assert invertible_mod(A, m)
+        else:
+            assert not invertible_mod(A, m)
     assert found > 20
 
 
@@ -465,15 +466,18 @@ def test_solve_columns_and_in_image_match_one_column_at_a_time():
         assert (dg.solve(B) is None) == (len(inside) < B.shape[1])
 
 
-@pytest.mark.parametrize("m, n", [(2, 40), (9, 64), (1 << 20, 40), (1 << 24, 40), (1 << 26, 40)])
-def test_matmul_mod_is_exact_on_both_paths(m, n):
-    # sums of n products below 2^53 take the float64 path (the first three),
-    # larger ones int64
+@pytest.mark.parametrize("m, n", [(2, 40), (9, 64), (1 << 20, 40), (1 << 26, 40)])
+def test_solve_is_exact_for_large_moduli(m, n):
+    # the int64 products in solve reach n * (m - 1)^2, about 2^57 for the last
     rng = random.Random(m)
-    A, B = random_matrix(rng, n, n, m), random_matrix(rng, n, n, m)
-    exact = np.array([[sum(int(a) * int(b) for a, b in zip(row, col)) % m for col in B.T]
-                      for row in A], dtype=np.int64)
-    assert np.array_equal(_matmul_mod(A, B, m), exact)
+    A = random_matrix(rng, n, n, m)
+    X = random_matrix(rng, n, 3, m)
+    B = np.array([[sum(int(a) * int(x) for a, x in zip(row, col)) % m for col in X.T]
+                  for row in A], dtype=np.int64)
+    Y = solve_matrix_mod(diagonalize_mod(A, m), B)
+    assert Y is not None
+    assert all(sum(int(a) * int(y) for a, y in zip(row, col)) % m == b
+               for row, brow in zip(A, B) for col, b in zip(Y.T, brow))
 
 
 @settings(max_examples=200, deadline=None)
