@@ -10,14 +10,23 @@ crossed 2-fold extension
 Aut_G(e) is found by constrained search: an automorphism over (l_x, i_x) is
 determined by x and an M-correction of a set-section, so the search space is
 |G| * |M|^(|N|-1).  Everything downstream (Delta, the j-map from H^2(G, M),
-congruence bucketing, desk-scale Xpext enumeration with the eight-term
-exactness verdicts, crossed-pair algebras, and the metacyclic pipeline) is
-built from that table.
+congruence keys, desk-scale Xpext enumeration with the eight-term exactness
+verdicts, crossed-pair algebras, and the metacyclic pipeline) is built from
+that table.
+
+Xpext is enumerated by class, after Huebschmann ("Group extensions, crossed
+pairs and an eight term exact sequence", J. reine angew. Math. 321, 1981):
+congruence classes of crossed pairs are indexed by the Q-fixed classes of
+H^2(N, M) together with their psi.  ``xpext_enumerate`` takes the crossed
+pairs on one lift of each Q-fixed class, orders the congruence classes by
+their ``congruence_key``, and sends all of H^2(G, M) through j in one
+batched pass.  The corrections c: N -> M, the twisted tables f_c and the
+transport along phi_c are arrays, and pairs are looked up in Aut_G(e) by the
+bytes of their rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,12 +41,12 @@ from .groups import (
     cyclic,
     direct_product,
     group_from_2cocycle,
-    is_two_cocycle,
     metacyclic,
     quotient_group,
     subgroup_of,
 )
 from .gmod_cohomology import (
+    RESOLUTION_CELL_BUDGET,
     Cochain,
     CohomologyGroup,
     GModule,
@@ -58,7 +67,6 @@ class CrossedPairError(ValueError):
     pass
 
 
-COCYCLE_TABLE_BUDGET = 1 << 14  # normalized tables on N that xpext_enumerate walks
 PAIR_SEARCH_BUDGET = 1 << 13    # Aut_G(e) candidates, |G| |M|^(|N|-1), of one search
 
 
@@ -73,9 +81,9 @@ class Ambient:
     built on first use and keyed by content: M as a G-module (``gmodule``)
     with its coordinates, the module's restrictions (``restricted_gmodule``,
     keyed by the images of the restricting map), M^N as a Q-module
-    (``fixed_submodule_gmodule``) and one Aut_G(e) per normalized cocycle
-    table f on N (``aut_data``, keyed by the entries of f).  ``_held`` takes
-    no part in construction, equality or hashing.
+    (``fixed_submodule_gmodule``), the corrections N -> M, and one Aut_G(e)
+    per normalized cocycle table f on N (``aut_data``, keyed by the entries
+    of f).  ``_held`` takes no part in construction, equality or hashing.
     """
 
     ext: GroupExtension          # N -> G -> Q
@@ -138,18 +146,21 @@ class Ambient:
     def aut_data(self, f) -> "AutGeGroup":
         """Aut_G(e) of the extension of N by M with normalized cocycle table f,
         built by ``aut_g_of_e`` with its default cap."""
-        key = tuple(map(tuple, f))
+        key = tuple(map(tuple, np.asarray(f).tolist()))
         return self._hold(("aut_data", key), lambda: aut_g_of_e(extension_from_cocycle(self, key)))
 
-    def corrections(self):
-        """Every correction c: N -> M with c(1) = 0, as a list over N."""
-        N, M = self.N, self.Mgrp
-        n_nontriv = [n for n in range(N.order) if n != N.identity]
-        for cvals in itertools.product(range(M.order), repeat=len(n_nontriv)):
-            c = [M.identity] * N.order
-            for n, v in zip(n_nontriv, cvals):
-                c[n] = v
-            yield c
+    def corrections(self) -> np.ndarray:
+        """Every correction c: N -> M with c(1) = 0, one row over N each: a
+        read-only (|M|^(|N|-1), |N|) array, lexicographic in the values at the
+        nontrivial elements."""
+        def build():
+            N, M = self.N, self.Mgrp
+            corr = np.full((M.order ** (N.order - 1), N.order), M.identity, dtype=np.int64)
+            corr[:, np.arange(N.order) != N.identity] = \
+                np.indices((M.order,) * (N.order - 1)).reshape(N.order - 1, len(corr)).T
+            corr.flags.writeable = False
+            return corr
+        return self._hold("corrections", build)
 
     def fixed_elements(self) -> tuple[int, ...]:
         """The elements of M^N, the part of M fixed by N, in increasing order."""
@@ -170,21 +181,33 @@ class Ambient:
     def cochain(self, table, module: GModule) -> Cochain:
         """The cochain over ``module`` (M over G or a subgroup) with the M-element
         values ``table``: a list over the group for degree 1, nested for degree 2."""
-        coords, _ = self._coords()
+        coords, _, _ = self._coords()
         t = np.asarray(table, dtype=np.int64)
         return Cochain(module, t.ndim, coords[t])
 
     def table(self, z: Cochain) -> list:
         """The M-element values of a cochain over M, nested as ``cochain`` takes them."""
-        _, c2e = self._coords()
-        shape = z.table.shape[:-1]
-        flat = z.table.reshape(int(np.prod(shape)), z.module.rank).tolist()
-        return np.array([c2e[tuple(v)] for v in flat], dtype=np.int64).reshape(shape).tolist()
+        return self.elements(z.table).tolist()
+
+    def elements(self, values: np.ndarray) -> np.ndarray:
+        """The M elements of reduced coordinate vectors, on the last axis of values."""
+        _, lookup, strides = self._coords()
+        return lookup[values @ strides]
 
     def _coords(self):
-        """M's coordinates as an array with one row per element, and their inverse."""
-        return self._hold("coords", lambda: (np.array(self.gmodule()[1], dtype=np.int64),
-                                             self.gmodule()[2]))
+        """M's coordinates as an array with one row per element, and their
+        inverse: the element at each mixed-radix index of the coordinates
+        (the last coordinate varying fastest), with the radix strides."""
+        def build():
+            module, e2c, _ = self.gmodule()
+            coords = np.array(e2c, dtype=np.int64).reshape(self.Mgrp.order, module.rank)
+            factors = module.invariant_factors
+            strides = np.array([int(np.prod(factors[i + 1:])) for i in range(len(factors))],
+                               dtype=np.int64)
+            lookup = np.empty(self.Mgrp.order, dtype=np.int64)
+            lookup[coords @ strides] = np.arange(self.Mgrp.order)
+            return coords, lookup, strides
+        return self._hold("coords", build)
 
     def twist(self, table, x: int) -> np.ndarray:
         """x.c for an M-element table c over N, x in G (the Q-twist of a cochain):
@@ -246,13 +269,31 @@ class AutGeGroup:
     out_to_Q: GroupHom
     der_indices: list             # elements with x = 1 (Der(N, M))
     h1_out_indices: list          # kernel of out_to_Q
+    index: dict = field(repr=False)   # _pair_keys of (alpha, x) -> element
+
+    def lookup(self, alphas, xs) -> np.ndarray:
+        """The element (alphas[..., :], xs[...]) for each pair, or -1 where
+        that pair is not in Aut_G(e); xs broadcasts against alphas' rows."""
+        alphas = np.asarray(alphas)
+        rows = alphas.shape[:-1]
+        keys = _pair_keys(alphas, np.broadcast_to(xs, rows), self._key_dtype())
+        return np.array([self.index.get(key, -1) for key in keys], dtype=np.int64).reshape(rows)
 
     def pair_index(self, alpha, x) -> Optional[int]:
-        key = (tuple(alpha), x)
-        return self._lookup.get(key)
+        i = int(self.lookup([alpha], [x])[0])
+        return None if i < 0 else i
 
-    def __post_init__(self):
-        self._lookup = {(tuple(a), x): i for i, (a, x) in enumerate(self.pairs)}
+    def _key_dtype(self):
+        return np.min_scalar_type(max(self.ae.Gamma.order, self.ae.ambient.G.order) - 1)
+
+
+def _pair_keys(alphas: np.ndarray, xs: np.ndarray, dt) -> list:
+    """One bytes key per (alpha, x), from the rows of alphas and the entries
+    of xs, both read in the index dtype dt."""
+    width = alphas.shape[-1] + 1
+    rows = np.ascontiguousarray(np.concatenate(
+        [alphas.astype(dt, copy=False), xs[..., None].astype(dt)], axis=-1).reshape(-1, width))
+    return rows.view(np.dtype((np.void, rows.itemsize * width))).ravel().tolist()
 
 
 def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
@@ -278,7 +319,7 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
     into_n[kh] = np.arange(N.order)
     ix = into_n[G.table[G.table[:, kh], G.inverse[:, None]]]    # ix[x, n]: i_x(n)
     lx = amb.action.perms                                         # lx[x, m]: l_x(m)
-    corr = np.array(list(amb.corrections()))
+    corr = amb.corrections()
     dt = np.min_scalar_type(max(ng, G.order) - 1)
     gm = Gamma.table.astype(dt)
     lifts = M.identity + nm * np.arange(N.order)                  # y = (0, n)
@@ -297,20 +338,14 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
     k = len(pairs)
     A = np.array([a for a, _ in pairs], dtype=dt)
     X = np.array([x for _, x in pairs], dtype=np.int64)
-
-    def keys(alphas, xs) -> list:
-        """One bytes key per (alpha, x), from the rows of alphas and the entries of xs."""
-        rows = np.concatenate([alphas, xs[..., None].astype(dt)], axis=-1).reshape(-1, ng + 1)
-        return rows.view(np.dtype((np.void, rows.itemsize * (ng + 1)))).ravel().tolist()
-
-    index = {key: i for i, key in enumerate(keys(A, X))}
+    index = {key: i for i, key in enumerate(_pair_keys(A, X, dt))}
     # [i, j]: (alpha_i after alpha_j, x_i x_j)
-    comp = keys(A[:, A], G.table[X[:, None], X])
+    comp = _pair_keys(A[:, A], G.table[X[:, None], X], dt)
     group = FiniteGroup.from_table(np.array([index[key] for key in comp]).reshape(k, k),
                                    cap=max(256, k))
     # beta(y) = (conjugation by y, image of y's N-part in G)
     conj = Gamma.table[Gamma.table, Gamma.inverse[:, None]].astype(dt)
-    beta_images = [index[key] for key in keys(conj, kh[np.arange(ng) // nm])]
+    beta_images = [index[key] for key in _pair_keys(conj, kh[np.arange(ng) // nm], dt)]
     beta = GroupHom.checked(Gamma, group, tuple(beta_images))
     to_G = GroupHom.checked(group, G, tuple(x for (_, x) in pairs))
     out, to_out = quotient_group(group, sorted(set(beta_images)))
@@ -321,7 +356,7 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
     h1 = [o for o in range(out.order) if out_to_Q(o) == Q.identity]
     return AutGeGroup(ae=ae, group=group, pairs=pairs, beta=beta, to_G=to_G,
                       out=out, to_out=to_out, out_to_Q=out_to_Q,
-                      der_indices=der, h1_out_indices=h1)
+                      der_indices=der, h1_out_indices=h1, index=index)
 
 
 def _first_preimage(hom: GroupHom, target: int) -> int:
@@ -488,40 +523,55 @@ def j_map(ambient: Ambient, h_table) -> CrossedPair:
     with a = -x^-1.h(x,x^-1).  Aut_G(e) is the one ``ambient.aut_data`` holds
     for the restricted table f = h|N, built on its first use.  h is checked to
     be a normalized cocycle before that.  The result satisfies
-    Delta(j(h)) = 0 by (13.11)-exactness.
+    Delta(j(h)) = 0 by (13.11)-exactness.  This is the one-table case of
+    ``_j_pairs``.
+    """
+    return _j_pairs(ambient, np.asarray(h_table, dtype=np.int64)[None])[0]
+
+
+def _j_pairs(ambient: Ambient, tables: np.ndarray) -> list[CrossedPair]:
+    """``j_map`` of each table in a (count, |G|, |G|) stack of M-element tables.
+
+    The cocycle check, f = h|N and the conjugation automorphisms run as
+    gathers over the whole stack; each distinct f then looks up its pairs in
+    its Aut_G(e) at once, and each distinct (f, psi) is validated once.
     """
     G, N, M, Q = ambient.G, ambient.N, ambient.Mgrp, ambient.Q
-    check_normalized_two_cocycle(G, M, ambient.action, h_table)
-    kh, act, mul = ambient.ext.kernel_hom, ambient.action.act, M.mul
-    f = tuple(tuple(h_table[kh(n1)][kh(n2)] for n2 in range(N.order)) for n1 in range(N.order))
-    autdata = ambient.aut_data(f)
-    ae = autdata.ae
-    into_n = {kh(n): n for n in range(N.order)}
-    sec = ambient.ext.section()
-    psi = [None] * Q.order
-    lifts = [None] * Q.order
-    for q in range(Q.order):
-        x = sec[q]
-        x_inv = G.inv[x]
-        a = M.inv[act(x_inv, h_table[x][x_inv])]
-        alpha = [0] * ae.Gamma.order
-        for y in range(ae.Gamma.order):
-            m, n = ae.gamma_parts(y)
-            g = kh(n)
-            xg = G.mul[x][g]
-            n2 = into_n.get(G.mul[xg][x_inv])
-            if n2 is None:
-                raise CrossedPairError("conjugation left the restricted subgroup")
-            m2 = mul[mul[mul[act(x, m)][h_table[x][g]]][act(xg, a)]][h_table[xg][x_inv]]
-            alpha[y] = ae.gamma_index(m2, n2)
-        idx = autdata.pair_index(tuple(alpha), x)
-        if idx is None:
+    H = np.asarray(tables, dtype=np.int64)
+    check_normalized_two_cocycle(G, M, ambient.action, H)
+    A, Mt = ambient.action.perms, M.table
+    kh = np.array(ambient.ext.kernel_hom.images)
+    into_n = np.full(G.order, -1)
+    into_n[kh] = np.arange(N.order)
+    X = np.array(ambient.ext.section())
+    X_inv = G.inverse[X]
+    xg = G.table[X[:, None], kh]                                  # [q, n]: x g, g = kh(n)
+    n2 = into_n[G.table[xg, X_inv[:, None]]]                      # x g x^-1 in N
+    if (n2 < 0).any():
+        raise CrossedPairError("conjugation left the restricted subgroup")
+    a = M.inverse[A[X_inv, H[:, X, X_inv]]]                       # [t, q]
+    # [t, q, n]: h(x,g) + xg.a + h(xg,x^-1); then alpha[t, q, y] at y = m + |M| n
+    shift = Mt[Mt[H[:, X[:, None], kh], A[xg, a[:, :, None]]], H[:, xg, X_inv[:, None]]]
+    alphas = (Mt[A[X][:, None, :], shift[..., None]] + M.order * n2[:, :, None]).reshape(
+        len(H), Q.order, -1)
+    restricted, which = np.unique(H[:, kh[:, None], kh].reshape(len(H), -1), axis=0,
+                                  return_inverse=True)
+    which = which.reshape(-1)
+    pairs: list = [None] * len(H)
+    for i, f in enumerate(restricted):
+        autdata = ambient.aut_data(f.reshape(N.order, N.order))
+        to_out = np.array(autdata.to_out.images)
+        members = np.flatnonzero(which == i)
+        lifts = autdata.lookup(alphas[members], X)
+        if (lifts < 0).any():
             raise CrossedPairError("conjugation pair not found in Aut_G(e)")
-        lifts[q] = idx
-        psi[q] = autdata.to_out(idx)
-    cp = CrossedPair(autdata=autdata, psi=tuple(psi), lifts=tuple(lifts))
-    cp.validate()
-    return cp
+        checked: dict = {}
+        for t, row in zip(members.tolist(), lifts.tolist()):
+            cp = CrossedPair(autdata=autdata, psi=tuple(to_out[row].tolist()), lifts=tuple(row))
+            if checked.setdefault(cp.psi, cp) is cp:
+                cp.validate()
+            pairs[t] = cp
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +611,7 @@ def find_congruence(cp1: CrossedPair, cp2: CrossedPair) -> Optional[list[int]]:
     if ae2.ambient is not amb and ae2.ambient != amb:
         raise CrossedPairError("pairs live over different ambients")
     G1, G2 = ae1.Gamma, ae2.Gamma
-    for c in amb.corrections():
+    for c in amb.corrections().tolist():
         phi = _correction_map(ae1, c)
         ok = True
         for y1 in range(G1.order):
@@ -583,20 +633,36 @@ def congruence_key(cp: CrossedPair) -> tuple:
     carries Gamma_f onto Gamma_{f_c}, f_c(p,q) = f(p,q) + c(pq) - c(p) - p.c(q).
     f* is the least f_c; psi* is the least psi transported along a phi_c with
     f_c = f*, read in the Out_G(e*) that the pair's ambient holds for the
-    table f* (``Ambient.aut_data``).
+    table f* (``Ambient.aut_data``).  All f_c are one array, and the lifts of
+    psi are transported along every such phi_c by gathers.
     """
     amb = cp.ae.ambient
-    M, N, f = amb.Mgrp, amb.N, cp.ae.f
-    nact = amb.n_action()
-
-    def f_c(c, p, q):  # f(p,q) + c(pq) - (c(p) + p.c(q))
-        return M.mul[M.mul[f[p][q]][c[N.mul[p][q]]]][M.inv[M.mul[c[p]][nact.act(p, c[q])]]]
-    twisted = [(tuple(tuple(f_c(c, p, q) for q in range(N.order)) for p in range(N.order)), c)
-               for c in amb.corrections()]
-    f_star = min(fc for fc, _ in twisted)
-    autdata = amb.aut_data(f_star)
-    return f_star, min(_transported_psi(cp, _correction_map(cp.ae, c), autdata)
-                       for fc, c in twisted if fc == f_star)
+    M, N = amb.Mgrp, amb.N
+    Mt, nm, corr = M.table, M.order, amb.corrections()
+    f = np.array(cp.ae.f, dtype=np.int64)
+    # [c, p, q]: f(p,q) + c(pq) - (c(p) + p.c(q))
+    kh = np.array(amb.ext.kernel_hom.images)
+    moved_c = amb.action.perms[kh[:, None], corr[:, None, :]]
+    twisted = Mt[Mt[f, corr[:, N.table]], M.inverse[Mt[corr[:, :, None], moved_c]]]
+    twisted = twisted.reshape(len(corr), -1)
+    f_star = twisted[np.lexsort(twisted.T[::-1])[0]]
+    hits = corr[(twisted == f_star).all(axis=1)]
+    autdata = amb.aut_data(f_star.reshape(N.order, N.order))
+    # phi_c and its inverse on y = m + |M| n, one row per c with f_c = f*
+    y = np.arange(cp.ae.Gamma.order)
+    m, n = y % nm, y // nm
+    phi = Mt[m, hits[:, n]] + nm * n
+    phi_inv = Mt[m, M.inverse[hits[:, n]]] + nm * n
+    alphas = np.array([cp.autdata.pairs[i][0] for i in cp.lifts], dtype=np.int64)
+    xs = np.array([cp.autdata.pairs[i][1] for i in cp.lifts], dtype=np.int64)
+    # [c, q, y]: phi_c alpha_q phi_c^-1 (y)
+    moved = phi[np.arange(len(hits))[:, None, None], alphas[:, phi_inv].transpose(1, 0, 2)]
+    idx = autdata.lookup(moved, xs)
+    if (idx < 0).any():
+        raise CrossedPairError("a transported lift is not in Aut_G(e*)")
+    psi = np.array(autdata.to_out.images)[idx]
+    return (tuple(map(tuple, f_star.reshape(N.order, N.order).tolist())),
+            tuple(psi[np.lexsort(psi.T[::-1])[0]].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -605,38 +671,46 @@ def congruence_key(cp: CrossedPair) -> tuple:
 @dataclass
 class XpextReport:
     ambient: Ambient
-    buckets: list                 # list of lists of CrossedPair
+    keys: list                    # per bucket: its congruence key, increasing
+    buckets: list                 # per bucket: the enumerated CrossedPairs
     delta_classes: list           # per bucket: coords in H^3(Q, M^N)
     zero_bucket: int
     j_images: dict                # H^2(G, M) coords -> bucket index
     h2q_image_in_h2g: set
     h3q_classes: dict             # coords -> inflation image in H^3(G, M)
-    verdicts: dict
+    verdicts: dict = field(default_factory=dict)
+    witnesses: dict = field(default_factory=dict)   # per false verdict: what breaks it
 
 
 def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     """Desk-scale enumeration of crossed pairs with exactness verdicts.
 
-    Enumerates the normalized 2-cocycle tables on N with Q-fixed class, at
-    most ``COCYCLE_TABLE_BUDGET`` of them, and the crossed-pair structures on
-    each.  It buckets them by ``congruence_key`` (a dict in first-seen order,
-    so the buckets are those of a pairwise ``find_congruence`` loop, the
-    tests' oracle) and checks the set-level exactness of the right half of
-    the eight-term sequence:
+    Walks the classes of H^2(N, M), keeps the Q-fixed ones and takes the
+    crossed-pair structures on one lift f of each.  Every normalized table on
+    N is some f_c, and phi_c carries the crossed pairs on f_c to crossed
+    pairs on f, so this meets every congruence class.  The pairs are
+    bucketed by ``congruence_key``, and the buckets are ordered by increasing
+    key; Delta is checked to be constant on each bucket.  Every class of
+    H^2(G, M) is lifted in one stack and sent through j at once
+    (``_j_pairs``); each distinct (h|N, psi) is keyed once.  Then the
+    set-level exactness of the right half of the eight-term sequence is
+    checked (``eight_term_verdicts``):
 
         H^2(Q,M^N) -inf-> H^2(G,M) -j-> Xpext -Delta-> H^3(Q,M^N) -inf-> H^3(G,M)
 
-    Every module and Aut_G(e) table comes from what the ambient holds, so the
-    keys and the j-images reuse the tables the enumeration built.
+    Before any cohomology, the Aut_G(e) search size |G| |M|^(|N|-1) is checked
+    against ``PAIR_SEARCH_BUDGET``; once H^2(G, M) is known, and before any
+    pair is built, the |H^2(G, M)| |G|^2 rank cells of the j-image tables
+    against ``RESOLUTION_CELL_BUDGET``.  Every
+    module and Aut_G(e) table comes from what the ambient holds.
     """
     amb = ambient
     amb.validate()
     G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
-    n_nontriv = [n for n in range(N.order) if n != N.identity]
-    total = M.order ** (len(n_nontriv) ** 2)
-    if total > COCYCLE_TABLE_BUDGET:
-        raise CrossedPairError(f"2-cocycle enumeration of size {total} exceeds "
-                               f"COCYCLE_TABLE_BUDGET = {COCYCLE_TABLE_BUDGET}")
+    search_size = G.order * M.order ** (N.order - 1)
+    if search_size > PAIR_SEARCH_BUDGET:
+        raise CrossedPairError(f"Aut_G(e) search of size {search_size} exceeds "
+                               f"PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
     moduleG, _, _ = amb.gmodule()
     moduleQ, MNgrp, _, _ = amb.fixed_submodule_gmodule()
     h2n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 2)
@@ -644,23 +718,19 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     h3g = cohomology(G, moduleG, 3)
     h2q = cohomology(Q, moduleQ, 2)
     h3q = cohomology(Q, moduleQ, 3)
-    nact = amb.n_action()
-    pairs: list[CrossedPair] = []
-    for combo in itertools.product(range(M.order), repeat=len(n_nontriv) ** 2):
-        f = [[M.identity] * N.order for _ in range(N.order)]
-        for idx, (n1, n2) in enumerate(itertools.product(n_nontriv, repeat=2)):
-            f[n1][n2] = combo[idx]
-        if is_two_cocycle(N, M, nact, f) is not None:
-            continue
-        if not class_is_q_fixed(amb, f, h2n):
-            continue
-        pairs.extend(crossed_pair_structures(amb.aut_data(f)))
-    # bucket by congruence key
+    cells = h2g.order * G.order ** 2 * moduleG.rank
+    if cells > RESOLUTION_CELL_BUDGET:
+        raise CrossedPairError(f"j-images of {h2g.order} classes: {cells} cells exceed "
+                               f"RESOLUTION_CELL_BUDGET = {RESOLUTION_CELL_BUDGET}")
     by_key: dict = {}
-    for cp in pairs:
-        by_key.setdefault(congruence_key(cp), []).append(cp)
-    buckets = list(by_key.values())
-    bucket_of = {key: i for i, key in enumerate(by_key)}
+    for coords in h2n.all_classes():
+        f = amb.table(h2n.lift(list(coords)))
+        if class_is_q_fixed(amb, f, h2n):
+            for cp in crossed_pair_structures(amb.aut_data(f)):
+                by_key.setdefault(congruence_key(cp), []).append(cp)
+    keys = sorted(by_key)
+    buckets = [by_key[key] for key in keys]
+    bucket_of = {key: i for i, key in enumerate(keys)}
     # Delta on each bucket (checked constant across members)
     delta_classes = []
     for bucket in buckets:
@@ -671,43 +741,74 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
         if len(classes) != 1:
             raise CrossedPairError("Delta is not constant on a congruence bucket")
         delta_classes.append(classes.pop())
-    # the split pair bucket (zero element)
-    zero_h = [[M.identity] * G.order for _ in range(G.order)]
-    zero_bucket = _find_bucket(bucket_of, j_map(amb, zero_h))
-    # j images
-    j_images = {}
-    for coords in h2g.all_classes():
-        cp = j_map(amb, amb.table(h2g.lift(list(coords))))
-        j_images[coords] = _find_bucket(bucket_of, cp)
-    # inflation H^2(Q, M^N) -> H^2(G, M)
+    j_images = _j_images(amb, h2g, bucket_of)
+    # inflation H^2(Q, M^N) -> H^2(G, M) and H^3(Q, M^N) -> H^3(G, M)
     infl = amb.inflation_map()
     h2q_image = {map_on_cohomology(infl, h2q, h2g, list(c)) for c in h2q.all_classes()}
-    # inflation H^3(Q, M^N) -> H^3(G, M)
     h3q_map = {c: map_on_cohomology(infl, h3q, h3g, list(c)) for c in h3q.all_classes()}
-    zero3g = tuple([0] * len(h3g.invariant_factors))
-    zero3q = tuple([0] * len(h3q.invariant_factors))
-    verdicts = {}
-    ker_j = {c for c, b in j_images.items() if b == zero_bucket}
-    verdicts["exact_at_H2G"] = ker_j == h2q_image
-    im_j = set(j_images.values())
-    ker_delta = {i for i, dc in enumerate(delta_classes) if dc == zero3q}
-    verdicts["exact_at_Xpext"] = im_j == ker_delta
-    im_delta = set(delta_classes)
-    ker_inf3 = {c for c, img in h3q_map.items() if img == zero3g}
-    verdicts["exact_at_H3Q"] = im_delta == ker_inf3
-    verdicts["delta_j_zero"] = all(delta_classes[b] == zero3q for b in im_j)
-    verdicts["all"] = all(v for v in verdicts.values() if isinstance(v, bool))
-    return XpextReport(ambient=amb, buckets=buckets, delta_classes=delta_classes,
-                       zero_bucket=zero_bucket, j_images=j_images,
-                       h2q_image_in_h2g=h2q_image, h3q_classes=h3q_map,
-                       verdicts=verdicts)
+    report = XpextReport(ambient=amb, keys=keys, buckets=buckets, delta_classes=delta_classes,
+                         zero_bucket=j_images[tuple([0] * len(h2g.invariant_factors))],
+                         j_images=j_images, h2q_image_in_h2g=h2q_image, h3q_classes=h3q_map)
+    report.verdicts, report.witnesses = eight_term_verdicts(report)
+    return report
 
 
-def _find_bucket(bucket_of: dict, cp) -> int:
-    index = bucket_of.get(congruence_key(cp))
-    if index is None:
-        raise CrossedPairError("crossed pair not matched by any enumerated bucket")
-    return index
+def _j_images(amb: Ambient, h2g: CohomologyGroup, bucket_of: dict) -> dict:
+    """The bucket of j(h) for each class h of H^2(G, M), keyed by its coords.
+
+    The classes are lifted in one tensordot against the lifts of the unit
+    classes (a cocycle cohomologous to ``h2g.lift`` of each class, which
+    gives a congruent pair) and read as M-element tables in one lookup.
+    """
+    G = amb.G
+    module = h2g.module
+    t = len(h2g.invariant_factors)
+    classes = np.array(list(h2g.all_classes()), dtype=np.int64).reshape(h2g.order, t)
+    units = np.array([h2g.lift(list(u)).table for u in np.eye(t, dtype=np.int64)],
+                     dtype=np.int64).reshape((t, G.order, G.order, module.rank))
+    values = np.tensordot(classes, units, axes=1) % np.array(module.invariant_factors,
+                                                             dtype=np.int64)
+    pairs = _j_pairs(amb, amb.elements(values))
+    # the key depends only on (f, psi): transport along phi_c carries the
+    # image of beta onto the image of beta
+    bucket_of_pair: dict = {}
+    j_images = {}
+    for coords, cp in zip(map(tuple, classes.tolist()), pairs):
+        pair = (cp.ae.f, cp.psi)
+        if pair not in bucket_of_pair:
+            bucket_of_pair[pair] = bucket_of.get(congruence_key(cp))
+            if bucket_of_pair[pair] is None:
+                raise CrossedPairError("crossed pair not matched by any enumerated bucket")
+        j_images[coords] = bucket_of_pair[pair]
+    return j_images
+
+
+def eight_term_verdicts(report: XpextReport) -> tuple[dict, dict]:
+    """The exactness verdicts of a report's maps, and a witness per false one.
+
+    The witnesses are the H^2(G, M) classes in ker j symmetric-difference
+    im inf (``exact_at_H2G``), the keys of the buckets in im j
+    symmetric-difference ker Delta (``exact_at_Xpext``), the H^3(Q, M^N)
+    classes in im Delta symmetric-difference ker inf (``exact_at_H3Q``) and
+    the j-image buckets with nonzero Delta (``delta_j_zero``), each sorted.
+    """
+    # the least coordinates are the zero class, which inflation keeps zero
+    zero3q = min(report.h3q_classes)
+    zero3g = report.h3q_classes[zero3q]
+    dcs = report.delta_classes
+    ker_j = {c for c, b in report.j_images.items() if b == report.zero_bucket}
+    im_j = set(report.j_images.values())
+    ker_delta = {i for i, dc in enumerate(dcs) if dc == zero3q}
+    ker_inf3 = {c for c, img in report.h3q_classes.items() if img == zero3g}
+    broken = {
+        "exact_at_H2G": ker_j ^ report.h2q_image_in_h2g,
+        "exact_at_Xpext": {report.keys[b] for b in im_j ^ ker_delta},
+        "exact_at_H3Q": set(dcs) ^ ker_inf3,
+        "delta_j_zero": {b for b in im_j if dcs[b] != zero3q},
+    }
+    verdicts = {name: not bad for name, bad in broken.items()}
+    verdicts["all"] = all(verdicts.values())
+    return verdicts, {name: sorted(bad) for name, bad in broken.items() if bad}
 
 
 def _transport_to_moduleQ(z: Cochain, moduleQ: GModule, MNgrp: FiniteGroup, amb: Ambient) -> Cochain:

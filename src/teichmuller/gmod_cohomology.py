@@ -275,40 +275,35 @@ def coboundary(c: Cochain) -> Cochain:
     G = M.group
     n = c.degree
     k = M.rank
-    order = G.order
     if k == 0:
         return zero_cochain(M, n + 1)
-    mul = G.table
-    out = np.zeros((order,) * (n + 1) + (k,), dtype=np.int64)
-    if n == 0:
-        acts = M.action_matrices()
-        v = c.table.reshape(k)
-        out += np.einsum("gij,j->gi", acts, v) - v[None, :]
-        out[G.identity] = 0
-        res = Cochain(M, 1, out)
-        return res
-    grids = np.indices((order,) * (n + 1))
-    # term 0: g_1 . c(g_2 ... g_{n+1})
-    acts = M.action_matrices()
-    first = c.table[tuple(grids[1:])]
-    out += np.einsum("gij,g...j->g...i", acts, first.reshape(order, -1, k)).reshape(out.shape)
-    # middle terms
-    for i in range(1, n + 1):
-        idx = [grids[j] for j in range(n + 1)]
-        merged = mul[grids[i - 1], grids[i]]
-        idx = idx[: i - 1] + [merged] + idx[i + 1:]
-        term = c.table[tuple(idx)]
-        out += term if i % 2 == 0 else -term
-    # last term: (-1)^{n+1} c(g_1 ... g_n)
-    last = c.table[tuple(grids[:n])]
-    out += last if (n + 1) % 2 == 0 else -last
-    res = Cochain(M, n + 1, out)
+    merged, degenerate = _bar_merges(G, n)
+    flat = c.table.reshape(-1, k)
+    # flat position p = g_1 |G|^n + t of (g_1..g_{n+1}): the first term reads
+    # c at t = (g_2..g_{n+1}), the last at p // |G| = (g_1..g_n)
+    out = np.einsum("gij,tj->gti", M.action_matrices(), flat).reshape(-1, k)
+    out += (-1) ** (n + 1) * np.repeat(flat, G.order, axis=0)
+    for i, idx in enumerate(merged, 1):
+        out += (-1) ** i * flat[idx]
     # normalization is automatic except on identity slots of the new argument
-    for axis in range(n + 1):
-        sl = [slice(None)] * (n + 1)
-        sl[axis] = G.identity
-        res.table[tuple(sl)] = 0
-    return res
+    out[degenerate] = 0
+    return Cochain(M, n + 1, out.reshape((G.order,) * (n + 1) + (k,)))
+
+
+def _bar_merges(G: FiniteGroup, n: int):
+    """For the flat positions of (g_1..g_{n+1}) in a (|G|,)*(n+1) table: the
+    flat index in (|G|,)*n of each middle face (.., g_i g_{i+1}, ..), i = 1..n,
+    and the positions with an identity argument.  Held by G per degree."""
+    key = ("bar_merges", n)
+    held = G._held.get(key)
+    if held is None:
+        grids = np.indices((G.order,) * (n + 1)).reshape(n + 1, -1)
+        merged = [np.ravel_multi_index((*grids[:i - 1], G.table[grids[i - 1], grids[i]],
+                                        *grids[i + 1:]), (G.order,) * n)
+                  for i in range(1, n + 1)]
+        degenerate = np.flatnonzero((grids == G.identity).any(axis=0))
+        held = G._held[key] = (merged, degenerate)
+    return held
 
 
 def is_cocycle(c: Cochain) -> Optional[tuple]:

@@ -584,23 +584,41 @@ def quaternion_table() -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # extensions from 2-cocycles
 
+COCYCLE_CHECK_CELLS = 1 << 20  # entries of one batch of the stacked cocycle check
+
+
 def is_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> Optional[tuple]:
     """None when f satisfies the (multiplicative) 2-cocycle identity, else the
-    lexicographically first failing (p, q, r)."""
+    lexicographically first failing (p, q, r).
+
+    f may also be a stack of tables on a first axis; the witness then starts
+    with the index of the first failing table.  A stack is checked a batch of
+    tables at a time, so no temporary exceeds ``COCYCLE_CHECK_CELLS`` cells.
+    """
     F, A, Mt = np.array(f, dtype=np.int64), action.perms, M.table
-    # [p, q, r]: p.f(q, r) + f(p, qr)  against  f(p, q) + f(pq, r)
-    bad = np.argwhere(Mt[A[:, F], F[:, Q.table]] != Mt[F[:, :, None], F[Q.table]])
-    return tuple(int(i) for i in bad[0]) if len(bad) else None
+    stack = F.reshape((-1,) + F.shape[-2:])
+    step = max(1, COCYCLE_CHECK_CELLS // Q.order ** 3)
+    for lo in range(0, len(stack), step):
+        B = stack[lo:lo + step]
+        # [t, p, q, r]: p.f(q, r) + f(p, qr)  against  f(p, q) + f(pq, r)
+        lhs = Mt[A[np.arange(Q.order)[:, None, None], B[:, None]], B[:, :, Q.table]]
+        bad = np.argwhere(lhs != Mt[B[..., None], B[:, Q.table]])
+        if len(bad):
+            bad[0, 0] += lo
+            return tuple(int(i) for i in bad[0, 3 - F.ndim:])
+    return None
 
 
 def check_normalized_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> None:
-    """Raise GroupError unless f is a normalized 2-cocycle with values in abelian M."""
+    """Raise GroupError unless f, a table or a stack of tables as
+    ``is_two_cocycle`` takes them, is a normalized 2-cocycle with values in
+    abelian M."""
     if not M.is_abelian():
         raise GroupError("cocycle extension needs an abelian kernel")
-    for q in range(Q.order):
-        if f[Q.identity][q] != M.identity or f[q][Q.identity] != M.identity:
-            raise GroupError("cocycle is not normalized")
-    witness = is_two_cocycle(Q, M, action, f)
+    F = np.asarray(f, dtype=np.int64)
+    if (F[..., Q.identity, :] != M.identity).any() or (F[..., Q.identity] != M.identity).any():
+        raise GroupError("cocycle is not normalized")
+    witness = is_two_cocycle(Q, M, action, F)
     if witness is not None:
         raise GroupError(f"2-cocycle identity fails at {witness}")
 

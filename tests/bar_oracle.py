@@ -8,6 +8,7 @@ diagonal split.  Use it for |G| <= 8 and degrees <= 3.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,25 @@ def bar_core(module: GModule, n: int) -> BarCore:
         rel = np.zeros((kernel.shape[1], 0), dtype=np.int64)
     cok = cokernel_mod(rel, m, n=kernel.shape[1])
     return BarCore(module=module, degree=n, m=m, cocycle_gens=kernel, gens_diag=gens_diag, cok=cok)
+
+
+def coboundary_loop(c: Cochain) -> Cochain:
+    """The normalized bar differential of c, one argument tuple at a time:
+    g_1.c(g_2..) + sum_i (-1)^i c(.., g_i g_{i+1}, ..) + (-1)^(n+1) c(..g_n),
+    zero on tuples with an identity argument."""
+    M, n = c.module, c.degree
+    G = M.group
+    acts = M.action_matrices()
+    out = np.zeros((G.order,) * (n + 1) + (M.rank,), dtype=np.int64)
+    for args in itertools.product(range(G.order), repeat=n + 1):
+        if G.identity in args:
+            continue
+        total = acts[args[0]] @ c.table[args[1:]]
+        for i in range(1, n + 1):
+            merged = args[:i - 1] + (G.mul[args[i - 1]][args[i]],) + args[i + 1:]
+            total = total + (-1) ** i * c.table[merged]
+        out[args] = total + (-1) ** (n + 1) * c.table[args[:n]]
+    return Cochain(M, n + 1, out)
 
 
 def bar_cohomology(module: GModule, n: int) -> CohomologyGroup:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import random
@@ -50,6 +51,7 @@ from teichmuller.crossed_pairs import (
     degree1_delta,
     delta,
     diag1_report,
+    eight_term_verdicts,
     extension_from_cocycle,
     find_congruence,
     five_term_report,
@@ -65,6 +67,14 @@ from teichmuller import crossed_pairs
 from teichmuller.normal_algebras import BaseAction, teichmuller_cocycle, unit_module
 
 from group_oracles import aut_g_of_e_oracle, extension_table_oracle, is_two_cocycle_oracle
+from xpext_oracle import (
+    bench_ambient,
+    bench_ambients,
+    congruence_key_loop,
+    enumerated_pairs,
+    oracle_report,
+    report_summary,
+)
 
 
 def klein_ambient():
@@ -105,26 +115,6 @@ def c4_z5_ambient():
     amb = Ambient(ext=ext, Mgrp=M, action=GroupAction(G, M, rows))
     amb.validate()
     return amb
-
-
-def enumerated_pairs(amb, cap=96):
-    """The crossed pairs in xpext_enumerate's order, on Aut_G(e) tables built here."""
-    M, N = amb.Mgrp, amb.N
-    nact = amb.n_action()
-    h2n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 2)
-    out = []
-    nt = [n for n in range(N.order) if n != N.identity]
-    for combo in itertools.product(range(M.order), repeat=len(nt) ** 2):
-        f = [[M.identity] * N.order for _ in range(N.order)]
-        for idx, (n1, n2) in enumerate(itertools.product(nt, repeat=2)):
-            f[n1][n2] = combo[idx]
-        if is_two_cocycle(N, M, nact, f) is not None:
-            continue
-        if not class_is_q_fixed(amb, f, h2n):
-            continue
-        ae = extension_from_cocycle(amb, f)
-        out.extend(crossed_pair_structures(aut_g_of_e(ae, cap=cap)))
-    return out
 
 
 def h2g_tables(amb):
@@ -320,27 +310,58 @@ def test_xpext_q8_full_exactness():
 
 
 def test_xpext_budget_checked_before_cohomology(monkeypatch):
-    # Q8 ambient with M = Z/4: 4^9 cocycle tables on N = C4, over the default budget
-    G, ext = metacyclic(4, 2, 3, 2)
+    # Q16 ambient with M = Z/4: an Aut_G(e) search of 16 * 4^7 candidates
+    G, ext = metacyclic(8, 2, 7, 4)
     amb = Ambient(ext=ext, Mgrp=cyclic(4), action=trivial_action(G, cyclic(4)))
     computed = []
     monkeypatch.setattr(crossed_pairs, "cohomology", lambda *args: computed.append(args))
-    with pytest.raises(CrossedPairError, match="262144"):
+    with pytest.raises(CrossedPairError, match="262144 exceeds PAIR_SEARCH_BUDGET"):
         xpext_enumerate(amb)
     assert computed == []
 
 
-def pairwise_buckets(pairs):
-    """Bucketing by pairwise find_congruence against each bucket's first member."""
-    buckets = []
-    for cp in pairs:
-        for bucket in buckets:
-            if find_congruence(bucket[0], cp) is not None:
-                bucket.append(cp)
-                break
-        else:
-            buckets.append([cp])
-    return buckets
+def test_xpext_j_image_budget_checked_before_any_pair(monkeypatch):
+    # H^2(V, Z/2) = (Z/2)^3: 8 tables of 4 x 4 values of rank 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("Aut_G(e) searched past the budget")
+
+    monkeypatch.setattr(crossed_pairs, "RESOLUTION_CELL_BUDGET", 100)
+    monkeypatch.setattr(crossed_pairs, "aut_g_of_e", refuse)
+    with pytest.raises(CrossedPairError, match="j-images of 8 classes: 128 cells exceed "
+                                               "RESOLUTION_CELL_BUDGET = 100"):
+        xpext_enumerate(klein_ambient())
+
+
+@pytest.mark.parametrize("args, m", [((4, 2, 3, 2), 4), ((8, 2, 7, 4), 2)])
+def test_xpext_quaternion_reach(args, m):
+    # Q8 with Z/4 and Q16 with Z/2: |M|^(|N|-1)^2 tables on N = C4 or C8 are
+    # out of a table walk's reach; the class walk takes one lift per class
+    G, ext = metacyclic(*args)
+    report = xpext_enumerate(Ambient(ext=ext, Mgrp=cyclic(m), action=trivial_action(G, cyclic(m))))
+    assert report.verdicts["all"] and report.witnesses == {}
+    assert set(report.delta_classes) == {(0,), (1,)}
+
+
+def test_xpext_witnesses_name_what_breaks_a_verdict():
+    report = xpext_enumerate(klein_ambient())
+    assert report.verdicts["all"] and report.witnesses == {}
+    zero = report.zero_bucket
+    other = (zero + 1) % len(report.keys)
+    # Delta of the zero bucket moved off zero: the bucket is in im j, not in
+    # ker Delta, and (1,) leaves ker inf = {(0,)}
+    delta_classes = list(report.delta_classes)
+    delta_classes[zero] = (1,)
+    verdicts, witnesses = eight_term_verdicts(
+        dataclasses.replace(report, delta_classes=delta_classes))
+    assert witnesses == {"exact_at_Xpext": [report.keys[zero]], "exact_at_H3Q": [(1,)],
+                         "delta_j_zero": [zero]}
+    assert not verdicts["all"] and verdicts["exact_at_H2G"]
+    # the zero class of H^2(G, M) sent to another bucket leaves ker j
+    zero2g = (0,) * len(next(iter(report.j_images)))
+    j_images = {**report.j_images, zero2g: other}
+    verdicts, witnesses = eight_term_verdicts(dataclasses.replace(report, j_images=j_images))
+    assert witnesses["exact_at_H2G"] == [zero2g]
+    assert verdicts["exact_at_H3Q"] and not verdicts["exact_at_H2G"]
 
 
 def pair_data(cp):
@@ -362,10 +383,36 @@ def test_congruence_key_matches_find_congruence(make_ambient):
             assert (k1 == k2) == found, (pair_data(cp1), pair_data(cp2))
             congruent += found and cp1 is not cp2
     assert congruent
-    report = xpext_enumerate(amb)
-    oracle = pairwise_buckets(enumerated)
-    assert [list(map(pair_data, b)) for b in report.buckets] == \
-        [list(map(pair_data, b)) for b in oracle]
+    assert report_summary(xpext_enumerate(amb)) == oracle_report(amb)
+
+
+@pytest.mark.parametrize("label", list(bench_ambients()))
+def test_xpext_matches_the_table_walk_on_bench_ambients(label):
+    amb = bench_ambients()[label]
+    assert report_summary(xpext_enumerate(amb, seed=131)) == oracle_report(amb, seed=131)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TEST_AMBIENTS + [functools.partial(bench_ambient, label)
+                                        for label in bench_ambients()]),
+       st.integers(0, 2 ** 32 - 1))
+def test_congruence_key_matches_the_loop_version(make_ambient, seed):
+    # a crossed pair on a random table of a random Q-fixed class of H^2(N, M),
+    # and the j-image of a random table of a random class of H^2(G, M)
+    amb = make_ambient()
+    rng = random.Random(seed)
+    module = amb.restricted_gmodule(amb.ext.kernel_hom)[0]
+    h2n = cohomology(amb.N, module, 2)
+    fixed = [c for c in h2n.all_classes()
+             if class_is_q_fixed(amb, amb.table(h2n.lift(list(c))), h2n)]
+    f = amb.table(h2n.lift(list(rng.choice(fixed))) + coboundary(random_cochain(module, 1, rng)))
+    pair = rng.choice(crossed_pair_structures(amb.aut_data(f)))
+    moduleG, _, _ = amb.gmodule()
+    h2g = cohomology(amb.G, moduleG, 2)
+    z = h2g.lift([rng.randrange(d) for d in h2g.invariant_factors])
+    image = j_map(amb, amb.table(z + coboundary(random_cochain(moduleG, 1, rng))))
+    for cp in (pair, image):
+        assert congruence_key(cp) == congruence_key_loop(cp)
 
 
 def j_map_via_extension(ambient, h_table):

@@ -46,7 +46,7 @@ from teichmuller.gmod_cohomology import (
 )
 from teichmuller import gmod_cohomology
 
-from bar_oracle import bar_cohomology
+from bar_oracle import bar_cohomology, coboundary_loop
 
 
 def negation_module(G, ell):
@@ -122,6 +122,23 @@ def test_d_squared_zero():
     for _ in range(3):
         c = random_cochain(M2, 1, rng)
         assert coboundary(coboundary(c)).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_coboundary_matches_the_loop(n, seed):
+    # unnormalized cochains too: the held face indices serve any table
+    rng = random.Random(seed)
+    S3, _ = metacyclic(3, 2, 2, 0)
+    sign = tuple(((1,),) if g < 3 else ((2,),) for g in range(S3.order))
+    M = rng.choice([trivial_gmodule(quaternion_table(), [2, 4]), negation_module(cyclic(2), 4),
+                    GModule(S3, (3,), sign), trivial_gmodule(cyclic(3), [])])
+    if n == 3 and M.group.order > 6:
+        n = 2
+    shape = (M.group.order,) * n + (M.rank,)
+    c = Cochain(M, n, np.array([rng.randrange(12) for _ in range(int(np.prod(shape)))],
+                               dtype=np.int64).reshape(shape))
+    assert np.array_equal(coboundary(c).table, coboundary_loop(c).table)
 
 
 def test_d_squared_zero_twisted():

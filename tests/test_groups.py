@@ -27,6 +27,8 @@ from teichmuller.groups import (
     two_cocycle_of_extension,
 )
 
+from teichmuller import groups
+
 from group_oracles import (
     quotient_group_oracle,
     automorphism_group,
@@ -385,6 +387,19 @@ def test_cocycle_check_and_extension_table_match_the_loops(data):
     g = [[M.identity if Q.identity in (p, q) else data.draw(values) for q in range(Q.order)]
          for p in range(Q.order)]
     assert is_two_cocycle(Q, M, action, g) == is_two_cocycle_oracle(Q, M, action, g)
+
+
+def test_cocycle_check_of_a_stack_names_the_first_failing_table(monkeypatch):
+    rng = random.Random(2)
+    for Q, M, action, f in COCYCLE_CASES:
+        g = [[M.identity if Q.identity in (p, q) else rng.randrange(M.order)
+              for q in range(Q.order)] for p in range(Q.order)]
+        want = is_two_cocycle_oracle(Q, M, action, g)
+        # one table per batch, and the whole stack in one batch
+        for cells in (1, groups.COCYCLE_CHECK_CELLS):
+            monkeypatch.setattr(groups, "COCYCLE_CHECK_CELLS", cells)
+            got = is_two_cocycle(Q, M, action, [f, f, g, g])
+            assert got == (None if want is None else (2,) + want)
 
 
 def test_action_holds_a_read_only_array():
