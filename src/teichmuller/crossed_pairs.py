@@ -248,10 +248,13 @@ def extension_from_cocycle(ambient: Ambient, f) -> AbExtension:
 
 def class_is_q_fixed(ambient: Ambient, table, H: CohomologyGroup) -> bool:
     """Is the class in H = H^n(N, M) (n = 1 or 2) of the M-element cocycle
-    table on N fixed under the Q-twist by every x in G?"""
+    table on N fixed under the Q-twist by every x in G?
+
+    Elements of N act trivially on H^*(N, M), so one lift x of each
+    nontrivial element of Q decides it."""
     base = H.class_of(ambient.cochain(table, H.module))
     return all(H.class_of(ambient.cochain(ambient.twist(table, x), H.module)) == base
-               for x in range(ambient.G.order))
+               for x in ambient.ext.section() if x != ambient.G.identity)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,7 @@ A finite abelian group of known order is a quotient of Z^n by a relation
 lattice that contains order * Z^n, so it equals (Z/order)^n modulo the same
 relations; ``modlinalg.cokernel_mod`` gives its invariant factors, coordinates
 and lifts.  ``groups.abelian_structure`` presents table groups through
-``abelian_quotient``.  ``gmod_cohomology.cohomology`` reglues split groups
-with ``cokernel_mod`` directly, modulo the lcm of the summand factors: their
-product, the order, can overflow int64 arithmetic.
+``abelian_quotient``.
 """
 
 from __future__ import annotations

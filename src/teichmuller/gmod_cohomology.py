@@ -14,17 +14,17 @@ of d_n, taking generators outside the radical (g - 1)K + pK first, which gives
 the minimal resolution of a p-group.  Two chain maps per degree compare F
 with the normalized bar resolution B: Phi: F -> B through the bar complex's
 contracting homotopy, and Psi: B -> F through one multi-right-hand-side solve
-against d_n.  ``class_of`` pulls a bar cocycle back along Phi and ``lift``
-pushes a class along Psi, so ``cohomology`` never eliminates the bar complex
-itself, with its (|G| - 1)^n columns; only ``coboundary_preimage`` solves the
-bar system one degree down, under the same cell budget.
+against d_n; a chain homotopy s with Phi Psi - 1 = ds + sd is built from the
+same contracting homotopy (Ellis, "Computing group resolutions", 2004).
+``class_of`` pulls a bar cocycle back along Phi, ``lift`` pushes a class
+along Psi, and ``coboundary_preimage`` solves the coboundary system of F and
+corrects the pushed solution by s, so nothing ever eliminates the bar complex
+itself, with its (|G| - 1)^n columns.
 
 The kernel/image linear algebra runs over Z/m: the mixed-modulus cochain
 groups embed into free (Z/m)-modules by scaling coordinate i with m/d_i,
 which turns the coboundary into an integer matrix over Z/m and makes kernels,
 coboundary spans and quotient presentations available through modlinalg.
-When every action matrix is diagonal the module splits into rank one
-summands that are computed independently and reglued.
 
 For cyclic groups there is also a direct degree-3 class invariant obtained by
 pushing cocycles through the comparison maps between the bar resolution and
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
@@ -139,22 +139,6 @@ class GModule:
                 if ker.size and any(self.reduce(_unembed(kcol, d, m)) != (0,) * k
                                     for kcol in ker.T):
                     raise CohomologyError("action matrix is not invertible on the module")
-
-    def is_diagonal_action(self) -> bool:
-        k = self.rank
-        return all(
-            self.action[g][i][j] % self.invariant_factors[i] == 0
-            for g in range(self.group.order)
-            for i in range(k)
-            for j in range(k)
-            if i != j
-        )
-
-    def summand(self, i: int) -> "GModule":
-        """Rank-1 submodule at coordinate i (valid when the action is diagonal)."""
-        d = self.invariant_factors[i]
-        act = tuple(((self.action[g][i][i] % d,),) for g in range(self.group.order))
-        return GModule(self.group, (d,), act)
 
 
 def trivial_gmodule(G: FiniteGroup, factors: Sequence[int]) -> GModule:
@@ -317,7 +301,7 @@ def is_cocycle(c: Cochain) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# normalized bar symbols and the scaled free (Z/m) model of bar cochains
+# normalized bar symbols
 
 def _bar_positions(G: FiniteGroup, n: int) -> np.ndarray:
     """Flat positions in a (|G|,)*n table of the symbols [t_1|...|t_n] with
@@ -358,41 +342,6 @@ def _bar_faces(table: np.ndarray, identity: int, n: int):
     return nonid[digits[0]], faces
 
 
-def _reduced_from_cochain(c: Cochain, m: int) -> np.ndarray:
-    """Embed a normalized cochain into the free (Z/m) model (scaled coords)."""
-    scale = m // np.array(c.module.invariant_factors, dtype=np.int64)
-    values = c.table.reshape(-1, c.module.rank)[_bar_positions(c.module.group, c.degree)]
-    return (values * scale % m).reshape(-1)
-
-
-def _cochain_from_reduced(v: np.ndarray, module: GModule, n: int, m: int) -> Cochain:
-    scale = m // np.array(module.invariant_factors, dtype=np.int64)
-    x = (np.asarray(v, dtype=np.int64) % m).reshape(-1, module.rank)
-    if (x % scale).any():
-        raise CohomologyError("vector does not lie in the embedded cochain group")
-    table = np.zeros((module.group.order ** n, module.rank), dtype=np.int64)
-    table[_bar_positions(module.group, n)] = x // scale
-    return Cochain(module, n, table.reshape((module.group.order,) * n + (module.rank,)))
-
-
-def _coboundary_matrix(module: GModule, n: int, m: int) -> np.ndarray:
-    """D-tilde: the degree-n bar differential on the scaled free (Z/m) model,
-    one k x k block per pair of symbols (row: length n + 1, column: n)."""
-    G, k = module.group, module.rank
-    d = np.array(module.invariant_factors, dtype=np.int64)
-    E = G.order - 1
-    t1, faces = _bar_faces(G.table, G.identity, n + 1)
-    blocks = [_tilde_matrix(module.action_matrices(), d, d, m)[t1]]
-    blocks += [sign * np.eye(k, dtype=np.int64) for sign, _ in faces[1:]]
-    out = np.zeros((E ** (n + 1), k, E ** n, k), dtype=np.int64)
-    rows = np.arange(E ** (n + 1))
-    for (_, cols), block in zip(faces, blocks):
-        # one column per row in each face, so no pair repeats within a face
-        keep = cols < E ** n
-        out[rows[keep], :, cols[keep], :] += block[keep] if block.ndim == 3 else block
-    return np.mod(out.reshape(E ** (n + 1) * k, E ** n * k), m)
-
-
 # ---------------------------------------------------------------------------
 # the free Z/m[G]-resolution of Z/m held by each group
 
@@ -415,8 +364,9 @@ class FreeResolution:
     F_n to F_{n-1}.  ``phis[n]``
     (r_n x E^n, E = |G| - 1) gives Phi(e_j) as a Z/m-combination of the
     normalized bar symbols [t_1|...|t_n], t_i != 1, in lexicographic order;
-    ``psis[n]`` (E^n x r_n x |G|) gives Psi([t]) in F_n.  Each list grows
-    one degree at a time, as far as a caller asks.
+    ``psis[n]`` (E^n x r_n x |G|) gives Psi([t]) in F_n; ``homotopies[n]``
+    (E^n x E^(n+1)) gives s([t]) with Phi Psi - 1 = ds + sd on the bar
+    resolution.  Each list grows one degree at a time, as far as a caller asks.
     """
 
     def __init__(self, G: FiniteGroup, m: int):
@@ -436,6 +386,7 @@ class FreeResolution:
         psi0 = np.zeros((1, 1, N), dtype=np.int64)
         psi0[0, 0, G.identity] = 1
         self.psis = [psi0]
+        self.homotopies = [np.zeros((1, N - 1), dtype=np.int64)]
 
     def matrix(self, D: np.ndarray) -> np.ndarray:
         """The Z/m-matrix of the R-map e_j -> D[j] from R^{len(D)} to R^{r}:
@@ -525,6 +476,23 @@ class FreeResolution:
             self.psis.append(Y.T.reshape(E ** k, self.ranks[k], N))
         return self.psis[n]
 
+    def homotopy(self, n: int) -> np.ndarray:
+        """s([t]) = h(Phi Psi [t] - [t] - s(d[t])), with h(g[u]) = [g|u] the
+        bar's contracting homotopy, which kills identity coefficients.  So
+        s_0 = 0 and s_k = h(Phi_k Psi_k) - kron(I_E, s_(k-1)): h keeps only
+        the first term t_1 [t_2|...|t_k] of d[t], and s is G-linear.  Every
+        s_k has identity coefficients only; the largest, s_n, is checked
+        against the budget first."""
+        E = len(self.nonid)
+        _check_budget(f"homotopy s_{n}", E ** n, E ** (n + 1), self.m)
+        while len(self.homotopies) <= n:
+            k = len(self.homotopies)
+            h_phi_psi = np.einsum("tjg,ju->tgu", self.psi(k)[:, :, self.nonid], self.phi(k))
+            S = h_phi_psi.reshape(E ** k, E ** (k + 1)) - np.kron(np.eye(E, dtype=np.int64),
+                                                                  self.homotopies[-1])
+            self.homotopies.append(S % self.m)
+        return self.homotopies[n]
+
 
 def free_resolution(G: FiniteGroup, m: int) -> FreeResolution:
     """The free Z/m[G]-resolution of Z/m that G holds, made on first use."""
@@ -548,6 +516,8 @@ class _CoreCohomology:
     cocycle_gens: np.ndarray           # columns span the embedded cocycle module
     gens_diag: ModDiagonalization
     cok: ModCokernel
+    # the degree-n coboundary M^(r_(n-1)) -> M^(r_n): unscaled in, scaled out
+    bmat: np.ndarray = field(repr=False)
     # one bar cocycle per class coordinate, made on the first lift
     lifts: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -555,10 +525,27 @@ class _CoreCohomology:
     def invariant_factors(self) -> tuple[int, ...]:
         return self.cok.factors
 
-    def class_vector(self, c: Cochain) -> tuple[int, ...]:
+    def _pulled_back(self, c: Cochain) -> np.ndarray:
+        """c(Phi e_j) for every generator e_j of F_n, scaled and flattened."""
         m, d = self.m, self.module.invariant_factors
         w = (self.resolution.phis[self.degree] @ c.table.reshape(-1, len(d))[self.symbols]) % m
-        coeff = self.gens_diag.solve(((w * (m // np.array(d, dtype=np.int64))) % m).reshape(-1))
+        return ((w * (m // np.array(d, dtype=np.int64))) % m).reshape(-1)
+
+    def _along_psi(self, w: np.ndarray, deg: int) -> np.ndarray:
+        """Bar tables (count, |G|^deg, k) of w_s(Psi[t]) = sum_(j, g)
+        Psi[t][j, g] g.w_s(e_j), one per slice s of w (r_deg x k x count,
+        unscaled) along its last axis."""
+        M = self.module
+        G, k = M.group, M.rank
+        d = np.array(M.invariant_factors, dtype=np.int64)
+        moved = np.einsum("gab,jbs->jgas", M.action_matrices(), w) % d[:, None]
+        values = np.einsum("ujg,jgas->sua", self.resolution.psis[deg], moved) % d
+        tables = np.zeros((w.shape[2], G.order ** deg, k), dtype=np.int64)
+        tables[:, _bar_positions(G, deg)] = values
+        return tables
+
+    def class_vector(self, c: Cochain) -> tuple[int, ...]:
+        coeff = self.gens_diag.solve(self._pulled_back(c))
         if coeff is None:
             raise CohomologyError("cocycle does not lie in the computed kernel")
         return self.cok.coords(coeff)
@@ -571,8 +558,7 @@ class _CoreCohomology:
 
     def _bar_lifts(self) -> np.ndarray:
         """The cocycle w_s lifted from each unit class coordinate s, unscaled,
-        then w_s(Psi[t]) = sum_(j, g) Psi[t][j, g] g.w_s(e_j) on every bar
-        symbol t."""
+        pushed along Psi."""
         M, m, n, k = self.module, self.m, self.degree, self.module.rank
         d = np.array(M.invariant_factors, dtype=np.int64)
         t = len(self.cok.factors)
@@ -580,11 +566,23 @@ class _CoreCohomology:
                           dtype=np.int64).reshape(t, self.cocycle_gens.shape[1])
         w = ((self.cocycle_gens @ coeffs.T) % m).reshape(len(self.cocycle_gens) // k, k, t)
         w //= (m // d)[:, None]
-        moved = np.einsum("gab,jbs->jgas", M.action_matrices(), w) % d[:, None]
-        values = np.einsum("ujg,jgas->sua", self.resolution.psis[n], moved) % d
-        lifts = np.zeros((t, M.group.order ** n, k), dtype=np.int64)
-        lifts[:, self.symbols] = values
-        return lifts.reshape((t,) + (M.group.order,) * n + (k,))
+        return self._along_psi(w, n).reshape((t,) + (M.group.order,) * n + (k,))
+
+    def preimage(self, z: Cochain) -> Optional[Cochain]:
+        """b with db = z for a cocycle z of degree n >= 1, or None when [z] != 0.
+
+        z(Phi) = beta(d) for some beta on F_(n-1) exactly when [z] = 0; then
+        b = beta(Psi) - z(s) has db = z(Phi Psi) - z(sd) = z, since
+        Phi Psi - 1 = ds + sd and z(d) = 0."""
+        M, n, k = self.module, self.degree, self.module.rank
+        F = self.resolution
+        s = F.homotopy(n - 1)
+        beta = diagonalize_mod(self.bmat, self.m).solve(self._pulled_back(z))
+        if beta is None:
+            return None
+        table = self._along_psi(beta.reshape(F.ranks[n - 1], k, 1), n - 1)[0]
+        table[_bar_positions(M.group, n - 1)] -= s @ z.table.reshape(-1, k)[self.symbols]
+        return Cochain(M, n - 1, table.reshape((M.group.order,) * (n - 1) + (k,)))
 
 
 def _compute_core(module: GModule, n: int) -> _CoreCohomology:
@@ -628,7 +626,7 @@ def _compute_core(module: GModule, n: int) -> _CoreCohomology:
     F.phi(n)
     return _CoreCohomology(module=module, degree=n, m=m, resolution=F,
                            symbols=_bar_positions(G, n), cocycle_gens=kernel,
-                           gens_diag=gens_diag, cok=cok)
+                           gens_diag=gens_diag, cok=cok, bmat=bmat)
 
 
 @dataclass
@@ -645,10 +643,8 @@ class CohomologyGroup:
     module: GModule
     degree: int
     invariant_factors: tuple[int, ...]
-    _cores: list = field(repr=False, default_factory=list)
-    _summand_indices: Optional[list] = field(repr=False, default=None)
-    # invariant-factor form of the direct sum of the summands' groups
-    _glue: Optional[ModCokernel] = field(repr=False, default=None)
+    # the _CoreCohomology that reads and writes classes; None for rank 0
+    _core: Optional[_CoreCohomology] = field(repr=False, default=None)
 
     @property
     def order(self) -> int:
@@ -670,13 +666,7 @@ class CohomologyGroup:
         self._check(z)
         if self.module.rank == 0:
             return ()
-        if self._summand_indices is None:
-            return self._cores[0].class_vector(z)
-        parts = []
-        for core, i in zip(self._cores, self._summand_indices):
-            sub = Cochain(core.module, self.degree, z.table[..., i:i + 1])
-            parts.extend(core.class_vector(sub))
-        return self._glue.coords(parts)
+        return self._core.class_vector(z)
 
     def generator(self, index: int) -> Cochain:
         coords = [0] * len(self.invariant_factors)
@@ -686,19 +676,7 @@ class CohomologyGroup:
     def lift(self, coords) -> Cochain:
         if self.module.rank == 0:
             return zero_cochain(self.module, self.degree)
-        if self._summand_indices is None:
-            return self._cores[0].generator(coords)
-        flat = self._glue.lift(coords)
-        out = zero_cochain(self.module, self.degree)
-        offset = 0
-        for core, i in zip(self._cores, self._summand_indices):
-            width = len(core.invariant_factors)
-            part = flat[offset:offset + width] % np.array(core.invariant_factors, dtype=np.int64)
-            sub = core.generator(part)
-            out.table[..., i] = sub.table[..., 0]
-            offset += width
-        out._reduce_inplace()
-        return out
+        return self._core.generator(coords)
 
     def all_classes(self):
         """All coordinate tuples, lexicographic."""
@@ -735,21 +713,8 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
     if k == 0:
         return CohomologyGroup(G, M, n, ())
     _check_budget(f"Psi_{n}", (G.order - 1) ** n, G.order, M.exponent)
-    split = k > 1 and M.is_diagonal_action()
-    if not split:
-        core = _compute_core(M, n)
-        return CohomologyGroup(G, M, n, core.invariant_factors, _cores=[core])
-    cores = []
-    indices = []
-    for i in range(k):
-        cores.append(_compute_core(M.summand(i), n))
-        indices.append(i)
-    src_factors = [f for core in cores for f in core.invariant_factors]
-    # lcm kills every summand, so Z/lcm is exact and stays small where the
-    # product of the factors would overflow int64
-    glue = cokernel_mod(np.diag(np.array(src_factors, dtype=np.int64)), lcm(*src_factors))
-    return CohomologyGroup(G, M, n, glue.factors, _cores=cores,
-                           _summand_indices=indices, _glue=glue)
+    core = _compute_core(M, n)
+    return CohomologyGroup(G, M, n, core.invariant_factors, _core=core)
 
 
 # ---------------------------------------------------------------------------
@@ -943,11 +908,12 @@ def cyclic_h3_class_order(z: Cochain) -> int:
 def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
     """A cochain c with dc = z, or None when [z] != 0.
 
-    Solves the bar coboundary system from degree n - 1, with its
-    (|G| - 1)^(n-1) columns per module coordinate, over Z/m in the scaled free
-    model.  In degree 0 it always returns None: there are no (-1)-cochains.
-    Raises BudgetExceeded before any work when the row transform of that
-    system, (|G| - 1)^n * rank squared cells, exceeds RESOLUTION_CELL_BUDGET.
+    Solves the coboundary system of the held resolution one degree down,
+    pushes the solution along Psi and corrects it by the chain homotopy s
+    (``_CoreCohomology.preimage``).  In degree 0 it always returns None: there
+    are no (-1)-cochains.  Raises BudgetExceeded before any elimination when
+    s_(n-1), (|G| - 1)^(n-1) x (|G| - 1)^n cells, exceeds
+    RESOLUTION_CELL_BUDGET.
     """
     H._check(z)
     M = H.module
@@ -956,27 +922,7 @@ def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
         return None
     if M.rank == 0:
         return zero_cochain(M, n - 1)
-    if H._summand_indices is not None:
-        out = zero_cochain(M, n - 1)
-        for core, i in zip(H._cores, H._summand_indices):
-            sub = Cochain(core.module, n, z.table[..., i:i + 1].copy())
-            subH = CohomologyGroup(H.group, core.module, n,
-                                   core.invariant_factors, _cores=[core])
-            pre = coboundary_preimage(subH, sub)
-            if pre is None:
-                return None
-            out.table[..., i] = pre.table[..., 0]
-        out._reduce_inplace()
-        return out
-    m = H._cores[0].m
-    rows = (M.group.order - 1) ** n * M.rank
-    # the rows x rows transform U is the largest matrix the solve holds
-    _check_budget(f"U of the degree-{n - 1} bar coboundaries", rows, rows, m)
-    scale = np.tile(m // np.array(M.invariant_factors, dtype=np.int64), (M.group.order - 1) ** (n - 1))
-    bmat = (_coboundary_matrix(M, n - 1, m) * scale[None, :]) % m
-    sol = diagonalize_mod(bmat, m).solve(_reduced_from_cochain(z, m))
-    if sol is None:
-        return None
-    c = _cochain_from_reduced((sol * scale) % m, M, n - 1, m)
-    assert np.array_equal(coboundary(c).table, z.table)
+    c = H._core.preimage(z)
+    if c is not None:
+        assert np.array_equal(coboundary(c).table, z.table)
     return c

@@ -1,9 +1,13 @@
-"""H^n(G, M) on the normalized bar complex, kept as a test oracle.
+"""The normalized bar complex: H^n(G, M) on it, kept as a test oracle, and
+the bar-model helpers it needs.
 
 The package computes cohomology on a free resolution held by the group; this
 is the elimination it replaced: the degree-n bar differential, with its
-(|G| - 1)^n columns per module coordinate, taken apart over Z/m with no
-diagonal split.  Use it for |G| <= 8 and degrees <= 3.
+(|G| - 1)^n columns per module coordinate, taken apart over Z/m.  Bar cochains
+enter and leave it through the scaled free (Z/m) model, coordinate i scaled by
+m/d_i (``_reduced_from_cochain``, ``_cochain_from_reduced``), and the
+differential is one dense matrix on that model (``_coboundary_matrix``).  Use
+it for |G| <= 8 and degrees <= 3.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from teichmuller.gmod_cohomology import (
     CohomologyError,
     CohomologyGroup,
     GModule,
-    _coboundary_matrix,
-    _cochain_from_reduced,
-    _reduced_from_cochain,
+    _bar_faces,
+    _bar_positions,
+    _tilde_matrix,
 )
 from teichmuller.modlinalg import (
     ModCokernel,
@@ -29,6 +33,41 @@ from teichmuller.modlinalg import (
     diagonalize_mod,
     solve_matrix_mod,
 )
+
+
+def _reduced_from_cochain(c: Cochain, m: int) -> np.ndarray:
+    """Embed a normalized cochain into the free (Z/m) model (scaled coords)."""
+    scale = m // np.array(c.module.invariant_factors, dtype=np.int64)
+    values = c.table.reshape(-1, c.module.rank)[_bar_positions(c.module.group, c.degree)]
+    return (values * scale % m).reshape(-1)
+
+
+def _cochain_from_reduced(v: np.ndarray, module: GModule, n: int, m: int) -> Cochain:
+    scale = m // np.array(module.invariant_factors, dtype=np.int64)
+    x = (np.asarray(v, dtype=np.int64) % m).reshape(-1, module.rank)
+    if (x % scale).any():
+        raise CohomologyError("vector does not lie in the embedded cochain group")
+    table = np.zeros((module.group.order ** n, module.rank), dtype=np.int64)
+    table[_bar_positions(module.group, n)] = x // scale
+    return Cochain(module, n, table.reshape((module.group.order,) * n + (module.rank,)))
+
+
+def _coboundary_matrix(module: GModule, n: int, m: int) -> np.ndarray:
+    """D-tilde: the degree-n bar differential on the scaled free (Z/m) model,
+    one k x k block per pair of symbols (row: length n + 1, column: n)."""
+    G, k = module.group, module.rank
+    d = np.array(module.invariant_factors, dtype=np.int64)
+    E = G.order - 1
+    t1, faces = _bar_faces(G.table, G.identity, n + 1)
+    blocks = [_tilde_matrix(module.action_matrices(), d, d, m)[t1]]
+    blocks += [sign * np.eye(k, dtype=np.int64) for sign, _ in faces[1:]]
+    out = np.zeros((E ** (n + 1), k, E ** n, k), dtype=np.int64)
+    rows = np.arange(E ** (n + 1))
+    for (_, cols), block in zip(faces, blocks):
+        # one column per row in each face, so no pair repeats within a face
+        keep = cols < E ** n
+        out[rows[keep], :, cols[keep], :] += block[keep] if block.ndim == 3 else block
+    return np.mod(out.reshape(E ** (n + 1) * k, E ** n * k), m)
 
 
 @dataclass
@@ -107,4 +146,4 @@ def coboundary_loop(c: Cochain) -> Cochain:
 def bar_cohomology(module: GModule, n: int) -> CohomologyGroup:
     """H^n(G, M) with ``class_of`` and ``lift`` on the bar complex."""
     core = bar_core(module, n)
-    return CohomologyGroup(module.group, module, n, core.invariant_factors, _cores=[core])
+    return CohomologyGroup(module.group, module, n, core.invariant_factors, _core=core)

@@ -155,13 +155,19 @@ def test_aut_g_of_e_alternating_gammas_with_freed_objects():
     cases = [(klein_ambient(), [[0, 0], [0, 0]]), (klein_ambient(), [[0, 0], [0, 1]]),
              (q8_ambient(), [[0] * 4 for _ in range(4)])]
     seen = {}
-    for i in range(90):
-        amb, f = cases[i % 3]
-        aut = aut_g_of_e(extension_from_cocycle(amb, f))
-        got = (aut.pairs, aut.group.mul, aut.out.order)
-        assert seen.setdefault(i % 3, got) == got
-        del aut
-        gc.collect()
+    # objects made before the loop move to the permanent generation, so each
+    # collection scans only what the loop itself made and freed
+    gc.freeze()
+    try:
+        for i in range(90):
+            amb, f = cases[i % 3]
+            aut = aut_g_of_e(extension_from_cocycle(amb, f))
+            got = (aut.pairs, aut.group.mul, aut.out.order)
+            assert seen.setdefault(i % 3, got) == got
+            del aut
+            gc.collect()
+    finally:
+        gc.unfreeze()
     assert seen[0][0] != seen[2][0]
 
 

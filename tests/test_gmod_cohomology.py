@@ -327,8 +327,8 @@ def test_resolution_budget_is_checked_before_each_elimination(monkeypatch):
 
 
 def test_coboundary_preimage_budget_refuses_before_any_elimination(monkeypatch):
-    # H^4(C16, Z/2) is admitted, but the bar solve one degree down would hold
-    # a 15^4 x 15^4 row transform
+    # H^4(C16, Z/2) is admitted, but the preimage would hold the chain
+    # homotopy s_3 on the bar resolution, 15^3 x 15^4 cells
     G = cyclic(16)
     H = cohomology(G, trivial_gmodule(G, [2]), 4)
     assert H.invariant_factors == (2,)
@@ -338,7 +338,7 @@ def test_coboundary_preimage_budget_refuses_before_any_elimination(monkeypatch):
         raise AssertionError("elimination started on a refused system")
 
     monkeypatch.setattr(gmod_cohomology, "diagonalize_mod", refuse)
-    with pytest.raises(BudgetExceeded, match=r"U of the degree-3 bar coboundaries: a 50625 x 50625 "
+    with pytest.raises(BudgetExceeded, match=r"homotopy s_3: a 3375 x 50625 "
                                              r"matrix over Z/2 exceeds RESOLUTION_CELL_BUDGET"):
         coboundary_preimage(H, z)
 
@@ -466,8 +466,7 @@ def test_diagonal_split_matches_unsplit():
     G = cyclic(4)
     M = trivial_gmodule(G, [2, 4])
     H = cohomology(G, M, 2)
-    # force the unsplit path by a non-diagonal (but equivalent) action: identity
-    # matrices are diagonal, so instead compare orders with the known answer
+    # a diagonal module of mixed moduli, solved as one system over Z/4
     assert sorted(H.invariant_factors) == [2, 4]
     gen0 = H.generator(0)
     gen1 = H.generator(1)
@@ -481,10 +480,10 @@ def _negate_second(G, d):
 
 
 @pytest.mark.parametrize("G, M, n, expected", [
-    # order 2^36: gluing modulo the order would overflow int64
+    # order 2^36: the product of the factors would overflow int64
     (abelian_group_from_factors((2, 2, 2)), lambda G: trivial_gmodule(G, [2] * 6), 2, (2,) * 36),
     (cyclic(2), lambda G: trivial_gmodule(G, [1 << 16, 1 << 16]), 0, (1 << 16, 1 << 16)),
-    # the summands give Z/4 then Z/2, out of divisibility order
+    # the coordinates give Z/4 then Z/2, out of divisibility order
     (cyclic(2), lambda G: _negate_second(G, 4), 0, (2, 4)),
 ], ids=["order_2_36", "order_2_32", "out_of_order"])
 def test_split_module_glues_modulo_lcm(G, M, n, expected):
@@ -657,14 +656,19 @@ def test_resolution_of_a_p_group_is_minimal(G, p):
     assert F.ranks[:4] == dims
 
 
+def regular_module(G, m):
+    """Z/m[G], on which Hom_G(-, Z/m[G]) is faithful."""
+    N = G.order
+    return GModule(G, (m,) * N, tuple(tuple(tuple(int(G.mul[g][b] == a) for b in range(N))
+                                            for a in range(N)) for g in range(N)))
+
+
 @pytest.mark.parametrize("G, m", RESOLUTION_CASES[1:],
                          ids=[f"order{G.order}_Z{m}" for G, m in RESOLUTION_CASES[1:]])
 def test_comparison_maps_are_chain_maps(G, m):
     """Phi and Psi commute with the differentials, checked with coefficients in
     the regular module Z/m[G], on which Hom_G(-, Z/m[G]) is faithful."""
-    N = G.order
-    M = GModule(G, (m,) * N, tuple(tuple(tuple(int(G.mul[g][b] == a) for b in range(N))
-                                         for a in range(N)) for g in range(N)))
+    N, M = G.order, regular_module(G, m)
     F, acts = free_resolution(G, m), M.action_matrices()
     F.extend(3)
     rng = random.Random(N * m)
@@ -689,6 +693,73 @@ def test_comparison_maps_are_chain_maps(G, m):
         pushed = coboundary(Cochain(M, n - 1, table.reshape((N,) * (n - 1) + (N,))))
         assert np.array_equal(pushed.table.reshape(-1, N)[_bar_positions(G, n)],
                               psi_star(n, delta_f(n, w))), n
+
+
+@pytest.mark.parametrize("G, m", RESOLUTION_CASES[1:],
+                         ids=[f"order{G.order}_Z{m}" for G, m in RESOLUTION_CASES[1:]])
+def test_homotopy_joins_phi_psi_to_the_identity(G, m):
+    """Phi Psi - 1 = ds + sd on the bar resolution, read on cochains with
+    coefficients in the regular module Z/m[G]: for every n-cochain z,
+    z(Phi Psi) - z = (dz)(s_n) + d(z(s_(n-1)))."""
+    N, M = G.order, regular_module(G, m)
+    F, acts = free_resolution(G, m), M.action_matrices()
+    F.extend(3)
+    rng = random.Random(N + m)
+
+    def values(c):
+        return c.table.reshape(-1, N)[_bar_positions(G, c.degree)]
+
+    def cochain(vals, n):
+        table = np.zeros((N ** n, N), dtype=np.int64)
+        table[_bar_positions(G, n)] = vals
+        return Cochain(M, n, table.reshape((N,) * n + (N,)))
+
+    assert not F.homotopy(0).any()
+    for n in range(1, 4):
+        z = random_cochain(M, n, rng)
+        moved = np.einsum("gab,jb->jga", acts, F.phi(n) @ values(z) % m)
+        lhs = np.einsum("tjg,jga->ta", F.psi(n), moved) - values(z)
+        rhs = F.homotopy(n) @ values(coboundary(z)) + \
+            values(coboundary(cochain(F.homotopy(n - 1) @ values(z), n - 1)))
+        assert not ((lhs - rhs) % m).any(), n
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[label for label, _ in ORACLE_CASES])
+def test_coboundary_preimage_on_the_oracle_cases(case):
+    """In degrees 1-3: a preimage of every coboundary, and None on every
+    nonzero class, with or without a coboundary added."""
+    label, M = case
+    rng = random.Random(label)
+    for n in (1, 2, 3):
+        H = cohomology(M.group, M, n)
+        for _ in range(3):
+            z = coboundary(random_cochain(M, n - 1, rng))
+            c = coboundary_preimage(H, z)
+            assert c is not None and coboundary(c).table.tolist() == z.table.tolist(), (label, n)
+        classes = list(H.all_classes()) if H.order <= 16 else [
+            tuple(rng.randrange(f) for f in H.invariant_factors) for _ in range(16)]
+        for coords in classes:
+            if any(coords):
+                z = H.lift(coords)
+                assert coboundary_preimage(H, z) is None, (label, n, coords)
+                assert coboundary_preimage(H, z + coboundary(random_cochain(M, n - 1, rng))) is None
+
+
+def test_coboundary_preimage_of_a_rank_6_quaternion_module():
+    """Q8 on (Z/2)^6, the elements outside <i> swapping coordinate pairs: the
+    bar solve of H^3 needed a 2058 x 2058 row transform, over the budget."""
+    Q8 = quaternion_table()
+    swap = np.kron(np.eye(3, dtype=np.int64), [[0, 1], [1, 0]])
+    M = module_from_generators(Q8, (2,) * 6, {2: np.eye(6, dtype=np.int64), 4: swap})
+    H = cohomology(Q8, M, 3)
+    assert H.invariant_factors == (2, 2, 2)      # Shapiro: H^3(C4, (Z/2)^3)
+    rng = random.Random(6)
+    z = coboundary(random_cochain(M, 2, rng))
+    c = coboundary_preimage(H, z)
+    assert c is not None and np.array_equal(coboundary(c).table, z.table)
+    for coords in H.all_classes():
+        if any(coords):
+            assert coboundary_preimage(H, H.lift(coords) + z) is None
 
 
 def test_trivial_group():

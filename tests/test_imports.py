@@ -33,3 +33,34 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "from typing import Optional, Sequence\n\ndef f(x: Sequence):\n    return x\n"
     assert unused_imports(source) == ["Optional (line 1)"]
+
+
+def unread_private_definitions(sources: dict) -> list[str]:
+    """Module-level functions and classes named with a leading underscore that
+    no module of ``sources`` ({module name: source}) reads outside their own
+    definition; importing one counts as reading it."""
+    defined, reads = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", None)
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and owner.startswith("_") and not owner.startswith("__")):
+                defined.append((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.id, owner))
+                elif isinstance(node, ast.ImportFrom):
+                    reads.update((alias.name, None) for alias in node.names)
+    read = {name for name, owner in reads if name != owner}
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_every_private_definition_is_read_in_the_package():
+    unread = unread_private_definitions({p.stem: p.read_text() for p in SRC.glob("*.py")})
+    assert not unread, f"private helpers no module of the package reads: {', '.join(unread)}"
+
+
+def test_scan_flags_an_unread_private_definition():
+    sources = {"a": "def _used():\n    return 1\n\n\ndef _recursive(n):\n    return _recursive(n - 1)\n",
+               "b": "from .a import _used\n\n\nclass _Lone:\n    pass\n"}
+    assert unread_private_definitions(sources) == ["a._recursive", "b._Lone"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from teichmuller.gmod_cohomology import _coboundary_matrix, trivial_gmodule
+from teichmuller.gmod_cohomology import trivial_gmodule
 from teichmuller.groups import cyclic, quaternion_table
 from teichmuller.modlinalg import (
     ModDiagonalization,
@@ -25,6 +25,8 @@ from teichmuller.modlinalg import (
     submodule_size,
     unit_multiplier,
 )
+
+from bar_oracle import _coboundary_matrix
 
 
 def random_matrix(rng, r, c, m):
