@@ -332,10 +332,11 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
         # added, so int64 until the narrow homomorphism checks)
         alpha = (M.table[lx[x], corr[:, :, None]] + nm * ix[x][:, None]).reshape(len(corr), ng)
         cand = alpha.astype(dt)
-        # alpha(yz) = alpha(y) alpha(z): first on the rows y of the lifts of N,
-        # where c enters, then on the whole table for the candidates left
+        # alpha(yz) = alpha(y) alpha(z): first on the rows y of the lifts of N, where c
+        # enters, then for the candidates left on the rows of Gamma's generators (from_table)
         cand = cand[(cand[:, gm[lifts]] == gm[cand[:, lifts, None], cand[:, None, :]]).all(axis=(1, 2))]
-        ok = (cand[:, gm] == gm[cand[:, :, None], cand[:, None, :]]).all(axis=(1, 2))
+        gg = Gamma.gens_index
+        ok = (cand[:, gm[gg]] == gm[cand[:, gg, None], cand[:, None, :]]).all(axis=(1, 2))
         pairs.extend((tuple(a), x) for a in cand[ok].tolist())
     pairs.sort()
     k = len(pairs)
@@ -1095,7 +1096,7 @@ class QNormalGaloisData:
         for g in range(G.order):
             if not is_ring_morphism_matrix(T, np.asarray(self.kappa_G[g]) % m):
                 raise CrossedPairError("kappa_G is not by ring automorphisms")
-        pair = first_nonmultiplicative_pair(self.kappa_G, G.table, m)
+        pair = first_nonmultiplicative_pair(self.kappa_G, G, m)
         if pair is not None:
             raise CrossedPairError(f"kappa_G is not a homomorphism at {pair}")
         for n in range(self.ambient.N.order):

@@ -758,13 +758,13 @@ def units_group(A, cap: int = UNITS_CAP) -> UnitsGroup:
 
 
 def _enumerate_units(A: "Algebra") -> UnitsGroup:
-    units = []
-    for x in A.elements():
-        if A.is_unit(x):
-            units.append(tuple(int(v) for v in x))
+    units = [tuple(int(v) for v in x) for x in A.elements() if A.is_unit(x)]
     index = {u: i for i, u in enumerate(units)}
-    mul = [[index[tuple(int(v) for v in A.mul(np.array(a), np.array(b)))]
-            for b in units] for a in units]
+    # every product in one batch, looked up by mixed-radix code (-1, refused, off the units)
+    U, m = np.array(units, dtype=np.int64).reshape(len(units), A.flat_rank), A.modulus
+    radix, lookup = m ** np.arange(A.flat_rank - 1, -1, -1), np.full(A.size, -1)
+    lookup[U @ radix] = np.arange(len(units))
+    mul = lookup[(np.einsum("ia,jb,abc->ijc", U, U, A.flat_tensor) % m) @ radix]
     G = FiniteGroup.from_table(mul, cap=max(len(units), 256))
     return UnitsGroup(group=G, elements=tuple(units), index=index)
 
@@ -886,7 +886,7 @@ class GaloisData:
         ident = self.act_matrix(self.N.identity)
         if not np.array_equal(ident % m, np.eye(self.T.rank, dtype=np.int64)):
             raise RingError("identity must act trivially")
-        pair = first_nonmultiplicative_pair(self.action, self.N.table, m)
+        pair = first_nonmultiplicative_pair(self.action, self.N, m)
         if pair is not None:
             raise RingError(f"action is not a group homomorphism at {pair}")
 

@@ -129,7 +129,7 @@ class GModule:
             raise CohomologyError("identity must act as the identity matrix")
         # homomorphism, row i taken mod d_i, and invertibility of each action map
         if k:
-            pair = first_nonmultiplicative_pair(acts, G.table, rows)
+            pair = first_nonmultiplicative_pair(acts, G, rows)
             if pair is not None:
                 raise CohomologyError(f"action is not a homomorphism at {pair}")
             m = self.exponent

@@ -24,10 +24,30 @@ import numpy as np
 from .exact_linalg import abelian_quotient
 
 DEFAULT_ORDER_CAP = 256
+ALL_GENERATORS_ORDER = 32  # up to this order every element is a generator
 
 
 class GroupError(ValueError):
     pass
+
+
+def _generating_set(u: np.ndarray, ident: int) -> np.ndarray:
+    """Elements whose closure under products (rounds S <- S u SS) with the identity is
+    all of the table u, associative or not: all up to ``ALL_GENERATORS_ORDER``, where
+    one gather costs less than a search, else the least element outside, in turn."""
+    if len(u) <= ALL_GENERATORS_ORDER:
+        return np.arange(len(u))
+    gens, inside = [], np.zeros(len(u), dtype=bool)
+    inside[ident] = True
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        inside[gens[-1]] = True
+        while True:
+            s = np.flatnonzero(inside)
+            inside[u[np.ix_(s, s)]] = True
+            if inside.sum() == len(s):
+                break
+    return np.array(gens)
 
 
 @dataclass(frozen=True)
@@ -35,10 +55,9 @@ class FiniteGroup:
     """A group on 0..order-1 by its table.
 
     ``table`` and ``inverse`` hold ``mul`` and ``inv`` once more as read-only
-    int64 arrays for vectorized checks; ``_held`` keeps data derived from the
-    table (``abelian_structure``).  None of the three takes part in
-    construction, equality, hashing or the repr, and the arrays stay out of
-    the pickled state.
+    int64 arrays, ``gens`` the generators that the table checks run on; ``_held``
+    keeps derived data (``abelian_structure``).  None of them takes part in
+    construction, equality, hashing or the repr, nor the arrays in the pickle.
     """
 
     order: int
@@ -50,10 +69,15 @@ class FiniteGroup:
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     table: np.ndarray = field(init=False, repr=False, compare=False)
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    gens: np.ndarray = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def from_table(mul: Sequence[Sequence[int]], labels=None, generators=None,
                    cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
+        """Checks identity, inverses and associativity, the last by Light's test on ``gens``:
+        the a with (xa)y = x(ay) for all x, y are closed under products (Clifford-Preston,
+        *The Algebraic Theory of Semigroups* I, section 1.2), so they are all once they hold
+        1 and ``gens``; likewise the a with f(xa) = f(x) f(a) for all x, for homomorphisms."""
         n = len(mul)
         if n == 0:
             raise GroupError("empty table")
@@ -67,13 +91,13 @@ class FiniteGroup:
         if not units.size:
             raise GroupError("no identity element")
         ident = int(units[0])
-        # associativity: t[t[a,b],c] == t[a,t[b,c]] in the narrowest index
-        # dtype, chunked over a to bound memory
-        u = t.astype(np.min_scalar_type(n - 1))
-        step = n if n <= 128 else max(1, (1 << 21) // (n * n))
-        for lo in range(0, n, step):
-            rows = u[lo:lo + step]
-            if not np.array_equal(u[rows], rows[:, u]):
+        # associativity: t[t[x,a],y] == t[x,t[a,y]] for each a in gens, in the
+        # narrowest index dtype, chunked over gens to bound memory
+        u, gens = t.astype(np.min_scalar_type(n - 1)), _generating_set(t, ident)
+        step = max(1, (1 << 21) // (n * n))
+        for lo in range(0, len(gens), step):
+            g = gens[lo:lo + step] if len(gens) < n else slice(lo, lo + step)
+            if not np.array_equal(u[u[:, g]], u[:, u[g]]):
                 raise GroupError("multiplication table is not associative")
         hits = t == ident
         if (hits.sum(axis=1) != 1).any():
@@ -83,22 +107,28 @@ class FiniteGroup:
                         inv=tuple(inverse.tolist()),
                         labels=tuple(labels) if labels else None,
                         generators=tuple(generators) if generators else None)
-        G._hold_arrays(t, inverse)
+        G._hold_arrays(t, inverse, gens)
         return G
 
-    def _hold_arrays(self, t: np.ndarray, inverse: np.ndarray) -> None:
-        t.flags.writeable = inverse.flags.writeable = False
-        object.__setattr__(self, "table", t)
-        object.__setattr__(self, "inverse", inverse)
+    def _hold_arrays(self, t: np.ndarray, inverse: np.ndarray, gens: np.ndarray) -> None:
+        for name, arr in (("table", t), ("inverse", inverse), ("gens", gens)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["table"], state["inverse"]
+        del state["table"], state["inverse"], state["gens"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._hold_arrays(np.array(self.mul, dtype=np.int64), np.array(self.inv, dtype=np.int64))
+        t = np.array(self.mul, dtype=np.int64)
+        self._hold_arrays(t, np.array(self.inv, dtype=np.int64), _generating_set(t, self.identity))
+
+    @property
+    def gens_index(self):
+        """``gens`` as an index: a slice, which numpy takes without a copy, when it is all."""
+        return self.gens if len(self.gens) < self.order else slice(None)
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
@@ -133,7 +163,7 @@ class FiniteGroup:
         return prof
 
     def is_abelian(self) -> bool:
-        return all(self.mul[a][b] == self.mul[b][a] for a in range(self.order) for b in range(a))
+        return bool((self.table == self.table.T).all())
 
     def closure(self, gens: Sequence[int]) -> list[int]:
         seen = {self.identity}
@@ -161,8 +191,7 @@ class FiniteGroup:
         return gens
 
     def center(self) -> list[int]:
-        return [a for a in range(self.order)
-                if all(self.mul[a][b] == self.mul[b][a] for b in range(self.order))]
+        return np.flatnonzero((self.table == self.table.T).all(axis=1)).tolist()
 
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels else str(a)
@@ -188,16 +217,16 @@ class GroupHom:
             raise GroupError(f"not a homomorphism at {hom.first_failing_pair()}")
         return hom
 
-    def _defects(self) -> np.ndarray:
-        """defects[a, b] is True where f(ab) != f(a) f(b); images must be in range."""
+    def _defects(self, rows=slice(None)) -> np.ndarray:
+        """defects[j, b]: f(ab) != f(a) f(b) at a = rows[j], all a by default; images in range."""
         im = np.array(self.images)
-        return im[self.source.table] != self.target.table[im[:, None], im]
+        return im[self.source.table[rows]] != self.target.table[im[rows][:, None], im]
 
     def is_valid(self) -> bool:
         im, T = self.images, self.target
         if min(im) < 0 or max(im) >= T.order or im[self.source.identity] != T.identity:
             return False
-        return not self._defects().any()
+        return not self._defects(self.source.gens_index).any()
 
     def first_failing_pair(self) -> Optional[tuple[int, int]]:
         """The first (a, b), in row-major order, with f(ab) != f(a) f(b); None
@@ -331,14 +360,14 @@ class GroupAction:
         if not np.array_equal(arr[G.identity], np.arange(n)):
             raise GroupError("identity does not act trivially")
         arr = arr.astype(np.min_scalar_type(n - 1))
-        # table[g][table[h][x]] must equal table[gh][x]
-        if not np.array_equal(arr[:, arr], arr[G.table]):
+        # table[g][table[h][x]] must equal table[gh][x], for each generator g
+        if not np.array_equal(arr[G.gens_index][:, arr], arr[G.table[G.gens_index]]):
             raise GroupError("action is not a homomorphism")
         if isinstance(self.carrier, FiniteGroup):
-            # each distinct permutation once: perm[xy] == perm[x] perm[y]
-            perms = np.array(list(dict.fromkeys(self.table)), dtype=arr.dtype)
-            cmul = self.carrier.table.astype(arr.dtype)
-            if not np.array_equal(perms[:, cmul], cmul[perms[:, :, None], perms[:, None, :]]):
+            # generators' distinct permutations, on the carrier's generators c: perm[cx] == perm[c] perm[x]
+            perms = np.array(list(dict.fromkeys(self.table[g] for g in G.gens.tolist())), dtype=arr.dtype)
+            cmul, cg = self.carrier.table.astype(arr.dtype), self.carrier.gens_index
+            if not np.array_equal(perms[:, cmul[cg]], cmul[perms[:, cg, None], perms[:, None, :]]):
                 raise GroupError("action is not by automorphisms")
 
 

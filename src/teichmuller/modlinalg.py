@@ -393,21 +393,23 @@ def inverse_mod(A, m: int) -> np.ndarray | None:
     return (diag.V @ ((dinv[:, None] * diag.U) % m)) % m
 
 
-def first_nonmultiplicative_pair(mats, mul, m) -> tuple[int, int] | None:
+def first_nonmultiplicative_pair(mats, G, m) -> tuple[int, int] | None:
     """The first (g, h), in row-major order, with mats[g] @ mats[h] != mats[gh] mod m.
 
-    ``mats`` holds one square matrix per element of a group whose table is
-    ``mul``; None means g -> mats[g] is multiplicative.  ``m`` may also be a
-    column of moduli, one per row.  Each g costs one batched product over all
-    h, so memory stays at |G| matrices.
+    ``mats`` holds one square matrix per element of the FiniteGroup G; None means g -> mats[g]
+    is multiplicative.  ``m`` may also be a column of moduli, one per row.  The g at which every
+    h passes are closed under products, so ``G.gens`` decide it and only a failure scans every g;
+    each g costs one batched product over all h, so memory stays at |G| matrices.
     """
     A = np.mod(np.asarray(mats, dtype=np.int64), m)
-    table = np.asarray(mul, dtype=np.int64)
-    for g in range(len(A)):
-        bad = np.flatnonzero(((A[g] @ A) % m != A[table[g]]).any(axis=(1, 2)))
-        if bad.size:
-            return g, int(bad[0])
-    return None
+
+    def failing(g):
+        return np.flatnonzero(((A[g] @ A) % m != A[G.table[g]]).any(axis=(1, 2)))
+
+    if not any(failing(g).size for g in G.gens):
+        return None
+    g = next(g for g in range(len(A)) if failing(g).size)
+    return g, int(failing(g)[0])
 
 
 def submodule_size(A, m: int) -> int:

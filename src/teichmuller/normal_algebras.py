@@ -45,7 +45,8 @@ from .finrings import (
     _expand_over_subring,
     _module_basis_over_subring,
 )
-from .modlinalg import colspans_equal, first_nonmultiplicative_pair, invertible_mod, submodule_size
+from .modlinalg import (ModDiagonalization, colspans_equal, first_nonmultiplicative_pair,
+                        invertible_mod, submodule_size)
 
 
 class NormalStructureError(ValueError):
@@ -73,7 +74,7 @@ class BaseAction:
         for q in range(self.Q.order):
             if not is_ring_morphism_matrix(self.S, self.mat(q) % m):
                 raise NormalStructureError(f"kappa({q}) is not a ring automorphism")
-        pair = first_nonmultiplicative_pair(self.matrices, self.Q.table, m)
+        pair = first_nonmultiplicative_pair(self.matrices, self.Q, m)
         if pair is not None:
             raise NormalStructureError(f"kappa is not a homomorphism at {pair}")
 
@@ -133,7 +134,7 @@ class OutRep:
                         f"defect at ({p},{q}) is not inner: not a Q-normal structure")
 
     def is_equivariant(self) -> bool:
-        return first_nonmultiplicative_pair(self.lifts, self.Q.table, self.A.modulus) is None
+        return first_nonmultiplicative_pair(self.lifts, self.Q, self.A.modulus) is None
 
 
 def equivariant_rep(base_action: BaseAction, A: Algebra, lifts, name: str = "") -> OutRep:
@@ -141,7 +142,7 @@ def equivariant_rep(base_action: BaseAction, A: Algebra, lifts, name: str = "") 
     rep = OutRep(base_action=base_action, A=A,
                  lifts=tuple(np.asarray(w, dtype=np.int64) % A.modulus for w in lifts),
                  name=name)
-    pair = first_nonmultiplicative_pair(rep.lifts, rep.Q.table, A.modulus)
+    pair = first_nonmultiplicative_pair(rep.lifts, rep.Q, A.modulus)
     if pair is not None:
         raise NormalStructureError(f"lift table is not an exact homomorphism at {pair}")
     return rep
@@ -378,18 +379,22 @@ class CrossedProductSpec:
                 raise NormalStructureError(f"theta({g}) is not an algebra automorphism")
             if not np.array_equal((th @ emb) % m, (emb @ self.base_action.mat(q)) % m):
                 raise NormalStructureError(f"theta({g}) has the wrong grade")
-        pair = first_nonmultiplicative_pair(thetas, Gamma.table, m)
+        pair = first_nonmultiplicative_pair(thetas, Gamma, m)
         if pair is not None:
             raise NormalStructureError(f"theta is not a homomorphism at {pair}")
         # row y of I is i(y); left[y] and right[y] multiply by it on either side
         I = np.array(self.i_images, dtype=np.int64).reshape(K.order, A.flat_rank)
-        if not all(A.is_unit(v) for v in I):
+        left = np.einsum("ya,abc->ycb", I, A.flat_tensor) % m
+        right = np.einsum("yb,abc->yca", I, A.flat_tensor) % m
+        # i(1) = 1 and i(y) i(z) = i(yz) for the generators y make i multiplicative,
+        # so i(y) i(y^-1) = 1; only a failure takes the checks that name the first error
+        mult = np.array_equal(I[K.identity] % m, A.flat_unit()) and np.array_equal(
+            (left[K.gens_index] @ I.T) % m, I[K.table[K.gens_index]].transpose(0, 2, 1))
+        if not mult and not all(A.is_unit(v) for v in I):
             raise NormalStructureError("i(K) contains a non-unit")
         if len(np.unique(I, axis=0)) != K.order:
             raise NormalStructureError("i is not injective")
-        left = np.einsum("ya,abc->ycb", I, A.flat_tensor) % m
-        right = np.einsum("yb,abc->yca", I, A.flat_tensor) % m
-        for y in range(K.order):
+        for y in range(0 if mult else K.order):
             bad = np.flatnonzero(((left[y] @ I.T) % m != I[K.table[y]].T).any(axis=0))
             if bad.size:
                 raise NormalStructureError(f"i is not multiplicative at ({y}, {bad[0]})")
@@ -405,7 +410,9 @@ class CrossedProductSpec:
         conj = into_k[gmul[gmul[:, j_img], Gamma.inverse[:, None]]]
         for g, y in np.argwhere(conj < 0)[:1]:
             raise NormalStructureError(f"kernel is not normal in Gamma at ({g}, {y})")
-        for g in range(Gamma.order):
+        gs = Gamma.gens_index  # theta is a homomorphism: Gamma's generators decide equivariance
+        ok = np.array_equal(I[conj[gs]] % m, np.einsum("gab,yb->gya", thetas[gs], I) % m)
+        for g in range(0 if ok else Gamma.order):
             bad = np.flatnonzero((I[conj[g]] % m != (I @ thetas[g].T) % m).any(axis=1))
             if bad.size:
                 raise NormalStructureError(f"i is not Gamma-equivariant at ({g}, {bad[0]})")
@@ -541,12 +548,13 @@ class EndSide:
 
     ``E`` is the endomorphism algebra over S on the basis f_{p,q,i} sending
     v_q to e_i v_p; ``to_matrix`` and ``from_matrix`` translate between E and
-    actual C-endomorphism matrices.
+    actual C-endomorphism matrices, the latter through ``basis_diag``.
     """
 
     product: CrossedProductResult
     E: Algebra
     basis_matrices: list         # E flat basis index -> C-matrix
+    basis_diag: ModDiagonalization  # of the flattened basis matrices, as columns
 
     def to_matrix(self, e_vec) -> np.ndarray:
         m = self.E.modulus
@@ -557,9 +565,7 @@ class EndSide:
         return out
 
     def from_matrix(self, mat) -> Optional[np.ndarray]:
-        cols = np.stack([bm.reshape(-1) for bm in self.basis_matrices], axis=1)
-        return diagonalize_mod(cols, self.E.modulus).solve(
-            np.asarray(mat, dtype=np.int64).reshape(-1))
+        return self.basis_diag.solve(np.asarray(mat, dtype=np.int64).reshape(-1))
 
 
 def end_algebra_of_crossed_product(res: CrossedProductResult) -> EndSide:
@@ -623,7 +629,9 @@ def end_algebra_of_crossed_product(res: CrossedProductResult) -> EndSide:
         # the flat basis carries S-coordinates: (s_u . f)(b) = s_u f(b)
         for u in range(sR):
             basis_matrices.append((C.left_mul_matrix(s_img[:, u]) @ mat) % m)
-    return EndSide(product=res, E=E, basis_matrices=basis_matrices)
+    cols = np.stack([bm.reshape(-1) for bm in basis_matrices], axis=1)
+    return EndSide(product=res, E=E, basis_matrices=basis_matrices,
+                   basis_diag=diagonalize_mod(cols, m))
 
 
 def end_equivariant_structure(side: EndSide) -> OutRep:

@@ -3,9 +3,11 @@
 The package runs homomorphism checks, the 2-cocycle identity, the table of an
 extension by a 2-cocycle, quotient groups and the Aut_G(e) search as gathers
 on each group's held arrays; the loops here are what they replaced, element
-by element.  The
-isomorphism and automorphism searches have no caller in the package and live
-here only.
+by element.  The table laws (associativity, homomorphisms, actions, crossed
+modules) run in the package on each group's generating set ``gens``; the
+full scans over every pair or triple that they replaced are kept here too.
+The isomorphism and automorphism searches have no caller in the package and
+live here only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from teichmuller.groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, GroupHom
+from teichmuller.crossed import CrossedModule
+from teichmuller.groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupAction, GroupError, GroupHom
 
 ISO_SEARCH_CAP = 128
 AUT_SEARCH_CAP = 64
@@ -28,6 +31,81 @@ def is_valid_oracle(hom: GroupHom) -> bool:
     tmul = hom.target.mul
     return all(im[src.mul[a][b]] == tmul[im[a]][im[b]]
                for a in range(src.order) for b in range(src.order))
+
+
+def check_table_oracle(mul) -> None:
+    """Raise the GroupError of ``FiniteGroup.from_table`` for a square table
+    over 0..n-1, with associativity checked on every triple."""
+    t = np.array(mul, dtype=np.int64)
+    n = len(t)
+    ar = np.arange(n)
+    units = np.flatnonzero((t == ar).all(axis=1) & (t.T == ar).all(axis=1))
+    if not units.size:
+        raise GroupError("no identity element")
+    if not np.array_equal(t[t], t[:, t]):
+        raise GroupError("multiplication table is not associative")
+    if ((t == int(units[0])).sum(axis=1) != 1).any():
+        raise GroupError("element without unique inverse")
+
+
+def action_validate_oracle(action: GroupAction) -> None:
+    """``GroupAction.validate`` with the homomorphism law checked on every
+    pair of the actor and each distinct permutation on every pair of the
+    carrier."""
+    n = action.carrier_size
+    G = action.actor
+    if len(action.table) != G.order:
+        raise GroupError("action table has wrong length")
+    arr = action.perms
+    if arr is None or arr.shape != (G.order, n):
+        raise GroupError("action table has wrong shape")
+    if not np.array_equal(np.sort(arr, axis=1), np.tile(np.arange(n), (G.order, 1))):
+        raise GroupError("action entry is not a permutation")
+    if not np.array_equal(arr[G.identity], np.arange(n)):
+        raise GroupError("identity does not act trivially")
+    if not np.array_equal(arr[:, arr], arr[G.table]):
+        raise GroupError("action is not a homomorphism")
+    if isinstance(action.carrier, FiniteGroup):
+        perms = np.array(list(dict.fromkeys(action.table)), dtype=np.int64)
+        cmul = action.carrier.table
+        if not np.array_equal(perms[:, cmul], cmul[perms[:, :, None], perms[:, None, :]]):
+            raise GroupError("action is not by automorphisms")
+
+
+def first_nonmultiplicative_pair_oracle(mats, mul, m) -> Optional[tuple[int, int]]:
+    """The first (g, h), in row-major order, with mats[g] mats[h] != mats[gh]
+    mod m, scanned over every g."""
+    A = np.mod(np.asarray(mats, dtype=np.int64), m)
+    table = np.asarray(mul, dtype=np.int64)
+    for g in range(len(A)):
+        bad = np.flatnonzero(((A[g] @ A) % m != A[table[g]]).any(axis=(1, 2)))
+        if bad.size:
+            return g, int(bad[0])
+    return None
+
+
+def validate_crossed_module_oracle(cm: CrossedModule) -> list[str]:
+    """The report of ``crossed.validate_crossed_module``, both identities
+    checked on every pair."""
+    C, Gamma = cm.C, cm.Gamma
+    if not is_valid_oracle(cm.boundary):
+        return ["boundary is not a homomorphism"]
+    try:
+        action_validate_oracle(cm.action)
+    except GroupError as exc:
+        return [f"action invalid: {exc}"]
+    act = cm.action.perms
+    bnd = np.array(cm.boundary.images, dtype=np.int64)
+    gmul, ginv, cmul, cinv = Gamma.table, Gamma.inverse, C.table, C.inverse
+    report = []
+    rhs = gmul[gmul[np.arange(Gamma.order)[:, None], bnd[None, :]], ginv[:, None]]
+    for g, c in zip(*np.nonzero(bnd[act] != rhs)):
+        report.append(
+            f"equivariance fails at gamma={Gamma.label(int(g))}, c={C.label(int(c))}")
+    for b, c in zip(*np.nonzero(cmul[cmul, cinv[:, None]] != act[bnd])):
+        report.append(
+            f"Peiffer identity fails at b={C.label(int(b))}, c={C.label(int(c))}")
+    return report
 
 
 def quotient_group_oracle(G: FiniteGroup, normal_elements: Sequence[int]):

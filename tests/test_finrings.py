@@ -75,6 +75,19 @@ def test_units_groups():
     assert not m2f2.group.is_abelian()  # GL_2(F_2) = S_3
 
 
+def test_units_table_matches_the_product_pair_by_pair():
+    # the table is built in one batch; the pair-by-pair products it replaced
+    for A in (matrix_algebra(gf(2, 1), 2), matrix_algebra(gf(3, 1), 2),
+              ring_as_algebra(galois_ring(2, 3, 2)), ring_as_algebra(zmod(9))):
+        U = units_group(A)
+        n = U.group.order
+        assert n == sum(1 for x in A.elements() if A.is_unit(x))
+        assert list(U.elements) == sorted(U.elements)
+        for a in range(n):
+            for b in range(n):
+                assert U.group.mul[a][b] == U.index_of(A.mul(U.element(a), U.element(b)))
+
+
 def test_units_gr82():
     gr = galois_ring(2, 3, 2)
     u = units_group(gr)

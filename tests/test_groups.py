@@ -239,8 +239,9 @@ def perturbed(n: int) -> list:
 
 @pytest.mark.parametrize("n", [130, 256, 257])
 def test_from_table_chunked_and_at_the_dtype_boundary(n):
-    # orders above 128 take the chunked associativity check; 256 is the last
-    # order whose indices fit in uint8, 257 the first to need uint16
+    # orders above 32 check associativity on a greedy generating set, here
+    # the one generator 1; 256 is the last order whose indices fit in uint8,
+    # 257 the first to need uint16
     G = FiniteGroup.from_table(cyclic_table(n), cap=n)
     assert G.identity == 0 and G.inv[1] == n - 1 and G.mul[n - 1][2] == 1
     with pytest.raises(GroupError, match="not associative"):

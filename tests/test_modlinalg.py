@@ -441,13 +441,13 @@ def test_first_nonmultiplicative_pair_matches_the_pairwise_loop():
     m, G = 5, cyclic(4)
     rot = np.array([[0, 4], [1, 0]], dtype=np.int64)
     mats = [np.linalg.matrix_power(rot, g) % m for g in range(4)]
-    assert first_nonmultiplicative_pair(mats, G.mul, m) is None
+    assert first_nonmultiplicative_pair(mats, G, m) is None
     for g, other in itertools.permutations(range(4), 2):
         bad = list(mats)
         bad[g] = mats[other]
         want = pairwise_first_failure(bad, G.mul, m)
         assert want is not None
-        assert first_nonmultiplicative_pair(bad, G.mul, m) == want
+        assert first_nonmultiplicative_pair(bad, G, m) == want
 
 
 def test_solve_columns_and_in_image_match_one_column_at_a_time():
