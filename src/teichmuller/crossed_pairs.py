@@ -332,11 +332,12 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
         # added, so int64 until the narrow homomorphism checks)
         alpha = (M.table[lx[x], corr[:, :, None]] + nm * ix[x][:, None]).reshape(len(corr), ng)
         cand = alpha.astype(dt)
-        # alpha(yz) = alpha(y) alpha(z): first on the rows y of the lifts of N, where c
-        # enters, then for the candidates left on the rows of Gamma's generators (from_table)
-        cand = cand[(cand[:, gm[lifts]] == gm[cand[:, lifts, None], cand[:, None, :]]).all(axis=(1, 2))]
-        gg = Gamma.gens_index
-        ok = (cand[:, gm[gg]] == gm[cand[:, gg, None], cand[:, None, :]]).all(axis=(1, 2))
+        # alpha(yz) = alpha(y) alpha(z) for all z is checked on the rows y of the lifts
+        # (0, n) of N alone.  It holds for y in M already: c(1) = 0 makes alpha = l_x
+        # on M, and (m, 1)(m', n') = (m + m', n') goes to (l_x(m) + l_x(m') + c(n'),
+        # i_x(n')) = alpha(m, 1) alpha(m', n').  The y for which it holds are closed
+        # under products, and M with the lifts generates Gamma, so it holds for all y.
+        ok = (cand[:, gm[lifts]] == gm[cand[:, lifts, None], cand[:, None, :]]).all(axis=(1, 2))
         pairs.extend((tuple(a), x) for a in cand[ok].tolist())
     pairs.sort()
     k = len(pairs)
@@ -1080,13 +1081,24 @@ class QNormalGaloisData:
     """A Q-normal Galois extension T|S with its structure extension.
 
     ``ambient`` is N >-> G ->> Q with M = U(T) and the kappa_G-action on
-    units; ``kappa_G`` gives the ring-automorphism matrices of T.
+    units; ``kappa_G`` gives the ring-automorphism matrices of T.  ``_held``
+    keeps the N-action on T; it takes no part in construction or the repr.
     """
 
     gal: object                   # finrings.GaloisData (T | S with group N)
     ambient: Ambient
     units: object                 # finrings.UnitsGroup of T
     kappa_G: tuple                # G-element -> matrix on T
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def n_base_action(self) -> BaseAction:
+        """N acting on T, built once and held with the fixed ring it holds."""
+        held = self._held.get("n_base_action")
+        if held is None:
+            N, T = self.ambient.N, self.gal.T
+            held = self._held["n_base_action"] = BaseAction(
+                N, T, tuple(self.gal.act_matrix(n) % T.modulus for n in range(N.order)))
+        return held
 
     def validate(self) -> None:
         self.ambient.validate()
@@ -1148,23 +1160,23 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     amb = data.ambient
     T = gal.T
     m = T.modulus
-    N, Q, G = amb.N, amb.Q, amb.G
+    Q = amb.Q
     ae = cp.ae
     Gamma = ae.Gamma
     A = ring_as_algebra(T)
-    base_action_N = BaseAction(N, T, tuple(gal.act_matrix(n) % m for n in range(N.order)))
     # i: Gamma-kernel (= U(T) as a group) -> units of T
     i_images = tuple(tuple(int(x) for x in data.units.element(u))
                      for u in range(data.units.group.order))
     theta = tuple(gal.act_matrix(ae.gamma_parts(y)[1]) % m for y in range(Gamma.order))
-    spec = CrossedProductSpec(A=A, base_action=base_action_N, ext=ae.ext_e,
+    spec = CrossedProductSpec(A=A, base_action=data.n_base_action(), ext=ae.ext_e,
                               i_images=i_images, theta=theta)
     res = crossed_product(spec, seed=seed)
     C = res.C
     R = res.R
     rR = R.rank
-    sigma = res.s_basis.shape[1]
     r_diag = diagonalize_mod(res.r_embed, m)
+    # rs[d, u] = r_u s_d in T: C has the basis r_u s_d v_n at (n, d, u), as A = T
+    rs = np.einsum("au,bd,abk->duk", res.r_embed, res.s_basis, T.tensor) % m
     # sigma_psi lifts on C
     sec = amb.ext.section(seed)
     lifts = []
@@ -1174,40 +1186,23 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
         alpha, x = cp.autdata.pairs[a_idx]
         if amb.ext.quotient_hom(x) != q:
             raise CrossedPairError("lift grade mismatch")
-        kap_x = np.asarray(data.kappa_G[x], dtype=np.int64)
-        cols = []
-        for n_idx in range(N.order):
-            gamma_n = res.section[n_idx]
-            ay = alpha[gamma_n]
-            n2 = ae.gamma_parts(ay)[1]
-            k_elt = into_k[Gamma.mul[ay][Gamma.inv[res.section[n2]]]]
-            u_hat = data.units.element(k_elt)
-            for d in range(sigma):
-                for u in range(rR):
-                    ru = np.zeros(rR, dtype=np.int64)
-                    ru[u] = 1
-                    t_elt = T.mul((res.r_embed @ ru) % m, res.s_basis[:, d])
-                    img_t = T.mul((kap_x @ t_elt) % m, u_hat)
-                    c_elt = (res.a_to_c @ img_t) % m
-                    cols.append(C.mul(c_elt, res.v_units[n2]))
-        w = np.stack(cols, axis=1) % m
-        lifts.append(w)
+        # alpha sends v_n to u_hat[n] v_{n2[n]}, with u_hat[n] a unit of T
+        ay = [alpha[g] for g in res.section]
+        n2 = [ae.gamma_parts(y)[1] for y in ay]
+        u_hat = np.array([data.units.element(into_k[Gamma.mul[y][Gamma.inv[res.section[b]]]])
+                          for y, b in zip(ay, n2)])
+        # i_sharp(alpha, x): t v_n -> (x.t) u_hat[n] v_{n2[n]} for t = r_u s_d
+        kt = np.einsum("ab,dub->dua", np.asarray(data.kappa_G[x], dtype=np.int64), rs) % m
+        img = np.einsum("dua,nb,abw->nduw", kt, u_hat, T.tensor) % m
+        at_v1 = np.einsum("cw,nduw->nduc", res.a_to_c, img) % m
+        right_v = np.einsum("nb,abc->nca", np.asarray(res.v_units)[n2], C.flat_tensor) % m
+        lifts.append(np.einsum("nca,ndua->cndu", right_v, at_v1).reshape(C.flat_rank, -1) % m)
     # kappa_Q on the rebuilt base ring R (= S): transport through T
-    kq_mats = []
-    for q in range(Q.order):
-        x = sec[q]
-        kap_x = np.asarray(data.kappa_G[x], dtype=np.int64)
-        cols = []
-        for u in range(rR):
-            ru = np.zeros(rR, dtype=np.int64)
-            ru[u] = 1
-            img = (kap_x @ ((res.r_embed @ ru) % m)) % m
-            coords = r_diag.solve(img)
-            if coords is None:
-                raise CrossedPairError("kappa_Q does not preserve the fixed ring")
-            cols.append(coords)
-        kq_mats.append(np.stack(cols, axis=1) % m)
-    base_action_Q = BaseAction(Q, R, tuple(kq_mats))
+    kap_sec = np.asarray([data.kappa_G[x] for x in sec], dtype=np.int64)
+    coords = r_diag.solve(np.einsum("qab,bu->aqu", kap_sec, res.r_embed).reshape(T.rank, -1) % m)
+    if coords is None:
+        raise CrossedPairError("kappa_Q does not preserve the fixed ring")
+    base_action_Q = BaseAction(Q, R, tuple(coords.reshape(rR, Q.order, rR).transpose(1, 0, 2)))
     rep = OutRep(base_action=base_action_Q, A=C, lifts=tuple(lifts),
                  name="crossed pair algebra")
     # bridge: U(T)^N coordinates -> units of R

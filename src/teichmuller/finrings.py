@@ -3,11 +3,14 @@ eta-test, and the Galois-extension criteria.
 
 A FinCommRing is a free Z/m-module of finite rank with commutative unital
 structure constants; an Algebra is a free module of finite rank over such a
-base ring with a designated central embedding of the base.  Elements are
+base ring with a designated central embedding of the base.  An Algebra holds
+its structure constants as one read-only int64 array over the base ring, and
+every constructor here (matrix, triangular, opposite, tensor, a ring over a
+subring) builds that array with an einsum or a slice.  Elements are
 coordinate vectors (numpy int64 mod m); algebra elements are flattened to
-length rank * base.rank so that every linear question (centers, conjugator
-equations, invertibility, module comparisons) becomes Z/m linear algebra in
-modlinalg.
+length rank * base.rank, where ``flat_tensor`` multiplies them, so that every
+linear question (centers, conjugator equations, invertibility, module
+comparisons) becomes Z/m linear algebra in modlinalg.
 
 Everything is free over its base by design: that keeps "finitely generated
 projective" decidable by basis search and the eta matrix square.
@@ -25,6 +28,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .modlinalg import (
+    ModDiagonalization,
     colspans_equal,
     diagonalize_mod,
     enumerate_colspan,
@@ -400,20 +404,30 @@ def fixed_subring(T: FinCommRing, mats: Sequence[np.ndarray], name: str = "") ->
 # ---------------------------------------------------------------------------
 # algebras over a base ring
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Algebra:
     """Associative unital algebra, free over ``base`` with central embedding.
 
-    structure[i][j] is a tuple of base-ring coordinate vectors: the expansion
-    of e_i e_j in the algebra basis.  Flat coordinates interleave: index
-    i * base.rank + u is basis element e_i with base coordinate u.
+    ``structure`` is a read-only int64 array of shape (rank, rank, rank,
+    base.rank): structure[i, j, c] holds the base coordinates of the
+    coefficient of e_c in e_i e_j.  ``unit`` is a read-only array of shape
+    (rank, base.rank).  Both are reduced mod m on construction from any
+    array-like.  Flat coordinates interleave: index i * base.rank + u is
+    basis element e_i with base coordinate u.  Algebras compare by identity.
     """
 
     base: FinCommRing
     rank: int
-    structure: tuple
-    unit: tuple                 # algebra element: tuple of base coord tuples
+    structure: np.ndarray
+    unit: np.ndarray
     name: str = ""
+
+    def __post_init__(self):
+        n, s = self.rank, self.base.rank
+        for attr, shape in (("structure", (n, n, n, s)), ("unit", (n, s))):
+            arr = np.array(getattr(self, attr), dtype=np.int64).reshape(shape) % self.modulus
+            arr.flags.writeable = False
+            object.__setattr__(self, attr, arr)
 
     @property
     def modulus(self) -> int:
@@ -426,33 +440,16 @@ class Algebra:
     @cached_property
     def flat_tensor(self) -> np.ndarray:
         """T[a, b, c] with (xy)_c = sum x_a y_b T[a,b,c] in flat coordinates."""
-        n, s, m = self.rank, self.base.rank, self.modulus
-        N = n * s
+        N, m = self.flat_rank, self.modulus
         if N > 192:
             raise RingError(f"flat multiplication tensor too large ({N})")
         bt = self.base.tensor
-        st = np.array(self.structure, dtype=np.int64).reshape(n, n, n, s)
-        # (e_i s_u)(e_j s_v) = sum_c structure[i][j][c] * (s_u s_v) e_c
-        out = np.zeros((N, N, N), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                for c in range(n):
-                    coef = st[i, j, c]          # base coords
-                    if not coef.any():
-                        continue
-                    # (s_u s_v * coef)_w = sum_{a,b} bt[u,v,a] bt[a, coef, w]...
-                    # first s_u s_v = sum_a bt[u,v,a] s_a; then s_a * coef
-                    prod = np.einsum("uva,aw->uvw", bt,
-                                     np.einsum("k,akw->aw", coef, bt)) % self.modulus
-                    out[i * s:(i + 1) * s, j * s:(j + 1) * s, c * s:(c + 1) * s] = prod
-        return out % self.modulus
+        # (e_i s_u)(e_j s_v) = sum_c (s_u s_v structure[i, j, c]) e_c
+        coef = np.einsum("ijck,akw->ijcaw", self.structure, bt) % m
+        return np.einsum("uva,ijcaw->iujvcw", bt, coef).reshape(N, N, N) % m
 
     def flat_unit(self) -> np.ndarray:
-        n, s = self.rank, self.base.rank
-        out = np.zeros(n * s, dtype=np.int64)
-        for i in range(n):
-            out[i * s:(i + 1) * s] = np.array(self.unit[i], dtype=np.int64)
-        return out % self.modulus
+        return self.unit.flatten()
 
     def zero(self) -> np.ndarray:
         return np.zeros(self.flat_rank, dtype=np.int64)
@@ -491,26 +488,14 @@ class Algebra:
 
     def base_embedding(self) -> np.ndarray:
         """Matrix (flat_rank x base.rank): s |-> s * 1_A."""
-        m = self.modulus
-        cols = []
-        for u in range(self.base.rank):
-            su = np.zeros(self.base.rank, dtype=np.int64)
-            su[u] = 1
-            vec = np.zeros(self.flat_rank, dtype=np.int64)
-            s = self.base.rank
-            for i in range(self.rank):
-                vec[i * s:(i + 1) * s] = self.base.mul(su, np.array(self.unit[i], dtype=np.int64))
-            cols.append(vec % m)
-        return np.stack(cols, axis=1)
+        return np.einsum("iv,uvw->iwu", self.unit, self.base.tensor).reshape(
+            self.flat_rank, self.base.rank) % self.modulus
 
     def scalar_mul(self, s_elt, x) -> np.ndarray:
         """Multiply by a base-ring element (coordinatewise on blocks)."""
-        sR = self.base.rank
-        x = np.asarray(x, dtype=np.int64)
-        out = np.zeros_like(x)
-        for i in range(self.rank):
-            out[i * sR:(i + 1) * sR] = self.base.mul(s_elt, x[i * sR:(i + 1) * sR])
-        return out % self.modulus
+        x = np.asarray(x, dtype=np.int64).reshape(self.rank, self.base.rank)
+        return np.einsum("u,iv,uvw->iw", np.asarray(s_elt, dtype=np.int64), x,
+                         self.base.tensor).reshape(-1) % self.modulus
 
     def elements(self):
         m = self.modulus
@@ -545,54 +530,35 @@ class Algebra:
 
 def ring_as_algebra(R: FinCommRing) -> Algebra:
     """R as an algebra over itself (rank 1, basis element 1)."""
-    one = tuple(int(x) for x in R.one())
-    return Algebra(base=R, rank=1, structure=(((one,),),), unit=(one,), name=R.name)
+    one = R.one()
+    return Algebra(base=R, rank=1, structure=one, unit=one, name=R.name)
+
+
+def matrix_algebra_over(A: Algebra, k: int, name: str = "") -> Algebra:
+    """M_k(A): basis E_pq (x) e_i at (p*k + q)*rank_A + i."""
+    n, I = k * k * A.rank, np.eye(k, dtype=np.int64)
+    # E_pq E_rs = delta_qr E_ps
+    struct = np.einsum("pt,qr,su,ijcw->pqirsjtucw", I, I, I, A.structure)
+    unit = np.einsum("pq,cw->pqcw", I, A.unit)
+    return Algebra(base=A.base, rank=n, structure=struct, unit=unit,
+                   name=name or f"M_{k}({A.name})")
 
 
 def matrix_algebra(S: FinCommRing, k: int, name: str = "") -> Algebra:
     """M_k(S) on the matrix-unit basis E_{pq}, index p*k+q."""
-    n = k * k
-    zero = tuple([0] * S.rank)
-    one = tuple(int(x) for x in S.one())
-    struct = [[None] * n for _ in range(n)]
-    for p, q, r2, s2 in itertools.product(range(k), repeat=4):
-        i = p * k + q
-        j = r2 * k + s2
-        vec = [zero] * n
-        if q == r2:
-            vec[p * k + s2] = one
-        struct[i][j] = tuple(vec)
-    unit = [zero] * n
-    for p in range(k):
-        unit[p * k + p] = one
-    return Algebra(base=S, rank=n, structure=tuple(tuple(r) for r in struct),
-                   unit=tuple(unit), name=name or f"M_{k}({S.name})")
+    return matrix_algebra_over(ring_as_algebra(S), k, name=name)
 
 
 def upper_triangular_algebra(S: FinCommRing, name: str = "") -> Algebra:
     """2x2 upper triangular matrices over S, basis (E11, E12, E22)."""
-    zero = tuple([0] * S.rank)
-    one = tuple(int(x) for x in S.one())
-    names = [(0, 0), (0, 1), (1, 1)]
-    idx = {p: i for i, p in enumerate(names)}
-    struct = []
-    for (a, b) in names:
-        row = []
-        for (c, d) in names:
-            vec = [zero, zero, zero]
-            if b == c:
-                vec[idx[(a, d)]] = one
-            row.append(tuple(vec))
-        struct.append(tuple(row))
-    unit = [one, zero, one]
-    return Algebra(base=S, rank=3, structure=tuple(struct), unit=tuple(unit),
-                   name=name or f"UT_2({S.name})")
+    M2, keep = matrix_algebra(S, 2), [0, 1, 3]
+    return Algebra(base=S, rank=3, structure=M2.structure[np.ix_(keep, keep, keep)],
+                   unit=M2.unit[keep], name=name or f"UT_2({S.name})")
 
 
 def opposite_algebra(A: Algebra) -> Algebra:
-    struct = tuple(tuple(A.structure[j][i] for j in range(A.rank)) for i in range(A.rank))
-    return Algebra(base=A.base, rank=A.rank, structure=struct, unit=A.unit,
-                   name=f"{A.name}^op" if A.name else "op")
+    return Algebra(base=A.base, rank=A.rank, structure=A.structure.transpose(1, 0, 2, 3),
+                   unit=A.unit, name=f"{A.name}^op" if A.name else "op")
 
 
 def tensor_algebra(A: Algebra, B: Algebra, name: str = "") -> Algebra:
@@ -600,33 +566,11 @@ def tensor_algebra(A: Algebra, B: Algebra, name: str = "") -> Algebra:
     if A.base is not B.base and (A.base.structure != B.base.structure or A.base.modulus != B.base.modulus):
         raise RingError("tensor factors must share the base ring")
     S = A.base
-    nA, nB = A.rank, B.rank
-    n = nA * nB
-    zero = tuple([0] * S.rank)
-    stA = np.array(A.structure, dtype=np.int64).reshape(nA, nA, nA, S.rank)
-    stB = np.array(B.structure, dtype=np.int64).reshape(nB, nB, nB, S.rank)
-    struct = [[None] * n for _ in range(n)]
-    for i1, j1 in itertools.product(range(nA), range(nB)):
-        for i2, j2 in itertools.product(range(nA), range(nB)):
-            vec = [zero] * n
-            for c1 in range(nA):
-                ca = stA[i1, i2, c1]
-                if not ca.any():
-                    continue
-                for c2 in range(nB):
-                    cb = stB[j1, j2, c2]
-                    if not cb.any():
-                        continue
-                    vec[c1 * nB + c2] = tuple(int(x) for x in S.mul(ca, cb))
-            struct[i1 * nB + j1][i2 * nB + j2] = tuple(vec)
-    unitA = np.array(A.unit, dtype=np.int64)
-    unitB = np.array(B.unit, dtype=np.int64)
-    unit = [zero] * n
-    for c1 in range(nA):
-        for c2 in range(nB):
-            unit[c1 * nB + c2] = tuple(int(x) for x in S.mul(unitA[c1], unitB[c2]))
-    return Algebra(base=S, rank=n, structure=tuple(tuple(r) for r in struct),
-                   unit=tuple(unit), name=name or f"({A.name})(x)({B.name})")
+    n = A.rank * B.rank
+    struct = np.einsum("ikau,jlbv,uvw->ijklabw", A.structure, B.structure, S.tensor)
+    unit = np.einsum("au,bv,uvw->abw", A.unit, B.unit, S.tensor)
+    return Algebra(base=S, rank=n, structure=struct, unit=unit,
+                   name=name or f"({A.name})(x)({B.name})")
 
 
 def commutative_ring_as_algebra_over(T: FinCommRing, S: FinCommRing,
@@ -636,26 +580,18 @@ def commutative_ring_as_algebra_over(T: FinCommRing, S: FinCommRing,
     Requires T free over S; returns the algebra and the chosen T-basis matrix
     (columns are the basis elements of T over S, in T-coordinates).
     """
-    m = T.modulus
-    basis = _module_basis_over_subring(T, S, embed)
-    if basis is None:
+    B = _module_basis_over_subring(T, S, embed)
+    if B is None:
         raise RingError("T is not free over S")
-    B = basis  # T.rank x d
     d = B.shape[1]
-    coords = _expand_over_subring(T, S, embed, B)
-    struct = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            prod = T.mul(B[:, i], B[:, j])
-            c = coords(prod)
-            if c is None:
-                raise RingError("basis products escaped the span")
-            row.append(tuple(tuple(int(x) for x in cc) for cc in c))
-        struct.append(tuple(row))
-    cu = coords(T.one())
-    alg = Algebra(base=S, rank=d, structure=tuple(struct),
-                  unit=tuple(tuple(int(x) for x in cc) for cc in cu),
+    # columns: every basis product B_i B_j, then 1
+    prods = np.einsum("ai,bj,abk->kij", B, B, T.tensor).reshape(T.rank, d * d) % T.modulus
+    coords = _expand_over_subring(T, S, embed, B).solve(
+        np.hstack([prods, T.one().reshape(-1, 1)]))
+    if coords is None:
+        raise RingError("basis products escaped the span")
+    coords = coords.T.reshape(d * d + 1, d, S.rank)
+    alg = Algebra(base=S, rank=d, structure=coords[:-1], unit=coords[-1],
                   name=name or f"{T.name} over {S.name}")
     return alg, B
 
@@ -666,15 +602,7 @@ def _module_basis_over_subring(T: FinCommRing, S: FinCommRing, embed: np.ndarray
     basis: list[np.ndarray] = []
 
     def span_matrix():
-        if not basis:
-            return np.zeros((T.rank, 0), dtype=np.int64)
-        cols = []
-        for b in basis:
-            for u in range(S.rank):
-                su = np.zeros(S.rank, dtype=np.int64)
-                su[u] = 1
-                cols.append(T.mul((embed @ su) % m, b))
-        return np.stack(cols, axis=1) % m
+        return _span_columns(T, embed, np.array(basis, dtype=np.int64).reshape(-1, T.rank).T)
 
     span = span_matrix()
     span_diag = diagonalize_mod(span, m) if span.size else None
@@ -700,26 +628,19 @@ def _module_basis_over_subring(T: FinCommRing, S: FinCommRing, embed: np.ndarray
     return np.stack(basis, axis=1)
 
 
-def _expand_over_subring(T: FinCommRing, S: FinCommRing, embed: np.ndarray, B: np.ndarray):
-    """Return a solver expressing T-elements as S-combinations of the B-columns."""
-    m = T.modulus
-    d = B.shape[1]
-    cols = []
-    for i in range(d):
-        for u in range(S.rank):
-            su = np.zeros(S.rank, dtype=np.int64)
-            su[u] = 1
-            cols.append(T.mul((embed @ su) % m, B[:, i]))
-    M = np.stack(cols, axis=1) % m
-    dg = diagonalize_mod(M, m, want_inverses=False)
+def _expand_over_subring(T: FinCommRing, S: FinCommRing, embed: np.ndarray,
+                         B: np.ndarray) -> ModDiagonalization:
+    """The diagonalization of the columns s_u B_i (index i * S.rank + u): its
+    ``solve`` gives the S-coordinates of T-elements over the B-columns, those
+    of B_i at [i * S.rank:(i + 1) * S.rank]."""
+    return diagonalize_mod(_span_columns(T, embed, B), T.modulus, want_inverses=False)
 
-    def solve(vec):
-        x = dg.solve(np.asarray(vec, dtype=np.int64))
-        if x is None:
-            return None
-        return [x[i * S.rank:(i + 1) * S.rank] for i in range(d)]
 
-    return solve
+def _span_columns(T: FinCommRing, embed: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The columns s_u B_i for the S-basis images s_u (columns of embed), at
+    index i * S.rank + u."""
+    return np.einsum("au,bi,abk->kiu", embed, B, T.tensor).reshape(
+        T.rank, B.shape[1] * embed.shape[1]) % T.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -784,15 +705,10 @@ def find_conjugator(A: Algebra, alpha: np.ndarray, seed: int = 0,
     Solves the linear system u a - alpha(a) u = 0 over Z/m, then scans the
     solution space (seed-rotated deterministic order) for an invertible u.
     """
-    m = A.modulus
-    N = A.flat_rank
-    blocks = []
-    for j in range(N):
-        ej = np.zeros(N, dtype=np.int64)
-        ej[j] = 1
-        # u * e_j  - alpha(e_j) * u  = (R_{e_j} - L_{alpha e_j}) u
-        blocks.append((A.right_mul_matrix(ej) - A.left_mul_matrix((alpha @ ej) % m)) % m)
-    system = np.vstack(blocks)
+    m, T = A.modulus, A.flat_tensor
+    # rows (j, c): (u e_j - alpha(e_j) u)_c for the flat basis elements e_j
+    system = (T.transpose(1, 2, 0) - np.einsum("aj,axc->jcx", np.mod(alpha, m), T)).reshape(
+        -1, A.flat_rank) % m
     K = kernel_mod(system, m)
     if K.size == 0:
         return None
@@ -813,14 +729,10 @@ def find_conjugator(A: Algebra, alpha: np.ndarray, seed: int = 0,
 
 def center_submodule(A: Algebra) -> np.ndarray:
     """Generators (columns) of the center as a Z/m-submodule."""
-    m = A.modulus
-    N = A.flat_rank
-    blocks = []
-    for j in range(N):
-        ej = np.zeros(N, dtype=np.int64)
-        ej[j] = 1
-        blocks.append((A.left_mul_matrix(ej) - A.right_mul_matrix(ej)) % m)
-    return kernel_mod(np.vstack(blocks), m)
+    T = A.flat_tensor
+    # rows (j, c): (e_j x - x e_j)_c
+    return kernel_mod((T - T.transpose(1, 0, 2)).transpose(0, 2, 1).reshape(-1, A.flat_rank),
+                      A.modulus)
 
 
 def is_azumaya(A: Algebra) -> tuple[bool, dict]:
@@ -832,13 +744,13 @@ def is_azumaya(A: Algebra) -> tuple[bool, dict]:
     m = A.modulus
     n = A.rank
     sR = S.rank
+    st = A.structure
     # center == embedded base?
     emb = A.base_embedding()
     cen = center_submodule(A)
     center_ok = colspans_equal(cen, emb, m)
     # eta over S, flattened: size (n^2 * sR)^2
     # column (i,j): endo c -> e_i c e_j; rows indexed by End_S(A) basis (k,l, u)
-    st = np.array(A.structure, dtype=np.int64).reshape(n, n, n, sR)
     bt = S.tensor
     # trip[i, l, j, k] in S-coords: coefficient of e_k in e_i e_l e_j
     # first e_i e_l = sum_a st[i,l,a] e_a ; then e_a e_j = sum_k st[a,j,k] e_k
@@ -958,37 +870,18 @@ def galois_check(data: GaloisData, rng_seed: int = 0) -> dict:
     j_ok = False
     if free_ok:
         d = basis.shape[1]
-        expand = _expand_over_subring(T, S, data.embed, basis)
         if d == N.order:
-            # j(s_u b_i . n): t -> s_u b_i (n.t); flattened matrix over Z/m with
-            # rows indexed by the End_S(T) basis (k <- l) times S-coordinates
-            sR = S.rank
-            cols = []
-            ok = True
-            for i in range(d):
-                for n in range(N.order):
-                    for u in range(sR):
-                        s_img = data.embed[:, u] % m
-                        lead = T.mul(s_img, basis[:, i])
-                        mat = (T.mul_matrix(lead) @ data.act_matrix(n)) % m
-                        col = np.zeros(d * d * sR, dtype=np.int64)
-                        for l in range(d):
-                            img = (mat @ basis[:, l]) % m
-                            coords = expand(img)
-                            if coords is None:
-                                ok = False
-                                break
-                            for k in range(d):
-                                col[(k * d + l) * sR:(k * d + l + 1) * sR] = coords[k]
-                        if not ok:
-                            break
-                        cols.append(col)
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok and len(cols) == d * d * sR:
-                j_ok = invertible_mod(np.stack(cols, axis=1), m)
+            # j(s_u b_i . n): t -> s_u b_i (n.t), on the basis b_l of T over S;
+            # imgs[:, i, n, u, l] is its value at b_l
+            acted = np.einsum("nab,bl->anl", np.asarray(data.action, dtype=np.int64), basis) % m
+            lead = _span_columns(T, data.embed, basis).reshape(T.rank, d, S.rank)
+            imgs = np.einsum("aiu,bnl,abk->kinul", lead, acted, T.tensor) % m
+            x = _expand_over_subring(T, S, data.embed, basis).solve(imgs.reshape(T.rank, -1))
+            if x is not None:
+                # rows: the End_S(T) basis (k <- l) times S-coordinates v
+                sR = S.rank
+                J = x.reshape(d, sR, d, N.order, sR, d).transpose(0, 5, 1, 2, 3, 4)
+                j_ok = invertible_mod(J.reshape(d * d * sR, d * N.order * sR), m)
     report["criterion_i"] = bool(free_ok and j_ok)
     report["free_over_S"] = bool(free_ok)
 

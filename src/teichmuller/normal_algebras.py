@@ -21,7 +21,7 @@ builder ``gmod_cohomology.gmodule_of_action``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -41,6 +41,8 @@ from .finrings import (
     is_ring_morphism_matrix,
     inverse_mod,
     kernel_mod,
+    matrix_algebra_over,
+    opposite_algebra,
     units_group,
     _expand_over_subring,
     _module_basis_over_subring,
@@ -55,11 +57,16 @@ class NormalStructureError(ValueError):
 
 @dataclass(frozen=True)
 class BaseAction:
-    """kappa_Q: an action of Q on the commutative ring S (not nec. injective)."""
+    """kappa_Q: an action of Q on the commutative ring S (not nec. injective).
+
+    ``_held`` keeps data derived from the action (its ``fixed_ring``); it
+    takes no part in construction, equality, hashing or the repr.
+    """
 
     Q: FiniteGroup
     S: FinCommRing
     matrices: tuple
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mat(self, q: int) -> np.ndarray:
         return np.asarray(self.matrices[q], dtype=np.int64)
@@ -78,9 +85,20 @@ class BaseAction:
         if pair is not None:
             raise NormalStructureError(f"kappa is not a homomorphism at {pair}")
 
-    def fixed_ring(self):
-        return fixed_subring(self.S, [self.mat(q) for q in range(self.Q.order)],
-                             name=f"{self.S.name}^Q")
+    def fixed_ring(self) -> tuple[FinCommRing, np.ndarray, np.ndarray, ModDiagonalization]:
+        """(R, r_embed, s_basis, s_diag): the fixed ring R = S^Q, its embedding
+        into S, an S-basis over R (columns, S-coords) and the diagonalization
+        whose ``solve`` expands S-elements over it; built once and held."""
+        held = self._held.get("fixed_ring")
+        if held is None:
+            R, r_embed = fixed_subring(self.S, [self.mat(q) for q in range(self.Q.order)],
+                                       name=f"{self.S.name}^Q")
+            s_basis = _module_basis_over_subring(self.S, R, r_embed)
+            if s_basis is None:
+                raise NormalStructureError("S is not free over the fixed ring R")
+            held = self._held["fixed_ring"] = (
+                R, r_embed, s_basis, _expand_over_subring(self.S, R, r_embed, s_basis))
+        return held
 
 
 def trivial_base_action(Q: FiniteGroup, S: FinCommRing) -> BaseAction:
@@ -235,36 +253,9 @@ def teichmuller_cocycle(rep: OutRep, seed: int = 0,
 # transport of normal structures: opposite, matrix, tensor
 
 def opposite_rep(rep: OutRep) -> OutRep:
-    from .finrings import opposite_algebra
     Aop = opposite_algebra(rep.A)
     return OutRep(base_action=rep.base_action, A=Aop, lifts=rep.lifts,
                   name=f"{rep.name}^op" if rep.name else "op")
-
-
-def matrix_algebra_over(A: Algebra, k: int, name: str = "") -> Algebra:
-    """M_k(A): basis E_pq (x) e_i at (p*k + q)*rank_A + i."""
-    S = A.base
-    n = A.rank
-    rank = k * k * n
-    zero = tuple([0] * S.rank)
-    st = np.array(A.structure, dtype=np.int64).reshape(n, n, n, S.rank)
-    struct = [[None] * rank for _ in range(rank)]
-    for p, q, i in itertools.product(range(k), range(k), range(n)):
-        for r, s2, j in itertools.product(range(k), range(k), range(n)):
-            vec = [zero] * rank
-            if q == r:
-                for c in range(n):
-                    coef = st[i, j, c]
-                    if coef.any():
-                        vec[(p * k + s2) * n + c] = tuple(int(x) for x in coef)
-            struct[(p * k + q) * n + i][(r * k + s2) * n + j] = tuple(vec)
-    unitA = A.unit
-    unit = [zero] * rank
-    for p in range(k):
-        for c in range(n):
-            unit[(p * k + p) * n + c] = tuple(int(x) for x in unitA[c])
-    return Algebra(base=S, rank=rank, structure=tuple(tuple(r) for r in struct),
-                   unit=tuple(unit), name=name or f"M_{k}({A.name})")
 
 
 def matrix_rep(rep: OutRep, k: int) -> OutRep:
@@ -447,96 +438,47 @@ def _sde_flat(A: Algebra, s_vec, i: int) -> np.ndarray:
 
 
 def crossed_product(spec: CrossedProductSpec, seed: int = 0) -> CrossedProductResult:
-    """Build the crossed product algebra directly on the left-A-basis {v_q}."""
+    """Build the crossed product algebra directly on the left-A-basis {v_q}.
+
+    C has the R-basis s_d e_i v_q at index (q * rank_A + i) * sigma + d, and
+    (x v_p)(y v_q) = x theta_p(y) i(phi(p,q)) v_{pq} for x, y in A.
+    """
     spec.validate()
     A, Q, Gamma = spec.A, spec.Q, spec.Gamma
-    S = A.base
-    m = A.modulus
-    R, r_embed = spec.base_action.fixed_ring()
-    s_basis = _module_basis_over_subring(S, R, r_embed)
-    if s_basis is None:
-        raise NormalStructureError("S is not free over the fixed ring R")
-    sigma = s_basis.shape[1]
-    expand_s = _expand_over_subring(S, R, r_embed, s_basis)
+    m, TA = A.modulus, A.flat_tensor
+    R, r_embed, s_basis, s_diag = spec.base_action.fixed_ring()
     sec = spec.ext.section(seed)
     into_k = spec.kernel_index()
-    phi = [[0] * Q.order for _ in range(Q.order)]
-    for p in range(Q.order):
-        for q in range(Q.order):
-            g = Gamma.mul[Gamma.mul[sec[p]][sec[q]]][Gamma.inv[sec[Q.mul[p][q]]]]
-            phi[p][q] = into_k[g]
-    n = A.rank
-    sR = S.rank
-    rR = R.rank
-    dimC = Q.order * n * sigma
-
-    def c_index(q, i, d):
-        return (q * n + i) * sigma + d
-
-    def expand_a_to_blocks(x_flat):
-        """A-element -> list of R-coord vectors indexed by (i, d)."""
-        out = [None] * (n * sigma)
-        for i in range(n):
-            coords = expand_s(x_flat[i * sR:(i + 1) * sR])
-            if coords is None:
-                raise NormalStructureError("element escaped the R-span (S not free?)")
-            for d in range(sigma):
-                out[i * sigma + d] = coords[d]
-        return out
-
-    zero_r = tuple([0] * rR)
-    struct = [[None] * dimC for _ in range(dimC)]
-    kappa = spec.base_action
-    for p, i, d in itertools.product(range(Q.order), range(n), range(sigma)):
-        u1 = _sde_flat(A, s_basis[:, d], i)
-        th_p = spec.theta_mat(sec[p])
-        kap_p = kappa.mat(p)
-        for q, j, e in itertools.product(range(Q.order), range(n), range(sigma)):
-            # (s_d e_i v_p)(s_e e_j v_q)
-            #   = s_d e_i (p.s_e) theta_p(e_j) i(phi(p,q)) v_{pq}
-            se_acted = (kap_p @ s_basis[:, e]) % m
-            ej = _sde_flat(A, S.one(), j)
-            x = A.mul(u1, A.scalar_mul(se_acted, (th_p @ ej) % m))
-            x = A.mul(x, spec.i_vec(phi[p][q]))
-            blocks = expand_a_to_blocks(x)
-            vec = [zero_r] * dimC
-            pq = Q.mul[p][q]
-            for b_idx in range(n * sigma):
-                vec[c_index(pq, b_idx // sigma, b_idx % sigma)] = \
-                    tuple(int(v) for v in blocks[b_idx])
-            struct[c_index(p, i, d)][c_index(q, j, e)] = tuple(vec)
-    unit_blocks = expand_a_to_blocks(A.flat_unit())
-    unit = [zero_r] * dimC
-    for b_idx in range(n * sigma):
-        unit[c_index(Q.identity, b_idx // sigma, b_idx % sigma)] = \
-            tuple(int(v) for v in unit_blocks[b_idx])
-    C = Algebra(base=R, rank=dimC, structure=tuple(tuple(r) for r in struct),
-                unit=tuple(unit), name=f"({A.name}) xt {Q.order}")
+    phi = [[into_k[Gamma.mul[Gamma.mul[sec[p]][sec[q]]][Gamma.inv[sec[Q.mul[p][q]]]]]
+            for q in range(Q.order)] for p in range(Q.order)]
+    n, sR, nq, sigma = A.rank, A.base.rank, Q.order, s_basis.shape[1]
+    dimC = nq * n * sigma
+    # S is free over R on s_basis, so expanding over it is a bijection: one
+    # solve gives its matrix, and to_c sends flat A into the v_1 block of C
+    expand = s_diag.solve(np.eye(sR, dtype=np.int64))
+    if expand is None:
+        raise NormalStructureError("element escaped the R-span (S not free?)")
+    to_c = np.kron(np.eye(n, dtype=np.int64), expand)
+    # L[x]: s_d e_i at x = i * sigma + d, flat in A
+    L = np.einsum("ij,wd->idjw", np.eye(n, dtype=np.int64), s_basis).reshape(n * sigma, -1)
+    theta_l = np.einsum("pab,yb->pya", np.asarray([spec.theta_mat(g) for g in sec]), L) % m
+    left = np.einsum("xa,abc->xcb", L, TA) % m
+    right_i = np.einsum("pqb,abc->pqca", np.asarray(spec.i_images, dtype=np.int64)[phi], TA) % m
+    # prods[p, x, q, y] = (L[x] theta_p(L[y])) i(phi(p, q)), read in the v_1 block
+    prods = np.einsum("pqca,pxya->pxqyc", right_i,
+                      np.einsum("xcb,pyb->pxyc", left, theta_l) % m) % m
+    blocks = np.einsum("za,pxqya->pxqyz", to_c, prods) % m
+    # ... and moved to the block of v_{pq}
+    at_pq = (Q.table[:, :, None] == np.arange(nq)).astype(np.int64)
+    struct = np.einsum("pqr,pxqyz->pxqyrz", at_pq, blocks)
+    v_units = np.kron(np.eye(nq, dtype=np.int64), (to_c @ A.flat_unit()) % m)
+    C = Algebra(base=R, rank=dimC, structure=struct, unit=v_units[Q.identity],
+                name=f"({A.name}) xt {Q.order}")
     C.validate()
-    # A -> C and the v_q units
-    a_cols = []
-    for i in range(n):
-        for u in range(sR):
-            su = np.zeros(sR, dtype=np.int64)
-            su[u] = 1
-            blocks = expand_a_to_blocks(_sde_flat(A, su, i))
-            col = np.zeros(dimC * rR, dtype=np.int64)
-            for b_idx in range(n * sigma):
-                ci = c_index(Q.identity, b_idx // sigma, b_idx % sigma)
-                col[ci * rR:(ci + 1) * rR] = blocks[b_idx]
-            a_cols.append(col)
-    a_to_c = np.stack(a_cols, axis=1) % m
-    v_units = []
-    for q in range(Q.order):
-        blocks = expand_a_to_blocks(A.flat_unit())
-        vec = np.zeros(dimC * rR, dtype=np.int64)
-        for b_idx in range(n * sigma):
-            ci = c_index(q, b_idx // sigma, b_idx % sigma)
-            vec[ci * rR:(ci + 1) * rR] = blocks[b_idx]
-        v_units.append(vec % m)
+    a_to_c = np.kron(np.eye(nq, dtype=np.int64)[:, [Q.identity]], to_c)
     return CrossedProductResult(spec=spec, C=C, R=R, r_embed=r_embed,
                                 s_basis=s_basis, section=sec, phi=phi,
-                                a_to_c=a_to_c, v_units=v_units)
+                                a_to_c=a_to_c, v_units=list(v_units))
 
 
 # ---------------------------------------------------------------------------
@@ -577,36 +519,12 @@ def end_algebra_of_crossed_product(res: CrossedProductResult) -> EndSide:
     n = A.rank
     sR = S.rank
     nq = Q.order
-    rank = nq * nq * n
-    zero = tuple([0] * sR)
-    st = np.array(A.structure, dtype=np.int64).reshape(n, n, n, sR)
-    struct = [[None] * rank for _ in range(rank)]
-
-    def e_index(p, q, i):
-        return (p * nq + q) * n + i
-
-    for p, q, i in itertools.product(range(nq), range(nq), range(n)):
-        for r, s2, j in itertools.product(range(nq), range(nq), range(n)):
-            vec = [zero] * rank
-            if q == r:
-                # f_{p,q,i} o f_{r,s2,j} : v_s2 -> e_j e_i v_p (A acts on the left)
-                for c in range(n):
-                    coef = st[j, i, c]
-                    if coef.any():
-                        vec[e_index(p, s2, c)] = tuple(int(x) for x in coef)
-            struct[e_index(p, q, i)][e_index(r, s2, j)] = tuple(vec)
-    unit = [zero] * rank
-    ua = np.array(A.unit, dtype=np.int64)
-    for q in range(nq):
-        for c in range(n):
-            unit[e_index(q, q, c)] = tuple(int(x) for x in ua[c])
-    E = Algebra(base=S, rank=rank, structure=tuple(tuple(r) for r in struct),
-                unit=tuple(unit), name=f"End_A({res.C.name})")
+    # f_{p,q,i} o f_{q,s,j}: v_s -> e_j e_i v_p, as A acts on the left
+    E = matrix_algebra_over(opposite_algebra(A), nq, name=f"End_A({res.C.name})")
     # basis C-matrices: f_{p,q,i}(s_d e_k v_l) = delta_{lq} s_d e_k e_i v_p
     C = res.C
     flatC = C.flat_rank
     basis_matrices = []
-    emb_cols = res.a_to_c        # flat A -> flat C at v_identity
     sigma = res.s_basis.shape[1]
     rR = res.R.rank
     s_img = res.s_to_c()

@@ -1,0 +1,207 @@
+"""The array-held structure constants against the entry-by-entry builders of
+``algebra_oracles``: every constructor, the flat coordinates, crossed
+products (C, a_to_c, v_units), crossed-pair lift tables and the End side."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from algebra_oracles import (
+    base_embedding_oracle,
+    commutative_ring_as_algebra_over_oracle,
+    crossed_pair_lifts_oracle,
+    crossed_product_oracle,
+    end_algebra_oracle,
+    flat_tensor_oracle,
+    flat_unit_oracle,
+    matrix_algebra_oracle,
+    matrix_algebra_over_oracle,
+    opposite_oracle,
+    ring_as_algebra_oracle,
+    scalar_mul_oracle,
+    tensor_oracle,
+    upper_triangular_oracle,
+)
+from xpext_oracle import enumerated_pairs
+from teichmuller.crossed_pairs import CrossedPair, crossed_pair_algebra, qnormal_galois_product
+from teichmuller.finrings import (
+    Algebra,
+    GaloisData,
+    commutative_ring_as_algebra_over,
+    fixed_subring,
+    frobenius_lift,
+    galois_from_free_action,
+    galois_ring,
+    gf,
+    map_ring,
+    matrix_algebra,
+    matrix_algebra_over,
+    opposite_algebra,
+    ring_as_algebra,
+    tensor_algebra,
+    upper_triangular_algebra,
+    zmod,
+)
+from teichmuller.gmod_cohomology import coboundary_preimage, cohomology
+from teichmuller.groups import cyclic
+from teichmuller.normal_algebras import (
+    BaseAction,
+    CrossedProductSpec,
+    crossed_product,
+    deuring_embedding_from_splitting,
+    end_algebra_of_crossed_product,
+    equivariant_rep,
+    semidirect_splitting,
+    splitting_from_coboundary,
+    teichmuller_cocycle,
+    trivial_base_action,
+)
+
+BASES = [zmod(8), zmod(9), gf(2, 2), gf(3, 2), galois_ring(2, 2, 2), map_ring(2, gf(3, 1))]
+
+
+def assert_same_algebra(A, oracle):
+    """Equal structure arrays and names, and flat coordinates equal to the
+    entry-by-entry ones."""
+    assert (A.base, A.rank, A.name) == (oracle.base, oracle.rank, oracle.name)
+    assert np.array_equal(A.structure, oracle.structure)
+    assert np.array_equal(A.unit, oracle.unit)
+    assert np.array_equal(A.flat_tensor, flat_tensor_oracle(A))
+    assert np.array_equal(A.flat_unit(), flat_unit_oracle(A))
+    assert np.array_equal(A.base_embedding(), base_embedding_oracle(A))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(BASES), st.integers(1, 3))
+def test_constructors_match_the_entrywise_builders(S, k):
+    UT, MK = upper_triangular_algebra(S), matrix_algebra(S, k)
+    assert_same_algebra(ring_as_algebra(S), ring_as_algebra_oracle(S))
+    assert_same_algebra(MK, matrix_algebra_oracle(S, k))
+    assert_same_algebra(UT, upper_triangular_oracle(S))
+    assert_same_algebra(opposite_algebra(UT), opposite_oracle(UT))
+    assert_same_algebra(matrix_algebra_over(UT, k), matrix_algebra_over_oracle(UT, k))
+    assert_same_algebra(tensor_algebra(MK, UT), tensor_oracle(MK, UT))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BASES), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2 ** 31),
+       st.integers(1, 3))
+def test_arbitrary_structure_constants_match_the_entrywise_builders(S, rank, rank2, seed, k):
+    """The builders only move and multiply constants, so they must agree on
+    constants that define no algebra at all, given unreduced."""
+    rng, m, s = np.random.default_rng(seed), S.modulus, S.rank
+    raw = rng.integers(-3 * m, 3 * m, size=(rank, rank, rank, s))
+    A = Algebra(base=S, rank=rank, structure=raw, unit=rng.integers(0, m, size=(rank, s)),
+                name="A")
+    B = Algebra(base=S, rank=rank2, structure=rng.integers(0, m, size=(rank2, rank2, rank2, s)),
+                unit=rng.integers(0, m, size=(rank2, s)), name="B")
+    assert np.array_equal(A.structure, raw % m)
+    assert_same_algebra(A, A)
+    assert_same_algebra(opposite_algebra(A), opposite_oracle(A))
+    assert_same_algebra(tensor_algebra(A, B), tensor_oracle(A, B))
+    assert_same_algebra(matrix_algebra_over(A, k), matrix_algebra_over_oracle(A, k))
+    s_elt, x = rng.integers(0, m, size=s), rng.integers(0, m, size=A.flat_rank)
+    assert np.array_equal(A.scalar_mul(s_elt, x), scalar_mul_oracle(A, s_elt, x))
+
+
+def test_structure_arrays_are_read_only_copies():
+    raw = np.array(matrix_algebra_oracle(gf(2, 2), 2).structure)
+    A = Algebra(base=gf(2, 2), rank=4, structure=raw, unit=np.zeros((4, 2), dtype=np.int64))
+    raw[0, 0, 0, 0] += 1
+    assert A.structure[0, 0, 0, 0] == 1
+    for B in (A, matrix_algebra(zmod(8), 2), opposite_algebra(upper_triangular_algebra(gf(3, 2))),
+              tensor_algebra(ring_as_algebra(zmod(9)), matrix_algebra(zmod(9), 2))):
+        for arr in (B.structure, B.unit):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+
+
+def frobenius_galois(T) -> GaloisData:
+    fr = frobenius_lift(T)
+    S, embed = fixed_subring(T, [fr])
+    return GaloisData(T=T, S=S, embed=embed, N=cyclic(2),
+                      action=(np.eye(T.rank, dtype=np.int64), fr))
+
+
+@pytest.mark.parametrize("T, mats", [
+    (gf(3, 2), "frobenius"), (gf(2, 2), "frobenius"), (galois_ring(2, 2, 2), "frobenius"),
+    (galois_ring(3, 2, 2), "frobenius"), (map_ring(2, gf(3, 1)), [np.array([[0, 1], [1, 0]])]),
+    (zmod(8), []),
+], ids=["F9", "F4", "GR4_2", "GR9_2", "F3xF3", "Z8"])
+def test_ring_over_a_subring_matches_the_entrywise_builder(T, mats):
+    S, embed = fixed_subring(T, [frobenius_lift(T)] if mats == "frobenius" else mats)
+    alg, B = commutative_ring_as_algebra_over(T, S, embed)
+    oracle, B_oracle = commutative_ring_as_algebra_over_oracle(T, S, embed)
+    assert np.array_equal(B, B_oracle)
+    assert_same_algebra(alg, oracle)
+
+
+def assert_same_crossed_product(res, seed):
+    oracle = crossed_product_oracle(res.spec, seed)
+    assert_same_algebra(res.C, oracle["C"])
+    for key in ("a_to_c", "r_embed", "s_basis"):
+        assert np.array_equal(getattr(res, key), oracle[key]), key
+    assert np.array_equal(np.stack(res.v_units), np.stack(oracle["v_units"]))
+    assert_same_algebra(end_algebra_of_crossed_product(res).E, end_algebra_oracle(res))
+
+
+PAIR_GALOIS = {
+    "batteryA": lambda: galois_from_free_action(2, [[0, 1], [1, 0]], cyclic(2), gf(3, 1)),
+    "GR4_2": lambda: frobenius_galois(galois_ring(2, 2, 2)),
+    "GR8_2": lambda: frobenius_galois(galois_ring(2, 3, 2)),
+    "F9": lambda: frobenius_galois(gf(3, 2)),
+    "F25": lambda: frobenius_galois(gf(5, 2)),
+    "GR9_2": lambda: frobenius_galois(galois_ring(3, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("label", list(PAIR_GALOIS))
+def test_crossed_pair_algebras_match_the_entrywise_builders(label):
+    data = qnormal_galois_product(PAIR_GALOIS[label](), cyclic(2))
+    amb = data.ambient
+    pairs = enumerated_pairs(amb, cap=max(112, amb.Mgrp.order * amb.N.order))
+    assert pairs
+    # the last lift over each psi(q) as well, whose x has a nontrivial N-part
+    alts = [CrossedPair(cp.autdata, cp.psi, tuple(
+        max(i for i in range(cp.autdata.group.order) if cp.autdata.to_out(i) == o)
+        for o in cp.psi)) for cp in pairs]
+    assert any(cp.autdata.pairs[i][1] // amb.Q.order != amb.N.identity
+               for cp in alts for i in cp.lifts)
+    for i, cp in enumerate(pairs + alts):
+        seed = i % 3
+        rep, res, _ = crossed_pair_algebra(data, cp, seed=seed)
+        assert_same_crossed_product(res, seed)
+        lifts, kq_mats = crossed_pair_lifts_oracle(data, cp, res, seed)
+        assert np.array_equal(np.stack(rep.lifts), np.stack(lifts))
+        assert np.array_equal(np.stack(rep.base_action.matrices), np.stack(kq_mats))
+    # one fixed ring per Galois datum, shared by all its crossed products
+    assert rep.base_action.S is data.n_base_action().fixed_ring()[0]
+
+
+def test_deuring_crossed_products_match_the_entrywise_builders():
+    # F_4 with Frobenius, the workloads' Deuring rep
+    S, fr = gf(2, 2), frobenius_lift(gf(2, 2))
+    eye = np.eye(2, dtype=np.int64)
+    rep = equivariant_rep(BaseAction(cyclic(2), S, (eye, fr)), ring_as_algebra(S), [eye, fr])
+    witness, _ = deuring_embedding_from_splitting(rep, *semidirect_splitting(rep))
+    assert_same_crossed_product(witness.product, 0)
+    # UT_2(F_4) with Frobenius entrywise: rank_A = 3 and sigma = 2
+    UT = upper_triangular_algebra(S)
+    rep = equivariant_rep(rep.base_action, UT, [np.eye(6, dtype=np.int64), np.kron(np.eye(3), fr)])
+    res = crossed_product(semidirect_spec(rep), seed=1)
+    assert_same_crossed_product(res, 1)
+    # M_2(F_2), trivial action, split through a coboundary: i(phi) is not 1
+    A = matrix_algebra(gf(2, 1), 2)
+    rep = equivariant_rep(trivial_base_action(cyclic(2), gf(2, 1)), A,
+                          [np.eye(4, dtype=np.int64)] * 2)
+    w = teichmuller_cocycle(rep)
+    c = coboundary_preimage(cohomology(rep.Q, w.unit_mod.module, 3), w.cocycle)
+    witness, _ = deuring_embedding_from_splitting(rep, *splitting_from_coboundary(w, c), seed=2)
+    assert_same_crossed_product(witness.product, 2)
+
+
+def semidirect_spec(rep):
+    ext, i_images, theta = semidirect_splitting(rep)
+    return CrossedProductSpec(A=rep.A, base_action=rep.base_action, ext=ext,
+                              i_images=i_images, theta=theta)

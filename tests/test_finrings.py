@@ -4,6 +4,7 @@ import pytest
 from teichmuller.groups import cyclic
 from teichmuller.finrings import (
     Algebra,
+    FinCommRing,
     FixedRingMismatch,
     GaloisData,
     RingError,
@@ -187,7 +188,7 @@ def test_azumaya_tensor_and_m3():
 def test_opposite_is_involution():
     A = matrix_algebra(gf(2, 2), 2)
     B = opposite_algebra(opposite_algebra(A))
-    assert A.structure == B.structure
+    assert np.array_equal(A.structure, B.structure)
 
 
 def test_galois_f4_over_f2():
@@ -248,6 +249,20 @@ def test_galois_negative_non_free():
     assert report["all_equivalent_criteria_agree"]
     # the spec's witness: criterion (iii) fails at the third-projection ideal
     assert any(e == (0, 0, 1) for e, n in report["criterion_iii_failures"])
+
+
+def test_galois_negative_free_but_ramified():
+    # F_3[b]/((b - 1)^2) with b = 1 + eps and sigma(eps) = -eps, so sigma(b) = 2 - b:
+    # free of rank |N| over the fixed F_3, yet eps - sigma(eps) is nilpotent
+    T = FinCommRing(modulus=3, rank=2, structure=(((1, 0), (0, 1)), ((0, 1), (2, 2))),
+                    unit=(1, 0))
+    T.validate()
+    sigma = np.array([[1, 2], [0, 2]], dtype=np.int64)
+    S, embed = fixed_subring(T, [sigma])
+    report = galois_check(GaloisData(T=T, S=S, embed=embed, N=cyclic(2),
+                                     action=(np.eye(2, dtype=np.int64), sigma)))
+    assert report["free_over_S"]
+    assert not (report["criterion_i"] or report["criterion_iii"] or report["criterion_iv"])
 
 
 def test_galois_fixed_ring_mismatch():

@@ -151,7 +151,7 @@ def j_isomorphism_matrix(res):
     R = res.R
     m = S.modulus
     sigma = res.s_basis.shape[1]
-    expand = _expand_over_subring(S, R, res.r_embed, res.s_basis)
+    expand = _expand_over_subring(S, R, res.r_embed, res.s_basis).solve
     Q = res.spec.Q
     rR = R.rank
     dim = Q.order * sigma * rR  # flat size of M_sigma(R)... = C.flat_rank
@@ -166,7 +166,7 @@ def j_isomorphism_matrix(res):
                 mat = np.zeros((sigma * sigma * rR,), dtype=np.int64)
                 for l in range(sigma):
                     img = S.mul(s_val, (res.spec.base_action.mat(q) @ res.s_basis[:, l]) % m)
-                    coords = expand(img)
+                    coords = expand(img).reshape(sigma, rR)
                     for k in range(sigma):
                         mat[(k * sigma + l) * rR:(k * sigma + l + 1) * rR] = coords[k]
                 cols.append(mat)
@@ -188,7 +188,7 @@ def v1_quotient_checks(spec, res) -> dict:
     sigma = res.s_basis.shape[1]
     n = A.rank
     sR, rR = S.rank, R.rank
-    expand_s = _expand_over_subring(S, R, res.r_embed, res.s_basis)
+    expand_s = _expand_over_subring(S, R, res.r_embed, res.s_basis).solve
     dimT = Gamma.order * n * sigma
 
     def t_index(g, i, d):
@@ -199,7 +199,7 @@ def v1_quotient_checks(spec, res) -> dict:
     def expand_blocks(x_flat):
         out = [None] * (n * sigma)
         for i in range(n):
-            coords = expand_s(x_flat[i * sR:(i + 1) * sR])
+            coords = expand_s(x_flat[i * sR:(i + 1) * sR]).reshape(sigma, rR)
             for d in range(sigma):
                 out[i * sigma + d] = coords[d]
         return out
