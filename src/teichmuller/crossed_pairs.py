@@ -1082,7 +1082,9 @@ class QNormalGaloisData:
 
     ``ambient`` is N >-> G ->> Q with M = U(T) and the kappa_G-action on
     units; ``kappa_G`` gives the ring-automorphism matrices of T.  ``_held``
-    keeps the N-action on T; it takes no part in construction or the repr.
+    keeps the N-action on T and the Q-actions on the fixed ring R that
+    ``crossed_pair_algebra`` reads off, by their bytes; it takes no part in
+    construction or the repr.
     """
 
     gal: object                   # finrings.GaloisData (T | S with group N)
@@ -1176,7 +1178,7 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     rR = R.rank
     r_diag = diagonalize_mod(res.r_embed, m)
     # rs[d, u] = r_u s_d in T: C has the basis r_u s_d v_n at (n, d, u), as A = T
-    rs = np.einsum("au,bd,abk->duk", res.r_embed, res.s_basis, T.tensor) % m
+    rs = np.einsum("au,bd,abk->duk", res.r_embed, res.s_basis, T.structure) % m
     # sigma_psi lifts on C
     sec = amb.ext.section(seed)
     lifts = []
@@ -1193,7 +1195,7 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
                           for y, b in zip(ay, n2)])
         # i_sharp(alpha, x): t v_n -> (x.t) u_hat[n] v_{n2[n]} for t = r_u s_d
         kt = np.einsum("ab,dub->dua", np.asarray(data.kappa_G[x], dtype=np.int64), rs) % m
-        img = np.einsum("dua,nb,abw->nduw", kt, u_hat, T.tensor) % m
+        img = np.einsum("dua,nb,abw->nduw", kt, u_hat, T.structure) % m
         at_v1 = np.einsum("cw,nduw->nduc", res.a_to_c, img) % m
         right_v = np.einsum("nb,abc->nca", np.asarray(res.v_units)[n2], C.flat_tensor) % m
         lifts.append(np.einsum("nca,ndua->cndu", right_v, at_v1).reshape(C.flat_rank, -1) % m)
@@ -1202,7 +1204,12 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     coords = r_diag.solve(np.einsum("qab,bu->aqu", kap_sec, res.r_embed).reshape(T.rank, -1) % m)
     if coords is None:
         raise CrossedPairError("kappa_Q does not preserve the fixed ring")
-    base_action_Q = BaseAction(Q, R, tuple(coords.reshape(rR, Q.order, rR).transpose(1, 0, 2)))
+    # one base action per kappa_Q table, so that its held U(R) is shared
+    kappa_Q = coords.reshape(rR, Q.order, rR).transpose(1, 0, 2)
+    key = ("q_base_action", kappa_Q.tobytes())
+    base_action_Q = data._held.get(key)
+    if base_action_Q is None:
+        base_action_Q = data._held[key] = BaseAction(Q, R, tuple(kappa_Q))
     rep = OutRep(base_action=base_action_Q, A=C, lifts=tuple(lifts),
                  name="crossed pair algebra")
     # bridge: U(T)^N coordinates -> units of R

@@ -3,10 +3,12 @@ eta-test, and the Galois-extension criteria.
 
 A FinCommRing is a free Z/m-module of finite rank with commutative unital
 structure constants; an Algebra is a free module of finite rank over such a
-base ring with a designated central embedding of the base.  An Algebra holds
-its structure constants as one read-only int64 array over the base ring, and
-every constructor here (matrix, triangular, opposite, tensor, a ring over a
-subring) builds that array with an einsum or a slice.  Elements are
+base ring with a designated central embedding of the base.  Each holds its
+structure constants as one read-only int64 array (over Z/m for a ring, over
+the base ring for an algebra), and every constructor here (quotient
+polynomial rings, products, subrings, matrix, triangular, opposite, tensor, a
+ring over a subring) builds that array with an einsum, a slice or a solve;
+ring morphisms and the Galois criteria read it the same way.  Elements are
 coordinate vectors (numpy int64 mod m); algebra elements are flattened to
 length rank * base.rank, where ``flat_tensor`` multiplies them, so that every
 linear question (centers, conjugator equations, invertibility, module
@@ -47,27 +49,33 @@ class RingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinCommRing:
     """Commutative ring, free of the given rank over Z/modulus.
 
-    ``_held`` keeps data derived from the ring (its ``units_group``); it
-    takes no part in construction, equality, hashing or the repr.
+    ``structure`` is a read-only int64 array of shape (rank, rank, rank):
+    structure[i, j] holds the coordinates of e_i e_j.  ``unit`` is a
+    read-only array of shape (rank,).  Both are reduced mod m on construction
+    from any array-like.  Rings compare by identity.  ``_held`` keeps data
+    derived from the ring (its ``units_group``); it takes no part in
+    construction or the repr.
     """
 
     modulus: int
     rank: int
-    structure: tuple            # structure[i][j] = coords of e_i * e_j
-    unit: tuple
+    structure: np.ndarray
+    unit: np.ndarray
     name: str = ""
     labels: Optional[tuple[str, ...]] = None
     meta: tuple = ()            # provenance for constructions (frobenius etc.)
-    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _held: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def tensor(self) -> np.ndarray:
-        t = np.array(self.structure, dtype=np.int64) % self.modulus
-        return t.reshape(self.rank, self.rank, self.rank)
+    def __post_init__(self):
+        n = self.rank
+        for attr, shape in (("structure", (n, n, n)), ("unit", (n,))):
+            arr = np.array(getattr(self, attr), dtype=np.int64).reshape(shape) % self.modulus
+            arr.flags.writeable = False
+            object.__setattr__(self, attr, arr)
 
     @property
     def size(self) -> int:
@@ -77,7 +85,7 @@ class FinCommRing:
         return np.zeros(self.rank, dtype=np.int64)
 
     def one(self) -> np.ndarray:
-        return np.array(self.unit, dtype=np.int64) % self.modulus
+        return self.unit.copy()
 
     def add(self, a, b) -> np.ndarray:
         return (np.asarray(a) + np.asarray(b)) % self.modulus
@@ -87,11 +95,11 @@ class FinCommRing:
 
     def mul(self, a, b) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(a, dtype=np.int64),
-                         np.asarray(b, dtype=np.int64), self.tensor) % self.modulus
+                         np.asarray(b, dtype=np.int64), self.structure) % self.modulus
 
     def mul_matrix(self, a) -> np.ndarray:
         """Matrix of multiplication by a."""
-        return np.einsum("i,ijk->kj", np.asarray(a, dtype=np.int64), self.tensor) % self.modulus
+        return np.einsum("i,ijk->kj", np.asarray(a, dtype=np.int64), self.structure) % self.modulus
 
     def is_unit(self, a) -> bool:
         return invertible_mod(self.mul_matrix(a), self.modulus)
@@ -118,7 +126,7 @@ class FinCommRing:
 
     def validate(self) -> None:
         m, n = self.modulus, self.rank
-        t = self.tensor
+        t = self.structure
         if not np.array_equal(t, t.transpose(1, 0, 2)):
             raise RingError("structure constants are not commutative")
         left = np.einsum("ijc,ckl->ijkl", t, t) % m
@@ -131,28 +139,19 @@ class FinCommRing:
             raise RingError("unit does not act as identity")
 
 
+def _same_ring(R: FinCommRing, S: FinCommRing) -> bool:
+    """Equal modulus and structure constants: the same ring on the same basis."""
+    return R is S or (R.modulus == S.modulus and np.array_equal(R.structure, S.structure)
+                      and np.array_equal(R.unit, S.unit))
+
+
 # ---------------------------------------------------------------------------
 # ring constructors
 
 def zmod(m: int) -> FinCommRing:
     if m < 2:
         raise RingError("modulus must be >= 2")
-    return FinCommRing(modulus=m, rank=1, structure=(((1,),),), unit=(1,), name=f"Z/{m}")
-
-
-def _poly_mulmod(a, b, f, p):
-    """(a*b) mod f over Z/p, f monic; polys as low-to-high coefficient lists."""
-    k = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] = (prod[i + j] + x * y) % p
-    for d in range(len(prod) - 1, k - 1, -1):
-        c = prod[d]
-        if c:
-            for i in range(k + 1):
-                prod[d - k + i] = (prod[d - k + i] - c * f[i]) % p
-    return [x % p for x in prod[:k]] + [0] * max(0, k - len(prod))
+    return FinCommRing(modulus=m, rank=1, structure=1, unit=1, name=f"Z/{m}")
 
 
 def _poly_divides(d, f, p):
@@ -184,22 +183,18 @@ def _find_irreducible(p: int, k: int) -> list[int]:
 
 
 def _quotient_poly_ring(m: int, p: int, f: list[int], name: str) -> FinCommRing:
+    """(Z/m)[x]/(f) for monic f on the basis 1, x, .., x^(k-1): e_i e_j = x^(i+j),
+    read off the first column of the (i+j)-th power of f's companion matrix."""
     k = len(f) - 1
-    basis = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    struct = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            a = [0] * k
-            a[i] = 1
-            b = [0] * k
-            b[j] = 1
-            row.append(tuple(_poly_mulmod(a, b, f, m)))
-        struct.append(tuple(row))
+    companion = np.eye(k, k, -1, dtype=np.int64)      # x x^j = x^(j+1) for j < k - 1
+    companion[:, -1] = -np.asarray(f[:k], dtype=np.int64)
+    powers = [np.eye(k, dtype=np.int64)[0]]
+    for _ in range(2 * k - 2):
+        powers.append((companion @ powers[-1]) % m)
+    ij = np.add.outer(np.arange(k), np.arange(k))
     labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, k)]
-    return FinCommRing(modulus=m, rank=k, structure=tuple(struct),
-                       unit=tuple([1] + [0] * (k - 1)), name=name,
-                       labels=tuple(labels),
+    return FinCommRing(modulus=m, rank=k, structure=np.array(powers)[ij], unit=powers[0],
+                       name=name, labels=tuple(labels),
                        meta=(("poly", tuple(f)), ("char_p", p)))
 
 
@@ -223,28 +218,15 @@ def product_ring(factors: Sequence[FinCommRing], name: str = "") -> FinCommRing:
     ms = {r.modulus for r in factors}
     if len(ms) != 1:
         raise RingError("product factors must share the characteristic modulus")
-    m = ms.pop()
     rank = sum(r.rank for r in factors)
-    offs = []
+    struct, unit = np.zeros((rank, rank, rank), dtype=np.int64), np.zeros(rank, dtype=np.int64)
     o = 0
-    for r in factors:
-        offs.append(o)
+    for r in factors:  # each factor's constants fill its diagonal block
+        block = slice(o, o + r.rank)
+        struct[block, block, block], unit[block] = r.structure, r.unit
         o += r.rank
-    struct = [[tuple([0] * rank) for _ in range(rank)] for _ in range(rank)]
-    unit = [0] * rank
-    for fi, r in enumerate(factors):
-        o = offs[fi]
-        for i in range(r.rank):
-            unit[o + i] = int(r.one()[i])
-            for j in range(r.rank):
-                vec = [0] * rank
-                prod = r.tensor[i, j]
-                for kk in range(r.rank):
-                    vec[o + kk] = int(prod[kk])
-                struct[o + i][o + j] = tuple(vec)
-    name = name or " x ".join(r.name or "?" for r in factors)
-    return FinCommRing(modulus=m, rank=rank, structure=tuple(tuple(r) for r in struct),
-                       unit=tuple(unit), name=name)
+    return FinCommRing(modulus=ms.pop(), rank=rank, structure=struct, unit=unit,
+                       name=name or " x ".join(r.name or "?" for r in factors))
 
 
 def map_ring(points: int, k: FinCommRing, name: str = "") -> FinCommRing:
@@ -253,7 +235,7 @@ def map_ring(points: int, k: FinCommRing, name: str = "") -> FinCommRing:
 
 
 def build_ring(spec) -> FinCommRing:
-    """Ring from a small spec language (used by the CLI and tests).
+    """Ring from a small spec language.
 
     Accepted forms: {"zmod": m}, {"gf": [p, k]}, {"galois_ring": [p, n, k]},
     {"product": [spec, ...]}, {"map_ring": [points, spec]}.
@@ -284,20 +266,18 @@ def build_ring(spec) -> FinCommRing:
 
 def is_ring_morphism_matrix(R: FinCommRing, mat: np.ndarray) -> bool:
     """Is the Z/m-linear map given by mat a unital ring endomorphism of R?"""
-    m = R.modulus
-    if not np.array_equal((mat @ R.one()) % m, R.one()):
+    return _is_morphism(R.structure, R.unit, R.structure, R.unit, mat, R.modulus)
+
+
+def _is_morphism(source_tensor, source_unit, target_tensor, target_unit, mat, m: int) -> bool:
+    """Does the Z/m-linear map mat send the source unit to the target unit and
+    every product of two source basis elements to the product of their images?"""
+    mat = np.asarray(mat, dtype=np.int64)
+    if not np.array_equal((mat @ source_unit) % m, target_unit):
         return False
-    for i in range(R.rank):
-        ei = np.zeros(R.rank, dtype=np.int64)
-        ei[i] = 1
-        for j in range(R.rank):
-            ej = np.zeros(R.rank, dtype=np.int64)
-            ej[j] = 1
-            lhs = (mat @ R.mul(ei, ej)) % m
-            rhs = R.mul((mat @ ei) % m, (mat @ ej) % m)
-            if not np.array_equal(lhs, rhs):
-                return False
-    return True
+    lhs = np.einsum("abc,dc->abd", source_tensor, mat) % m
+    rhs = np.einsum("ua,vb,uvw->abw", mat, mat, target_tensor) % m
+    return np.array_equal(lhs, rhs)
 
 
 def frobenius_lift(R: FinCommRing) -> np.ndarray:
@@ -368,18 +348,11 @@ def subring_from_module(T: FinCommRing, gens: np.ndarray, name: str = "") -> tup
     one_coords = bd.solve(T.one())
     if one_coords is None:
         raise RingError("subring does not contain 1")
-    struct = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            prod = T.mul(B[:, i], B[:, j])
-            coords = bd.solve(prod)
-            if coords is None:
-                raise RingError("module is not closed under multiplication")
-            row.append(tuple(int(x) for x in coords))
-        struct.append(tuple(row))
-    S = FinCommRing(modulus=m, rank=rank, structure=tuple(struct),
-                    unit=tuple(int(x) for x in one_coords),
+    prods = np.einsum("ai,bj,abk->kij", B, B, T.structure).reshape(T.rank, rank * rank) % m
+    coords = bd.solve(prods)
+    if coords is None:
+        raise RingError("module is not closed under multiplication")
+    S = FinCommRing(modulus=m, rank=rank, structure=coords.T, unit=one_coords,
                     name=name or f"subring of {T.name}")
     S.validate()
     return S, B
@@ -387,18 +360,15 @@ def subring_from_module(T: FinCommRing, gens: np.ndarray, name: str = "") -> tup
 
 def fixed_subring(T: FinCommRing, mats: Sequence[np.ndarray], name: str = "") -> tuple[FinCommRing, np.ndarray]:
     """The subring of elements fixed by all the given automorphism matrices."""
-    m = T.modulus
-    if not mats:
-        gens = np.eye(T.rank, dtype=np.int64)
-    else:
-        stacked = np.vstack([(np.asarray(a, dtype=np.int64) - np.eye(T.rank, dtype=np.int64)) % m
-                             for a in mats])
-        gens = kernel_mod(stacked, m)
-        if gens.size == 0:
-            gens = np.zeros((T.rank, 0), dtype=np.int64)
-    # the fixed module always contains 1
-    gens = np.hstack([gens, T.one().reshape(-1, 1)])
-    return subring_from_module(T, gens, name=name or f"{T.name}^fix")
+    return subring_from_module(T, _fixed_module(T, mats), name=name or f"{T.name}^fix")
+
+
+def _fixed_module(T: FinCommRing, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Generators (columns) of the elements fixed by every matrix, then 1."""
+    m, eye = T.modulus, np.eye(T.rank, dtype=np.int64)
+    gens = kernel_mod(np.vstack([(np.asarray(a, dtype=np.int64) - eye) % m for a in mats]),
+                      m) if len(mats) else eye
+    return np.hstack([gens, T.one()[:, None]])
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +413,7 @@ class Algebra:
         N, m = self.flat_rank, self.modulus
         if N > 192:
             raise RingError(f"flat multiplication tensor too large ({N})")
-        bt = self.base.tensor
+        bt = self.base.structure
         # (e_i s_u)(e_j s_v) = sum_c (s_u s_v structure[i, j, c]) e_c
         coef = np.einsum("ijck,akw->ijcaw", self.structure, bt) % m
         return np.einsum("uva,ijcaw->iujvcw", bt, coef).reshape(N, N, N) % m
@@ -488,14 +458,14 @@ class Algebra:
 
     def base_embedding(self) -> np.ndarray:
         """Matrix (flat_rank x base.rank): s |-> s * 1_A."""
-        return np.einsum("iv,uvw->iwu", self.unit, self.base.tensor).reshape(
+        return np.einsum("iv,uvw->iwu", self.unit, self.base.structure).reshape(
             self.flat_rank, self.base.rank) % self.modulus
 
     def scalar_mul(self, s_elt, x) -> np.ndarray:
         """Multiply by a base-ring element (coordinatewise on blocks)."""
         x = np.asarray(x, dtype=np.int64).reshape(self.rank, self.base.rank)
         return np.einsum("u,iv,uvw->iw", np.asarray(s_elt, dtype=np.int64), x,
-                         self.base.tensor).reshape(-1) % self.modulus
+                         self.base.structure).reshape(-1) % self.modulus
 
     def elements(self):
         m = self.modulus
@@ -563,12 +533,12 @@ def opposite_algebra(A: Algebra) -> Algebra:
 
 def tensor_algebra(A: Algebra, B: Algebra, name: str = "") -> Algebra:
     """A tensor B over the common base ring, basis e_i (x) f_j at i*rank_B + j."""
-    if A.base is not B.base and (A.base.structure != B.base.structure or A.base.modulus != B.base.modulus):
+    if not _same_ring(A.base, B.base):
         raise RingError("tensor factors must share the base ring")
     S = A.base
     n = A.rank * B.rank
-    struct = np.einsum("ikau,jlbv,uvw->ijklabw", A.structure, B.structure, S.tensor)
-    unit = np.einsum("au,bv,uvw->abw", A.unit, B.unit, S.tensor)
+    struct = np.einsum("ikau,jlbv,uvw->ijklabw", A.structure, B.structure, S.structure)
+    unit = np.einsum("au,bv,uvw->abw", A.unit, B.unit, S.structure)
     return Algebra(base=S, rank=n, structure=struct, unit=unit,
                    name=name or f"({A.name})(x)({B.name})")
 
@@ -585,7 +555,7 @@ def commutative_ring_as_algebra_over(T: FinCommRing, S: FinCommRing,
         raise RingError("T is not free over S")
     d = B.shape[1]
     # columns: every basis product B_i B_j, then 1
-    prods = np.einsum("ai,bj,abk->kij", B, B, T.tensor).reshape(T.rank, d * d) % T.modulus
+    prods = np.einsum("ai,bj,abk->kij", B, B, T.structure).reshape(T.rank, d * d) % T.modulus
     coords = _expand_over_subring(T, S, embed, B).solve(
         np.hstack([prods, T.one().reshape(-1, 1)]))
     if coords is None:
@@ -639,7 +609,7 @@ def _expand_over_subring(T: FinCommRing, S: FinCommRing, embed: np.ndarray,
 def _span_columns(T: FinCommRing, embed: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The columns s_u B_i for the S-basis images s_u (columns of embed), at
     index i * S.rank + u."""
-    return np.einsum("au,bi,abk->kiu", embed, B, T.tensor).reshape(
+    return np.einsum("au,bi,abk->kiu", embed, B, T.structure).reshape(
         T.rank, B.shape[1] * embed.shape[1]) % T.modulus
 
 
@@ -751,7 +721,7 @@ def is_azumaya(A: Algebra) -> tuple[bool, dict]:
     center_ok = colspans_equal(cen, emb, m)
     # eta over S, flattened: size (n^2 * sR)^2
     # column (i,j): endo c -> e_i c e_j; rows indexed by End_S(A) basis (k,l, u)
-    bt = S.tensor
+    bt = S.structure
     # trip[i, l, j, k] in S-coords: coefficient of e_k in e_i e_l e_j
     # first e_i e_l = sum_a st[i,l,a] e_a ; then e_a e_j = sum_k st[a,j,k] e_k
     trip = np.einsum("ilau,ajkv,uvw->iljkw", st, st, bt) % m
@@ -803,16 +773,6 @@ class GaloisData:
             raise RingError(f"action is not a group homomorphism at {pair}")
 
 
-def _fixed_module(T: FinCommRing, N: FiniteGroup, action) -> np.ndarray:
-    m = T.modulus
-    mats = [np.asarray(action[n], dtype=np.int64) for n in range(N.order)]
-    stacked = np.vstack([(mat - np.eye(T.rank, dtype=np.int64)) % m for mat in mats])
-    ker = kernel_mod(stacked, m)
-    if ker.size == 0:
-        ker = np.zeros((T.rank, 0), dtype=np.int64)
-    return np.hstack([ker, T.one().reshape(-1, 1)])
-
-
 def idempotents(R: FinCommRing) -> list[np.ndarray]:
     out = []
     for x in R.elements():
@@ -859,7 +819,7 @@ def galois_check(data: GaloisData, rng_seed: int = 0) -> dict:
     T, S, N = data.T, data.S, data.N
     m = T.modulus
     data.validate_action()
-    fixed = _fixed_module(T, N, data.action)
+    fixed = _fixed_module(T, data.action)
     if not colspans_equal(fixed, data.embed, m):
         raise FixedRingMismatch("S is not the fixed ring of the action")
     report: dict = {}
@@ -875,7 +835,7 @@ def galois_check(data: GaloisData, rng_seed: int = 0) -> dict:
             # imgs[:, i, n, u, l] is its value at b_l
             acted = np.einsum("nab,bl->anl", np.asarray(data.action, dtype=np.int64), basis) % m
             lead = _span_columns(T, data.embed, basis).reshape(T.rank, d, S.rank)
-            imgs = np.einsum("aiu,bnl,abk->kinul", lead, acted, T.tensor) % m
+            imgs = np.einsum("aiu,bnl,abk->kinul", lead, acted, T.structure) % m
             x = _expand_over_subring(T, S, data.embed, basis).solve(imgs.reshape(T.rank, -1))
             if x is not None:
                 # rows: the End_S(T) basis (k <- l) times S-coordinates v
@@ -907,47 +867,7 @@ def galois_check(data: GaloisData, rng_seed: int = 0) -> dict:
     report["criterion_iii_failures"] = failures
 
     # --- (iv) h: T (x)_S T -> Map(N, T) -------------------------------------
-    r = T.rank
-    # relations (s e_i) (x) e_j - e_i (x) (s e_j) for S-basis images s
-    rel_cols = []
-    for u in range(S.rank):
-        s_img = data.embed[:, u] % m
-        smat = T.mul_matrix(s_img)
-        for i in range(r):
-            ei = np.zeros(r, dtype=np.int64)
-            ei[i] = 1
-            sei = (smat @ ei) % m
-            for j in range(r):
-                vec = np.zeros(r * r, dtype=np.int64)
-                ej = np.zeros(r, dtype=np.int64)
-                ej[j] = 1
-                sej = (smat @ ej) % m
-                # (s e_i) (x) e_j
-                for a in range(r):
-                    vec[a * r + j] += sei[a]
-                for b in range(r):
-                    vec[i * r + b] -= sej[b]
-                rel_cols.append(vec % m)
-    rel = np.stack(rel_cols, axis=1) if rel_cols else np.zeros((r * r, 0), dtype=np.int64)
-    tensor_size = (m ** (r * r)) // submodule_size(rel, m) if rel.size else m ** (r * r)
-    # h matrix: rows (n, T-coords), cols (i, j)
-    H = np.zeros((N.order * r, r * r), dtype=np.int64)
-    for i in range(r):
-        ei = np.zeros(r, dtype=np.int64)
-        ei[i] = 1
-        for j in range(r):
-            ej = np.zeros(r, dtype=np.int64)
-            ej[j] = 1
-            for n in range(N.order):
-                val = T.mul(ei, (data.act_matrix(n) @ ej) % m)
-                H[n * r:(n + 1) * r, i * r + j] = val
-    # h must kill the balancing relations
-    if rel.size and ((H @ rel) % m).any():
-        report["criterion_iv"] = False
-    else:
-        image_size = submodule_size(H, m)
-        target_size = m ** (N.order * r)
-        report["criterion_iv"] = bool(image_size == target_size == tensor_size)
+    report["criterion_iv"] = _bijective_on_balanced_tensor(*_criterion_iv_system(data), m)
     # --- (ii) spot check ----------------------------------------------------
     report["criterion_ii_spot"] = _descent_spot_check(data)
     report["all_equivalent_criteria_agree"] = (
@@ -955,88 +875,74 @@ def galois_check(data: GaloisData, rng_seed: int = 0) -> dict:
     return report
 
 
+def _bijective_on_balanced_tensor(W: np.ndarray, rel: np.ndarray, m: int) -> bool:
+    """Does W, given on the free module over the generators x (x) y, kill the
+    balancing relations rel and induce a bijection from the tensor product
+    (the free module over rel) onto (Z/m)^(rows of W)?"""
+    if ((W @ rel) % m).any():
+        return False
+    tensor_size = m ** W.shape[1] // submodule_size(rel, m)
+    return bool(submodule_size(W, m) == m ** W.shape[0] == tensor_size)
+
+
+def _balancing_relations(data: GaloisData, s_right: np.ndarray) -> np.ndarray:
+    """The relations (s_u e_i) (x) f_j - e_i (x) (s_u f_j) for the S-basis
+    images s_u, at column (u, i, j), on the free module over the e_i (x) f_j
+    (row (i, j)); s_right[:, u, j] holds s_u f_j over the f."""
+    T, m, k = data.T, data.T.modulus, s_right.shape[0]
+    s_mul = np.einsum("cu,cia->uai", data.embed % m, T.structure) % m   # s_u e_i
+    return (np.einsum("uai,bj->abuij", s_mul, np.eye(k, dtype=np.int64))
+            - np.einsum("ai,buj->abuij", np.eye(T.rank, dtype=np.int64), s_right)
+            ).reshape(T.rank * k, -1) % m
+
+
+def _criterion_iv_system(data: GaloisData) -> tuple[np.ndarray, np.ndarray]:
+    """h: e_i (x) e_j -> (n -> e_i n(e_j)), rows (n, T-coordinates) and
+    columns (i, j), with the balancing relations of T (x)_S T."""
+    T, m = data.T, data.T.modulus
+    acts = np.asarray(data.action, dtype=np.int64) % m
+    H = np.einsum("nbj,ibk->nkij", acts, T.structure).reshape(len(acts) * T.rank, -1) % m
+    return H, _balancing_relations(data, np.einsum("cu,cjb->buj", data.embed % m, T.structure) % m)
+
+
 def _descent_spot_check(data: GaloisData) -> bool:
     """w: T (x)_S M^N -> M bijective for M = T and M = T^tN."""
-    T, S, N = data.T, data.S, data.N
-    m = T.modulus
-    results = []
-    # M = T with the natural twisted-module structure: M^N = embedded S
-    results.append(_descent_on_module(
-        data,
-        dim=T.rank,
-        t_act=lambda t_img, v: T.mul(t_img, v),
-        n_act=lambda n, v: (data.act_matrix(n) @ v) % m,
-    ))
-    # M = T^tN, free of rank |N| over T with n.(t e_k) = (n.t) e_{nk}
-    nn = N.order
-
-    def t_act(t_img, v):
-        out = np.zeros_like(v)
-        for k in range(nn):
-            out[k * T.rank:(k + 1) * T.rank] = T.mul(t_img, v[k * T.rank:(k + 1) * T.rank])
-        return out
-
-    def n_act(n, v):
-        out = np.zeros_like(v)
-        for k in range(nn):
-            tgt = N.mul[n][k]
-            out[tgt * T.rank:(tgt + 1) * T.rank] = (data.act_matrix(n) @ v[k * T.rank:(k + 1) * T.rank]) % m
-        return out
-
-    results.append(_descent_on_module(data, dim=nn * T.rank, t_act=t_act, n_act=n_act))
-    return all(results)
+    systems = [_descent_on_module(data, *mats) for mats in _descent_modules(data)]
+    return all(system is not None and _bijective_on_balanced_tensor(*system, data.T.modulus)
+               for system in systems)
 
 
-def _descent_on_module(data: GaloisData, dim: int, t_act, n_act) -> bool:
-    T, S, N = data.T, data.S, data.N
-    m = T.modulus
-    # M^N
-    rows = []
-    eye = np.eye(dim, dtype=np.int64)
-    for n in range(N.order):
-        block = np.stack([n_act(n, eye[:, j]) for j in range(dim)], axis=1)
-        rows.append((block - eye) % m)
-    fixed = kernel_mod(np.vstack(rows), m)
+def _descent_modules(data: GaloisData) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(t_mats, n_mats) for M = T and M = T^tN: t_mats[a] multiplies M by the
+    basis element e_a of T, n_mats[n] is the action of n on M.  T^tN is free
+    of rank |N| over T, block k holding t e_k, with n.(t e_k) = (n.t) e_{nk}."""
+    T, N = data.T, data.N
+    acts = np.asarray(data.action, dtype=np.int64) % T.modulus
+    t_mats, eye_n = T.structure.transpose(0, 2, 1), np.eye(N.order, dtype=np.int64)
+    dim = N.order * T.rank
+    # moves[n][nk, k] = 1: block k goes to block nk
+    moves = eye_n[N.table].transpose(0, 2, 1)
+    return [(t_mats, acts),
+            (np.einsum("xy,akb->axkyb", eye_n, t_mats).reshape(-1, dim, dim),
+             np.einsum("nxy,nab->nxayb", moves, acts).reshape(-1, dim, dim))]
+
+
+def _descent_on_module(data: GaloisData, t_mats: np.ndarray, n_mats: np.ndarray):
+    """(W, rel) for w: T (x)_S M^N -> M, e_i (x) f_j -> e_i f_j, on the
+    generators f_j of M^N, with its balancing relations; None when M^N is 0
+    or not an S-module over the f_j."""
+    m, dim = data.T.modulus, n_mats.shape[1]
+    fixed = kernel_mod(np.vstack(n_mats - np.eye(dim, dtype=np.int64)) % m, m)
     if fixed.size == 0:
-        fixed = np.zeros((dim, 0), dtype=np.int64)
-    k = fixed.shape[1]
-    # w: T (x)_S M^N -> M on generators e_i (x) f_j
-    r = T.rank
-    W = np.zeros((dim, r * k), dtype=np.int64)
-    for i in range(r):
-        ei = np.zeros(r, dtype=np.int64)
-        ei[i] = 1
-        for j in range(k):
-            W[:, i * k + j] = t_act(ei, fixed[:, j])
-    # the S-balanced tensor product size
-    rel_cols = []
-    dgf = diagonalize_mod(fixed, m) if fixed.size else None
-    for u in range(S.rank):
-        s_img = data.embed[:, u] % m
-        smat = T.mul_matrix(s_img)
-        for i in range(r):
-            ei = np.zeros(r, dtype=np.int64)
-            ei[i] = 1
-            sei = (smat @ ei) % m
-            for j in range(k):
-                vec = np.zeros(r * k, dtype=np.int64)
-                for a in range(r):
-                    vec[a * k + j] += sei[a]
-                # minus e_i (x) s.f_j, with s.f_j (still N-fixed) re-expressed
-                # over the fixed generators
-                coords = dgf.solve(t_act(s_img, fixed[:, j])) if dgf else None
-                if coords is None:
-                    return False
-                for b in range(k):
-                    vec[i * k + b] -= coords[b]
-                rel_cols.append(vec % m)
-    rel = np.stack(rel_cols, axis=1) if rel_cols else np.zeros((r * k, 0), dtype=np.int64)
-    if rel.size and ((W @ rel) % m).any():
-        return False
-    tensor_size = (m ** (r * k)) // submodule_size(rel, m) if rel.size else m ** (r * k)
-    image_size = submodule_size(W, m)
-    module_size = m ** dim
-    return bool(image_size == module_size == tensor_size)
+        return None
+    W = np.einsum("iab,bj->aij", t_mats, fixed).reshape(dim, -1) % m
+    # s_u f_j, still N-fixed, over the f_j
+    s_mats = np.einsum("au,axy->uxy", data.embed % m, t_mats)
+    coords = diagonalize_mod(fixed, m).solve(
+        np.einsum("uab,bj->auj", s_mats, fixed).reshape(dim, -1) % m)
+    if coords is None:
+        return None
+    return W, _balancing_relations(data, coords.reshape(fixed.shape[1], data.S.rank, -1))
 
 
 def galois_from_free_action(points: int, perms: Sequence[Sequence[int]],
@@ -1045,38 +951,16 @@ def galois_from_free_action(points: int, perms: Sequence[Sequence[int]],
 
     ``perms[n]`` is the permutation of the points by the group element n.
     """
-    for n in range(N.order):
-        if n == N.identity:
-            continue
-        if any(perms[n][p] == p for p in range(points)):
-            raise RingError("action is not free")
-    T = map_ring(points, k)
-    m = T.modulus
-    kr = k.rank
-    mats = []
-    for n in range(N.order):
-        mat = np.zeros((T.rank, T.rank), dtype=np.int64)
-        for p in range(points):
-            # (n.f)(p) = f(n^-1 p): permutation matrix on blocks
-            src = perms[N.inv[n]][p]
-            for u in range(kr):
-                mat[p * kr + u, src * kr + u] = 1
-        mats.append(mat)
-    # orbits -> S basis
-    seen = set()
-    orbit_cols = []
-    for p in range(points):
-        if p in seen:
-            continue
-        orbit = {perms[n][p] for n in range(N.order)}
-        seen |= orbit
-        for u in range(kr):
-            # the orbit-constant function with value s_u
-            vec = np.zeros(T.rank, dtype=np.int64)
-            for q in orbit:
-                vec[q * kr + u] = 1
-            orbit_cols.append(vec % m)
-    gens = np.stack(orbit_cols, axis=1)
+    P = np.asarray(perms)
+    if (np.delete(P, N.identity, axis=0) == np.arange(points)).any():
+        raise RingError("action is not free")
+    T, eye_k = map_ring(points, k), np.eye(k.rank, dtype=np.int64)
+    # (n.f)(p) = f(n^-1 p): a permutation of the point blocks
+    mats = np.kron(np.eye(points, dtype=np.int64)[P[N.inverse]], eye_k)
+    # S is spanned by the orbit-constant functions with value s_u, orbits
+    # named by their least point
+    least = P.min(axis=0)
+    gens = np.kron(least[:, None] == np.array(sorted(set(least.tolist()))), eye_k)
     S, embed = subring_from_module(T, gens, name=f"Map(P/N, {k.name})")
     return GaloisData(T=T, S=S, embed=embed, N=N, action=tuple(mats))
 
@@ -1086,14 +970,5 @@ def galois_from_free_action(points: int, perms: Sequence[Sequence[int]],
 
 def is_algebra_morphism(source: Algebra, target: Algebra, mat) -> bool:
     """Multiplicative and unital in flat coordinates."""
-    m = target.modulus
-    mat = np.asarray(mat, dtype=np.int64)
-    if not np.array_equal((mat @ source.flat_unit()) % m, target.flat_unit()):
-        return False
-    N = source.flat_rank
-    # map(e_a e_b) == map(e_a) map(e_b), vectorized over all pairs
-    src = source.flat_tensor                         # (N, N, N)
-    lhs = np.einsum("abc,dc->abd", src, mat) % m
-    img = mat.T                                       # img[a] = map(e_a)
-    rhs = np.einsum("au,bv,uvw->abw", img, img, target.flat_tensor) % m
-    return np.array_equal(lhs, rhs)
+    return _is_morphism(source.flat_tensor, source.flat_unit(), target.flat_tensor,
+                        target.flat_unit(), mat, target.modulus)

@@ -698,10 +698,12 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
 
     The resolution, its differentials and its comparison maps with the bar
     complex are built once per group and modulus m, as far as the degree asks,
-    and held (``free_resolution``); the cocycle and coboundary systems of M
-    are built per call.  Every matrix is checked against
-    RESOLUTION_CELL_BUDGET before it is built or eliminated, the smallest
-    comparison map (E^n x |G|) before any work.
+    and held (``free_resolution``).  H^n itself is built on the first call for
+    a degree and module content (invariant factors and action) and held by the
+    module's group too, so equal modules share one CohomologyGroup.  Every
+    matrix is checked against RESOLUTION_CELL_BUDGET before it is built or
+    eliminated, the smallest comparison map (E^n x |G|) before any work; a
+    refused build holds nothing.
     """
     if M.group.mul != G.mul:
         raise CohomologyError("module is not over the given group")
@@ -709,12 +711,17 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
         raise CohomologyError("degree must be nonnegative")
     if n > MAX_DEGREE:
         raise BudgetExceeded(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
-    k = M.rank
-    if k == 0:
-        return CohomologyGroup(G, M, n, ())
-    _check_budget(f"Psi_{n}", (G.order - 1) ** n, G.order, M.exponent)
-    core = _compute_core(M, n)
-    return CohomologyGroup(G, M, n, core.invariant_factors, _core=core)
+    key = ("cohomology", n, M.invariant_factors, M.action)
+    H = M.group._held.get(key)
+    if H is None:
+        if M.rank == 0:
+            H = CohomologyGroup(G, M, n, ())
+        else:
+            _check_budget(f"Psi_{n}", (G.order - 1) ** n, G.order, M.exponent)
+            core = _compute_core(M, n)
+            H = CohomologyGroup(G, M, n, core.invariant_factors, _core=core)
+        M.group._held[key] = H
+    return H
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,11 @@ from .finrings import (
     kernel_mod,
     matrix_algebra_over,
     opposite_algebra,
+    tensor_algebra,
     units_group,
     _expand_over_subring,
     _module_basis_over_subring,
+    _same_ring,
 )
 from .modlinalg import (ModDiagonalization, colspans_equal, first_nonmultiplicative_pair,
                         invertible_mod, submodule_size)
@@ -59,8 +61,9 @@ class NormalStructureError(ValueError):
 class BaseAction:
     """kappa_Q: an action of Q on the commutative ring S (not nec. injective).
 
-    ``_held`` keeps data derived from the action (its ``fixed_ring``); it
-    takes no part in construction, equality, hashing or the repr.
+    ``_held`` keeps data derived from the action (its ``fixed_ring`` and
+    ``unit_module``); it takes no part in construction, equality, hashing or
+    the repr.
     """
 
     Q: FiniteGroup
@@ -186,13 +189,17 @@ class UnitModule:
 
 
 def unit_module(base_action: BaseAction) -> UnitModule:
-    S, Q = base_action.S, base_action.Q
-    units = units_group(S)
-    module, e2c, c2e = gmodule_of_action(
-        Q, units.group,
-        lambda q, u: units.index_of((base_action.mat(q) @ units.element(u)) % S.modulus))
-    return UnitModule(units=units, module=module, elem_to_coords=tuple(e2c),
-                      coords_to_elem=c2e)
+    """U(S) as a Q-module, built once per base action and held by it."""
+    held = base_action._held.get("unit_module")
+    if held is None:
+        S, Q = base_action.S, base_action.Q
+        units = units_group(S)
+        module, e2c, c2e = gmodule_of_action(
+            Q, units.group,
+            lambda q, u: units.index_of((base_action.mat(q) @ units.element(u)) % S.modulus))
+        held = base_action._held["unit_module"] = UnitModule(
+            units=units, module=module, elem_to_coords=tuple(e2c), coords_to_elem=c2e)
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +281,16 @@ def tensor_flat_element(A: Algebra, B: Algebra, AB: Algebra, a, b) -> np.ndarray
     nA, nB = A.rank, B.rank
     av = np.asarray(a, dtype=np.int64).reshape(nA, sR)
     bv = np.asarray(b, dtype=np.int64).reshape(nB, sR)
-    out = np.einsum("iu,jv,uvw->ijw", av, bv, S.tensor) % m
+    out = np.einsum("iu,jv,uvw->ijw", av, bv, S.structure) % m
     return out.reshape(nA * nB * sR)
 
 
 def tensor_rep(rep1: OutRep, rep2: OutRep) -> tuple[OutRep, Algebra]:
     """(A1 (x) A2, w1 (x) w2); requires the same base action."""
-    from .finrings import tensor_algebra
-    if rep1.base_action is not rep2.base_action and \
-            rep1.base_action.matrices != rep2.base_action.matrices:
+    b1, b2 = rep1.base_action, rep2.base_action
+    if b1 is not b2 and not (np.array_equal(b1.Q.table, b2.Q.table) and _same_ring(b1.S, b2.S)
+                             and np.array_equal(np.asarray(b1.matrices) % b1.S.modulus,
+                                                np.asarray(b2.matrices) % b2.S.modulus)):
         raise NormalStructureError("tensor needs a common base action")
     A, B = rep1.A, rep2.A
     AB = tensor_algebra(A, B)
@@ -383,7 +391,7 @@ class CrossedProductSpec:
             (left[K.gens_index] @ I.T) % m, I[K.table[K.gens_index]].transpose(0, 2, 1))
         if not mult and not all(A.is_unit(v) for v in I):
             raise NormalStructureError("i(K) contains a non-unit")
-        if len(np.unique(I, axis=0)) != K.order:
+        if len({row.tobytes() for row in I % m}) != K.order:
             raise NormalStructureError("i is not injective")
         for y in range(0 if mult else K.order):
             bad = np.flatnonzero(((left[y] @ I.T) % m != I[K.table[y]].T).any(axis=0))

@@ -35,7 +35,7 @@ def _struct(A: Algebra) -> np.ndarray:
 def flat_tensor_oracle(A: Algebra) -> np.ndarray:
     n, s, m = A.rank, A.base.rank, A.modulus
     N = n * s
-    bt = A.base.tensor
+    bt = A.base.structure
     st = _struct(A)
     # (e_i s_u)(e_j s_v) = sum_c structure[i][j][c] * (s_u s_v) e_c
     out = np.zeros((N, N, N), dtype=np.int64)

@@ -63,7 +63,10 @@ BASES = [zmod(8), zmod(9), gf(2, 2), gf(3, 2), galois_ring(2, 2, 2), map_ring(2,
 def assert_same_algebra(A, oracle):
     """Equal structure arrays and names, and flat coordinates equal to the
     entry-by-entry ones."""
-    assert (A.base, A.rank, A.name) == (oracle.base, oracle.rank, oracle.name)
+    assert (A.base.modulus, A.base.name, A.rank, A.name) == (
+        oracle.base.modulus, oracle.base.name, oracle.rank, oracle.name)
+    assert np.array_equal(A.base.structure, oracle.base.structure)
+    assert np.array_equal(A.base.unit, oracle.base.unit)
     assert np.array_equal(A.structure, oracle.structure)
     assert np.array_equal(A.unit, oracle.unit)
     assert np.array_equal(A.flat_tensor, flat_tensor_oracle(A))

@@ -596,6 +596,18 @@ def test_crossed_pair_algebra_prop63_battery_a():
         assert map_on_cohomology(mm, h3q, H_teich, delta_cls) == teich_cls
 
 
+def test_crossed_pair_algebras_share_one_base_action_per_kappa_table():
+    """One Q-action on R, and so one U(R) as a Q-module, per kappa_Q table
+    of a Galois datum, however many crossed pairs read it."""
+    data = battery_a()
+    reps = [crossed_pair_algebra(data, cp, seed=i % 2)[0]
+            for i, cp in enumerate(all_crossed_pairs(data))]
+    actions = {id(rep.base_action): rep.base_action for rep in reps}.values()
+    tables = {np.stack(b.matrices).tobytes() for b in actions}
+    assert len(reps) > len(actions) == len(tables)
+    assert teichmuller_cocycle(reps[-1]).unit_mod is unit_module(reps[-1].base_action)
+
+
 def test_crossed_pair_algebra_fully_split_is_equivariant_class_zero():
     data = battery_a()
     amb = data.ambient

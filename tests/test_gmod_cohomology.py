@@ -326,6 +326,25 @@ def test_resolution_budget_is_checked_before_each_elimination(monkeypatch):
                        ("Psi_2", "49", "16")]
 
 
+def test_cohomology_is_held_per_degree_and_module_content(monkeypatch):
+    G = cyclic(2)
+    M, twin = trivial_gmodule(G, [4]), trivial_gmodule(G, [4])
+    H = cohomology(G, M, 2)
+    assert twin is not M and cohomology(G, twin, 2) is H
+    assert cohomology(G, M, 3) is not H
+    assert cohomology(G, negation_module(G, 4), 2) is not H
+    # a refused build holds nothing, and a later admitted one is held
+    Q8 = quaternion_table()
+    budget = gmod_cohomology.RESOLUTION_CELL_BUDGET
+    monkeypatch.setattr(gmod_cohomology, "RESOLUTION_CELL_BUDGET", 60)
+    with pytest.raises(BudgetExceeded):
+        cohomology(Q8, trivial_gmodule(Q8, [2]), 2)
+    assert not [key for key in Q8._held if key[0] == "cohomology"]
+    monkeypatch.setattr(gmod_cohomology, "RESOLUTION_CELL_BUDGET", budget)
+    H = cohomology(Q8, trivial_gmodule(Q8, [2]), 2)
+    assert H.invariant_factors == (2, 2) and cohomology(Q8, trivial_gmodule(Q8, [2]), 2) is H
+
+
 def test_coboundary_preimage_budget_refuses_before_any_elimination(monkeypatch):
     # H^4(C16, Z/2) is admitted, but the preimage would hold the chain
     # homotopy s_3 on the bar resolution, 15^3 x 15^4 cells

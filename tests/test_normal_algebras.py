@@ -495,3 +495,59 @@ def test_crossed_product_spec_names_the_failing_equivariance_pair():
     with pytest.raises(NormalStructureError,
                        match=rf"i is not Gamma-equivariant at \({want[0]}, {want[1]}\)"):
         spec.validate()
+
+
+def test_tensor_of_reps_on_equal_but_distinct_base_actions():
+    rep = frobenius_rep_on_f4()
+    S, fr = gf(2, 2), frobenius_lift(gf(2, 2))
+    eye = np.eye(2, dtype=np.int64)
+    twin = equivariant_rep(BaseAction(cyclic(2), S, (eye, fr)), ring_as_algebra(S), [eye, fr])
+    assert twin.base_action is not rep.base_action and twin.A.base is not rep.A.base
+    out, _ = tensor_rep(rep, twin)
+    out.validate()
+    cls, H, _ = class_of_rep(out)
+    assert cls == (0,) * len(H.invariant_factors)
+    trivial = equivariant_rep(trivial_base_action(cyclic(2), S), ring_as_algebra(S), [eye, eye])
+    with pytest.raises(NormalStructureError, match="common base action"):
+        tensor_rep(rep, trivial)
+
+
+def test_unit_module_is_held_by_the_base_action():
+    rep = frobenius_rep_on_f4()
+    um = unit_module(rep.base_action)
+    assert unit_module(rep.base_action) is um
+    assert teichmuller_cocycle(rep).unit_mod is um
+    assert unit_module(frobenius_rep_on_f4().base_action) is not um
+
+
+def test_validating_a_spec_imports_no_masked_arrays():
+    """numpy's unique(axis=0) imports numpy.ma on its first call."""
+    import os
+    import subprocess
+    import sys
+    import teichmuller
+
+    code = """
+import sys
+import numpy as np
+loaded_with_numpy = "numpy.ma" in sys.modules
+from teichmuller.finrings import frobenius_lift, gf, ring_as_algebra
+from teichmuller.groups import cyclic
+from teichmuller.normal_algebras import (BaseAction, CrossedProductSpec, equivariant_rep,
+                                         semidirect_splitting)
+S, fr, eye = gf(2, 2), frobenius_lift(gf(2, 2)), np.eye(2, dtype=np.int64)
+rep = equivariant_rep(BaseAction(cyclic(2), S, (eye, fr)), ring_as_algebra(S), [eye, fr])
+ext, i_images, theta = semidirect_splitting(rep)
+spec = CrossedProductSpec(A=rep.A, base_action=rep.base_action, ext=ext, i_images=i_images,
+                          theta=theta)
+before = "numpy.ma" in sys.modules
+spec.validate()
+print(loaded_with_numpy, before, "numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(teichmuller.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert out[1:] == ["False", "False"]
