@@ -34,6 +34,7 @@ from .groups import (
     mixed_radix_decode,
     mixed_radix_encode,
     quotient_group,
+    same_group,
 )
 
 
@@ -186,7 +187,7 @@ def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain
 
 def trivial_crossed2(Q: FiniteGroup, M: GModule) -> Crossed2Extension:
     """e_0: 0 -> M = M -> 0 -> Q = Q -> 1 with the module action as structure."""
-    if M.group.mul != Q.mul:
+    if not same_group(M.group, Q):
         raise CrossedModuleError("module must be over Q")
     factors = M.invariant_factors
     Mgrp = abelian_group_from_factors(factors)
@@ -205,9 +206,9 @@ def trivial_crossed2(Q: FiniteGroup, M: GModule) -> Crossed2Extension:
 def baer_sum(a: Crossed2Extension, b: Crossed2Extension) -> Crossed2Extension:
     """Baer sum over the same (G, M): middle terms C_a x^M C_b and
     Gamma_a x_G Gamma_b; the class of the result is the sum of the classes."""
-    if a.G.mul != b.G.mul:
+    if not same_group(a.G, b.G):
         raise CrossedModuleError("extensions end at different groups")
-    if a.M.mul != b.M.mul:
+    if not same_group(a.M, b.M):
         raise CrossedModuleError("extensions start at different modules")
     mod_a, _, _ = a.gmodule()
     mod_b, _, _ = b.gmodule()

@@ -58,8 +58,8 @@ from .gmod_cohomology import (
     pullback_cochain,
 )
 from .crossed import Crossed2Extension, cocycle_of_crossed2
-from .finrings import galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
-from .modlinalg import diagonalize_mod, first_nonmultiplicative_pair
+from .finrings import _hold, galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
+from .modlinalg import HeldArrays, diagonalize_mod, first_nonmultiplicative_pair
 from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
 
 
@@ -1076,48 +1076,49 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
 # ---------------------------------------------------------------------------
 # crossed pair algebras (Q-normal Galois ring data)
 
-@dataclass
-class QNormalGaloisData:
+@dataclass(eq=False)
+class QNormalGaloisData(HeldArrays):
     """A Q-normal Galois extension T|S with its structure extension.
 
     ``ambient`` is N >-> G ->> Q with M = U(T) and the kappa_G-action on
-    units; ``kappa_G`` gives the ring-automorphism matrices of T.  ``_held``
-    keeps the N-action on T and the Q-actions on the fixed ring R that
-    ``crossed_pair_algebra`` reads off, by their bytes; it takes no part in
-    construction or the repr.
+    units; ``kappa_G`` (|G|, rank T, rank T) holds the ring-automorphism
+    matrix of T of each element of G, reduced mod m on construction.
+    ``_held`` keeps the N-action on T and the Q-actions on the fixed ring R
+    that ``crossed_pair_algebra`` reads off, by their bytes; it takes no part
+    in construction or the repr.
     """
 
     gal: object                   # finrings.GaloisData (T | S with group N)
     ambient: Ambient
     units: object                 # finrings.UnitsGroup of T
-    kappa_G: tuple                # G-element -> matrix on T
-    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    kappa_G: np.ndarray
+    _held: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        T = self.gal.T
+        _hold(self, T.modulus, kappa_G=(-1, T.rank, T.rank))
 
     def n_base_action(self) -> BaseAction:
         """N acting on T, built once and held with the fixed ring it holds."""
         held = self._held.get("n_base_action")
         if held is None:
-            N, T = self.ambient.N, self.gal.T
-            held = self._held["n_base_action"] = BaseAction(
-                N, T, tuple(self.gal.act_matrix(n) % T.modulus for n in range(N.order)))
+            held = self._held["n_base_action"] = BaseAction(self.ambient.N, self.gal.T,
+                                                            self.gal.action)
         return held
 
     def validate(self) -> None:
         self.ambient.validate()
         T = self.gal.T
-        m = T.modulus
         G = self.ambient.G
-        for g in range(G.order):
-            if not is_ring_morphism_matrix(T, np.asarray(self.kappa_G[g]) % m):
+        for mat in self.kappa_G:
+            if not is_ring_morphism_matrix(T, mat):
                 raise CrossedPairError("kappa_G is not by ring automorphisms")
-        pair = first_nonmultiplicative_pair(self.kappa_G, G, m)
+        pair = first_nonmultiplicative_pair(self.kappa_G, G, T.modulus)
         if pair is not None:
             raise CrossedPairError(f"kappa_G is not a homomorphism at {pair}")
-        for n in range(self.ambient.N.order):
-            g = self.ambient.ext.kernel_hom(n)
-            if not np.array_equal(np.asarray(self.kappa_G[g]) % m,
-                                  self.gal.act_matrix(n) % m):
-                raise CrossedPairError("kappa_G does not restrict to the N-action")
+        if not np.array_equal(self.kappa_G[list(self.ambient.ext.kernel_hom.images)],
+                              self.gal.action):
+            raise CrossedPairError("kappa_G does not restrict to the N-action")
         report = galois_check(self.gal)
         if not (report["criterion_i"] and report["criterion_iii"] and report["criterion_iv"]):
             raise CrossedPairError("T|S is not a Galois extension")
@@ -1132,19 +1133,11 @@ def qnormal_galois_product(gal, Q: FiniteGroup) -> QNormalGaloisData:
     ext = GroupExtension(kernel_hom, quotient_hom)
     ext.validate()
     units = units_group(gal.T)
-    m = gal.T.modulus
-    kappa = []
-    for g in range(G.order):
-        n = g // Q.order
-        kappa.append(gal.act_matrix(n) % m)
-    rows = []
-    for g in range(G.order):
-        mat = kappa[g]
-        rows.append(tuple(units.index_of((mat @ units.element(u)) % m)
-                          for u in range(units.group.order)))
+    kappa = gal.action[np.arange(G.order) // Q.order]       # (n, q) acts as n
+    rows = units.index_of(np.einsum("gab,ub->gua", kappa, units.elements))
     amb = Ambient(ext=ext, Mgrp=units.group,
-                  action=GroupAction(G, units.group, tuple(rows)))
-    return QNormalGaloisData(gal=gal, ambient=amb, units=units, kappa_G=tuple(kappa))
+                  action=GroupAction(G, units.group, tuple(map(tuple, rows.tolist()))))
+    return QNormalGaloisData(gal=gal, ambient=amb, units=units, kappa_G=kappa)
 
 
 def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0):
@@ -1166,12 +1159,10 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     ae = cp.ae
     Gamma = ae.Gamma
     A = ring_as_algebra(T)
-    # i: Gamma-kernel (= U(T) as a group) -> units of T
-    i_images = tuple(tuple(int(x) for x in data.units.element(u))
-                     for u in range(data.units.group.order))
-    theta = tuple(gal.act_matrix(ae.gamma_parts(y)[1]) % m for y in range(Gamma.order))
+    # i: Gamma-kernel (= U(T) as a group) -> units of T; theta through N
+    theta = gal.action[[ae.gamma_parts(y)[1] for y in range(Gamma.order)]]
     spec = CrossedProductSpec(A=A, base_action=data.n_base_action(), ext=ae.ext_e,
-                              i_images=i_images, theta=theta)
+                              i_images=data.units.elements, theta=theta)
     res = crossed_product(spec, seed=seed)
     C = res.C
     R = res.R
@@ -1191,17 +1182,17 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
         # alpha sends v_n to u_hat[n] v_{n2[n]}, with u_hat[n] a unit of T
         ay = [alpha[g] for g in res.section]
         n2 = [ae.gamma_parts(y)[1] for y in ay]
-        u_hat = np.array([data.units.element(into_k[Gamma.mul[y][Gamma.inv[res.section[b]]]])
-                          for y, b in zip(ay, n2)])
+        u_hat = data.units.elements[[into_k[Gamma.mul[y][Gamma.inv[res.section[b]]]]
+                                     for y, b in zip(ay, n2)]]
         # i_sharp(alpha, x): t v_n -> (x.t) u_hat[n] v_{n2[n]} for t = r_u s_d
-        kt = np.einsum("ab,dub->dua", np.asarray(data.kappa_G[x], dtype=np.int64), rs) % m
+        kt = np.einsum("ab,dub->dua", data.kappa_G[x], rs) % m
         img = np.einsum("dua,nb,abw->nduw", kt, u_hat, T.structure) % m
         at_v1 = np.einsum("cw,nduw->nduc", res.a_to_c, img) % m
-        right_v = np.einsum("nb,abc->nca", np.asarray(res.v_units)[n2], C.flat_tensor) % m
+        right_v = np.einsum("nb,abc->nca", res.v_units[n2], C.flat_tensor) % m
         lifts.append(np.einsum("nca,ndua->cndu", right_v, at_v1).reshape(C.flat_rank, -1) % m)
     # kappa_Q on the rebuilt base ring R (= S): transport through T
-    kap_sec = np.asarray([data.kappa_G[x] for x in sec], dtype=np.int64)
-    coords = r_diag.solve(np.einsum("qab,bu->aqu", kap_sec, res.r_embed).reshape(T.rank, -1) % m)
+    coords = r_diag.solve(np.einsum("qab,bu->aqu", data.kappa_G[sec], res.r_embed).reshape(
+        T.rank, -1) % m)
     if coords is None:
         raise CrossedPairError("kappa_Q does not preserve the fixed ring")
     # one base action per kappa_Q table, so that its held U(R) is shared
@@ -1209,14 +1200,13 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     key = ("q_base_action", kappa_Q.tobytes())
     base_action_Q = data._held.get(key)
     if base_action_Q is None:
-        base_action_Q = data._held[key] = BaseAction(Q, R, tuple(kappa_Q))
-    rep = OutRep(base_action=base_action_Q, A=C, lifts=tuple(lifts),
-                 name="crossed pair algebra")
+        base_action_Q = data._held[key] = BaseAction(Q, R, kappa_Q)
+    rep = OutRep(base_action=base_action_Q, A=C, lifts=lifts, name="crossed pair algebra")
     # bridge: U(T)^N coordinates -> units of R
     moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()
 
     def bridge_unit(mn_index: int) -> np.ndarray:
-        t_vec = data.units.element(MN_incl(mn_index))
+        t_vec = data.units.elements[MN_incl(mn_index)]
         coords = r_diag.solve(t_vec)
         if coords is None:
             raise CrossedPairError("fixed unit escaped the fixed ring")

@@ -30,6 +30,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .modlinalg import (
+    HeldArrays,
     ModDiagonalization,
     colspans_equal,
     diagonalize_mod,
@@ -49,8 +50,19 @@ class RingError(ValueError):
     pass
 
 
+def _hold(owner, m: Optional[int], **shapes) -> None:
+    """Set each named field of owner to a read-only int64 copy of its value,
+    reshaped to the given shape and reduced mod m (unless m is None)."""
+    for name, shape in shapes.items():
+        arr = np.array(getattr(owner, name), dtype=np.int64).reshape(shape)
+        if m is not None:
+            arr %= m
+        arr.flags.writeable = False
+        object.__setattr__(owner, name, arr)
+
+
 @dataclass(frozen=True, eq=False)
-class FinCommRing:
+class FinCommRing(HeldArrays):
     """Commutative ring, free of the given rank over Z/modulus.
 
     ``structure`` is a read-only int64 array of shape (rank, rank, rank):
@@ -66,16 +78,12 @@ class FinCommRing:
     structure: np.ndarray
     unit: np.ndarray
     name: str = ""
-    labels: Optional[tuple[str, ...]] = None
     meta: tuple = ()            # provenance for constructions (frobenius etc.)
     _held: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = self.rank
-        for attr, shape in (("structure", (n, n, n)), ("unit", (n,))):
-            arr = np.array(getattr(self, attr), dtype=np.int64).reshape(shape) % self.modulus
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        _hold(self, self.modulus, structure=(n, n, n), unit=(n,))
 
     @property
     def size(self) -> int:
@@ -192,10 +200,8 @@ def _quotient_poly_ring(m: int, p: int, f: list[int], name: str) -> FinCommRing:
     for _ in range(2 * k - 2):
         powers.append((companion @ powers[-1]) % m)
     ij = np.add.outer(np.arange(k), np.arange(k))
-    labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, k)]
     return FinCommRing(modulus=m, rank=k, structure=np.array(powers)[ij], unit=powers[0],
-                       name=name, labels=tuple(labels),
-                       meta=(("poly", tuple(f)), ("char_p", p)))
+                       name=name, meta=(("poly", tuple(f)), ("char_p", p)))
 
 
 def gf(p: int, k: int) -> FinCommRing:
@@ -375,7 +381,7 @@ def _fixed_module(T: FinCommRing, mats: Sequence[np.ndarray]) -> np.ndarray:
 # algebras over a base ring
 
 @dataclass(frozen=True, eq=False)
-class Algebra:
+class Algebra(HeldArrays):
     """Associative unital algebra, free over ``base`` with central embedding.
 
     ``structure`` is a read-only int64 array of shape (rank, rank, rank,
@@ -394,10 +400,7 @@ class Algebra:
 
     def __post_init__(self):
         n, s = self.rank, self.base.rank
-        for attr, shape in (("structure", (n, n, n, s)), ("unit", (n, s))):
-            arr = np.array(getattr(self, attr), dtype=np.int64).reshape(shape) % self.modulus
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        _hold(self, self.modulus, structure=(n, n, n, s), unit=(n, s))
 
     @property
     def modulus(self) -> int:
@@ -616,20 +619,32 @@ def _span_columns(T: FinCommRing, embed: np.ndarray, B: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 # units
 
-@dataclass(frozen=True)
-class UnitsGroup:
+@dataclass(frozen=True, eq=False)
+class UnitsGroup(HeldArrays):
+    """The units of a finite ring or algebra with their multiplication table.
+
+    ``elements`` is a read-only int64 array of shape (|U|, flat rank) whose
+    row i is the unit of index i, the units in lexicographic order;
+    ``lookup`` maps the mixed-radix code of a flat vector (``_codes``) to its
+    unit index, -1 off the units.
+    """
+
     group: FiniteGroup
-    elements: tuple              # unit index -> flat element vector (tuple)
-    index: dict = field(hash=False, compare=False, default_factory=dict)
+    modulus: int
+    elements: np.ndarray
+    lookup: np.ndarray
 
-    def element(self, i: int) -> np.ndarray:
-        return np.array(self.elements[i], dtype=np.int64)
+    def __post_init__(self):
+        _hold(self, self.modulus, elements=(self.group.order, -1))
+        _hold(self, None, lookup=-1)
 
-    def index_of(self, vec) -> int:
-        key = tuple(int(x) for x in vec)
-        if key not in self.index:
+    def index_of(self, vecs):
+        """The unit index of a flat vector, or the array of indices of a stack
+        of them (along the last axis); RingError when one is not a unit."""
+        idx = self.lookup[_codes(vecs, self.modulus)]
+        if (idx < 0).any():
             raise RingError("element is not a recorded unit")
-        return self.index[key]
+        return int(idx) if idx.ndim == 0 else idx
 
 
 def units_group(A, cap: int = UNITS_CAP) -> UnitsGroup:
@@ -648,16 +663,23 @@ def units_group(A, cap: int = UNITS_CAP) -> UnitsGroup:
     return _enumerate_units(A)
 
 
+def _codes(vecs, m: int) -> np.ndarray:
+    """Mixed-radix codes mod m of flat vectors (the last axis), the first
+    coordinate most significant: lexicographic order is code order."""
+    v = np.mod(np.asarray(vecs, dtype=np.int64), m)
+    return v @ m ** np.arange(v.shape[-1] - 1, -1, -1)
+
+
 def _enumerate_units(A: "Algebra") -> UnitsGroup:
-    units = [tuple(int(v) for v in x) for x in A.elements() if A.is_unit(x)]
-    index = {u: i for i, u in enumerate(units)}
-    # every product in one batch, looked up by mixed-radix code (-1, refused, off the units)
-    U, m = np.array(units, dtype=np.int64).reshape(len(units), A.flat_rank), A.modulus
-    radix, lookup = m ** np.arange(A.flat_rank - 1, -1, -1), np.full(A.size, -1)
-    lookup[U @ radix] = np.arange(len(units))
-    mul = lookup[(np.einsum("ia,jb,abc->ijc", U, U, A.flat_tensor) % m) @ radix]
-    G = FiniteGroup.from_table(mul, cap=max(len(units), 256))
-    return UnitsGroup(group=G, elements=tuple(units), index=index)
+    m = A.modulus
+    U = np.array([x for x in A.elements() if A.is_unit(x)], dtype=np.int64).reshape(
+        -1, A.flat_rank)
+    lookup = np.full(A.size, -1)
+    lookup[_codes(U, m)] = np.arange(len(U))
+    # every product in one batch, looked up by code (-1, refused, off the units)
+    mul = lookup[_codes(np.einsum("ia,jb,abc->ijc", U, U, A.flat_tensor), m)]
+    G = FiniteGroup.from_table(mul, cap=max(len(U), 256))
+    return UnitsGroup(group=G, modulus=m, elements=U, lookup=lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -742,33 +764,31 @@ class FixedRingMismatch(RingError):
     pass
 
 
-@dataclass(frozen=True)
-class GaloisData:
+@dataclass(frozen=True, eq=False)
+class GaloisData(HeldArrays):
     """A candidate Galois extension T|S with explicit group action.
 
-    ``action`` maps each element of N to a ring-automorphism matrix of T;
-    ``embed`` has the images of the S-basis as columns.
+    ``action`` is a read-only int64 array of shape (|N|, rank T, rank T), the
+    ring-automorphism matrix of T by which each element of N acts, reduced
+    mod m on construction; ``embed`` has the images of the S-basis as columns.
     """
 
     T: FinCommRing
     S: FinCommRing
     embed: np.ndarray
     N: FiniteGroup
-    action: tuple               # N-element -> matrix
+    action: np.ndarray
 
-    def act_matrix(self, n: int) -> np.ndarray:
-        return np.asarray(self.action[n], dtype=np.int64)
+    def __post_init__(self):
+        _hold(self, self.T.modulus, action=(-1, self.T.rank, self.T.rank))
 
     def validate_action(self) -> None:
-        m = self.T.modulus
-        for n in range(self.N.order):
-            mat = self.act_matrix(n)
+        for n, mat in enumerate(self.action):
             if not is_ring_morphism_matrix(self.T, mat):
                 raise RingError(f"action of element {n} is not a ring morphism")
-        ident = self.act_matrix(self.N.identity)
-        if not np.array_equal(ident % m, np.eye(self.T.rank, dtype=np.int64)):
+        if not np.array_equal(self.action[self.N.identity], np.eye(self.T.rank, dtype=np.int64)):
             raise RingError("identity must act trivially")
-        pair = first_nonmultiplicative_pair(self.action, self.N, m)
+        pair = first_nonmultiplicative_pair(self.action, self.N, self.T.modulus)
         if pair is not None:
             raise RingError(f"action is not a group homomorphism at {pair}")
 
@@ -805,7 +825,7 @@ def _unit_in_corner(R: FinCommRing, e: np.ndarray, x: np.ndarray) -> bool:
     return submodule_size(prod, m) == size
 
 
-def galois_check(data: GaloisData, rng_seed: int = 0) -> dict:
+def galois_check(data: GaloisData) -> dict:
     """Per-criterion report for the Galois-extension criteria.
 
     (i)  T free over S and j: T^tN -> End_S(T) bijective;
@@ -833,7 +853,7 @@ def galois_check(data: GaloisData, rng_seed: int = 0) -> dict:
         if d == N.order:
             # j(s_u b_i . n): t -> s_u b_i (n.t), on the basis b_l of T over S;
             # imgs[:, i, n, u, l] is its value at b_l
-            acted = np.einsum("nab,bl->anl", np.asarray(data.action, dtype=np.int64), basis) % m
+            acted = np.einsum("nab,bl->anl", data.action, basis) % m
             lead = _span_columns(T, data.embed, basis).reshape(T.rank, d, S.rank)
             imgs = np.einsum("aiu,bnl,abk->kinul", lead, acted, T.structure) % m
             x = _expand_over_subring(T, S, data.embed, basis).solve(imgs.reshape(T.rank, -1))
@@ -856,7 +876,7 @@ def galois_check(data: GaloisData, rng_seed: int = 0) -> dict:
                 continue
             found = False
             for t_elt in T.elements():
-                diff = (t_elt - (data.act_matrix(n) @ t_elt)) % m
+                diff = (t_elt - (data.action[n] @ t_elt)) % m
                 if _unit_in_corner(T, e, diff):
                     found = True
                     break
@@ -899,8 +919,7 @@ def _balancing_relations(data: GaloisData, s_right: np.ndarray) -> np.ndarray:
 def _criterion_iv_system(data: GaloisData) -> tuple[np.ndarray, np.ndarray]:
     """h: e_i (x) e_j -> (n -> e_i n(e_j)), rows (n, T-coordinates) and
     columns (i, j), with the balancing relations of T (x)_S T."""
-    T, m = data.T, data.T.modulus
-    acts = np.asarray(data.action, dtype=np.int64) % m
+    T, m, acts = data.T, data.T.modulus, data.action
     H = np.einsum("nbj,ibk->nkij", acts, T.structure).reshape(len(acts) * T.rank, -1) % m
     return H, _balancing_relations(data, np.einsum("cu,cjb->buj", data.embed % m, T.structure) % m)
 
@@ -916,8 +935,7 @@ def _descent_modules(data: GaloisData) -> list[tuple[np.ndarray, np.ndarray]]:
     """(t_mats, n_mats) for M = T and M = T^tN: t_mats[a] multiplies M by the
     basis element e_a of T, n_mats[n] is the action of n on M.  T^tN is free
     of rank |N| over T, block k holding t e_k, with n.(t e_k) = (n.t) e_{nk}."""
-    T, N = data.T, data.N
-    acts = np.asarray(data.action, dtype=np.int64) % T.modulus
+    T, N, acts = data.T, data.N, data.action
     t_mats, eye_n = T.structure.transpose(0, 2, 1), np.eye(N.order, dtype=np.int64)
     dim = N.order * T.rank
     # moves[n][nk, k] = 1: block k goes to block nk
@@ -962,7 +980,7 @@ def galois_from_free_action(points: int, perms: Sequence[Sequence[int]],
     least = P.min(axis=0)
     gens = np.kron(least[:, None] == np.array(sorted(set(least.tolist()))), eye_k)
     S, embed = subring_from_module(T, gens, name=f"Map(P/N, {k.name})")
-    return GaloisData(T=T, S=S, embed=embed, N=N, action=tuple(mats))
+    return GaloisData(T=T, S=S, embed=embed, N=N, action=mats)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupHom, abelian_structure, cyclic
+from .groups import FiniteGroup, GroupHom, abelian_structure, cyclic, same_group
 from .modlinalg import (
+    HeldArrays,
     ModCokernel,
     ModDiagonalization,
     cokernel_mod,
@@ -69,16 +70,19 @@ class NotACocycle(CohomologyError):
 
 
 @dataclass(frozen=True)
-class GModule:
+class GModule(HeldArrays):
     """Finite abelian group in invariant-factor coordinates with a G-action.
 
     action[g] is a k x k integer matrix acting on coordinate vectors; row i is
-    taken mod invariant_factors[i].
+    taken mod invariant_factors[i].  ``matrices`` holds the action once more
+    as a read-only int64 array of shape (|G|, k, k); it takes no part in
+    construction, equality, hashing or the repr.
     """
 
     group: FiniteGroup
     invariant_factors: tuple[int, ...]
     action: tuple[tuple[tuple[int, ...], ...], ...]
+    matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
@@ -88,6 +92,10 @@ class GModule:
             raise CohomologyError("invariant factors must be >= 2")
         if len(self.action) != self.group.order:
             raise CohomologyError("need one action matrix per group element")
+        matrices = np.array(self.action, dtype=np.int64).reshape(self.group.order, self.rank,
+                                                                 self.rank)
+        matrices.flags.writeable = False
+        object.__setattr__(self, "matrices", matrices)
 
     @property
     def rank(self) -> int:
@@ -104,25 +112,17 @@ class GModule:
             n *= d
         return n
 
-    def action_matrices(self) -> np.ndarray:
-        k = self.rank
-        return np.array(self.action, dtype=np.int64).reshape(self.group.order, k, k)
-
     def reduce(self, vec) -> tuple[int, ...]:
         return tuple(int(x) % d for x, d in zip(vec, self.invariant_factors))
 
     def act(self, g: int, vec) -> tuple[int, ...]:
-        mat = self.action[g]
-        return tuple(
-            sum(mat[i][j] * int(vec[j]) for j in range(self.rank)) % self.invariant_factors[i]
-            for i in range(self.rank)
-        )
+        return self.reduce(self.matrices[g] @ np.asarray(vec, dtype=np.int64))
 
     def validate(self) -> None:
         k = self.rank
         d = self.invariant_factors
         G = self.group
-        acts, rows = self.action_matrices(), np.array(d, dtype=np.int64)[:, None]
+        acts, rows = self.matrices, np.array(d, dtype=np.int64)[:, None]
         if ((acts * rows.T) % rows).any():
             raise CohomologyError("action matrix not well defined on the module")
         if ((acts[G.identity] - np.eye(k, dtype=np.int64)) % rows).any():
@@ -265,7 +265,7 @@ def coboundary(c: Cochain) -> Cochain:
     flat = c.table.reshape(-1, k)
     # flat position p = g_1 |G|^n + t of (g_1..g_{n+1}): the first term reads
     # c at t = (g_2..g_{n+1}), the last at p // |G| = (g_1..g_n)
-    out = np.einsum("gij,tj->gti", M.action_matrices(), flat).reshape(-1, k)
+    out = np.einsum("gij,tj->gti", M.matrices, flat).reshape(-1, k)
     out += (-1) ** (n + 1) * np.repeat(flat, G.order, axis=0)
     for i, idx in enumerate(merged, 1):
         out += (-1) ** i * flat[idx]
@@ -538,7 +538,7 @@ class _CoreCohomology:
         M = self.module
         G, k = M.group, M.rank
         d = np.array(M.invariant_factors, dtype=np.int64)
-        moved = np.einsum("gab,jbs->jgas", M.action_matrices(), w) % d[:, None]
+        moved = np.einsum("gab,jbs->jgas", M.matrices, w) % d[:, None]
         values = np.einsum("ujg,jgas->sua", self.resolution.psis[deg], moved) % d
         tables = np.zeros((w.shape[2], G.order ** deg, k), dtype=np.int64)
         tables[:, _bar_positions(G, deg)] = values
@@ -590,7 +590,7 @@ def _compute_core(module: GModule, n: int) -> _CoreCohomology:
     d = np.array(module.invariant_factors, dtype=np.int64)
     F = free_resolution(G, m)
     F.extend(n + 1)
-    tilde = _tilde_matrix(module.action_matrices(), d, d, m)
+    tilde = _tilde_matrix(module.matrices, d, d, m)
 
     def coboundary_matrix(deg):
         # (delta w)(e_j) = w(d e_j) = sum_(i, g) d(e_j)[i, g] g.w(e_i)
@@ -656,7 +656,7 @@ class CohomologyGroup:
     def _check(self, z: Cochain):
         if z.degree != self.degree:
             raise CohomologyError("degree mismatch")
-        if z.module.group.mul != self.group.mul:
+        if not same_group(z.module.group, self.group):
             raise CohomologyError("group mismatch")
         witness = is_cocycle(z)
         if witness is not None:
@@ -705,7 +705,7 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
     eliminated, the smallest comparison map (E^n x |G|) before any work; a
     refused build holds nothing.
     """
-    if M.group.mul != G.mul:
+    if not same_group(M.group, G):
         raise CohomologyError("module is not over the given group")
     if n < 0:
         raise CohomologyError("degree must be nonnegative")
@@ -739,9 +739,9 @@ class ModuleMap:
 
     def validate(self) -> None:
         phi = self.group_map
-        if self.source.group.mul != phi.target.mul:
+        if not same_group(self.source.group, phi.target):
             raise CohomologyError("source module must live over the map's target group")
-        if self.target.group.mul != phi.source.mul:
+        if not same_group(self.target.group, phi.source):
             raise CohomologyError("target module must live over the map's source group")
         kd, ks = self.target.rank, self.source.rank
         mat = self.matrix

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact_linalg import abelian_quotient
+from .modlinalg import HeldArrays
 
 DEFAULT_ORDER_CAP = 256
 ALL_GENERATORS_ORDER = 32  # up to this order every element is a generator
@@ -197,6 +198,11 @@ class FiniteGroup:
         return self.labels[a] if self.labels else str(a)
 
 
+def same_group(G: FiniteGroup, H: FiniteGroup) -> bool:
+    """The same group on the same elements: G is H, or their tables are equal."""
+    return G is H or np.array_equal(G.table, H.table)
+
+
 @dataclass(frozen=True)
 class GroupHom:
     source: FiniteGroup
@@ -268,7 +274,7 @@ class GroupHom:
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
-        if other.target is not self.source and other.target.mul != self.source.mul:
+        if not same_group(other.target, self.source):
             raise GroupError("composition mismatch")
         return GroupHom(other.source, self.target, tuple(self.images[x] for x in other.images))
 
@@ -285,9 +291,8 @@ class GroupExtension:
     quotient_hom: GroupHom
 
     def __post_init__(self):
-        if self.kernel_hom.target is not self.quotient_hom.source:
-            if self.kernel_hom.target.mul != self.quotient_hom.source.mul:
-                raise GroupError("extension maps do not share the middle group")
+        if not same_group(self.kernel_hom.target, self.quotient_hom.source):
+            raise GroupError("extension maps do not share the middle group")
 
     @property
     def kernel_group(self) -> FiniteGroup:
@@ -317,7 +322,7 @@ class GroupExtension:
 
 
 @dataclass(frozen=True)
-class GroupAction:
+class GroupAction(HeldArrays):
     """Action of ``actor`` on a carrier, stored as one permutation per element.
 
     When the carrier is a FiniteGroup the permutations must be automorphisms.
@@ -436,7 +441,7 @@ def quotient_group(G: FiniteGroup, normal_elements: Sequence[int]) -> tuple[Fini
 
 def fiber_product(f: GroupHom, g: GroupHom) -> tuple[FiniteGroup, GroupHom, GroupHom]:
     """{(a, b) : f(a) = g(b)} with its two projections."""
-    if f.target.mul != g.target.mul:
+    if not same_group(f.target, g.target):
         raise GroupError("fiber product needs a common target")
     A, B = f.source, g.source
     pairs = [(a, b) for a in range(A.order) for b in range(B.order) if f(a) == g(b)]

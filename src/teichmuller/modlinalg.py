@@ -34,6 +34,15 @@ def as_mod_array(data, m: int) -> np.ndarray:
     return np.mod(a, m)
 
 
+class HeldArrays:
+    """Base of the dataclasses whose ``__post_init__`` holds their arrays read-only:
+    numpy's pickle does not keep the flag, so unpickling runs it again."""
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
+
+
 def unit_multiplier(a: int, m: int) -> int:
     """A unit u mod m with u*a = gcd(a, m) mod m."""
     a %= m
@@ -63,7 +72,6 @@ class ModDiagonalization:
     U: np.ndarray
     V: np.ndarray
     U_inv: np.ndarray
-    V_inv: np.ndarray
     row_divisors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -120,15 +128,15 @@ class ModDiagonalization:
         return self.rows == self.cols and all(gcd(int(x), self.m) == 1 for x in self.d)
 
 
-def diagonalize_mod(A, m: int, want_inverses: bool = False, want_U: bool = True,
-                    want_V: bool = True) -> ModDiagonalization:
+def diagonalize_mod(A, m: int, want_inverses: bool = False,
+                    want_U: bool = True) -> ModDiagonalization:
     """Diagonalize A over Z/m by invertible row/column operations.
 
     Pivots are chosen by smallest gcd with m (then position), every diagonal
     entry is normalized to a divisor of m, and the divisibility chain
     gcd(d_i, m) | gcd(d_{i+1}, m) is enforced, so the diagonal is canonical.
-    U or V tracking can be disabled to halve the work on large one-sided
-    problems (kernels need only V).
+    U tracking can be disabled to halve the work on large one-sided problems
+    (kernels need only V); ``want_inverses`` also tracks U^-1.
 
     Cost: one argmin per pivot over the active block of a gcd array in the
     narrowest unsigned type that holds m; each clear then touches only the
@@ -143,16 +151,14 @@ def diagonalize_mod(A, m: int, want_inverses: bool = False, want_U: bool = True,
     A = as_mod_array(A, m)
     rows, cols = A.shape
     U = np.eye(rows, dtype=np.int64) if want_U else None
-    V = np.eye(cols, dtype=np.int64) if want_V else None
+    V = np.eye(cols, dtype=np.int64)
     Ui = np.eye(rows, dtype=np.int64) if want_inverses and want_U else None
-    Vi = np.eye(cols, dtype=np.int64) if want_inverses and want_V else None
     # gcd(0, m) = m and every nonzero entry has gcd < m, so zeros never win
     # the argmin and a block minimum of m means the block is zero
     gcds = np.gcd(A, m).astype(np.min_scalar_type(m))
     # a column operation is a row operation on the transposes: each side is
     # (matrix, gcds, transform, inverse transform) seen from its rows
-    sides = ((A, gcds, U, Ui),
-             (A.T, gcds.T, None if V is None else V.T, None if Vi is None else Vi.T))
+    sides = ((A, gcds, U, Ui), (A.T, gcds.T, V.T, None))
     t = 0
     limit = min(rows, cols)
     while t < limit:
@@ -211,10 +217,8 @@ def diagonalize_mod(A, m: int, want_inverses: bool = False, want_U: bool = True,
         t += 1
     d = np.array([gcd(int(A[i, i]), m) for i in range(limit)], dtype=np.int64)
     return ModDiagonalization(m=m, rows=rows, cols=cols, d=d,
-                              U=U % m if want_U else None,
-                              V=V % m if want_V else None,
-                              U_inv=Ui % m if Ui is not None else None,
-                              V_inv=Vi % m if Vi is not None else None)
+                              U=U % m if want_U else None, V=V % m,
+                              U_inv=Ui % m if Ui is not None else None)
 
 
 def kernel_mod(A, m: int) -> np.ndarray:

@@ -7,6 +7,16 @@ automorphism matrix w_q per q in Q, semilinear of grade q over the base, with
 w_1 = 1 and every defect w_p w_q w_{pq}^{-1} inner.  Out(A) is never
 materialized; inner-ness is decided by solving the conjugator equations.
 
+Every owner holds its per-element data as one stacked read-only int64 array,
+reduced mod m when it is constructed from any array-like: the kappa matrices
+of a ``BaseAction`` (|Q|, r, r), the lifts of an ``OutRep`` (|Q|, n, n), the
+i-images (|K|, n) and theta (|Gamma|, n, n) of a ``CrossedProductSpec``, the
+v_q of a ``CrossedProductResult`` (|Q|, flat C) and the basis matrices of an
+``EndSide`` (E, flat C, flat C), with n the flat rank of the algebra.  Row
+g of a stack belongs to the group element g; the transports, the twisted
+unit extension, the End side and the Deuring checks are einsums and batched
+solves over these stacks.
+
 The Teichmuller cocycle is extracted by the crossed-module obstruction
 routine ``crossed.obstruction_cocycle``: choose units f(p,q) trivializing the
 defects, then
@@ -20,7 +30,6 @@ builder ``gmod_cohomology.gmodule_of_action``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,7 +42,6 @@ from .finrings import (
     Algebra,
     FinCommRing,
     UnitsGroup,
-    conjugation_matrix,
     diagonalize_mod,
     find_conjugator,
     fixed_subring,
@@ -46,45 +54,44 @@ from .finrings import (
     tensor_algebra,
     units_group,
     _expand_over_subring,
+    _hold,
     _module_basis_over_subring,
     _same_ring,
 )
-from .modlinalg import (ModDiagonalization, colspans_equal, first_nonmultiplicative_pair,
-                        invertible_mod, submodule_size)
+from .modlinalg import (HeldArrays, ModDiagonalization, colspans_equal,
+                        first_nonmultiplicative_pair, invertible_mod, submodule_size)
 
 
 class NormalStructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BaseAction:
+@dataclass(frozen=True, eq=False)
+class BaseAction(HeldArrays):
     """kappa_Q: an action of Q on the commutative ring S (not nec. injective).
 
-    ``_held`` keeps data derived from the action (its ``fixed_ring`` and
-    ``unit_module``); it takes no part in construction, equality, hashing or
-    the repr.
+    ``matrices`` (|Q|, rank S, rank S) holds kappa(q) in row q.  ``_held``
+    keeps data derived from the action (its ``fixed_ring`` and
+    ``unit_module``); it takes no part in construction or the repr.
     """
 
     Q: FiniteGroup
     S: FinCommRing
-    matrices: tuple
-    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    matrices: np.ndarray
+    _held: dict = field(default_factory=dict, init=False, repr=False)
 
-    def mat(self, q: int) -> np.ndarray:
-        return np.asarray(self.matrices[q], dtype=np.int64)
+    def __post_init__(self):
+        _hold(self, self.S.modulus, matrices=(-1, self.S.rank, self.S.rank))
 
     def validate(self) -> None:
-        m = self.S.modulus
         if len(self.matrices) != self.Q.order:
             raise NormalStructureError("need one matrix per group element")
-        ident = self.mat(self.Q.identity)
-        if not np.array_equal(ident % m, np.eye(self.S.rank, dtype=np.int64)):
+        if not np.array_equal(self.matrices[self.Q.identity], np.eye(self.S.rank, dtype=np.int64)):
             raise NormalStructureError("identity must act trivially on S")
-        for q in range(self.Q.order):
-            if not is_ring_morphism_matrix(self.S, self.mat(q) % m):
+        for q, mat in enumerate(self.matrices):
+            if not is_ring_morphism_matrix(self.S, mat):
                 raise NormalStructureError(f"kappa({q}) is not a ring automorphism")
-        pair = first_nonmultiplicative_pair(self.matrices, self.Q, m)
+        pair = first_nonmultiplicative_pair(self.matrices, self.Q, self.S.modulus)
         if pair is not None:
             raise NormalStructureError(f"kappa is not a homomorphism at {pair}")
 
@@ -94,8 +101,7 @@ class BaseAction:
         whose ``solve`` expands S-elements over it; built once and held."""
         held = self._held.get("fixed_ring")
         if held is None:
-            R, r_embed = fixed_subring(self.S, [self.mat(q) for q in range(self.Q.order)],
-                                       name=f"{self.S.name}^Q")
+            R, r_embed = fixed_subring(self.S, self.matrices, name=f"{self.S.name}^Q")
             s_basis = _module_basis_over_subring(self.S, R, r_embed)
             if s_basis is None:
                 raise NormalStructureError("S is not free over the fixed ring R")
@@ -105,31 +111,31 @@ class BaseAction:
 
 
 def trivial_base_action(Q: FiniteGroup, S: FinCommRing) -> BaseAction:
-    eye = np.eye(S.rank, dtype=np.int64)
-    return BaseAction(Q, S, tuple(eye for _ in range(Q.order)))
+    return BaseAction(Q, S, [np.eye(S.rank, dtype=np.int64)] * Q.order)
 
 
-@dataclass(frozen=True)
-class OutRep:
-    """A Q-normal structure: lift table q -> automorphism of A of grade q."""
+@dataclass(frozen=True, eq=False)
+class OutRep(HeldArrays):
+    """A Q-normal structure: lift table q -> automorphism of A of grade q,
+    ``lifts`` (|Q|, flat rank, flat rank) holding w_q in row q."""
 
     base_action: BaseAction
     A: Algebra
-    lifts: tuple                # q -> flat matrix
+    lifts: np.ndarray
     name: str = ""
+
+    def __post_init__(self):
+        n = self.A.flat_rank
+        _hold(self, self.A.modulus, lifts=(-1, n, n))
 
     @property
     def Q(self) -> FiniteGroup:
         return self.base_action.Q
 
-    def lift(self, q: int) -> np.ndarray:
-        return np.asarray(self.lifts[q], dtype=np.int64)
-
     def defect(self, p: int, q: int) -> np.ndarray:
         """w_p w_q w_{pq}^{-1}, an automorphism over S."""
-        m = self.A.modulus
-        inv = inverse_mod(self.lift(self.Q.mul[p][q]), m)
-        return (self.lift(p) @ self.lift(q) @ inv) % m
+        m, w = self.A.modulus, self.lifts
+        return (w[p] @ w[q] @ inverse_mod(w[self.Q.mul[p][q]], m)) % m
 
     def validate(self, seed: int = 0) -> None:
         Q, A = self.Q, self.A
@@ -137,16 +143,15 @@ class OutRep:
         self.base_action.validate()
         if len(self.lifts) != Q.order:
             raise NormalStructureError("need one lift per group element")
-        if not np.array_equal(self.lift(Q.identity) % m, np.eye(A.flat_rank, dtype=np.int64)):
+        if not np.array_equal(self.lifts[Q.identity], np.eye(A.flat_rank, dtype=np.int64)):
             raise NormalStructureError("w_1 must be the identity")
         emb = A.base_embedding()
-        for q in range(Q.order):
-            w = self.lift(q) % m
+        for q, w in enumerate(self.lifts):
             if not is_algebra_morphism(A, A, w):
                 raise NormalStructureError(f"lift {q} is not an algebra morphism")
             if not invertible_mod(w, m):
                 raise NormalStructureError(f"lift {q} is not invertible")
-            if not np.array_equal((w @ emb) % m, (emb @ self.base_action.mat(q)) % m):
+            if not np.array_equal((w @ emb) % m, (emb @ self.base_action.matrices[q]) % m):
                 raise NormalStructureError(f"lift {q} has the wrong grade on S")
         for p in range(Q.order):
             for q in range(Q.order):
@@ -160,9 +165,7 @@ class OutRep:
 
 def equivariant_rep(base_action: BaseAction, A: Algebra, lifts, name: str = "") -> OutRep:
     """An OutRep whose lift table is an exact homomorphism."""
-    rep = OutRep(base_action=base_action, A=A,
-                 lifts=tuple(np.asarray(w, dtype=np.int64) % A.modulus for w in lifts),
-                 name=name)
+    rep = OutRep(base_action=base_action, A=A, lifts=lifts, name=name)
     pair = first_nonmultiplicative_pair(rep.lifts, rep.Q, A.modulus)
     if pair is not None:
         raise NormalStructureError(f"lift table is not an exact homomorphism at {pair}")
@@ -185,18 +188,18 @@ class UnitModule:
         return self.elem_to_coords[self.units.index_of(vec)]
 
     def unit_vec_of_coords(self, coords) -> np.ndarray:
-        return self.units.element(self.coords_to_elem[tuple(coords)])
+        return self.units.elements[self.coords_to_elem[tuple(coords)]]
 
 
 def unit_module(base_action: BaseAction) -> UnitModule:
     """U(S) as a Q-module, built once per base action and held by it."""
     held = base_action._held.get("unit_module")
     if held is None:
-        S, Q = base_action.S, base_action.Q
-        units = units_group(S)
-        module, e2c, c2e = gmodule_of_action(
-            Q, units.group,
-            lambda q, u: units.index_of((base_action.mat(q) @ units.element(u)) % S.modulus))
+        units = units_group(base_action.S)
+        # acted[q, u]: the index of kappa(q) applied to unit u
+        acted = units.index_of(np.einsum("qab,ub->qua", base_action.matrices, units.elements))
+        module, e2c, c2e = gmodule_of_action(base_action.Q, units.group,
+                                             lambda q, u: acted[q, u])
         held = base_action._held["unit_module"] = UnitModule(
             units=units, module=module, elem_to_coords=tuple(e2c), coords_to_elem=c2e)
     return held
@@ -242,7 +245,6 @@ def teichmuller_cocycle(rep: OutRep, seed: int = 0,
                     f"defect at ({p},{q}) is not inner: not a Q-normal structure")
             f[p][q] = u
     emb_diag = diagonalize_mod(A.base_embedding(), m)
-    lifts = [rep.lift(p) for p in range(Q.order)]
 
     def coords(val):
         s_coords = emb_diag.solve(val)
@@ -251,7 +253,7 @@ def teichmuller_cocycle(rep: OutRep, seed: int = 0,
                 "teichmuller value escaped the base ring (corrupted input)")
         return unit_mod.coords_of_unit_vec(s_coords)
 
-    z = obstruction_cocycle(unit_mod.module, f, lambda p, u: (lifts[p] @ u) % m,
+    z = obstruction_cocycle(unit_mod.module, f, lambda p, u: (rep.lifts[p] @ u) % m,
                             A.mul, A.inv, coords)
     return TeichWitness(rep=rep, unit_mod=unit_mod, f=f, cocycle=z)
 
@@ -266,55 +268,30 @@ def opposite_rep(rep: OutRep) -> OutRep:
 
 
 def matrix_rep(rep: OutRep, k: int) -> OutRep:
-    MA = matrix_algebra_over(rep.A, k)
-    lifts = tuple(np.kron(np.eye(k * k, dtype=np.int64), rep.lift(q)) % rep.A.modulus
-                  for q in range(rep.Q.order))
+    MA, n = matrix_algebra_over(rep.A, k), rep.A.flat_rank
+    # w_q on every matrix entry: the block diagonal kron(1_{k^2}, w_q)
+    lifts = np.einsum("xy,qab->qxayb", np.eye(k * k, dtype=np.int64), rep.lifts).reshape(
+        rep.Q.order, k * k * n, k * k * n)
     return OutRep(base_action=rep.base_action, A=MA, lifts=lifts,
                   name=f"M_{k}({rep.name})" if rep.name else f"M_{k}")
-
-
-def tensor_flat_element(A: Algebra, B: Algebra, AB: Algebra, a, b) -> np.ndarray:
-    """The image of a (x) b in the tensor algebra's flat coordinates."""
-    S = A.base
-    m = S.modulus
-    sR = S.rank
-    nA, nB = A.rank, B.rank
-    av = np.asarray(a, dtype=np.int64).reshape(nA, sR)
-    bv = np.asarray(b, dtype=np.int64).reshape(nB, sR)
-    out = np.einsum("iu,jv,uvw->ijw", av, bv, S.structure) % m
-    return out.reshape(nA * nB * sR)
 
 
 def tensor_rep(rep1: OutRep, rep2: OutRep) -> tuple[OutRep, Algebra]:
     """(A1 (x) A2, w1 (x) w2); requires the same base action."""
     b1, b2 = rep1.base_action, rep2.base_action
     if b1 is not b2 and not (np.array_equal(b1.Q.table, b2.Q.table) and _same_ring(b1.S, b2.S)
-                             and np.array_equal(np.asarray(b1.matrices) % b1.S.modulus,
-                                                np.asarray(b2.matrices) % b2.S.modulus)):
+                             and np.array_equal(b1.matrices, b2.matrices)):
         raise NormalStructureError("tensor needs a common base action")
     A, B = rep1.A, rep2.A
     AB = tensor_algebra(A, B)
-    m = AB.modulus
-    nA, nB, sR = A.rank, B.rank, A.base.rank
-    lifts = []
-    one = B.base.one()
-    for q in range(rep1.Q.order):
-        cols = []
-        for i in range(nA):
-            for j in range(nB):
-                for u in range(sR):
-                    # flat basis element (e_i s_u) (x) f_j
-                    a = np.zeros(A.flat_rank, dtype=np.int64)
-                    a[i * sR + u] = 1
-                    b = np.zeros(B.flat_rank, dtype=np.int64)
-                    b[j * sR:(j + 1) * sR] = one
-                    wa = (rep1.lift(q) @ a) % m
-                    wb = (rep2.lift(q) @ b) % m
-                    cols.append(tensor_flat_element(A, B, AB, wa, wb))
-        lifts.append(np.stack(cols, axis=1) % m)
-    out = OutRep(base_action=rep1.base_action, A=AB, lifts=tuple(lifts),
-                 name=f"({rep1.name})(x)({rep2.name})")
-    return out, AB
+    nq, sR = rep1.Q.order, A.base.rank
+    # the column of the flat basis element (e_i s_u) (x) f_j is w1(e_i s_u) (x) w2(f_j)
+    w1 = rep1.lifts.reshape(nq, A.rank, sR, A.rank, sR)
+    w2 = np.einsum("qbyjv,v->qbyj", rep2.lifts.reshape(nq, B.rank, sR, B.rank, sR), B.base.one())
+    lifts = np.einsum("qaxiu,qbyj,xyw->qabwiju", w1, w2 % AB.modulus, A.base.structure)
+    return OutRep(base_action=rep1.base_action, A=AB,
+                  lifts=lifts.reshape(nq, AB.flat_rank, AB.flat_rank),
+                  name=f"({rep1.name})(x)({rep2.name})"), AB
 
 
 def transform_normal(rep: OutRep, op: str, arg=None):
@@ -332,16 +309,24 @@ def transform_normal(rep: OutRep, op: str, arg=None):
 # ---------------------------------------------------------------------------
 # crossed products
 
-@dataclass(frozen=True)
-class CrossedProductSpec:
+@dataclass(frozen=True, eq=False)
+class CrossedProductSpec(HeldArrays):
     """(A, Q, e_Q, theta): extension K >-> Gamma ->> Q with a morphism of
-    crossed modules (i, theta): (K, Gamma, j) -> (U(A), Aut(A), inner)."""
+    crossed modules (i, theta): (K, Gamma, j) -> (U(A), Aut(A), inner).
+
+    ``i_images`` (|K|, flat rank) holds the unit i(y) in row y, and ``theta``
+    (|Gamma|, flat rank, flat rank) the automorphism theta(g) in row g.
+    """
 
     A: Algebra
     base_action: BaseAction
     ext: GroupExtension
-    i_images: tuple             # K-element -> flat unit vector of A
-    theta: tuple                # Gamma-element -> flat automorphism matrix
+    i_images: np.ndarray
+    theta: np.ndarray
+
+    def __post_init__(self):
+        n = self.A.flat_rank
+        _hold(self, self.A.modulus, i_images=(self.K.order, n), theta=(self.Gamma.order, n, n))
 
     @property
     def Q(self) -> FiniteGroup:
@@ -355,19 +340,12 @@ class CrossedProductSpec:
     def K(self) -> FiniteGroup:
         return self.ext.kernel_group
 
-    def theta_mat(self, g: int) -> np.ndarray:
-        return np.asarray(self.theta[g], dtype=np.int64)
-
-    def i_vec(self, y: int) -> np.ndarray:
-        return np.array(self.i_images[y], dtype=np.int64)
-
     def validate(self) -> None:
-        A, Gamma, K = self.A, self.Gamma, self.K
+        A, Gamma, K, I, thetas = self.A, self.Gamma, self.K, self.i_images, self.theta
         m = A.modulus
         self.ext.validate()
         self.base_action.validate()
         emb = A.base_embedding()
-        thetas = np.mod(np.asarray(self.theta, dtype=np.int64), m)
         checked = set()          # theta takes few distinct values: check each once
         for g in range(Gamma.order):
             th, q = thetas[g], self.ext.quotient_hom(g)
@@ -376,22 +354,21 @@ class CrossedProductSpec:
             checked.add((th.tobytes(), q))
             if not is_algebra_morphism(A, A, th) or not invertible_mod(th, m):
                 raise NormalStructureError(f"theta({g}) is not an algebra automorphism")
-            if not np.array_equal((th @ emb) % m, (emb @ self.base_action.mat(q)) % m):
+            if not np.array_equal((th @ emb) % m, (emb @ self.base_action.matrices[q]) % m):
                 raise NormalStructureError(f"theta({g}) has the wrong grade")
         pair = first_nonmultiplicative_pair(thetas, Gamma, m)
         if pair is not None:
             raise NormalStructureError(f"theta is not a homomorphism at {pair}")
         # row y of I is i(y); left[y] and right[y] multiply by it on either side
-        I = np.array(self.i_images, dtype=np.int64).reshape(K.order, A.flat_rank)
         left = np.einsum("ya,abc->ycb", I, A.flat_tensor) % m
         right = np.einsum("yb,abc->yca", I, A.flat_tensor) % m
         # i(1) = 1 and i(y) i(z) = i(yz) for the generators y make i multiplicative,
         # so i(y) i(y^-1) = 1; only a failure takes the checks that name the first error
-        mult = np.array_equal(I[K.identity] % m, A.flat_unit()) and np.array_equal(
+        mult = np.array_equal(I[K.identity], A.flat_unit()) and np.array_equal(
             (left[K.gens_index] @ I.T) % m, I[K.table[K.gens_index]].transpose(0, 2, 1))
         if not mult and not all(A.is_unit(v) for v in I):
             raise NormalStructureError("i(K) contains a non-unit")
-        if len({row.tobytes() for row in I % m}) != K.order:
+        if len({row.tobytes() for row in I}) != K.order:
             raise NormalStructureError("i is not injective")
         for y in range(0 if mult else K.order):
             bad = np.flatnonzero(((left[y] @ I.T) % m != I[K.table[y]].T).any(axis=0))
@@ -410,9 +387,9 @@ class CrossedProductSpec:
         for g, y in np.argwhere(conj < 0)[:1]:
             raise NormalStructureError(f"kernel is not normal in Gamma at ({g}, {y})")
         gs = Gamma.gens_index  # theta is a homomorphism: Gamma's generators decide equivariance
-        ok = np.array_equal(I[conj[gs]] % m, np.einsum("gab,yb->gya", thetas[gs], I) % m)
+        ok = np.array_equal(I[conj[gs]], np.einsum("gab,yb->gya", thetas[gs], I) % m)
         for g in range(0 if ok else Gamma.order):
-            bad = np.flatnonzero((I[conj[g]] % m != (I @ thetas[g].T) % m).any(axis=1))
+            bad = np.flatnonzero((I[conj[g]] != (I @ thetas[g].T) % m).any(axis=1))
             if bad.size:
                 raise NormalStructureError(f"i is not Gamma-equivariant at ({g}, {bad[0]})")
 
@@ -421,8 +398,8 @@ class CrossedProductSpec:
         return {self.ext.kernel_hom(y): y for y in range(self.K.order)}
 
 
-@dataclass
-class CrossedProductResult:
+@dataclass(eq=False)
+class CrossedProductResult(HeldArrays):
     spec: CrossedProductSpec
     C: Algebra                   # the crossed product, over R = S^Q
     R: FinCommRing
@@ -431,18 +408,13 @@ class CrossedProductResult:
     section: list                # Q -> Gamma (v_q)
     phi: list                    # phi[p][q] in K
     a_to_c: np.ndarray           # flat embedding A -> C
-    v_units: list                # flat C-vectors
+    v_units: np.ndarray          # (|Q|, flat rank of C): v_q in row q
+
+    def __post_init__(self):
+        _hold(self, self.C.modulus, v_units=(-1, self.C.flat_rank))
 
     def s_to_c(self) -> np.ndarray:
         return (self.a_to_c @ self.spec.A.base_embedding()) % self.C.modulus
-
-
-def _sde_flat(A: Algebra, s_vec, i: int) -> np.ndarray:
-    """Flat A-vector of (s * e_i) for an S-element s."""
-    out = np.zeros(A.flat_rank, dtype=np.int64)
-    sR = A.base.rank
-    out[i * sR:(i + 1) * sR] = np.asarray(s_vec, dtype=np.int64) % A.modulus
-    return out
 
 
 def crossed_product(spec: CrossedProductSpec, seed: int = 0) -> CrossedProductResult:
@@ -469,9 +441,9 @@ def crossed_product(spec: CrossedProductSpec, seed: int = 0) -> CrossedProductRe
     to_c = np.kron(np.eye(n, dtype=np.int64), expand)
     # L[x]: s_d e_i at x = i * sigma + d, flat in A
     L = np.einsum("ij,wd->idjw", np.eye(n, dtype=np.int64), s_basis).reshape(n * sigma, -1)
-    theta_l = np.einsum("pab,yb->pya", np.asarray([spec.theta_mat(g) for g in sec]), L) % m
+    theta_l = np.einsum("pab,yb->pya", spec.theta[sec], L) % m
     left = np.einsum("xa,abc->xcb", L, TA) % m
-    right_i = np.einsum("pqb,abc->pqca", np.asarray(spec.i_images, dtype=np.int64)[phi], TA) % m
+    right_i = np.einsum("pqb,abc->pqca", spec.i_images[phi], TA) % m
     # prods[p, x, q, y] = (L[x] theta_p(L[y])) i(phi(p, q)), read in the v_1 block
     prods = np.einsum("pqca,pxya->pxqyc", right_i,
                       np.einsum("xcb,pyb->pxyc", left, theta_l) % m) % m
@@ -486,33 +458,36 @@ def crossed_product(spec: CrossedProductSpec, seed: int = 0) -> CrossedProductRe
     a_to_c = np.kron(np.eye(nq, dtype=np.int64)[:, [Q.identity]], to_c)
     return CrossedProductResult(spec=spec, C=C, R=R, r_embed=r_embed,
                                 s_basis=s_basis, section=sec, phi=phi,
-                                a_to_c=a_to_c, v_units=list(v_units))
+                                a_to_c=a_to_c, v_units=v_units)
 
 
 # ---------------------------------------------------------------------------
 # the endomorphism side: _A End(M_e) and the induced structures
 
-@dataclass
-class EndSide:
+@dataclass(eq=False)
+class EndSide(HeldArrays):
     """_A End(C) = M_{|Q|}(A^op) for a crossed product C, with translations.
 
     ``E`` is the endomorphism algebra over S on the basis f_{p,q,i} sending
-    v_q to e_i v_p; ``to_matrix`` and ``from_matrix`` translate between E and
-    actual C-endomorphism matrices, the latter through ``basis_diag``.
+    v_q to e_i v_p; ``basis_matrices`` (E flat rank, flat C, flat C) holds the
+    C-matrix of E's flat basis element x in row x.  ``to_matrix`` and
+    ``from_matrix`` translate between E and C-endomorphism matrices, the
+    latter through ``basis_diag``.
     """
 
     product: CrossedProductResult
     E: Algebra
-    basis_matrices: list         # E flat basis index -> C-matrix
+    basis_matrices: np.ndarray
     basis_diag: ModDiagonalization  # of the flattened basis matrices, as columns
+
+    def __post_init__(self):
+        n = self.product.C.flat_rank
+        _hold(self, self.E.modulus, basis_matrices=(self.E.flat_rank, n, n))
 
     def to_matrix(self, e_vec) -> np.ndarray:
         m = self.E.modulus
-        out = np.zeros_like(self.basis_matrices[0])
-        for idx, coef in enumerate(np.asarray(e_vec, dtype=np.int64) % m):
-            if coef:
-                out = (out + coef * self.basis_matrices[idx]) % m
-        return out
+        return np.tensordot(np.mod(np.asarray(e_vec, dtype=np.int64), m),
+                            self.basis_matrices, axes=1) % m
 
     def from_matrix(self, mat) -> Optional[np.ndarray]:
         return self.basis_diag.solve(np.asarray(mat, dtype=np.int64).reshape(-1))
@@ -520,69 +495,42 @@ class EndSide:
 
 def end_algebra_of_crossed_product(res: CrossedProductResult) -> EndSide:
     """Build _A End(C) on the left-A-basis {v_q} of the crossed product."""
-    spec = res.spec
-    A, Q = spec.A, spec.Q
-    S = A.base
-    m = A.modulus
-    n = A.rank
-    sR = S.rank
-    nq = Q.order
+    A, C = res.spec.A, res.C
+    m, n, nq, TC = A.modulus, A.rank, res.spec.Q.order, C.flat_tensor
     # f_{p,q,i} o f_{q,s,j}: v_s -> e_j e_i v_p, as A acts on the left
-    E = matrix_algebra_over(opposite_algebra(A), nq, name=f"End_A({res.C.name})")
-    # basis C-matrices: f_{p,q,i}(s_d e_k v_l) = delta_{lq} s_d e_k e_i v_p
-    C = res.C
-    flatC = C.flat_rank
-    basis_matrices = []
-    sigma = res.s_basis.shape[1]
-    rR = res.R.rank
-    s_img = res.s_to_c()
-    for p, q, i in itertools.product(range(nq), range(nq), range(n)):
-        mat = np.zeros((flatC, flatC), dtype=np.int64)
-        for l, k2, d in itertools.product(range(nq), range(n), range(sigma)):
-            ci = ((l * n + k2) * sigma + d)
-            for u in range(rR):
-                src = ci * rR + u
-                if l != q:
-                    continue
-                # source vector = r_u s_d e_k2 v_q  ->  r_u s_d e_k2 e_i v_p
-                ru = np.zeros(rR, dtype=np.int64)
-                ru[u] = 1
-                s_val = S.mul((res.r_embed @ ru) % m, res.s_basis[:, d])
-                a_elt = A.mul(_sde_flat(A, s_val, k2), _sde_flat(A, S.one(), i))
-                c_elt = (res.a_to_c @ a_elt) % m
-                c_elt = C.mul(c_elt, res.v_units[p])
-                mat[:, src] = c_elt
-        # the flat basis carries S-coordinates: (s_u . f)(b) = s_u f(b)
-        for u in range(sR):
-            basis_matrices.append((C.left_mul_matrix(s_img[:, u]) @ mat) % m)
-    cols = np.stack([bm.reshape(-1) for bm in basis_matrices], axis=1)
-    return EndSide(product=res, E=E, basis_matrices=basis_matrices,
-                   basis_diag=diagonalize_mod(cols, m))
+    E = matrix_algebra_over(opposite_algebra(A), nq, name=f"End_A({C.name})")
+    # C has the R-basis r_u s_d e_k v_l at ((l * n + k) * sigma + d) * rR + u, and
+    # f_{p,q,i} sends it to r_u s_d e_k e_i v_p when l = q, to 0 otherwise
+    rs = np.einsum("au,bd,abk->duk", res.r_embed, res.s_basis, A.base.structure) % m
+    x = np.einsum("kj,duw->kdujw", np.eye(n, dtype=np.int64), rs).reshape(n, *rs.shape[:2], -1)
+    e_i = np.kron(np.eye(n, dtype=np.int64), A.base.one())
+    prods = np.einsum("kdua,ib,abc->ikduc", x, e_i, A.flat_tensor) % m
+    in_c = np.einsum("za,ikdua->ikduz", res.a_to_c, prods) % m
+    right_v = np.einsum("pb,abc->pca", res.v_units, TC) % m
+    images = np.einsum("pca,ikdua->pikduc", right_v, in_c) % m
+    # the flat basis carries S-coordinates: (s_x . f)(b) = s_x f(b)
+    left_s = np.einsum("ax,abc->xcb", res.s_to_c(), TC) % m
+    scaled = np.einsum("xcz,pikduz->pixckdu", left_s, images) % m
+    basis = np.einsum("ql,pixckdu->pqixclkdu", np.eye(nq, dtype=np.int64), scaled).reshape(
+        E.flat_rank, C.flat_rank, C.flat_rank)
+    return EndSide(product=res, E=E, basis_matrices=basis,
+                   basis_diag=diagonalize_mod(basis.reshape(E.flat_rank, -1).T, m))
 
 
 def end_equivariant_structure(side: EndSide) -> OutRep:
     """tau_{e_Q}: the exact Q-action (f -> x f(x^-1 .)) on _A End(C)."""
     res = side.product
-    spec = res.spec
-    C, Q = res.C, spec.Q
+    C = res.C
     m = C.modulus
     taus = []
-    for q in range(Q.order):
-        x = res.v_units[q]
-        Lx = C.left_mul_matrix(x)
-        Lxi = C.left_mul_matrix(C.inv(x))
-        cols = []
-        for idx in range(side.E.flat_rank):
-            e_vec = np.zeros(side.E.flat_rank, dtype=np.int64)
-            e_vec[idx] = 1
-            img = (Lx @ side.to_matrix(e_vec) @ Lxi) % m
-            coords = side.from_matrix(img)
-            if coords is None:
-                raise NormalStructureError("tau image escaped End_A (internal error)")
-            cols.append(coords)
-        taus.append(np.stack(cols, axis=1) % m)
-    rep = OutRep(base_action=spec.base_action, A=side.E, lifts=tuple(taus),
-                 name="tau_endside")
+    for x in res.v_units:
+        # x f x^-1 for every basis matrix f, read back in E with one solve
+        imgs = (C.left_mul_matrix(x) @ side.basis_matrices) % m @ C.left_mul_matrix(C.inv(x)) % m
+        coords = side.basis_diag.solve(imgs.reshape(len(imgs), -1).T)
+        if coords is None:
+            raise NormalStructureError("tau image escaped End_A (internal error)")
+        taus.append(coords)
+    rep = OutRep(base_action=res.spec.base_action, A=side.E, lifts=taus, name="tau_endside")
     if not rep.is_equivariant():
         raise NormalStructureError("tau is not an exact action (tpf(ii) violated)")
     return rep
@@ -590,44 +538,25 @@ def end_equivariant_structure(side: EndSide) -> OutRep:
 
 def end_fixed_subalgebra_check(side: EndSide, tau: OutRep) -> dict:
     """tpf(viii): u^op -> (b -> b u) identifies C^op with the tau-fixed part."""
-    res = side.product
-    C = res.C
-    m = C.modulus
-    flatC = C.flat_rank
-    # image of the right-multiplication map, in E-coordinates
-    cols = []
-    for a in range(flatC):
-        ea = np.zeros(flatC, dtype=np.int64)
-        ea[a] = 1
-        coords = side.from_matrix(C.right_mul_matrix(ea))
-        if coords is None:
-            return {"right_mult_lands_in_end": False}
-        cols.append(coords)
-    rmap = np.stack(cols, axis=1) % m
+    C = side.product.C
+    m, T, flatC = C.modulus, C.flat_tensor, C.flat_rank
+    # image of the right-multiplication map, in E-coordinates: column a holds
+    # that of b -> b e_a, whose matrix is T[:, a, :].T
+    rmap = side.basis_diag.solve(T.transpose(1, 2, 0).reshape(flatC, -1).T)
+    if rmap is None:
+        return {"right_mult_lands_in_end": False}
     # fixed submodule of tau
     eye = np.eye(side.E.flat_rank, dtype=np.int64)
-    stacked = np.vstack([(tau.lift(q) - eye) % m for q in range(tau.Q.order)])
-    fixed = kernel_mod(stacked, m)
+    fixed = kernel_mod((tau.lifts - eye).reshape(-1, side.E.flat_rank) % m, m)
     fixed_ok = colspans_equal(rmap, fixed, m)
-    # multiplicative from C^op: map(x .op y) = map(y x) = map(x) * map(y) in E
-    mult_ok = True
-    for a in range(flatC):
-        ea = np.zeros(flatC, dtype=np.int64)
-        ea[a] = 1
-        for b in range(flatC):
-            eb = np.zeros(flatC, dtype=np.int64)
-            eb[b] = 1
-            lhs = side.from_matrix(C.right_mul_matrix(C.mul(eb, ea)))
-            rhs = side.E.mul(rmap[:, a], rmap[:, b])
-            if lhs is None or not np.array_equal(lhs % m, rhs):
-                mult_ok = False
-                break
-        if not mult_ok:
-            break
+    # multiplicative from C^op: map(x .op y) = map(y x) = map(x) * map(y) in E;
+    # the map is linear, so map(e_b e_a) is rmap applied to T[b, a]
+    lhs = np.einsum("xc,bac->abx", rmap, T) % m
+    rhs = np.einsum("xa,yb,xyz->abz", rmap, rmap, side.E.flat_tensor) % m
     inj = submodule_size(rmap, m) == C.size
     return {"right_mult_lands_in_end": True,
             "image_is_fixed_subalgebra": bool(fixed_ok),
-            "multiplicative_from_opposite": bool(mult_ok),
+            "multiplicative_from_opposite": bool(np.array_equal(lhs, rhs)),
             "injective": bool(inj)}
 
 
@@ -645,7 +574,7 @@ def end_entrywise_lift(side: EndSide, w: np.ndarray) -> np.ndarray:
 class DeuringWitness:
     rep: OutRep
     product: CrossedProductResult
-    chi_units: list              # q -> unit of C representing chi(q)
+    chi_units: np.ndarray        # row q: the unit of C representing chi(q)
     checks: dict
 
 
@@ -655,69 +584,52 @@ def deuring_embedding_from_splitting(rep: OutRep, ext: GroupExtension,
     """C = crossed product over the splitting data; chi(q) = class of v_q.
 
     Validates that the splitting induces the given normal structure, verifies
-    the normalizer/grade/multiplicativity properties of chi elementwise, and
-    returns the induced exact Q-structure on the endomorphism side.
+    the normalizer/grade/multiplicativity properties of chi, and returns the
+    induced exact Q-structure on the endomorphism side.
     """
     A = rep.A
     m = A.modulus
     spec = CrossedProductSpec(A=A, base_action=rep.base_action, ext=ext,
-                              i_images=tuple(tuple(int(x) for x in v) for v in i_images),
-                              theta=tuple(theta))
-    spec.validate()
-    Q = spec.Q
-    sec = ext.section(seed)
-    for q in range(Q.order):
-        diff = (spec.theta_mat(sec[q]) @ inverse_mod(rep.lift(q), m)) % m
+                              i_images=i_images, theta=theta)
+    res = crossed_product(spec, seed=seed)      # validates the spec
+    for q, g in enumerate(res.section):
+        diff = (spec.theta[g] @ inverse_mod(rep.lifts[q], m)) % m
         if find_conjugator(A, diff) is None:
             raise NormalStructureError(
                 "splitting induces a different Q-normal structure than the rep")
-    res = crossed_product(spec, seed=seed)
-    C = res.C
-    checks: dict = {}
-    # chi(q) = v_q normalizes A and induces the right grade on S
-    a_img_diag = diagonalize_mod(res.a_to_c, m)
-    s_img = res.s_to_c()
-    normal_ok = True
-    grade_ok = True
-    for q in range(Q.order):
-        v = res.v_units[q]
-        vinv = C.inv(v)
-        for col in range(res.a_to_c.shape[1]):
-            conj = C.mul(C.mul(v, res.a_to_c[:, col]), vinv)
-            if a_img_diag.solve(conj) is None:
-                normal_ok = False
-        for u in range(s_img.shape[1]):
-            conj = C.mul(C.mul(v, s_img[:, u]), vinv)
-            expect = (s_img @ rep.base_action.mat(q)[:, u]) % m
-            if not np.array_equal(conj, expect):
-                grade_ok = False
-    mult_ok = True
-    for p in range(Q.order):
-        for q in range(Q.order):
-            pq = Q.mul[p][q]
-            w = C.mul(C.mul(res.v_units[p], res.v_units[q]), C.inv(res.v_units[pq]))
-            sol = a_img_diag.solve(w)
-            if sol is None or not A.is_unit(sol):
-                mult_ok = False
-    checks["chi_normalizes_A"] = bool(normal_ok)
-    checks["chi_has_grades"] = bool(grade_ok)
-    checks["chi_multiplicative_mod_UA"] = bool(mult_ok)
-    checks["rank_over_R"] = C.rank
-    checks["expected_rank"] = Q.order * A.rank * res.s_basis.shape[1]
+    checks = chi_checks(rep, res)
+    checks["rank_over_R"] = res.C.rank
+    checks["expected_rank"] = rep.Q.order * A.rank * res.s_basis.shape[1]
     side = end_algebra_of_crossed_product(res)
     tau = end_equivariant_structure(side)
     checks["end_action_exact"] = tau.is_equivariant()
     # tpf(vii)/Thm fouro: tau agrees with the entrywise lift up to inner
-    vii_ok = True
-    for q in range(Q.order):
-        lift_w = end_entrywise_lift(side, rep.lift(q))
-        diff = (tau.lift(q) @ inverse_mod(lift_w, m)) % m
-        if find_conjugator(side.E, diff) is None:
-            vii_ok = False
-    checks["tau_matches_matrix_structure_mod_inner"] = bool(vii_ok)
-    witness = DeuringWitness(rep=rep, product=res, chi_units=list(res.v_units),
-                             checks=checks)
+    checks["tau_matches_matrix_structure_mod_inner"] = all(
+        find_conjugator(side.E, (t @ inverse_mod(end_entrywise_lift(side, w), m)) % m) is not None
+        for t, w in zip(tau.lifts, rep.lifts))
+    witness = DeuringWitness(rep=rep, product=res, chi_units=res.v_units, checks=checks)
     return witness, tau
+
+
+def chi_checks(rep: OutRep, res: CrossedProductResult) -> dict:
+    """Does chi(q) = v_q normalize A, act on S by kappa(q), and compose up to
+    units of A?  All q (and pairs p, q) at once."""
+    A, C, Q = rep.A, res.C, rep.Q
+    m, TC, v = C.modulus, C.flat_tensor, res.v_units
+    v_inv = np.array([C.inv(x) for x in v])
+    # inn[q] = Inn(v_q): a -> (v_q a) v_q^-1
+    inn = (np.einsum("qb,abc->qca", v_inv, TC) % m) @ (np.einsum("qa,abc->qcb", v, TC) % m) % m
+    a_img_diag = diagonalize_mod(res.a_to_c, m)
+    normal = a_img_diag.in_image(np.concatenate(inn @ res.a_to_c % m, axis=1))
+    s_img = res.s_to_c()
+    grades = np.einsum("cu,quv->qcv", s_img, rep.base_action.matrices) % m
+    # v_p v_q v_{pq}^-1 for every pair, read back in A
+    vv = np.einsum("pa,qb,abc->pqc", v, v, TC) % m
+    w = np.einsum("pqa,pqb,abc->pqc", vv, v_inv[Q.table], TC) % m
+    sols = a_img_diag.solve(w.reshape(-1, C.flat_rank).T)
+    return {"chi_normalizes_A": bool(normal.all()),
+            "chi_has_grades": bool(np.array_equal(inn @ s_img % m, grades)),
+            "chi_multiplicative_mod_UA": sols is not None and all(A.is_unit(x) for x in sols.T)}
 
 
 def semidirect_splitting(rep: OutRep, cap: int = 256):
@@ -742,53 +654,41 @@ def splitting_from_coboundary(witness: TeichWitness, c: Cochain, cap: int = 256)
     from .gmod_cohomology import coboundary
     if not np.array_equal(coboundary(c).table, witness.cocycle.table):
         raise NormalStructureError("certificate does not bound the cocycle")
-    Q = rep.Q
-    A = rep.A
+    A, um, nq = rep.A, witness.unit_mod, rep.Q.order
     m = A.modulus
-    emb = A.base_embedding()
-    phi_units = [[None] * Q.order for _ in range(Q.order)]
-    for p in range(Q.order):
-        for q in range(Q.order):
-            gamma_coords = c.table[p, q]
-            s_unit = witness.unit_mod.unit_vec_of_coords(tuple(int(x) for x in gamma_coords))
-            gamma_in_A = (emb @ s_unit) % m
-            phi_units[p][q] = A.mul(witness.f[p][q], gamma_in_A)
-    return _twisted_unit_extension(rep, phi_units=phi_units, cap=cap)
+    # gamma(p, q): the unit of S with coordinates c(p, q), embedded in A
+    coords = c.table.reshape(nq * nq, um.module.rank).tolist()
+    gamma = np.array([um.unit_vec_of_coords(x) for x in coords]) @ A.base_embedding().T % m
+    phi_units = np.einsum("xa,xb,abc->xc", np.reshape(witness.f, (nq * nq, -1)), gamma,
+                          A.flat_tensor) % m
+    return _twisted_unit_extension(rep, phi_units=phi_units.reshape(nq, nq, -1), cap=cap)
 
 
 def _twisted_unit_extension(rep: OutRep, phi_units, cap: int):
-    """Gamma = U(A) x Q with (u,p)(v,q) = (u w_p(v) phi(p,q), pq)."""
+    """Gamma = U(A) x Q with (u,p)(v,q) = (u w_p(v) phi(p,q), pq), the pair
+    (u, q) at u * |Q| + q; phi_units[p, q] is phi(p, q), None for phi = 1.
+    Returns the extension, i (the units of A, as rows) and theta(u, q) =
+    Inn(u) w_q."""
     A, Q = rep.A, rep.Q
-    m = A.modulus
+    m, T, nq = A.modulus, A.flat_tensor, Q.order
     units = units_group(A)
-    nu = units.group.order
-    if nu * Q.order > cap:
+    U, K = units.elements, units.group
+    nu = K.order
+    if nu * nq > cap:
         raise NormalStructureError("unit extension exceeds the table cap")
-    one = A.flat_unit()
-
-    def phi(p, q):
-        if phi_units is None:
-            return one
-        return phi_units[p][q]
-
-    def idx(u, q):
-        return u * Q.order + q
-
-    mul = [[0] * (nu * Q.order) for _ in range(nu * Q.order)]
-    for u, p in itertools.product(range(nu), range(Q.order)):
-        for v, q in itertools.product(range(nu), range(Q.order)):
-            w = A.mul(A.mul(units.element(u), (rep.lift(p) @ units.element(v)) % m),
-                      phi(p, q))
-            mul[idx(u, p)][idx(v, q)] = idx(units.index_of(w), Q.mul[p][q])
-    Gamma = FiniteGroup.from_table(mul, cap=max(cap, 256))
-    K = units.group
-    kernel_hom = GroupHom.checked(K, Gamma, tuple(idx(u, Q.identity) for u in range(nu)))
-    quotient_hom = GroupHom.checked(Gamma, Q, tuple(g % Q.order for g in range(nu * Q.order)))
+    if phi_units is None:
+        phi_units = np.broadcast_to(A.flat_unit(), (nq, nq, A.flat_rank))
+    # u w_p(v) phi(p, q) for every u, p, v, q, through right multiplications
+    moved = np.einsum("pab,vb->pva", rep.lifts, U) % m
+    uw = np.einsum("ua,pvac->upvc", U, np.einsum("pvb,abc->pvac", moved, T) % m) % m
+    prods = np.einsum("upva,pqac->upvqc", uw, np.einsum("pqb,abc->pqac", phi_units, T) % m) % m
+    mul = units.index_of(prods) * nq + Q.table[:, None, :]
+    Gamma = FiniteGroup.from_table(mul.reshape(nu * nq, nu * nq), cap=max(cap, 256))
+    kernel_hom = GroupHom.checked(K, Gamma, tuple(u * nq + Q.identity for u in range(nu)))
+    quotient_hom = GroupHom.checked(Gamma, Q, tuple(g % nq for g in range(nu * nq)))
     ext = GroupExtension(kernel_hom, quotient_hom)
     ext.validate()
-    i_images = tuple(tuple(int(x) for x in units.element(u)) for u in range(nu))
-    theta = []
-    for g in range(nu * Q.order):
-        u, q = divmod(g, Q.order)
-        theta.append((conjugation_matrix(A, units.element(u)) @ rep.lift(q)) % m)
-    return ext, i_images, tuple(theta)
+    # Inn(u) = L(u) R(u^-1), u^-1 read off the units group
+    inn = (np.einsum("ua,abc->ucb", U, T) % m) @ (np.einsum("ub,abc->uca", U[K.inverse], T) % m)
+    theta = np.einsum("uab,qbc->uqac", inn % m, rep.lifts) % m
+    return ext, U, theta.reshape(nu * nq, A.flat_rank, A.flat_rank)

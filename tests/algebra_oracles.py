@@ -4,7 +4,10 @@ These are the nested-loop constructions that ``finrings`` and
 ``normal_algebras`` replaced with einsums on the held structure arrays.  Each
 builds the old nested-tuple structure constants, which ``Algebra`` still
 accepts, and multiplies through ``flat_tensor_oracle``, so that no oracle
-reads a tensor built by the code under test.
+reads a tensor built by the code under test.  The last section does the same
+for the data built on the stacked lift, unit and crossed-product arrays: units
+found by search, transports, twisted unit extensions, the End side and the
+Deuring checks, one element or pair at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from teichmuller.finrings import (
     diagonalize_mod,
     fixed_subring,
 )
+from teichmuller.modlinalg import colspans_equal, inverse_mod, kernel_mod, submodule_size
 
 
 def _coords(vec) -> tuple:
@@ -247,7 +251,7 @@ def crossed_product_oracle(spec, seed: int = 0) -> dict:
     m = A.modulus
     mul = _mul(A)
     kappa = spec.base_action
-    R, r_embed = fixed_subring(S, [kappa.mat(q) for q in range(Q.order)], name=f"{S.name}^Q")
+    R, r_embed = fixed_subring(S, [kappa.matrices[q] for q in range(Q.order)], name=f"{S.name}^Q")
     s_basis = _module_basis_over_subring(S, R, r_embed)
     sigma = s_basis.shape[1]
     expand_s = _expand_oracle(S, R, r_embed, s_basis)
@@ -273,11 +277,11 @@ def crossed_product_oracle(spec, seed: int = 0) -> dict:
     struct = [[None] * dimC for _ in range(dimC)]
     for p, i, d in itertools.product(range(Q.order), range(n), range(sigma)):
         u1 = _sde(A, s_basis[:, d], i)
-        th_p = spec.theta_mat(sec[p])
+        th_p = spec.theta[sec[p]]
         for q, j, e in itertools.product(range(Q.order), range(n), range(sigma)):
-            se_acted = (kappa.mat(p) @ s_basis[:, e]) % m
+            se_acted = (kappa.matrices[p] @ s_basis[:, e]) % m
             x = mul(u1, scalar_mul_oracle(A, se_acted, (th_p @ _sde(A, S.one(), j)) % m))
-            blocks = blocks_of(mul(x, spec.i_vec(phi[p][q])))
+            blocks = blocks_of(mul(x, spec.i_images[phi[p][q]]))
             vec = [zero_r] * dimC
             for b in range(n * sigma):
                 vec[c_index(Q.mul[p][q], b // sigma, b % sigma)] = _coords(blocks[b])
@@ -358,7 +362,7 @@ def crossed_pair_lifts_oracle(data, cp, res, seed: int = 0) -> tuple[list, list]
         for n_idx in range(amb.N.order):
             ay = alpha[res.section[n_idx]]
             n2 = ae.gamma_parts(ay)[1]
-            u_hat = data.units.element(into_k[Gamma.mul[ay][Gamma.inv[res.section[n2]]]])
+            u_hat = data.units.elements[into_k[Gamma.mul[ay][Gamma.inv[res.section[n2]]]]]
             for d in range(sigma):
                 for u in range(rR):
                     ru = np.zeros(rR, dtype=np.int64)
@@ -377,3 +381,177 @@ def crossed_pair_lifts_oracle(data, cp, res, seed: int = 0) -> tuple[list, list]
             cols.append(r_diag.solve((kap_x @ ((res.r_embed @ ru) % m)) % m))
         kq_mats.append(np.stack(cols, axis=1) % m)
     return lifts, kq_mats
+
+
+# ---------------------------------------------------------------------------
+# units, transports, twisted unit extensions, the End side and Deuring's checks
+
+def units_oracle(A: Algebra) -> list:
+    """The units of A in lexicographic order, found by a right inverse."""
+    mul, one = _mul(A), flat_unit_oracle(A)
+    elems = [np.array(x, dtype=np.int64) for x in itertools.product(range(A.modulus),
+                                                                     repeat=A.flat_rank)]
+    return [x for x in elems if any(np.array_equal(mul(x, y), one) for y in elems)]
+
+
+def qnormal_rows_oracle(gal, Q) -> list:
+    """The unit permutation of each g = (n, q) of N x Q, acting through n."""
+    units = [_coords(u) for u in units_oracle(ring_as_algebra_oracle(gal.T))]
+    index = {u: i for i, u in enumerate(units)}
+    m = gal.T.modulus
+    return [tuple(index[_coords(np.asarray(gal.action[g // Q.order]) @ np.array(u) % m)]
+                  for u in units) for g in range(gal.N.order * Q.order)]
+
+
+def tensor_flat_element(A: Algebra, B: Algebra, a, b) -> np.ndarray:
+    """The image of a (x) b in the tensor algebra's flat coordinates."""
+    S = A.base
+    av = np.asarray(a, dtype=np.int64).reshape(A.rank, S.rank)
+    bv = np.asarray(b, dtype=np.int64).reshape(B.rank, S.rank)
+    return (np.einsum("iu,jv,uvw->ijw", av, bv, S.structure) % S.modulus).reshape(-1)
+
+
+def tensor_lifts_oracle(rep1, rep2) -> list:
+    """w1 (x) w2, column by column on the flat basis (e_i s_u) (x) f_j."""
+    A, B = rep1.A, rep2.A
+    m, sR, one = A.modulus, A.base.rank, B.base.one()
+    lifts = []
+    for q in range(rep1.Q.order):
+        cols = []
+        for i in range(A.rank):
+            for j in range(B.rank):
+                for u in range(sR):
+                    a = np.zeros(A.flat_rank, dtype=np.int64)
+                    a[i * sR + u] = 1
+                    b = np.zeros(B.flat_rank, dtype=np.int64)
+                    b[j * sR:(j + 1) * sR] = one
+                    cols.append(tensor_flat_element(A, B, (rep1.lifts[q] @ a) % m,
+                                                    (rep2.lifts[q] @ b) % m))
+        lifts.append(np.stack(cols, axis=1) % m)
+    return lifts
+
+
+def matrix_lifts_oracle(rep, k: int) -> list:
+    return [np.kron(np.eye(k * k, dtype=np.int64), w) % rep.A.modulus for w in rep.lifts]
+
+
+def twisted_unit_extension_oracle(rep, phi_units=None) -> tuple[list, list, list]:
+    """Gamma's table, i and theta of U(A) x Q with (u,p)(v,q) = (u w_p(v) phi(p,q), pq),
+    pair by pair, with theta(u, q) = Inn(u) w_q column by column."""
+    A, Q = rep.A, rep.Q
+    m, nq, mul, one = A.modulus, Q.order, _mul(A), flat_unit_oracle(A)
+    units = units_oracle(A)
+    index = {_coords(u): i for i, u in enumerate(units)}
+    inverse = [next(v for v in units if np.array_equal(mul(u, v), one)) for u in units]
+    table = [[0] * (len(units) * nq) for _ in range(len(units) * nq)]
+    for (u, x), p, (v, y), q in itertools.product(enumerate(units), range(nq),
+                                                  enumerate(units), range(nq)):
+        phi = one if phi_units is None else phi_units[p][q]
+        w = mul(mul(x, (rep.lifts[p] @ y) % m), phi)
+        table[u * nq + p][v * nq + q] = index[_coords(w)] * nq + Q.mul[p][q]
+    theta = []
+    eye = np.eye(A.flat_rank, dtype=np.int64)
+    for x, x_inv in zip(units, inverse):
+        inn = np.stack([mul(mul(x, e), x_inv) for e in eye], axis=1)
+        theta.extend((inn @ w) % m for w in rep.lifts)
+    return table, units, theta
+
+
+def end_basis_matrices_oracle(res) -> list:
+    """The C-matrix of each flat basis element s_x f_{p,q,i} of _A End(C):
+    r_u s_d e_k v_l -> delta_{lq} s_x r_u s_d e_k e_i v_p, entry by entry."""
+    A, C, S = res.spec.A, res.C, res.spec.A.base
+    m, n, nq = A.modulus, A.rank, res.spec.Q.order
+    sigma, rR = res.s_basis.shape[1], res.R.rank
+    mulA, mulC = _mul(A), _mul(C)
+    s_img = (res.a_to_c @ base_embedding_oracle(A)) % m
+    out = []
+    for p, q, i in itertools.product(range(nq), range(nq), range(n)):
+        mat = np.zeros((C.flat_rank, C.flat_rank), dtype=np.int64)
+        for k, d, u in itertools.product(range(n), range(sigma), range(rR)):
+            ru = np.zeros(rR, dtype=np.int64)
+            ru[u] = 1
+            s_val = S.mul((res.r_embed @ ru) % m, res.s_basis[:, d])
+            a_elt = mulA(_sde(A, s_val, k), _sde(A, S.one(), i))
+            mat[:, ((q * n + k) * sigma + d) * rR + u] = mulC((res.a_to_c @ a_elt) % m,
+                                                              res.v_units[p])
+        for x in range(S.rank):
+            left = np.stack([mulC(s_img[:, x], e) for e in np.eye(C.flat_rank, dtype=np.int64)],
+                            axis=1)
+            out.append((left @ mat) % m)
+    return out
+
+
+def _left_mul_oracle(C: Algebra, x) -> np.ndarray:
+    mul = _mul(C)
+    return np.stack([mul(x, e) for e in np.eye(C.flat_rank, dtype=np.int64)], axis=1)
+
+
+def _right_mul_oracle(C: Algebra, x) -> np.ndarray:
+    mul = _mul(C)
+    return np.stack([mul(e, x) for e in np.eye(C.flat_rank, dtype=np.int64)], axis=1)
+
+
+def _inverse_oracle(C: Algebra, x) -> np.ndarray:
+    return (inverse_mod(_left_mul_oracle(C, x), C.modulus) @ flat_unit_oracle(C)) % C.modulus
+
+
+def end_tau_oracle(res, basis_matrices) -> list:
+    """tau_q on E: the E-coordinates of v_q f v_q^-1, one basis element f at a time."""
+    C, m = res.C, res.C.modulus
+    diag = diagonalize_mod(np.stack([b.reshape(-1) for b in basis_matrices], axis=1), m)
+    taus = []
+    for x in res.v_units:
+        Lx, Lxi = _left_mul_oracle(C, x), _left_mul_oracle(C, _inverse_oracle(C, x))
+        taus.append(np.stack([diag.solve(((Lx @ b @ Lxi) % m).reshape(-1))
+                              for b in basis_matrices], axis=1) % m)
+    return taus
+
+
+def end_fixed_check_oracle(res, E, basis_matrices, tau_lifts) -> dict:
+    """tpf(viii) by one solve per basis element and one per pair of them."""
+    C, m = res.C, res.C.modulus
+    diag = diagonalize_mod(np.stack([b.reshape(-1) for b in basis_matrices], axis=1), m)
+    basis = np.eye(C.flat_rank, dtype=np.int64)
+    cols = [diag.solve(_right_mul_oracle(C, e).reshape(-1)) for e in basis]
+    if any(c is None for c in cols):
+        return {"right_mult_lands_in_end": False}
+    rmap = np.stack(cols, axis=1) % m
+    eye = np.eye(E.flat_rank, dtype=np.int64)
+    fixed = kernel_mod(np.vstack([(t - eye) % m for t in tau_lifts]), m)
+    mulC, mulE = _mul(C), _mul(E)
+    mult_ok = True
+    for a, b in itertools.product(range(C.flat_rank), repeat=2):
+        lhs = diag.solve(_right_mul_oracle(C, mulC(basis[b], basis[a])).reshape(-1))
+        if lhs is None or not np.array_equal(lhs % m, mulE(rmap[:, a], rmap[:, b])):
+            mult_ok = False
+    return {"right_mult_lands_in_end": True,
+            "image_is_fixed_subalgebra": bool(colspans_equal(rmap, fixed, m)),
+            "multiplicative_from_opposite": mult_ok,
+            "injective": submodule_size(rmap, m) == C.size}
+
+
+def chi_checks_oracle(rep, res) -> dict:
+    """Deuring's checks on chi(q) = v_q, one element or pair at a time."""
+    A, C, Q = rep.A, res.C, rep.Q
+    m, mulC = C.modulus, _mul(C)
+    a_img_diag = diagonalize_mod(res.a_to_c, m)
+    s_img = (res.a_to_c @ base_embedding_oracle(A)) % m
+    normal_ok = grade_ok = mult_ok = True
+    for q, v in enumerate(res.v_units):
+        v_inv = _inverse_oracle(C, v)
+        for col in res.a_to_c.T:
+            if a_img_diag.solve(mulC(mulC(v, col), v_inv)) is None:
+                normal_ok = False
+        for u in range(s_img.shape[1]):
+            expect = (s_img @ rep.base_action.matrices[q][:, u]) % m
+            if not np.array_equal(mulC(mulC(v, s_img[:, u]), v_inv), expect):
+                grade_ok = False
+    for p, q in itertools.product(range(Q.order), repeat=2):
+        w = mulC(mulC(res.v_units[p], res.v_units[q]),
+                 _inverse_oracle(C, res.v_units[Q.mul[p][q]]))
+        sol = a_img_diag.solve(w)
+        if sol is None or not A.is_unit(sol):
+            mult_ok = False
+    return {"chi_normalizes_A": normal_ok, "chi_has_grades": grade_ok,
+            "chi_multiplicative_mod_UA": mult_ok}

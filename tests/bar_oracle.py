@@ -59,7 +59,7 @@ def _coboundary_matrix(module: GModule, n: int, m: int) -> np.ndarray:
     d = np.array(module.invariant_factors, dtype=np.int64)
     E = G.order - 1
     t1, faces = _bar_faces(G.table, G.identity, n + 1)
-    blocks = [_tilde_matrix(module.action_matrices(), d, d, m)[t1]]
+    blocks = [_tilde_matrix(module.matrices, d, d, m)[t1]]
     blocks += [sign * np.eye(k, dtype=np.int64) for sign, _ in faces[1:]]
     out = np.zeros((E ** (n + 1), k, E ** n, k), dtype=np.int64)
     rows = np.arange(E ** (n + 1))
@@ -130,7 +130,7 @@ def coboundary_loop(c: Cochain) -> Cochain:
     zero on tuples with an identity argument."""
     M, n = c.module, c.degree
     G = M.group
-    acts = M.action_matrices()
+    acts = M.matrices
     out = np.zeros((G.order,) * (n + 1) + (M.rank,), dtype=np.int64)
     for args in itertools.product(range(G.order), repeat=n + 1):
         if G.identity in args:

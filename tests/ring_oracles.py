@@ -196,7 +196,7 @@ def criterion_iv_oracle(data: GaloisData) -> tuple[np.ndarray, np.ndarray, bool]
     for i in range(r):
         for j in range(r):
             for n in range(N.order):
-                nej = (data.act_matrix(n) @ _basis(r, j)) % m
+                nej = (data.action[n] @ _basis(r, j)) % m
                 H[n * r:(n + 1) * r, i * r + j] = ring_mul(T.structure, _basis(r, i), nej, m)
     if ((H @ rel) % m).any():
         return H, rel, False
@@ -215,7 +215,7 @@ def descent_modules_oracle(data: GaloisData) -> list[tuple[int, object, object]]
         return ring_mul(T.structure, t_img, v, m)
 
     def n_act_t(n, v):
-        return (data.act_matrix(n) @ v) % m
+        return (data.action[n] @ v) % m
 
     # T^tN, free of rank |N| over T with n.(t e_k) = (n.t) e_{nk}
     def t_act(t_img, v):
@@ -228,7 +228,7 @@ def descent_modules_oracle(data: GaloisData) -> list[tuple[int, object, object]]
         out = np.zeros_like(v)
         for k in range(N.order):
             tgt = N.mul[n][k]
-            out[tgt * r:(tgt + 1) * r] = (data.act_matrix(n) @ v[k * r:(k + 1) * r]) % m
+            out[tgt * r:(tgt + 1) * r] = (data.action[n] @ v[k * r:(k + 1) * r]) % m
         return out
 
     return [(r, t_act_t, n_act_t), (N.order * r, t_act, n_act)]

@@ -703,7 +703,7 @@ def test_built_modules_translate_the_action():
         assert len(set(um.module.action)) > 1
         assert_coordinates_respect_action(
             um.module, um.elem_to_coords,
-            lambda q, u: units.index_of((base.mat(q) @ units.element(u)) % S.modulus),
+            lambda q, u: units.index_of((base.matrices[q] @ units.elements[u]) % S.modulus),
             range(units.group.order))
 
 

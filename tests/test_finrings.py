@@ -83,10 +83,10 @@ def test_units_table_matches_the_product_pair_by_pair():
         U = units_group(A)
         n = U.group.order
         assert n == sum(1 for x in A.elements() if A.is_unit(x))
-        assert list(U.elements) == sorted(U.elements)
+        assert U.elements.tolist() == sorted(U.elements.tolist())
         for a in range(n):
             for b in range(n):
-                assert U.group.mul[a][b] == U.index_of(A.mul(U.element(a), U.element(b)))
+                assert U.group.mul[a][b] == U.index_of(A.mul(U.elements[a], U.elements[b]))
 
 
 def test_units_gr82():
@@ -137,7 +137,7 @@ def test_find_conjugator_identity_and_inner():
     assert u is not None
     # conjugation by a known unit is recovered up to central units
     units = units_group(A)
-    u0 = units.element(3)
+    u0 = units.elements[3]
     alpha = conjugation_matrix(A, u0)
     u1 = find_conjugator(A, alpha)
     assert u1 is not None

@@ -688,7 +688,7 @@ def test_comparison_maps_are_chain_maps(G, m):
     """Phi and Psi commute with the differentials, checked with coefficients in
     the regular module Z/m[G], on which Hom_G(-, Z/m[G]) is faithful."""
     N, M = G.order, regular_module(G, m)
-    F, acts = free_resolution(G, m), M.action_matrices()
+    F, acts = free_resolution(G, m), M.matrices
     F.extend(3)
     rng = random.Random(N * m)
 
@@ -721,7 +721,7 @@ def test_homotopy_joins_phi_psi_to_the_identity(G, m):
     coefficients in the regular module Z/m[G]: for every n-cochain z,
     z(Phi Psi) - z = (dz)(s_n) + d(z(s_(n-1)))."""
     N, M = G.order, regular_module(G, m)
-    F, acts = free_resolution(G, m), M.action_matrices()
+    F, acts = free_resolution(G, m), M.matrices
     F.extend(3)
     rng = random.Random(N + m)
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from algebra_oracles import _sde as _sde_flat
 from teichmuller.groups import GroupExtension, GroupHom, cyclic, direct_product
 from teichmuller.gmod_cohomology import cohomology, coboundary_preimage, is_cocycle
 from teichmuller.finrings import (
@@ -38,7 +39,6 @@ from teichmuller.normal_algebras import (
     transform_normal,
     trivial_base_action,
     unit_module,
-    _sde_flat,
 )
 from teichmuller.finrings import units_group
 from teichmuller.modlinalg import colspans_equal, diagonalize_mod, kernel_mod, submodule_size
@@ -165,7 +165,7 @@ def j_isomorphism_matrix(res):
                 # endo x -> s_val * (q.x): matrix over R in the s_basis
                 mat = np.zeros((sigma * sigma * rR,), dtype=np.int64)
                 for l in range(sigma):
-                    img = S.mul(s_val, (res.spec.base_action.mat(q) @ res.s_basis[:, l]) % m)
+                    img = S.mul(s_val, (res.spec.base_action.matrices[q] @ res.s_basis[:, l]) % m)
                     coords = expand(img).reshape(sigma, rR)
                     for k in range(sigma):
                         mat[(k * sigma + l) * rR:(k * sigma + l + 1) * rR] = coords[k]
@@ -207,7 +207,7 @@ def v1_quotient_checks(spec, res) -> dict:
     struct = [[None] * dimT for _ in range(dimT)]
     for g, i, d in itertools.product(range(Gamma.order), range(n), range(sigma)):
         u1 = _sde_flat(A, res.s_basis[:, d], i)
-        th = spec.theta_mat(g)
+        th = spec.theta[g]
         for h, j, e in itertools.product(range(Gamma.order), range(n), range(sigma)):
             u2 = _sde_flat(A, res.s_basis[:, e], j)
             x = A.mul(u1, (th @ u2) % m)
@@ -235,7 +235,7 @@ def v1_quotient_checks(spec, res) -> dict:
         for b in range(n * sigma):
             ti = t_index(g, b // sigma, b % sigma)
             vec[ti * rR:(ti + 1) * rR] += np.array(blocks[b], dtype=np.int64)
-        blocks = expand_blocks(spec.i_vec(y))
+        blocks = expand_blocks(spec.i_images[y])
         for b in range(n * sigma):
             ti = t_index(Gamma.identity, b // sigma, b % sigma)
             vec[ti * rR:(ti + 1) * rR] -= np.array(blocks[b], dtype=np.int64)
@@ -272,7 +272,7 @@ def v1_quotient_checks(spec, res) -> dict:
     for g, i, d in itertools.product(range(Gamma.order), range(n), range(sigma)):
         q = spec.ext.quotient_hom(g)
         k_elt = into_k[Gamma.mul[g][Gamma.inv[res.section[q]]]]
-        a_part = A.mul(_sde_flat(A, res.s_basis[:, d], i), spec.i_vec(k_elt))
+        a_part = A.mul(_sde_flat(A, res.s_basis[:, d], i), spec.i_images[k_elt])
         c_vec = (res.a_to_c @ a_part) % m
         c_vec = res.C.mul(c_vec, res.v_units[q])
         cols.append((t_index(g, i, d), c_vec))
@@ -482,14 +482,14 @@ def test_crossed_product_spec_names_the_failing_equivariance_pair():
     Gamma = direct_product(K, cyclic(2))
     ext = GroupExtension(GroupHom.checked(K, Gamma, tuple(2 * y for y in range(K.order))),
                          GroupHom.checked(Gamma, cyclic(2), tuple(g % 2 for g in range(Gamma.order))))
-    i_images = tuple(tuple(int(x) for x in units.element(y)) for y in range(K.order))
+    i_images = tuple(tuple(int(x) for x in units.elements[y]) for y in range(K.order))
     theta = tuple(fr if g % 2 else eye for g in range(Gamma.order))
     spec = CrossedProductSpec(A=A, base_action=BaseAction(cyclic(2), S, (eye, fr)), ext=ext,
                               i_images=i_images, theta=theta)
     want = first_failing_pair(
         lambda g, y: np.array_equal(
-            spec.i_vec(spec.kernel_index()[Gamma.conj(g, 2 * y)]) % 2,
-            theta[g] @ spec.i_vec(y) % 2),
+            spec.i_images[spec.kernel_index()[Gamma.conj(g, 2 * y)]] % 2,
+            theta[g] @ spec.i_images[y] % 2),
         Gamma.order, K.order)
     assert want is not None
     with pytest.raises(NormalStructureError,
