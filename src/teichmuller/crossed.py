@@ -81,6 +81,27 @@ def validate_crossed_module(cm: CrossedModule) -> list[str]:
     return report
 
 
+def validate_central_kernel(cm: CrossedModule, M: FiniteGroup, iota: GroupHom) -> list[str]:
+    """Every violated condition for iota: M -> C to be an abelian, central
+    kernel of the boundary: iota injective, its image ker(boundary) and
+    central in C."""
+    report = []
+    if not iota.is_valid():
+        report.append("iota is not a homomorphism")
+    if not iota.is_injective():
+        report.append("M does not inject into C")
+    if sorted(iota.images) != sorted(cm.boundary.kernel()):
+        report.append("exactness fails at C")
+    if not M.is_abelian():
+        report.append("M is not abelian")
+    # centrality of M in C: row iota(m) of C's table equals its column
+    ct = cm.C.table
+    im = np.array(iota.images)
+    for m in np.flatnonzero((ct[im] != ct[:, im].T).any(axis=1)):
+        report.append(f"M is not central in C (element {M.label(int(m))})")
+    return report
+
+
 @dataclass(frozen=True)
 class Crossed2Extension:
     """Exact sequence 0 -> M -> C -> Gamma -> G -> 1 with crossed structure."""
@@ -99,24 +120,13 @@ class Crossed2Extension:
 
     def validate(self) -> list[str]:
         report = validate_crossed_module(self.crossed_module())
-        for hom, name in ((self.iota, "iota"), (self.pi, "pi")):
-            if not hom.is_valid():
-                report.append(f"{name} is not a homomorphism")
-        if not self.iota.is_injective():
-            report.append("M does not inject into C")
+        report += validate_central_kernel(self.crossed_module(), self.M, self.iota)
+        if not self.pi.is_valid():
+            report.append("pi is not a homomorphism")
         if not self.pi.is_surjective():
             report.append("Gamma does not surject onto G")
-        if sorted(self.iota.images) != sorted(self.boundary.kernel()):
-            report.append("exactness fails at C")
         if sorted(set(self.boundary.images)) != sorted(self.pi.kernel()):
             report.append("exactness fails at Gamma")
-        if not self.M.is_abelian():
-            report.append("M is not abelian")
-        # centrality of M in C: row iota(m) of C's table equals its column
-        ct = self.C.table
-        iota = np.array(self.iota.images)
-        for m in np.flatnonzero((ct[iota] != ct[:, iota].T).any(axis=1)):
-            report.append(f"M is not central in C (element {self.M.label(int(m))})")
         return report
 
     def gmodule(self):
@@ -149,32 +159,35 @@ def obstruction_cocycle(module: GModule, h, act, mul, inv, coords) -> Cochain:
     return Cochain(module, 3, table)
 
 
+def seeded_defect_lifts(pi: GroupHom, boundary: GroupHom, seed: int) -> tuple[list, list]:
+    """The seeded choices of the obstruction cocycle of C -boundary-> Gamma -pi->> G.
+
+    Returns the set section s = ``pi.section(seed)`` and the normalized lift
+    h(x, y) of its defect s(x)s(y)s(xy)^-1: the ((seed + 3x + 11y) mod n)-th
+    of its n boundary preimages in increasing order, 1 when x or y is.
+    """
+    G, Gamma = pi.target, pi.source
+    sect = pi.section(seed)
+    s, bnd, x = np.array(sect), np.array(boundary.images), np.arange(G.order)
+    defect = Gamma.table[Gamma.table[s[:, None], s], Gamma.inverse[s[G.table]]]
+    size = np.bincount(bnd, minlength=Gamma.order)[defect]
+    if not size.all():
+        raise CrossedModuleError("section defect has no boundary preimage (corrupted extension)")
+    pick = np.searchsorted(np.sort(bnd), defect) + (seed + 3 * x[:, None] + 11 * x) % size
+    h = np.argsort(bnd, kind="stable")[pick]
+    h[G.identity, :] = h[:, G.identity] = boundary.source.identity
+    return sect, h.tolist()
+
+
 def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain:
     """The degree-3 obstruction cocycle of a crossed 2-fold extension.
 
-    The section and the defect lifts depend on ``section_seed``; the class of
-    the result does not.
+    The section and the defect lifts depend on ``section_seed``
+    (``seeded_defect_lifts``); the class of the result does not.
     """
-    G, Gamma, C = e2.G, e2.Gamma, e2.C
     module, elem_to_coords, _ = e2.gmodule()
     into_m = {e2.iota(m): m for m in range(e2.M.order)}
-    sect = e2.pi.section(section_seed)
-    # seeded normalized lift h with boundary(h(x,y)) = s(x)s(y)s(xy)^-1
-    dfibers: dict[int, list[int]] = {}
-    for c in range(C.order):
-        dfibers.setdefault(e2.boundary(c), []).append(c)
-    h = [[0] * G.order for _ in range(G.order)]
-    for x in range(G.order):
-        for y in range(G.order):
-            if x == G.identity or y == G.identity:
-                h[x][y] = C.identity
-                continue
-            defect = Gamma.mul[Gamma.mul[sect[x]][sect[y]]][Gamma.inv[sect[G.mul[x][y]]]]
-            fib = dfibers.get(defect)
-            if not fib:
-                raise CrossedModuleError(
-                    "section defect has no boundary preimage (corrupted extension)")
-            h[x][y] = fib[(section_seed + 3 * x + 11 * y) % len(fib)]
+    sect, h = seeded_defect_lifts(e2.pi, e2.boundary, section_seed)
 
     def coords(c):
         if c not in into_m:
@@ -182,7 +195,7 @@ def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain
         return elem_to_coords[into_m[c]]
 
     return obstruction_cocycle(module, h, lambda x, c: e2.action.act(sect[x], c),
-                               lambda a, b: C.mul[a][b], lambda a: C.inv[a], coords)
+                               lambda a, b: e2.C.mul[a][b], lambda a: e2.C.inv[a], coords)
 
 
 def trivial_crossed2(Q: FiniteGroup, M: GModule) -> Crossed2Extension:

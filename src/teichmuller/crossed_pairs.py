@@ -8,11 +8,13 @@ crossed 2-fold extension
     0 -> M^N -> Gamma -> Aut_G(e) x_{Out_G(e)} Q -> Q -> 1.
 
 Aut_G(e) is found by constrained search: an automorphism over (l_x, i_x) is
-determined by x and an M-correction of a set-section, so the search space is
-|G| * |M|^(|N|-1).  Everything downstream (Delta, the j-map from H^2(G, M),
-congruence keys, desk-scale Xpext enumeration with the eight-term exactness
-verdicts, crossed-pair algebras, and the metacyclic pipeline) is built from
-that table.
+determined by x and an M-correction c of a set-section, so the search space
+is |G| * |M|^(|N|-1).  ``AutGeGroup`` holds its elements as (x, c)-indexed
+arrays and composes, inverts and finds them by arithmetic on (x, c); it
+checks the crossed module Gamma -> Aut_G(e) once and holds it.  Everything
+downstream (Delta, the j-map from H^2(G, M), congruence keys, desk-scale
+Xpext enumeration with the eight-term exactness verdicts, crossed-pair
+algebras, and the metacyclic pipeline) is built from that owner.
 
 Xpext is enumerated by class, after Huebschmann ("Group extensions, crossed
 pairs and an eight term exact sequence", J. reine angew. Math. 321, 1981):
@@ -21,12 +23,13 @@ H^2(N, M) together with their psi.  ``xpext_enumerate`` takes the crossed
 pairs on one lift of each Q-fixed class, orders the congruence classes by
 their ``congruence_key``, and sends all of H^2(G, M) through j in one
 batched pass.  The corrections c: N -> M, the twisted tables f_c and the
-transport along phi_c are arrays, and pairs are looked up in Aut_G(e) by the
-bytes of their rows.
+transport along phi_c are arrays; a pair is found in Aut_G(e) by the integer
+key of its (x, c).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,7 +60,15 @@ from .gmod_cohomology import (
     map_on_cohomology,
     pullback_cochain,
 )
-from .crossed import Crossed2Extension, cocycle_of_crossed2
+from .crossed import (
+    CrossedModule,
+    Crossed2Extension,
+    cocycle_of_crossed2,
+    obstruction_cocycle,
+    seeded_defect_lifts,
+    validate_central_kernel,
+    validate_crossed_module,
+)
 from .finrings import _hold, galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
 from .modlinalg import HeldArrays, diagonalize_mod, first_nonmultiplicative_pair
 from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
@@ -162,6 +173,25 @@ class Ambient:
             return corr
         return self._hold("corrections", build)
 
+    def correction_codes(self, corr) -> np.ndarray:
+        """The row in ``corrections()`` of each correction on the last axis of corr."""
+        N = self.N
+        return np.asarray(corr)[..., np.arange(N.order) != N.identity] @ \
+            self.Mgrp.order ** np.arange(N.order - 2, -1, -1, dtype=np.int64)
+
+    def n_conjugation(self) -> np.ndarray:
+        """i_x(n) = x n x^-1 in N for x in G: a read-only (|G|, |N|) array."""
+        def build():
+            G, kh = self.G, np.array(self.ext.kernel_hom.images)
+            into_n = np.full(G.order, -1)
+            into_n[kh] = np.arange(self.N.order)
+            ix = into_n[G.table[G.table[:, kh], G.inverse[:, None]]]
+            if (ix < 0).any():
+                raise CrossedPairError("conjugation left the restricted subgroup")
+            ix.flags.writeable = False
+            return ix
+        return self._hold("n_conjugation", build)
+
     def fixed_elements(self) -> tuple[int, ...]:
         """The elements of M^N, the part of M fixed by N, in increasing order."""
         return tuple(m for m in range(self.Mgrp.order)
@@ -212,9 +242,7 @@ class Ambient:
     def twist(self, table, x: int) -> np.ndarray:
         """x.c for an M-element table c over N, x in G (the Q-twist of a cochain):
         (x.c)(n_1, .., n_k) = x.c(x^-1 n_1 x, .., x^-1 n_k x)."""
-        G, kh = self.G, self.ext.kernel_hom
-        into_n = {g: n for n, g in enumerate(kh.images)}
-        conj = [into_n[G.conj(G.inv[x], g)] for g in kh.images]
+        conj = self.n_conjugation()[self.G.inv[x]]
         t = np.asarray(table, dtype=np.int64)
         return np.array(self.action.table[x], dtype=np.int64)[t[np.ix_(*[conj] * t.ndim)]]
 
@@ -240,6 +268,10 @@ class AbExtension:
     def gamma_parts(self, y: int) -> tuple[int, int]:
         return y % self.ambient.Mgrp.order, y // self.ambient.Mgrp.order
 
+    def lift_indices(self) -> np.ndarray:
+        """The Gamma indices of the lifts (0, n) of N."""
+        return self.gamma_index(self.ambient.Mgrp.identity, np.arange(self.ambient.N.order))
+
 
 def extension_from_cocycle(ambient: Ambient, f) -> AbExtension:
     ext = group_from_2cocycle(ambient.N, ambient.Mgrp, ambient.n_action(), f)
@@ -260,43 +292,122 @@ def class_is_q_fixed(ambient: Ambient, table, H: CohomologyGroup) -> bool:
 # ---------------------------------------------------------------------------
 # Aut_G(e), Out_G(e), and the (diag1) checks
 
-@dataclass
-class AutGeGroup:
+@dataclass(eq=False)
+class AutGeGroup(HeldArrays):
+    """Aut_G(e), the pairs (alpha, x) of (diag1), with Out_G(e) and the maps
+    of the structure diagram.
+
+    An element is the pair (x, c) of x in G and a correction c: N -> M with
+    c(1) = 0, acting by alpha(m, n) = (l_x(m) + c(n), i_x(n)).  ``alphas``
+    (k, |Gamma|), ``xs`` and ``corrections`` (k, |N|) hold the elements as
+    read-only int64 arrays in (alpha, x) order; the rest is built from them.
+    ``keys`` holds, sorted, the key x |M|^(|N|-1) + (the row of c in
+    ``Ambient.corrections()``) of each element, ``key_elements`` its element.
+    Products (x, c)(x', c') = (xx', n -> l_x(c'(n)) + c(i_x'(n))) and
+    beta(y) = (y's N-part, n -> M-part of y (0, n) y^-1) are found by their keys.
+    """
+
     ae: AbExtension
-    group: FiniteGroup
-    pairs: list                   # index -> (alpha permutation tuple, x in G)
-    beta: GroupHom                # Gamma -> group
-    to_G: GroupHom                # group -> G
-    out: FiniteGroup
-    to_out: GroupHom
-    out_to_Q: GroupHom
-    der_indices: list             # elements with x = 1 (Der(N, M))
-    h1_out_indices: list          # kernel of out_to_Q
-    index: dict = field(repr=False)   # _pair_keys of (alpha, x) -> element
+    alphas: np.ndarray
+    xs: np.ndarray
+    corrections: np.ndarray = field(init=False, repr=False)
+    keys: np.ndarray = field(init=False, repr=False)
+    key_elements: np.ndarray = field(init=False, repr=False)
+    group: FiniteGroup = field(init=False)
+    beta: GroupHom = field(init=False)        # Gamma -> group
+    to_G: GroupHom = field(init=False)        # group -> G
+    out: FiniteGroup = field(init=False)
+    to_out: GroupHom = field(init=False)
+    out_to_Q: GroupHom = field(init=False)
+    der_indices: list = field(init=False)     # elements with x = 1 (Der(N, M))
+    h1_out_indices: list = field(init=False)  # kernel of out_to_Q
+    _held: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        ae, amb = self.ae, self.ae.ambient
+        G, N, M, Q, Gamma = amb.G, amb.N, amb.Mgrp, amb.Q, ae.Gamma
+        _hold(self, None, alphas=(-1, Gamma.order), xs=(-1,))
+        X, k = self.xs, len(self.xs)
+        self.corrections = self.alphas[:, self.ae.lift_indices()] % M.order
+        keys = self._key(X, self.corrections)
+        self.key_elements = np.argsort(keys)
+        self.keys = keys[self.key_elements]
+        for held in (self.corrections, self.keys, self.key_elements):
+            held.flags.writeable = False
+        # [i, j, n]: l_{x_i}(c_j(n)) + c_i(i_{x_j}(n))
+        c, lx, ix = self.corrections, amb.action.perms, amb.n_conjugation()
+        comp = M.table[lx[X[:, None, None], c], c[np.arange(k)[:, None, None], ix[X]]]
+        table = self.index_of(G.table[X[:, None], X], comp)
+        if (table < 0).any():
+            raise CrossedPairError("Aut_G(e) is not closed under composition")
+        self.group = FiniteGroup.from_table(table, cap=max(256, k))
+        y = np.arange(Gamma.order)
+        conj = Gamma.table[Gamma.table[y[:, None], self.ae.lift_indices()], Gamma.inverse[:, None]]
+        beta_images = self.index_of(np.array(amb.ext.kernel_hom.images)[y // M.order],
+                                    conj % M.order)
+        if (beta_images < 0).any():
+            raise CrossedPairError("a conjugation of Gamma is not in Aut_G(e)")
+        self.beta = GroupHom.checked(Gamma, self.group, beta_images)
+        self.to_G = GroupHom.checked(self.group, G, X)
+        self.out, self.to_out = quotient_group(self.group, beta_images)
+        _, first = np.unique(self.to_out.images, return_index=True)
+        self.out_to_Q = GroupHom.checked(
+            self.out, Q, np.array(amb.ext.quotient_hom.images)[X[first]])
+        self.der_indices = np.flatnonzero(X == G.identity).tolist()
+        self.h1_out_indices = [o for o in range(self.out.order)
+                               if self.out_to_Q(o) == Q.identity]
+
+    def __eq__(self, other) -> bool:
+        """Equal extensions and elements: everything else is built from them."""
+        return (isinstance(other, AutGeGroup) and self.ae == other.ae
+                and np.array_equal(self.alphas, other.alphas)
+                and np.array_equal(self.xs, other.xs))
+
+    @property
+    def pairs(self) -> list:
+        """The elements as (alpha tuple, x), in order."""
+        return list(zip(map(tuple, self.alphas.tolist()), self.xs.tolist()))
+
+    def _key(self, xs, corr) -> np.ndarray:
+        amb = self.ae.ambient
+        return np.asarray(xs) * len(amb.corrections()) + amb.correction_codes(corr)
+
+    def index_of(self, xs, corr) -> np.ndarray:
+        """The element (x, c) for each x of xs and correction c on the last
+        axis of corr (M elements over N), or -1 where that pair is not in
+        Aut_G(e); xs broadcasts against corr's rows."""
+        key = self._key(xs, corr)
+        at = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        return np.where(self.keys[at] == key, self.key_elements[at], -1)
 
     def lookup(self, alphas, xs) -> np.ndarray:
         """The element (alphas[..., :], xs[...]) for each pair, or -1 where
-        that pair is not in Aut_G(e); xs broadcasts against alphas' rows."""
+        that pair is not in Aut_G(e); xs broadcasts against alphas' rows.
+
+        c(n) is read as the M-part of alpha(0, n), and the row of the element
+        (x, c) found is compared with alpha in full."""
         alphas = np.asarray(alphas)
-        rows = alphas.shape[:-1]
-        keys = _pair_keys(alphas, np.broadcast_to(xs, rows), self._key_dtype())
-        return np.array([self.index.get(key, -1) for key in keys], dtype=np.int64).reshape(rows)
+        idx = self.index_of(xs, alphas[..., self.ae.lift_indices()] % self.ae.ambient.Mgrp.order)
+        return np.where((idx >= 0) & (self.alphas[idx] == alphas).all(axis=-1), idx, -1)
 
-    def pair_index(self, alpha, x) -> Optional[int]:
-        i = int(self.lookup([alpha], [x])[0])
-        return None if i < 0 else i
-
-    def _key_dtype(self):
-        return np.min_scalar_type(max(self.ae.Gamma.order, self.ae.ambient.G.order) - 1)
-
-
-def _pair_keys(alphas: np.ndarray, xs: np.ndarray, dt) -> list:
-    """One bytes key per (alpha, x), from the rows of alphas and the entries
-    of xs, both read in the index dtype dt."""
-    width = alphas.shape[-1] + 1
-    rows = np.ascontiguousarray(np.concatenate(
-        [alphas.astype(dt, copy=False), xs[..., None].astype(dt)], axis=-1).reshape(-1, width))
-    return rows.view(np.dtype((np.void, rows.itemsize * width))).ravel().tolist()
+    def crossed_module(self) -> tuple[CrossedModule, GroupHom]:
+        """Gamma -beta-> Aut_G(e), a acting on Gamma by alpha_a, and iota: M^N ->
+        Gamma, m -> (m, 1), held once ``validate_crossed_module`` and
+        ``validate_central_kernel`` pass on first use (``CrossedPairError`` else)."""
+        held = self._held.get("crossed_module")
+        if held is None:
+            amb, Gamma = self.ae.ambient, self.ae.Gamma
+            _, MN, incl, _ = amb.fixed_submodule_gmodule()
+            action = GroupAction(self.group, Gamma, tuple(map(tuple, self.alphas.tolist())))
+            cm = CrossedModule(Gamma, self.group, self.beta, action)
+            iota = GroupHom(MN, Gamma, tuple(self.ae.gamma_index(incl(m), amb.N.identity)
+                                             for m in range(MN.order)))
+            problems = validate_crossed_module(cm) + validate_central_kernel(cm, MN, iota)
+            if problems:
+                raise CrossedPairError(f"Gamma -> Aut_G(e) fails the crossed-module checks: "
+                                       f"{problems[:3]}")
+            held = self._held["crossed_module"] = (cm, iota)
+        return held
 
 
 def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
@@ -305,10 +416,11 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
     alpha is determined by x and a correction c: N -> M via
     alpha(m, n) = (l_x(m) + c(n), i_x(n)); candidates are filtered by the
     homomorphism property.  The candidates of one x are one array, checked
-    by batched gathers in the narrowest index dtype.
+    by batched gathers in the narrowest index dtype.  ``AutGeGroup`` builds
+    the group and its maps from the accepted pairs, sorted by (alpha, x).
     """
     amb = ae.ambient
-    G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
+    G, N, M = amb.G, amb.N, amb.Mgrp
     Gamma = ae.Gamma
     if Gamma.order > cap or G.order > cap:
         raise CrossedPairError("aut_g_of_e size cap exceeded")
@@ -317,16 +429,13 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
         raise CrossedPairError(f"Aut_G(e) search of size {search_size} exceeds "
                                f"PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
     nm, ng = M.order, Gamma.order
-    kh = np.array(amb.ext.kernel_hom.images)
-    into_n = np.full(G.order, -1)
-    into_n[kh] = np.arange(N.order)
-    ix = into_n[G.table[G.table[:, kh], G.inverse[:, None]]]    # ix[x, n]: i_x(n)
+    ix = amb.n_conjugation()                                      # ix[x, n]: i_x(n)
     lx = amb.action.perms                                         # lx[x, m]: l_x(m)
     corr = amb.corrections()
     dt = np.min_scalar_type(max(ng, G.order) - 1)
     gm = Gamma.table.astype(dt)
-    lifts = M.identity + nm * np.arange(N.order)                  # y = (0, n)
-    pairs = []
+    lifts = ae.lift_indices()                                     # y = (0, n)
+    alphas, xs = [], []
     for x in range(G.order):
         # one row per correction c: alpha[y] at y = m + |M| n (indices get
         # added, so int64 until the narrow homomorphism checks)
@@ -338,37 +447,11 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
         # i_x(n')) = alpha(m, 1) alpha(m', n').  The y for which it holds are closed
         # under products, and M with the lifts generates Gamma, so it holds for all y.
         ok = (cand[:, gm[lifts]] == gm[cand[:, lifts, None], cand[:, None, :]]).all(axis=(1, 2))
-        pairs.extend((tuple(a), x) for a in cand[ok].tolist())
-    pairs.sort()
-    k = len(pairs)
-    A = np.array([a for a, _ in pairs], dtype=dt)
-    X = np.array([x for _, x in pairs], dtype=np.int64)
-    index = {key: i for i, key in enumerate(_pair_keys(A, X, dt))}
-    # [i, j]: (alpha_i after alpha_j, x_i x_j)
-    comp = _pair_keys(A[:, A], G.table[X[:, None], X], dt)
-    group = FiniteGroup.from_table(np.array([index[key] for key in comp]).reshape(k, k),
-                                   cap=max(256, k))
-    # beta(y) = (conjugation by y, image of y's N-part in G)
-    conj = Gamma.table[Gamma.table, Gamma.inverse[:, None]].astype(dt)
-    beta_images = [index[key] for key in _pair_keys(conj, kh[np.arange(ng) // nm], dt)]
-    beta = GroupHom.checked(Gamma, group, tuple(beta_images))
-    to_G = GroupHom.checked(group, G, tuple(x for (_, x) in pairs))
-    out, to_out = quotient_group(group, sorted(set(beta_images)))
-    out_to_Q = GroupHom.checked(
-        out, Q, tuple(amb.ext.quotient_hom(to_G(_first_preimage(to_out, o)))
-                      for o in range(out.order)))
-    der = [i for i, (_, x) in enumerate(pairs) if x == G.identity]
-    h1 = [o for o in range(out.order) if out_to_Q(o) == Q.identity]
-    return AutGeGroup(ae=ae, group=group, pairs=pairs, beta=beta, to_G=to_G,
-                      out=out, to_out=to_out, out_to_Q=out_to_Q,
-                      der_indices=der, h1_out_indices=h1, index=index)
-
-
-def _first_preimage(hom: GroupHom, target: int) -> int:
-    for g in range(hom.source.order):
-        if hom(g) == target:
-            return g
-    raise CrossedPairError("missing preimage")
+        alphas.append(alpha[ok])
+        xs.append(np.full(int(ok.sum()), x))
+    alphas, xs = np.concatenate(alphas), np.concatenate(xs)
+    order = np.lexsort(np.vstack([xs[None], alphas[:, ::-1].T]))
+    return AutGeGroup(ae=ae, alphas=alphas[order], xs=xs[order])
 
 
 def diag1_report(autdata: AutGeGroup, h1n_order: Optional[int] = None) -> dict:
@@ -418,99 +501,89 @@ class CrossedPair:
         return self.autdata.ae
 
     def validate(self) -> None:
-        aut = self.autdata
-        Q = self.ae.ambient.Q
-        for q in range(Q.order):
-            if aut.out_to_Q(self.psi[q]) != q:
-                raise CrossedPairError("psi is not a section of Out_G(e) -> Q")
-            if aut.to_out(self.lifts[q]) != self.psi[q]:
-                raise CrossedPairError("stored lift does not cover psi")
-        for p in range(Q.order):
-            for q in range(Q.order):
-                if aut.out.mul[self.psi[p]][self.psi[q]] != self.psi[Q.mul[p][q]]:
-                    raise CrossedPairError("psi is not a homomorphism")
+        aut, Q, psi = self.autdata, self.ae.ambient.Q, np.array(self.psi)
+        if (np.array(aut.out_to_Q.images)[psi] != np.arange(Q.order)).any():
+            raise CrossedPairError("psi is not a section of Out_G(e) -> Q")
+        if (np.array(aut.to_out.images)[list(self.lifts)] != psi).any():
+            raise CrossedPairError("stored lift does not cover psi")
+        if (aut.out.table[psi[:, None], psi] != psi[Q.table]).any():
+            raise CrossedPairError("psi is not a homomorphism")
 
 
 def crossed_pair_structures(autdata: AutGeGroup) -> list[CrossedPair]:
-    """All sections psi: Q -> Out_G(e) of the bottom row (homomorphisms)."""
-    amb = autdata.ae.ambient
-    Q = amb.Q
-    gens_first = [q for q in range(Q.order) if q != Q.identity]
-    fibers = {q: [o for o in range(autdata.out.order) if autdata.out_to_Q(o) == q]
-              for q in range(Q.order)}
-    out = []
+    """All sections psi: Q -> Out_G(e) of the bottom row (homomorphisms), by psi.
 
-    def backtrack(i, psi):
-        if i == len(gens_first):
-            # verify homomorphism fully
-            for p in range(Q.order):
-                for q in range(Q.order):
-                    if autdata.out.mul[psi[p]][psi[q]] != psi[Q.mul[p][q]]:
-                        return
-            lifts = tuple(_first_preimage(autdata.to_out, psi[q]) for q in range(Q.order))
-            out.append(CrossedPair(autdata=autdata, psi=tuple(psi), lifts=lifts))
-            return
-        q = gens_first[i]
-        for o in fibers[q]:
-            psi[q] = o
-            # early partial check against already-assigned values
-            ok = True
-            for p in list(gens_first[:i]) + [Q.identity]:
-                pq = Q.mul[p][q]
-                if psi[pq] is not None and psi[p] is not None:
-                    if autdata.out.mul[psi[p]][psi[q]] != psi[pq]:
-                        ok = False
-                        break
-            if ok:
-                backtrack(i + 1, psi)
-        psi[q] = None
-
-    psi0: list = [None] * Q.order
-    psi0[Q.identity] = autdata.out.identity
-    backtrack(0, psi0)
-    # dedupe (backtracking can revisit) and sort canonically
-    seen = {}
-    for cp in out:
-        seen.setdefault(cp.psi, cp)
-    return [seen[k] for k in sorted(seen)]
+    psi is fixed by its values on a minimal generating set of Q, and values
+    taken over the generators extend to a section exactly when they generate
+    a subgroup of order |Q|, which out_to_Q then maps isomorphically onto Q.
+    Each psi(q) is lifted to its least element of Aut_G(e).
+    """
+    Q, out, to_q = autdata.ae.ambient.Q, autdata.out, autdata.out_to_Q.images
+    fibers = [[o for o in range(out.order) if to_q[o] == g] for g in Q.minimal_generators()]
+    sections = []
+    for images in itertools.product(*fibers):
+        image = out.closure(images)
+        if len(image) == Q.order:
+            psi = tuple(sorted(image, key=to_q.__getitem__))
+            lifts = tuple(map(autdata.to_out.images.index, psi))
+            sections.append(CrossedPair(autdata, psi, lifts))
+    return sorted(sections, key=lambda cp: cp.psi)
 
 
 def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Cochain]:
-    """The crossed 2-fold extension e_psi and its degree-3 cocycle.
+    """The crossed 2-fold extension e_psi: M^N >-> Gamma -> B^psi ->> Q and its
+    degree-3 cocycle over the ambient's M^N module, in H^3(Q, M^N).
 
-    B^psi is the fiber product Aut_G(e) x_{Out_G(e)} Q over psi; the cocycle
-    lives in H^3(Q, M^N).
+    B^psi = Aut_G(e) x_{Out_G(e)} Q is, as psi is injective, the a with
+    to_out(a) in psi(Q), each over its one q, in the order of a; its table is
+    one gather of the Aut_G(e) and Q tables.  The cocycle is
+    ``obstruction_cocycle`` on the section and lifts of ``seeded_defect_lifts``.
+
+    e_psi passes ``Crossed2Extension.validate`` once ``crossed_module()`` of
+    Aut_G(e) has, and psi passes the checks here.  B^psi acts on Gamma through
+    its first factor and holds the image of beta (over q = 1), so its boundary,
+    action, equivariance and Peiffer identity restrict those of Gamma ->
+    Aut_G(e), and ker(boundary) = ker(beta) = iota(M^N), central in Gamma.
+    What depends on psi runs per pair: ``cp.validate()`` (psi a homomorphic
+    section, so B^psi is closed, as ``FiniteGroup.from_table`` confirms, and
+    maps homomorphically to Q), exactness at B^psi, and B^psi ->> Q.
     """
     cp.validate()
-    autdata = cp.autdata
-    amb = cp.ae.ambient
+    aut, amb, Gamma = cp.autdata, cp.ae.ambient, cp.ae.Gamma
     Q = amb.Q
-    Gamma = cp.ae.Gamma
-    # B^psi = { (a, q) : class(a) = psi(q) }, built directly on that set
-    belems = [(a, q) for a in range(autdata.group.order) for q in range(Q.order)
-              if autdata.to_out(a) == cp.psi[q]]
-    bindex = {p: i for i, p in enumerate(belems)}
-    bmul = [[bindex[(autdata.group.mul[a1][a2], Q.mul[q1][q2])]
-             for (a2, q2) in belems] for (a1, q1) in belems]
-    B = FiniteGroup.from_table(bmul, cap=max(256, len(belems)))
-    bnd = GroupHom.checked(
-        Gamma, B, tuple(bindex[(autdata.beta(y), Q.identity)]
-                        for y in range(Gamma.order)))
-    piB = GroupHom.checked(B, Q, tuple(q for (_, q) in belems))
-    # M^N -> Gamma
-    _, MN, mn_incl, _ = amb.fixed_submodule_gmodule()
-    iota = GroupHom.checked(
-        MN, Gamma, tuple(cp.ae.gamma_index(mn_incl(m), amb.N.identity)
-                         for m in range(MN.order)))
-    # B acts on Gamma through the alpha components
-    rows = [autdata.pairs[a][0] for (a, _) in belems]
-    action = GroupAction(B, Gamma, tuple(rows))
+    cm, iota = aut.crossed_module()
+    moduleQ, MN, _, (_, e2cN, _) = amb.fixed_submodule_gmodule()
+    q_of_out = np.full(aut.out.order, -1)
+    q_of_out[list(cp.psi)] = np.arange(Q.order)
+    q_of = q_of_out[list(aut.to_out.images)]
+    members = np.flatnonzero(q_of >= 0)
+    qs = q_of[members]
+    # B^psi element i is (members[i], qs[i]), found by its code a |Q| + q
+    into_b = np.full(aut.group.order * Q.order, -1)
+    into_b[members * Q.order + qs] = np.arange(len(members))
+    B = FiniteGroup.from_table(
+        into_b[aut.group.table[members[:, None], members] * Q.order + Q.table[qs[:, None], qs]],
+        cap=max(256, len(members)))
+    bnd = GroupHom(Gamma, B, tuple(
+        into_b[np.array(aut.beta.images) * Q.order + Q.identity].tolist()))
+    piB = GroupHom(B, Q, tuple(qs.tolist()))
+    if min(bnd.images) < 0 or sorted(set(bnd.images)) != piB.kernel():
+        raise CrossedPairError("e_psi failed validation: exactness fails at B^psi")
+    if not piB.is_surjective():
+        raise CrossedPairError("e_psi failed validation: B^psi does not surject onto Q")
+    action = GroupAction(B, Gamma, tuple(cm.action.table[a] for a in members.tolist()))
     e_psi = Crossed2Extension(M=MN, C=Gamma, Gamma=B, G=Q,
                               iota=iota, boundary=bnd, pi=piB, action=action)
-    problems = e_psi.validate()
-    if problems:
-        raise CrossedPairError(f"e_psi failed validation: {problems[:3]}")
-    z = cocycle_of_crossed2(e_psi, section_seed=section_seed)
+    sect, h = seeded_defect_lifts(piB, bnd, section_seed)
+    into_mn = dict(zip(iota.images, range(MN.order)))
+
+    def coords(c):
+        if c not in into_mn:
+            raise CrossedPairError("obstruction landed outside M^N")
+        return e2cN[into_mn[c]]
+
+    z = obstruction_cocycle(moduleQ, h, lambda x, c: action.table[sect[x]][c],
+                            lambda a, b: Gamma.mul[a][b], lambda a: Gamma.inv[a], coords)
     return e_psi, z
 
 
@@ -541,24 +614,17 @@ def _j_pairs(ambient: Ambient, tables: np.ndarray) -> list[CrossedPair]:
     gathers over the whole stack; each distinct f then looks up its pairs in
     its Aut_G(e) at once, and each distinct (f, psi) is validated once.
     """
-    G, N, M, Q = ambient.G, ambient.N, ambient.Mgrp, ambient.Q
+    G, N, M = ambient.G, ambient.N, ambient.Mgrp
     H = np.asarray(tables, dtype=np.int64)
     check_normalized_two_cocycle(G, M, ambient.action, H)
     A, Mt = ambient.action.perms, M.table
     kh = np.array(ambient.ext.kernel_hom.images)
-    into_n = np.full(G.order, -1)
-    into_n[kh] = np.arange(N.order)
     X = np.array(ambient.ext.section())
     X_inv = G.inverse[X]
     xg = G.table[X[:, None], kh]                                  # [q, n]: x g, g = kh(n)
-    n2 = into_n[G.table[xg, X_inv[:, None]]]                      # x g x^-1 in N
-    if (n2 < 0).any():
-        raise CrossedPairError("conjugation left the restricted subgroup")
     a = M.inverse[A[X_inv, H[:, X, X_inv]]]                       # [t, q]
-    # [t, q, n]: h(x,g) + xg.a + h(xg,x^-1); then alpha[t, q, y] at y = m + |M| n
+    # [t, q, n]: the correction h(x,g) + xg.a + h(xg,x^-1) of the conjugation by (0, x)
     shift = Mt[Mt[H[:, X[:, None], kh], A[xg, a[:, :, None]]], H[:, xg, X_inv[:, None]]]
-    alphas = (Mt[A[X][:, None, :], shift[..., None]] + M.order * n2[:, :, None]).reshape(
-        len(H), Q.order, -1)
     restricted, which = np.unique(H[:, kh[:, None], kh].reshape(len(H), -1), axis=0,
                                   return_inverse=True)
     which = which.reshape(-1)
@@ -567,7 +633,7 @@ def _j_pairs(ambient: Ambient, tables: np.ndarray) -> list[CrossedPair]:
         autdata = ambient.aut_data(f.reshape(N.order, N.order))
         to_out = np.array(autdata.to_out.images)
         members = np.flatnonzero(which == i)
-        lifts = autdata.lookup(alphas[members], X)
+        lifts = autdata.index_of(X, shift[members])
         if (lifts < 0).any():
             raise CrossedPairError("conjugation pair not found in Aut_G(e)")
         checked: dict = {}
@@ -582,52 +648,37 @@ def _j_pairs(ambient: Ambient, tables: np.ndarray) -> list[CrossedPair]:
 # ---------------------------------------------------------------------------
 # congruence of crossed pairs
 
-def _correction_map(ae: AbExtension, c) -> list[int]:
+def _correction_map(ae: AbExtension, c) -> np.ndarray:
     """phi_c(m, n) = (m + c(n), n), on Gamma indices."""
-    M = ae.ambient.Mgrp
-    return [ae.gamma_index(M.mul[m][c[n]], n)
-            for m, n in map(ae.gamma_parts, range(ae.Gamma.order))]
+    nm, y = ae.ambient.Mgrp.order, np.arange(ae.Gamma.order)
+    return ae.ambient.Mgrp.table[y % nm, np.asarray(c)[y // nm]] + nm * (y // nm)
 
 
-def _transported_psi(cp: CrossedPair, phi, autdata: AutGeGroup) -> Optional[tuple]:
+def _transported_psi(cp: CrossedPair, phi: np.ndarray, autdata: AutGeGroup) -> Optional[tuple]:
     """psi carried along phi into autdata's Out_G(e): each lift (alpha, x) goes
     to (phi alpha phi^-1, x).  None when a transported pair is not in autdata."""
-    inv_phi = [0] * len(phi)
-    for y, z in enumerate(phi):
-        inv_phi[z] = y
-    psi = []
-    for lift in cp.lifts:
-        a, x = cp.autdata.pairs[lift]
-        idx = autdata.pair_index(tuple(phi[a[y]] for y in inv_phi), x)
-        if idx is None:
-            return None
-        psi.append(autdata.to_out(idx))
-    return tuple(psi)
+    lifts = list(cp.lifts)
+    idx = autdata.lookup(phi[cp.autdata.alphas[lifts][:, np.argsort(phi)]], cp.autdata.xs[lifts])
+    return None if (idx < 0).any() else tuple(np.array(autdata.to_out.images)[idx].tolist())
 
 
 def find_congruence(cp1: CrossedPair, cp2: CrossedPair) -> Optional[list[int]]:
     """An extension isomorphism (1, phi, 1) carrying psi_1 to psi_2, or None.
 
-    phi(m, n) = (m + c(n), n) for an M-correction c, searched exhaustively.
-    This is the brute-force oracle of ``congruence_key``.
+    phi(m, n) = (m + c(n), n) for an M-correction c, searched exhaustively,
+    and the lifts of psi_1 are moved along it row by row.  This is the
+    brute-force oracle of ``congruence_key``.
     """
     ae1, ae2 = cp1.ae, cp2.ae
     amb = ae1.ambient
     if ae2.ambient is not amb and ae2.ambient != amb:
         raise CrossedPairError("pairs live over different ambients")
     G1, G2 = ae1.Gamma, ae2.Gamma
-    for c in amb.corrections().tolist():
+    for c in amb.corrections():
         phi = _correction_map(ae1, c)
-        ok = True
-        for y1 in range(G1.order):
-            for y2 in range(G1.order):
-                if phi[G1.mul[y1][y2]] != G2.mul[phi[y1]][phi[y2]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and _transported_psi(cp1, phi, cp2.autdata) == cp2.psi:
-            return phi
+        if (phi[G1.table] == G2.table[phi[:, None], phi]).all() and \
+                _transported_psi(cp1, phi, cp2.autdata) == cp2.psi:
+            return phi.tolist()
     return None
 
 
@@ -639,30 +690,28 @@ def congruence_key(cp: CrossedPair) -> tuple:
     f* is the least f_c; psi* is the least psi transported along a phi_c with
     f_c = f*, read in the Out_G(e*) that the pair's ambient holds for the
     table f* (``Ambient.aut_data``).  All f_c are one array, and the lifts of
-    psi are transported along every such phi_c by gathers.
+    psi are transported along every such phi_c at once: phi_c carries
+    (x, d) to (x, n -> d(n) + c(i_x(n)) - l_x(c(n))).
     """
     amb = cp.ae.ambient
     M, N = amb.Mgrp, amb.N
-    Mt, nm, corr = M.table, M.order, amb.corrections()
+    Mt, corr = M.table, amb.corrections()
     f = np.array(cp.ae.f, dtype=np.int64)
+    lx = amb.action.perms
     # [c, p, q]: f(p,q) + c(pq) - (c(p) + p.c(q))
     kh = np.array(amb.ext.kernel_hom.images)
-    moved_c = amb.action.perms[kh[:, None], corr[:, None, :]]
+    moved_c = lx[kh[:, None], corr[:, None, :]]
     twisted = Mt[Mt[f, corr[:, N.table]], M.inverse[Mt[corr[:, :, None], moved_c]]]
     twisted = twisted.reshape(len(corr), -1)
     f_star = twisted[np.lexsort(twisted.T[::-1])[0]]
     hits = corr[(twisted == f_star).all(axis=1)]
     autdata = amb.aut_data(f_star.reshape(N.order, N.order))
-    # phi_c and its inverse on y = m + |M| n, one row per c with f_c = f*
-    y = np.arange(cp.ae.Gamma.order)
-    m, n = y % nm, y // nm
-    phi = Mt[m, hits[:, n]] + nm * n
-    phi_inv = Mt[m, M.inverse[hits[:, n]]] + nm * n
-    alphas = np.array([cp.autdata.pairs[i][0] for i in cp.lifts], dtype=np.int64)
-    xs = np.array([cp.autdata.pairs[i][1] for i in cp.lifts], dtype=np.int64)
-    # [c, q, y]: phi_c alpha_q phi_c^-1 (y)
-    moved = phi[np.arange(len(hits))[:, None, None], alphas[:, phi_inv].transpose(1, 0, 2)]
-    idx = autdata.lookup(moved, xs)
+    # [c, q, n]: the correction of the lift of psi(q) transported along phi_c
+    lifts = list(cp.lifts)
+    xs, d = cp.autdata.xs[lifts], cp.autdata.corrections[lifts]
+    ix = amb.n_conjugation()
+    moved = Mt[Mt[d, hits[:, ix[xs]]], M.inverse[lx[xs[:, None], hits[:, None, :]]]]
+    idx = autdata.index_of(xs, moved)
     if (idx < 0).any():
         raise CrossedPairError("a transported lift is not in Aut_G(e*)")
     psi = np.array(autdata.to_out.images)[idx]
@@ -717,7 +766,7 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
         raise CrossedPairError(f"Aut_G(e) search of size {search_size} exceeds "
                                f"PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
     moduleG, _, _ = amb.gmodule()
-    moduleQ, MNgrp, _, _ = amb.fixed_submodule_gmodule()
+    moduleQ, _, _, _ = amb.fixed_submodule_gmodule()
     h2n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 2)
     h2g = cohomology(G, moduleG, 2)
     h3g = cohomology(G, moduleG, 3)
@@ -742,7 +791,7 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
         classes = set()
         for cp in bucket:
             _, z = delta(cp, section_seed=seed)
-            classes.add(h3q.class_of(_transport_to_moduleQ(z, moduleQ, MNgrp, amb)))
+            classes.add(h3q.class_of(z))
         if len(classes) != 1:
             raise CrossedPairError("Delta is not constant on a congruence bucket")
         delta_classes.append(classes.pop())
@@ -814,16 +863,6 @@ def eight_term_verdicts(report: XpextReport) -> tuple[dict, dict]:
     verdicts = {name: not bad for name, bad in broken.items()}
     verdicts["all"] = all(verdicts.values())
     return verdicts, {name: sorted(bad) for name, bad in broken.items() if bad}
-
-
-def _transport_to_moduleQ(z: Cochain, moduleQ: GModule, MNgrp: FiniteGroup, amb: Ambient) -> Cochain:
-    """Rewrite the delta cocycle (over the e_psi-derived module) in moduleQ."""
-    # the delta construction's M^N carrier is exactly MNgrp via abelian_structure;
-    # both coordinateizations come from abelian_structure(MNgrp), so they agree.
-    if z.module.invariant_factors != moduleQ.invariant_factors or \
-            z.module.action != moduleQ.action:
-        raise CrossedPairError("fixed-module presentations diverged")
-    return Cochain(moduleQ, z.degree, z.table.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -1032,12 +1071,9 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
         raise CrossedPairError(f"crossed 2-fold extension invalid: {rep[:2]}")
     xi = cocycle_of_crossed2(e2, section_seed=seed)
     Mgrp = cyclic(ell)
-    rows = []
-    for g in range(G.order):
-        j = g // r
-        tj = pow(t, j, ell)
-        rows.append(tuple((m * tj) % ell for m in range(ell)))
-    amb = Ambient(ext=ext, Mgrp=Mgrp, action=GroupAction(G, Mgrp, tuple(rows)))
+    # g = y^i x^j acts on Z/l by t^j
+    rows = tuple(tuple(m * pow(t, g // r, ell) % ell for m in range(ell)) for g in range(G.order))
+    amb = Ambient(ext=ext, Mgrp=Mgrp, action=GroupAction(G, Mgrp, rows))
     cp = None
     reason = None
     search_size = G.order * (Mgrp.order ** (r - 1))
@@ -1046,24 +1082,16 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
         feuler = [[(1 if n1 + n2 >= r else 0) % ell for n2 in range(r)] for n1 in range(r)]
         ae = extension_from_cocycle(amb, feuler)
         autdata = aut_g_of_e(ae, cap=max(96, ae.Gamma.order, G.order))
-        # psi from the crossed-module action: q = x^j acts by v -> v^(t^j)
-        psi = [None] * s
-        lifts = [None] * s
+        # psi from the crossed-module action: q = x^j acts by v -> v^(t^j), on
+        # v = (m, n) at i = n + r m in C_{l r}
         L = ell * r
-        for q in range(s):
-            x = sec[q]
-            tq = pow(t, q, L)
-            alpha = [0] * ae.Gamma.order
-            for y in range(ae.Gamma.order):
-                m, n = ae.gamma_parts(y)
-                i = (n + r * m) * tq % L
-                alpha[y] = ae.gamma_index(i // r, i % r)
-            idx = autdata.pair_index(tuple(alpha), x)
-            if idx is None:
-                raise CrossedPairError("crossed-module action pair missing from Aut_G(e)")
-            lifts[q] = idx
-            psi[q] = autdata.to_out(idx)
-        cp = CrossedPair(autdata=autdata, psi=tuple(psi), lifts=tuple(lifts))
+        y = np.arange(ae.Gamma.order)
+        i = (y // ell + r * (y % ell)) * np.array([pow(t, q, L) for q in range(s)])[:, None] % L
+        lifts = autdata.lookup(ae.gamma_index(i // r, i % r), sec)
+        if (lifts < 0).any():
+            raise CrossedPairError("crossed-module action pair missing from Aut_G(e)")
+        psi = [autdata.to_out(idx) for idx in lifts.tolist()]
+        cp = CrossedPair(autdata=autdata, psi=tuple(psi), lifts=tuple(lifts.tolist()))
         cp.validate()
     else:
         reason = (f"pair search of size {search_size} exceeds "
@@ -1170,26 +1198,23 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     r_diag = diagonalize_mod(res.r_embed, m)
     # rs[d, u] = r_u s_d in T: C has the basis r_u s_d v_n at (n, d, u), as A = T
     rs = np.einsum("au,bd,abk->duk", res.r_embed, res.s_basis, T.structure) % m
-    # sigma_psi lifts on C
+    # sigma_psi lifts on C: the lift (alpha, x) of psi(q) sends v_n to
+    # u_hat[q, n] v_{n2[q, n]}, with u_hat a unit of T, and i_sharp(alpha, x) sends
+    # t v_n to (x.t) u_hat v_{n2} for t = r_u s_d
     sec = amb.ext.section(seed)
-    lifts = []
-    into_k = spec.kernel_index()
-    for q in range(Q.order):
-        a_idx = cp.lifts[q]
-        alpha, x = cp.autdata.pairs[a_idx]
-        if amb.ext.quotient_hom(x) != q:
-            raise CrossedPairError("lift grade mismatch")
-        # alpha sends v_n to u_hat[n] v_{n2[n]}, with u_hat[n] a unit of T
-        ay = [alpha[g] for g in res.section]
-        n2 = [ae.gamma_parts(y)[1] for y in ay]
-        u_hat = data.units.elements[[into_k[Gamma.mul[y][Gamma.inv[res.section[b]]]]
-                                     for y, b in zip(ay, n2)]]
-        # i_sharp(alpha, x): t v_n -> (x.t) u_hat[n] v_{n2[n]} for t = r_u s_d
-        kt = np.einsum("ab,dub->dua", data.kappa_G[x], rs) % m
-        img = np.einsum("dua,nb,abw->nduw", kt, u_hat, T.structure) % m
-        at_v1 = np.einsum("cw,nduw->nduc", res.a_to_c, img) % m
-        right_v = np.einsum("nb,abc->nca", res.v_units[n2], C.flat_tensor) % m
-        lifts.append(np.einsum("nca,ndua->cndu", right_v, at_v1).reshape(C.flat_rank, -1) % m)
+    xs = cp.autdata.xs[list(cp.lifts)]
+    if (np.array(amb.ext.quotient_hom.images)[xs] != np.arange(Q.order)).any():
+        raise CrossedPairError("lift grade mismatch")
+    ay = cp.autdata.alphas[list(cp.lifts)][:, res.section]
+    n2 = ay // amb.Mgrp.order
+    into_k = np.full(Gamma.order, -1)
+    into_k[list(spec.ext.kernel_hom.images)] = np.arange(spec.K.order)
+    u_hat = data.units.elements[into_k[Gamma.table[ay, Gamma.inverse[np.array(res.section)[n2]]]]]
+    kt = np.einsum("qab,dub->qdua", data.kappa_G[xs], rs) % m
+    img = np.einsum("qdua,qnb,abw->qnduw", kt, u_hat, T.structure) % m
+    at_v1 = np.einsum("cw,qnduw->qnduc", res.a_to_c, img) % m
+    right_v = np.einsum("qnb,abc->qnca", res.v_units[n2], C.flat_tensor) % m
+    lifts = np.einsum("qnca,qndua->qcndu", right_v, at_v1).reshape(Q.order, C.flat_rank, -1) % m
     # kappa_Q on the rebuilt base ring R (= S): transport through T
     coords = r_diag.solve(np.einsum("qab,bu->aqu", data.kappa_G[sec], res.r_embed).reshape(
         T.rank, -1) % m)

@@ -670,10 +670,16 @@ def _codes(vecs, m: int) -> np.ndarray:
     return v @ m ** np.arange(v.shape[-1] - 1, -1, -1)
 
 
-def _enumerate_units(A: "Algebra") -> UnitsGroup:
+def _enumerate_units(A: "Algebra", most: Optional[int] = None) -> Optional[UnitsGroup]:
+    """The units group of A; None as soon as more than ``most`` units are found."""
     m = A.modulus
-    U = np.array([x for x in A.elements() if A.is_unit(x)], dtype=np.int64).reshape(
-        -1, A.flat_rank)
+    found = []
+    for x in A.elements():
+        if A.is_unit(x):
+            found.append(x)
+            if most is not None and len(found) > most:
+                return None
+    U = np.array(found, dtype=np.int64).reshape(-1, A.flat_rank)
     lookup = np.full(A.size, -1)
     lookup[_codes(U, m)] = np.arange(len(U))
     # every product in one batch, looked up by code (-1, refused, off the units)
@@ -701,10 +707,11 @@ def find_conjugator(A: Algebra, alpha: np.ndarray, seed: int = 0,
     # rows (j, c): (u e_j - alpha(e_j) u)_c for the flat basis elements e_j
     system = (T.transpose(1, 2, 0) - np.einsum("aj,axc->jcx", np.mod(alpha, m), T)).reshape(
         -1, A.flat_rank) % m
-    K = kernel_mod(system, m)
+    diag = diagonalize_mod(system, m, want_U=False)
+    K = diag.kernel()
     if K.size == 0:
         return None
-    size = submodule_size(K, m)
+    size = diag.kernel_size()
     if size > scan_cap:
         raise RingError(f"conjugator solution space of size {size} exceeds scan cap")
     sols = enumerate_colspan(K, m, cap=scan_cap)
@@ -769,8 +776,9 @@ class GaloisData(HeldArrays):
     """A candidate Galois extension T|S with explicit group action.
 
     ``action`` is a read-only int64 array of shape (|N|, rank T, rank T), the
-    ring-automorphism matrix of T by which each element of N acts, reduced
-    mod m on construction; ``embed`` has the images of the S-basis as columns.
+    ring-automorphism matrix of T by which each element of N acts, and
+    ``embed`` one of shape (rank T, rank S) with the images of the S-basis as
+    columns; both are reduced mod m on construction.
     """
 
     T: FinCommRing
@@ -780,7 +788,8 @@ class GaloisData(HeldArrays):
     action: np.ndarray
 
     def __post_init__(self):
-        _hold(self, self.T.modulus, action=(-1, self.T.rank, self.T.rank))
+        _hold(self, self.T.modulus, action=(-1, self.T.rank, self.T.rank),
+              embed=(self.T.rank, self.S.rank))
 
     def validate_action(self) -> None:
         for n, mat in enumerate(self.action):
@@ -910,7 +919,7 @@ def _balancing_relations(data: GaloisData, s_right: np.ndarray) -> np.ndarray:
     images s_u, at column (u, i, j), on the free module over the e_i (x) f_j
     (row (i, j)); s_right[:, u, j] holds s_u f_j over the f."""
     T, m, k = data.T, data.T.modulus, s_right.shape[0]
-    s_mul = np.einsum("cu,cia->uai", data.embed % m, T.structure) % m   # s_u e_i
+    s_mul = np.einsum("cu,cia->uai", data.embed, T.structure) % m   # s_u e_i
     return (np.einsum("uai,bj->abuij", s_mul, np.eye(k, dtype=np.int64))
             - np.einsum("ai,buj->abuij", np.eye(T.rank, dtype=np.int64), s_right)
             ).reshape(T.rank * k, -1) % m
@@ -921,7 +930,7 @@ def _criterion_iv_system(data: GaloisData) -> tuple[np.ndarray, np.ndarray]:
     columns (i, j), with the balancing relations of T (x)_S T."""
     T, m, acts = data.T, data.T.modulus, data.action
     H = np.einsum("nbj,ibk->nkij", acts, T.structure).reshape(len(acts) * T.rank, -1) % m
-    return H, _balancing_relations(data, np.einsum("cu,cjb->buj", data.embed % m, T.structure) % m)
+    return H, _balancing_relations(data, np.einsum("cu,cjb->buj", data.embed, T.structure) % m)
 
 
 def _descent_spot_check(data: GaloisData) -> bool:
@@ -955,7 +964,7 @@ def _descent_on_module(data: GaloisData, t_mats: np.ndarray, n_mats: np.ndarray)
         return None
     W = np.einsum("iab,bj->aij", t_mats, fixed).reshape(dim, -1) % m
     # s_u f_j, still N-fixed, over the f_j
-    s_mats = np.einsum("au,axy->uxy", data.embed % m, t_mats)
+    s_mats = np.einsum("au,axy->uxy", data.embed, t_mats)
     coords = diagonalize_mod(fixed, m).solve(
         np.einsum("uab,bj->auj", s_mats, fixed).reshape(dim, -1) % m)
     if coords is None:

@@ -22,7 +22,7 @@ rings and the finite abelian presentations of exact_linalg all run on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -116,6 +116,11 @@ class ModDiagonalization:
         if not cols:
             return np.zeros((self.cols, 0), dtype=np.int64)
         return np.stack(cols, axis=1)
+
+    def kernel_size(self) -> int:
+        """|{x : A x = 0 mod m}|: gcd(d_j, m) values of each coordinate of V^-1 x,
+        m past the diagonal."""
+        return self.m ** (self.cols - len(self.d)) * prod(gcd(int(d), self.m) for d in self.d)
 
     def image_size(self) -> int:
         m = self.m

@@ -39,6 +39,7 @@ from .crossed import obstruction_cocycle
 from .groups import FiniteGroup, GroupExtension, GroupHom
 from .gmod_cohomology import Cochain, GModule, gmodule_of_action
 from .finrings import (
+    UNITS_CAP,
     Algebra,
     FinCommRing,
     UnitsGroup,
@@ -53,6 +54,7 @@ from .finrings import (
     opposite_algebra,
     tensor_algebra,
     units_group,
+    _enumerate_units,
     _expand_over_subring,
     _hold,
     _module_basis_over_subring,
@@ -671,11 +673,13 @@ def _twisted_unit_extension(rep: OutRep, phi_units, cap: int):
     Inn(u) w_q."""
     A, Q = rep.A, rep.Q
     m, T, nq = A.modulus, A.flat_tensor, Q.order
-    units = units_group(A)
+    # units_group refuses an A past UNITS_CAP; within it, the enumeration
+    # stops as soon as more than cap // |Q| units show |U(A)| |Q| > cap
+    units = units_group(A) if A.size > UNITS_CAP else _enumerate_units(A, most=cap // nq)
+    if units is None:
+        raise NormalStructureError("unit extension exceeds the table cap")
     U, K = units.elements, units.group
     nu = K.order
-    if nu * nq > cap:
-        raise NormalStructureError("unit extension exceeds the table cap")
     if phi_units is None:
         phi_units = np.broadcast_to(A.flat_unit(), (nq, nq, A.flat_rank))
     # u w_p(v) phi(p, q) for every u, p, v, q, through right multiplications

@@ -439,7 +439,7 @@ def j_map_via_extension(ambient, h_table):
             m, n = ae.gamma_parts(y)
             conj = E.conj(x_in_E, m + M.order * kh(n))
             alpha.append(ae.gamma_index(conj % M.order, into_n[conj // M.order]))
-        lifts.append(autdata.pair_index(tuple(alpha), sec[q]))
+        lifts.append(int(autdata.lookup(alpha, sec[q])))
         psi.append(autdata.to_out(lifts[-1]))
     return CrossedPair(autdata=autdata, psi=tuple(psi), lifts=tuple(lifts))
 

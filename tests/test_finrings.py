@@ -142,6 +142,9 @@ def test_find_conjugator_identity_and_inner():
     u1 = find_conjugator(A, alpha)
     assert u1 is not None
     assert np.array_equal(conjugation_matrix(A, u1), alpha)
+    # the solutions of u a = a u form the center, of size 2 here
+    with pytest.raises(RingError, match="solution space of size 2 exceeds scan cap"):
+        find_conjugator(A, ident, scan_cap=1)
 
 
 def test_find_conjugator_frobenius_none():

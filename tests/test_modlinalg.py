@@ -232,6 +232,7 @@ def test_kernel_matches_enumeration():
                 expected.add(tuple(v))
         spanned = set(tuple(v) for v in enumerate_colspan(K, m)) if K.size else {tuple([0] * c)}
         assert spanned == expected
+        assert diagonalize_mod(A, m, want_U=False).kernel_size() == len(expected)
 
 
 def test_solve_matrix():

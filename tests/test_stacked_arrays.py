@@ -22,6 +22,7 @@ from algebra_oracles import (
     units_oracle,
 )
 from test_algebra_arrays import PAIR_GALOIS
+from teichmuller import finrings
 from teichmuller.crossed_pairs import qnormal_galois_product
 from teichmuller.finrings import (
     FinCommRing,
@@ -44,6 +45,7 @@ from teichmuller.gmod_cohomology import (
     trivial_gmodule,
 )
 from teichmuller.groups import GroupError, GroupExtension, GroupHom, cyclic, same_group
+from teichmuller.modlinalg import invertible_mod
 from teichmuller.normal_algebras import (
     BaseAction,
     NormalStructureError,
@@ -194,6 +196,21 @@ def test_the_unit_extension_cap_holds():
         semidirect_splitting(BENCH_REPS["M2(F2)_trivial"](), cap=11)
 
 
+def test_an_oversized_unit_extension_is_refused_before_the_units_are_enumerated(monkeypatch):
+    # |U(M_2(Z/8))| |Q| = 1536 * 2 passes the default cap 256 at the 129th unit
+    rep = BENCH_REPS["M2(Z8)_trivial"]()
+    verdicts = []
+
+    def counting(A, m):
+        verdicts.append(invertible_mod(A, m))
+        return verdicts[-1]
+
+    monkeypatch.setattr(finrings, "invertible_mod", counting)
+    with pytest.raises(NormalStructureError, match="exceeds the table cap"):
+        semidirect_splitting(rep)
+    assert 0 < sum(verdicts) <= 256 // rep.Q.order + 1
+
+
 @pytest.mark.parametrize("make, seed", [(BENCH_REPS["M2(F2)_trivial"], 0),
                                         (BENCH_REPS["M2(F2)_trivial"], 2),
                                         (inner_rotation_rep, 0), (inner_rotation_rep, 1)])
@@ -296,7 +313,7 @@ def holders():
     yield gf(2, 2), ("structure", "unit")
     yield matrix_algebra(gf(2, 2), 2), ("structure", "unit")
     yield units_group(gf(3, 2)), ("elements", "lookup")
-    yield gal, ("action",)
+    yield gal, ("action", "embed")
     yield rep.base_action, ("matrices",)
     yield rep, ("lifts",)
     yield tau, ("lifts",)
@@ -306,6 +323,8 @@ def holders():
     yield data, ("kappa_G",)
     yield um.module, ("matrices",)
     yield data.ambient.action, ("perms",)
+    zero = [[data.ambient.Mgrp.identity] * 2] * 2
+    yield data.ambient.aut_data(zero), ("alphas", "xs", "corrections", "keys", "key_elements")
 
 
 def test_held_arrays_stay_read_only_through_pickling():

@@ -1,16 +1,28 @@
-"""The table walk of Xpext, kept as a test oracle.
+"""The table walk of Xpext and the row-keyed Aut_G(e) and Delta, kept as
+test oracles.
 
 ``xpext_enumerate`` walks one lift per Q-fixed class of H^2(N, M) and keys
 pairs with array gathers.  This is the walk it replaced: every normalized
 2-cocycle table on N with a Q-fixed class, the crossed-pair structures on
 each, the pure-Python ``congruence_key``, and pairwise ``find_congruence``
 bucketing.  Use it for ambients with at most a few thousand tables on N.
+
+``AutGeGroup`` composes and finds its elements by their (x, c) keys, and
+``delta`` reads a crossed module checked once per Aut_G(e).  The builders
+they replaced are here too: ``aut_g_of_e_rows`` keys every pair by the bytes
+of its whole alpha row, and ``delta_rows`` builds B^psi pair by pair, runs
+the full ``Crossed2Extension.validate`` on every e_psi and chooses the
+section and defect lifts element by element (``cocycle_rows``).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
+import numpy as np
+
+from teichmuller.crossed import Crossed2Extension, obstruction_cocycle
 from teichmuller.crossed_pairs import (
     Ambient,
     _correction_map,
@@ -25,12 +37,15 @@ from teichmuller.crossed_pairs import (
 )
 from teichmuller.gmod_cohomology import Cochain, cohomology, map_on_cohomology
 from teichmuller.groups import (
+    FiniteGroup,
+    GroupAction,
     GroupExtension,
     GroupHom,
     cyclic,
     direct_product,
     is_two_cocycle,
     metacyclic,
+    quotient_group,
     trivial_action,
 )
 
@@ -164,3 +179,153 @@ def bench_ambients() -> dict:
         "Klein_Z2cubed": _ambient(klein, (0, 2), (0, 1, 0, 1), C2, C2,
                                   direct_product(klein, C2)),
     }
+
+
+# ---------------------------------------------------------------------------
+# Aut_G(e) keyed by the bytes of its rows, and Delta pair by pair
+
+
+@dataclass
+class RowKeyedAut:
+    """Aut_G(e) as the row-keyed search builds it: pairs (alpha tuple, x) in
+    order, with an index from the bytes key of each (alpha, x)."""
+
+    ae: object
+    pairs: list
+    index: dict
+    group: FiniteGroup
+    beta: GroupHom
+    out: FiniteGroup
+    to_out: GroupHom
+
+    def lookup(self, alphas, xs) -> np.ndarray:
+        alphas = np.asarray(alphas)
+        rows = alphas.shape[:-1]
+        keys = _pair_keys(alphas, np.broadcast_to(xs, rows), _key_dtype(self.ae))
+        return np.array([self.index.get(key, -1) for key in keys], dtype=np.int64).reshape(rows)
+
+
+def _key_dtype(ae):
+    return np.min_scalar_type(max(ae.Gamma.order, ae.ambient.G.order) - 1)
+
+
+def _pair_keys(alphas: np.ndarray, xs: np.ndarray, dt) -> list:
+    """One bytes key per (alpha, x), from the rows of alphas and the entries
+    of xs, both read in the index dtype dt."""
+    width = alphas.shape[-1] + 1
+    rows = np.ascontiguousarray(np.concatenate(
+        [alphas.astype(dt, copy=False), xs[..., None].astype(dt)], axis=-1).reshape(-1, width))
+    return rows.view(np.dtype((np.void, rows.itemsize * width))).ravel().tolist()
+
+
+def aut_g_of_e_rows(ae) -> RowKeyedAut:
+    """The candidate search of ``aut_g_of_e``, then composition, beta and
+    lookup through the bytes of whole permutation rows."""
+    amb = ae.ambient
+    G, N, M = amb.G, amb.N, amb.Mgrp
+    Gamma = ae.Gamma
+    nm, ng = M.order, Gamma.order
+    kh = np.array(amb.ext.kernel_hom.images)
+    into_n = np.full(G.order, -1)
+    into_n[kh] = np.arange(N.order)
+    ix = into_n[G.table[G.table[:, kh], G.inverse[:, None]]]
+    lx = amb.action.perms
+    corr = amb.corrections()
+    dt = _key_dtype(ae)
+    gm = Gamma.table.astype(dt)
+    lifts = M.identity + nm * np.arange(N.order)
+    pairs = []
+    for x in range(G.order):
+        alpha = (M.table[lx[x], corr[:, :, None]] + nm * ix[x][:, None]).reshape(len(corr), ng)
+        cand = alpha.astype(dt)
+        ok = (cand[:, gm[lifts]] == gm[cand[:, lifts, None], cand[:, None, :]]).all(axis=(1, 2))
+        pairs.extend((tuple(a), x) for a in cand[ok].tolist())
+    pairs.sort()
+    k = len(pairs)
+    A = np.array([a for a, _ in pairs], dtype=dt)
+    X = np.array([x for _, x in pairs], dtype=np.int64)
+    index = {key: i for i, key in enumerate(_pair_keys(A, X, dt))}
+    comp = _pair_keys(A[:, A], G.table[X[:, None], X], dt)
+    group = FiniteGroup.from_table(np.array([index[key] for key in comp]).reshape(k, k),
+                                   cap=max(256, k))
+    conj = Gamma.table[Gamma.table, Gamma.inverse[:, None]].astype(dt)
+    beta_images = [index[key] for key in _pair_keys(conj, kh[np.arange(ng) // nm], dt)]
+    beta = GroupHom.checked(Gamma, group, tuple(beta_images))
+    out, to_out = quotient_group(group, sorted(set(beta_images)))
+    return RowKeyedAut(ae=ae, pairs=pairs, index=index, group=group, beta=beta, out=out,
+                       to_out=to_out)
+
+
+def delta_rows(aut: RowKeyedAut, psi, section_seed: int = 0):
+    """e_psi built pair by pair on a row-keyed Aut_G(e), fully validated, and
+    its obstruction cocycle by ``cocycle_rows``."""
+    amb = aut.ae.ambient
+    Q, Gamma = amb.Q, aut.ae.Gamma
+    belems = [(a, q) for a in range(aut.group.order) for q in range(Q.order)
+              if aut.to_out(a) == psi[q]]
+    bindex = {p: i for i, p in enumerate(belems)}
+    bmul = [[bindex[(aut.group.mul[a1][a2], Q.mul[q1][q2])]
+             for (a2, q2) in belems] for (a1, q1) in belems]
+    B = FiniteGroup.from_table(bmul, cap=max(256, len(belems)))
+    bnd = GroupHom.checked(Gamma, B, tuple(bindex[(aut.beta(y), Q.identity)]
+                                           for y in range(Gamma.order)))
+    piB = GroupHom.checked(B, Q, tuple(q for (_, q) in belems))
+    _, MN, mn_incl, _ = amb.fixed_submodule_gmodule()
+    iota = GroupHom.checked(MN, Gamma, tuple(aut.ae.gamma_index(mn_incl(m), amb.N.identity)
+                                             for m in range(MN.order)))
+    action = GroupAction(B, Gamma, tuple(aut.pairs[a][0] for (a, _) in belems))
+    e_psi = Crossed2Extension(M=MN, C=Gamma, Gamma=B, G=Q,
+                              iota=iota, boundary=bnd, pi=piB, action=action)
+    assert e_psi.validate() == []
+    return e_psi, cocycle_rows(e_psi, section_seed=section_seed)
+
+
+def cocycle_rows(e2: Crossed2Extension, section_seed: int = 0) -> Cochain:
+    """``cocycle_of_crossed2`` with the seeded section and defect lifts chosen
+    element by element."""
+    G, Gamma, C = e2.G, e2.Gamma, e2.C
+    module, elem_to_coords, _ = e2.gmodule()
+    into_m = {e2.iota(m): m for m in range(e2.M.order)}
+    sect = e2.pi.section(section_seed)
+    dfibers: dict = {}
+    for c in range(C.order):
+        dfibers.setdefault(e2.boundary(c), []).append(c)
+    h = [[C.identity] * G.order for _ in range(G.order)]
+    for x in range(G.order):
+        for y in range(G.order):
+            if G.identity not in (x, y):
+                defect = Gamma.mul[Gamma.mul[sect[x]][sect[y]]][Gamma.inv[sect[G.mul[x][y]]]]
+                fib = dfibers[defect]
+                h[x][y] = fib[(section_seed + 3 * x + 11 * y) % len(fib)]
+    return obstruction_cocycle(module, h, lambda x, c: e2.action.act(sect[x], c),
+                               lambda a, b: C.mul[a][b], lambda a: C.inv[a],
+                               lambda c: elem_to_coords[into_m[c]])
+
+
+def crossed_pair_sections_backtrack(autdata) -> list[tuple]:
+    """(psi, lifts) of every section psi: Q -> Out_G(e), by backtracking over
+    the fibers of Out_G(e) -> Q, each psi(q) lifted to its first preimage."""
+    Q, out = autdata.ae.ambient.Q, autdata.out
+    gens_first = [q for q in range(Q.order) if q != Q.identity]
+    fibers = {q: [o for o in range(out.order) if autdata.out_to_Q(o) == q]
+              for q in range(Q.order)}
+    found = set()
+
+    def backtrack(i, psi):
+        if i == len(gens_first):
+            if all(out.mul[psi[p]][psi[q]] == psi[Q.mul[p][q]]
+                   for p in range(Q.order) for q in range(Q.order)):
+                found.add(tuple(psi))
+            return
+        q = gens_first[i]
+        for o in fibers[q]:
+            psi[q] = o
+            if all(psi[Q.mul[p][q]] is None or out.mul[psi[p]][o] == psi[Q.mul[p][q]]
+                   for p in gens_first[:i] + [Q.identity]):
+                backtrack(i + 1, psi)
+        psi[q] = None
+
+    psi0: list = [None] * Q.order
+    psi0[Q.identity] = out.identity
+    backtrack(0, psi0)
+    return [(psi, tuple(autdata.to_out.images.index(o) for o in psi)) for psi in sorted(found)]
