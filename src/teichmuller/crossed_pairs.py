@@ -305,6 +305,9 @@ class AutGeGroup(HeldArrays):
     ``Ambient.corrections()``) of each element, ``key_elements`` its element.
     Products (x, c)(x', c') = (xx', n -> l_x(c'(n)) + c(i_x'(n))) and
     beta(y) = (y's N-part, n -> M-part of y (0, n) y^-1) are found by their keys.
+    ``_held`` keeps what is built from the group on first use: the checked
+    crossed module, e_psi per psi (``delta``) and the psi-free part of
+    ``congruence_key``.
     """
 
     ae: AbExtension
@@ -363,6 +366,12 @@ class AutGeGroup(HeldArrays):
                 and np.array_equal(self.alphas, other.alphas)
                 and np.array_equal(self.xs, other.xs))
 
+    def _hold(self, key, build):
+        held = self._held.get(key)
+        if held is None:
+            held = self._held[key] = build()
+        return held
+
     @property
     def pairs(self) -> list:
         """The elements as (alpha tuple, x), in order."""
@@ -394,20 +403,20 @@ class AutGeGroup(HeldArrays):
         """Gamma -beta-> Aut_G(e), a acting on Gamma by alpha_a, and iota: M^N ->
         Gamma, m -> (m, 1), held once ``validate_crossed_module`` and
         ``validate_central_kernel`` pass on first use (``CrossedPairError`` else)."""
-        held = self._held.get("crossed_module")
-        if held is None:
-            amb, Gamma = self.ae.ambient, self.ae.Gamma
-            _, MN, incl, _ = amb.fixed_submodule_gmodule()
-            action = GroupAction(self.group, Gamma, tuple(map(tuple, self.alphas.tolist())))
-            cm = CrossedModule(Gamma, self.group, self.beta, action)
-            iota = GroupHom(MN, Gamma, tuple(self.ae.gamma_index(incl(m), amb.N.identity)
-                                             for m in range(MN.order)))
-            problems = validate_crossed_module(cm) + validate_central_kernel(cm, MN, iota)
-            if problems:
-                raise CrossedPairError(f"Gamma -> Aut_G(e) fails the crossed-module checks: "
-                                       f"{problems[:3]}")
-            held = self._held["crossed_module"] = (cm, iota)
-        return held
+        return self._hold("crossed_module", self._checked_crossed_module)
+
+    def _checked_crossed_module(self) -> tuple[CrossedModule, GroupHom]:
+        amb, Gamma = self.ae.ambient, self.ae.Gamma
+        _, MN, incl, _ = amb.fixed_submodule_gmodule()
+        action = GroupAction(self.group, Gamma, tuple(map(tuple, self.alphas.tolist())))
+        cm = CrossedModule(Gamma, self.group, self.beta, action)
+        iota = GroupHom(MN, Gamma, tuple(self.ae.gamma_index(incl(m), amb.N.identity)
+                                         for m in range(MN.order)))
+        problems = validate_crossed_module(cm) + validate_central_kernel(cm, MN, iota)
+        if problems:
+            raise CrossedPairError(f"Gamma -> Aut_G(e) fails the crossed-module checks: "
+                                   f"{problems[:3]}")
+        return cm, iota
 
 
 def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
@@ -534,27 +543,47 @@ def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Co
     """The crossed 2-fold extension e_psi: M^N >-> Gamma -> B^psi ->> Q and its
     degree-3 cocycle over the ambient's M^N module, in H^3(Q, M^N).
 
-    B^psi = Aut_G(e) x_{Out_G(e)} Q is, as psi is injective, the a with
-    to_out(a) in psi(Q), each over its one q, in the order of a; its table is
-    one gather of the Aut_G(e) and Q tables.  The cocycle is
-    ``obstruction_cocycle`` on the section and lifts of ``seeded_defect_lifts``.
-
-    e_psi passes ``Crossed2Extension.validate`` once ``crossed_module()`` of
-    Aut_G(e) has, and psi passes the checks here.  B^psi acts on Gamma through
-    its first factor and holds the image of beta (over q = 1), so its boundary,
-    action, equivariance and Peiffer identity restrict those of Gamma ->
-    Aut_G(e), and ker(boundary) = ker(beta) = iota(M^N), central in Gamma.
-    What depends on psi runs per pair: ``cp.validate()`` (psi a homomorphic
-    section, so B^psi is closed, as ``FiniteGroup.from_table`` confirms, and
-    maps homomorphically to Q), exactness at B^psi, and B^psi ->> Q.
+    e_psi depends only on (Aut_G(e), psi), and Aut_G(e) holds it per psi
+    (``_e_psi``).  The cocycle is ``obstruction_cocycle`` on the section and
+    lifts of ``seeded_defect_lifts``, per call.  ``cp.validate()`` runs on
+    every call, before e_psi is looked up.
     """
     cp.validate()
     aut, amb, Gamma = cp.autdata, cp.ae.ambient, cp.ae.Gamma
-    Q = amb.Q
+    moduleQ, _, _, (_, e2cN, _) = amb.fixed_submodule_gmodule()
+    e_psi, into_mn = aut._hold(("e_psi", cp.psi), lambda: _e_psi(aut, cp.psi))
+    sect, h = seeded_defect_lifts(e_psi.pi, e_psi.boundary, section_seed)
+
+    def coords(c):
+        if c not in into_mn:
+            raise CrossedPairError("obstruction landed outside M^N")
+        return e2cN[into_mn[c]]
+
+    z = obstruction_cocycle(moduleQ, h, lambda x, c: e_psi.action.table[sect[x]][c],
+                            lambda a, b: Gamma.mul[a][b], lambda a: Gamma.inv[a], coords)
+    return e_psi, z
+
+
+def _e_psi(aut: AutGeGroup, psi: tuple) -> tuple[Crossed2Extension, dict]:
+    """e_psi for a section psi that passed ``CrossedPair.validate``, with the
+    index in M^N of each element of iota(M^N).
+
+    B^psi = Aut_G(e) x_{Out_G(e)} Q is, as psi is injective, the a with
+    to_out(a) in psi(Q), each over its one q, in the order of a; its table is
+    one gather of the Aut_G(e) and Q tables.  e_psi passes
+    ``Crossed2Extension.validate`` once ``crossed_module()`` of Aut_G(e) has,
+    and psi passes the checks here.  B^psi acts on Gamma through its first
+    factor and holds the image of beta (over q = 1), so its boundary, action,
+    equivariance and Peiffer identity restrict those of Gamma -> Aut_G(e), and
+    ker(boundary) = ker(beta) = iota(M^N), central in Gamma.  What depends on
+    psi runs here, once per (Aut_G(e), psi): B^psi is closed, as
+    ``FiniteGroup.from_table`` confirms, exactness at B^psi, and B^psi ->> Q.
+    """
+    Gamma, Q = aut.ae.Gamma, aut.ae.ambient.Q
     cm, iota = aut.crossed_module()
-    moduleQ, MN, _, (_, e2cN, _) = amb.fixed_submodule_gmodule()
+    _, MN, _, _ = aut.ae.ambient.fixed_submodule_gmodule()
     q_of_out = np.full(aut.out.order, -1)
-    q_of_out[list(cp.psi)] = np.arange(Q.order)
+    q_of_out[list(psi)] = np.arange(Q.order)
     q_of = q_of_out[list(aut.to_out.images)]
     members = np.flatnonzero(q_of >= 0)
     qs = q_of[members]
@@ -574,17 +603,7 @@ def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Co
     action = GroupAction(B, Gamma, tuple(cm.action.table[a] for a in members.tolist()))
     e_psi = Crossed2Extension(M=MN, C=Gamma, Gamma=B, G=Q,
                               iota=iota, boundary=bnd, pi=piB, action=action)
-    sect, h = seeded_defect_lifts(piB, bnd, section_seed)
-    into_mn = dict(zip(iota.images, range(MN.order)))
-
-    def coords(c):
-        if c not in into_mn:
-            raise CrossedPairError("obstruction landed outside M^N")
-        return e2cN[into_mn[c]]
-
-    z = obstruction_cocycle(moduleQ, h, lambda x, c: action.table[sect[x]][c],
-                            lambda a, b: Gamma.mul[a][b], lambda a: Gamma.inv[a], coords)
-    return e_psi, z
+    return e_psi, dict(zip(iota.images, range(MN.order)))
 
 
 # ---------------------------------------------------------------------------
@@ -691,32 +710,42 @@ def congruence_key(cp: CrossedPair) -> tuple:
     f_c = f*, read in the Out_G(e*) that the pair's ambient holds for the
     table f* (``Ambient.aut_data``).  All f_c are one array, and the lifts of
     psi are transported along every such phi_c at once: phi_c carries
-    (x, d) to (x, n -> d(n) + c(i_x(n)) - l_x(c(n))).
+    (x, d) to (x, n -> d(n) + c(i_x(n)) - l_x(c(n))).  The part that does not
+    read psi is held by the pair's Aut_G(e) (``_least_twist``).
     """
     amb = cp.ae.ambient
-    M, N = amb.Mgrp, amb.N
-    Mt, corr = M.table, amb.corrections()
-    f = np.array(cp.ae.f, dtype=np.int64)
-    lx = amb.action.perms
-    # [c, p, q]: f(p,q) + c(pq) - (c(p) + p.c(q))
-    kh = np.array(amb.ext.kernel_hom.images)
-    moved_c = lx[kh[:, None], corr[:, None, :]]
-    twisted = Mt[Mt[f, corr[:, N.table]], M.inverse[Mt[corr[:, :, None], moved_c]]]
-    twisted = twisted.reshape(len(corr), -1)
-    f_star = twisted[np.lexsort(twisted.T[::-1])[0]]
-    hits = corr[(twisted == f_star).all(axis=1)]
-    autdata = amb.aut_data(f_star.reshape(N.order, N.order))
+    M = amb.Mgrp
+    f_star, hits, autdata = cp.autdata._hold("f_star", lambda: _least_twist(cp.autdata))
     # [c, q, n]: the correction of the lift of psi(q) transported along phi_c
     lifts = list(cp.lifts)
     xs, d = cp.autdata.xs[lifts], cp.autdata.corrections[lifts]
-    ix = amb.n_conjugation()
-    moved = Mt[Mt[d, hits[:, ix[xs]]], M.inverse[lx[xs[:, None], hits[:, None, :]]]]
+    ix, lx = amb.n_conjugation(), amb.action.perms
+    moved = M.table[M.table[d, hits[:, ix[xs]]], M.inverse[lx[xs[:, None], hits[:, None, :]]]]
     idx = autdata.index_of(xs, moved)
     if (idx < 0).any():
         raise CrossedPairError("a transported lift is not in Aut_G(e*)")
     psi = np.array(autdata.to_out.images)[idx]
-    return (tuple(map(tuple, f_star.reshape(N.order, N.order).tolist())),
-            tuple(psi[np.lexsort(psi.T[::-1])[0]].tolist()))
+    return f_star, tuple(psi[np.lexsort(psi.T[::-1])[0]].tolist())
+
+
+def _least_twist(aut: AutGeGroup) -> tuple:
+    """(f* as a tuple of rows, the corrections c with f_c = f*, the Aut_G(e*)
+    the ambient holds for f*) for the table f of aut: the part of
+    ``congruence_key`` that does not read psi."""
+    amb = aut.ae.ambient
+    M, N = amb.Mgrp, amb.N
+    Mt, corr = M.table, amb.corrections()
+    f = np.array(aut.ae.f, dtype=np.int64)
+    # [c, p, q]: f(p,q) + c(pq) - (c(p) + p.c(q))
+    kh = np.array(amb.ext.kernel_hom.images)
+    moved_c = amb.action.perms[kh[:, None], corr[:, None, :]]
+    twisted = Mt[Mt[f, corr[:, N.table]], M.inverse[Mt[corr[:, :, None], moved_c]]]
+    twisted = twisted.reshape(len(corr), -1)
+    f_star = twisted[np.lexsort(twisted.T[::-1])[0]]
+    hits = corr[(twisted == f_star).all(axis=1)]
+    hits.flags.writeable = False
+    f_star = f_star.reshape(N.order, N.order)
+    return tuple(map(tuple, f_star.tolist())), hits, amb.aut_data(f_star)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,15 @@ class RingError(ValueError):
     pass
 
 
+def _check_int64(m: int, rank: int) -> None:
+    """The einsums on a ring or algebra of (flat) rank r over Z/m sum up to
+    r^2 products of three residues, as in x y = sum x_a y_b T[a, b, c]; refuse
+    m and r when that partial sum can leave int64."""
+    if rank * rank * (m - 1) ** 3 >= 1 << 63:
+        raise RingError(f"modulus m={m} at rank {rank} overflows int64 arithmetic: "
+                        f"rank^2 (m - 1)^3 >= 2^63")
+
+
 def _hold(owner, m: Optional[int], **shapes) -> None:
     """Set each named field of owner to a read-only int64 copy of its value,
     reshaped to the given shape and reduced mod m (unless m is None)."""
@@ -68,7 +77,8 @@ class FinCommRing(HeldArrays):
     ``structure`` is a read-only int64 array of shape (rank, rank, rank):
     structure[i, j] holds the coordinates of e_i e_j.  ``unit`` is a
     read-only array of shape (rank,).  Both are reduced mod m on construction
-    from any array-like.  Rings compare by identity.  ``_held`` keeps data
+    from any array-like, after m and the rank are checked against int64
+    overflow (``RingError``).  Rings compare by identity.  ``_held`` keeps data
     derived from the ring (its ``units_group``); it takes no part in
     construction or the repr.
     """
@@ -83,6 +93,7 @@ class FinCommRing(HeldArrays):
 
     def __post_init__(self):
         n = self.rank
+        _check_int64(self.modulus, n)
         _hold(self, self.modulus, structure=(n, n, n), unit=(n,))
 
     @property
@@ -388,7 +399,8 @@ class Algebra(HeldArrays):
     base.rank): structure[i, j, c] holds the base coordinates of the
     coefficient of e_c in e_i e_j.  ``unit`` is a read-only array of shape
     (rank, base.rank).  Both are reduced mod m on construction from any
-    array-like.  Flat coordinates interleave: index i * base.rank + u is
+    array-like, after m and the flat rank are checked against int64 overflow
+    (``RingError``).  Flat coordinates interleave: index i * base.rank + u is
     basis element e_i with base coordinate u.  Algebras compare by identity.
     """
 
@@ -400,6 +412,7 @@ class Algebra(HeldArrays):
 
     def __post_init__(self):
         n, s = self.rank, self.base.rank
+        _check_int64(self.modulus, n * s)
         _hold(self, self.modulus, structure=(n, n, n, s), unit=(n, s))
 
     @property

@@ -11,15 +11,16 @@ Underneath, H^n is the cohomology of Hom_G(F, M) = M^{r_n}, where F is a free
 Z/m[G]-resolution of Z/m (m = d_k) that G builds one degree at a time and
 holds per modulus (``free_resolution``).  F_{n+1} is generated by the kernel
 of d_n, taking generators outside the radical (g - 1)K + pK first, which gives
-the minimal resolution of a p-group.  Two chain maps per degree compare F
-with the normalized bar resolution B: Phi: F -> B through the bar complex's
-contracting homotopy, and Psi: B -> F through one multi-right-hand-side solve
-against d_n; a chain homotopy s with Phi Psi - 1 = ds + sd is built from the
-same contracting homotopy (Ellis, "Computing group resolutions", 2004).
-``class_of`` pulls a bar cocycle back along Phi, ``lift`` pushes a class
-along Psi, and ``coboundary_preimage`` solves the coboundary system of F and
-corrects the pushed solution by s, so nothing ever eliminates the bar complex
-itself, with its (|G| - 1)^n columns.
+the minimal resolution of a p-group, and folding any kernel element still
+missing into an existing generator before adding one.  Two chain maps per
+degree compare F with the normalized bar resolution B: Phi: F -> B through the
+bar complex's contracting homotopy, and Psi: B -> F through one
+multi-right-hand-side solve against d_n; a chain homotopy s with
+Phi Psi - 1 = ds + sd is built from the same contracting homotopy (Ellis,
+"Computing group resolutions", 2004).  ``class_of`` pulls a bar cocycle back along Phi,
+``lift`` pushes a class along Psi, and ``coboundary_preimage`` solves the
+coboundary system of F and corrects the pushed solution by s, so nothing ever
+eliminates the bar complex itself, with its (|G| - 1)^n columns.
 
 The kernel/image linear algebra runs over Z/m: the mixed-modulus cochain
 groups embed into free (Z/m)-modules by scaling coordinate i with m/d_i,
@@ -367,6 +368,17 @@ class FreeResolution:
     ``psis[n]`` (E^n x r_n x |G|) gives Psi([t]) in F_n; ``homotopies[n]``
     (E^n x E^(n+1)) gives s([t]) with Phi Psi - 1 = ds + sd on the bar
     resolution.  Each list grows one degree at a time, as far as a caller asks.
+
+    d_(n+1) maps the generators of F_(n+1) onto K = ker d_n (the augmentation
+    ideal for n = 0).  They start as the kernel columns of ``_radical_first``,
+    which for a p-group are all of K, minimally.  Otherwise each kernel
+    column k still outside their R-span is folded into the first generator
+    g_i for which g_i <- g_i + k spans strictly more (by ``image_size``), and
+    is appended as a new generator only when no fold does.  Either step
+    enlarges the span strictly, and the span lies in the finite K, so the
+    search ends, exactly when every kernel column lies in the image.  Folding
+    keeps the ranks near those of the projective covers: S3 over Z/3 gets
+    1, 2, 2, 1, 1, 2 where one generator per missing column gave 1, 2, ..., 6.
     """
 
     def __init__(self, G: FiniteGroup, m: int):
@@ -409,20 +421,34 @@ class FreeResolution:
             kernel = np.zeros((N, N - 1), dtype=np.int64)
             kernel[self.nonid, np.arange(N - 1)] = 1
             kernel[self.identity] = m - 1
-        taken = self._radical_first(kernel, r, n)
-        # add kernel generators outside the R-span until it is all of K
-        while True:
-            D = kernel[:, taken].T.reshape(len(taken), r, N)
-            M = self.matrix(D)
-            _check_budget(f"d_{n + 1}", *M.shape, m)
-            diag = diagonalize_mod(M, m)
-            outside = np.flatnonzero(~diag.in_image(kernel))
-            if outside.size == 0:
-                break
-            taken.append(int(outside[0]))
-        self.ranks.append(len(taken))
-        self.diffs.append(D)
+        gens = kernel[:, self._radical_first(kernel, r, n)]
+        diag = self._diagonalize(gens, r, n)
+        # fold the first kernel column k outside the R-span into the first
+        # generator g_i for which g_i <- g_i + k spans more, or append it when
+        # none does: the span grows strictly at every step, so the loop ends,
+        # and it ends exactly when the span is all of K
+        while (outside := np.flatnonzero(~diag.in_image(kernel))).size:
+            k = kernel[:, outside[0]]
+            size = diag.image_size()
+            for i in range(gens.shape[1]):
+                folded = gens.copy()
+                folded[:, i] = (folded[:, i] + k) % m
+                folded_diag = self._diagonalize(folded, r, n)
+                if folded_diag.image_size() > size:
+                    gens, diag = folded, folded_diag
+                    break
+            else:
+                gens = np.column_stack([gens, k])
+                diag = self._diagonalize(gens, r, n)
+        self.ranks.append(gens.shape[1])
+        self.diffs.append(gens.T.reshape(gens.shape[1], r, N))
         self.diags.append(diag)
+
+    def _diagonalize(self, gens: np.ndarray, r: int, n: int) -> ModDiagonalization:
+        """The diagonalized Z/m-matrix of d_(n+1): e_j -> column j of gens in F_n."""
+        M = self.matrix(gens.T.reshape(gens.shape[1], r, self.order))
+        _check_budget(f"d_{n + 1}", *M.shape, self.m)
+        return diagonalize_mod(M, self.m)
 
     def _radical_first(self, kernel: np.ndarray, r: int, n: int) -> list[int]:
         """Kernel columns whose classes span K/((g - 1)K + pK) over F_p, for
@@ -430,7 +456,8 @@ class FreeResolution:
 
         K is a direct summand of F_n over Z/m, so K meets pF_n in pK, and the
         classes can be read mod p.  For a p-group these columns generate K,
-        minimally.
+        minimally, and ``_next_degree`` folds nothing into them.  For any other
+        group they are where the folding starts.
         """
         N, c = self.order, kernel.shape[1]
         _check_budget(f"generators of F_{n + 1}", r * N, c * (len(self.gens) + 1), self.m)

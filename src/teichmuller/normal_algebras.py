@@ -296,18 +296,6 @@ def tensor_rep(rep1: OutRep, rep2: OutRep) -> tuple[OutRep, Algebra]:
                   name=f"({rep1.name})(x)({rep2.name})"), AB
 
 
-def transform_normal(rep: OutRep, op: str, arg=None):
-    """Structure transport: op in {"opposite", "matrix", "tensor"}."""
-    if op == "opposite":
-        return opposite_rep(rep)
-    if op == "matrix":
-        return matrix_rep(rep, int(arg))
-    if op == "tensor":
-        out, _ = tensor_rep(rep, arg)
-        return out
-    raise NormalStructureError(f"unknown transport {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # crossed products
 

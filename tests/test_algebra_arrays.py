@@ -2,6 +2,8 @@
 ``algebra_oracles``: every constructor, the flat coordinates, crossed
 products (C, a_to_c, v_units), crossed-pair lift tables and the End side."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,9 @@ from xpext_oracle import enumerated_pairs
 from teichmuller.crossed_pairs import CrossedPair, crossed_pair_algebra, qnormal_galois_product
 from teichmuller.finrings import (
     Algebra,
+    FinCommRing,
     GaloisData,
+    RingError,
     commutative_ring_as_algebra_over,
     fixed_subring,
     frobenius_lift,
@@ -208,3 +212,71 @@ def semidirect_spec(rep):
     ext, i_images, theta = semidirect_splitting(rep)
     return CrossedProductSpec(A=rep.A, base_action=rep.base_action, ext=ext,
                               i_images=i_images, theta=theta)
+
+
+def largest_int64_modulus(rank):
+    """The largest m with rank^2 (m - 1)^3 < 2^63."""
+    c = round((2 ** 63 / rank ** 2) ** (1 / 3))
+    while rank * rank * c ** 3 >= 2 ** 63:
+        c -= 1
+    while rank * rank * (c + 1) ** 3 < 2 ** 63:
+        c += 1
+    return c + 1
+
+
+def residues(m):
+    """Residues mod m, often m - 1, so that the sums reach the bound."""
+    return st.one_of(st.just(m - 1), st.integers(0, m - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_ring_mul_is_exact_below_the_int64_bound_and_refused_above(rank, above, data):
+    m = largest_int64_modulus(rank) + above
+    structure = data.draw(st.lists(residues(m), min_size=rank ** 3, max_size=rank ** 3))
+    unit = [1] + [0] * (rank - 1)
+    if above:
+        with pytest.raises(RingError, match=f"m={m} at rank {rank} overflows int64"):
+            FinCommRing(modulus=m, rank=rank, structure=structure, unit=unit)
+        return
+    R = FinCommRing(modulus=m, rank=rank, structure=structure, unit=unit)
+    a, b = (data.draw(st.lists(residues(m), min_size=rank, max_size=rank)) for _ in range(2))
+    t = np.array(structure, dtype=object).reshape(rank, rank, rank)
+    expect = [sum(a[i] * b[j] * t[i, j, k] for i in range(rank) for j in range(rank)) % m
+              for k in range(rank)]
+    assert R.mul(a, b).tolist() == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.booleans(), st.data())
+def test_algebra_mul_is_exact_below_the_int64_bound_and_refused_above(rank, s, above, data):
+    N = rank * s
+    m = largest_int64_modulus(N) + above
+
+    def draw(*shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(residues(m), min_size=size, max_size=size)),
+                        dtype=object).reshape(shape)
+
+    def build():
+        base = FinCommRing(modulus=m, rank=s, structure=draw(s, s, s).astype(np.int64),
+                           unit=[1] + [0] * (s - 1))
+        return Algebra(base=base, rank=rank, structure=st_.astype(np.int64),
+                       unit=np.eye(rank, s, dtype=np.int64))
+
+    st_ = draw(rank, rank, rank, s)
+    if above:
+        # rank 1 leaves the base ring at the algebra's flat rank: it refuses first
+        with pytest.raises(RingError, match=f"m={m} at rank {N} overflows int64"):
+            build()
+        return
+    A = build()
+    bt = np.array(A.base.structure.tolist(), dtype=object)
+    x, y = draw(rank, s), draw(rank, s)
+    # (x y)[c, w] = sum x[i, u] y[j, v] (s_u s_v)_a structure[i, j, c]_k (s_a s_k)_w
+    expect = np.zeros((rank, s), dtype=object)
+    for i, u, j, v, a, c, k, w in itertools.product(range(rank), range(s), range(rank), range(s),
+                                                    range(s), range(rank), range(s), range(s)):
+        expect[c, w] += x[i, u] * y[j, v] * bt[u, v, a] * st_[i, j, c, k] * bt[a, k, w]
+    got = A.mul(x.reshape(-1).astype(np.int64), y.reshape(-1).astype(np.int64))
+    assert got.tolist() == (expect % m).reshape(-1).tolist()

@@ -142,6 +142,23 @@ def test_the_crossed_module_is_checked_once_per_aut(monkeypatch):
     assert len(checks) == 1 and aut.crossed_module()[0] is checks[0]
 
 
+def test_e_psi_and_the_least_twist_are_built_once_per_aut_and_psi(monkeypatch):
+    amb = bench_ambient("Klein_Z2xZ4")
+    aut = next(q_fixed_auts(amb))
+    built = []
+    for name in ("_e_psi", "_least_twist"):
+        real = getattr(crossed_pairs, name)
+        monkeypatch.setattr(crossed_pairs, name, functools.partial(
+            lambda real, name, *args: built.append((name, args[1:])) or real(*args), real, name))
+    pairs = crossed_pair_structures(aut)
+    assert len(pairs) > 1
+    for cp in pairs:
+        e_psis = {id(delta(cp, section_seed=seed)[0]) for seed in range(3)}
+        keys = {congruence_key(cp) for _ in range(2)}
+        assert len(e_psis) == 1 and len(keys) == 1
+    assert sorted(built) == sorted([("_e_psi", (cp.psi,)) for cp in pairs] + [("_least_twist", ())])
+
+
 def test_a_tampered_alpha_row_fails_the_held_crossed_module_check():
     amb = bench_ambient("C4_Z4")
     aut = next(q_fixed_auts(amb))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -642,14 +643,21 @@ def test_resolution_matches_the_bar_oracle(case, n, seed):
         assert H.class_of(B.lift(back)) == coords
 
 
+S3 = metacyclic(3, 2, 2, 0)[0]
+C3xC2 = direct_product(cyclic(3), cyclic(2))
+S3xC2 = direct_product(S3, cyclic(2))
+D10 = metacyclic(5, 2, 4, 0)[0]
 RESOLUTION_CASES = [(cyclic(1), 2), (cyclic(2), 4), (cyclic(6), 6), (cyclic(5), 3),
-                    (direct_product(cyclic(2), cyclic(2)), 2), (metacyclic(3, 2, 2, 0)[0], 2),
-                    (metacyclic(3, 2, 2, 0)[0], 3), (quaternion_table(), 2),
-                    (quaternion_table(), 4), (metacyclic(4, 2, 3, 0)[0], 2)]
+                    (direct_product(cyclic(2), cyclic(2)), 2), (S3, 2), (S3, 3),
+                    (quaternion_table(), 2), (quaternion_table(), 4),
+                    (metacyclic(4, 2, 3, 0)[0], 2)]
+RESOLUTION_IDS = [f"order{G.order}_Z{m}" for G, m in RESOLUTION_CASES]
+# groups that are not p-groups, whose generators are folded together
+RESOLUTION_CASES += [(C3xC2, 3), (C3xC2, 4), (S3xC2, 3), (D10, 5)]
+RESOLUTION_IDS += ["C3xC2_Z3", "C3xC2_Z4", "S3xC2_Z3", "D10_Z5"]
 
 
-@pytest.mark.parametrize("G, m", RESOLUTION_CASES,
-                         ids=[f"order{G.order}_Z{m}" for G, m in RESOLUTION_CASES])
+@pytest.mark.parametrize("G, m", RESOLUTION_CASES, ids=RESOLUTION_IDS)
 def test_resolution_is_an_exact_complex(G, m):
     F = free_resolution(G, m)
     F.extend(4)
@@ -675,6 +683,33 @@ def test_resolution_of_a_p_group_is_minimal(G, p):
     assert F.ranks[:4] == dims
 
 
+@pytest.mark.parametrize("G, m, ranks", [(C3xC2, 3, [1] * 6), (C3xC2, 4, [1] * 6),
+                                         (S3, 3, [1, 2, 2, 1, 1, 2]), (S3xC2, 3, [1, 2, 2, 1, 1]),
+                                         (D10, 5, [1, 2, 2, 1, 1])],
+                         ids=["C3xC2_Z3", "C3xC2_Z4", "S3_Z3", "S3xC2_Z3", "D10_Z5"])
+def test_folded_generators_keep_the_ranks_small(G, m, ranks):
+    """A kernel column outside the span is folded into a generator before one
+    is added, which keeps these ranks from growing with the degree."""
+    F = free_resolution(G, m)
+    F.extend(len(ranks) - 1)
+    assert F.ranks == ranks
+
+
+@pytest.mark.parametrize("G, digest", [
+    (quaternion_table(), "8265b8966de5f5c1809ea2ccf01701d26f03d99a7f322cbae688bc38093f4a90"),
+    (metacyclic(4, 2, 3, 0)[0], "cf8af9b8ba23e476122ff64b5c40a7bf44e397985d023c8232e37b273577f8b8")],
+    ids=["Q8", "D8"])
+def test_p_group_resolutions_are_the_radical_ones(G, digest):
+    """For a p-group the radical step spans K and nothing is folded: d_1..d_4
+    over Z/2 hash to the stored digest of the radical-first resolution."""
+    F = free_resolution(G, 2)
+    F.extend(4)
+    h = hashlib.sha256()
+    for D in F.diffs[1:]:
+        h.update(np.ascontiguousarray(D, dtype=np.int64).tobytes())
+    assert h.hexdigest() == digest
+
+
 def regular_module(G, m):
     """Z/m[G], on which Hom_G(-, Z/m[G]) is faithful."""
     N = G.order
@@ -682,8 +717,7 @@ def regular_module(G, m):
                                             for a in range(N)) for g in range(N)))
 
 
-@pytest.mark.parametrize("G, m", RESOLUTION_CASES[1:],
-                         ids=[f"order{G.order}_Z{m}" for G, m in RESOLUTION_CASES[1:]])
+@pytest.mark.parametrize("G, m", RESOLUTION_CASES[1:], ids=RESOLUTION_IDS[1:])
 def test_comparison_maps_are_chain_maps(G, m):
     """Phi and Psi commute with the differentials, checked with coefficients in
     the regular module Z/m[G], on which Hom_G(-, Z/m[G]) is faithful."""
@@ -714,8 +748,7 @@ def test_comparison_maps_are_chain_maps(G, m):
                               psi_star(n, delta_f(n, w))), n
 
 
-@pytest.mark.parametrize("G, m", RESOLUTION_CASES[1:],
-                         ids=[f"order{G.order}_Z{m}" for G, m in RESOLUTION_CASES[1:]])
+@pytest.mark.parametrize("G, m", RESOLUTION_CASES[1:], ids=RESOLUTION_IDS[1:])
 def test_homotopy_joins_phi_psi_to_the_identity(G, m):
     """Phi Psi - 1 = ds + sd on the bar resolution, read on cochains with
     coefficients in the regular module Z/m[G]: for every n-cochain z,
@@ -734,7 +767,10 @@ def test_homotopy_joins_phi_psi_to_the_identity(G, m):
         return Cochain(M, n, table.reshape((N,) * n + (N,)))
 
     assert not F.homotopy(0).any()
-    for n in range(1, 4):
+    # up to degree 3, as far as s_n (E^n x E^(n+1), E = |G| - 1) fits the budget
+    budget = gmod_cohomology.RESOLUTION_CELL_BUDGET
+    top = max(n for n in (1, 2, 3) if (N - 1) ** (2 * n + 1) <= budget)
+    for n in range(1, top + 1):
         z = random_cochain(M, n, rng)
         moved = np.einsum("gab,jb->jga", acts, F.phi(n) @ values(z) % m)
         lhs = np.einsum("tjg,jga->ta", F.psi(n), moved) - values(z)
@@ -803,11 +839,16 @@ KNOWN_VALUES = [
     (metacyclic(8, 2, 7, 4)[0], 4, 3, (4,), 5),
     # D16 = metacyclic(8, 2, 7, 0): Poincare series 1/(1-t)^2 over F_2
     (metacyclic(8, 2, 7, 0)[0], 2, 3, (2, 2, 2, 2), 5),
+    # over F_3, S3 x C2 has the cohomology of S3, of period 4, and C3 x S3
+    # the Poincare series (1 + t^3)/((1 - t)(1 - t^4))
+    (S3xC2, 3, 4, (3,), 1),
+    (direct_product(cyclic(3), S3), 3, 3, (3, 3), 1),
 ]
 
 
 @pytest.mark.parametrize("G, d, n, factors, seconds", KNOWN_VALUES,
-                         ids=["H4_Q8_Z2", "H3_C12_Z2", "H3_Q16_Z2", "H3_Q16_Z4", "H3_D16_Z2"])
+                         ids=["H4_Q8_Z2", "H3_C12_Z2", "H3_Q16_Z2", "H3_Q16_Z4", "H3_D16_Z2",
+                              "H4_S3xC2_Z3", "H3_C3xS3_Z3"])
 def test_known_values(G, d, n, factors, seconds):
     M = trivial_gmodule(G, [d])
     tracemalloc.start()

@@ -36,7 +36,6 @@ from teichmuller.normal_algebras import (
     splitting_from_coboundary,
     teichmuller_cocycle,
     tensor_rep,
-    transform_normal,
     trivial_base_action,
     unit_module,
 )
@@ -111,16 +110,16 @@ def test_opposite_and_matrix_and_tensor_transport():
     zero = tuple([0] * len(H.invariant_factors))
     cls, _, _ = class_of_rep(rep, um=um, H=H)
     assert cls == zero
-    op = transform_normal(rep, "opposite")
+    op = opposite_rep(rep)
     op.validate()
     cls_op, _, _ = class_of_rep(op, um=um, H=H)
     # [e] + [e^op] = 0
     assert tuple((a + b) % f for a, b, f in zip(cls, cls_op, H.invariant_factors)) == zero
-    mat = transform_normal(rep, "matrix", 2)
+    mat = matrix_rep(rep, 2)
     mat.validate()
     cls_mat, _, _ = class_of_rep(mat, um=um, H=H)
     assert cls_mat == cls
-    tens = transform_normal(rep, "tensor", op)
+    tens, _ = tensor_rep(rep, op)
     tens.validate()
     cls_t, _, _ = class_of_rep(tens, um=um, H=H)
     assert cls_t == zero
