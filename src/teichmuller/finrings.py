@@ -39,6 +39,7 @@ from .modlinalg import (
     inverse_mod,
     invertible_mod,
     kernel_mod,
+    prime_factors,
     submodule_size,
 )
 
@@ -173,30 +174,58 @@ def zmod(m: int) -> FinCommRing:
     return FinCommRing(modulus=m, rank=1, structure=1, unit=1, name=f"Z/{m}")
 
 
-def _poly_divides(d, f, p):
-    """Does monic d divide monic f over Z/p?"""
-    f = list(f)
-    while len(f) >= len(d):
-        c = f[-1]
-        if c:
-            shift = len(f) - len(d)
-            for i in range(len(d)):
-                f[shift + i] = (f[shift + i] - c * d[i]) % p
-        f.pop()
-    return not any(f)
+def _poly_rem(a: list, b: list, p: int) -> list:
+    """a mod b over Z/p, for coefficient lists from the constant term up; the
+    remainder has no zero leading coefficient (0 is [])."""
+    a, inv = [x % p for x in a], pow(b[-1], -1, p)
+    while True:
+        while a and not a[-1]:
+            a.pop()
+        if len(a) < len(b):
+            return a
+        c, s = a[-1] * inv % p, len(a) - len(b)
+        for i, y in enumerate(b):
+            a[s + i] = (a[s + i] - c * y) % p
+
+
+def _is_irreducible(f: list, p: int) -> bool:
+    """Rabin's test for monic f of degree k >= 2 over Z/p: x^(p^k) = x mod f,
+    and x^(p^(k/q)) - x is prime to f for every prime q dividing k."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _poly_rem(out, f, p)
+
+    k, h, frob = len(f) - 1, [0, 1], []
+    for _ in range(k):                  # h = x^(p^j) mod f, by square and multiply
+        r, e = [1], p
+        while e:
+            r, h, e = mul(r, h) if e & 1 else r, mul(h, h), e >> 1
+        h = r
+        frob.append(h)
+    for q in prime_factors(k):
+        d = frob[k // q - 1] + [0, 0]
+        d[1] -= 1                       # x^(p^(k/q)) - x, then Euclid with f
+        a, b = f, _poly_rem(d, f, p)
+        while b:
+            a, b = b, _poly_rem(a, b, p)
+        if len(a) > 1:
+            return False
+    return h == [0, 1]
 
 
 def _find_irreducible(p: int, k: int) -> list[int]:
-    """Lexicographically first monic irreducible of degree k over Z/p."""
+    """Lexicographically first monic irreducible of degree k over Z/p, last
+    coefficient fastest; for k >= 2 the constant term is nonzero."""
     if k == 1:
         return [0, 1]
-    lower = []
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            lower.append(list(tail) + [1])
-    for tail in itertools.product(range(p), repeat=k):
-        f = list(tail) + [1]
-        if all(not _poly_divides(d, f, p) for d in lower if len(d) <= k):
+    for n in range(p ** (k - 1), p ** k):
+        # the base-p digits of n, most significant first: one candidate at a
+        # time, so memory does not grow with p
+        f = [n // p ** (k - 1 - i) % p for i in range(k)] + [1]
+        if _is_irreducible(f, p):
             return f
     raise RingError("no irreducible polynomial found")
 

@@ -1,7 +1,11 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from teichmuller.groups import cyclic
+from teichmuller import finrings
 from teichmuller.finrings import (
     Algebra,
     FinCommRing,
@@ -44,6 +48,60 @@ def test_zmod_gf_galois_ring_build():
     GR.validate()
     assert GR.size == 64
     assert GR.modulus == 8
+
+
+# the defining polynomial (constant term first) of every field and Galois ring
+# that the tests and the benchmark build, as the divisor search first chose it
+PINNED_IRREDUCIBLES = {
+    (2, 2): [1, 1, 1], (2, 3): [1, 0, 1, 1], (2, 4): [1, 0, 0, 1, 1], (2, 5): [1, 0, 0, 1, 0, 1],
+    (3, 2): [1, 0, 1], (3, 3): [1, 0, 2, 1], (5, 2): [1, 1, 1], (7, 2): [1, 0, 1],
+}
+
+
+def divisor_search_irreducibles(p, k):
+    """Every monic irreducible of degree k over Z/p in lexicographic order (last
+    coefficient fastest), by trial division by every monic polynomial of degree
+    at most k // 2: the search that Rabin's test replaced (its oracle)."""
+    def divides(d, f):
+        f = list(f)
+        while len(f) >= len(d):
+            c = f.pop()
+            for i, x in enumerate(d[:-1]):
+                f[len(f) - len(d) + 1 + i] = (f[len(f) - len(d) + 1 + i] - c * x) % p
+        return not any(f)
+
+    lower = [list(t) + [1] for j in range(1, k // 2 + 1) for t in itertools.product(range(p), repeat=j)]
+    return [list(t) + [1] for t in itertools.product(range(p), repeat=k)
+            if not any(divides(d, list(t) + [1]) for d in lower)]
+
+
+@pytest.mark.parametrize("p, k", sorted(PINNED_IRREDUCIBLES))
+def test_defining_polynomials_are_pinned(p, k):
+    f = PINNED_IRREDUCIBLES[p, k]
+    assert gf(p, k).meta == (("poly", tuple(f)), ("char_p", p))
+    assert galois_ring(p, 2, k).meta == (("poly", tuple(f)), ("char_p", p))
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2),
+                                  (5, 3), (7, 2)])
+def test_rabin_test_matches_the_divisor_search(p, k):
+    """Rabin's test accepts exactly the irreducibles with a nonzero constant
+    term, so the search keeps the divisor search's first f."""
+    want = divisor_search_irreducibles(p, k)
+    monic = [list(t) + [1] for t in itertools.product(range(p), repeat=k)]
+    assert [f for f in monic if f[0] and finrings._is_irreducible(f, p)] == want
+    assert finrings._find_irreducible(p, k) == want[0]
+
+
+def test_large_prime_fields_fail_fast_at_the_int64_bound():
+    # the divisor search listed p^(k//2) candidates first and ran out of memory
+    start = time.perf_counter()
+    with pytest.raises(RingError, match=f"m={2 ** 31 - 1} at rank 2 overflows int64"):
+        gf(2 ** 31 - 1, 2)
+    assert time.perf_counter() - start < 1
+    F = gf(10007, 2)
+    assert F.meta == (("poly", (1, 0, 1)), ("char_p", 10007))     # 10007 = 3 mod 4
+    F.validate()
 
 
 def test_build_ring_spec_language():

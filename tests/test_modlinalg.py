@@ -4,12 +4,14 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from teichmuller import modlinalg
 from teichmuller.gmod_cohomology import trivial_gmodule
 from teichmuller.groups import cyclic, quaternion_table
 from teichmuller.modlinalg import (
+    SMALL_CELLS,
     ModDiagonalization,
     as_mod_array,
     cokernel_mod,
@@ -128,13 +130,15 @@ def assert_same_diagonalization(got: ModDiagonalization, want: ModDiagonalizatio
             assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
-ORACLE_MODULI = (2, 3, 4, 6, 8, 9, 12, 25, 27, 30, 36)
+ORACLE_MODULI = (1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 30, 36)
+# the Python-int loop takes blocks up to this side, the numpy loop larger ones
+SMALL_SIDE = int(SMALL_CELLS ** 0.5)
 
 
 @st.composite
 def oracle_cases(draw):
     m = draw(st.sampled_from(ORACLE_MODULI))
-    shape = (draw(st.integers(0, 12)), draw(st.integers(0, 12)))
+    shape = (draw(st.integers(0, SMALL_SIDE + 4)), draw(st.integers(0, SMALL_SIDE + 4)))
     if draw(st.booleans()):
         entries = st.integers(0, m - 1)
     else:  # sparse: about four entries in five are zero
@@ -146,10 +150,32 @@ def oracle_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(oracle_cases())
+@example((np.zeros((3, 2), dtype=np.int64), 1, (True, True)))
+@example((np.array([[5, 7], [2, 3]]), 1, (False, True)))
+@example((np.zeros((0, 4), dtype=np.int64), 6, (True, True)))
+@example((np.zeros((5, 0), dtype=np.int64), 6, (True, True)))
+@example((np.zeros((0, 0), dtype=np.int64), 2, (False, False)))
 def test_diagonalize_matches_dense_oracle(case):
+    """Both elimination loops, and the dispatch between them, reproduce the
+    dense oracle bit for bit, whatever side of SMALL_CELLS the shape is on."""
     A, m, flags = case
-    assert_same_diagonalization(diagonalize_mod(A.copy(), m, *flags),
-                                dense_diagonalize_mod(A.copy(), m, *flags))
+    want = dense_diagonalize_mod(A.copy(), m, *flags)
+    assert_same_diagonalization(diagonalize_mod(A.copy(), m, *flags), want)
+    for loop in (modlinalg._diagonalize_lists, modlinalg._diagonalize_arrays):
+        assert_same_diagonalization(loop(as_mod_array(A, m), m, *flags), want)
+
+
+@pytest.mark.parametrize("shape, loop", [
+    ((SMALL_SIDE, SMALL_SIDE), "_diagonalize_lists"), ((1, SMALL_SIDE), "_diagonalize_lists"),
+    ((SMALL_SIDE + 1, 1), "_diagonalize_arrays"), ((2, SMALL_SIDE + 1), "_diagonalize_arrays")])
+def test_diagonalize_dispatches_on_the_largest_held_matrix(shape, loop, monkeypatch):
+    """The Python-int loop takes A exactly when A, U and V each have at most
+    SMALL_CELLS cells: a tall A with few cells still has a large U."""
+    calls = []
+    original = getattr(modlinalg, loop)
+    monkeypatch.setattr(modlinalg, loop, lambda *args: calls.append(loop) or original(*args))
+    diagonalize_mod(np.ones(shape, dtype=np.int64), 4)
+    assert calls == [loop]
 
 
 def test_h2_q8_system_matches_oracle_with_and_without_zero_rows():
