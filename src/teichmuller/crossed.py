@@ -8,20 +8,21 @@ h: G x G -> C of the section defect, then
     xi(x, y, z) = h(x,y) h(xy,z) ( s(x).h(y,z) * h(x,yz) )^{-1}
 
 lands in M and is a normalized 3-cocycle whose class does not depend on the
-choices.  ``obstruction_cocycle`` evaluates this formula over caller-supplied
-group operations; it is shared with the Teichmuller cocycle of a Q-normal
-algebra (``normal_algebras.teichmuller_cocycle``), where h is a table of
-conjugating units and s(x) acts as the lift w_x.  Congruence questions are
-always decided at the class level.
+choices.  ``obstruction_cocycle`` evaluates it on every triple at once, from
+arrays: the |G|^2 values of h and their inverses, the action of each s(x)
+and a coordinate lookup.  It is shared with the Teichmuller cocycle of a
+Q-normal algebra (``normal_algebras.teichmuller_cocycle``), where h is a
+table of conjugating units and s(x) acts as the lift w_x.  Congruence
+questions are always decided at the class level.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .finrings import _codes
 from .gmod_cohomology import Cochain, GModule, gmodule_of_action
 from .groups import (
     FiniteGroup,
@@ -140,31 +141,51 @@ class Crossed2Extension:
             self.G, self.M, lambda g, m: into_m[self.action.act(sect[g], self.iota(m))])
 
 
-def obstruction_cocycle(module: GModule, h, act, mul, inv, coords) -> Cochain:
-    """The 3-cochain xi(x,y,z) = h(x,y) h(xy,z) (x.h(y,z) h(x,yz))^-1 over module.
-
-    ``h[x][y]`` are values in a (possibly nonabelian) group given by ``mul``
-    and ``inv``, ``act(x, v)`` is the action of x in module.group on a value,
-    and ``coords(v)`` gives the module coordinates of a value, raising when v
-    is not in the module.  Arguments equal to the identity give zero.
+def obstruction_cocycle(module: GModule, V, h, h_inv, act, into, coords) -> Cochain:
+    """The 3-cochain xi(x,y,z) = h(x,y) h(xy,z) (x.h(y,z) h(x,yz))^-1 over module,
+    read as h(x,y) h(xy,z) h(x,yz)^-1 x.(h(y,z)^-1), since x.h^-1 = (x.h)^-1:
+    only the |G|^2 values of h are inverted (``h_inv``).  Their group V is
+    - a FiniteGroup: h and h_inv are (|G|, |G|) elements, act (|G|, |V|) the
+      permutations of V, and xi is gathers on V's table; or
+    - an Algebra over Z/m: h and h_inv are (|G|, |G|, n) flat units, act
+      (|G|, n, n) the matrices; the products apply left-multiplication
+      matrices, one x at a time, and one solve reads xi in the base ring.
+    ``into`` maps each value, by element index or by the code of its base-ring
+    coordinates, to its module element (-1 off the module, CrossedModuleError),
+    and ``coords`` (|M|, k) gives those elements' coordinates.  h(1, .) =
+    h(., 1) = 1 and 1 acts trivially, so identity arguments give zero.
     """
     G = module.group
-    table = np.zeros((G.order,) * 3 + (module.rank,), dtype=np.int64)
-    for x, y, z in itertools.product(range(G.order), repeat=3):
-        if G.identity in (x, y, z):
-            continue
-        xy, yz = G.mul[x][y], G.mul[y][z]
-        tail = mul(act(x, h[y][z]), h[x][yz])
-        table[x, y, z] = coords(mul(mul(h[x][y], h[xy][z]), inv(tail)))
-    return Cochain(module, 3, table)
+    if isinstance(V, FiniteGroup):
+        # [x, y, z]: h(x,y), h(xy,z), h(x,yz)^-1 and x.(h(y,z)^-1)
+        mul = V.table
+        where = mul[mul[h[:, :, None], h[G.table]], mul[h_inv[:, G.table], act[:, h_inv]]]
+    else:
+        m, T = V.modulus, V.flat_tensor
+        Lh, Li = (np.einsum("...a,abc->...cb", v, T) % m for v in (h, h_inv))
+        values = np.broadcast_to(V.flat_unit(), (G.order,) + h.shape).copy()  # xi(1, ., .) = 1
+        for x in np.flatnonzero(np.arange(G.order) != G.identity):
+            v = np.einsum("ab,yzb->yza", act[x], h_inv) % m
+            for L in (Li[x][G.table], Lh[G.table[x]], Lh[x][:, None]):
+                v = (L @ v[..., None])[..., 0] % m
+            values[x] = v
+        s = V.base_diag.solve(values.reshape(-1, V.flat_rank).T)
+        if s is None:
+            raise CrossedModuleError("obstruction escaped the base ring (corrupted input)")
+        where = _codes(s.T, m).reshape((G.order,) * 3)
+    found = into[where]
+    if (found < 0).any():
+        raise CrossedModuleError("obstruction landed outside the module (corrupted input)")
+    return Cochain(module, 3, coords[found])
 
 
-def seeded_defect_lifts(pi: GroupHom, boundary: GroupHom, seed: int) -> tuple[list, list]:
+def seeded_defect_lifts(pi: GroupHom, boundary: GroupHom, seed: int) -> tuple[list, np.ndarray]:
     """The seeded choices of the obstruction cocycle of C -boundary-> Gamma -pi->> G.
 
     Returns the set section s = ``pi.section(seed)`` and the normalized lift
-    h(x, y) of its defect s(x)s(y)s(xy)^-1: the ((seed + 3x + 11y) mod n)-th
-    of its n boundary preimages in increasing order, 1 when x or y is.
+    h(x, y) of its defect s(x)s(y)s(xy)^-1, a (|G|, |G|) array: the
+    ((seed + 3x + 11y) mod n)-th of its n boundary preimages in increasing
+    order, 1 when x or y is.
     """
     G, Gamma = pi.target, pi.source
     sect = pi.section(seed)
@@ -176,7 +197,7 @@ def seeded_defect_lifts(pi: GroupHom, boundary: GroupHom, seed: int) -> tuple[li
     pick = np.searchsorted(np.sort(bnd), defect) + (seed + 3 * x[:, None] + 11 * x) % size
     h = np.argsort(bnd, kind="stable")[pick]
     h[G.identity, :] = h[:, G.identity] = boundary.source.identity
-    return sect, h.tolist()
+    return sect, h
 
 
 def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain:
@@ -186,16 +207,11 @@ def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain
     (``seeded_defect_lifts``); the class of the result does not.
     """
     module, elem_to_coords, _ = e2.gmodule()
-    into_m = {e2.iota(m): m for m in range(e2.M.order)}
+    into = np.full(e2.C.order, -1)
+    into[list(e2.iota.images)] = np.arange(e2.M.order)
     sect, h = seeded_defect_lifts(e2.pi, e2.boundary, section_seed)
-
-    def coords(c):
-        if c not in into_m:
-            raise CrossedModuleError("obstruction landed outside M (corrupted extension)")
-        return elem_to_coords[into_m[c]]
-
-    return obstruction_cocycle(module, h, lambda x, c: e2.action.act(sect[x], c),
-                               lambda a, b: e2.C.mul[a][b], lambda a: e2.C.inv[a], coords)
+    return obstruction_cocycle(module, e2.C, h, e2.C.inverse[h], e2.action.perms[sect], into,
+                               np.array(elem_to_coords).reshape(e2.M.order, module.rank))
 
 
 def trivial_crossed2(Q: FiniteGroup, M: GModule) -> Crossed2Extension:
@@ -234,30 +250,18 @@ def baer_sum(a: Crossed2Extension, b: Crossed2Extension) -> Crossed2Extension:
     Gm, p1, p2 = fiber_product(a.pi, b.pi)
     iota = GroupHom.checked(M, Cq, tuple(proj_c(a.iota(m) * b.C.order + b.C.identity)
                                          for m in range(M.order)))
-    # boundary on the quotient: pick a representative in CC for each class
-    reps = [None] * Cq.order
-    for cc in range(CC.order):
-        cls = proj_c(cc)
-        if reps[cls] is None:
-            reps[cls] = cc
-    pair_index = {}
-    for i in range(Gm.order):
-        pair_index[(p1(i), p2(i))] = i
-    bnd = []
-    for cls in range(Cq.order):
-        ca, cb = divmod(reps[cls], b.C.order)
-        bnd.append(pair_index[(a.boundary(ca), b.boundary(cb))])
-    boundary = GroupHom.checked(Cq, Gm, tuple(bnd))
-    pi = GroupHom.checked(Gm, G, tuple(a.pi(p1(i)) for i in range(Gm.order)))
-    rows = []
-    for i in range(Gm.order):
-        ga, gb = p1(i), p2(i)
-        row = []
-        for cls in range(Cq.order):
-            ca, cb = divmod(reps[cls], b.C.order)
-            acted = a.action.act(ga, ca) * b.C.order + b.action.act(gb, cb)
-            row.append(proj_c(acted))
-        rows.append(tuple(row))
-    action = GroupAction(Gm, Cq, tuple(rows))
+    # boundary and action on the quotient, read on the first representative
+    # in CC of each class
+    ca, cb = divmod(np.unique(proj_c.images, return_index=True)[1], b.C.order)
+    p1s, p2s = np.array(p1.images), np.array(p2.images)
+    pair = np.full((a.Gamma.order, b.Gamma.order), -1)
+    pair[p1s, p2s] = np.arange(Gm.order)
+    bnd = pair[np.array(a.boundary.images)[ca], np.array(b.boundary.images)[cb]]
+    if (bnd < 0).any():
+        raise CrossedModuleError("boundaries leave the fiber product (corrupted extension)")
+    boundary = GroupHom.checked(Cq, Gm, tuple(bnd.tolist()))
+    pi = GroupHom.checked(Gm, G, tuple(np.array(a.pi.images)[p1s].tolist()))
+    acted = a.action.perms[p1s[:, None], ca] * b.C.order + b.action.perms[p2s[:, None], cb]
+    action = GroupAction(Gm, Cq, tuple(map(tuple, np.array(proj_c.images)[acted].tolist())))
     return Crossed2Extension(M=M, C=Cq, Gamma=Gm, G=G,
                              iota=iota, boundary=boundary, pi=pi, action=action)

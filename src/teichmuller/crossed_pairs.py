@@ -57,8 +57,7 @@ from .gmod_cohomology import (
     cohomology,
     gmodule_of_action,
     inclusion_module_map,
-    map_on_cohomology,
-    pullback_cochain,
+    map_on_classes,
 )
 from .crossed import (
     CrossedModule,
@@ -239,6 +238,23 @@ class Ambient:
             return coords, lookup, strides
         return self._hold("coords", build)
 
+    def twist_matrices(self, H: CohomologyGroup) -> np.ndarray:
+        """The Q-twist on H = H^n(N, M) as matrices, one per lift x != 1 in
+        ``ext.section()``: row i of twist_matrices(H)[j] is the class of the
+        twist by x_j of the i-th unit class.  The twist is an automorphism
+        of H, so [x.c] = [c] @ that matrix, reduced mod H's invariant factors.
+        Read with one ``classes_of`` and held per degree and module."""
+        def build():
+            xs = [x for x in self.ext.section() if x != self.G.identity]
+            t = len(H.invariant_factors)
+            units = [self.table(H.generator(i)) for i in range(t)]
+            twisted = [self.cochain(self.twist(u, x), H.module).table for x in xs for u in units]
+            shape = (len(twisted),) + (self.N.order,) * H.degree + (H.module.rank,)
+            return np.array(H.classes_of(np.reshape(twisted, shape)),
+                            dtype=np.int64).reshape(len(xs), t, t)
+        return self._hold(("twist_matrices", H.degree, H.module.invariant_factors,
+                           H.module.action), build)
+
     def twist(self, table, x: int) -> np.ndarray:
         """x.c for an M-element table c over N, x in G (the Q-twist of a cochain):
         (x.c)(n_1, .., n_k) = x.c(x^-1 n_1 x, .., x^-1 n_k x)."""
@@ -283,10 +299,15 @@ def class_is_q_fixed(ambient: Ambient, table, H: CohomologyGroup) -> bool:
     table on N fixed under the Q-twist by every x in G?
 
     Elements of N act trivially on H^*(N, M), so one lift x of each
-    nontrivial element of Q decides it."""
-    base = H.class_of(ambient.cochain(table, H.module))
-    return all(H.class_of(ambient.cochain(ambient.twist(table, x), H.module)) == base
-               for x in ambient.ext.section() if x != ambient.G.identity)
+    nontrivial element of Q decides it, read from ``twist_matrices``."""
+    return bool(_q_fixed(ambient, H, [H.class_of(ambient.cochain(table, H.module))])[0])
+
+
+def _q_fixed(ambient: Ambient, H: CohomologyGroup, classes) -> np.ndarray:
+    """Which classes of H = H^n(N, M), rows of coordinates, are Q-fixed."""
+    classes = np.array(classes, dtype=np.int64).reshape(len(classes), len(H.invariant_factors))
+    moved = np.einsum("ci,xij->xcj", classes, ambient.twist_matrices(H)) - classes
+    return ~(moved % np.array(H.invariant_factors, dtype=np.int64)).any(axis=(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -553,20 +574,14 @@ def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Co
     moduleQ, _, _, (_, e2cN, _) = amb.fixed_submodule_gmodule()
     e_psi, into_mn = aut._hold(("e_psi", cp.psi), lambda: _e_psi(aut, cp.psi))
     sect, h = seeded_defect_lifts(e_psi.pi, e_psi.boundary, section_seed)
-
-    def coords(c):
-        if c not in into_mn:
-            raise CrossedPairError("obstruction landed outside M^N")
-        return e2cN[into_mn[c]]
-
-    z = obstruction_cocycle(moduleQ, h, lambda x, c: e_psi.action.table[sect[x]][c],
-                            lambda a, b: Gamma.mul[a][b], lambda a: Gamma.inv[a], coords)
-    return e_psi, z
+    coords = np.array(e2cN, dtype=np.int64).reshape(len(e2cN), moduleQ.rank)
+    return e_psi, obstruction_cocycle(moduleQ, Gamma, h, Gamma.inverse[h],
+                                      e_psi.action.perms[sect], into_mn, coords)
 
 
-def _e_psi(aut: AutGeGroup, psi: tuple) -> tuple[Crossed2Extension, dict]:
+def _e_psi(aut: AutGeGroup, psi: tuple) -> tuple[Crossed2Extension, np.ndarray]:
     """e_psi for a section psi that passed ``CrossedPair.validate``, with the
-    index in M^N of each element of iota(M^N).
+    index in M^N of each element of Gamma, -1 off iota(M^N).
 
     B^psi = Aut_G(e) x_{Out_G(e)} Q is, as psi is injective, the a with
     to_out(a) in psi(Q), each over its one q, in the order of a; its table is
@@ -603,7 +618,9 @@ def _e_psi(aut: AutGeGroup, psi: tuple) -> tuple[Crossed2Extension, dict]:
     action = GroupAction(B, Gamma, tuple(cm.action.table[a] for a in members.tolist()))
     e_psi = Crossed2Extension(M=MN, C=Gamma, Gamma=B, G=Q,
                               iota=iota, boundary=bnd, pi=piB, action=action)
-    return e_psi, dict(zip(iota.images, range(MN.order)))
+    into_mn = np.full(Gamma.order, -1)
+    into_mn[list(iota.images)] = np.arange(MN.order)
+    return e_psi, into_mn
 
 
 # ---------------------------------------------------------------------------
@@ -768,16 +785,19 @@ class XpextReport:
 def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     """Desk-scale enumeration of crossed pairs with exactness verdicts.
 
-    Walks the classes of H^2(N, M), keeps the Q-fixed ones and takes the
-    crossed-pair structures on one lift f of each.  Every normalized table on
-    N is some f_c, and phi_c carries the crossed pairs on f_c to crossed
-    pairs on f, so this meets every congruence class.  The pairs are
-    bucketed by ``congruence_key``, and the buckets are ordered by increasing
-    key; Delta is checked to be constant on each bucket.  Every class of
-    H^2(G, M) is lifted in one stack and sent through j at once
-    (``_j_pairs``); each distinct (h|N, psi) is keyed once.  Then the
-    set-level exactness of the right half of the eight-term sequence is
-    checked (``eight_term_verdicts``):
+    Walks the classes of H^2(N, M), keeps the Q-fixed ones, read from the
+    twist matrices on the unit classes (``Ambient.twist_matrices``), and
+    takes the crossed-pair structures on one lift f of each.  Every
+    normalized table on N is some f_c, and phi_c carries the crossed pairs on
+    f_c to crossed pairs on f, so this meets every congruence class.  The
+    pairs are bucketed by ``congruence_key``, and the buckets are ordered by
+    increasing key; the Delta classes of all members are read with one
+    ``classes_of`` and checked to be constant on each bucket.  Every class
+    of H^2(G, M) is lifted in one stack and sent through j at once
+    (``_j_pairs``); each distinct (h|N, psi) is keyed once.  Both inflations
+    are read on the unit classes (``map_on_classes``).  Then the set-level
+    exactness of the right half of the eight-term sequence is checked
+    (``eight_term_verdicts``):
 
         H^2(Q,M^N) -inf-> H^2(G,M) -j-> Xpext -Delta-> H^3(Q,M^N) -inf-> H^3(G,M)
 
@@ -806,29 +826,29 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
         raise CrossedPairError(f"j-images of {h2g.order} classes: {cells} cells exceed "
                                f"RESOLUTION_CELL_BUDGET = {RESOLUTION_CELL_BUDGET}")
     by_key: dict = {}
-    for coords in h2n.all_classes():
-        f = amb.table(h2n.lift(list(coords)))
-        if class_is_q_fixed(amb, f, h2n):
-            for cp in crossed_pair_structures(amb.aut_data(f)):
+    classes = list(h2n.all_classes())
+    for coords, fixed in zip(classes, _q_fixed(amb, h2n, classes)):
+        if fixed:
+            for cp in crossed_pair_structures(amb.aut_data(amb.table(h2n.lift(list(coords))))):
                 by_key.setdefault(congruence_key(cp), []).append(cp)
     keys = sorted(by_key)
     buckets = [by_key[key] for key in keys]
     bucket_of = {key: i for i, key in enumerate(keys)}
-    # Delta on each bucket (checked constant across members)
+    # Delta of every bucket member in one read, checked constant on each bucket
+    tables = [delta(cp, section_seed=seed)[1].table for bucket in buckets for cp in bucket]
+    found = iter(h3q.classes_of(np.reshape(tables, (len(tables),) + (Q.order,) * 3
+                                           + (moduleQ.rank,))))
     delta_classes = []
     for bucket in buckets:
-        classes = set()
-        for cp in bucket:
-            _, z = delta(cp, section_seed=seed)
-            classes.add(h3q.class_of(z))
-        if len(classes) != 1:
+        bucket_classes = {next(found) for _ in bucket}
+        if len(bucket_classes) != 1:
             raise CrossedPairError("Delta is not constant on a congruence bucket")
-        delta_classes.append(classes.pop())
+        delta_classes.append(bucket_classes.pop())
     j_images = _j_images(amb, h2g, bucket_of)
     # inflation H^2(Q, M^N) -> H^2(G, M) and H^3(Q, M^N) -> H^3(G, M)
     infl = amb.inflation_map()
-    h2q_image = {map_on_cohomology(infl, h2q, h2g, list(c)) for c in h2q.all_classes()}
-    h3q_map = {c: map_on_cohomology(infl, h3q, h3g, list(c)) for c in h3q.all_classes()}
+    h2q_image = set(map_on_classes(infl, h2q, h2g).values())
+    h3q_map = map_on_classes(infl, h3q, h3g)
     report = XpextReport(ambient=amb, keys=keys, buckets=buckets, delta_classes=delta_classes,
                          zero_bucket=j_images[tuple([0] * len(h2g.invariant_factors))],
                          j_images=j_images, h2q_image_in_h2g=h2q_image, h3q_classes=h3q_map)
@@ -907,49 +927,30 @@ def degree1_delta(ambient: Ambient, d_table, seed: int = 0) -> Cochain:
     """
     amb = ambient
     G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
-    into_n = {amb.ext.kernel_hom(n): n for n in range(N.order)}
-    sec = amb.ext.section(seed)
-
-    act = amb.action.act
-    m_of_q = [None] * Q.order
-    for q in range(Q.order):
-        if q == Q.identity:
-            m_of_q[q] = M.identity
-            continue
-        td = amb.twist(d_table, sec[q]).tolist()
-        found = None
-        for cand in range(M.order):
-            ok = True
-            for n in range(N.order):
-                ne = amb.ext.kernel_hom(n)
-                principal = M.mul[act(ne, cand)][M.inv[cand]]
-                if M.mul[td[n]][M.inv[d_table[n]]] != principal:
-                    ok = False
-                    break
-            if ok:
-                found = cand
-                break
-        if found is None:
-            raise CrossedPairError("derivation class is not Q-fixed")
-        m_of_q[q] = found
+    A, Mt, Minv = amb.action.perms, M.table, M.inverse
+    kh, sec = np.array(amb.ext.kernel_hom.images), np.array(amb.ext.section(seed))
+    d = np.asarray(d_table, dtype=np.int64)
+    # m_q: the least m with (u(q).d - d)(n) = n.m - m for every n in N
+    principal = Mt[A[kh], Minv]                                          # [n, m]
+    moved = Mt[np.array([amb.twist(d, x) for x in sec]), Minv[d]]        # [q, n]
+    fits = (principal[None] == moved[:, :, None]).all(axis=1)            # [q, m]
+    if not fits.any(axis=1).all():
+        raise CrossedPairError("derivation class is not Q-fixed")
+    m_q = fits.argmax(axis=1)
+    m_q[Q.identity] = M.identity
+    # c(p, q) = m_p + p.m_q - m_{u(p)u(q)}, with m_{n u(pq)} = d(n) + n.m_{u(pq)}
+    into_n = np.full(G.order, -1)
+    into_n[kh] = np.arange(N.order)
+    n0 = into_n[G.table[G.table[sec[:, None], sec], G.inverse[sec[Q.table]]]]
+    m_prod = Mt[d[n0], A[kh[n0], m_q[Q.table]]]
+    values = Mt[Mt[m_q[:, None], A[sec[:, None], m_q]], Minv[m_prod]]
     moduleQ, MNgrp, MN_incl, (_, e2cN, _) = amb.fixed_submodule_gmodule()
-    fixed_lookup = {MN_incl(i): i for i in range(MNgrp.order)}
-    kN = moduleQ.rank
-    table = np.zeros((Q.order, Q.order, kN), dtype=np.int64)
-    for p in range(Q.order):
-        for q in range(Q.order):
-            if p == Q.identity or q == Q.identity:
-                continue
-            pq = Q.mul[p][q]
-            upq_defect = G.mul[G.mul[sec[p]][sec[q]]][G.inv[sec[pq]]]
-            n0 = into_n[upq_defect]
-            # m_{u(p)u(q)} = d(n0) + n0 . m_{u(pq)}
-            m_prod = M.mul[d_table[n0]][act(amb.ext.kernel_hom(n0), m_of_q[pq])]
-            val = M.mul[M.mul[m_of_q[p]][act(sec[p], m_of_q[q])]][M.inv[m_prod]]
-            if val not in fixed_lookup:
-                raise CrossedPairError("transgression value escaped M^N")
-            table[p, q] = e2cN[fixed_lookup[val]]
-    return Cochain(moduleQ, 2, table)
+    into_mn = np.full(M.order, -1)
+    into_mn[list(MN_incl.images)] = np.arange(MNgrp.order)
+    if (into_mn[values] < 0).any():
+        raise CrossedPairError("transgression value escaped M^N")
+    coords = np.array(e2cN, dtype=np.int64).reshape(MNgrp.order, moduleQ.rank)
+    return Cochain(moduleQ, 2, coords[into_mn[values]])
 
 
 def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
@@ -965,20 +966,16 @@ def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
     h2g = cohomology(G, moduleG, 2)
     infl = amb.inflation_map()
     res_map = inclusion_module_map(amb.ext.kernel_hom, moduleG)
-    # maps on class sets
-    inf1 = {c: map_on_cohomology(infl, h1q, h1g, list(c)) for c in h1q.all_classes()}
-    # res_map.target equals h1n's module in content
-    res1 = {c: h1n.class_of(pullback_cochain(res_map, h1g.lift(list(c))))
-            for c in h1g.all_classes()}
+    # maps on class sets, each read on the unit classes; res_map.target
+    # equals h1n's module in content
+    inf1 = map_on_classes(infl, h1q, h1g)
+    res1 = map_on_classes(res_map, h1g, h1n)
     # identify H^1(N, M)^Q and the transgression values
-    fixed_classes = []
-    trans = {}
-    for c in h1n.all_classes():
-        d_table = amb.table(h1n.lift(list(c)))
-        if class_is_q_fixed(amb, d_table, h1n):
-            fixed_classes.append(c)
-            trans[c] = h2q.class_of(degree1_delta(amb, d_table, seed=seed))
-    inf2 = {c: map_on_cohomology(infl, h2q, h2g, list(c)) for c in h2q.all_classes()}
+    classes = list(h1n.all_classes())
+    fixed_classes = [c for c, fixed in zip(classes, _q_fixed(amb, h1n, classes)) if fixed]
+    trans = {c: h2q.class_of(degree1_delta(amb, amb.table(h1n.lift(list(c))), seed=seed))
+             for c in fixed_classes}
+    inf2 = map_on_classes(infl, h2q, h2g)
     zero_q2 = tuple([0] * len(h2q.invariant_factors))
     zero_g2 = tuple([0] * len(h2g.invariant_factors))
     report = {}
@@ -1011,15 +1008,11 @@ def pushout_extension(ae: AbExtension, target: FiniteGroup, phi_images,
     Gamma = ae.Gamma
     if not target.is_abelian():
         raise CrossedPairError("pushout target must be abelian")
-    for m1 in range(M.order):
-        for m2 in range(M.order):
-            if phi_images[M.mul[m1][m2]] != target.mul[phi_images[m1]][phi_images[m2]]:
-                raise CrossedPairError("phi is not a homomorphism")
-    nact = amb.n_action()
-    for n in range(N.order):
-        for m in range(M.order):
-            if phi_images[nact.act(n, m)] != phi_images[m]:
-                raise CrossedPairError("phi image must be N-fixed (central constants)")
+    phi = np.asarray(phi_images)
+    if (phi[M.table] != target.table[phi[:, None], phi]).any():
+        raise CrossedPairError("phi is not a homomorphism")
+    if (phi[amb.n_action().perms] != phi).any():
+        raise CrossedPairError("phi image must be N-fixed (central constants)")
     prod = direct_product(target, Gamma)
     anti = sorted({phi_images[m] * Gamma.order + ae.gamma_index(M.inv[m], N.identity)
                    for m in range(M.order)})

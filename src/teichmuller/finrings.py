@@ -506,6 +506,11 @@ class Algebra(HeldArrays):
         return np.einsum("iv,uvw->iwu", self.unit, self.base.structure).reshape(
             self.flat_rank, self.base.rank) % self.modulus
 
+    @cached_property
+    def base_diag(self) -> ModDiagonalization:
+        """``base_embedding`` diagonalized once: its ``solve`` reads s * 1_A back as s."""
+        return diagonalize_mod(self.base_embedding(), self.modulus)
+
     def scalar_mul(self, s_elt, x) -> np.ndarray:
         """Multiply by a base-ring element (coordinatewise on blocks)."""
         x = np.asarray(x, dtype=np.int64).reshape(self.rank, self.base.rank)

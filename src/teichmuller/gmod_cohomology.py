@@ -76,7 +76,8 @@ class GModule(HeldArrays):
 
     action[g] is a k x k integer matrix acting on coordinate vectors; row i is
     taken mod invariant_factors[i].  ``matrices`` holds the action once more
-    as a read-only int64 array of shape (|G|, k, k); it takes no part in
+    as a read-only int64 array of shape (|G|, k, k), and ``factors`` the
+    invariant factors as one of shape (k,); they take no part in
     construction, equality, hashing or the repr.
     """
 
@@ -84,6 +85,7 @@ class GModule(HeldArrays):
     invariant_factors: tuple[int, ...]
     action: tuple[tuple[tuple[int, ...], ...], ...]
     matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
@@ -93,10 +95,17 @@ class GModule(HeldArrays):
             raise CohomologyError("invariant factors must be >= 2")
         if len(self.action) != self.group.order:
             raise CohomologyError("need one action matrix per group element")
+        # an action matrix on a vector, and each entry of a bar coboundary,
+        # sum up to k (m - 1)^2 + (MAX_DEGREE + 1)(m - 1) in absolute value
+        m, k = self.exponent, self.rank
+        if k * (m - 1) ** 2 + (MAX_DEGREE + 1) * (m - 1) >= 1 << 63:
+            raise CohomologyError(f"modulus m={m} at rank {k} overflows int64 arithmetic")
         matrices = np.array(self.action, dtype=np.int64).reshape(self.group.order, self.rank,
                                                                  self.rank)
-        matrices.flags.writeable = False
-        object.__setattr__(self, "matrices", matrices)
+        factors = np.array(self.invariant_factors, dtype=np.int64)
+        for name, held in (("matrices", matrices), ("factors", factors)):
+            held.flags.writeable = False
+            object.__setattr__(self, name, held)
 
     @property
     def rank(self) -> int:
@@ -198,21 +207,15 @@ class Cochain:
         self._reduce_inplace()
 
     def _reduce_inplace(self):
-        d = np.array(self.module.invariant_factors, dtype=np.int64)
-        if d.size:
-            self.table = np.mod(self.table, d)
+        if self.module.rank:
+            self.table = np.mod(self.table, self.module.factors)
 
     def copy(self) -> "Cochain":
         return Cochain(self.module, self.degree, self.table.copy())
 
     def is_normalized(self) -> bool:
-        G = self.module.group
-        for axis in range(self.degree):
-            sl = [slice(None)] * self.degree
-            sl[axis] = G.identity
-            if self.table[tuple(sl)].any():
-                return False
-        return True
+        return not any(np.moveaxis(self.table, axis, 0)[self.module.group.identity].any()
+                       for axis in range(self.degree))
 
     def value(self, *args) -> tuple[int, ...]:
         return tuple(int(x) for x in self.table[tuple(args)])
@@ -256,49 +259,63 @@ def coboundary(c: Cochain) -> Cochain:
                          + sum_i (-1)^i c(.., g_i g_{i+1}, ..)
                          + (-1)^{n+1} c(g_1..g_n).
     """
-    M = c.module
-    G = M.group
-    n = c.degree
-    k = M.rank
-    if k == 0:
-        return zero_cochain(M, n + 1)
-    merged, degenerate = _bar_merges(G, n)
-    flat = c.table.reshape(-1, k)
-    # flat position p = g_1 |G|^n + t of (g_1..g_{n+1}): the first term reads
-    # c at t = (g_2..g_{n+1}), the last at p // |G| = (g_1..g_n)
-    out = np.einsum("gij,tj->gti", M.matrices, flat).reshape(-1, k)
-    out += (-1) ** (n + 1) * np.repeat(flat, G.order, axis=0)
-    for i, idx in enumerate(merged, 1):
-        out += (-1) ** i * flat[idx]
-    # normalization is automatic except on identity slots of the new argument
-    out[degenerate] = 0
-    return Cochain(M, n + 1, out.reshape((G.order,) * (n + 1) + (k,)))
+    M, n, G = c.module, c.degree, c.module.group
+    table = np.zeros((G.order ** (n + 1), M.rank), dtype=np.int64)
+    if M.rank:
+        table[_bar_terms(G, n)[0]] = _coboundaries(M, n, c.table[None])[0]
+    return Cochain(M, n + 1, table.reshape((G.order,) * (n + 1) + (M.rank,)))
 
 
-def _bar_merges(G: FiniteGroup, n: int):
-    """For the flat positions of (g_1..g_{n+1}) in a (|G|,)*(n+1) table: the
-    flat index in (|G|,)*n of each middle face (.., g_i g_{i+1}, ..), i = 1..n,
-    and the positions with an identity argument.  Held by G per degree."""
-    key = ("bar_merges", n)
+def _coboundaries(M: GModule, n: int, tables: np.ndarray) -> np.ndarray:
+    """d of each n-cochain of a (count, |G|, .., |G|, k) stack, unreduced, at
+    the (n+1)-tuples with no identity argument, where alone a normalized
+    coboundary can be nonzero (``_bar_terms``)."""
+    _, g1, faces, signs = _bar_terms(M.group, n)
+    values = tables.reshape(len(tables), -1, M.rank)[:, faces]
+    out = np.einsum("pij,cpj->cpi", M.matrices[g1], values[:, 0])
+    out += np.einsum("f,cfpk->cpk", signs, values[:, 1:])
+    return out
+
+
+def _bar_terms(G: FiniteGroup, n: int):
+    """For the (n+1)-tuples (g_1..g_{n+1}) with every g_i != 1, at their flat
+    positions ``pos`` in a (|G|,)*(n+1) table, in order: g_1, and the flat
+    index in (|G|,)*n of each face of d, (g_2..g_{n+1}) first, then
+    (.., g_i g_{i+1}, ..) for i = 1..n, then (g_1..g_n).  Held by G per
+    degree."""
+    key = ("bar_terms", n)
     held = G._held.get(key)
     if held is None:
-        grids = np.indices((G.order,) * (n + 1)).reshape(n + 1, -1)
-        merged = [np.ravel_multi_index((*grids[:i - 1], G.table[grids[i - 1], grids[i]],
-                                        *grids[i + 1:]), (G.order,) * n)
-                  for i in range(1, n + 1)]
-        degenerate = np.flatnonzero((grids == G.identity).any(axis=0))
-        held = G._held[key] = (merged, degenerate)
+        pos = _bar_positions(G, n + 1)
+        grids = np.array(np.unravel_index(pos, (G.order,) * (n + 1)))
+        faces = [pos % G.order ** n]
+        faces += [np.ravel_multi_index((*grids[:i - 1], G.table[grids[i - 1], grids[i]],
+                                        *grids[i + 1:]), (G.order,) * n) for i in range(1, n + 1)]
+        faces.append(pos // G.order)
+        held = G._held[key] = (pos, grids[0], np.array(faces).reshape(n + 2, len(pos)),
+                               (-1) ** np.arange(1, n + 2))
     return held
 
 
 def is_cocycle(c: Cochain) -> Optional[tuple]:
     """None when dc = 0; otherwise the first violated argument tuple."""
-    d = coboundary(c)
-    if d.is_zero():
+    failed = _first_failure(c.module, c.degree, c.table[None])
+    return None if failed is None else failed[1]
+
+
+def _first_failure(M: GModule, n: int, tables: np.ndarray) -> Optional[tuple[int, tuple]]:
+    """(i, the first violated argument tuple of cochain i) for the first
+    cochain i of a (count, |G|, .., |G|, k) stack that is not a cocycle, or
+    None when all are."""
+    if M.rank == 0 or not len(tables):
         return None
-    flat = np.argwhere(d.table)
-    first = tuple(int(x) for x in flat[0][:-1])
-    return first
+    d = _coboundaries(M, n, tables)
+    d %= M.factors
+    if not d.any():
+        return None
+    i, at = np.argwhere(d.any(axis=2))[0]
+    pos = _bar_terms(M.group, n)[0][at]
+    return int(i), tuple(int(g) for g in np.unravel_index(pos, (M.group.order,) * (n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +569,13 @@ class _CoreCohomology:
     def invariant_factors(self) -> tuple[int, ...]:
         return self.cok.factors
 
-    def _pulled_back(self, c: Cochain) -> np.ndarray:
-        """c(Phi e_j) for every generator e_j of F_n, scaled and flattened."""
+    def _pulled_back(self, tables: np.ndarray) -> np.ndarray:
+        """z(Phi e_j) for every generator e_j of F_n, scaled, one column per
+        cochain z of a (count, |G|, .., |G|, k) stack."""
         m, d = self.m, self.module.invariant_factors
-        w = (self.resolution.phis[self.degree] @ c.table.reshape(-1, len(d))[self.symbols]) % m
-        return ((w * (m // np.array(d, dtype=np.int64))) % m).reshape(-1)
+        w = (self.resolution.phis[self.degree]
+             @ tables.reshape(len(tables), -1, len(d))[:, self.symbols]) % m
+        return ((w * (m // np.array(d, dtype=np.int64))) % m).reshape(len(tables), -1).T
 
     def _along_psi(self, w: np.ndarray, deg: int) -> np.ndarray:
         """Bar tables (count, |G|^deg, k) of w_s(Psi[t]) = sum_(j, g)
@@ -571,11 +590,12 @@ class _CoreCohomology:
         tables[:, _bar_positions(G, deg)] = values
         return tables
 
-    def class_vector(self, c: Cochain) -> tuple[int, ...]:
-        coeff = self.gens_diag.solve(self._pulled_back(c))
+    def class_vectors(self, tables: np.ndarray) -> list[tuple[int, ...]]:
+        """The class coordinates of each cocycle of a stack, in one solve."""
+        coeff = self.gens_diag.solve(self._pulled_back(tables))
         if coeff is None:
             raise CohomologyError("cocycle does not lie in the computed kernel")
-        return self.cok.coords(coeff)
+        return list(map(tuple, self.cok.coords(coeff).T.tolist()))
 
     def generator(self, coords) -> Cochain:
         if self.lifts is None:
@@ -604,7 +624,7 @@ class _CoreCohomology:
         M, n, k = self.module, self.degree, self.module.rank
         F = self.resolution
         s = F.homotopy(n - 1)
-        beta = diagonalize_mod(self.bmat, self.m).solve(self._pulled_back(z))
+        beta = diagonalize_mod(self.bmat, self.m).solve(self._pulled_back(z.table[None])[:, 0])
         if beta is None:
             return None
         table = self._along_psi(beta.reshape(F.ranks[n - 1], k, 1), n - 1)[0]
@@ -680,20 +700,32 @@ class CohomologyGroup:
             n *= f
         return n
 
-    def _check(self, z: Cochain):
+    def class_of(self, z: Cochain) -> tuple[int, ...]:
         if z.degree != self.degree:
             raise CohomologyError("degree mismatch")
         if not same_group(z.module.group, self.group):
             raise CohomologyError("group mismatch")
-        witness = is_cocycle(z)
-        if witness is not None:
-            raise NotACocycle(witness)
+        return self._classes(z.table[None])[0]
 
-    def class_of(self, z: Cochain) -> tuple[int, ...]:
-        self._check(z)
-        if self.module.rank == 0:
-            return ()
-        return self._core.class_vector(z)
+    def classes_of(self, tables) -> list[tuple[int, ...]]:
+        """The class of each cocycle of a (count, |G|, .., |G|, k) stack of
+        tables, with one coboundary check, one pull-back along Phi and one
+        solve for the whole stack.  Raises NotACocycle, with the witness
+        ``is_cocycle`` gives, at the first table that is not a cocycle."""
+        shape = (self.group.order,) * self.degree + (self.module.rank,)
+        tables = np.asarray(tables, dtype=np.int64)
+        if tables.shape[1:] != shape:
+            raise CohomologyError(f"cochain tables must have shape {shape}")
+        return self._classes(np.mod(tables, self.module.factors))
+
+    def _classes(self, tables: np.ndarray) -> list[tuple[int, ...]]:
+        """``classes_of`` on a stack of reduced tables."""
+        failed = _first_failure(self.module, self.degree, tables)
+        if failed is not None:
+            raise NotACocycle(failed[1])
+        if self.module.rank == 0 or not len(tables):
+            return [()] * len(tables)
+        return self._core.class_vectors(tables)
 
     def generator(self, index: int) -> Cochain:
         coords = [0] * len(self.invariant_factors)
@@ -774,22 +806,12 @@ class ModuleMap:
         mat = self.matrix
         if len(mat) != kd or any(len(r) != ks for r in mat):
             raise CohomologyError("module map matrix has wrong shape")
-        dt = self.target.invariant_factors
-        ds = self.source.invariant_factors
-        for i in range(kd):
-            for j in range(ks):
-                if (mat[i][j] * ds[j]) % dt[i]:
-                    raise CohomologyError("module map not well defined")
-        if kd == 0 or ks == 0:
-            return
-        mu = np.array(mat, dtype=np.int64)
-        for gp in range(phi.source.order):
-            left = mu @ np.array(self.source.action[phi(gp)], dtype=np.int64)
-            right = np.array(self.target.action[gp], dtype=np.int64) @ mu
-            for i in range(kd):
-                for j in range(ks):
-                    if (int(left[i, j]) - int(right[i, j])) % dt[i]:
-                        raise CohomologyError("module map is not equivariant")
+        mu, rows = np.array(mat, dtype=np.int64).reshape(kd, ks), self.target.factors[:, None]
+        if ((mu * self.source.factors) % rows).any():
+            raise CohomologyError("module map not well defined")
+        # mu(phi(g') . m) = g' . mu(m), row i taken mod the target's d_i
+        if ((mu @ self.source.matrices[list(phi.images)] - self.target.matrices @ mu) % rows).any():
+            raise CohomologyError("module map is not equivariant")
 
 
 def pullback_cochain(mm: ModuleMap, z: Cochain) -> Cochain:
@@ -801,16 +823,11 @@ def pullback_cochain(mm: ModuleMap, z: Cochain) -> Cochain:
     out = np.zeros((Gp.order,) * n + (kd,), dtype=np.int64)
     if kd and mm.source.rank:
         mu = np.array(mm.matrix, dtype=np.int64)
-        images = np.array(phi.images, dtype=np.int64)
-        idx = np.indices((Gp.order,) * n)
-        src = z.table[tuple(images[ix] for ix in idx)]
+        src = z.table[np.ix_(*[np.array(phi.images, dtype=np.int64)] * n)]
         out = np.einsum("ij,...j->...i", mu, src)
     c = Cochain(mm.target, n, out)
-    Gp_id = Gp.identity
     for axis in range(n):
-        sl = [slice(None)] * n
-        sl[axis] = Gp_id
-        c.table[tuple(sl)] = 0
+        np.moveaxis(c.table, axis, 0)[Gp.identity] = 0
     return c
 
 
@@ -820,6 +837,25 @@ def map_on_cohomology(mm: ModuleMap, source_h: CohomologyGroup,
     mm.validate()
     z = source_h.lift(coords)
     return target_h.class_of(pullback_cochain(mm, z))
+
+
+def map_on_classes(mm: ModuleMap, source_h: CohomologyGroup,
+                   target_h: CohomologyGroup) -> dict:
+    """The induced map on every class of source_h, as {coords: image}.
+
+    The map is a homomorphism, so it is read once, on the unit classes (one
+    ``classes_of`` of their pulled-back lifts), and extended linearly; this
+    equals ``map_on_cohomology`` class by class."""
+    mm.validate()
+    t, shape = len(source_h.invariant_factors), (mm.target.group.order,) * source_h.degree
+    units = np.reshape([pullback_cochain(mm, source_h.generator(i)).table for i in range(t)],
+                       (t,) + shape + (mm.target.rank,))
+    rows = np.array(target_h.classes_of(units), dtype=np.int64).reshape(
+        t, len(target_h.invariant_factors))
+    classes = list(source_h.all_classes())
+    images = np.array(classes, dtype=np.int64).reshape(len(classes), t) @ rows
+    images %= np.array(target_h.invariant_factors, dtype=np.int64)
+    return dict(zip(classes, map(tuple, images.tolist())))
 
 
 def inclusion_module_map(phi: GroupHom, M: GModule) -> ModuleMap:
@@ -864,15 +900,11 @@ def cyclic_reference_generator(s: int, ell: int, unit: int = 1) -> Cochain:
     alpha = ell // gcd(norm, ell)
     if alpha == ell:
         return zero_cochain(M, 3)
-    table = np.zeros((s, s, s, 1), dtype=np.int64)
     geo = [0] * s  # geo[a] = 1 + u + ... + u^(a-1)
     for a in range(1, s):
         geo[a] = (geo[a - 1] + pow(u, a - 1, ell)) % ell
-    for a in range(s):
-        for b in range(s):
-            for c in range(s):
-                if b + c >= s:
-                    table[a, b, c, 0] = (alpha * geo[a]) % ell
+    carry = np.add.outer(np.arange(s), np.arange(s)) >= s    # [b, c]: b + c >= s
+    table = (alpha * np.array(geo))[:, None, None, None] * carry[None, :, :, None] % ell
     return Cochain(M, 3, table)
 
 
@@ -888,13 +920,8 @@ def cyclic_h3_invariant(z: Cochain) -> int:
         raise CohomologyError("invariant is for 3-cochains")
     if M.rank != 1:
         raise CohomologyError("invariant needs a rank-1 module")
-    s = M.group.order
-    ell = M.invariant_factors[0]
-    t = 1 % s
-    total = 0
-    for i in range(s):
-        total += int(z.table[t, i, t, 0])
-    return total % ell
+    t = 1 % M.group.order
+    return int(z.table[t, :, t, 0].sum()) % M.invariant_factors[0]
 
 
 def cyclic_h3_values(module: GModule) -> tuple[int, int]:
@@ -949,7 +976,7 @@ def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
     s_(n-1), (|G| - 1)^(n-1) x (|G| - 1)^n cells, exceeds
     RESOLUTION_CELL_BUDGET.
     """
-    H._check(z)
+    H.class_of(z)  # the degree, group and cocycle checks
     M = H.module
     n = H.degree
     if n == 0:

@@ -256,9 +256,14 @@ def _diagonalize_lists(A: np.ndarray, m: int, want_inverses: bool,
     U^-1 are held transposed, so that every operation on a transform is one
     on its rows, and each clear runs over the nonzeros of the pivot's lines."""
     rows, cols = A.shape
+    shapes = ((rows, want_U), (cols, True), (rows, want_inverses and want_U))
+    if not A.any():  # no pivot: every transform stays the identity
+        U, V, Ui = (np.eye(n, dtype=np.int64) % m if keep else None for n, keep in shapes)
+        return ModDiagonalization(m=m, rows=rows, cols=cols, U=U, V=V, U_inv=Ui,
+                                  d=np.full(min(rows, cols), m, dtype=np.int64))
     a = A.tolist()
     U, Vt, Uit = ([[1 % m if i == j else 0 for j in range(n)] for i in range(n)] if keep else None
-                  for n, keep in ((rows, want_U), (cols, True), (rows, want_inverses and want_U)))
+                  for n, keep in shapes)
     t, limit = 0, min(rows, cols)
     while t < limit:
         # least gcd with m, then row-major position; zero entries never qualify

@@ -24,8 +24,9 @@ defects, then
     xi(p,q,r) = f(p,q) f(pq,r) ( w_p(f(q,r)) f(p,qr) )^{-1}
 
 lands in the units of the base ring and is a normalized 3-cocycle whose class
-is independent of every choice made.  U(S) is made a Q-module by the shared
-builder ``gmod_cohomology.gmodule_of_action``.
+is independent of every choice made.  The routine reads it from arrays: the
+|Q|^2 units f and their inverses, the lifts and the code lookup of U(S), which
+the shared builder ``gmod_cohomology.gmodule_of_action`` makes a Q-module.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def unit_module(base_action: BaseAction) -> UnitModule:
 class TeichWitness:
     rep: OutRep
     unit_mod: UnitModule
-    f: list                      # f[p][q]: flat unit of A
+    f: np.ndarray                # f[p, q]: flat unit of A
     cocycle: Cochain
 
 
@@ -231,32 +232,25 @@ def teichmuller_cocycle(rep: OutRep, seed: int = 0,
     inner ("not Q-normal").
     """
     Q, A = rep.Q, rep.A
-    m = A.modulus
     if unit_mod is None:
         unit_mod = unit_module(rep.base_action)
     one = A.flat_unit()
-    f = [[None] * Q.order for _ in range(Q.order)]
+    f = np.empty((Q.order, Q.order, A.flat_rank), dtype=np.int64)
+    f_inv = np.empty_like(f)
     for p in range(Q.order):
         for q in range(Q.order):
             if p == Q.identity or q == Q.identity:
-                f[p][q] = one.copy()
+                f[p, q] = f_inv[p, q] = one
                 continue
             u = find_conjugator(A, rep.defect(p, q), seed=seed)
             if u is None:
                 raise NormalStructureError(
                     f"defect at ({p},{q}) is not inner: not a Q-normal structure")
-            f[p][q] = u
-    emb_diag = diagonalize_mod(A.base_embedding(), m)
-
-    def coords(val):
-        s_coords = emb_diag.solve(val)
-        if s_coords is None:
-            raise NormalStructureError(
-                "teichmuller value escaped the base ring (corrupted input)")
-        return unit_mod.coords_of_unit_vec(s_coords)
-
-    z = obstruction_cocycle(unit_mod.module, f, lambda p, u: (rep.lifts[p] @ u) % m,
-                            A.mul, A.inv, coords)
+            f[p, q], f_inv[p, q] = u, A.inv(u)
+    coords = np.array(unit_mod.elem_to_coords, dtype=np.int64).reshape(
+        len(unit_mod.elem_to_coords), unit_mod.module.rank)
+    z = obstruction_cocycle(unit_mod.module, A, f, f_inv, rep.lifts, unit_mod.units.lookup,
+                            coords)
     return TeichWitness(rep=rep, unit_mod=unit_mod, f=f, cocycle=z)
 
 

@@ -83,12 +83,15 @@ class BarCore:
     def invariant_factors(self) -> tuple[int, ...]:
         return self.cok.factors
 
-    def class_vector(self, c: Cochain) -> tuple[int, ...]:
-        v = _reduced_from_cochain(c, self.m)
-        coeff = self.gens_diag.solve(v)
-        if coeff is None:
-            raise CohomologyError("cocycle does not lie in the computed kernel")
-        return self.cok.coords(coeff)
+    def class_vectors(self, tables) -> list[tuple[int, ...]]:
+        out = []
+        for table in tables:
+            v = _reduced_from_cochain(Cochain(self.module, self.degree, table), self.m)
+            coeff = self.gens_diag.solve(v)
+            if coeff is None:
+                raise CohomologyError("cocycle does not lie in the computed kernel")
+            out.append(self.cok.coords(coeff))
+        return out
 
     def generator(self, coords) -> Cochain:
         coeff = self.cok.lift(coords)

@@ -37,6 +37,7 @@ from teichmuller.finrings import (
     galois_from_free_action,
     galois_ring,
     gf,
+    is_ring_morphism_matrix,
     map_ring,
     matrix_algebra,
     matrix_algebra_over,
@@ -280,3 +281,51 @@ def test_algebra_mul_is_exact_below_the_int64_bound_and_refused_above(rank, s, a
         expect[c, w] += x[i, u] * y[j, v] * bt[u, v, a] * st_[i, j, c, k] * bt[a, k, w]
     got = A.mul(x.reshape(-1).astype(np.int64), y.reshape(-1).astype(np.int64))
     assert got.tolist() == (expect % m).reshape(-1).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.data())
+def test_flat_tensor_is_exact_just_below_the_int64_bound(rank, s, data):
+    """Above the bound the algebra is refused on construction (the test above)."""
+    N = rank * s
+    m = largest_int64_modulus(N)
+
+    def draw(*shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(residues(m), min_size=size, max_size=size)),
+                        dtype=object).reshape(shape)
+
+    bt, st_ = draw(s, s, s), draw(rank, rank, rank, s)
+    base = FinCommRing(modulus=m, rank=s, structure=bt.astype(np.int64), unit=[1] + [0] * (s - 1))
+    A = Algebra(base=base, rank=rank, structure=st_.astype(np.int64),
+                unit=np.eye(rank, s, dtype=np.int64))
+    # (e_i s_u)(e_j s_v) = sum_(c, w) (s_u s_v structure[i, j, c])_w e_c s_w
+    expect = np.einsum("uva,ijck,akw->iujvcw", bt, st_, bt) % m
+    assert A.flat_tensor.tolist() == expect.reshape(N, N, N).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_is_ring_morphism_matrix_is_exact_just_below_the_int64_bound(rank, square_zero, data):
+    """On random structure constants, or on Z/m + V with V^2 = 0, where every
+    matrix fixing 1 and mapping V into V is a morphism."""
+    m = largest_int64_modulus(rank)
+
+    def draw(*shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(residues(m), min_size=size, max_size=size)),
+                        dtype=object).reshape(shape)
+
+    T, mat = draw(rank, rank, rank), draw(rank, rank)
+    if square_zero:
+        T = np.zeros((rank, rank, rank), dtype=object)
+        T[0] = T[:, 0] = np.eye(rank, dtype=object)
+        mat[:, 0] = mat[0] = 0
+        mat[0, 0] = 1
+    R = FinCommRing(modulus=m, rank=rank, structure=T.astype(np.int64), unit=[1] + [0] * (rank - 1))
+    unit = np.array([1] + [0] * (rank - 1), dtype=object)
+    lhs = np.einsum("abc,dc->abd", T, mat) % m
+    rhs = np.einsum("ua,vb,uvw->abw", mat, mat, T) % m
+    expect = (mat.dot(unit) % m).tolist() == unit.tolist() and lhs.tolist() == rhs.tolist()
+    assert is_ring_morphism_matrix(R, mat.astype(np.int64)) == expect
+    assert expect or not square_zero

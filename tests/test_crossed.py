@@ -6,8 +6,11 @@ import pytest
 from teichmuller.groups import (
     GroupAction,
     GroupHom,
+    abelian_group_from_factors,
     cyclic,
     metacyclic,
+    mixed_radix_decode,
+    mixed_radix_encode,
     quaternion_table,
     trivial_action,
 )
@@ -178,12 +181,14 @@ def abelian_obstruction_cases():
 def test_obstruction_of_abelian_values_is_minus_coboundary(label, module):
     """With values in the module itself, xi = h(x,y) + h(xy,z) - x.h(y,z) - h(x,yz) = -dh."""
     rng = random.Random(label)
-    G = module.group
+    G, factors = module.group, module.invariant_factors
+    V = abelian_group_from_factors(factors)
+    coords = np.array([mixed_radix_decode(v, factors) for v in range(V.order)])
+    act = np.array([[mixed_radix_encode(module.act(x, c), factors) for c in coords]
+                    for x in range(G.order)])
     for _ in range(5):
         c = random_cochain(module, 2, rng)
-        h = [[c.value(x, y) for y in range(G.order)] for x in range(G.order)]
-        xi = obstruction_cocycle(module, h, module.act,
-                                 lambda a, b: module.reduce(np.add(a, b)),
-                                 lambda a: module.reduce(np.negative(a)),
-                                 lambda v: v)
+        h = np.array([[mixed_radix_encode(c.value(x, y), factors) for y in range(G.order)]
+                      for x in range(G.order)])
+        xi = obstruction_cocycle(module, V, h, V.inverse[h], act, np.arange(V.order), coords)
         assert np.array_equal(xi.table, (coboundary(c) * -1).table)

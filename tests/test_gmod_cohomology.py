@@ -25,6 +25,7 @@ from teichmuller.gmod_cohomology import (
     _bar_positions,
     Cochain,
     CohomologyError,
+    MAX_DEGREE,
     GModule,
     ModuleMap,
     NotACocycle,
@@ -702,12 +703,29 @@ def test_folded_generators_keep_the_ranks_small(G, m, ranks):
 def test_p_group_resolutions_are_the_radical_ones(G, digest):
     """For a p-group the radical step spans K and nothing is folded: d_1..d_4
     over Z/2 hash to the stored digest of the radical-first resolution."""
-    F = free_resolution(G, 2)
+    assert differentials_digest(G, 2) == digest
+
+
+@pytest.mark.parametrize("G, m, digest", [
+    (C3xC2, 3, "2922d6391828b2b26b78f00e95118f3429011b26deb215196703cd9d4dcc48f0"),
+    (C3xC2, 4, "3016324eb8f4ee7ec219293099a229d7412b4f6c14890cacb50d1b44d49cb093"),
+    (S3xC2, 3, "d1c0df49c8a531137605ae9621ae0ddf9a37399d210632b69c7fdd3233ec7d0f"),
+    (D10, 5, "03ada63c37ade821dec6ad2366a4ac9e0c89305a87a9498f4834f28557d3f8bb")],
+    ids=RESOLUTION_IDS[-4:])
+def test_folded_resolutions_hash_to_the_stored_digest(G, m, digest):
+    """For the groups that are not p-groups, d_1..d_4 with their generator
+    folds hash to the stored digest."""
+    assert differentials_digest(G, m) == digest
+
+
+def differentials_digest(G, m):
+    """sha256 of d_1..d_4 of the resolution G holds over Z/m."""
+    F = free_resolution(G, m)
     F.extend(4)
     h = hashlib.sha256()
-    for D in F.diffs[1:]:
+    for D in F.diffs[1:5]:
         h.update(np.ascontiguousarray(D, dtype=np.int64).tobytes())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
 
 
 def regular_module(G, m):
@@ -862,3 +880,36 @@ def test_known_values(G, d, n, factors, seconds):
         tracemalloc.stop()
     assert H.invariant_factors == factors
     assert elapsed < seconds and peak < 200 << 20, (elapsed, peak)
+
+
+def largest_gmodule_modulus(k):
+    """The largest m with k (m - 1)^2 + (MAX_DEGREE + 1)(m - 1) < 2^63."""
+    c = int((2 ** 63 / k) ** 0.5)
+    while k * c * c + (MAX_DEGREE + 1) * c >= 2 ** 63:
+        c -= 1
+    while k * (c + 1) ** 2 + (MAX_DEGREE + 1) * (c + 1) < 2 ** 63:
+        c += 1
+    return c + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_gmodule_arithmetic_is_exact_below_the_int64_bound_and_refused_above(k, above, data):
+    """The action on a vector and the bar coboundary of a 1-cochain over C_2
+    agree with Python integers just below the bound; just above, the module
+    is refused on construction."""
+    m = largest_gmodule_modulus(k) + above
+    residues = st.one_of(st.just(m - 1), st.integers(0, m - 1))
+    mat = data.draw(st.lists(st.lists(residues, min_size=k, max_size=k), min_size=k, max_size=k))
+    eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    if above:
+        with pytest.raises(CohomologyError, match=f"m={m} at rank {k} overflows int64"):
+            GModule(cyclic(2), (m,) * k, (eye, tuple(map(tuple, mat))))
+        return
+    M = GModule(cyclic(2), (m,) * k, (eye, tuple(map(tuple, mat))))
+    v = data.draw(st.lists(residues, min_size=k, max_size=k))
+    moved = [sum(mat[i][j] * v[j] for j in range(k)) % m for i in range(k)]
+    assert list(M.act(1, v)) == moved
+    # (dc)(t, t) = t.c(t) - c(1) + c(t), with c(1) = 0
+    d = coboundary(Cochain(M, 1, [[0] * k, v]))
+    assert d.table[1, 1].tolist() == [(x + y) % m for x, y in zip(moved, v)]

@@ -165,6 +165,17 @@ def test_diagonalize_matches_dense_oracle(case):
         assert_same_diagonalization(loop(as_mod_array(A, m), m, *flags), want)
 
 
+@pytest.mark.parametrize("shape", [(12, 9), (9, 6), (15, 12), (4, 3), (0, 4), (20, 20), (21, 1)])
+def test_zero_blocks_keep_the_identity_transforms_of_both_loops(shape):
+    """The Python-int loop returns a zero block without eliminating; d, U, V
+    and U^-1 stay those of the numpy loop and the dense oracle."""
+    for m, flags in itertools.product((1, 2, 6, 9), itertools.product((False, True), repeat=2)):
+        A = np.zeros(shape, dtype=np.int64)
+        want = dense_diagonalize_mod(A.copy(), m, *flags)
+        for loop in (modlinalg._diagonalize_lists, modlinalg._diagonalize_arrays):
+            assert_same_diagonalization(loop(A.copy(), m, *flags), want)
+
+
 @pytest.mark.parametrize("shape, loop", [
     ((SMALL_SIDE, SMALL_SIDE), "_diagonalize_lists"), ((1, SMALL_SIDE), "_diagonalize_lists"),
     ((SMALL_SIDE + 1, 1), "_diagonalize_arrays"), ((2, SMALL_SIDE + 1), "_diagonalize_arrays")])

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from teichmuller.crossed import Crossed2Extension, obstruction_cocycle
+from obstruction_oracle import obstruction_loop
+from teichmuller.crossed import Crossed2Extension
 from teichmuller.crossed_pairs import (
     Ambient,
     _correction_map,
@@ -297,9 +298,9 @@ def cocycle_rows(e2: Crossed2Extension, section_seed: int = 0) -> Cochain:
                 defect = Gamma.mul[Gamma.mul[sect[x]][sect[y]]][Gamma.inv[sect[G.mul[x][y]]]]
                 fib = dfibers[defect]
                 h[x][y] = fib[(section_seed + 3 * x + 11 * y) % len(fib)]
-    return obstruction_cocycle(module, h, lambda x, c: e2.action.act(sect[x], c),
-                               lambda a, b: C.mul[a][b], lambda a: C.inv[a],
-                               lambda c: elem_to_coords[into_m[c]])
+    return obstruction_loop(module, h, lambda x, c: e2.action.act(sect[x], c),
+                            lambda a, b: C.mul[a][b], lambda a: C.inv[a],
+                            lambda c: elem_to_coords[into_m[c]])
 
 
 def crossed_pair_sections_backtrack(autdata) -> list[tuple]:
