@@ -30,6 +30,7 @@ from .groups import (
     GroupError,
     GroupHom,
     abelian_group_from_factors,
+    coordinate_array,
     direct_product,
     fiber_product,
     mixed_radix_decode,
@@ -135,10 +136,9 @@ class Crossed2Extension:
 
         Returns (GModule, elem_to_coords, coords_to_elem).
         """
-        into_m = {self.iota(m): m for m in range(self.M.order)}
         sect = self.pi.section()
-        return gmodule_of_action(
-            self.G, self.M, lambda g, m: into_m[self.action.act(sect[g], self.iota(m))])
+        return gmodule_of_action(self.G, self.M, lambda g, m: int(
+            self.iota.preimage(self.action.act(sect[g], self.iota(m)))))
 
 
 def obstruction_cocycle(module: GModule, V, h, h_inv, act, into, coords) -> Cochain:
@@ -206,12 +206,9 @@ def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain
     The section and the defect lifts depend on ``section_seed``
     (``seeded_defect_lifts``); the class of the result does not.
     """
-    module, elem_to_coords, _ = e2.gmodule()
-    into = np.full(e2.C.order, -1)
-    into[list(e2.iota.images)] = np.arange(e2.M.order)
     sect, h = seeded_defect_lifts(e2.pi, e2.boundary, section_seed)
-    return obstruction_cocycle(module, e2.C, h, e2.C.inverse[h], e2.action.perms[sect], into,
-                               np.array(elem_to_coords).reshape(e2.M.order, module.rank))
+    return obstruction_cocycle(e2.gmodule()[0], e2.C, h, e2.C.inverse[h], e2.action.perms[sect],
+                               e2.iota.positions(), coordinate_array(e2.M))
 
 
 def trivial_crossed2(Q: FiniteGroup, M: GModule) -> Crossed2Extension:
@@ -220,11 +217,9 @@ def trivial_crossed2(Q: FiniteGroup, M: GModule) -> Crossed2Extension:
         raise CrossedModuleError("module must be over Q")
     factors = M.invariant_factors
     Mgrp = abelian_group_from_factors(factors)
-    rows = []
-    for q in range(Q.order):
-        rows.append(tuple(mixed_radix_encode(M.act(q, mixed_radix_decode(i, factors)), factors)
-                          for i in range(Mgrp.order)))
-    action = GroupAction(Q, Mgrp, tuple(rows))
+    action = GroupAction(Q, Mgrp, tuple(
+        tuple(mixed_radix_encode(M.act(q, mixed_radix_decode(i, factors)), factors)
+              for i in range(Mgrp.order)) for q in range(Q.order)))
     iota = GroupHom(Mgrp, Mgrp, tuple(range(Mgrp.order)))
     boundary = GroupHom(Mgrp, Q, tuple(Q.identity for _ in range(Mgrp.order)))
     pi = GroupHom(Q, Q, tuple(range(Q.order)))

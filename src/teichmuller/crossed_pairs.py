@@ -41,6 +41,7 @@ from .groups import (
     GroupExtension,
     GroupHom,
     check_normalized_two_cocycle,
+    coordinate_array,
     cyclic,
     direct_product,
     group_from_2cocycle,
@@ -68,8 +69,8 @@ from .crossed import (
     validate_central_kernel,
     validate_crossed_module,
 )
-from .finrings import _hold, galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
-from .modlinalg import HeldArrays, diagonalize_mod, first_nonmultiplicative_pair
+from .finrings import galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
+from .modlinalg import HeldArrays, first_nonmultiplicative_pair, held, hold_arrays
 from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
 
 
@@ -87,13 +88,16 @@ PAIR_SEARCH_BUDGET = 1 << 13    # Aut_G(e) candidates, |G| |M|^(|N|-1), of one s
 class Ambient:
     """N >-> G ->> Q with an abelian table group M carrying a G-action.
 
-    The ambient holds what the maps of the eight-term sequence read, each
-    built on first use and keyed by content: M as a G-module (``gmodule``)
-    with its coordinates, the module's restrictions (``restricted_gmodule``,
-    keyed by the images of the restricting map), M^N as a Q-module
-    (``fixed_submodule_gmodule``), the corrections N -> M, and one Aut_G(e)
-    per normalized cocycle table f on N (``aut_data``, keyed by the entries
-    of f).  ``_held`` takes no part in construction, equality or hashing.
+    The ambient holds in ``_held`` (``modlinalg.held``) what the maps of the
+    eight-term sequence read, each built on first use and keyed by content:
+    the N-action on M (``n_action``), M as a G-module (``gmodule``) with its
+    coordinate lookup (``_coords``), the module's restrictions
+    (``restricted_gmodule``, keyed by the images of the restricting map), M^N
+    as a Q-module (``fixed_submodule_gmodule``), the corrections N -> M, the
+    conjugation of G on N (``n_conjugation``), the Q-twist matrices per
+    degree and module (``twist_matrices``), and one Aut_G(e) per normalized
+    cocycle table f on N (``aut_data``, keyed by the entries of f).
+    ``_held`` takes no part in construction, equality or hashing.
     """
 
     ext: GroupExtension          # N -> G -> Q
@@ -113,15 +117,10 @@ class Ambient:
     def Q(self) -> FiniteGroup:
         return self.ext.quotient_group
 
-    def _hold(self, key, build):
-        held = self._held.get(key)
-        if held is None:
-            held = self._held[key] = build()
-        return held
-
     def n_action(self) -> GroupAction:
-        rows = tuple(self.action.table[self.ext.kernel_hom(n)] for n in range(self.N.order))
-        return GroupAction(self.N, self.Mgrp, rows)
+        """The action of G on M restricted to N, held."""
+        return held(self, "n_action", lambda: GroupAction(self.N, self.Mgrp, tuple(
+            self.action.table[g] for g in self.ext.kernel_hom.images)))
 
     def validate(self) -> None:
         self.ext.validate()
@@ -131,7 +130,7 @@ class Ambient:
 
     def gmodule(self):
         """M as a G-module in invariant-factor coordinates, with bridges."""
-        return self._hold("gmodule", lambda: gmodule_of_action(self.G, self.Mgrp, self.action.act))
+        return held(self, "gmodule", lambda: gmodule_of_action(self.G, self.Mgrp, self.action.act))
 
     def restricted_gmodule(self, hom: GroupHom):
         """The same module over the source of the injective hom: H -> G."""
@@ -139,25 +138,24 @@ class Ambient:
             module, e2c, c2e = self.gmodule()
             return GModule(hom.source, module.invariant_factors,
                            tuple(module.action[g] for g in hom.images)), e2c, c2e
-        return self._hold(("restricted", hom.images), build)
+        return held(self, ("restricted", hom.images), build)
 
     def fixed_submodule_gmodule(self):
         """M^N as a Q-module plus the inclusion M^N -> M over G ->> Q."""
         def build():
             MN, incl = subgroup_of(self.Mgrp, self.fixed_elements())
-            into_mn = {incl(i): i for i in range(MN.order)}
             # Q-action: lift q to G (well defined on fixed points)
             sec = self.ext.section()
             moduleN, e2cN, c2eN = gmodule_of_action(
-                self.Q, MN, lambda q, b: into_mn[self.action.act(sec[q], incl(b))])
+                self.Q, MN, lambda q, b: int(incl.preimage(self.action.act(sec[q], incl(b)))))
             return moduleN, MN, incl, (moduleN.invariant_factors, e2cN, c2eN)
-        return self._hold("fixed_submodule", build)
+        return held(self, "fixed_submodule", build)
 
     def aut_data(self, f) -> "AutGeGroup":
         """Aut_G(e) of the extension of N by M with normalized cocycle table f,
         built by ``aut_g_of_e`` with its default cap."""
         key = tuple(map(tuple, np.asarray(f).tolist()))
-        return self._hold(("aut_data", key), lambda: aut_g_of_e(extension_from_cocycle(self, key)))
+        return held(self, ("aut_data", key), lambda: aut_g_of_e(extension_from_cocycle(self, key)))
 
     def corrections(self) -> np.ndarray:
         """Every correction c: N -> M with c(1) = 0, one row over N each: a
@@ -168,9 +166,8 @@ class Ambient:
             corr = np.full((M.order ** (N.order - 1), N.order), M.identity, dtype=np.int64)
             corr[:, np.arange(N.order) != N.identity] = \
                 np.indices((M.order,) * (N.order - 1)).reshape(N.order - 1, len(corr)).T
-            corr.flags.writeable = False
             return corr
-        return self._hold("corrections", build)
+        return held(self, "corrections", build)
 
     def correction_codes(self, corr) -> np.ndarray:
         """The row in ``corrections()`` of each correction on the last axis of corr."""
@@ -181,21 +178,17 @@ class Ambient:
     def n_conjugation(self) -> np.ndarray:
         """i_x(n) = x n x^-1 in N for x in G: a read-only (|G|, |N|) array."""
         def build():
-            G, kh = self.G, np.array(self.ext.kernel_hom.images)
-            into_n = np.full(G.order, -1)
-            into_n[kh] = np.arange(self.N.order)
-            ix = into_n[G.table[G.table[:, kh], G.inverse[:, None]]]
+            G, kh = self.G, self.ext.kernel_hom
+            ix = kh.positions()[G.table[G.table[:, list(kh.images)], G.inverse[:, None]]]
             if (ix < 0).any():
                 raise CrossedPairError("conjugation left the restricted subgroup")
-            ix.flags.writeable = False
             return ix
-        return self._hold("n_conjugation", build)
+        return held(self, "n_conjugation", build)
 
     def fixed_elements(self) -> tuple[int, ...]:
         """The elements of M^N, the part of M fixed by N, in increasing order."""
-        return tuple(m for m in range(self.Mgrp.order)
-                     if all(self.action.act(self.ext.kernel_hom(n), m) == m
-                            for n in range(self.N.order)))
+        return tuple(np.flatnonzero((self.n_action().perms == np.arange(self.Mgrp.order)).all(
+            axis=0)).tolist())
 
     def inflation_map(self) -> ModuleMap:
         """mu: M^N -> M over pi: G ->> Q (inflation H^*(Q, M^N) -> H^*(G, M))."""
@@ -228,15 +221,13 @@ class Ambient:
         inverse: the element at each mixed-radix index of the coordinates
         (the last coordinate varying fastest), with the radix strides."""
         def build():
-            module, e2c, _ = self.gmodule()
-            coords = np.array(e2c, dtype=np.int64).reshape(self.Mgrp.order, module.rank)
-            factors = module.invariant_factors
+            coords, factors = coordinate_array(self.Mgrp), self.gmodule()[0].invariant_factors
             strides = np.array([int(np.prod(factors[i + 1:])) for i in range(len(factors))],
                                dtype=np.int64)
             lookup = np.empty(self.Mgrp.order, dtype=np.int64)
             lookup[coords @ strides] = np.arange(self.Mgrp.order)
             return coords, lookup, strides
-        return self._hold("coords", build)
+        return held(self, "coords", build)
 
     def twist_matrices(self, H: CohomologyGroup) -> np.ndarray:
         """The Q-twist on H = H^n(N, M) as matrices, one per lift x != 1 in
@@ -252,7 +243,7 @@ class Ambient:
             shape = (len(twisted),) + (self.N.order,) * H.degree + (H.module.rank,)
             return np.array(H.classes_of(np.reshape(twisted, shape)),
                             dtype=np.int64).reshape(len(xs), t, t)
-        return self._hold(("twist_matrices", H.degree, H.module.invariant_factors,
+        return held(self, ("twist_matrices", H.degree, H.module.invariant_factors,
                            H.module.action), build)
 
     def twist(self, table, x: int) -> np.ndarray:
@@ -326,9 +317,9 @@ class AutGeGroup(HeldArrays):
     ``Ambient.corrections()``) of each element, ``key_elements`` its element.
     Products (x, c)(x', c') = (xx', n -> l_x(c'(n)) + c(i_x'(n))) and
     beta(y) = (y's N-part, n -> M-part of y (0, n) y^-1) are found by their keys.
-    ``_held`` keeps what is built from the group on first use: the checked
-    crossed module, e_psi per psi (``delta``) and the psi-free part of
-    ``congruence_key``.
+    ``_held`` keeps what is built from the group on first use
+    (``modlinalg.held``): the checked crossed module, e_psi per psi
+    (``delta``) and the psi-free part of ``congruence_key``.
     """
 
     ae: AbExtension
@@ -350,14 +341,12 @@ class AutGeGroup(HeldArrays):
     def __post_init__(self):
         ae, amb = self.ae, self.ae.ambient
         G, N, M, Q, Gamma = amb.G, amb.N, amb.Mgrp, amb.Q, ae.Gamma
-        _hold(self, None, alphas=(-1, Gamma.order), xs=(-1,))
+        hold_arrays(self, alphas=np.reshape(self.alphas, (-1, Gamma.order)), xs=np.ravel(self.xs))
         X, k = self.xs, len(self.xs)
-        self.corrections = self.alphas[:, self.ae.lift_indices()] % M.order
-        keys = self._key(X, self.corrections)
-        self.key_elements = np.argsort(keys)
-        self.keys = keys[self.key_elements]
-        for held in (self.corrections, self.keys, self.key_elements):
-            held.flags.writeable = False
+        corrections = self.alphas[:, self.ae.lift_indices()] % M.order
+        keys = self._key(X, corrections)
+        order = np.argsort(keys)
+        hold_arrays(self, corrections=corrections, keys=keys[order], key_elements=order)
         # [i, j, n]: l_{x_i}(c_j(n)) + c_i(i_{x_j}(n))
         c, lx, ix = self.corrections, amb.action.perms, amb.n_conjugation()
         comp = M.table[lx[X[:, None, None], c], c[np.arange(k)[:, None, None], ix[X]]]
@@ -386,12 +375,6 @@ class AutGeGroup(HeldArrays):
         return (isinstance(other, AutGeGroup) and self.ae == other.ae
                 and np.array_equal(self.alphas, other.alphas)
                 and np.array_equal(self.xs, other.xs))
-
-    def _hold(self, key, build):
-        held = self._held.get(key)
-        if held is None:
-            held = self._held[key] = build()
-        return held
 
     @property
     def pairs(self) -> list:
@@ -424,7 +407,7 @@ class AutGeGroup(HeldArrays):
         """Gamma -beta-> Aut_G(e), a acting on Gamma by alpha_a, and iota: M^N ->
         Gamma, m -> (m, 1), held once ``validate_crossed_module`` and
         ``validate_central_kernel`` pass on first use (``CrossedPairError`` else)."""
-        return self._hold("crossed_module", self._checked_crossed_module)
+        return held(self, "crossed_module", self._checked_crossed_module)
 
     def _checked_crossed_module(self) -> tuple[CrossedModule, GroupHom]:
         amb, Gamma = self.ae.ambient, self.ae.Gamma
@@ -566,22 +549,21 @@ def delta(cp: CrossedPair, section_seed: int = 0) -> tuple[Crossed2Extension, Co
 
     e_psi depends only on (Aut_G(e), psi), and Aut_G(e) holds it per psi
     (``_e_psi``).  The cocycle is ``obstruction_cocycle`` on the section and
-    lifts of ``seeded_defect_lifts``, per call.  ``cp.validate()`` runs on
-    every call, before e_psi is looked up.
+    lifts of ``seeded_defect_lifts``, per call, read through the held
+    ``iota.positions()`` and ``coordinate_array(M^N)``.  ``cp.validate()``
+    runs on every call, before e_psi is looked up.
     """
     cp.validate()
-    aut, amb, Gamma = cp.autdata, cp.ae.ambient, cp.ae.Gamma
-    moduleQ, _, _, (_, e2cN, _) = amb.fixed_submodule_gmodule()
-    e_psi, into_mn = aut._hold(("e_psi", cp.psi), lambda: _e_psi(aut, cp.psi))
+    aut, Gamma = cp.autdata, cp.ae.Gamma
+    e_psi = held(aut, ("e_psi", cp.psi), lambda: _e_psi(aut, cp.psi))
     sect, h = seeded_defect_lifts(e_psi.pi, e_psi.boundary, section_seed)
-    coords = np.array(e2cN, dtype=np.int64).reshape(len(e2cN), moduleQ.rank)
-    return e_psi, obstruction_cocycle(moduleQ, Gamma, h, Gamma.inverse[h],
-                                      e_psi.action.perms[sect], into_mn, coords)
+    return e_psi, obstruction_cocycle(cp.ae.ambient.fixed_submodule_gmodule()[0], Gamma, h,
+                                      Gamma.inverse[h], e_psi.action.perms[sect],
+                                      e_psi.iota.positions(), coordinate_array(e_psi.M))
 
 
-def _e_psi(aut: AutGeGroup, psi: tuple) -> tuple[Crossed2Extension, np.ndarray]:
-    """e_psi for a section psi that passed ``CrossedPair.validate``, with the
-    index in M^N of each element of Gamma, -1 off iota(M^N).
+def _e_psi(aut: AutGeGroup, psi: tuple) -> Crossed2Extension:
+    """e_psi for a section psi that passed ``CrossedPair.validate``.
 
     B^psi = Aut_G(e) x_{Out_G(e)} Q is, as psi is injective, the a with
     to_out(a) in psi(Q), each over its one q, in the order of a; its table is
@@ -616,11 +598,8 @@ def _e_psi(aut: AutGeGroup, psi: tuple) -> tuple[Crossed2Extension, np.ndarray]:
     if not piB.is_surjective():
         raise CrossedPairError("e_psi failed validation: B^psi does not surject onto Q")
     action = GroupAction(B, Gamma, tuple(cm.action.table[a] for a in members.tolist()))
-    e_psi = Crossed2Extension(M=MN, C=Gamma, Gamma=B, G=Q,
-                              iota=iota, boundary=bnd, pi=piB, action=action)
-    into_mn = np.full(Gamma.order, -1)
-    into_mn[list(iota.images)] = np.arange(MN.order)
-    return e_psi, into_mn
+    return Crossed2Extension(M=MN, C=Gamma, Gamma=B, G=Q,
+                             iota=iota, boundary=bnd, pi=piB, action=action)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +711,7 @@ def congruence_key(cp: CrossedPair) -> tuple:
     """
     amb = cp.ae.ambient
     M = amb.Mgrp
-    f_star, hits, autdata = cp.autdata._hold("f_star", lambda: _least_twist(cp.autdata))
+    f_star, hits, autdata = held(cp.autdata, "f_star", lambda: _least_twist(cp.autdata))
     # [c, q, n]: the correction of the lift of psi(q) transported along phi_c
     lifts = list(cp.lifts)
     xs, d = cp.autdata.xs[lifts], cp.autdata.corrections[lifts]
@@ -760,7 +739,6 @@ def _least_twist(aut: AutGeGroup) -> tuple:
     twisted = twisted.reshape(len(corr), -1)
     f_star = twisted[np.lexsort(twisted.T[::-1])[0]]
     hits = corr[(twisted == f_star).all(axis=1)]
-    hits.flags.writeable = False
     f_star = f_star.reshape(N.order, N.order)
     return tuple(map(tuple, f_star.tolist())), hits, amb.aut_data(f_star)
 
@@ -926,7 +904,7 @@ def degree1_delta(ambient: Ambient, d_table, seed: int = 0) -> Cochain:
     class does not depend on the choices.
     """
     amb = ambient
-    G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
+    G, M, Q = amb.G, amb.Mgrp, amb.Q
     A, Mt, Minv = amb.action.perms, M.table, M.inverse
     kh, sec = np.array(amb.ext.kernel_hom.images), np.array(amb.ext.section(seed))
     d = np.asarray(d_table, dtype=np.int64)
@@ -939,18 +917,15 @@ def degree1_delta(ambient: Ambient, d_table, seed: int = 0) -> Cochain:
     m_q = fits.argmax(axis=1)
     m_q[Q.identity] = M.identity
     # c(p, q) = m_p + p.m_q - m_{u(p)u(q)}, with m_{n u(pq)} = d(n) + n.m_{u(pq)}
-    into_n = np.full(G.order, -1)
-    into_n[kh] = np.arange(N.order)
-    n0 = into_n[G.table[G.table[sec[:, None], sec], G.inverse[sec[Q.table]]]]
+    n0 = amb.ext.kernel_hom.positions()[G.table[G.table[sec[:, None], sec],
+                                                 G.inverse[sec[Q.table]]]]
     m_prod = Mt[d[n0], A[kh[n0], m_q[Q.table]]]
     values = Mt[Mt[m_q[:, None], A[sec[:, None], m_q]], Minv[m_prod]]
-    moduleQ, MNgrp, MN_incl, (_, e2cN, _) = amb.fixed_submodule_gmodule()
-    into_mn = np.full(M.order, -1)
-    into_mn[list(MN_incl.images)] = np.arange(MNgrp.order)
-    if (into_mn[values] < 0).any():
+    moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()
+    mn = MN_incl.positions()[values]
+    if (mn < 0).any():
         raise CrossedPairError("transgression value escaped M^N")
-    coords = np.array(e2cN, dtype=np.int64).reshape(MNgrp.order, moduleQ.rank)
-    return Cochain(moduleQ, 2, coords[into_mn[values]])
+    return Cochain(moduleQ, 2, coordinate_array(MNgrp)[mn])
 
 
 def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
@@ -996,8 +971,7 @@ def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # pushout of an extension along a map of kernels
 
-def pushout_extension(ae: AbExtension, target: FiniteGroup, phi_images,
-                      cap: int = 512) -> GroupExtension:
+def pushout_extension(ae: AbExtension, target: FiniteGroup, phi_images) -> GroupExtension:
     """Push e: M >-> Gamma ->> N forward along phi: M -> M' (abelian M').
 
     phi must be equivariant for the N-action on M and the trivial N-action on
@@ -1019,14 +993,9 @@ def pushout_extension(ae: AbExtension, target: FiniteGroup, phi_images,
     Gq, proj = quotient_group(prod, anti)
     kernel_hom = GroupHom.checked(
         target, Gq, tuple(proj(a * Gamma.order + Gamma.identity) for a in range(target.order)))
-    # quotient onto N through the Gamma component
-    reps = [None] * Gq.order
-    for x in range(prod.order):
-        c = proj(x)
-        if reps[c] is None:
-            reps[c] = x
-    quotient_hom = GroupHom.checked(
-        Gq, N, tuple(ae.gamma_parts(reps[c] % Gamma.order)[1] for c in range(Gq.order)))
+    # quotient onto N through the Gamma component of the first representative
+    reps = np.unique(proj.images, return_index=True)[1]
+    quotient_hom = GroupHom.checked(Gq, N, reps % Gamma.order // M.order)
     ext = GroupExtension(kernel_hom, quotient_hom)
     ext.validate()
     return ext
@@ -1133,9 +1102,9 @@ class QNormalGaloisData(HeldArrays):
     ``ambient`` is N >-> G ->> Q with M = U(T) and the kappa_G-action on
     units; ``kappa_G`` (|G|, rank T, rank T) holds the ring-automorphism
     matrix of T of each element of G, reduced mod m on construction.
-    ``_held`` keeps the N-action on T and the Q-actions on the fixed ring R
-    that ``crossed_pair_algebra`` reads off, by their bytes; it takes no part
-    in construction or the repr.
+    ``_held`` (``modlinalg.held``) keeps the N-action on T and the Q-actions
+    on the fixed ring R that ``crossed_pair_algebra`` reads off, by the bytes
+    of their kappa_Q tables; it takes no part in construction or the repr.
     """
 
     gal: object                   # finrings.GaloisData (T | S with group N)
@@ -1146,15 +1115,12 @@ class QNormalGaloisData(HeldArrays):
 
     def __post_init__(self):
         T = self.gal.T
-        _hold(self, T.modulus, kappa_G=(-1, T.rank, T.rank))
+        hold_arrays(self, T.modulus, kappa_G=np.reshape(self.kappa_G, (-1, T.rank, T.rank)))
 
     def n_base_action(self) -> BaseAction:
         """N acting on T, built once and held with the fixed ring it holds."""
-        held = self._held.get("n_base_action")
-        if held is None:
-            held = self._held["n_base_action"] = BaseAction(self.ambient.N, self.gal.T,
-                                                            self.gal.action)
-        return held
+        return held(self, "n_base_action",
+                    lambda: BaseAction(self.ambient.N, self.gal.T, self.gal.action))
 
     def validate(self) -> None:
         self.ambient.validate()
@@ -1217,7 +1183,7 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     C = res.C
     R = res.R
     rR = R.rank
-    r_diag = diagonalize_mod(res.r_embed, m)
+    r_diag = spec.base_action.fixed_ring_diag()
     # rs[d, u] = r_u s_d in T: C has the basis r_u s_d v_n at (n, d, u), as A = T
     rs = np.einsum("au,bd,abk->duk", res.r_embed, res.s_basis, T.structure) % m
     # sigma_psi lifts on C: the lift (alpha, x) of psi(q) sends v_n to
@@ -1229,9 +1195,8 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
         raise CrossedPairError("lift grade mismatch")
     ay = cp.autdata.alphas[list(cp.lifts)][:, res.section]
     n2 = ay // amb.Mgrp.order
-    into_k = np.full(Gamma.order, -1)
-    into_k[list(spec.ext.kernel_hom.images)] = np.arange(spec.K.order)
-    u_hat = data.units.elements[into_k[Gamma.table[ay, Gamma.inverse[np.array(res.section)[n2]]]]]
+    u_hat = data.units.elements[spec.ext.kernel_hom.preimage(
+        Gamma.table[ay, Gamma.inverse[np.array(res.section)[n2]]])]
     kt = np.einsum("qab,dub->qdua", data.kappa_G[xs], rs) % m
     img = np.einsum("qdua,qnb,abw->qnduw", kt, u_hat, T.structure) % m
     at_v1 = np.einsum("cw,qnduw->qnduc", res.a_to_c, img) % m
@@ -1244,10 +1209,8 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
         raise CrossedPairError("kappa_Q does not preserve the fixed ring")
     # one base action per kappa_Q table, so that its held U(R) is shared
     kappa_Q = coords.reshape(rR, Q.order, rR).transpose(1, 0, 2)
-    key = ("q_base_action", kappa_Q.tobytes())
-    base_action_Q = data._held.get(key)
-    if base_action_Q is None:
-        base_action_Q = data._held[key] = BaseAction(Q, R, kappa_Q)
+    base_action_Q = held(data, ("q_base_action", kappa_Q.tobytes()),
+                         lambda: BaseAction(Q, R, kappa_Q))
     rep = OutRep(base_action=base_action_Q, A=C, lifts=lifts, name="crossed pair algebra")
     # bridge: U(T)^N coordinates -> units of R
     moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()

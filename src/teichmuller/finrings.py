@@ -36,6 +36,8 @@ from .modlinalg import (
     diagonalize_mod,
     enumerate_colspan,
     first_nonmultiplicative_pair,
+    held,
+    hold_arrays,
     inverse_mod,
     invertible_mod,
     kernel_mod,
@@ -60,17 +62,6 @@ def _check_int64(m: int, rank: int) -> None:
                         f"rank^2 (m - 1)^3 >= 2^63")
 
 
-def _hold(owner, m: Optional[int], **shapes) -> None:
-    """Set each named field of owner to a read-only int64 copy of its value,
-    reshaped to the given shape and reduced mod m (unless m is None)."""
-    for name, shape in shapes.items():
-        arr = np.array(getattr(owner, name), dtype=np.int64).reshape(shape)
-        if m is not None:
-            arr %= m
-        arr.flags.writeable = False
-        object.__setattr__(owner, name, arr)
-
-
 @dataclass(frozen=True, eq=False)
 class FinCommRing(HeldArrays):
     """Commutative ring, free of the given rank over Z/modulus.
@@ -80,8 +71,8 @@ class FinCommRing(HeldArrays):
     read-only array of shape (rank,).  Both are reduced mod m on construction
     from any array-like, after m and the rank are checked against int64
     overflow (``RingError``).  Rings compare by identity.  ``_held`` keeps data
-    derived from the ring (its ``units_group``); it takes no part in
-    construction or the repr.
+    derived from the ring (``modlinalg.held``: its ``units_group``); it takes
+    no part in construction or the repr.
     """
 
     modulus: int
@@ -95,7 +86,8 @@ class FinCommRing(HeldArrays):
     def __post_init__(self):
         n = self.rank
         _check_int64(self.modulus, n)
-        _hold(self, self.modulus, structure=(n, n, n), unit=(n,))
+        hold_arrays(self, self.modulus, structure=np.reshape(self.structure, (n, n, n)),
+                    unit=np.reshape(self.unit, n))
 
     @property
     def size(self) -> int:
@@ -322,7 +314,10 @@ def _is_morphism(source_tensor, source_unit, target_tensor, target_unit, mat, m:
     if not np.array_equal((mat @ source_unit) % m, target_unit):
         return False
     lhs = np.einsum("abc,dc->abd", source_tensor, mat) % m
-    rhs = np.einsum("ua,vb,uvw->abw", mat, mat, target_tensor) % m
+    # sum_(u, v) mat[u, a] mat[v, b] T[u, v, w], one mat at a time: O(N^4), not
+    # the O(N^5) of one three-operand einsum; each partial sum has N terms
+    rhs = np.einsum("ua,uvw->avw", mat, target_tensor) % m
+    rhs = np.einsum("vb,avw->abw", mat, rhs) % m
     return np.array_equal(lhs, rhs)
 
 
@@ -442,7 +437,8 @@ class Algebra(HeldArrays):
     def __post_init__(self):
         n, s = self.rank, self.base.rank
         _check_int64(self.modulus, n * s)
-        _hold(self, self.modulus, structure=(n, n, n, s), unit=(n, s))
+        hold_arrays(self, self.modulus, structure=np.reshape(self.structure, (n, n, n, s)),
+                    unit=np.reshape(self.unit, (n, s)))
 
     @property
     def modulus(self) -> int:
@@ -617,35 +613,20 @@ def commutative_ring_as_algebra_over(T: FinCommRing, S: FinCommRing,
 
 
 def _module_basis_over_subring(T: FinCommRing, S: FinCommRing, embed: np.ndarray):
-    """Greedy S-basis of T (free module test); columns in T-coordinates."""
-    m = T.modulus
-    basis: list[np.ndarray] = []
-
-    def span_matrix():
-        return _span_columns(T, embed, np.array(basis, dtype=np.int64).reshape(-1, T.rank).T)
-
-    span = span_matrix()
-    span_diag = diagonalize_mod(span, m) if span.size else None
-    done = False
+    """Greedy S-basis of T (free module test); columns in T-coordinates, or
+    None when T is not free over S.  Each span is diagonalized once."""
+    basis, span_diag = [], None
     for cand in T.elements():
-        if not cand.any():
-            continue
-        if span.size and span_diag.solve(cand) is not None:
+        if not cand.any() or (span_diag is not None and span_diag.solve(cand) is not None):
             continue
         # accept only if the extended span is still free of the right size
-        basis.append(cand)
-        new_span = span_matrix()
-        if submodule_size(new_span, m) != S.size ** len(basis):
-            basis.pop()
-            continue
-        span = new_span
-        span_diag = diagonalize_mod(span, m)
-        if submodule_size(span, m) == T.size:
-            done = True
-            break
-    if not done or S.size ** len(basis) != T.size:
-        return None
-    return np.stack(basis, axis=1)
+        diag = diagonalize_mod(_span_columns(T, embed, np.stack(basis + [cand], axis=1)), T.modulus)
+        if diag.image_size() == S.size ** (len(basis) + 1):
+            basis.append(cand)
+            span_diag = diag
+            if diag.image_size() == T.size:
+                return np.stack(basis, axis=1)
+    return None
 
 
 def _expand_over_subring(T: FinCommRing, S: FinCommRing, embed: np.ndarray,
@@ -682,8 +663,8 @@ class UnitsGroup(HeldArrays):
     lookup: np.ndarray
 
     def __post_init__(self):
-        _hold(self, self.modulus, elements=(self.group.order, -1))
-        _hold(self, None, lookup=-1)
+        hold_arrays(self, self.modulus, elements=np.reshape(self.elements, (self.group.order, -1)))
+        hold_arrays(self, lookup=np.ravel(self.lookup))
 
     def index_of(self, vecs):
         """The unit index of a flat vector, or the array of indices of a stack
@@ -703,10 +684,7 @@ def units_group(A, cap: int = UNITS_CAP) -> UnitsGroup:
     if A.size > cap:
         raise RingError(f"unit enumeration capped at {cap} elements")
     if isinstance(A, FinCommRing):
-        held = A._held.get("units_group")
-        if held is None:
-            held = A._held["units_group"] = _enumerate_units(ring_as_algebra(A))
-        return held
+        return held(A, "units_group", lambda: _enumerate_units(ring_as_algebra(A)))
     return _enumerate_units(A)
 
 
@@ -835,8 +813,9 @@ class GaloisData(HeldArrays):
     action: np.ndarray
 
     def __post_init__(self):
-        _hold(self, self.T.modulus, action=(-1, self.T.rank, self.T.rank),
-              embed=(self.T.rank, self.S.rank))
+        T = self.T
+        hold_arrays(self, T.modulus, action=np.reshape(self.action, (-1, T.rank, T.rank)),
+                    embed=np.reshape(self.embed, (T.rank, self.S.rank)))
 
     def validate_action(self) -> None:
         for n, mat in enumerate(self.action):
@@ -850,11 +829,7 @@ class GaloisData(HeldArrays):
 
 
 def idempotents(R: FinCommRing) -> list[np.ndarray]:
-    out = []
-    for x in R.elements():
-        if np.array_equal(R.mul(x, x), x):
-            out.append(x)
-    return out
+    return [x for x in R.elements() if np.array_equal(R.mul(x, x), x)]
 
 
 def primitive_idempotents(R: FinCommRing) -> list[np.ndarray]:
@@ -864,21 +839,14 @@ def primitive_idempotents(R: FinCommRing) -> list[np.ndarray]:
     def leq(e, f):
         return np.array_equal(R.mul(e, f), e)
 
-    prims = []
-    for e in idem:
-        if all(not (leq(f, e) and not np.array_equal(e, f)) for f in idem):
-            prims.append(e)
-    return prims
+    return [e for e in idem if all(not (leq(f, e) and not np.array_equal(e, f)) for f in idem)]
 
 
 def _unit_in_corner(R: FinCommRing, e: np.ndarray, x: np.ndarray) -> bool:
     """Is x*e a unit of the corner ring e*R?"""
     m = R.modulus
-    corner = (R.mul_matrix(e)) % m            # projection onto eR (as image)
-    corner_gens = corner                      # columns span eR
-    size = submodule_size(corner_gens, m)
-    prod = (R.mul_matrix(R.mul(x, e)) @ corner_gens) % m
-    return submodule_size(prod, m) == size
+    corner = R.mul_matrix(e)                  # its columns span eR
+    return submodule_size((R.mul_matrix(R.mul(x, e)) @ corner) % m, m) == submodule_size(corner, m)
 
 
 def galois_check(data: GaloisData) -> dict:
@@ -923,23 +891,10 @@ def galois_check(data: GaloisData) -> dict:
 
     # --- (iii) ideal separation: for each maximal ideal (primitive corner)
     # and n != 1 some t in T with t - n.t a unit in the corner ---------------
-    prims = primitive_idempotents(T)
-    ok_iii = True
-    failures = []
-    for e in prims:
-        for n in range(N.order):
-            if n == N.identity:
-                continue
-            found = False
-            for t_elt in T.elements():
-                diff = (t_elt - (data.action[n] @ t_elt)) % m
-                if _unit_in_corner(T, e, diff):
-                    found = True
-                    break
-            if not found:
-                ok_iii = False
-                failures.append((tuple(int(x) for x in e), n))
-    report["criterion_iii"] = bool(ok_iii)
+    failures = [(tuple(int(x) for x in e), n) for e in primitive_idempotents(T)
+                for n in range(N.order) if n != N.identity and not any(
+                    _unit_in_corner(T, e, (t - data.action[n] @ t) % m) for t in T.elements())]
+    report["criterion_iii"] = not failures
     report["criterion_iii_failures"] = failures
 
     # --- (iv) h: T (x)_S T -> Map(N, T) -------------------------------------

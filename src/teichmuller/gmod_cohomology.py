@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,6 +50,8 @@ from .modlinalg import (
     diagonalize_mod,
     extending_rows_mod_p,
     first_nonmultiplicative_pair,
+    held,
+    hold_arrays,
     prime_factors,
     row_basis_mod_p,
     solve_matrix_mod,
@@ -100,12 +102,8 @@ class GModule(HeldArrays):
         m, k = self.exponent, self.rank
         if k * (m - 1) ** 2 + (MAX_DEGREE + 1) * (m - 1) >= 1 << 63:
             raise CohomologyError(f"modulus m={m} at rank {k} overflows int64 arithmetic")
-        matrices = np.array(self.action, dtype=np.int64).reshape(self.group.order, self.rank,
-                                                                 self.rank)
-        factors = np.array(self.invariant_factors, dtype=np.int64)
-        for name, held in (("matrices", matrices), ("factors", factors)):
-            held.flags.writeable = False
-            object.__setattr__(self, name, held)
+        hold_arrays(self, matrices=np.reshape(self.action, (self.group.order, k, k)),
+                    factors=self.invariant_factors)
 
     @property
     def rank(self) -> int:
@@ -117,10 +115,7 @@ class GModule(HeldArrays):
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def reduce(self, vec) -> tuple[int, ...]:
         return tuple(int(x) % d for x, d in zip(vec, self.invariant_factors))
@@ -168,11 +163,9 @@ def gmodule_of_action(G: FiniteGroup, M: FiniteGroup, act):
     factors, e2c, c2e = abelian_structure(M)
     k = len(factors)
     basis = [c2e[tuple(int(j == i) for j in range(k))] for i in range(k)]
-    mats = []
-    for g in range(G.order):
-        cols = [e2c[act(g, b)] for b in basis]
-        mats.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
-    return GModule(G, factors, tuple(mats)), e2c, c2e
+    cols = [[e2c[act(g, b)] for b in basis] for g in range(G.order)]
+    mats = tuple(tuple(tuple(c[j][i] for j in range(k)) for i in range(k)) for c in cols)
+    return GModule(G, factors, mats), e2c, c2e
 
 
 def _unembed(vec, factors, m):
@@ -283,18 +276,15 @@ def _bar_terms(G: FiniteGroup, n: int):
     index in (|G|,)*n of each face of d, (g_2..g_{n+1}) first, then
     (.., g_i g_{i+1}, ..) for i = 1..n, then (g_1..g_n).  Held by G per
     degree."""
-    key = ("bar_terms", n)
-    held = G._held.get(key)
-    if held is None:
+    def build():
         pos = _bar_positions(G, n + 1)
         grids = np.array(np.unravel_index(pos, (G.order,) * (n + 1)))
         faces = [pos % G.order ** n]
         faces += [np.ravel_multi_index((*grids[:i - 1], G.table[grids[i - 1], grids[i]],
                                         *grids[i + 1:]), (G.order,) * n) for i in range(1, n + 1)]
         faces.append(pos // G.order)
-        held = G._held[key] = (pos, grids[0], np.array(faces).reshape(n + 2, len(pos)),
-                               (-1) ** np.arange(1, n + 2))
-    return held
+        return pos, grids[0], np.array(faces).reshape(n + 2, len(pos)), (-1) ** np.arange(1, n + 2)
+    return held(G, ("bar_terms", n), build)
 
 
 def is_cocycle(c: Cochain) -> Optional[tuple]:
@@ -540,11 +530,7 @@ class FreeResolution:
 
 def free_resolution(G: FiniteGroup, m: int) -> FreeResolution:
     """The free Z/m[G]-resolution of Z/m that G holds, made on first use."""
-    key = ("free_resolution", m)
-    F = G._held.get(key)
-    if F is None:
-        F = G._held[key] = FreeResolution(G, m)
-    return F
+    return held(G, ("free_resolution", m), lambda: FreeResolution(G, m))
 
 
 @dataclass
@@ -562,8 +548,9 @@ class _CoreCohomology:
     cok: ModCokernel
     # the degree-n coboundary M^(r_(n-1)) -> M^(r_n): unscaled in, scaled out
     bmat: np.ndarray = field(repr=False)
-    # one bar cocycle per class coordinate, made on the first lift
-    lifts: Optional[np.ndarray] = field(default=None, repr=False)
+    # built on first use: the bar cocycles lifted from the unit classes
+    # (``generator``) and bmat diagonalized (``preimage``)
+    _held: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -598,10 +585,9 @@ class _CoreCohomology:
         return list(map(tuple, self.cok.coords(coeff).T.tolist()))
 
     def generator(self, coords) -> Cochain:
-        if self.lifts is None:
-            self.lifts = self._bar_lifts()
         coords = np.asarray(coords, dtype=np.int64)
-        return Cochain(self.module, self.degree, np.tensordot(coords, self.lifts, axes=1))
+        return Cochain(self.module, self.degree,
+                       np.tensordot(coords, held(self, "lifts", self._bar_lifts), axes=1))
 
     def _bar_lifts(self) -> np.ndarray:
         """The cocycle w_s lifted from each unit class coordinate s, unscaled,
@@ -624,7 +610,8 @@ class _CoreCohomology:
         M, n, k = self.module, self.degree, self.module.rank
         F = self.resolution
         s = F.homotopy(n - 1)
-        beta = diagonalize_mod(self.bmat, self.m).solve(self._pulled_back(z.table[None])[:, 0])
+        bdiag = held(self, "bmat_diag", lambda: diagonalize_mod(self.bmat, self.m))
+        beta = bdiag.solve(self._pulled_back(z.table[None])[:, 0])
         if beta is None:
             return None
         table = self._along_psi(beta.reshape(F.ranks[n - 1], k, 1), n - 1)[0]
@@ -695,10 +682,7 @@ class CohomologyGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
+        return prod(self.invariant_factors)
 
     def class_of(self, z: Cochain) -> tuple[int, ...]:
         if z.degree != self.degree:
@@ -762,7 +746,9 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
     module's group too, so equal modules share one CohomologyGroup.  Every
     matrix is checked against RESOLUTION_CELL_BUDGET before it is built or
     eliminated, the smallest comparison map (E^n x |G|) before any work; a
-    refused build holds nothing.
+    refused build holds nothing.  So no matrix has more than that many rows,
+    and ``diagonalize_mod`` keeps rows (m - 1)^2 below 2^63: a modulus with
+    RESOLUTION_CELL_BUDGET (m - 1)^2 >= 2^63 is refused before any elimination.
     """
     if not same_group(M.group, G):
         raise CohomologyError("module is not over the given group")
@@ -770,17 +756,17 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
         raise CohomologyError("degree must be nonnegative")
     if n > MAX_DEGREE:
         raise BudgetExceeded(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
-    key = ("cohomology", n, M.invariant_factors, M.action)
-    H = M.group._held.get(key)
-    if H is None:
+    def build():
         if M.rank == 0:
-            H = CohomologyGroup(G, M, n, ())
-        else:
-            _check_budget(f"Psi_{n}", (G.order - 1) ** n, G.order, M.exponent)
-            core = _compute_core(M, n)
-            H = CohomologyGroup(G, M, n, core.invariant_factors, _core=core)
-        M.group._held[key] = H
-    return H
+            return CohomologyGroup(G, M, n, ())
+        m = M.exponent
+        if RESOLUTION_CELL_BUDGET * (m - 1) ** 2 >= 1 << 63:
+            raise CohomologyError(f"H^{n}: modulus m={m} at rank {M.rank} overflows int64 "
+                                  f"elimination: RESOLUTION_CELL_BUDGET (m - 1)^2 >= 2^63")
+        _check_budget(f"Psi_{n}", (G.order - 1) ** n, G.order, m)
+        core = _compute_core(M, n)
+        return CohomologyGroup(G, M, n, core.invariant_factors, _core=core)
+    return held(M.group, ("cohomology", n, M.invariant_factors, M.action), build)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .exact_linalg import abelian_quotient
-from .modlinalg import HeldArrays
+from .modlinalg import HeldArrays, held, hold_arrays
 
 DEFAULT_ORDER_CAP = 256
 ALL_GENERATORS_ORDER = 32  # up to this order every element is a generator
@@ -57,8 +58,11 @@ class FiniteGroup:
 
     ``table`` and ``inverse`` hold ``mul`` and ``inv`` once more as read-only
     int64 arrays, ``gens`` the generators that the table checks run on; ``_held``
-    keeps derived data (``abelian_structure``).  None of them takes part in
-    construction, equality, hashing or the repr, nor the arrays in the pickle.
+    keeps derived data (``modlinalg.held``): the ``abelian_structure`` of an
+    abelian group and its ``coordinate_array``, and per modulus and degree the
+    free resolution, the bar-coboundary index grids and H^n of each module
+    content (``gmod_cohomology``).  None of them takes part in construction,
+    equality, hashing or the repr, nor the arrays in the pickle.
     """
 
     order: int
@@ -108,13 +112,8 @@ class FiniteGroup:
                         inv=tuple(inverse.tolist()),
                         labels=tuple(labels) if labels else None,
                         generators=tuple(generators) if generators else None)
-        G._hold_arrays(t, inverse, gens)
+        hold_arrays(G, table=t, inverse=inverse, gens=gens)
         return G
-
-    def _hold_arrays(self, t: np.ndarray, inverse: np.ndarray, gens: np.ndarray) -> None:
-        for name, arr in (("table", t), ("inverse", inverse), ("gens", gens)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -124,7 +123,7 @@ class FiniteGroup:
     def __setstate__(self, state):
         self.__dict__.update(state)
         t = np.array(self.mul, dtype=np.int64)
-        self._hold_arrays(t, np.array(self.inv, dtype=np.int64), _generating_set(t, self.identity))
+        hold_arrays(self, table=t, inverse=self.inv, gens=_generating_set(t, self.identity))
 
     @property
     def gens_index(self):
@@ -205,9 +204,14 @@ def same_group(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 @dataclass(frozen=True)
 class GroupHom:
+    """A homomorphism by its table of images.  ``_held`` keeps its inverse
+    index (``positions``); it takes no part in construction, equality,
+    hashing or the repr."""
+
     source: FiniteGroup
     target: FiniteGroup
     images: tuple[int, ...]
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != self.source.order:
@@ -245,6 +249,23 @@ class GroupHom:
 
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.order
+
+    def positions(self) -> np.ndarray:
+        """The source element over each target element, -1 off the image: for an
+        injective hom, its inverse as a read-only (|target|,) array, held."""
+        def build():
+            pos = np.full(self.target.order, -1)
+            pos[list(self.images)] = np.arange(self.source.order)
+            return pos
+        return held(self, "positions", build)
+
+    def preimage(self, y):
+        """``positions`` at y, a target element or an array of them; GroupError
+        when one lies off the image."""
+        x = self.positions()[y]
+        if (x < 0).any():
+            raise GroupError(f"element {np.extract(x < 0, y)[0]} lies outside the image")
+        return x
 
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.order
@@ -338,12 +359,9 @@ class GroupAction(HeldArrays):
 
     def __post_init__(self):
         try:
-            perms = np.array(self.table, dtype=np.int64)
-        except ValueError:
-            perms = None
-        else:
-            perms.flags.writeable = False
-        object.__setattr__(self, "perms", perms)
+            hold_arrays(self, perms=self.table)
+        except ValueError:  # a ragged table
+            object.__setattr__(self, "perms", None)
 
     @property
     def carrier_size(self) -> int:
@@ -400,10 +418,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     if G.labels and H.labels:
         labels = [f"({G.labels[a]},{H.labels[b]})" for a in range(n) for b in range(m)]
     return FiniteGroup.from_table(mul, labels=labels)
-
-
-def pair_index(G: FiniteGroup, H: FiniteGroup, a: int, b: int) -> int:
-    return a * H.order + b
 
 
 def subgroup_of(G: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup, GroupHom]:
@@ -473,9 +487,7 @@ def mixed_radix_encode(v: Sequence[int], factors: Sequence[int]) -> int:
 def abelian_group_from_factors(factors: Sequence[int]) -> FiniteGroup:
     """The group Z/d_1 + ... + Z/d_k with mixed-radix element indexing."""
     factors = [int(d) for d in factors]
-    n = 1
-    for d in factors:
-        n *= d
+    n = prod(factors)
     if n > DEFAULT_ORDER_CAP:
         raise GroupError("abelian group too large for a table")
     digits = [mixed_radix_decode(i, factors) for i in range(n)]
@@ -493,14 +505,22 @@ def abelian_structure(M: FiniteGroup):
     tuple over M and coords_to_elem a dict.  The presentation is computed
     once and held by M, so every caller shares it and none may write into it.
     """
-    held = M._held.get("abelian_structure")
-    if held is not None:
-        return held
+    return held(M, "abelian_structure", lambda: _present(M))
+
+
+def coordinate_array(M: FiniteGroup) -> np.ndarray:
+    """elem_to_coords of ``abelian_structure(M)`` as one read-only (|M|, k)
+    int64 array, held by M; it reads the held presentation directly, so
+    building it makes no further ``abelian_structure`` call."""
+    def build():
+        return np.array(held(M, "abelian_structure", lambda: _present(M))[1], dtype=np.int64)
+    return held(M, "coordinate_array", build)
+
+
+def _present(M: FiniteGroup):
     if not M.is_abelian():
         raise GroupError("abelian_structure needs an abelian group")
     gens = M.minimal_generators()
-    if not gens:
-        gens = []
     g = len(gens)
     # exponent vectors: build the subgroup chain, recording how each element
     # is written in the generators
@@ -513,10 +533,7 @@ def abelian_structure(M: FiniteGroup):
         while x not in expo:
             k += 1
             x = M.mul[x][gen]
-        base = expo[x]
-        rel = [0] * g
-        for i in range(g):
-            rel[i] = -base[i]
+        rel = [-e for e in expo[x]]
         rel[j] = k
         relations.append(tuple(rel))
         # extend the span by powers of gen
@@ -537,8 +554,7 @@ def abelian_structure(M: FiniteGroup):
     coords_to_elem = {c: e for e, c in enumerate(elem_to_coords)}
     if len(coords_to_elem) != M.order:
         raise GroupError("presentation does not separate elements")
-    held = M._held["abelian_structure"] = (pres.factors, elem_to_coords, coords_to_elem)
-    return held
+    return pres.factors, elem_to_coords, coords_to_elem
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +701,9 @@ def two_cocycle_of_extension(ext: GroupExtension, seed: int = 0):
     M, G, Q = ext.kernel_group, ext.middle, ext.quotient_group
     if not M.is_abelian():
         raise GroupError("kernel must be abelian")
-    into = {ext.kernel_hom(m): m for m in range(M.order)}
-    sec = ext.section(seed)
-    act_rows = []
-    for q in range(Q.order):
-        g = sec[q]
-        act_rows.append(tuple(into[G.conj(g, ext.kernel_hom(m))] for m in range(M.order)))
-    action = GroupAction(Q, M, tuple(act_rows))
-    f = [[0] * Q.order for _ in range(Q.order)]
-    for p, q in itertools.product(range(Q.order), repeat=2):
-        g = G.mul[sec[p]][sec[q]]
-        f[p][q] = into[G.mul[g][G.inv[sec[Q.mul[p][q]]]]]
-    return f, action
+    kh, sec = ext.kernel_hom, np.array(ext.section(seed))
+    # row q: s(q) m s(q)^-1 for every m; f(p, q) = s(p) s(q) s(pq)^-1
+    acted = kh.preimage(G.table[G.table[sec[:, None], list(kh.images)], G.inverse[sec][:, None]])
+    action = GroupAction(Q, M, tuple(map(tuple, acted.tolist())))
+    f = kh.preimage(G.table[G.table[sec[:, None], sec], G.inverse[sec[Q.table]]])
+    return f.tolist(), action

@@ -19,6 +19,11 @@ rows that enlarge a span.
 
 This is the one exact linear-algebra layer of the package: cohomology, finite
 rings and the finite abelian presentations of exact_linalg all run on it.
+
+It also holds the package's one way to hold derived data: ``hold_arrays`` sets
+read-only int64 array fields (reduced mod m when asked), and ``held`` is the
+memo over an owner's ``_held`` dict that every owner (groups, homomorphisms,
+modules, ambients, rings, actions, Aut_G(e)) keeps its built data in.
 """
 
 from __future__ import annotations
@@ -47,6 +52,36 @@ class HeldArrays:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.__post_init__()
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def hold_arrays(owner, m: int | None = None, **values) -> None:
+    """Set each named field of owner, a frozen dataclass or not, to a read-only
+    int64 copy of its array-like value, reduced mod m unless m is None."""
+    for name, value in values.items():
+        arr = np.array(value, dtype=np.int64)
+        if m is not None:
+            arr %= m
+        object.__setattr__(owner, name, _read_only(arr))
+
+
+def held(owner, key, build):
+    """owner._held[key], built by build() on first use and held from then on.
+
+    An ndarray value, or an ndarray member of a tuple value, is held
+    read-only, as every later caller shares it.  Keys are content keys
+    (names, degrees, moduli, table entries), never object identities."""
+    value = owner._held.get(key)
+    if value is None:
+        value = owner._held[key] = build()
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                _read_only(arr)
+    return value
 
 
 def unit_multiplier(a: int, m: int) -> int:
@@ -129,11 +164,7 @@ class ModDiagonalization:
         return self.m ** (self.cols - len(self.d)) * prod(gcd(int(d), self.m) for d in self.d)
 
     def image_size(self) -> int:
-        m = self.m
-        n = 1
-        for i in range(len(self.d)):
-            n *= m // gcd(int(self.d[i]), m)
-        return n
+        return prod(self.m // gcd(int(d), self.m) for d in self.d)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and all(gcd(int(x), self.m) == 1 for x in self.d)
@@ -347,10 +378,7 @@ class ModCokernel:
 
     @property
     def order(self) -> int:
-        o = 1
-        for f in self.factors:
-            o *= f
-        return o
+        return prod(self.factors)
 
     def coords(self, v):
         """The class of v as a tuple; for a 2-D v, the classes of its columns

@@ -31,13 +31,14 @@ the shared builder ``gmod_cohomology.gmodule_of_action`` makes a Q-module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .crossed import obstruction_cocycle
-from .groups import FiniteGroup, GroupExtension, GroupHom
+from .groups import FiniteGroup, GroupExtension, GroupHom, coordinate_array
 from .gmod_cohomology import Cochain, GModule, gmodule_of_action
 from .finrings import (
     UNITS_CAP,
@@ -57,12 +58,12 @@ from .finrings import (
     units_group,
     _enumerate_units,
     _expand_over_subring,
-    _hold,
     _module_basis_over_subring,
     _same_ring,
 )
 from .modlinalg import (HeldArrays, ModDiagonalization, colspans_equal,
-                        first_nonmultiplicative_pair, invertible_mod, submodule_size)
+                        first_nonmultiplicative_pair, held, hold_arrays, invertible_mod,
+                        submodule_size)
 
 
 class NormalStructureError(ValueError):
@@ -74,7 +75,8 @@ class BaseAction(HeldArrays):
     """kappa_Q: an action of Q on the commutative ring S (not nec. injective).
 
     ``matrices`` (|Q|, rank S, rank S) holds kappa(q) in row q.  ``_held``
-    keeps data derived from the action (its ``fixed_ring`` and
+    keeps data derived from the action (``modlinalg.held``: its
+    ``fixed_ring``, the diagonalized embedding ``fixed_ring_diag`` and
     ``unit_module``); it takes no part in construction or the repr.
     """
 
@@ -84,7 +86,8 @@ class BaseAction(HeldArrays):
     _held: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        _hold(self, self.S.modulus, matrices=(-1, self.S.rank, self.S.rank))
+        S = self.S
+        hold_arrays(self, S.modulus, matrices=np.reshape(self.matrices, (-1, S.rank, S.rank)))
 
     def validate(self) -> None:
         if len(self.matrices) != self.Q.order:
@@ -98,19 +101,30 @@ class BaseAction(HeldArrays):
         if pair is not None:
             raise NormalStructureError(f"kappa is not a homomorphism at {pair}")
 
-    def fixed_ring(self) -> tuple[FinCommRing, np.ndarray, np.ndarray, ModDiagonalization]:
-        """(R, r_embed, s_basis, s_diag): the fixed ring R = S^Q, its embedding
-        into S, an S-basis over R (columns, S-coords) and the diagonalization
-        whose ``solve`` expands S-elements over it; built once and held."""
-        held = self._held.get("fixed_ring")
-        if held is None:
-            R, r_embed = fixed_subring(self.S, self.matrices, name=f"{self.S.name}^Q")
-            s_basis = _module_basis_over_subring(self.S, R, r_embed)
+    def fixed_ring(self) -> tuple[FinCommRing, np.ndarray, np.ndarray, np.ndarray]:
+        """(R, r_embed, s_basis, expand): the fixed ring R = S^Q, its embedding
+        into S, an S-basis over R (columns, S-coords) and the matrix that
+        expands S-coordinates over it (R-coordinates of s_basis column i at
+        rows [i * rank R:(i + 1) * rank R]); built once and held."""
+        def build():
+            S = self.S
+            R, r_embed = fixed_subring(S, self.matrices, name=f"{S.name}^Q")
+            s_basis = _module_basis_over_subring(S, R, r_embed)
             if s_basis is None:
                 raise NormalStructureError("S is not free over the fixed ring R")
-            held = self._held["fixed_ring"] = (
-                R, r_embed, s_basis, _expand_over_subring(self.S, R, r_embed, s_basis))
-        return held
+            # S is free over R on s_basis, so expanding over it is a bijection
+            expand = _expand_over_subring(S, R, r_embed, s_basis).solve(
+                np.eye(S.rank, dtype=np.int64))
+            if expand is None:
+                raise NormalStructureError("element escaped the R-span (S not free?)")
+            return R, r_embed, s_basis, expand
+        return held(self, "fixed_ring", build)
+
+    def fixed_ring_diag(self) -> ModDiagonalization:
+        """The embedding of the fixed ring into S diagonalized, held: its
+        ``solve`` reads an element of R back from S."""
+        return held(self, "fixed_ring_diag",
+                    lambda: diagonalize_mod(self.fixed_ring()[1], self.S.modulus))
 
 
 def trivial_base_action(Q: FiniteGroup, S: FinCommRing) -> BaseAction:
@@ -120,25 +134,56 @@ def trivial_base_action(Q: FiniteGroup, S: FinCommRing) -> BaseAction:
 @dataclass(frozen=True, eq=False)
 class OutRep(HeldArrays):
     """A Q-normal structure: lift table q -> automorphism of A of grade q,
-    ``lifts`` (|Q|, flat rank, flat rank) holding w_q in row q."""
+    ``lifts`` (|Q|, flat rank, flat rank) holding w_q in row q.  ``_held``
+    keeps the inverse of each lift a defect reads and, per seed, the factor
+    set (``modlinalg.held``); it takes no part in construction or the repr."""
 
     base_action: BaseAction
     A: Algebra
     lifts: np.ndarray
     name: str = ""
+    _held: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = self.A.flat_rank
-        _hold(self, self.A.modulus, lifts=(-1, n, n))
+        hold_arrays(self, self.A.modulus, lifts=np.reshape(self.lifts, (-1, n, n)))
 
     @property
     def Q(self) -> FiniteGroup:
         return self.base_action.Q
 
+    def inverse_lift(self, q: int) -> np.ndarray:
+        """w_q^-1, held per q; NormalStructureError when w_q is singular."""
+        def build():
+            inv = inverse_mod(self.lifts[q], self.A.modulus)
+            if inv is None:
+                raise NormalStructureError(f"lift {q} is not invertible")
+            return inv
+        return held(self, ("inverse_lift", int(q)), build)
+
     def defect(self, p: int, q: int) -> np.ndarray:
         """w_p w_q w_{pq}^{-1}, an automorphism over S."""
         m, w = self.A.modulus, self.lifts
-        return (w[p] @ w[q] @ inverse_mod(w[self.Q.mul[p][q]], m)) % m
+        return (w[p] @ w[q] @ self.inverse_lift(self.Q.mul[p][q])) % m
+
+    def factor_set(self, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(f, f^-1), (|Q|, |Q|, flat rank) each: units f(p, q) with
+        w_p w_q = Inn(f(p, q)) w_pq, found by ``find_conjugator`` with the
+        seed, and 1 where p or q is 1; held per seed.  NormalStructureError at
+        the first (p, q), in row-major order, whose defect is not inner."""
+        def build():
+            Q, A = self.Q, self.A
+            f = np.broadcast_to(A.flat_unit(), (Q.order, Q.order, A.flat_rank)).copy()
+            f_inv = f.copy()
+            for p, q in itertools.product(np.flatnonzero(np.arange(Q.order) != Q.identity),
+                                          repeat=2):
+                u = find_conjugator(A, self.defect(p, q), seed=seed)
+                if u is None:
+                    raise NormalStructureError(
+                        f"defect at ({p},{q}) is not inner: not a Q-normal structure")
+                f[p, q], f_inv[p, q] = u, A.inv(u)
+            return f, f_inv
+        return held(self, ("factor_set", seed), build)
 
     def validate(self, seed: int = 0) -> None:
         Q, A = self.Q, self.A
@@ -156,11 +201,8 @@ class OutRep(HeldArrays):
                 raise NormalStructureError(f"lift {q} is not invertible")
             if not np.array_equal((w @ emb) % m, (emb @ self.base_action.matrices[q]) % m):
                 raise NormalStructureError(f"lift {q} has the wrong grade on S")
-        for p in range(Q.order):
-            for q in range(Q.order):
-                if find_conjugator(A, self.defect(p, q), seed=seed) is None:
-                    raise NormalStructureError(
-                        f"defect at ({p},{q}) is not inner: not a Q-normal structure")
+        # w_1 = 1, so a defect at p = 1 or q = 1 is 1, inner
+        self.factor_set(seed)
 
     def is_equivariant(self) -> bool:
         return first_nonmultiplicative_pair(self.lifts, self.Q, self.A.modulus) is None
@@ -196,16 +238,15 @@ class UnitModule:
 
 def unit_module(base_action: BaseAction) -> UnitModule:
     """U(S) as a Q-module, built once per base action and held by it."""
-    held = base_action._held.get("unit_module")
-    if held is None:
+    def build():
         units = units_group(base_action.S)
         # acted[q, u]: the index of kappa(q) applied to unit u
         acted = units.index_of(np.einsum("qab,ub->qua", base_action.matrices, units.elements))
         module, e2c, c2e = gmodule_of_action(base_action.Q, units.group,
                                              lambda q, u: acted[q, u])
-        held = base_action._held["unit_module"] = UnitModule(
-            units=units, module=module, elem_to_coords=tuple(e2c), coords_to_elem=c2e)
-    return held
+        return UnitModule(units=units, module=module, elem_to_coords=tuple(e2c),
+                          coords_to_elem=c2e)
+    return held(base_action, "unit_module", build)
 
 
 # ---------------------------------------------------------------------------
@@ -223,34 +264,19 @@ def teichmuller_cocycle(rep: OutRep, seed: int = 0,
                         unit_mod: Optional[UnitModule] = None) -> TeichWitness:
     """xi in Z^3(Q, U(S)) measuring the failure of the lift table to compose.
 
-    Chooses (via the conjugator solver, seed-dependent) units f(p,q) with
-    w_p w_q = Inn(f(p,q)) w_{pq}, normalized f(1,.) = f(.,1) = 1, and returns
+    Reads the units f(p,q) with w_p w_q = Inn(f(p,q)) w_{pq}, normalized
+    f(1,.) = f(.,1) = 1, from ``rep.factor_set(seed)``, and returns
 
         xi(p,q,r) = f(p,q) f(pq,r) ( w_p(f(q,r)) f(p,qr) )^{-1}
 
     read in U(S) through the base embedding.  Raises when some defect is not
     inner ("not Q-normal").
     """
-    Q, A = rep.Q, rep.A
     if unit_mod is None:
         unit_mod = unit_module(rep.base_action)
-    one = A.flat_unit()
-    f = np.empty((Q.order, Q.order, A.flat_rank), dtype=np.int64)
-    f_inv = np.empty_like(f)
-    for p in range(Q.order):
-        for q in range(Q.order):
-            if p == Q.identity or q == Q.identity:
-                f[p, q] = f_inv[p, q] = one
-                continue
-            u = find_conjugator(A, rep.defect(p, q), seed=seed)
-            if u is None:
-                raise NormalStructureError(
-                    f"defect at ({p},{q}) is not inner: not a Q-normal structure")
-            f[p, q], f_inv[p, q] = u, A.inv(u)
-    coords = np.array(unit_mod.elem_to_coords, dtype=np.int64).reshape(
-        len(unit_mod.elem_to_coords), unit_mod.module.rank)
-    z = obstruction_cocycle(unit_mod.module, A, f, f_inv, rep.lifts, unit_mod.units.lookup,
-                            coords)
+    f, f_inv = rep.factor_set(seed)
+    z = obstruction_cocycle(unit_mod.module, rep.A, f, f_inv, rep.lifts, unit_mod.units.lookup,
+                            coordinate_array(unit_mod.units.group))
     return TeichWitness(rep=rep, unit_mod=unit_mod, f=f, cocycle=z)
 
 
@@ -310,7 +336,8 @@ class CrossedProductSpec(HeldArrays):
 
     def __post_init__(self):
         n = self.A.flat_rank
-        _hold(self, self.A.modulus, i_images=(self.K.order, n), theta=(self.Gamma.order, n, n))
+        hold_arrays(self, self.A.modulus, i_images=np.reshape(self.i_images, (self.K.order, n)),
+                    theta=np.reshape(self.theta, (self.Gamma.order, n, n)))
 
     @property
     def Q(self) -> FiniteGroup:
@@ -365,9 +392,7 @@ class CrossedProductSpec(HeldArrays):
         if bad.size:
             raise NormalStructureError(f"theta(j(y)) differs from Inn(i(y)) at y = {bad[0]}")
         # conj[g, y] = y' with j(y') = g j(y) g^-1, or -1 when that lies outside j(K)
-        into_k = np.full(Gamma.order, -1)
-        into_k[j_img] = np.arange(K.order)
-        conj = into_k[gmul[gmul[:, j_img], Gamma.inverse[:, None]]]
+        conj = self.ext.kernel_hom.positions()[gmul[gmul[:, j_img], Gamma.inverse[:, None]]]
         for g, y in np.argwhere(conj < 0)[:1]:
             raise NormalStructureError(f"kernel is not normal in Gamma at ({g}, {y})")
         gs = Gamma.gens_index  # theta is a homomorphism: Gamma's generators decide equivariance
@@ -376,10 +401,6 @@ class CrossedProductSpec(HeldArrays):
             bad = np.flatnonzero((I[conj[g]] != (I @ thetas[g].T) % m).any(axis=1))
             if bad.size:
                 raise NormalStructureError(f"i is not Gamma-equivariant at ({g}, {bad[0]})")
-
-    def kernel_index(self) -> dict:
-        """Gamma element j(y) -> y, for the image of K in Gamma."""
-        return {self.ext.kernel_hom(y): y for y in range(self.K.order)}
 
 
 @dataclass(eq=False)
@@ -395,7 +416,7 @@ class CrossedProductResult(HeldArrays):
     v_units: np.ndarray          # (|Q|, flat rank of C): v_q in row q
 
     def __post_init__(self):
-        _hold(self, self.C.modulus, v_units=(-1, self.C.flat_rank))
+        hold_arrays(self, self.C.modulus, v_units=np.reshape(self.v_units, (-1, self.C.flat_rank)))
 
     def s_to_c(self) -> np.ndarray:
         return (self.a_to_c @ self.spec.A.base_embedding()) % self.C.modulus
@@ -410,22 +431,18 @@ def crossed_product(spec: CrossedProductSpec, seed: int = 0) -> CrossedProductRe
     spec.validate()
     A, Q, Gamma = spec.A, spec.Q, spec.Gamma
     m, TA = A.modulus, A.flat_tensor
-    R, r_embed, s_basis, s_diag = spec.base_action.fixed_ring()
-    sec = spec.ext.section(seed)
-    into_k = spec.kernel_index()
-    phi = [[into_k[Gamma.mul[Gamma.mul[sec[p]][sec[q]]][Gamma.inv[sec[Q.mul[p][q]]]]]
-            for q in range(Q.order)] for p in range(Q.order)]
-    n, sR, nq, sigma = A.rank, A.base.rank, Q.order, s_basis.shape[1]
+    R, r_embed, s_basis, expand = spec.base_action.fixed_ring()
+    s = np.array(spec.ext.section(seed))
+    # phi(p, q) = s(p) s(q) s(pq)^-1, in K
+    phi = spec.ext.kernel_hom.preimage(Gamma.table[Gamma.table[s[:, None], s],
+                                                   Gamma.inverse[s[Q.table]]]).tolist()
+    n, nq, sigma = A.rank, Q.order, s_basis.shape[1]
     dimC = nq * n * sigma
-    # S is free over R on s_basis, so expanding over it is a bijection: one
-    # solve gives its matrix, and to_c sends flat A into the v_1 block of C
-    expand = s_diag.solve(np.eye(sR, dtype=np.int64))
-    if expand is None:
-        raise NormalStructureError("element escaped the R-span (S not free?)")
+    # to_c sends flat A into the v_1 block of C
     to_c = np.kron(np.eye(n, dtype=np.int64), expand)
     # L[x]: s_d e_i at x = i * sigma + d, flat in A
     L = np.einsum("ij,wd->idjw", np.eye(n, dtype=np.int64), s_basis).reshape(n * sigma, -1)
-    theta_l = np.einsum("pab,yb->pya", spec.theta[sec], L) % m
+    theta_l = np.einsum("pab,yb->pya", spec.theta[s], L) % m
     left = np.einsum("xa,abc->xcb", L, TA) % m
     right_i = np.einsum("pqb,abc->pqca", spec.i_images[phi], TA) % m
     # prods[p, x, q, y] = (L[x] theta_p(L[y])) i(phi(p, q)), read in the v_1 block
@@ -441,7 +458,7 @@ def crossed_product(spec: CrossedProductSpec, seed: int = 0) -> CrossedProductRe
     C.validate()
     a_to_c = np.kron(np.eye(nq, dtype=np.int64)[:, [Q.identity]], to_c)
     return CrossedProductResult(spec=spec, C=C, R=R, r_embed=r_embed,
-                                s_basis=s_basis, section=sec, phi=phi,
+                                s_basis=s_basis, section=s.tolist(), phi=phi,
                                 a_to_c=a_to_c, v_units=v_units)
 
 
@@ -466,7 +483,8 @@ class EndSide(HeldArrays):
 
     def __post_init__(self):
         n = self.product.C.flat_rank
-        _hold(self, self.E.modulus, basis_matrices=(self.E.flat_rank, n, n))
+        hold_arrays(self, self.E.modulus,
+                    basis_matrices=np.reshape(self.basis_matrices, (self.E.flat_rank, n, n)))
 
     def to_matrix(self, e_vec) -> np.ndarray:
         m = self.E.modulus

@@ -256,7 +256,7 @@ def crossed_product_oracle(spec, seed: int = 0) -> dict:
     sigma = s_basis.shape[1]
     expand_s = _expand_oracle(S, R, r_embed, s_basis)
     sec = spec.ext.section(seed)
-    into_k = spec.kernel_index()
+    into_k = spec.ext.kernel_hom.positions()
     phi = [[into_k[Gamma.mul[Gamma.mul[sec[p]][sec[q]]][Gamma.inv[sec[Q.mul[p][q]]]]]
             for q in range(Q.order)] for p in range(Q.order)]
     n, sR, rR = A.rank, S.rank, R.rank
@@ -352,7 +352,7 @@ def crossed_pair_lifts_oracle(data, cp, res, seed: int = 0) -> tuple[list, list]
     ae, Gamma, C = cp.ae, cp.ae.Gamma, res.C
     Cmul = _mul(C)
     rR, sigma = res.R.rank, res.s_basis.shape[1]
-    into_k = res.spec.kernel_index()
+    into_k = res.spec.ext.kernel_hom.positions()
     r_diag = diagonalize_mod(res.r_embed, m)
     lifts = []
     for q in range(amb.Q.order):

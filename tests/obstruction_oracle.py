@@ -48,11 +48,11 @@ def cocycle_of_crossed2_loop(e2, section_seed: int = 0) -> Cochain:
 def delta_loop(cp, section_seed: int = 0) -> Cochain:
     aut, amb, Gamma = cp.autdata, cp.ae.ambient, cp.ae.Gamma
     moduleQ, _, _, (_, e2cN, _) = amb.fixed_submodule_gmodule()
-    e_psi, into = _e_psi(aut, cp.psi)
+    e_psi = _e_psi(aut, cp.psi)
     sect, h = seeded_defect_lifts(e_psi.pi, e_psi.boundary, section_seed)
     return obstruction_loop(moduleQ, h.tolist(), lambda x, c: e_psi.action.table[sect[x]][c],
                             lambda a, b: Gamma.mul[a][b], lambda a: Gamma.inv[a],
-                            lambda c: e2cN[into[c]])
+                            lambda c: e2cN[e_psi.iota.preimage(c)])
 
 
 def teichmuller_loop(rep, seed: int = 0) -> Cochain:

@@ -102,7 +102,7 @@ def klein_neg_ambient():
     rows = tuple(tuple(m * (-1) ** (g // 2) % 4 for m in range(4)) for g in range(4))
     amb = Ambient(ext=amb.ext, Mgrp=M, action=GroupAction(amb.G, M, rows))
     amb.validate()
-    assert amb.n_action().table[1] == (0, 3, 2, 1)
+    assert amb.action.table[amb.ext.kernel_hom(1)] == (0, 3, 2, 1)
     return amb
 
 

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teichmuller.groups import cyclic
 from teichmuller import finrings
@@ -22,6 +23,7 @@ from teichmuller.finrings import (
     galois_from_free_action,
     galois_ring,
     gf,
+    is_algebra_morphism,
     is_azumaya,
     is_ring_morphism_matrix,
     map_ring,
@@ -373,3 +375,41 @@ def test_a_ring_holds_its_units_group():
     assert units_group(gf(3, 2)).group.mul == U.group.mul
     with pytest.raises(RingError, match="capped at 4"):
         units_group(R, cap=4)
+
+
+def morphism_one_einsum(source_tensor, source_unit, target_tensor, target_unit, mat, m):
+    """``finrings._is_morphism`` with its one three-operand einsum, O(N^5)."""
+    mat = np.asarray(mat, dtype=np.int64)
+    if not np.array_equal((mat @ source_unit) % m, target_unit):
+        return False
+    lhs = np.einsum("abc,dc->abd", source_tensor, mat) % m
+    return np.array_equal(lhs, np.einsum("ua,vb,uvw->abw", mat, mat, target_tensor) % m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9, 25, 65521]), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_two_step_morphism_check_equals_the_one_einsum(m, n, seed, identity):
+    """Random tensors, units and maps of rank n <= 8 over Z/m, a fifth of the
+    entries m - 1, within the N^2 (m - 1)^3 < 2^63 bound of the einsums; the
+    map is the identity when ``identity`` is set."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = rng.integers(0, m, size=shape)
+        a[rng.random(shape) < 0.2] = m - 1
+        return a
+
+    T, U, unit = draw(n, n, n), draw(n, n, n), draw(n)
+    mat = np.eye(n, dtype=np.int64) if identity else draw(n, n)
+    for args in ((T, unit, T, unit, mat, m), (T, unit, U, mat @ unit % m, mat, m)):
+        assert finrings._is_morphism(*args) == morphism_one_einsum(*args)
+
+
+def test_identity_morphism_check_at_flat_rank_64_is_fast():
+    A = matrix_algebra(gf(5, 1), 8)
+    eye = np.eye(A.flat_rank, dtype=np.int64)
+    A.flat_tensor
+    start = time.perf_counter()
+    assert is_algebra_morphism(A, A, eye)
+    assert time.perf_counter() - start < 0.5

@@ -346,7 +346,7 @@ def test_crossed_product_spec_names_the_failing_equivariance_pair_above_order_32
     i_images = tuple(tuple(int(x) for x in units.elements[y]) for y in range(K.order))
     spec = CrossedProductSpec(A=A, base_action=BaseAction(Q, S, tuple(frs)), ext=ext,
                               i_images=i_images, theta=tuple(frs[g % 5] for g in range(Gamma.order)))
-    into_k = spec.kernel_index()
+    into_k = spec.ext.kernel_hom.positions()
     want = next((g, y) for g in range(Gamma.order) for y in range(K.order)
                 if not np.array_equal(spec.i_images[into_k[Gamma.conj(g, 5 * y)]] % 2,
                                       frs[g % 5] @ spec.i_images[y] % 2))

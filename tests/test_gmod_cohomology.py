@@ -4,7 +4,7 @@ import random
 import re
 import time
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -913,3 +913,34 @@ def test_gmodule_arithmetic_is_exact_below_the_int64_bound_and_refused_above(k, 
     # (dc)(t, t) = t.c(t) - c(1) + c(t), with c(1) = 0
     d = coboundary(Cochain(M, 1, [[0] * k, v]))
     assert d.table[1, 1].tolist() == [(x + y) % m for x, y in zip(moved, v)]
+
+
+def largest_cohomology_modulus():
+    """The largest m with RESOLUTION_CELL_BUDGET (m - 1)^2 < 2^63."""
+    budget = gmod_cohomology.RESOLUTION_CELL_BUDGET
+    c = isqrt(((1 << 63) - 1) // budget)
+    while budget * (c + 1) ** 2 < 1 << 63:
+        c += 1
+    return c + 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_cohomology_refuses_an_overflowing_modulus_before_any_elimination(n, monkeypatch):
+    """At the largest modulus GModule admits, and just above the cohomology
+    bound, H^n refuses with the module's m and rank before diagonalize_mod
+    runs; just below, it answers."""
+    G = cyclic(3)
+    eliminated = []
+    real = gmod_cohomology.diagonalize_mod
+    monkeypatch.setattr(gmod_cohomology, "diagonalize_mod",
+                        lambda *args, **kwargs: eliminated.append(args) or real(*args, **kwargs))
+    top = largest_cohomology_modulus()
+    for m, k in ((3037000498, 1), (top + 1, 1), (top + 1, 2)):
+        with pytest.raises(CohomologyError, match=f"H\\^{n}: modulus m={m} at rank {k} overflows"):
+            cohomology(G, trivial_gmodule(G, [m] * k), n)
+    assert not eliminated
+    H = cohomology(G, trivial_gmodule(G, [top]), n)
+    # H^n(C_3, Z/m) with m prime to 3: Z/m in degree 0, else 0
+    assert top % 3 and H.invariant_factors == ((top,) if n == 0 else ())
+    z = H.lift([1] if n == 0 else [])
+    assert H.class_of(z) == ((1,) if n == 0 else ())

@@ -487,7 +487,7 @@ def test_crossed_product_spec_names_the_failing_equivariance_pair():
                               i_images=i_images, theta=theta)
     want = first_failing_pair(
         lambda g, y: np.array_equal(
-            spec.i_images[spec.kernel_index()[Gamma.conj(g, 2 * y)]] % 2,
+            spec.i_images[spec.ext.kernel_hom.positions()[Gamma.conj(g, 2 * y)]] % 2,
             theta[g] @ spec.i_images[y] % 2),
         Gamma.order, K.order)
     assert want is not None
