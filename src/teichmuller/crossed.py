@@ -18,7 +18,7 @@ questions are always decided at the class level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .groups import (
     quotient_group,
     same_group,
 )
+from .modlinalg import Holder, held
 
 
 class CrossedModuleError(ValueError):
@@ -105,7 +106,7 @@ def validate_central_kernel(cm: CrossedModule, M: FiniteGroup, iota: GroupHom) -
 
 
 @dataclass(frozen=True)
-class Crossed2Extension:
+class Crossed2Extension(Holder):
     """Exact sequence 0 -> M -> C -> Gamma -> G -> 1 with crossed structure."""
 
     M: FiniteGroup
@@ -116,6 +117,7 @@ class Crossed2Extension:
     boundary: GroupHom           # C -> Gamma
     pi: GroupHom                 # Gamma -> G
     action: GroupAction          # Gamma on C
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def crossed_module(self) -> CrossedModule:
         return CrossedModule(self.C, self.Gamma, self.boundary, self.action)
@@ -132,13 +134,13 @@ class Crossed2Extension:
         return report
 
     def gmodule(self):
-        """M as a G-module (action induced through lifts), plus translation maps.
+        """M as a G-module (action induced through lifts), plus translation maps, held.
 
         Returns (GModule, elem_to_coords, coords_to_elem).
         """
         sect = self.pi.section()
-        return gmodule_of_action(self.G, self.M, lambda g, m: int(
-            self.iota.preimage(self.action.act(sect[g], self.iota(m)))))
+        return held(self, "gmodule", lambda: gmodule_of_action(self.G, self.M, lambda g, m: int(
+            self.iota.preimage(self.action.act(sect[g], self.iota(m))))))
 
 
 def obstruction_cocycle(module: GModule, V, h, h_inv, act, into, coords) -> Cochain:
@@ -179,17 +181,17 @@ def obstruction_cocycle(module: GModule, V, h, h_inv, act, into, coords) -> Coch
     return Cochain(module, 3, coords[found])
 
 
-def seeded_defect_lifts(pi: GroupHom, boundary: GroupHom, seed: int) -> tuple[list, np.ndarray]:
+def seeded_defect_lifts(pi: GroupHom, boundary: GroupHom,
+                        seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The seeded choices of the obstruction cocycle of C -boundary-> Gamma -pi->> G.
 
-    Returns the set section s = ``pi.section(seed)`` and the normalized lift
-    h(x, y) of its defect s(x)s(y)s(xy)^-1, a (|G|, |G|) array: the
-    ((seed + 3x + 11y) mod n)-th of its n boundary preimages in increasing
-    order, 1 when x or y is.
+    Returns the set section s = ``pi.section(seed)``, as an array, and the
+    normalized lift h(x, y) of its defect s(x)s(y)s(xy)^-1, a (|G|, |G|)
+    array: the ((seed + 3x + 11y) mod n)-th of its n boundary preimages in
+    increasing order, 1 when x or y is.
     """
     G, Gamma = pi.target, pi.source
-    sect = pi.section(seed)
-    s, bnd, x = np.array(sect), np.array(boundary.images), np.arange(G.order)
+    s, bnd, x = np.array(pi.section(seed)), np.array(boundary.images), np.arange(G.order)
     defect = Gamma.table[Gamma.table[s[:, None], s], Gamma.inverse[s[G.table]]]
     size = np.bincount(bnd, minlength=Gamma.order)[defect]
     if not size.all():
@@ -197,7 +199,7 @@ def seeded_defect_lifts(pi: GroupHom, boundary: GroupHom, seed: int) -> tuple[li
     pick = np.searchsorted(np.sort(bnd), defect) + (seed + 3 * x[:, None] + 11 * x) % size
     h = np.argsort(bnd, kind="stable")[pick]
     h[G.identity, :] = h[:, G.identity] = boundary.source.identity
-    return sect, h
+    return s, h
 
 
 def cocycle_of_crossed2(e2: Crossed2Extension, section_seed: int = 0) -> Cochain:

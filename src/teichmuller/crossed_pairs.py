@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GroupAction,
     GroupExtension,
@@ -70,7 +71,7 @@ from .crossed import (
     validate_crossed_module,
 )
 from .finrings import galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
-from .modlinalg import HeldArrays, first_nonmultiplicative_pair, held, hold_arrays
+from .modlinalg import HeldArrays, Holder, first_nonmultiplicative_pair, held, hold_arrays
 from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
 
 
@@ -85,7 +86,7 @@ PAIR_SEARCH_BUDGET = 1 << 13    # Aut_G(e) candidates, |G| |M|^(|N|-1), of one s
 # ambient data
 
 @dataclass(frozen=True)
-class Ambient:
+class Ambient(Holder):
     """N >-> G ->> Q with an abelian table group M carrying a G-action.
 
     The ambient holds in ``_held`` (``modlinalg.held``) what the maps of the
@@ -95,9 +96,11 @@ class Ambient:
     (``restricted_gmodule``, keyed by the images of the restricting map), M^N
     as a Q-module (``fixed_submodule_gmodule``), the corrections N -> M, the
     conjugation of G on N (``n_conjugation``), the Q-twist matrices per
-    degree and module (``twist_matrices``), and one Aut_G(e) per normalized
-    cocycle table f on N (``aut_data``, keyed by the entries of f).
-    ``_held`` takes no part in construction, equality or hashing.
+    degree and module (``twist_matrices``), one Aut_G(e) per normalized
+    cocycle table f on N (``aut_data``, keyed by the entries of f), and one
+    group per table (``group``) for every group derived over the ambient:
+    Gamma_f, Aut_G(e), Out_G(e) and B^psi.  ``_held`` takes no part in
+    construction, equality, hashing or the pickle.
     """
 
     ext: GroupExtension          # N -> G -> Q
@@ -116,6 +119,18 @@ class Ambient:
     @property
     def Q(self) -> FiniteGroup:
         return self.ext.quotient_group
+
+    def group(self, table, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+        """The one group the ambient holds for the content of table, built by
+        ``FiniteGroup.from_table``, with all its checks, on first use.  It is
+        held by a hash of the table in its narrowest dtype; a held group is
+        returned only for an equal table of order at most cap, and any other
+        table goes to ``from_table``, which refuses it or builds it unheld."""
+        t = np.asarray(table)
+        key = ("group", hash(t.astype(np.min_scalar_type(max(len(t) - 1, 0))).tobytes()))
+        G = held(self, key, lambda: FiniteGroup.from_table(t, cap=cap))
+        return G if G.order <= cap and np.array_equal(G.table, t) else \
+            FiniteGroup.from_table(t, cap=cap)
 
     def n_action(self) -> GroupAction:
         """The action of G on M restricted to N, held."""
@@ -281,7 +296,7 @@ class AbExtension:
 
 
 def extension_from_cocycle(ambient: Ambient, f) -> AbExtension:
-    ext = group_from_2cocycle(ambient.N, ambient.Mgrp, ambient.n_action(), f)
+    ext = group_from_2cocycle(ambient.N, ambient.Mgrp, ambient.n_action(), f, build=ambient.group)
     return AbExtension(ambient=ambient, f=tuple(tuple(row) for row in f), ext_e=ext)
 
 
@@ -305,7 +320,7 @@ def _q_fixed(ambient: Ambient, H: CohomologyGroup, classes) -> np.ndarray:
 # Aut_G(e), Out_G(e), and the (diag1) checks
 
 @dataclass(eq=False)
-class AutGeGroup(HeldArrays):
+class AutGeGroup(HeldArrays, Holder):
     """Aut_G(e), the pairs (alpha, x) of (diag1), with Out_G(e) and the maps
     of the structure diagram.
 
@@ -353,7 +368,7 @@ class AutGeGroup(HeldArrays):
         table = self.index_of(G.table[X[:, None], X], comp)
         if (table < 0).any():
             raise CrossedPairError("Aut_G(e) is not closed under composition")
-        self.group = FiniteGroup.from_table(table, cap=max(256, k))
+        self.group = amb.group(table, cap=max(256, k))
         y = np.arange(Gamma.order)
         conj = Gamma.table[Gamma.table[y[:, None], self.ae.lift_indices()], Gamma.inverse[:, None]]
         beta_images = self.index_of(np.array(amb.ext.kernel_hom.images)[y // M.order],
@@ -362,7 +377,7 @@ class AutGeGroup(HeldArrays):
             raise CrossedPairError("a conjugation of Gamma is not in Aut_G(e)")
         self.beta = GroupHom.checked(Gamma, self.group, beta_images)
         self.to_G = GroupHom.checked(self.group, G, X)
-        self.out, self.to_out = quotient_group(self.group, beta_images)
+        self.out, self.to_out = quotient_group(self.group, beta_images, build=amb.group)
         _, first = np.unique(self.to_out.images, return_index=True)
         self.out_to_Q = GroupHom.checked(
             self.out, Q, np.array(amb.ext.quotient_hom.images)[X[first]])
@@ -567,14 +582,16 @@ def _e_psi(aut: AutGeGroup, psi: tuple) -> Crossed2Extension:
 
     B^psi = Aut_G(e) x_{Out_G(e)} Q is, as psi is injective, the a with
     to_out(a) in psi(Q), each over its one q, in the order of a; its table is
-    one gather of the Aut_G(e) and Q tables.  e_psi passes
+    one gather of the Aut_G(e) and Q tables, and B^psi is the ambient's group
+    for it (``Ambient.group``).  e_psi passes
     ``Crossed2Extension.validate`` once ``crossed_module()`` of Aut_G(e) has,
     and psi passes the checks here.  B^psi acts on Gamma through its first
     factor and holds the image of beta (over q = 1), so its boundary, action,
     equivariance and Peiffer identity restrict those of Gamma -> Aut_G(e), and
     ker(boundary) = ker(beta) = iota(M^N), central in Gamma.  What depends on
-    psi runs here, once per (Aut_G(e), psi): B^psi is closed, as
-    ``FiniteGroup.from_table`` confirms, exactness at B^psi, and B^psi ->> Q.
+    psi runs here, once per (Aut_G(e), psi): B^psi is closed, as its table,
+    where a product outside B^psi would read -1, is a group table, exactness
+    at B^psi, and B^psi ->> Q.
     """
     Gamma, Q = aut.ae.Gamma, aut.ae.ambient.Q
     cm, iota = aut.crossed_module()
@@ -587,7 +604,7 @@ def _e_psi(aut: AutGeGroup, psi: tuple) -> Crossed2Extension:
     # B^psi element i is (members[i], qs[i]), found by its code a |Q| + q
     into_b = np.full(aut.group.order * Q.order, -1)
     into_b[members * Q.order + qs] = np.arange(len(members))
-    B = FiniteGroup.from_table(
+    B = aut.ae.ambient.group(
         into_b[aut.group.table[members[:, None], members] * Q.order + Q.table[qs[:, None], qs]],
         cap=max(256, len(members)))
     bnd = GroupHom(Gamma, B, tuple(
@@ -629,7 +646,7 @@ def _j_pairs(ambient: Ambient, tables: np.ndarray) -> list[CrossedPair]:
     gathers over the whole stack; each distinct f then looks up its pairs in
     its Aut_G(e) at once, and each distinct (f, psi) is validated once.
     """
-    G, N, M = ambient.G, ambient.N, ambient.Mgrp
+    G, M = ambient.G, ambient.Mgrp
     H = np.asarray(tables, dtype=np.int64)
     check_normalized_two_cocycle(G, M, ambient.action, H)
     A, Mt = ambient.action.perms, M.table
@@ -640,12 +657,12 @@ def _j_pairs(ambient: Ambient, tables: np.ndarray) -> list[CrossedPair]:
     a = M.inverse[A[X_inv, H[:, X, X_inv]]]                       # [t, q]
     # [t, q, n]: the correction h(x,g) + xg.a + h(xg,x^-1) of the conjugation by (0, x)
     shift = Mt[Mt[H[:, X[:, None], kh], A[xg, a[:, :, None]]], H[:, xg, X_inv[:, None]]]
-    restricted, which = np.unique(H[:, kh[:, None], kh].reshape(len(H), -1), axis=0,
-                                  return_inverse=True)
-    which = which.reshape(-1)
+    # the first table t of each distinct f = h|N, keyed by the bytes of f
+    restricted, first = H[:, kh[:, None], kh], {}
+    which = np.array([first.setdefault(f.tobytes(), t) for t, f in enumerate(restricted)])
     pairs: list = [None] * len(H)
-    for i, f in enumerate(restricted):
-        autdata = ambient.aut_data(f.reshape(N.order, N.order))
+    for i in first.values():
+        autdata = ambient.aut_data(restricted[i])
         to_out = np.array(autdata.to_out.images)
         members = np.flatnonzero(which == i)
         lifts = autdata.index_of(X, shift[members])
@@ -1096,7 +1113,7 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
 # crossed pair algebras (Q-normal Galois ring data)
 
 @dataclass(eq=False)
-class QNormalGaloisData(HeldArrays):
+class QNormalGaloisData(HeldArrays, Holder):
     """A Q-normal Galois extension T|S with its structure extension.
 
     ``ambient`` is N >-> G ->> Q with M = U(T) and the kappa_G-action on
@@ -1203,7 +1220,7 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     right_v = np.einsum("qnb,abc->qnca", res.v_units[n2], C.flat_tensor) % m
     lifts = np.einsum("qnca,qndua->qcndu", right_v, at_v1).reshape(Q.order, C.flat_rank, -1) % m
     # kappa_Q on the rebuilt base ring R (= S): transport through T
-    coords = r_diag.solve(np.einsum("qab,bu->aqu", data.kappa_G[sec], res.r_embed).reshape(
+    coords = r_diag.solve(np.einsum("qab,bu->aqu", data.kappa_G[list(sec)], res.r_embed).reshape(
         T.rank, -1) % m)
     if coords is None:
         raise CrossedPairError("kappa_Q does not preserve the fixed ring")

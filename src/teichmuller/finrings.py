@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -31,6 +30,7 @@ import numpy as np
 from .groups import FiniteGroup
 from .modlinalg import (
     HeldArrays,
+    Holder,
     ModDiagonalization,
     colspans_equal,
     diagonalize_mod,
@@ -63,7 +63,7 @@ def _check_int64(m: int, rank: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class FinCommRing(HeldArrays):
+class FinCommRing(HeldArrays, Holder):
     """Commutative ring, free of the given rank over Z/modulus.
 
     ``structure`` is a read-only int64 array of shape (rank, rank, rank):
@@ -72,7 +72,7 @@ class FinCommRing(HeldArrays):
     from any array-like, after m and the rank are checked against int64
     overflow (``RingError``).  Rings compare by identity.  ``_held`` keeps data
     derived from the ring (``modlinalg.held``: its ``units_group``); it takes
-    no part in construction or the repr.
+    no part in construction, the repr or the pickle.
     """
 
     modulus: int
@@ -416,7 +416,7 @@ def _fixed_module(T: FinCommRing, mats: Sequence[np.ndarray]) -> np.ndarray:
 # algebras over a base ring
 
 @dataclass(frozen=True, eq=False)
-class Algebra(HeldArrays):
+class Algebra(HeldArrays, Holder):
     """Associative unital algebra, free over ``base`` with central embedding.
 
     ``structure`` is a read-only int64 array of shape (rank, rank, rank,
@@ -426,6 +426,7 @@ class Algebra(HeldArrays):
     array-like, after m and the flat rank are checked against int64 overflow
     (``RingError``).  Flat coordinates interleave: index i * base.rank + u is
     basis element e_i with base coordinate u.  Algebras compare by identity.
+    ``_held`` keeps ``flat_tensor`` and ``base_diag``, outside the repr and pickle.
     """
 
     base: FinCommRing
@@ -433,6 +434,7 @@ class Algebra(HeldArrays):
     structure: np.ndarray
     unit: np.ndarray
     name: str = ""
+    _held: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n, s = self.rank, self.base.rank
@@ -448,16 +450,18 @@ class Algebra(HeldArrays):
     def flat_rank(self) -> int:
         return self.rank * self.base.rank
 
-    @cached_property
+    @property
     def flat_tensor(self) -> np.ndarray:
-        """T[a, b, c] with (xy)_c = sum x_a y_b T[a,b,c] in flat coordinates."""
-        N, m = self.flat_rank, self.modulus
-        if N > 192:
-            raise RingError(f"flat multiplication tensor too large ({N})")
-        bt = self.base.structure
-        # (e_i s_u)(e_j s_v) = sum_c (s_u s_v structure[i, j, c]) e_c
-        coef = np.einsum("ijck,akw->ijcaw", self.structure, bt) % m
-        return np.einsum("uva,ijcaw->iujvcw", bt, coef).reshape(N, N, N) % m
+        """T[a, b, c] with (xy)_c = sum x_a y_b T[a,b,c] in flat coordinates, held."""
+        def build():
+            N, m = self.flat_rank, self.modulus
+            if N > 192:
+                raise RingError(f"flat multiplication tensor too large ({N})")
+            bt = self.base.structure
+            # (e_i s_u)(e_j s_v) = sum_c (s_u s_v structure[i, j, c]) e_c
+            coef = np.einsum("ijck,akw->ijcaw", self.structure, bt) % m
+            return np.einsum("uva,ijcaw->iujvcw", bt, coef).reshape(N, N, N) % m
+        return held(self, "flat_tensor", build)
 
     def flat_unit(self) -> np.ndarray:
         return self.unit.flatten()
@@ -502,10 +506,11 @@ class Algebra(HeldArrays):
         return np.einsum("iv,uvw->iwu", self.unit, self.base.structure).reshape(
             self.flat_rank, self.base.rank) % self.modulus
 
-    @cached_property
+    @property
     def base_diag(self) -> ModDiagonalization:
         """``base_embedding`` diagonalized once: its ``solve`` reads s * 1_A back as s."""
-        return diagonalize_mod(self.base_embedding(), self.modulus)
+        return held(self, "base_diag",
+                    lambda: diagonalize_mod(self.base_embedding(), self.modulus))
 
     def scalar_mul(self, s_elt, x) -> np.ndarray:
         """Multiply by a base-ring element (coordinatewise on blocks)."""

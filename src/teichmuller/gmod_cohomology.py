@@ -44,6 +44,7 @@ import numpy as np
 from .groups import FiniteGroup, GroupHom, abelian_structure, cyclic, same_group
 from .modlinalg import (
     HeldArrays,
+    Holder,
     ModCokernel,
     ModDiagonalization,
     cokernel_mod,
@@ -534,7 +535,7 @@ def free_resolution(G: FiniteGroup, m: int) -> FreeResolution:
 
 
 @dataclass
-class _CoreCohomology:
+class _CoreCohomology(Holder):
     """H^n of Hom_G(F, M) = M^{r_n} on the scaled free (Z/m) model, read and
     written through bar cochains."""
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact_linalg import abelian_quotient
-from .modlinalg import HeldArrays, held, hold_arrays
+from .modlinalg import HeldArrays, Holder, held, hold_arrays
 
 DEFAULT_ORDER_CAP = 256
 ALL_GENERATORS_ORDER = 32  # up to this order every element is a generator
@@ -53,7 +53,7 @@ def _generating_set(u: np.ndarray, ident: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Holder):
     """A group on 0..order-1 by its table.
 
     ``table`` and ``inverse`` hold ``mul`` and ``inv`` once more as read-only
@@ -62,7 +62,7 @@ class FiniteGroup:
     abelian group and its ``coordinate_array``, and per modulus and degree the
     free resolution, the bar-coboundary index grids and H^n of each module
     content (``gmod_cohomology``).  None of them takes part in construction,
-    equality, hashing or the repr, nor the arrays in the pickle.
+    equality, hashing, the repr or the pickle.
     """
 
     order: int
@@ -116,7 +116,7 @@ class FiniteGroup:
         return G
 
     def __getstate__(self):
-        state = dict(self.__dict__)
+        state = super().__getstate__()
         del state["table"], state["inverse"], state["gens"]
         return state
 
@@ -203,10 +203,10 @@ def same_group(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 
 @dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Holder):
     """A homomorphism by its table of images.  ``_held`` keeps its inverse
-    index (``positions``); it takes no part in construction, equality,
-    hashing or the repr."""
+    index (``positions``) and its seeded sections (``section``); it takes no
+    part in construction, equality, hashing, the repr or the pickle."""
 
     source: FiniteGroup
     target: FiniteGroup
@@ -276,22 +276,22 @@ class GroupHom:
     def image(self) -> list[int]:
         return sorted(set(self.images))
 
-    def section(self, seed: int = 0) -> list[int]:
+    def section(self, seed: int = 0) -> tuple[int, ...]:
         """A set section s of a surjective hom: s(1) = 1 and self(s(q)) = q.
 
-        Each fiber is indexed by ``seed``; the result is a list over the target.
+        Each fiber is indexed by ``seed``; the result is a tuple over the
+        target, held per seed.
         """
-        G, Q = self.source, self.target
-        fibers: dict[int, list[int]] = {}
-        for g in range(G.order):
-            fibers.setdefault(self.images[g], []).append(g)
-        sec = [0] * Q.order
-        for q, fiber in fibers.items():
-            if q == Q.identity:
-                sec[q] = G.identity
-            else:
+        def build():
+            fibers: dict[int, list[int]] = {}
+            for g, q in enumerate(self.images):
+                fibers.setdefault(q, []).append(g)
+            sec = [0] * self.target.order
+            for q, fiber in fibers.items():
                 sec[q] = fiber[(seed + 13 * q) % len(fiber)]
-        return sec
+            sec[self.target.identity] = self.source.identity
+            return tuple(sec)
+        return held(self, ("section", seed), build)
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
@@ -337,7 +337,7 @@ class GroupExtension:
         if sorted(self.kernel_hom.images) != sorted(self.quotient_hom.kernel()):
             raise GroupError("image of kernel differs from kernel of quotient")
 
-    def section(self, seed: int = 0) -> list[int]:
+    def section(self, seed: int = 0) -> tuple[int, ...]:
         """A set section of the quotient map with s(1) = 1, seed-dependent."""
         return self.quotient_hom.section(seed)
 
@@ -434,11 +434,13 @@ def subgroup_of(G: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup, G
     return H, GroupHom(H, G, tuple(elems))
 
 
-def quotient_group(G: FiniteGroup, normal_elements: Sequence[int]) -> tuple[FiniteGroup, GroupHom]:
+def quotient_group(G: FiniteGroup, normal_elements: Sequence[int],
+                   build=None) -> tuple[FiniteGroup, GroupHom]:
     """G / N for a normal subgroup given by its element set, with projection.
 
     Cosets are numbered by their least element, the order in which a scan of
-    G meets them.
+    G meets them.  ``build`` makes the group of a table (``Ambient.group``, say),
+    ``FiniteGroup.from_table`` when None.
     """
     nel = np.array(sorted(set(normal_elements)), dtype=np.int64)
     member = np.zeros(G.order, dtype=bool)
@@ -449,7 +451,7 @@ def quotient_group(G: FiniteGroup, normal_elements: Sequence[int]) -> tuple[Fini
     if not member[G.table[G.table[:, nel], G.inverse[:, None]]].all():
         raise GroupError("subgroup is not normal")
     reps, coset_of = np.unique(G.table[:, nel].min(axis=1), return_inverse=True)
-    Q = FiniteGroup.from_table(coset_of[G.table[np.ix_(reps, reps)]])
+    Q = (build or FiniteGroup.from_table)(coset_of[G.table[np.ix_(reps, reps)]])
     return Q, GroupHom(G, Q, tuple(coset_of.tolist()))
 
 
@@ -673,18 +675,21 @@ def check_normalized_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAc
         raise GroupError(f"2-cocycle identity fails at {witness}")
 
 
-def group_from_2cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> GroupExtension:
+def group_from_2cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f,
+                        build=None) -> GroupExtension:
     """The extension M >--> E -->> Q twisted by the normalized 2-cocycle f.
 
     f is an order x order table of M-element indices; the set E is M x Q with
     (m, p)(n, q) = (m + p.n + f(p, q), pq) and index(m, q) = m + |M|*q.
+    ``build`` makes E from its table as ``quotient_group``'s does.
     """
     check_normalized_two_cocycle(Q, M, action, f)
     nm, nq = M.order, Q.order
     F, A = np.array(f, dtype=np.int64), action.perms
     # axes (p, m, q, n): row m + nm*p times column n + nm*q
     val = M.table[M.table[np.arange(nm)[:, None, None], A[:, None, None, :]], F[:, None, :, None]]
-    E = FiniteGroup.from_table((val + nm * Q.table[:, None, :, None]).reshape(nm * nq, nm * nq))
+    E = (build or FiniteGroup.from_table)(
+        (val + nm * Q.table[:, None, :, None]).reshape(nm * nq, nm * nq))
     kernel_hom = GroupHom.checked(M, E, tuple(m + nm * Q.identity for m in range(nm)))
     quotient_hom = GroupHom.checked(E, Q, tuple(g // nm for g in range(nm * nq)))
     ext = GroupExtension(kernel_hom, quotient_hom)

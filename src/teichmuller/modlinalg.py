@@ -23,7 +23,8 @@ rings and the finite abelian presentations of exact_linalg all run on it.
 It also holds the package's one way to hold derived data: ``hold_arrays`` sets
 read-only int64 array fields (reduced mod m when asked), and ``held`` is the
 memo over an owner's ``_held`` dict that every owner (groups, homomorphisms,
-modules, ambients, rings, actions, Aut_G(e)) keeps its built data in.
+modules, ambients, rings, actions, Aut_G(e)) keeps its built data in.  Every
+such owner is a ``Holder``, whose pickle leaves the held data out.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ class HeldArrays:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.__post_init__()
+
+
+class Holder:
+    """Base of the owners of a ``_held`` dict: a pickle carries it empty, so held
+    data never rides along and an unpickled owner rebuilds it, read-only."""
+
+    def __getstate__(self):
+        return dict(self.__dict__, _held={})
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

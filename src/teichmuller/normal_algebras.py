@@ -61,7 +61,7 @@ from .finrings import (
     _module_basis_over_subring,
     _same_ring,
 )
-from .modlinalg import (HeldArrays, ModDiagonalization, colspans_equal,
+from .modlinalg import (HeldArrays, Holder, ModDiagonalization, colspans_equal,
                         first_nonmultiplicative_pair, held, hold_arrays, invertible_mod,
                         submodule_size)
 
@@ -71,13 +71,13 @@ class NormalStructureError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class BaseAction(HeldArrays):
+class BaseAction(HeldArrays, Holder):
     """kappa_Q: an action of Q on the commutative ring S (not nec. injective).
 
     ``matrices`` (|Q|, rank S, rank S) holds kappa(q) in row q.  ``_held``
     keeps data derived from the action (``modlinalg.held``: its
     ``fixed_ring``, the diagonalized embedding ``fixed_ring_diag`` and
-    ``unit_module``); it takes no part in construction or the repr.
+    ``unit_module``); it takes no part in construction, the repr or the pickle.
     """
 
     Q: FiniteGroup
@@ -132,11 +132,11 @@ def trivial_base_action(Q: FiniteGroup, S: FinCommRing) -> BaseAction:
 
 
 @dataclass(frozen=True, eq=False)
-class OutRep(HeldArrays):
+class OutRep(HeldArrays, Holder):
     """A Q-normal structure: lift table q -> automorphism of A of grade q,
     ``lifts`` (|Q|, flat rank, flat rank) holding w_q in row q.  ``_held``
     keeps the inverse of each lift a defect reads and, per seed, the factor
-    set (``modlinalg.held``); it takes no part in construction or the repr."""
+    set (``modlinalg.held``); it takes no part in construction, the repr or the pickle."""
 
     base_action: BaseAction
     A: Algebra
