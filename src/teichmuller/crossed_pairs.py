@@ -7,24 +7,25 @@ crossed 2-fold extension
 
     0 -> M^N -> Gamma -> Aut_G(e) x_{Out_G(e)} Q -> Q -> 1.
 
-Aut_G(e) is found by constrained search: an automorphism over (l_x, i_x) is
-determined by x and an M-correction c of a set-section, so the search space
-is |G| * |M|^(|N|-1).  ``AutGeGroup`` holds its elements as (x, c)-indexed
-arrays and composes, inverts and finds them by arithmetic on (x, c); it
-checks the crossed module Gamma -> Aut_G(e) once and holds it.  Everything
-downstream (Delta, the j-map from H^2(G, M), congruence keys, desk-scale
-Xpext enumeration with the eight-term exactness verdicts, crossed-pair
-algebras, and the metacyclic pipeline) is built from that owner.
+An element of Aut_G(e) over (l_x, i_x) is determined by x and an
+M-correction c of a set-section.  By the Wells sequence (Wells, "Automorphisms
+of group extensions", Trans. AMS 155, 1971) Aut_G(e) -> G has kernel
+Z^1(N, M) and image the stabilizer of [f], so one batched coboundary solve
+gives every pair.  ``AutGeGroup`` holds its elements as (x, c)-indexed arrays
+and composes, inverts and finds them by keys of (x, c); it checks the crossed
+module Gamma -> Aut_G(e) once and holds it.  Everything downstream (Delta, the
+j-map, congruence keys, Xpext enumeration with the eight-term exactness
+verdicts, crossed-pair algebras, the metacyclic pipeline) is built from it.
 
 Xpext is enumerated by class, after Huebschmann ("Group extensions, crossed
 pairs and an eight term exact sequence", J. reine angew. Math. 321, 1981):
 congruence classes of crossed pairs are indexed by the Q-fixed classes of
 H^2(N, M) together with their psi.  ``xpext_enumerate`` takes the crossed
 pairs on one lift of each Q-fixed class, orders the congruence classes by
-their ``congruence_key``, and sends all of H^2(G, M) through j in one
-batched pass.  The corrections c: N -> M, the twisted tables f_c and the
-transport along phi_c are arrays; a pair is found in Aut_G(e) by the integer
-key of its (x, c).
+their ``congruence_key``, the class of f with the least psi carried to the
+canonical table of that class, and sends all of H^2(G, M) through j in one
+batched pass.  Corrections c: N -> M and the transport along phi_c are
+arrays; a pair is found in Aut_G(e) by the key of its (x, c).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .gmod_cohomology import (
     CohomologyGroup,
     GModule,
     ModuleMap,
+    coboundary_preimage,
     cohomology,
     gmodule_of_action,
     inclusion_module_map,
@@ -79,7 +81,7 @@ class CrossedPairError(ValueError):
     pass
 
 
-PAIR_SEARCH_BUDGET = 1 << 13    # Aut_G(e) candidates, |G| |M|^(|N|-1), of one search
+PAIR_SEARCH_BUDGET = 1 << 13    # bound on |G| |Z^1(N, M)|, the rows of one Aut_G(e)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +96,7 @@ class Ambient(Holder):
     the N-action on M (``n_action``), M as a G-module (``gmodule``) with its
     coordinate lookup (``_coords``), the module's restrictions
     (``restricted_gmodule``, keyed by the images of the restricting map), M^N
-    as a Q-module (``fixed_submodule_gmodule``), the corrections N -> M, the
+    as a Q-module (``fixed_submodule_gmodule``), Z^1(N, M) (``derivations``), the
     conjugation of G on N (``n_conjugation``), the Q-twist matrices per
     degree and module (``twist_matrices``), one Aut_G(e) per normalized
     cocycle table f on N (``aut_data``, keyed by the entries of f), and one
@@ -166,29 +168,36 @@ class Ambient(Holder):
             return moduleN, MN, incl, (moduleN.invariant_factors, e2cN, c2eN)
         return held(self, "fixed_submodule", build)
 
-    def aut_data(self, f) -> "AutGeGroup":
+    def aut_data(self, f, cap: int = 96) -> "AutGeGroup":
         """Aut_G(e) of the extension of N by M with normalized cocycle table f,
-        built by ``aut_g_of_e`` with its default cap."""
+        built by ``aut_g_of_e`` under cap on first use."""
         key = tuple(map(tuple, np.asarray(f).tolist()))
-        return held(self, ("aut_data", key), lambda: aut_g_of_e(extension_from_cocycle(self, key)))
+        return held(self, ("aut_data", key),
+                    lambda: aut_g_of_e(extension_from_cocycle(self, key), cap=cap))
 
-    def corrections(self) -> np.ndarray:
-        """Every correction c: N -> M with c(1) = 0, one row over N each: a
-        read-only (|M|^(|N|-1), |N|) array, lexicographic in the values at the
-        nontrivial elements."""
+    def n_cohomology(self, n: int) -> CohomologyGroup:
+        """H^n(N, M), over M restricted to N."""
+        return cohomology(self.N, self.restricted_gmodule(self.ext.kernel_hom)[0], n)
+
+    def derivations(self) -> np.ndarray:
+        """Z^1(N, M), the kernel of Aut_G(e) -> G, as rows of M elements: each
+        lifted class of H^1(N, M) plus each n -> n.m - m.  Every Aut_G(e) has
+        at most |G| |Z^1| elements, which is checked against
+        ``PAIR_SEARCH_BUDGET`` here alone, before anything is built."""
         def build():
-            N, M = self.N, self.Mgrp
-            corr = np.full((M.order ** (N.order - 1), N.order), M.identity, dtype=np.int64)
-            corr[:, np.arange(N.order) != N.identity] = \
-                np.indices((M.order,) * (N.order - 1)).reshape(N.order - 1, len(corr)).T
-            return corr
-        return held(self, "corrections", build)
-
-    def correction_codes(self, corr) -> np.ndarray:
-        """The row in ``corrections()`` of each correction on the last axis of corr."""
-        N = self.N
-        return np.asarray(corr)[..., np.arange(N.order) != N.identity] @ \
-            self.Mgrp.order ** np.arange(N.order - 2, -1, -1, dtype=np.int64)
+            G, N, M, fixed = self.G, self.N, self.Mgrp, list(self.fixed_elements())
+            h1n = self.n_cohomology(1)
+            size = h1n.order * M.order // len(fixed)
+            if G.order * size > PAIR_SEARCH_BUDGET:
+                raise CrossedPairError(
+                    f"Aut_G(e) search over |G| |Z^1(N, M)| = {G.order} * {size} = "
+                    f"{G.order * size} exceeds PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
+            lifts = self.elements(h1n.lifts(list(h1n.all_classes())))
+            # n -> n.m - m is one principal derivation per coset m + M^N: its least m
+            reps = np.flatnonzero(M.table[:, fixed].min(axis=1) == np.arange(M.order))
+            principal = M.table[self.n_action().perms[:, reps], M.inverse[reps]].T
+            return M.table[lifts[:, None], principal].reshape(-1, N.order)
+        return held(self, "derivations", build)
 
     def n_conjugation(self) -> np.ndarray:
         """i_x(n) = x n x^-1 in N for x in G: a read-only (|G|, |N|) array."""
@@ -327,11 +336,11 @@ class AutGeGroup(HeldArrays, Holder):
     An element is the pair (x, c) of x in G and a correction c: N -> M with
     c(1) = 0, acting by alpha(m, n) = (l_x(m) + c(n), i_x(n)).  ``alphas``
     (k, |Gamma|), ``xs`` and ``corrections`` (k, |N|) hold the elements as
-    read-only int64 arrays in (alpha, x) order; the rest is built from them.
-    ``keys`` holds, sorted, the key x |M|^(|N|-1) + (the row of c in
-    ``Ambient.corrections()``) of each element, ``key_elements`` its element.
-    Products (x, c)(x', c') = (xx', n -> l_x(c'(n)) + c(i_x'(n))) and
-    beta(y) = (y's N-part, n -> M-part of y (0, n) y^-1) are found by their keys.
+    read-only int64 arrays in (alpha, x) order, as ``aut_g_of_e`` or any
+    other search hands them over; the rest is built from them.  Products
+    (x, c)(x', c') = (xx', n -> l_x(c'(n)) + c(i_x'(n))) and
+    beta(y) = (y's N-part, n -> M-part of y (0, n) y^-1) are found by their
+    keys (``index_of``).
     ``_held`` keeps what is built from the group on first use
     (``modlinalg.held``): the checked crossed module, e_psi per psi
     (``delta``) and the psi-free part of ``congruence_key``.
@@ -341,8 +350,6 @@ class AutGeGroup(HeldArrays, Holder):
     alphas: np.ndarray
     xs: np.ndarray
     corrections: np.ndarray = field(init=False, repr=False)
-    keys: np.ndarray = field(init=False, repr=False)
-    key_elements: np.ndarray = field(init=False, repr=False)
     group: FiniteGroup = field(init=False)
     beta: GroupHom = field(init=False)        # Gamma -> group
     to_G: GroupHom = field(init=False)        # group -> G
@@ -358,10 +365,7 @@ class AutGeGroup(HeldArrays, Holder):
         G, N, M, Q, Gamma = amb.G, amb.N, amb.Mgrp, amb.Q, ae.Gamma
         hold_arrays(self, alphas=np.reshape(self.alphas, (-1, Gamma.order)), xs=np.ravel(self.xs))
         X, k = self.xs, len(self.xs)
-        corrections = self.alphas[:, self.ae.lift_indices()] % M.order
-        keys = self._key(X, corrections)
-        order = np.argsort(keys)
-        hold_arrays(self, corrections=corrections, keys=keys[order], key_elements=order)
+        hold_arrays(self, corrections=self.alphas[:, self.ae.lift_indices()] % M.order)
         # [i, j, n]: l_{x_i}(c_j(n)) + c_i(i_{x_j}(n))
         c, lx, ix = self.corrections, amb.action.perms, amb.n_conjugation()
         comp = M.table[lx[X[:, None, None], c], c[np.arange(k)[:, None, None], ix[X]]]
@@ -397,16 +401,23 @@ class AutGeGroup(HeldArrays, Holder):
         return list(zip(map(tuple, self.alphas.tolist()), self.xs.tolist()))
 
     def _key(self, xs, corr) -> np.ndarray:
-        amb = self.ae.ambient
-        return np.asarray(xs) * len(amb.corrections()) + amb.correction_codes(corr)
+        """x |M|^|N| + c in mixed radix |M| (|G| for x outside G): int64 while
+        (|G| + 1) |M|^|N| < 2^63 and Python ints past it, so none overflows."""
+        G, m, n = self.ae.ambient.G, self.ae.ambient.Mgrp.order, self.ae.ambient.N.order
+        dt = np.int64 if (G.order + 1) * m ** n < 1 << 63 else object
+        radix = np.array([m ** i for i in range(n, -1, -1)], dtype=dt)
+        return np.asarray(np.minimum(xs, G.order)).astype(dt) * radix[0] + \
+            np.asarray(corr).astype(dt) @ radix[1:]
 
     def index_of(self, xs, corr) -> np.ndarray:
         """The element (x, c) for each x of xs and correction c on the last
         axis of corr (M elements over N), or -1 where that pair is not in
         Aut_G(e); xs broadcasts against corr's rows."""
+        elements = held(self, "key_order", lambda: np.argsort(self._key(self.xs, self.corrections)))
+        keys = held(self, "keys", lambda: self._key(self.xs, self.corrections)[elements])
         key = self._key(xs, corr)
-        at = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        return np.where(self.keys[at] == key, self.key_elements[at], -1)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(keys[at] == key, elements[at], -1)
 
     def lookup(self, alphas, xs) -> np.ndarray:
         """The element (alphas[..., :], xs[...]) for each pair, or -1 where
@@ -439,45 +450,38 @@ class AutGeGroup(HeldArrays, Holder):
 
 
 def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
-    """Constrained search for the pairs (alpha, x) of (diag1).
+    """Aut_G(e), the pairs (alpha, x) of (diag1), by the Wells sequence.
 
-    alpha is determined by x and a correction c: N -> M via
-    alpha(m, n) = (l_x(m) + c(n), i_x(n)); candidates are filtered by the
-    homomorphism property.  The candidates of one x are one array, checked
-    by batched gathers in the narrowest index dtype.  ``AutGeGroup`` builds
-    the group and its maps from the accepted pairs, sorted by (alpha, x).
+    alpha(m, n) = (l_x(m) + c(n), i_x(n)) is a homomorphism exactly when
+    x.f - f = d(c o i_x^-1), (x.f)(p, q) = x.f(x^-1 p x, x^-1 q x): x lifts
+    when [x.f] = [f], with corrections (c'_x + Z^1(N, M)) o i_x for any c'_x
+    with dc'_x = x.f - f.  One solve (``CohomologyGroup.preimages``) of every
+    twist x.f - f gives them all.  Every row is still checked.
     """
     amb = ae.ambient
-    G, N, M = amb.G, amb.N, amb.Mgrp
-    Gamma = ae.Gamma
+    G, N, M, Gamma = amb.G, amb.N, amb.Mgrp, ae.Gamma
     if Gamma.order > cap or G.order > cap:
-        raise CrossedPairError("aut_g_of_e size cap exceeded")
-    search_size = G.order * M.order ** (N.order - 1)
-    if search_size > PAIR_SEARCH_BUDGET:
-        raise CrossedPairError(f"Aut_G(e) search of size {search_size} exceeds "
-                               f"PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
-    nm, ng = M.order, Gamma.order
-    ix = amb.n_conjugation()                                      # ix[x, n]: i_x(n)
-    lx = amb.action.perms                                         # lx[x, m]: l_x(m)
-    corr = amb.corrections()
-    dt = np.min_scalar_type(max(ng, G.order) - 1)
-    gm = Gamma.table.astype(dt)
-    lifts = ae.lift_indices()                                     # y = (0, n)
-    alphas, xs = [], []
-    for x in range(G.order):
-        # one row per correction c: alpha[y] at y = m + |M| n (indices get
-        # added, so int64 until the narrow homomorphism checks)
-        alpha = (M.table[lx[x], corr[:, :, None]] + nm * ix[x][:, None]).reshape(len(corr), ng)
-        cand = alpha.astype(dt)
-        # alpha(yz) = alpha(y) alpha(z) for all z is checked on the rows y of the lifts
-        # (0, n) of N alone.  It holds for y in M already: c(1) = 0 makes alpha = l_x
-        # on M, and (m, 1)(m', n') = (m + m', n') goes to (l_x(m) + l_x(m') + c(n'),
-        # i_x(n')) = alpha(m, 1) alpha(m', n').  The y for which it holds are closed
-        # under products, and M with the lifts generates Gamma, so it holds for all y.
-        ok = (cand[:, gm[lifts]] == gm[cand[:, lifts, None], cand[:, None, :]]).all(axis=(1, 2))
-        alphas.append(alpha[ok])
-        xs.append(np.full(int(ok.sum()), x))
-    alphas, xs = np.concatenate(alphas), np.concatenate(xs)
+        raise CrossedPairError(f"Aut_G(e) with |Gamma| = {Gamma.order} and |G| = {G.order} "
+                               f"exceeds the size cap {cap}")
+    z1, h2n = amb.derivations(), amb.n_cohomology(2)
+    ix, lx = amb.n_conjugation(), amb.action.perms             # i_x(n), l_x(m)
+    f, back = np.array(ae.f, dtype=np.int64), ix[G.inverse]     # back[x, n] = x^-1 n x
+    coords = amb._coords()[0]
+    moved = coords[lx[np.arange(G.order)[:, None, None], f[back[:, :, None], back[:, None, :]]]]
+    fixed, pre = h2n.preimages(moved - coords[f])
+    xs, at = np.flatnonzero(fixed), ix[fixed]
+    c_x = np.take_along_axis(amb.elements(pre), at, axis=1)
+    corr = M.table[c_x[:, None], z1[:, at].swapaxes(0, 1)].reshape(-1, N.order)
+    xs, at = np.repeat(xs, len(z1)), np.repeat(at, len(z1), axis=0)
+    # alpha[y] at y = m + |M| n
+    alphas = (M.table[lx[xs][:, None, :], corr[:, :, None]] + M.order * at[:, :, None]).reshape(
+        len(xs), Gamma.order)
+    # alpha(yz) = alpha(y) alpha(z) is checked on the lifts y = (0, n) alone: it
+    # holds on M as c(1) = 0, and M with the lifts generates Gamma
+    dt = np.min_scalar_type(max(Gamma.order, G.order) - 1)
+    cand, gm, lifts = alphas.astype(dt), Gamma.table.astype(dt), ae.lift_indices()
+    if not (cand[:, gm[lifts]] == gm[cand[:, lifts, None], cand[:, None, :]]).all():
+        raise CrossedPairError("a pair of the Wells sequence is not an automorphism of Gamma")
     order = np.lexsort(np.vstack([xs[None], alphas[:, ::-1].T]))
     return AutGeGroup(ae=ae, alphas=alphas[order], xs=xs[order])
 
@@ -680,84 +684,79 @@ def _j_pairs(ambient: Ambient, tables: np.ndarray) -> list[CrossedPair]:
 # ---------------------------------------------------------------------------
 # congruence of crossed pairs
 
-def _correction_map(ae: AbExtension, c) -> np.ndarray:
-    """phi_c(m, n) = (m + c(n), n), on Gamma indices."""
-    nm, y = ae.ambient.Mgrp.order, np.arange(ae.Gamma.order)
-    return ae.ambient.Mgrp.table[y % nm, np.asarray(c)[y // nm]] + nm * (y // nm)
-
-
-def _transported_psi(cp: CrossedPair, phi: np.ndarray, autdata: AutGeGroup) -> Optional[tuple]:
-    """psi carried along phi into autdata's Out_G(e): each lift (alpha, x) goes
-    to (phi alpha phi^-1, x).  None when a transported pair is not in autdata."""
-    lifts = list(cp.lifts)
-    idx = autdata.lookup(phi[cp.autdata.alphas[lifts][:, np.argsort(phi)]], cp.autdata.xs[lifts])
-    return None if (idx < 0).any() else tuple(np.array(autdata.to_out.images)[idx].tolist())
+def _carried(cp: CrossedPair, cs: np.ndarray, autdata: AutGeGroup) -> np.ndarray:
+    """The lifts (x, d) of psi carried along phi_c(m, n) = (m + c(n), n), to
+    (x, n -> d(n) + c(i_x(n)) - l_x(c(n))), for each row c of cs: autdata's
+    elements, -1 where a carried pair is not in it."""
+    amb = cp.ae.ambient
+    M, lifts = amb.Mgrp, list(cp.lifts)
+    xs, d = cp.autdata.xs[lifts], cp.autdata.corrections[lifts]
+    ix, lx = amb.n_conjugation(), amb.action.perms
+    moved = M.table[M.table[d, cs[:, ix[xs]]], M.inverse[lx[xs[:, None], cs[:, None, :]]]]
+    return autdata.index_of(xs, moved)
 
 
 def find_congruence(cp1: CrossedPair, cp2: CrossedPair) -> Optional[list[int]]:
     """An extension isomorphism (1, phi, 1) carrying psi_1 to psi_2, or None.
 
-    phi(m, n) = (m + c(n), n) for an M-correction c, searched exhaustively,
-    and the lifts of psi_1 are moved along it row by row.  This is the
-    brute-force oracle of ``congruence_key``.
+    phi(m, n) = (m + c(n), n) carries Gamma_f1 onto Gamma_f2 exactly when
+    dc = f1 - f2: c runs over c_0 + Z^1(N, M) for the c_0 that
+    ``coboundary_preimage`` gives, if any.  The pairwise oracle of
+    ``congruence_key``.
     """
-    ae1, ae2 = cp1.ae, cp2.ae
-    amb = ae1.ambient
+    ae1, ae2, amb = cp1.ae, cp2.ae, cp1.ae.ambient
     if ae2.ambient is not amb and ae2.ambient != amb:
         raise CrossedPairError("pairs live over different ambients")
-    G1, G2 = ae1.Gamma, ae2.Gamma
-    for c in amb.corrections():
-        phi = _correction_map(ae1, c)
-        if (phi[G1.table] == G2.table[phi[:, None], phi]).all() and \
-                _transported_psi(cp1, phi, cp2.autdata) == cp2.psi:
-            return phi.tolist()
-    return None
+    h2n, M = amb.n_cohomology(2), amb.Mgrp
+    c0 = coboundary_preimage(h2n, amb.cochain(ae1.f, h2n.module) - amb.cochain(ae2.f, h2n.module))
+    if c0 is None:
+        return None
+    cs = M.table[amb.elements(c0.table), amb.derivations()]
+    carried = _carried(cp1, cs, cp2.autdata)
+    psi = np.where(carried >= 0, np.array(cp2.autdata.to_out.images)[carried], -1)
+    hits = np.flatnonzero((psi == cp2.psi).all(axis=1))
+    if not hits.size:
+        return None
+    y = np.arange(ae1.Gamma.order)
+    return (M.table[y % M.order, cs[hits[0]][y // M.order]] + M.order * (y // M.order)).tolist()
 
 
 def congruence_key(cp: CrossedPair) -> tuple:
-    """A complete congruence invariant (f*, psi*): equal exactly for congruent pairs.
+    """A complete congruence invariant: equal exactly for congruent pairs.
 
-    The corrections c: N -> M form a group, and phi_c(m, n) = (m + c(n), n)
-    carries Gamma_f onto Gamma_{f_c}, f_c(p,q) = f(p,q) + c(pq) - c(p) - p.c(q).
-    f* is the least f_c; psi* is the least psi transported along a phi_c with
-    f_c = f*, read in the Out_G(e*) that the pair's ambient holds for the
-    table f* (``Ambient.aut_data``).  All f_c are one array, and the lifts of
-    psi are transported along every such phi_c at once: phi_c carries
-    (x, d) to (x, n -> d(n) + c(i_x(n)) - l_x(c(n))).  The part that does not
-    read psi is held by the pair's Aut_G(e) (``_least_twist``).
+    A congruence (1, phi, 1) has phi(m, n) = (m + c(n), n) with dc = f_1 - f_2,
+    so the pair is carried along one such phi_c to a pair on f*, the lift of
+    the class of f (``_canonical``, held per Aut_G(e)).  Pairs on f* are
+    congruent exactly when some phi_d, d in Z^1(N, M), carries one to the
+    other, which conjugates psi by the image of d in Out_G(e*): an element of
+    ``h1_out_indices``.  The key is (the class, the least such conjugate).
     """
-    amb = cp.ae.ambient
-    M = amb.Mgrp
-    f_star, hits, autdata = held(cp.autdata, "f_star", lambda: _least_twist(cp.autdata))
-    # [c, q, n]: the correction of the lift of psi(q) transported along phi_c
-    lifts = list(cp.lifts)
-    xs, d = cp.autdata.xs[lifts], cp.autdata.corrections[lifts]
-    ix, lx = amb.n_conjugation(), amb.action.perms
-    moved = M.table[M.table[d, hits[:, ix[xs]]], M.inverse[lx[xs[:, None], hits[:, None, :]]]]
-    idx = autdata.index_of(xs, moved)
+    cls, c, star = held(cp.autdata, "canonical", lambda: _canonical([cp.autdata])[0])
+    idx = _carried(cp, c[None], star)[0]
     if (idx < 0).any():
-        raise CrossedPairError("a transported lift is not in Aut_G(e*)")
-    psi = np.array(autdata.to_out.images)[idx]
-    return f_star, tuple(psi[np.lexsort(psi.T[::-1])[0]].tolist())
+        raise CrossedPairError("a carried lift is not in Aut_G(e*)")
+    out, h1 = star.out, np.array(star.h1_out_indices)
+    psi = np.array(star.to_out.images)[idx]
+    conj = out.table[out.table[h1[:, None], psi], out.inverse[h1][:, None]]
+    return cls, tuple(conj[np.lexsort(conj.T[::-1])[0]].tolist())
 
 
-def _least_twist(aut: AutGeGroup) -> tuple:
-    """(f* as a tuple of rows, the corrections c with f_c = f*, the Aut_G(e*)
-    the ambient holds for f*) for the table f of aut: the part of
-    ``congruence_key`` that does not read psi."""
-    amb = aut.ae.ambient
-    M, N = amb.Mgrp, amb.N
-    Mt, corr = M.table, amb.corrections()
-    f = np.array(aut.ae.f, dtype=np.int64)
-    # [c, p, q]: f(p,q) + c(pq) - (c(p) + p.c(q))
-    kh = np.array(amb.ext.kernel_hom.images)
-    moved_c = amb.action.perms[kh[:, None], corr[:, None, :]]
-    twisted = Mt[Mt[f, corr[:, N.table]], M.inverse[Mt[corr[:, :, None], moved_c]]]
-    twisted = twisted.reshape(len(corr), -1)
-    f_star = twisted[np.lexsort(twisted.T[::-1])[0]]
-    hits = corr[(twisted == f_star).all(axis=1)]
-    f_star = f_star.reshape(N.order, N.order)
-    return tuple(map(tuple, f_star.tolist())), hits, amb.aut_data(f_star)
+def _canonical(auts: list) -> list:
+    """(the class of f, a c with dc = f - f* for f* its lift, the Aut_G(e*) on
+    f*) for the table f of each Aut_G(e) of auts, in stacks.  Aut_G(e*) is
+    aut when f = f*, and else built under the cap aut passed: |Gamma| is the
+    same for cohomologous tables."""
+    amb = auts[0].ae.ambient
+    h2n, coords = amb.n_cohomology(2), amb._coords()[0]
+    f = coords[np.array([aut.ae.f for aut in auts], dtype=np.int64)]
+    classes = h2n.classes_of(f)
+    f_star = h2n.lifts(classes)
+    zero, c = h2n.preimages(f - f_star)
+    if not zero.all():
+        raise CrossedPairError("a table is not cohomologous to the lift of its class")
+    return [(cls, c_row, aut if np.array_equal(fs, ft) else amb.aut_data(
+                amb.elements(fs), cap=max(aut.ae.Gamma.order, amb.G.order)))
+            for aut, cls, c_row, fs, ft in zip(auts, classes, amb.elements(c), f_star, f)]
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +782,8 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     Walks the classes of H^2(N, M), keeps the Q-fixed ones, read from the
     twist matrices on the unit classes (``Ambient.twist_matrices``), and
     takes the crossed-pair structures on one lift f of each.  Every
-    normalized table on N is some f_c, and phi_c carries the crossed pairs on
-    f_c to crossed pairs on f, so this meets every congruence class.  The
+    normalized table on N is some f - dc, and phi_c carries the crossed pairs
+    on it to crossed pairs on f, so this meets every congruence class.  The
     pairs are bucketed by ``congruence_key``, and the buckets are ordered by
     increasing key; the Delta classes of all members are read with one
     ``classes_of`` and checked to be constant on each bucket.  Every class
@@ -796,22 +795,19 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
 
         H^2(Q,M^N) -inf-> H^2(G,M) -j-> Xpext -Delta-> H^3(Q,M^N) -inf-> H^3(G,M)
 
-    Before any cohomology, the Aut_G(e) search size |G| |M|^(|N|-1) is checked
-    against ``PAIR_SEARCH_BUDGET``; once H^2(G, M) is known, and before any
-    pair is built, the |H^2(G, M)| |G|^2 rank cells of the j-image tables
-    against ``RESOLUTION_CELL_BUDGET``.  Every
-    module and Aut_G(e) table comes from what the ambient holds.
+    Before any cohomology but H^1(N, M), |G| |Z^1(N, M)| is checked against
+    ``PAIR_SEARCH_BUDGET`` (``Ambient.derivations``), and before any pair is
+    built the |H^2(G, M)| |G|^2 rank cells of the j-image tables against
+    ``RESOLUTION_CELL_BUDGET``.  Every module and Aut_G(e) table comes from
+    what the ambient holds.
     """
     amb = ambient
     amb.validate()
     G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
-    search_size = G.order * M.order ** (N.order - 1)
-    if search_size > PAIR_SEARCH_BUDGET:
-        raise CrossedPairError(f"Aut_G(e) search of size {search_size} exceeds "
-                               f"PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
+    amb.derivations()
     moduleG, _, _ = amb.gmodule()
     moduleQ, _, _, _ = amb.fixed_submodule_gmodule()
-    h2n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 2)
+    h2n = amb.n_cohomology(2)
     h2g = cohomology(G, moduleG, 2)
     h3g = cohomology(G, moduleG, 3)
     h2q = cohomology(Q, moduleQ, 2)
@@ -820,12 +816,14 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     if cells > RESOLUTION_CELL_BUDGET:
         raise CrossedPairError(f"j-images of {h2g.order} classes: {cells} cells exceed "
                                f"RESOLUTION_CELL_BUDGET = {RESOLUTION_CELL_BUDGET}")
-    by_key: dict = {}
     classes = list(h2n.all_classes())
-    for coords, fixed in zip(classes, _q_fixed(amb, h2n, classes)):
-        if fixed:
-            for cp in crossed_pair_structures(amb.aut_data(amb.table(h2n.lift(list(coords))))):
-                by_key.setdefault(congruence_key(cp), []).append(cp)
+    fixed = [coords for coords, q_fixed in zip(classes, _q_fixed(amb, h2n, classes)) if q_fixed]
+    by_key: dict = {}
+    for coords, table in zip(fixed, h2n.lifts(fixed)):
+        aut = amb.aut_data(amb.elements(table))           # f = f*, reached along phi_0
+        held(aut, "canonical", lambda: (coords, np.full(N.order, M.identity), aut))
+        for cp in crossed_pair_structures(aut):
+            by_key.setdefault(congruence_key(cp), []).append(cp)
     keys = sorted(by_key)
     buckets = [by_key[key] for key in keys]
     bucket_of = {key: i for i, key in enumerate(keys)}
@@ -854,24 +852,19 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
 def _j_images(amb: Ambient, h2g: CohomologyGroup, bucket_of: dict) -> dict:
     """The bucket of j(h) for each class h of H^2(G, M), keyed by its coords.
 
-    The classes are lifted in one tensordot against the lifts of the unit
-    classes (a cocycle cohomologous to ``h2g.lift`` of each class, which
-    gives a congruent pair) and read as M-element tables in one lookup.
+    The classes are lifted in one stack and read as M-element tables in one
+    lookup, and ``_canonical`` runs once for all their Aut_G(e).
     """
-    G = amb.G
-    module = h2g.module
-    t = len(h2g.invariant_factors)
-    classes = np.array(list(h2g.all_classes()), dtype=np.int64).reshape(h2g.order, t)
-    units = np.array([h2g.lift(list(u)).table for u in np.eye(t, dtype=np.int64)],
-                     dtype=np.int64).reshape((t, G.order, G.order, module.rank))
-    values = np.tensordot(classes, units, axes=1) % np.array(module.invariant_factors,
-                                                             dtype=np.int64)
-    pairs = _j_pairs(amb, amb.elements(values))
+    classes = list(h2g.all_classes())
+    pairs = _j_pairs(amb, amb.elements(h2g.lifts(classes)))
+    auts = list({id(cp.autdata): cp.autdata for cp in pairs}.values())
+    for aut, canonical in zip(auts, _canonical(auts)):
+        held(aut, "canonical", lambda: canonical)
     # the key depends only on (f, psi): transport along phi_c carries the
     # image of beta onto the image of beta
     bucket_of_pair: dict = {}
     j_images = {}
-    for coords, cp in zip(map(tuple, classes.tolist()), pairs):
+    for coords, cp in zip(classes, pairs):
         pair = (cp.ae.f, cp.psi)
         if pair not in bucket_of_pair:
             bucket_of_pair[pair] = bucket_of.get(congruence_key(cp))
@@ -953,7 +946,7 @@ def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
     moduleQ, _, _, _ = amb.fixed_submodule_gmodule()
     h1q = cohomology(Q, moduleQ, 1)
     h1g = cohomology(G, moduleG, 1)
-    h1n = cohomology(N, amb.restricted_gmodule(amb.ext.kernel_hom)[0], 1)
+    h1n = amb.n_cohomology(1)
     h2q = cohomology(Q, moduleQ, 2)
     h2g = cohomology(G, moduleG, 2)
     infl = amb.inflation_map()
@@ -1050,43 +1043,47 @@ def metacyclic_legal(r: int, s: int, t: int, f: int, ell: int) -> bool:
 def metacyclic_crossed2(r: int, s: int, t: int, f: int, ell: int) -> Crossed2Extension:
     """C_l >-> C_{l r} --del--> G(r,s,t,f) ->> C_s with del(v) = y, x.v = v^t."""
     G, ext = metacyclic(r, s, t, f)
-    L = ell * r
+    return _metacyclic_crossed2(G, ext, cyclic(ell), r, t)
+
+
+def _metacyclic_crossed2(G: FiniteGroup, ext: GroupExtension, M: FiniteGroup, r: int,
+                         t: int) -> Crossed2Extension:
+    """``metacyclic_crossed2`` on G(r,s,t,f) and C_l = M built by the caller."""
+    L = M.order * r
     C = cyclic(L)
-    M = cyclic(ell)
-    iota = GroupHom.checked(M, C, tuple((m * r) % L for m in range(ell)))
+    iota = GroupHom.checked(M, C, tuple((m * r) % L for m in range(M.order)))
     boundary = GroupHom.checked(C, G, tuple(i % r for i in range(L)))
     rows = [tuple((c * pow(t, g // r, L)) % L for c in range(L)) for g in range(G.order)]
     action = GroupAction(G, C, tuple(rows))
-    return Crossed2Extension(M=M, C=C, Gamma=G, G=cyclic(s), iota=iota,
+    return Crossed2Extension(M=M, C=C, Gamma=G, G=ext.quotient_group, iota=iota,
                              boundary=boundary, pi=ext.quotient_hom, action=action)
 
 
 def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
                         seed: int = 0) -> MetacyclicInstance:
-    """The full metacyclic pipeline for legal parameters.
-
-    Builds e_{l r}, the crossed 2-fold extension, extracts its class cocycle,
-    and, when the Aut_G(e) search has at most ``PAIR_SEARCH_BUDGET``
-    candidates, the explicit crossed pair whose Delta is the same class.
+    """The full metacyclic pipeline for legal parameters: G(r,s,t,f) and C_l,
+    each built once, e_{l r}, its class cocycle, and, unless
+    ``Ambient.derivations`` refuses it, the crossed pair with the same Delta.
     """
     if not metacyclic_legal(r, s, t, f, ell):
         raise CrossedPairError("ell does not divide gcd((t^s-1)/r, r) "
                                "or the metacyclic preconditions fail")
     G, ext = metacyclic(r, s, t, f)
-    e2 = metacyclic_crossed2(r, s, t, f, ell)
+    Mgrp = cyclic(ell)
+    e2 = _metacyclic_crossed2(G, ext, Mgrp, r, t)
     rep = e2.validate()
     if rep:
         raise CrossedPairError(f"crossed 2-fold extension invalid: {rep[:2]}")
     xi = cocycle_of_crossed2(e2, section_seed=seed)
-    Mgrp = cyclic(ell)
     # g = y^i x^j acts on Z/l by t^j
     rows = tuple(tuple(m * pow(t, g // r, ell) % ell for m in range(ell)) for g in range(G.order))
     amb = Ambient(ext=ext, Mgrp=Mgrp, action=GroupAction(G, Mgrp, rows))
-    cp = None
-    reason = None
-    search_size = G.order * (Mgrp.order ** (r - 1))
-    if search_size <= PAIR_SEARCH_BUDGET:
-        sec = ext.section()
+    cp = reason = None
+    try:
+        amb.derivations()
+    except CrossedPairError as refused:
+        reason = str(refused)
+    if reason is None:
         feuler = [[(1 if n1 + n2 >= r else 0) % ell for n2 in range(r)] for n1 in range(r)]
         ae = extension_from_cocycle(amb, feuler)
         autdata = aut_g_of_e(ae, cap=max(96, ae.Gamma.order, G.order))
@@ -1095,15 +1092,12 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
         L = ell * r
         y = np.arange(ae.Gamma.order)
         i = (y // ell + r * (y % ell)) * np.array([pow(t, q, L) for q in range(s)])[:, None] % L
-        lifts = autdata.lookup(ae.gamma_index(i // r, i % r), sec)
+        lifts = autdata.lookup(ae.gamma_index(i // r, i % r), ext.section())
         if (lifts < 0).any():
             raise CrossedPairError("crossed-module action pair missing from Aut_G(e)")
         psi = [autdata.to_out(idx) for idx in lifts.tolist()]
         cp = CrossedPair(autdata=autdata, psi=tuple(psi), lifts=tuple(lifts.tolist()))
         cp.validate()
-    else:
-        reason = (f"pair search of size {search_size} exceeds "
-                  f"PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
     return MetacyclicInstance(r=r, s=s, t=t, f=f, ell=ell, G=G, ambient=amb,
                               e2=e2, xi=xi, K=(t - 1) * f // r, unit=t % ell,
                               cp=cp, cp_skip_reason=reason)

@@ -314,12 +314,14 @@ def _first_failure(M: GModule, n: int, tables: np.ndarray) -> Optional[tuple[int
 
 def _bar_positions(G: FiniteGroup, n: int) -> np.ndarray:
     """Flat positions in a (|G|,)*n table of the symbols [t_1|...|t_n] with
-    every t_i != 1, in lexicographic order."""
-    nonid = np.flatnonzero(np.arange(G.order) != G.identity)
-    pos = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        pos = (pos[:, None] * G.order + nonid).ravel()
-    return pos
+    every t_i != 1, in lexicographic order, held by G per degree."""
+    def build():
+        nonid = np.flatnonzero(np.arange(G.order) != G.identity)
+        pos = np.zeros(1, dtype=np.int64)
+        for _ in range(n):
+            pos = (pos[:, None] * G.order + nonid).ravel()
+        return pos
+    return held(G, ("bar_positions", n), build)
 
 
 def _symbol_index(digits: np.ndarray, E: int) -> np.ndarray:
@@ -602,8 +604,8 @@ class _CoreCohomology(Holder):
         w //= (m // d)[:, None]
         return self._along_psi(w, n).reshape((t,) + (M.group.order,) * n + (k,))
 
-    def preimage(self, z: Cochain) -> Optional[Cochain]:
-        """b with db = z for a cocycle z of degree n >= 1, or None when [z] != 0.
+    def preimage(self, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``CohomologyGroup.preimages`` on reduced tables, b unreduced.
 
         z(Phi) = beta(d) for some beta on F_(n-1) exactly when [z] = 0; then
         b = beta(Psi) - z(s) has db = z(Phi Psi) - z(sd) = z, since
@@ -612,12 +614,13 @@ class _CoreCohomology(Holder):
         F = self.resolution
         s = F.homotopy(n - 1)
         bdiag = held(self, "bmat_diag", lambda: diagonalize_mod(self.bmat, self.m))
-        beta = bdiag.solve(self._pulled_back(z.table[None])[:, 0])
-        if beta is None:
-            return None
-        table = self._along_psi(beta.reshape(F.ranks[n - 1], k, 1), n - 1)[0]
-        table[_bar_positions(M.group, n - 1)] -= s @ z.table.reshape(-1, k)[self.symbols]
-        return Cochain(M, n - 1, table.reshape((M.group.order,) * (n - 1) + (k,)))
+        pulled = self._pulled_back(tables)
+        zero = bdiag.in_image(pulled)
+        beta = bdiag.solve(pulled[:, zero])
+        out = self._along_psi(beta.reshape(F.ranks[n - 1], k, -1), n - 1)
+        values = tables[zero].reshape(len(out), M.group.order ** n, k)[:, self.symbols]
+        out[:, _bar_positions(M.group, n - 1)] -= s @ values
+        return zero, out.reshape((len(out),) + (M.group.order,) * (n - 1) + (k,))
 
 
 def _compute_core(module: GModule, n: int) -> _CoreCohomology:
@@ -721,6 +724,23 @@ class CohomologyGroup:
         if self.module.rank == 0:
             return zero_cochain(self.module, self.degree)
         return self._core.generator(coords)
+
+    def lifts(self, classes) -> np.ndarray:
+        """The tables of ``lift`` of each of a list of classes, as one stack."""
+        t = len(self.invariant_factors)
+        units = np.array([self.lift(u).table for u in np.eye(t, dtype=np.int64)], dtype=np.int64)
+        units = units.reshape((t,) + (self.group.order,) * self.degree + (self.module.rank,))
+        classes = np.array(classes, dtype=np.int64).reshape(len(classes), t)
+        return np.tensordot(classes, units, axes=1) % self.module.factors
+
+    def preimages(self, tables) -> tuple[np.ndarray, np.ndarray]:
+        """For a stack of cocycle tables z of degree n >= 1: which have [z] = 0,
+        and a stack of reduced tables b with db = z of those, from one solve."""
+        tables = np.mod(tables, self.module.factors)
+        if self.module.rank == 0:
+            return np.ones(len(tables), dtype=bool), tables[..., 0, :]
+        zero, pre = self._core.preimage(tables)
+        return zero, np.mod(pre, self.module.factors)
 
     def all_classes(self):
         """All coordinate tuples, lexicographic."""
@@ -940,37 +960,22 @@ def cyclic_h3_equal(z1: Cochain, z2: Cochain) -> bool:
     return diff % g1 == 0
 
 
-def cyclic_h3_class_order(z: Cochain) -> int:
-    """Order of [z] in H^3(C_s, Z/ell)."""
-    ell = z.module.invariant_factors[0] if z.module.rank else 1
-    if ell == 1:
-        return 1
-    w = is_cocycle(z)
-    if w is not None:
-        raise NotACocycle(w)
-    _, g1 = cyclic_h3_values(z.module)
-    inv = cyclic_h3_invariant(z) % g1
-    return g1 // gcd(inv, g1) if inv else 1
-
-
 def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
     """A cochain c with dc = z, or None when [z] != 0.
 
     Solves the coboundary system of the held resolution one degree down,
     pushes the solution along Psi and corrects it by the chain homotopy s
-    (``_CoreCohomology.preimage``).  In degree 0 it always returns None: there
-    are no (-1)-cochains.  Raises BudgetExceeded before any elimination when
-    s_(n-1), (|G| - 1)^(n-1) x (|G| - 1)^n cells, exceeds
-    RESOLUTION_CELL_BUDGET.
+    (``CohomologyGroup.preimages`` of one table).  In degree 0 it always
+    returns None: there are no (-1)-cochains.  Raises BudgetExceeded before
+    any elimination when s_(n-1), (|G| - 1)^(n-1) x (|G| - 1)^n cells,
+    exceeds RESOLUTION_CELL_BUDGET.
     """
     H.class_of(z)  # the degree, group and cocycle checks
-    M = H.module
-    n = H.degree
-    if n == 0:
+    if H.degree == 0:
         return None
-    if M.rank == 0:
-        return zero_cochain(M, n - 1)
-    c = H._core.preimage(z)
-    if c is not None:
-        assert np.array_equal(coboundary(c).table, z.table)
+    zero, tables = H.preimages(z.table[None])
+    if not zero[0]:
+        return None
+    c = Cochain(H.module, H.degree - 1, tables[0])
+    assert np.array_equal(coboundary(c).table, z.table)
     return c

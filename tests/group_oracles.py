@@ -1,9 +1,10 @@
 """Loop versions of the table-group checks and searches, kept as test oracles.
 
 The package runs homomorphism checks, the 2-cocycle identity, the table of an
-extension by a 2-cocycle, quotient groups and the Aut_G(e) search as gathers
-on each group's held arrays; the loops here are what they replaced, element
-by element.  The table laws (associativity, homomorphisms, actions, crossed
+extension by a 2-cocycle and quotient groups as gathers on each group's
+held arrays, and reads Aut_G(e) off H^*(N, M) by the Wells sequence; the
+loops here are what they replaced, element by element, and
+``aut_g_of_e_oracle`` walks all |G| |M|^(|N|-1) candidate pairs.  The table laws (associativity, homomorphisms, actions, crossed
 modules) run in the package on each group's generating set ``gens``; the
 full scans over every pair or triple that they replaced are kept here too.
 The isomorphism and automorphism searches have no caller in the package and
@@ -152,8 +153,20 @@ def extension_table_oracle(Q: FiniteGroup, M: FiniteGroup, action, f) -> list:
     return mul
 
 
+def all_corrections(amb) -> np.ndarray:
+    """Every correction c: N -> M with c(1) = 0, one row over N each: an
+    (|M|^(|N|-1), |N|) array, lexicographic in the values at the nontrivial
+    elements."""
+    N, M = amb.N, amb.Mgrp
+    corr = np.full((M.order ** (N.order - 1), N.order), M.identity, dtype=np.int64)
+    corr[:, np.arange(N.order) != N.identity] = \
+        np.indices((M.order,) * (N.order - 1)).reshape(N.order - 1, len(corr)).T
+    return corr
+
+
 def aut_g_of_e_oracle(ae) -> tuple[list, list, list]:
-    """The sorted pairs (alpha, x) of Aut_G(e), its table and the images of beta."""
+    """The sorted pairs (alpha, x) of Aut_G(e), its table and the images of
+    beta, from the walk over every x and every correction."""
     amb = ae.ambient
     G, N, M = amb.G, amb.N, amb.Mgrp
     Gamma = ae.Gamma
@@ -163,7 +176,7 @@ def aut_g_of_e_oracle(ae) -> tuple[list, list, list]:
     for x in range(G.order):
         ix = [into_n[G.conj(x, amb.ext.kernel_hom(n))] for n in range(N.order)]
         lx = [amb.action.act(x, m) for m in range(M.order)]
-        for c in amb.corrections():
+        for c in all_corrections(amb):
             alpha = np.zeros(Gamma.order, dtype=np.int64)
             for y in range(Gamma.order):
                 m, n = ae.gamma_parts(y)

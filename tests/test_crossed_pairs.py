@@ -68,12 +68,14 @@ from teichmuller.normal_algebras import BaseAction, teichmuller_cocycle, unit_mo
 
 from group_oracles import aut_g_of_e_oracle, extension_table_oracle, is_two_cocycle_oracle
 from xpext_oracle import (
+    aut_g_of_e_walk,
     bench_ambient,
     bench_ambients,
     congruence_key_loop,
     enumerated_pairs,
     oracle_report,
     report_summary,
+    same_partition,
 )
 
 
@@ -200,16 +202,51 @@ def test_aut_g_of_e_and_extension_match_the_loops(make_ambient, seed):
     assert is_two_cocycle(N, M, nact, g) == is_two_cocycle_oracle(N, M, nact, g)
 
 
+def elementary_ambient():
+    """N = (Z/2)^3 in G = (Z/2)^4 ->> C_2 with M = (Z/2)^4 trivial: |Z^1(N, M)|
+    = |Hom(N, M)| = 4096, so |G| |Z^1| = 65536."""
+    C2 = cyclic(2)
+    N = direct_product(direct_product(C2, C2), C2)
+    G = direct_product(N, C2)
+    ext = GroupExtension(GroupHom.checked(N, G, tuple(2 * n for n in range(8))),
+                         GroupHom.checked(G, C2, tuple(g % 2 for g in range(16))))
+    return Ambient(ext=ext, Mgrp=G, action=trivial_action(G, G))
+
+
 def test_aut_g_of_e_refuses_a_search_over_budget():
-    # N = C8 in G = C8 x C2 with M = Z/5: 16 * 5^7 candidates, refused before
-    # any correction is built
-    G = direct_product(cyclic(8), cyclic(2))
-    ext = GroupExtension(GroupHom.checked(cyclic(8), G, tuple(2 * n for n in range(8))),
-                         GroupHom.checked(G, cyclic(2), tuple(g % 2 for g in range(16))))
-    amb = Ambient(ext=ext, Mgrp=cyclic(5), action=trivial_action(G, cyclic(5)))
+    # refused before Z^1(N, M), or any pair, is built
+    amb = elementary_ambient()
     ae = extension_from_cocycle(amb, [[0] * 8 for _ in range(8)])
-    with pytest.raises(CrossedPairError, match="1250000 exceeds PAIR_SEARCH_BUDGET"):
+    with pytest.raises(CrossedPairError, match=r"\|G\| \|Z\^1\(N, M\)\| = 16 \* 4096 = 65536 "
+                                               "exceeds PAIR_SEARCH_BUDGET = 8192"):
+        aut_g_of_e(ae, cap=128)
+    assert "derivations" not in amb._held
+
+
+def test_aut_g_of_e_refuses_past_its_cap_with_the_numbers():
+    # |Gamma| = 144 over GR(9, 2): the cap the caller passes admits it
+    amb = gr9_data().ambient
+    ae = extension_from_cocycle(amb, [[amb.Mgrp.identity] * 2] * 2)
+    with pytest.raises(CrossedPairError, match=r"\|Gamma\| = 144 and \|G\| = 4 exceeds the size "
+                                               "cap 96"):
         aut_g_of_e(ae)
+    assert aut_g_of_e(ae, cap=144).group.order > 0
+
+
+def test_aut_g_of_e_keys_pairs_past_the_int64_range():
+    # C32 in C64 with M = Z/4: 64 * 4^31 = 2^68 walk candidates, which no
+    # int64 key of (x, c) holds; |Z^1(C32, Z/4)| = 4
+    G = cyclic(64)
+    ext = GroupExtension(GroupHom.checked(cyclic(32), G, tuple(2 * n for n in range(32))),
+                         GroupHom.checked(G, cyclic(2), tuple(g % 2 for g in range(64))))
+    amb = Ambient(ext=ext, Mgrp=cyclic(4), action=trivial_action(G, cyclic(4)))
+    assert G.order * 4 ** 31 >= 1 << 63
+    f = amb.table(amb.n_cohomology(2).lift([1]))
+    aut = aut_g_of_e(extension_from_cocycle(amb, f), cap=128)
+    assert len(aut.xs) == 64 * 4 and diag1_report(aut)["all"]
+    assert np.array_equal(aut.lookup(aut.alphas, aut.xs), np.arange(len(aut.xs)))
+    assert (aut.index_of(aut.xs, (aut.corrections + 1) % 4) == -1).all()
+    assert (aut.index_of(G.order, aut.corrections) == -1).all()
 
 
 def test_der_subgroup():
@@ -316,14 +353,16 @@ def test_xpext_q8_full_exactness():
 
 
 def test_xpext_budget_checked_before_cohomology(monkeypatch):
-    # Q16 ambient with M = Z/4: an Aut_G(e) search of 16 * 4^7 candidates
-    G, ext = metacyclic(8, 2, 7, 4)
-    amb = Ambient(ext=ext, Mgrp=cyclic(4), action=trivial_action(G, cyclic(4)))
+    # |G| |Z^1(N, M)| = 65536 is read off H^1(N, M), the one cohomology
+    # computed before the refusal
+    amb = elementary_ambient()
     computed = []
-    monkeypatch.setattr(crossed_pairs, "cohomology", lambda *args: computed.append(args))
-    with pytest.raises(CrossedPairError, match="262144 exceeds PAIR_SEARCH_BUDGET"):
+    real = crossed_pairs.cohomology
+    monkeypatch.setattr(crossed_pairs, "cohomology",
+                        lambda G, M, n: computed.append((G, n)) or real(G, M, n))
+    with pytest.raises(CrossedPairError, match="65536 exceeds PAIR_SEARCH_BUDGET"):
         xpext_enumerate(amb)
-    assert computed == []
+    assert computed == [(amb.N, 1)]
 
 
 def test_xpext_j_image_budget_checked_before_any_pair(monkeypatch):
@@ -338,10 +377,14 @@ def test_xpext_j_image_budget_checked_before_any_pair(monkeypatch):
         xpext_enumerate(klein_ambient())
 
 
-@pytest.mark.parametrize("args, m", [((4, 2, 3, 2), 4), ((8, 2, 7, 4), 2)])
+@pytest.mark.parametrize("args, m", [((4, 2, 3, 2), 4), ((8, 2, 7, 4), 2), ((8, 2, 7, 4), 4),
+                                     ((8, 2, 7, 4), 8), ((16, 2, 15, 8), 2)],
+                         ids=["Q8_Z4", "Q16_Z2", "Q16_Z4", "Q16_Z8", "Q32_Z2"])
 def test_xpext_quaternion_reach(args, m):
-    # Q8 with Z/4 and Q16 with Z/2: |M|^(|N|-1)^2 tables on N = C4 or C8 are
-    # out of a table walk's reach; the class walk takes one lift per class
+    # |M|^(|N|-1)^2 tables on N = C4, C8 or C16 are out of a table walk's
+    # reach, and Q16 with Z/4 (16 * 4^7 corrections) and Z/8, and Q32 with Z/2
+    # (32 * 2^15), out of the walk over all corrections; the class walk takes
+    # one lift per class, and Aut_G(e) has |G_[f]| |Z^1(N, M)| <= |G| |M| pairs
     G, ext = metacyclic(*args)
     report = xpext_enumerate(Ambient(ext=ext, Mgrp=cyclic(m), action=trivial_action(G, cyclic(m))))
     assert report.verdicts["all"] and report.witnesses == {}
@@ -398,27 +441,48 @@ def test_xpext_matches_the_table_walk_on_bench_ambients(label):
     assert report_summary(xpext_enumerate(amb, seed=131)) == oracle_report(amb, seed=131)
 
 
+ALL_AMBIENTS = TEST_AMBIENTS + [functools.partial(bench_ambient, label)
+                                for label in bench_ambients()]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(TEST_AMBIENTS + [functools.partial(bench_ambient, label)
-                                        for label in bench_ambients()]),
-       st.integers(0, 2 ** 32 - 1))
+@given(st.sampled_from(ALL_AMBIENTS), st.integers(0, 2 ** 32 - 1))
 def test_congruence_key_matches_the_loop_version(make_ambient, seed):
-    # a crossed pair on a random table of a random Q-fixed class of H^2(N, M),
-    # and the j-image of a random table of a random class of H^2(G, M)
+    # the crossed pairs on a random table of a random Q-fixed class of
+    # H^2(N, M) and on the lift of that class, and the j-image of a random
+    # table of a random class of H^2(G, M): the key and the loop's key of
+    # least twisted tables split them alike
     amb = make_ambient()
     rng = random.Random(seed)
     module = amb.restricted_gmodule(amb.ext.kernel_hom)[0]
     h2n = cohomology(amb.N, module, 2)
     fixed = [c for c in h2n.all_classes()
              if class_is_q_fixed(amb, amb.table(h2n.lift(list(c))), h2n)]
-    f = amb.table(h2n.lift(list(rng.choice(fixed))) + coboundary(random_cochain(module, 1, rng)))
-    pair = rng.choice(crossed_pair_structures(amb.aut_data(f)))
+    lift = h2n.lift(list(rng.choice(fixed)))
+    f = amb.table(lift + coboundary(random_cochain(module, 1, rng)))
+    pairs = (crossed_pair_structures(amb.aut_data(f))
+             + crossed_pair_structures(amb.aut_data(amb.table(lift))))
     moduleG, _, _ = amb.gmodule()
     h2g = cohomology(amb.G, moduleG, 2)
     z = h2g.lift([rng.randrange(d) for d in h2g.invariant_factors])
-    image = j_map(amb, amb.table(z + coboundary(random_cochain(moduleG, 1, rng))))
-    for cp in (pair, image):
-        assert congruence_key(cp) == congruence_key_loop(cp)
+    pairs.append(j_map(amb, amb.table(z + coboundary(random_cochain(moduleG, 1, rng)))))
+    assert same_partition([congruence_key(cp) for cp in pairs],
+                          [congruence_key_loop(cp) for cp in pairs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALL_AMBIENTS), st.integers(0, 2 ** 32 - 1))
+def test_aut_g_of_e_matches_the_walk_over_all_corrections(make_ambient, seed):
+    # a random normalized cocycle on N, of any class, Q-fixed or not
+    amb = make_ambient()
+    rng = random.Random(seed)
+    module = amb.restricted_gmodule(amb.ext.kernel_hom)[0]
+    h2n = cohomology(amb.N, module, 2)
+    z = h2n.lift([rng.randrange(d) for d in h2n.invariant_factors])
+    ae = extension_from_cocycle(amb, amb.table(z + coboundary(random_cochain(module, 1, rng))))
+    aut, walk = aut_g_of_e(ae), aut_g_of_e_walk(ae)
+    assert np.array_equal(aut.alphas, walk.alphas) and np.array_equal(aut.xs, walk.xs)
+    assert aut.group.mul == walk.group.mul and aut.beta.images == walk.beta.images
 
 
 def j_map_via_extension(ambient, h_table):
@@ -551,6 +615,34 @@ def test_metacyclic_pushout():
 def battery_a():
     gal = galois_from_free_action(2, [[0, 1], [1, 0]], cyclic(2), gf(3, 1))
     return qnormal_galois_product(gal, cyclic(2))
+
+
+def gr9_data():
+    """GR(9, 2) over Z/9 by its Frobenius, with Q = C_2 acting trivially:
+    M = U(GR(9, 2)) has 72 elements, so |Gamma| = 144."""
+    T = galois_ring(3, 2, 2)
+    fr = frobenius_lift(T)
+    S, embed = fixed_subring(T, [fr])
+    gal = GaloisData(T=T, S=S, embed=embed, N=cyclic(2), action=(np.eye(2, dtype=np.int64), fr))
+    return qnormal_galois_product(gal, cyclic(2))
+
+
+def test_congruence_key_on_gr9_2_reads_aut_ge_star_under_the_pair_cap():
+    # each pair's own Aut_G(e) is built past the default cap of 96, and so is
+    # the Aut_G(e*) its key reads
+    amb = gr9_data().ambient
+    M = amb.Mgrp
+    fixed = amb.fixed_elements()
+    pairs = []
+    for m in fixed[:3]:
+        f = [[M.identity, M.identity], [M.identity, m]]
+        ae = extension_from_cocycle(amb, f)
+        pairs += crossed_pair_structures(aut_g_of_e(ae, cap=max(112, ae.Gamma.order)))
+    keys = [congruence_key(cp) for cp in pairs]
+    assert pairs
+    for cp1, k1 in zip(pairs, keys):
+        for cp2, k2 in zip(pairs, keys):
+            assert (k1 == k2) == (find_congruence(cp1, cp2) is not None)
 
 
 def all_crossed_pairs(data):

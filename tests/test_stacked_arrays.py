@@ -324,7 +324,7 @@ def holders():
     yield um.module, ("matrices",)
     yield data.ambient.action, ("perms",)
     zero = [[data.ambient.Mgrp.identity] * 2] * 2
-    yield data.ambient.aut_data(zero), ("alphas", "xs", "corrections", "keys", "key_elements")
+    yield data.ambient.aut_data(zero), ("alphas", "xs", "corrections")
 
 
 def test_held_arrays_stay_read_only_through_pickling():

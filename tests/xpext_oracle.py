@@ -2,17 +2,22 @@
 test oracles.
 
 ``xpext_enumerate`` walks one lift per Q-fixed class of H^2(N, M) and keys
-pairs with array gathers.  This is the walk it replaced: every normalized
-2-cocycle table on N with a Q-fixed class, the crossed-pair structures on
-each, the pure-Python ``congruence_key``, and pairwise ``find_congruence``
-bucketing.  Use it for ambients with at most a few thousand tables on N.
+pairs by the class and a psi carried to the class's lift.  This is the walk
+it replaced: every normalized 2-cocycle table on N with a Q-fixed class, the
+crossed-pair structures on each, a key from the least of all |M|^(|N|-1)
+twisted tables f_c (``congruence_key_loop``), and pairwise
+``find_congruence`` bucketing.  Use it for ambients with at most a few
+thousand tables on N.
 
-``AutGeGroup`` composes and finds its elements by their (x, c) keys, and
-``delta`` reads a crossed module checked once per Aut_G(e).  The builders
-they replaced are here too: ``aut_g_of_e_rows`` keys every pair by the bytes
-of its whole alpha row, and ``delta_rows`` builds B^psi pair by pair, runs
-the full ``Crossed2Extension.validate`` on every e_psi and chooses the
-section and defect lifts element by element (``cocycle_rows``).
+``aut_g_of_e`` reads Aut_G(e) off H^*(N, M) by the Wells sequence;
+``aut_g_of_e_walk`` is the search it replaced, over all |G| |M|^(|N|-1)
+candidate corrections.  ``AutGeGroup`` composes and finds its elements by
+their (x, c) rows, and ``delta`` reads a crossed module checked once per
+Aut_G(e).  The builders they replaced are here too: ``aut_g_of_e_rows``
+keys every pair by the bytes of its whole alpha row, and ``delta_rows``
+builds B^psi pair by pair, runs the full ``Crossed2Extension.validate`` on
+every e_psi and chooses the section and defect lifts element by element
+(``cocycle_rows``).
 """
 
 from __future__ import annotations
@@ -22,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from group_oracles import all_corrections
 from obstruction_oracle import obstruction_loop
 from teichmuller.crossed import Crossed2Extension
 from teichmuller.crossed_pairs import (
     Ambient,
-    _correction_map,
-    _transported_psi,
+    AutGeGroup,
     aut_g_of_e,
     class_is_q_fixed,
     crossed_pair_structures,
@@ -49,6 +54,34 @@ from teichmuller.groups import (
     quotient_group,
     trivial_action,
 )
+
+
+def aut_g_of_e_walk(ae) -> AutGeGroup:
+    """Aut_G(e) by the constrained search: for each x in G, every correction
+    c: N -> M with c(1) = 0 as one array of candidate rows
+    alpha(m, n) = (l_x(m) + c(n), i_x(n)), kept when alpha is a homomorphism."""
+    amb = ae.ambient
+    G, M, Gamma = amb.G, amb.Mgrp, ae.Gamma
+    nm, ng = M.order, Gamma.order
+    ix, lx, corr = amb.n_conjugation(), amb.action.perms, all_corrections(amb)
+    dt = np.min_scalar_type(max(ng, G.order) - 1)
+    gm, lifts = Gamma.table.astype(dt), ae.lift_indices()
+    alphas, xs = [], []
+    for x in range(G.order):
+        alpha = (M.table[lx[x], corr[:, :, None]] + nm * ix[x][:, None]).reshape(len(corr), ng)
+        cand = alpha.astype(dt)
+        ok = (cand[:, gm[lifts]] == gm[cand[:, lifts, None], cand[:, None, :]]).all(axis=(1, 2))
+        alphas.append(alpha[ok])
+        xs.append(np.full(int(ok.sum()), x))
+    alphas, xs = np.concatenate(alphas), np.concatenate(xs)
+    order = np.lexsort(np.vstack([xs[None], alphas[:, ::-1].T]))
+    return AutGeGroup(ae=ae, alphas=alphas[order], xs=xs[order])
+
+
+def same_partition(keys_a, keys_b) -> bool:
+    """Do two key lists, one key per item, split the items alike?"""
+    return all((a1 == a2) == (b1 == b2) for a1, b1 in zip(keys_a, keys_b)
+               for a2, b2 in zip(keys_a, keys_b))
 
 
 def enumerated_pairs(amb, cap=96):
@@ -85,8 +118,26 @@ def pairwise_buckets(pairs):
     return buckets
 
 
+def _correction_map(ae, c) -> np.ndarray:
+    """phi_c(m, n) = (m + c(n), n), on Gamma indices."""
+    nm, y = ae.ambient.Mgrp.order, np.arange(ae.Gamma.order)
+    return ae.ambient.Mgrp.table[y % nm, np.asarray(c)[y // nm]] + nm * (y // nm)
+
+
+def _transported_psi(cp, phi: np.ndarray, autdata):
+    """psi carried along phi into autdata's Out_G(e): each lift (alpha, x) goes
+    to (phi alpha phi^-1, x).  None when a transported pair is not in autdata."""
+    lifts = list(cp.lifts)
+    idx = autdata.lookup(phi[cp.autdata.alphas[lifts][:, np.argsort(phi)]], cp.autdata.xs[lifts])
+    return None if (idx < 0).any() else tuple(np.array(autdata.to_out.images)[idx].tolist())
+
+
 def congruence_key_loop(cp) -> tuple:
-    """``congruence_key`` with every f_c and every transported psi built in loops."""
+    """A complete congruence invariant (f*, psi*) from the walk: f* is the
+    least twisted table f_c(p,q) = f(p,q) + c(pq) - c(p) - p.c(q) over all
+    corrections c, and psi* the least psi transported along a phi_c with
+    f_c = f*, every one built in loops.  It splits pairs into the same
+    classes as ``congruence_key``, under other key values."""
     amb = cp.ae.ambient
     M, N, f = amb.Mgrp, amb.N, cp.ae.f
     nact = amb.n_action()
@@ -94,7 +145,7 @@ def congruence_key_loop(cp) -> tuple:
     def f_c(c, p, q):  # f(p,q) + c(pq) - (c(p) + p.c(q))
         return M.mul[M.mul[f[p][q]][c[N.mul[p][q]]]][M.inv[M.mul[c[p]][nact.act(p, c[q])]]]
     twisted = [(tuple(tuple(f_c(c, p, q) for q in range(N.order)) for p in range(N.order)), c)
-               for c in amb.corrections().tolist()]
+               for c in all_corrections(amb).tolist()]
     f_star = min(fc for fc, _ in twisted)
     autdata = amb.aut_data(f_star)
     return f_star, min(_transported_psi(cp, _correction_map(cp.ae, c), autdata)
@@ -145,11 +196,20 @@ def oracle_report(amb, seed: int = 0) -> dict:
 
 
 def report_summary(report) -> dict:
-    """An ``XpextReport`` in the form ``oracle_report`` returns."""
+    """An ``XpextReport`` in the form ``oracle_report`` returns, each bucket
+    under the ``congruence_key_loop`` of its pairs.  Those keys must agree
+    within each bucket and differ between buckets, so they are one bijection
+    of the report's buckets onto the walk's."""
+    loop_keys = []
+    for bucket in report.buckets:
+        keys = {congruence_key_loop(cp) for cp in bucket}
+        assert len(keys) == 1
+        loop_keys.append(keys.pop())
+    assert len(set(loop_keys)) == len(loop_keys)
     j_images = {}
     for c, b in report.j_images.items():
-        j_images.setdefault(report.keys[b], set()).add(c)
-    return {"keys": report.keys, "delta": dict(zip(report.keys, report.delta_classes)),
+        j_images.setdefault(loop_keys[b], set()).add(c)
+    return {"keys": sorted(loop_keys), "delta": dict(zip(loop_keys, report.delta_classes)),
             "j_images": j_images, "verdicts": report.verdicts}
 
 
@@ -231,7 +291,7 @@ def aut_g_of_e_rows(ae) -> RowKeyedAut:
     into_n[kh] = np.arange(N.order)
     ix = into_n[G.table[G.table[:, kh], G.inverse[:, None]]]
     lx = amb.action.perms
-    corr = amb.corrections()
+    corr = all_corrections(amb)
     dt = _key_dtype(ae)
     gm = Gamma.table.astype(dt)
     lifts = M.identity + nm * np.arange(N.order)
