@@ -401,13 +401,13 @@ class AutGeGroup(HeldArrays, Holder):
         return list(zip(map(tuple, self.alphas.tolist()), self.xs.tolist()))
 
     def _key(self, xs, corr) -> np.ndarray:
-        """x |M|^|N| + c in mixed radix |M| (|G| for x outside G): int64 while
-        (|G| + 1) |M|^|N| < 2^63 and Python ints past it, so none overflows."""
+        """x |M|^|N| + c in mixed radix |M|, for x <= |G| (|G| stands for no
+        element): int64 while (|G| + 1) |M|^|N| < 2^63, else Python ints."""
         G, m, n = self.ae.ambient.G, self.ae.ambient.Mgrp.order, self.ae.ambient.N.order
-        dt = np.int64 if (G.order + 1) * m ** n < 1 << 63 else object
-        radix = np.array([m ** i for i in range(n, -1, -1)], dtype=dt)
-        return np.asarray(np.minimum(xs, G.order)).astype(dt) * radix[0] + \
-            np.asarray(corr).astype(dt) @ radix[1:]
+        radix = held(self, "radix", lambda: np.array([m ** i for i in range(n, -1, -1)], dtype=(
+            np.int64 if (G.order + 1) * m ** n < 1 << 63 else object)))
+        return np.asarray(xs).astype(radix.dtype, copy=False) * radix[0] + \
+            np.asarray(corr).astype(radix.dtype, copy=False) @ radix[1:]
 
     def index_of(self, xs, corr) -> np.ndarray:
         """The element (x, c) for each x of xs and correction c on the last
@@ -735,10 +735,10 @@ def congruence_key(cp: CrossedPair) -> tuple:
     idx = _carried(cp, c[None], star)[0]
     if (idx < 0).any():
         raise CrossedPairError("a carried lift is not in Aut_G(e*)")
-    out, h1 = star.out, np.array(star.h1_out_indices)
-    psi = np.array(star.to_out.images)[idx]
-    conj = out.table[out.table[h1[:, None], psi], out.inverse[h1][:, None]]
-    return cls, tuple(conj[np.lexsort(conj.T[::-1])[0]].tolist())
+    def conjugates():  # [o, a]: o to_out(a) o^-1 in Out_G(e*), o in h1_out_indices
+        out, h1 = star.out, np.array(star.h1_out_indices)
+        return out.table[out.table[h1[:, None], list(star.to_out.images)], out.inverse[h1][:, None]]
+    return cls, min(map(tuple, held(star, "h1_conjugates", conjugates)[:, idx].tolist()))
 
 
 def _canonical(auts: list) -> list:
