@@ -260,22 +260,25 @@ class Ambient(Holder):
         of H, so [x.c] = [c] @ that matrix, reduced mod H's invariant factors.
         Read with one ``classes_of`` and held per degree and module."""
         def build():
-            xs = [x for x in self.ext.section() if x != self.G.identity]
+            xs = np.array([x for x in self.ext.section() if x != self.G.identity], dtype=np.int64)
             t = len(H.invariant_factors)
-            units = [self.table(H.generator(i)) for i in range(t)]
-            twisted = [self.cochain(self.twist(u, x), H.module).table for x in xs for u in units]
-            shape = (len(twisted),) + (self.N.order,) * H.degree + (H.module.rank,)
+            twisted = [self._coords()[0][self.twist(self.table(H.generator(i)), xs)]
+                       for i in range(t)]                                    # [i][x]
+            shape = (t * len(xs),) + (self.N.order,) * H.degree + (H.module.rank,)
             return np.array(H.classes_of(np.reshape(twisted, shape)),
-                            dtype=np.int64).reshape(len(xs), t, t)
+                            dtype=np.int64).reshape(t, len(xs), t).transpose(1, 0, 2)
         return held(self, ("twist_matrices", H.degree, H.module.invariant_factors,
                            H.module.action), build)
 
-    def twist(self, table, x: int) -> np.ndarray:
-        """x.c for an M-element table c over N, x in G (the Q-twist of a cochain):
+    def twist(self, table, xs) -> np.ndarray:
+        """x.c for an M-element table c over N and x in G, or for each x of an
+        array xs, stacked on its axes (the Q-twist of a cochain):
         (x.c)(n_1, .., n_k) = x.c(x^-1 n_1 x, .., x^-1 n_k x)."""
-        conj = self.n_conjugation()[self.G.inv[x]]
-        t = np.asarray(table, dtype=np.int64)
-        return np.array(self.action.table[x], dtype=np.int64)[t[np.ix_(*[conj] * t.ndim)]]
+        xs, t = np.asarray(xs), np.asarray(table, dtype=np.int64)
+        back = self.n_conjugation()[self.G.inverse[xs]]                   # [.., n]: x^-1 n x
+        return self.action.perms[xs.reshape(xs.shape + (1,) * t.ndim), t[tuple(
+            back.reshape(xs.shape + (1,) * i + (-1,) + (1,) * (t.ndim - 1 - i))
+            for i in range(t.ndim))]]
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +467,10 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
         raise CrossedPairError(f"Aut_G(e) with |Gamma| = {Gamma.order} and |G| = {G.order} "
                                f"exceeds the size cap {cap}")
     z1, h2n = amb.derivations(), amb.n_cohomology(2)
-    ix, lx = amb.n_conjugation(), amb.action.perms             # i_x(n), l_x(m)
-    f, back = np.array(ae.f, dtype=np.int64), ix[G.inverse]     # back[x, n] = x^-1 n x
-    coords = amb._coords()[0]
-    moved = coords[lx[np.arange(G.order)[:, None, None], f[back[:, :, None], back[:, None, :]]]]
-    fixed, pre = h2n.preimages(moved - coords[f])
+    ix, lx, coords = amb.n_conjugation(), amb.action.perms, amb._coords()[0]   # i_x(n), l_x(m)
+    fixed, pre = h2n.preimages(coords[amb.twist(ae.f, np.arange(G.order))] - coords[np.array(ae.f)])
     xs, at = np.flatnonzero(fixed), ix[fixed]
-    c_x = np.take_along_axis(amb.elements(pre), at, axis=1)
+    c_x = np.take_along_axis(amb.elements(pre), at, axis=1)  # c'_x o i_x; + d o i_x for d in Z^1
     corr = M.table[c_x[:, None], z1[:, at].swapaxes(0, 1)].reshape(-1, N.order)
     xs, at = np.repeat(xs, len(z1)), np.repeat(at, len(z1), axis=0)
     # alpha[y] at y = m + |M| n
@@ -920,7 +920,7 @@ def degree1_delta(ambient: Ambient, d_table, seed: int = 0) -> Cochain:
     d = np.asarray(d_table, dtype=np.int64)
     # m_q: the least m with (u(q).d - d)(n) = n.m - m for every n in N
     principal = Mt[A[kh], Minv]                                          # [n, m]
-    moved = Mt[np.array([amb.twist(d, x) for x in sec]), Minv[d]]        # [q, n]
+    moved = Mt[amb.twist(d, sec), Minv[d]]                               # [q, n]
     fits = (principal[None] == moved[:, :, None]).all(axis=1)            # [q, m]
     if not fits.any(axis=1).all():
         raise CrossedPairError("derivation class is not Q-fixed")
