@@ -731,7 +731,7 @@ def congruence_key(cp: CrossedPair) -> tuple:
     other, which conjugates psi by the image of d in Out_G(e*): an element of
     ``h1_out_indices``.  The key is (the class, the least such conjugate).
     """
-    cls, c, star = held(cp.autdata, "canonical", lambda: _canonical([cp.autdata])[0])
+    cls, c, star = held(cp.autdata, "canonical", lambda: _canonical(cp.autdata))
     idx = _carried(cp, c[None], star)[0]
     if (idx < 0).any():
         raise CrossedPairError("a carried lift is not in Aut_G(e*)")
@@ -741,22 +741,20 @@ def congruence_key(cp: CrossedPair) -> tuple:
     return cls, min(map(tuple, held(star, "h1_conjugates", conjugates)[:, idx].tolist()))
 
 
-def _canonical(auts: list) -> list:
+def _canonical(aut: AutGeGroup) -> tuple:
     """(the class of f, a c with dc = f - f* for f* its lift, the Aut_G(e*) on
-    f*) for the table f of each Aut_G(e) of auts, in stacks.  Aut_G(e*) is
-    aut when f = f*, and else built under the cap aut passed: |Gamma| is the
-    same for cohomologous tables."""
-    amb = auts[0].ae.ambient
+    f*) for the table f of aut.  Aut_G(e*) is built under the cap aut passed:
+    |Gamma| is the same for cohomologous tables."""
+    amb = aut.ae.ambient
     h2n, coords = amb.n_cohomology(2), amb._coords()[0]
-    f = coords[np.array([aut.ae.f for aut in auts], dtype=np.int64)]
-    classes = h2n.classes_of(f)
-    f_star = h2n.lifts(classes)
+    f = coords[np.array(aut.ae.f, dtype=np.int64)][None]
+    cls = h2n.classes_of(f)[0]
+    f_star = h2n.lifts([cls])
     zero, c = h2n.preimages(f - f_star)
-    if not zero.all():
+    if not zero[0]:
         raise CrossedPairError("a table is not cohomologous to the lift of its class")
-    return [(cls, c_row, aut if np.array_equal(fs, ft) else amb.aut_data(
-                amb.elements(fs), cap=max(aut.ae.Gamma.order, amb.G.order)))
-            for aut, cls, c_row, fs, ft in zip(auts, classes, amb.elements(c), f_star, f)]
+    star = amb.aut_data(amb.elements(f_star[0]), cap=max(aut.ae.Gamma.order, amb.G.order))
+    return cls, amb.elements(c[0]), star
 
 
 # ---------------------------------------------------------------------------
@@ -853,13 +851,10 @@ def _j_images(amb: Ambient, h2g: CohomologyGroup, bucket_of: dict) -> dict:
     """The bucket of j(h) for each class h of H^2(G, M), keyed by its coords.
 
     The classes are lifted in one stack and read as M-element tables in one
-    lookup, and ``_canonical`` runs once for all their Aut_G(e).
+    lookup.
     """
     classes = list(h2g.all_classes())
     pairs = _j_pairs(amb, amb.elements(h2g.lifts(classes)))
-    auts = list({id(cp.autdata): cp.autdata for cp in pairs}.values())
-    for aut, canonical in zip(auts, _canonical(auts)):
-        held(aut, "canonical", lambda: canonical)
     # the key depends only on (f, psi): transport along phi_c carries the
     # image of beta onto the image of beta
     bucket_of_pair: dict = {}

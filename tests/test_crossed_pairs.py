@@ -377,9 +377,9 @@ def test_xpext_j_image_budget_checked_before_any_pair(monkeypatch):
         xpext_enumerate(klein_ambient())
 
 
+# Q8 with Z/4; Q16 with Z/2, Z/4 and Z/8; Q32 with Z/2
 @pytest.mark.parametrize("args, m", [((4, 2, 3, 2), 4), ((8, 2, 7, 4), 2), ((8, 2, 7, 4), 4),
-                                     ((8, 2, 7, 4), 8), ((16, 2, 15, 8), 2)],
-                         ids=["Q8_Z4", "Q16_Z2", "Q16_Z4", "Q16_Z8", "Q32_Z2"])
+                                     ((8, 2, 7, 4), 8), ((16, 2, 15, 8), 2)])
 def test_xpext_quaternion_reach(args, m):
     # |M|^(|N|-1)^2 tables on N = C4, C8 or C16 are out of a table walk's
     # reach, and Q16 with Z/4 (16 * 4^7 corrections) and Z/8, and Q32 with Z/2
