@@ -7,25 +7,23 @@ crossed 2-fold extension
 
     0 -> M^N -> Gamma -> Aut_G(e) x_{Out_G(e)} Q -> Q -> 1.
 
-An element of Aut_G(e) over (l_x, i_x) is determined by x and an
-M-correction c of a set-section.  By the Wells sequence (Wells, "Automorphisms
-of group extensions", Trans. AMS 155, 1971) Aut_G(e) -> G has kernel
-Z^1(N, M) and image the stabilizer of [f], so one batched coboundary solve
-gives every pair.  ``AutGeGroup`` holds its elements as (x, c)-indexed arrays
-and composes, inverts and finds them by keys of (x, c); it checks the crossed
-module Gamma -> Aut_G(e) once and holds it.  Everything downstream (Delta, the
-j-map, congruence keys, Xpext enumeration with the eight-term exactness
-verdicts, crossed-pair algebras, the metacyclic pipeline) is built from it.
+An element of Aut_G(e) is a pair (x, c) of x in G and a correction c: N -> M.
+By the Wells sequence (Wells, "Automorphisms of group extensions", Trans. AMS
+155, 1971) Aut_G(e) -> G has kernel Z^1(N, M) and image the x with x.f - f a
+coboundary: both are read off the one elimination of the bar coboundary
+d^1: C^1(N, M) -> C^2(N, M) that the ambient holds (``Ambient.delta1``), with
+no cohomology of N.  ``AutGeGroup`` holds the pairs as arrays, finds them by
+keys of (x, c), and checks the crossed module Gamma -> Aut_G(e) once.  Delta,
+the j-map, congruence keys, Xpext with the eight-term exactness verdicts,
+crossed-pair algebras and the metacyclic pipeline are built from it.
 
 Xpext is enumerated by class, after Huebschmann ("Group extensions, crossed
 pairs and an eight term exact sequence", J. reine angew. Math. 321, 1981):
-congruence classes of crossed pairs are indexed by the Q-fixed classes of
-H^2(N, M) together with their psi.  ``xpext_enumerate`` takes the crossed
-pairs on one lift of each Q-fixed class, orders the congruence classes by
-their ``congruence_key``, the class of f with the least psi carried to the
-canonical table of that class, and sends all of H^2(G, M) through j in one
-batched pass.  Corrections c: N -> M and the transport along phi_c are
-arrays; a pair is found in Aut_G(e) by the key of its (x, c).
+congruence classes of crossed pairs are the Q-fixed classes of H^2(N, M)
+together with their psi.  ``xpext_enumerate`` takes the crossed pairs on one
+lift of each Q-fixed class, keys them by ``congruence_key`` (the class of f
+with the least psi carried to that lift) and sends all of H^2(G, M) through j
+in one batched pass.
 """
 
 from __future__ import annotations
@@ -57,7 +55,8 @@ from .gmod_cohomology import (
     CohomologyGroup,
     GModule,
     ModuleMap,
-    coboundary_preimage,
+    _bar_terms,
+    _tilde_matrix,
     cohomology,
     gmodule_of_action,
     inclusion_module_map,
@@ -73,7 +72,8 @@ from .crossed import (
     validate_crossed_module,
 )
 from .finrings import galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
-from .modlinalg import HeldArrays, Holder, first_nonmultiplicative_pair, held, hold_arrays
+from .modlinalg import (HeldArrays, Holder, diagonalize_mod, first_nonmultiplicative_pair, held,
+                        hold_arrays)
 from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
 
 
@@ -96,7 +96,8 @@ class Ambient(Holder):
     the N-action on M (``n_action``), M as a G-module (``gmodule``) with its
     coordinate lookup (``_coords``), the module's restrictions
     (``restricted_gmodule``, keyed by the images of the restricting map), M^N
-    as a Q-module (``fixed_submodule_gmodule``), Z^1(N, M) (``derivations``), the
+    as a Q-module (``fixed_submodule_gmodule``), the bar coboundary d^1 on N
+    diagonalized (``delta1``) with Z^1(N, M) (``derivations``), the
     conjugation of G on N (``n_conjugation``), the Q-twist matrices per
     degree and module (``twist_matrices``), one Aut_G(e) per normalized
     cocycle table f on N (``aut_data``, keyed by the entries of f), and one
@@ -179,25 +180,73 @@ class Ambient(Holder):
         """H^n(N, M), over M restricted to N."""
         return cohomology(self.N, self.restricted_gmodule(self.ext.kernel_hom)[0], n)
 
-    def derivations(self) -> np.ndarray:
-        """Z^1(N, M), the kernel of Aut_G(e) -> G, as rows of M elements: each
-        lifted class of H^1(N, M) plus each n -> n.m - m.  Every Aut_G(e) has
-        at most |G| |Z^1| elements, which is checked against
-        ``PAIR_SEARCH_BUDGET`` here alone, before anything is built."""
+    def delta1(self):
+        """The normalized bar coboundary d: C^1(N, M) -> C^2(N, M), diagonalized
+        once (``diagonalize_mod``) and held.  Column (n, j), n != 1, holds
+        x_j(n) = (m/d_j) c_j(n), the action taken through ``_tilde_matrix``;
+        row (p, q, i), p, q != 1 (``_bar_terms``), is the scaled (dc)(p, q)_i,
+        and the rows d_j x_j(n) = 0 are stacked under them, as
+        ``_compute_core`` stacks its cocycle system.  Its kernel is Z^1(N, M).
+        The shape is checked against RESOLUTION_CELL_BUDGET before it is built."""
         def build():
-            G, N, M, fixed = self.G, self.N, self.Mgrp, list(self.fixed_elements())
-            h1n = self.n_cohomology(1)
-            size = h1n.order * M.order // len(fixed)
+            N, module = self.N, self.restricted_gmodule(self.ext.kernel_hom)[0]
+            d, m, k = module.factors, module.exponent, module.rank
+            _, p, (q, pq, _), _ = _bar_terms(N, 1)
+            moduli = np.tile(d, N.order - 1) % m
+            shape = (len(p) * k + np.count_nonzero(moduli), (N.order - 1) * k)
+            if shape[0] * shape[1] > RESOLUTION_CELL_BUDGET:
+                raise CrossedPairError(f"the {shape[0]} x {shape[1]} d^1 system of Z^1(N, M) "
+                                       f"exceeds RESOLUTION_CELL_BUDGET = {RESOLUTION_CELL_BUDGET}")
+            # (dc)(p, q) = p.c(q) - c(pq) + c(p)
+            A, at = np.zeros((len(p), k, N.order, k), dtype=np.int64), np.arange(len(p))
+            A[at, :, q] = _tilde_matrix(module.matrices, d, d, m)[p]
+            A[at, :, p] += np.eye(k, dtype=np.int64)
+            A[at, :, pq] -= np.eye(k, dtype=np.int64)
+            A = np.delete(A, N.identity, axis=2).reshape(len(p) * k, shape[1])
+            return diagonalize_mod(np.vstack([A, np.diag(moduli)[moduli != 0]]) % m, m)
+        return held(self, "delta1", build)
+
+    def _corrections(self, x: np.ndarray) -> np.ndarray:
+        """The c: N -> M with c(1) = 0, rows of M elements, of the columns of x,
+        scaled as the columns of ``delta1``."""
+        module, N = self.restricted_gmodule(self.ext.kernel_hom)[0], self.N
+        c = np.zeros((x.shape[1], N.order, module.rank), dtype=np.int64)
+        c[:, np.arange(N.order) != N.identity] = x.T.reshape(
+            len(c), N.order - 1, module.rank) // (module.exponent // module.factors)
+        return self.elements(c)
+
+    def derivations(self) -> np.ndarray:
+        """Z^1(N, M), the kernel of Aut_G(e) -> G, as rows of M elements.  With
+        U d V = diag(e) (``delta1``), it is every sum of a_j (m/o_j) V[:, j]
+        over the columns j, 0 <= a_j < o_j = gcd(e_j, m) (m past the diagonal);
+        V is invertible, so the |Z^1| = ``kernel_size()`` rows, in lexicographic
+        order of a, are distinct.  Every Aut_G(e) has at most |G| |Z^1|
+        elements, which is checked against ``PAIR_SEARCH_BUDGET`` here alone,
+        before any row is listed."""
+        def build():
+            G, diag = self.G, self.delta1()
+            size = diag.kernel_size()
             if G.order * size > PAIR_SEARCH_BUDGET:
                 raise CrossedPairError(
                     f"Aut_G(e) search over |G| |Z^1(N, M)| = {G.order} * {size} = "
                     f"{G.order * size} exceeds PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
-            lifts = self.elements(h1n.lifts(list(h1n.all_classes())))
-            # n -> n.m - m is one principal derivation per coset m + M^N: its least m
-            reps = np.flatnonzero(M.table[:, fixed].min(axis=1) == np.arange(M.order))
-            principal = M.table[self.n_action().perms[:, reps], M.inverse[reps]].T
-            return M.table[lifts[:, None], principal].reshape(-1, N.order)
+            o = np.gcd(np.pad(diag.d, (0, diag.cols - len(diag.d))), diag.m)
+            live = np.flatnonzero(o > 1)
+            a = np.indices(o[live]).reshape(len(live), size) * (diag.m // o[live])[:, None]
+            return self._corrections(diag.V[:, live] @ a % diag.m)
         return held(self, "derivations", build)
+
+    def coboundary_solve(self, tables) -> tuple[np.ndarray, np.ndarray]:
+        """For a stack (count, |N|, |N|, k) of coordinate tables of normalized
+        cocycles z on N: which are coboundaries, and one c with dc = z for each
+        of those, as rows of M elements, from one ``solve`` against ``delta1``."""
+        diag, module = self.delta1(), self.restricted_gmodule(self.ext.kernel_hom)[0]
+        pos, k = _bar_terms(self.N, 1)[0], module.rank
+        z = np.reshape(tables, (len(tables), self.N.order ** 2, k))[:, pos]
+        rhs = np.zeros((diag.rows, len(z)), dtype=np.int64)
+        rhs[:len(pos) * k] = (z * (module.exponent // module.factors)).reshape(len(z), -1).T
+        zero = diag.in_image(rhs)
+        return zero, self._corrections(diag.solve(rhs[:, zero]))
 
     def n_conjugation(self) -> np.ndarray:
         """i_x(n) = x n x^-1 in N for x in G: a read-only (|G|, |N|) array."""
@@ -336,17 +385,15 @@ class AutGeGroup(HeldArrays, Holder):
     """Aut_G(e), the pairs (alpha, x) of (diag1), with Out_G(e) and the maps
     of the structure diagram.
 
-    An element is the pair (x, c) of x in G and a correction c: N -> M with
+    An element is a pair (x, c) of x in G and a correction c: N -> M with
     c(1) = 0, acting by alpha(m, n) = (l_x(m) + c(n), i_x(n)).  ``alphas``
-    (k, |Gamma|), ``xs`` and ``corrections`` (k, |N|) hold the elements as
-    read-only int64 arrays in (alpha, x) order, as ``aut_g_of_e`` or any
-    other search hands them over; the rest is built from them.  Products
+    (k, |Gamma|), ``xs`` and ``corrections`` (k, |N|) hold them as read-only
+    int64 arrays in (alpha, x) order, as any search hands them over; products
     (x, c)(x', c') = (xx', n -> l_x(c'(n)) + c(i_x'(n))) and
     beta(y) = (y's N-part, n -> M-part of y (0, n) y^-1) are found by their
-    keys (``index_of``).
-    ``_held`` keeps what is built from the group on first use
-    (``modlinalg.held``): the checked crossed module, e_psi per psi
-    (``delta``) and the psi-free part of ``congruence_key``.
+    keys (``index_of``).  ``_held`` (``modlinalg.held``) keeps the checked
+    crossed module, e_psi per psi (``delta``) and the psi-free part of
+    ``congruence_key``.
     """
 
     ae: AbExtension
@@ -457,20 +504,22 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
 
     alpha(m, n) = (l_x(m) + c(n), i_x(n)) is a homomorphism exactly when
     x.f - f = d(c o i_x^-1), (x.f)(p, q) = x.f(x^-1 p x, x^-1 q x): x lifts
-    when [x.f] = [f], with corrections (c'_x + Z^1(N, M)) o i_x for any c'_x
-    with dc'_x = x.f - f.  One solve (``CohomologyGroup.preimages``) of every
-    twist x.f - f gives them all.  Every row is still checked.
+    when x.f - f is a coboundary, with corrections (c'_x + Z^1(N, M)) o i_x
+    for any c'_x with dc'_x = x.f - f.  One solve of every twist x.f - f
+    against the held d^1 (``Ambient.coboundary_solve``) gives them all, and
+    Z^1(N, M) is read off the same elimination.  Every row is still checked.
     """
     amb = ae.ambient
     G, N, M, Gamma = amb.G, amb.N, amb.Mgrp, ae.Gamma
     if Gamma.order > cap or G.order > cap:
         raise CrossedPairError(f"Aut_G(e) with |Gamma| = {Gamma.order} and |G| = {G.order} "
                                f"exceeds the size cap {cap}")
-    z1, h2n = amb.derivations(), amb.n_cohomology(2)
+    z1 = amb.derivations()
     ix, lx, coords = amb.n_conjugation(), amb.action.perms, amb._coords()[0]   # i_x(n), l_x(m)
-    fixed, pre = h2n.preimages(coords[amb.twist(ae.f, np.arange(G.order))] - coords[np.array(ae.f)])
+    fixed, pre = amb.coboundary_solve(coords[amb.twist(ae.f, np.arange(G.order))]
+                                      - coords[np.array(ae.f)])
     xs, at = np.flatnonzero(fixed), ix[fixed]
-    c_x = np.take_along_axis(amb.elements(pre), at, axis=1)  # c'_x o i_x; + d o i_x for d in Z^1
+    c_x = np.take_along_axis(pre, at, axis=1)  # c'_x o i_x; + d o i_x for d in Z^1
     corr = M.table[c_x[:, None], z1[:, at].swapaxes(0, 1)].reshape(-1, N.order)
     xs, at = np.repeat(xs, len(z1)), np.repeat(at, len(z1), axis=0)
     # alpha[y] at y = m + |M| n
@@ -488,15 +537,11 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
 
 def diag1_report(autdata: AutGeGroup, h1n_order: Optional[int] = None) -> dict:
     """Exactness of the rows and columns of the structure diagram."""
-    amb = autdata.ae.ambient
-    G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
-    Gamma = autdata.ae.Gamma
-    report = {}
+    amb, report = autdata.ae.ambient, {}
+    N, M, fixed = amb.N, amb.Mgrp, amb.fixed_elements()
     # middle column: ker(beta) = M^N inside Gamma
-    fixed = amb.fixed_elements()
-    ker_beta = autdata.beta.kernel()
-    expect = sorted(autdata.ae.gamma_index(m, N.identity) for m in fixed)
-    report["ker_beta_is_MN"] = sorted(ker_beta) == expect
+    report["ker_beta_is_MN"] = sorted(autdata.beta.kernel()) == sorted(
+        autdata.ae.gamma_index(m, N.identity) for m in fixed)
     # middle row: 0 -> Der -> Aut_G(e) -> G -> 1
     report["ker_toG_is_Der"] = sorted(autdata.to_G.kernel()) == sorted(autdata.der_indices)
     report["toG_surjective"] = autdata.to_G.is_surjective()
@@ -508,13 +553,10 @@ def diag1_report(autdata: AutGeGroup, h1n_order: Optional[int] = None) -> dict:
         report["H1_order_matches"] = len(autdata.h1_out_indices) == h1n_order
     # left column: M -> Der -> H^1 -> 0 with zeta = beta|M
     zeta = [autdata.beta(autdata.ae.gamma_index(m, N.identity)) for m in range(M.order)]
-    ker_zeta = sorted(m for m in range(M.order)
-                      if zeta[m] == autdata.group.identity)
-    report["ker_zeta_is_MN"] = ker_zeta == sorted(fixed)
-    im_zeta = sorted(set(zeta))
-    der_to_h1_kernel = sorted(i for i in autdata.der_indices
-                              if autdata.to_out(i) == autdata.out.identity)
-    report["exact_at_Der"] = im_zeta == der_to_h1_kernel
+    report["ker_zeta_is_MN"] = [m for m in range(M.order)
+                                if zeta[m] == autdata.group.identity] == sorted(fixed)
+    report["exact_at_Der"] = sorted(set(zeta)) == sorted(
+        i for i in autdata.der_indices if autdata.to_out(i) == autdata.out.identity)
     report["all"] = all(v for k2, v in report.items() if isinstance(v, bool))
     return report
 
@@ -586,15 +628,11 @@ def _e_psi(aut: AutGeGroup, psi: tuple) -> Crossed2Extension:
 
     B^psi = Aut_G(e) x_{Out_G(e)} Q is, as psi is injective, the a with
     to_out(a) in psi(Q), each over its one q, in the order of a; its table is
-    one gather of the Aut_G(e) and Q tables, and B^psi is the ambient's group
-    for it (``Ambient.group``).  e_psi passes
-    ``Crossed2Extension.validate`` once ``crossed_module()`` of Aut_G(e) has,
-    and psi passes the checks here.  B^psi acts on Gamma through its first
-    factor and holds the image of beta (over q = 1), so its boundary, action,
-    equivariance and Peiffer identity restrict those of Gamma -> Aut_G(e), and
-    ker(boundary) = ker(beta) = iota(M^N), central in Gamma.  What depends on
-    psi runs here, once per (Aut_G(e), psi): B^psi is closed, as its table,
-    where a product outside B^psi would read -1, is a group table, exactness
+    one gather of the Aut_G(e) and Q tables (``Ambient.group``).  B^psi acts
+    on Gamma through its first factor and holds the image of beta, so e_psi
+    passes ``Crossed2Extension.validate`` once ``crossed_module()`` of
+    Aut_G(e) has and the checks here, once per (Aut_G(e), psi), pass: B^psi
+    is closed (a product outside it would read -1 in the table), exactness
     at B^psi, and B^psi ->> Q.
     """
     Gamma, Q = aut.ae.Gamma, aut.ae.ambient.Q
@@ -627,18 +665,17 @@ def _e_psi(aut: AutGeGroup, psi: tuple) -> Crossed2Extension:
 # the j map: restrict an extension of G and conjugate
 
 def j_map(ambient: Ambient, h_table) -> CrossedPair:
-    """From a normalized 2-cocycle h on G with values in M.
+    """j(h) for a normalized 2-cocycle h on G with values in M, the one-table
+    case of ``_j_pairs``.
 
     e is the restriction over N of the extension E of G by h; psi(q) is
     conjugation by the lift (0, x) of q, x = s(q).  E is not built: in it
 
         (0,x)(m,g)(0,x)^-1 = (x.m + h(x,g) + xg.a + h(xg,x^-1), xgx^-1)
 
-    with a = -x^-1.h(x,x^-1).  Aut_G(e) is the one ``ambient.aut_data`` holds
-    for the restricted table f = h|N, built on its first use.  h is checked to
-    be a normalized cocycle before that.  The result satisfies
-    Delta(j(h)) = 0 by (13.11)-exactness.  This is the one-table case of
-    ``_j_pairs``.
+    with a = -x^-1.h(x,x^-1).  Aut_G(e) is ``ambient.aut_data`` of f = h|N,
+    read once h is checked to be a normalized cocycle.  Delta(j(h)) = 0 by
+    (13.11)-exactness.
     """
     return _j_pairs(ambient, np.asarray(h_table, dtype=np.int64)[None])[0]
 
@@ -701,17 +738,17 @@ def find_congruence(cp1: CrossedPair, cp2: CrossedPair) -> Optional[list[int]]:
 
     phi(m, n) = (m + c(n), n) carries Gamma_f1 onto Gamma_f2 exactly when
     dc = f1 - f2: c runs over c_0 + Z^1(N, M) for the c_0 that
-    ``coboundary_preimage`` gives, if any.  The pairwise oracle of
+    ``Ambient.coboundary_solve`` gives, if any.  The pairwise oracle of
     ``congruence_key``.
     """
     ae1, ae2, amb = cp1.ae, cp2.ae, cp1.ae.ambient
     if ae2.ambient is not amb and ae2.ambient != amb:
         raise CrossedPairError("pairs live over different ambients")
-    h2n, M = amb.n_cohomology(2), amb.Mgrp
-    c0 = coboundary_preimage(h2n, amb.cochain(ae1.f, h2n.module) - amb.cochain(ae2.f, h2n.module))
-    if c0 is None:
+    coords, M = amb._coords()[0], amb.Mgrp
+    zero, c0 = amb.coboundary_solve(coords[np.array([ae1.f])] - coords[np.array([ae2.f])])
+    if not zero[0]:
         return None
-    cs = M.table[amb.elements(c0.table), amb.derivations()]
+    cs = M.table[c0, amb.derivations()]
     carried = _carried(cp1, cs, cp2.autdata)
     psi = np.where(carried >= 0, np.array(cp2.autdata.to_out.images)[carried], -1)
     hits = np.flatnonzero((psi == cp2.psi).all(axis=1))
@@ -750,11 +787,11 @@ def _canonical(aut: AutGeGroup) -> tuple:
     f = coords[np.array(aut.ae.f, dtype=np.int64)][None]
     cls = h2n.classes_of(f)[0]
     f_star = h2n.lifts([cls])
-    zero, c = h2n.preimages(f - f_star)
+    zero, c = amb.coboundary_solve(f - f_star)
     if not zero[0]:
         raise CrossedPairError("a table is not cohomologous to the lift of its class")
     star = amb.aut_data(amb.elements(f_star[0]), cap=max(aut.ae.Gamma.order, amb.G.order))
-    return cls, amb.elements(c[0]), star
+    return cls, c[0], star
 
 
 # ---------------------------------------------------------------------------
@@ -777,23 +814,19 @@ class XpextReport:
 def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     """Desk-scale enumeration of crossed pairs with exactness verdicts.
 
-    Walks the classes of H^2(N, M), keeps the Q-fixed ones, read from the
-    twist matrices on the unit classes (``Ambient.twist_matrices``), and
-    takes the crossed-pair structures on one lift f of each.  Every
-    normalized table on N is some f - dc, and phi_c carries the crossed pairs
-    on it to crossed pairs on f, so this meets every congruence class.  The
-    pairs are bucketed by ``congruence_key``, and the buckets are ordered by
-    increasing key; the Delta classes of all members are read with one
-    ``classes_of`` and checked to be constant on each bucket.  Every class
-    of H^2(G, M) is lifted in one stack and sent through j at once
-    (``_j_pairs``); each distinct (h|N, psi) is keyed once.  Both inflations
-    are read on the unit classes (``map_on_classes``).  Then the set-level
-    exactness of the right half of the eight-term sequence is checked
-    (``eight_term_verdicts``):
+    Takes the crossed-pair structures on one lift f of each Q-fixed class of
+    H^2(N, M) (read from ``Ambient.twist_matrices``): every normalized table
+    on N is some f - dc, and phi_c carries its pairs to pairs on f, so this
+    meets every congruence class.  The pairs are bucketed by increasing
+    ``congruence_key``, and their Delta classes, read with one ``classes_of``,
+    are checked constant on each bucket.  All of H^2(G, M) goes through j in
+    one stack (``_j_pairs``), both inflations are read on the unit classes
+    (``map_on_classes``), and ``eight_term_verdicts`` checks the set-level
+    exactness of
 
         H^2(Q,M^N) -inf-> H^2(G,M) -j-> Xpext -Delta-> H^3(Q,M^N) -inf-> H^3(G,M)
 
-    Before any cohomology but H^1(N, M), |G| |Z^1(N, M)| is checked against
+    Before any cohomology, |G| |Z^1(N, M)| is checked against
     ``PAIR_SEARCH_BUDGET`` (``Ambient.derivations``), and before any pair is
     built the |H^2(G, M)| |G|^2 rank cells of the j-image tables against
     ``RESOLUTION_CELL_BUDGET``.  Every module and Aut_G(e) table comes from
@@ -803,13 +836,9 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     amb.validate()
     G, N, M, Q = amb.G, amb.N, amb.Mgrp, amb.Q
     amb.derivations()
-    moduleG, _, _ = amb.gmodule()
-    moduleQ, _, _, _ = amb.fixed_submodule_gmodule()
-    h2n = amb.n_cohomology(2)
-    h2g = cohomology(G, moduleG, 2)
-    h3g = cohomology(G, moduleG, 3)
-    h2q = cohomology(Q, moduleQ, 2)
-    h3q = cohomology(Q, moduleQ, 3)
+    moduleG, moduleQ = amb.gmodule()[0], amb.fixed_submodule_gmodule()[0]
+    h2n, h2g, h3g = amb.n_cohomology(2), cohomology(G, moduleG, 2), cohomology(G, moduleG, 3)
+    h2q, h3q = cohomology(Q, moduleQ, 2), cohomology(Q, moduleQ, 3)
     cells = h2g.order * G.order ** 2 * moduleG.rank
     if cells > RESOLUTION_CELL_BUDGET:
         raise CrossedPairError(f"j-images of {h2g.order} classes: {cells} cells exceed "
@@ -848,17 +877,13 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
 
 
 def _j_images(amb: Ambient, h2g: CohomologyGroup, bucket_of: dict) -> dict:
-    """The bucket of j(h) for each class h of H^2(G, M), keyed by its coords.
-
-    The classes are lifted in one stack and read as M-element tables in one
-    lookup.
-    """
+    """The bucket of j(h) for each class h of H^2(G, M), keyed by its coords,
+    from one stack of lifted classes read as M-element tables."""
     classes = list(h2g.all_classes())
     pairs = _j_pairs(amb, amb.elements(h2g.lifts(classes)))
     # the key depends only on (f, psi): transport along phi_c carries the
     # image of beta onto the image of beta
-    bucket_of_pair: dict = {}
-    j_images = {}
+    bucket_of_pair, j_images = {}, {}
     for coords, cp in zip(classes, pairs):
         pair = (cp.ae.f, cp.psi)
         if pair not in bucket_of_pair:
@@ -908,8 +933,7 @@ def degree1_delta(ambient: Ambient, d_table, seed: int = 0) -> Cochain:
     m_{n u} = d(n) + n.m_u; the values land in M^N and form a 2-cocycle whose
     class does not depend on the choices.
     """
-    amb = ambient
-    G, M, Q = amb.G, amb.Mgrp, amb.Q
+    amb, G, M, Q = ambient, ambient.G, ambient.Mgrp, ambient.Q
     A, Mt, Minv = amb.action.perms, M.table, M.inverse
     kh, sec = np.array(amb.ext.kernel_hom.images), np.array(amb.ext.section(seed))
     d = np.asarray(d_table, dtype=np.int64)
@@ -935,15 +959,10 @@ def degree1_delta(ambient: Ambient, d_table, seed: int = 0) -> Cochain:
 
 def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
     """Set-level exactness of the classical five-term part of the sequence."""
-    amb = ambient
-    G, N, Q = amb.G, amb.N, amb.Q
-    moduleG, _, _ = amb.gmodule()
-    moduleQ, _, _, _ = amb.fixed_submodule_gmodule()
-    h1q = cohomology(Q, moduleQ, 1)
-    h1g = cohomology(G, moduleG, 1)
-    h1n = amb.n_cohomology(1)
-    h2q = cohomology(Q, moduleQ, 2)
-    h2g = cohomology(G, moduleG, 2)
+    amb, G, Q = ambient, ambient.G, ambient.Q
+    moduleG, moduleQ = amb.gmodule()[0], amb.fixed_submodule_gmodule()[0]
+    h1q, h1g, h1n = cohomology(Q, moduleQ, 1), cohomology(G, moduleG, 1), amb.n_cohomology(1)
+    h2q, h2g = cohomology(Q, moduleQ, 2), cohomology(G, moduleG, 2)
     infl = amb.inflation_map()
     res_map = inclusion_module_map(amb.ext.kernel_hom, moduleG)
     # maps on class sets, each read on the unit classes; res_map.target
@@ -956,20 +975,14 @@ def five_term_report(ambient: Ambient, seed: int = 0) -> dict:
     trans = {c: h2q.class_of(degree1_delta(amb, amb.table(h1n.lift(list(c))), seed=seed))
              for c in fixed_classes}
     inf2 = map_on_classes(infl, h2q, h2g)
-    zero_q2 = tuple([0] * len(h2q.invariant_factors))
-    zero_g2 = tuple([0] * len(h2g.invariant_factors))
-    report = {}
-    report["inf1_injective"] = len(set(inf1.values())) == h1q.order
-    ker_res = {c for c, v in res1.items() if v == tuple([0] * len(h1n.invariant_factors))}
-    report["exact_at_H1G"] = ker_res == set(inf1.values())
-    im_res = set(res1.values())
-    report["res_lands_in_fixed_part"] = im_res <= set(fixed_classes)
-    ker_trans = {c for c in fixed_classes if trans[c] == zero_q2}
-    report["exact_at_H1NQ"] = im_res == ker_trans
-    im_trans = {trans[c] for c in fixed_classes}
-    ker_inf2 = {c for c, v in inf2.items() if v == zero_g2}
-    report["exact_at_H2Q"] = im_trans == ker_inf2
-    report["all"] = all(v for v in report.values() if isinstance(v, bool))
+    im_inf1, im_res = set(inf1.values()), set(res1.values())
+    # a class is zero exactly when all its coordinates are
+    report = {"inf1_injective": len(im_inf1) == h1q.order,
+              "exact_at_H1G": {c for c, v in res1.items() if not any(v)} == im_inf1,
+              "res_lands_in_fixed_part": im_res <= set(fixed_classes),
+              "exact_at_H1NQ": im_res == {c for c in fixed_classes if not any(trans[c])},
+              "exact_at_H2Q": set(trans.values()) == {c for c, v in inf2.items() if not any(v)}}
+    report["all"] = all(report.values())
     return report
 
 
@@ -982,9 +995,8 @@ def pushout_extension(ae: AbExtension, target: FiniteGroup, phi_images) -> Group
     phi must be equivariant for the N-action on M and the trivial N-action on
     the image (the only case the pipeline needs: central constants).
     """
-    amb = ae.ambient
+    amb, Gamma = ae.ambient, ae.Gamma
     M, N = amb.Mgrp, amb.N
-    Gamma = ae.Gamma
     if not target.is_abelian():
         raise CrossedPairError("pushout target must be abelian")
     phi = np.asarray(phi_images)
@@ -992,10 +1004,9 @@ def pushout_extension(ae: AbExtension, target: FiniteGroup, phi_images) -> Group
         raise CrossedPairError("phi is not a homomorphism")
     if (phi[amb.n_action().perms] != phi).any():
         raise CrossedPairError("phi image must be N-fixed (central constants)")
-    prod = direct_product(target, Gamma)
     anti = sorted({phi_images[m] * Gamma.order + ae.gamma_index(M.inv[m], N.identity)
                    for m in range(M.order)})
-    Gq, proj = quotient_group(prod, anti)
+    Gq, proj = quotient_group(direct_product(target, Gamma), anti)
     kernel_hom = GroupHom.checked(
         target, Gq, tuple(proj(a * Gamma.order + Gamma.identity) for a in range(target.order)))
     # quotient onto N through the Gamma component of the first representative
@@ -1037,8 +1048,7 @@ def metacyclic_legal(r: int, s: int, t: int, f: int, ell: int) -> bool:
 
 def metacyclic_crossed2(r: int, s: int, t: int, f: int, ell: int) -> Crossed2Extension:
     """C_l >-> C_{l r} --del--> G(r,s,t,f) ->> C_s with del(v) = y, x.v = v^t."""
-    G, ext = metacyclic(r, s, t, f)
-    return _metacyclic_crossed2(G, ext, cyclic(ell), r, t)
+    return _metacyclic_crossed2(*metacyclic(r, s, t, f), cyclic(ell), r, t)
 
 
 def _metacyclic_crossed2(G: FiniteGroup, ext: GroupExtension, M: FiniteGroup, r: int,
@@ -1058,7 +1068,8 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
                         seed: int = 0) -> MetacyclicInstance:
     """The full metacyclic pipeline for legal parameters: G(r,s,t,f) and C_l,
     each built once, e_{l r}, its class cocycle, and, unless
-    ``Ambient.derivations`` refuses it, the crossed pair with the same Delta.
+    ``Ambient.derivations`` refuses it, the crossed pair with the same Delta,
+    whose Aut_G(e) is read off ``Ambient.delta1`` with no cohomology of N.
     """
     if not metacyclic_legal(r, s, t, f, ell):
         raise CrossedPairError("ell does not divide gcd((t^s-1)/r, r) "
@@ -1073,29 +1084,27 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
     # g = y^i x^j acts on Z/l by t^j
     rows = tuple(tuple(m * pow(t, g // r, ell) % ell for m in range(ell)) for g in range(G.order))
     amb = Ambient(ext=ext, Mgrp=Mgrp, action=GroupAction(G, Mgrp, rows))
-    cp = reason = None
+    inst = MetacyclicInstance(r=r, s=s, t=t, f=f, ell=ell, G=G, ambient=amb, e2=e2, xi=xi,
+                              K=(t - 1) * f // r, unit=t % ell, cp=None)
     try:
         amb.derivations()
     except CrossedPairError as refused:
-        reason = str(refused)
-    if reason is None:
-        feuler = [[(1 if n1 + n2 >= r else 0) % ell for n2 in range(r)] for n1 in range(r)]
-        ae = extension_from_cocycle(amb, feuler)
-        autdata = aut_g_of_e(ae, cap=max(96, ae.Gamma.order, G.order))
-        # psi from the crossed-module action: q = x^j acts by v -> v^(t^j), on
-        # v = (m, n) at i = n + r m in C_{l r}
-        L = ell * r
-        y = np.arange(ae.Gamma.order)
-        i = (y // ell + r * (y % ell)) * np.array([pow(t, q, L) for q in range(s)])[:, None] % L
-        lifts = autdata.lookup(ae.gamma_index(i // r, i % r), ext.section())
-        if (lifts < 0).any():
-            raise CrossedPairError("crossed-module action pair missing from Aut_G(e)")
-        psi = [autdata.to_out(idx) for idx in lifts.tolist()]
-        cp = CrossedPair(autdata=autdata, psi=tuple(psi), lifts=tuple(lifts.tolist()))
-        cp.validate()
-    return MetacyclicInstance(r=r, s=s, t=t, f=f, ell=ell, G=G, ambient=amb,
-                              e2=e2, xi=xi, K=(t - 1) * f // r, unit=t % ell,
-                              cp=cp, cp_skip_reason=reason)
+        inst.cp_skip_reason = str(refused)
+        return inst
+    feuler = [[(1 if n1 + n2 >= r else 0) % ell for n2 in range(r)] for n1 in range(r)]
+    ae = extension_from_cocycle(amb, feuler)
+    autdata = aut_g_of_e(ae, cap=max(96, ae.Gamma.order, G.order))
+    # psi from the crossed-module action: q = x^j acts by v -> v^(t^j), on
+    # v = (m, n) at i = n + r m in C_{l r}
+    L, y = ell * r, np.arange(ae.Gamma.order)
+    i = (y // ell + r * (y % ell)) * np.array([pow(t, q, L) for q in range(s)])[:, None] % L
+    lifts = autdata.lookup(ae.gamma_index(i // r, i % r), ext.section())
+    if (lifts < 0).any():
+        raise CrossedPairError("crossed-module action pair missing from Aut_G(e)")
+    psi = tuple(np.array(autdata.to_out.images)[lifts].tolist())
+    inst.cp = CrossedPair(autdata=autdata, psi=psi, lifts=tuple(lifts.tolist()))
+    inst.cp.validate()
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -1130,11 +1139,9 @@ class QNormalGaloisData(HeldArrays, Holder):
 
     def validate(self) -> None:
         self.ambient.validate()
-        T = self.gal.T
-        G = self.ambient.G
-        for mat in self.kappa_G:
-            if not is_ring_morphism_matrix(T, mat):
-                raise CrossedPairError("kappa_G is not by ring automorphisms")
+        T, G = self.gal.T, self.ambient.G
+        if not all(is_ring_morphism_matrix(T, mat) for mat in self.kappa_G):
+            raise CrossedPairError("kappa_G is not by ring automorphisms")
         pair = first_nonmultiplicative_pair(self.kappa_G, G, T.modulus)
         if pair is not None:
             raise CrossedPairError(f"kappa_G is not a homomorphism at {pair}")
@@ -1173,21 +1180,15 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     coordinates of U(T)^N (the Delta-side module) to units of the center of
     the product (the Teichmuller-side module).
     """
-    gal = data.gal
-    amb = data.ambient
-    T = gal.T
+    gal, amb, ae = data.gal, data.ambient, cp.ae
+    T, Q, Gamma = gal.T, amb.Q, ae.Gamma
     m = T.modulus
-    Q = amb.Q
-    ae = cp.ae
-    Gamma = ae.Gamma
-    A = ring_as_algebra(T)
     # i: Gamma-kernel (= U(T) as a group) -> units of T; theta through N
     theta = gal.action[[ae.gamma_parts(y)[1] for y in range(Gamma.order)]]
-    spec = CrossedProductSpec(A=A, base_action=data.n_base_action(), ext=ae.ext_e,
-                              i_images=data.units.elements, theta=theta)
+    spec = CrossedProductSpec(A=ring_as_algebra(T), base_action=data.n_base_action(),
+                              ext=ae.ext_e, i_images=data.units.elements, theta=theta)
     res = crossed_product(spec, seed=seed)
-    C = res.C
-    R = res.R
+    C, R = res.C, res.R
     rR = R.rank
     r_diag = spec.base_action.fixed_ring_diag()
     # rs[d, u] = r_u s_d in T: C has the basis r_u s_d v_n at (n, d, u), as A = T
@@ -1222,8 +1223,7 @@ def crossed_pair_algebra(data: QNormalGaloisData, cp: CrossedPair, seed: int = 0
     moduleQ, MNgrp, MN_incl, _ = amb.fixed_submodule_gmodule()
 
     def bridge_unit(mn_index: int) -> np.ndarray:
-        t_vec = data.units.elements[MN_incl(mn_index)]
-        coords = r_diag.solve(t_vec)
+        coords = r_diag.solve(data.units.elements[MN_incl(mn_index)])
         if coords is None:
             raise CrossedPairError("fixed unit escaped the fixed ring")
         return coords % m

@@ -605,7 +605,8 @@ class _CoreCohomology(Holder):
         return self._along_psi(w, n).reshape((t,) + (M.group.order,) * n + (k,))
 
     def preimage(self, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``CohomologyGroup.preimages`` on reduced tables, b unreduced.
+        """For a stack of reduced cocycle tables z of degree n >= 1: which have
+        [z] = 0, and a stack of unreduced tables b with db = z of those.
 
         z(Phi) = beta(d) for some beta on F_(n-1) exactly when [z] = 0; then
         b = beta(Psi) - z(s) has db = z(Phi Psi) - z(sd) = z, since
@@ -732,15 +733,6 @@ class CohomologyGroup:
         units = units.reshape((t,) + (self.group.order,) * self.degree + (self.module.rank,))
         classes = np.array(classes, dtype=np.int64).reshape(len(classes), t)
         return np.tensordot(classes, units, axes=1) % self.module.factors
-
-    def preimages(self, tables) -> tuple[np.ndarray, np.ndarray]:
-        """For a stack of cocycle tables z of degree n >= 1: which have [z] = 0,
-        and a stack of reduced tables b with db = z of those, from one solve."""
-        tables = np.mod(tables, self.module.factors)
-        if self.module.rank == 0:
-            return np.ones(len(tables), dtype=bool), tables[..., 0, :]
-        zero, pre = self._core.preimage(tables)
-        return zero, np.mod(pre, self.module.factors)
 
     def all_classes(self):
         """All coordinate tuples, lexicographic."""
@@ -965,7 +957,7 @@ def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
 
     Solves the coboundary system of the held resolution one degree down,
     pushes the solution along Psi and corrects it by the chain homotopy s
-    (``CohomologyGroup.preimages`` of one table).  In degree 0 it always
+    (``_CoreCohomology.preimage`` of one table).  In degree 0 it always
     returns None: there are no (-1)-cochains.  Raises BudgetExceeded before
     any elimination when s_(n-1), (|G| - 1)^(n-1) x (|G| - 1)^n cells,
     exceeds RESOLUTION_CELL_BUDGET.
@@ -973,7 +965,9 @@ def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
     H.class_of(z)  # the degree, group and cocycle checks
     if H.degree == 0:
         return None
-    zero, tables = H.preimages(z.table[None])
+    if H.module.rank == 0:
+        return zero_cochain(H.module, H.degree - 1)
+    zero, tables = H._core.preimage(z.table[None])
     if not zero[0]:
         return None
     c = Cochain(H.module, H.degree - 1, tables[0])

@@ -63,10 +63,15 @@ from teichmuller.crossed_pairs import (
     qnormal_galois_product,
     xpext_enumerate,
 )
-from teichmuller import crossed_pairs
+from teichmuller import crossed_pairs, gmod_cohomology
 from teichmuller.normal_algebras import BaseAction, teichmuller_cocycle, unit_module
 
-from group_oracles import aut_g_of_e_oracle, extension_table_oracle, is_two_cocycle_oracle
+from group_oracles import (
+    all_corrections,
+    aut_g_of_e_oracle,
+    extension_table_oracle,
+    is_two_cocycle_oracle,
+)
 from xpext_oracle import (
     aut_g_of_e_walk,
     bench_ambient,
@@ -353,8 +358,8 @@ def test_xpext_q8_full_exactness():
 
 
 def test_xpext_budget_checked_before_cohomology(monkeypatch):
-    # |G| |Z^1(N, M)| = 65536 is read off H^1(N, M), the one cohomology
-    # computed before the refusal
+    # |G| |Z^1(N, M)| = 65536 is read off the d^1 elimination on N, and no
+    # cohomology is computed before the refusal
     amb = elementary_ambient()
     computed = []
     real = crossed_pairs.cohomology
@@ -362,7 +367,7 @@ def test_xpext_budget_checked_before_cohomology(monkeypatch):
                         lambda G, M, n: computed.append((G, n)) or real(G, M, n))
     with pytest.raises(CrossedPairError, match="65536 exceeds PAIR_SEARCH_BUDGET"):
         xpext_enumerate(amb)
-    assert computed == [(amb.N, 1)]
+    assert computed == []
 
 
 def test_xpext_j_image_budget_checked_before_any_pair(monkeypatch):
@@ -485,6 +490,72 @@ def test_aut_g_of_e_matches_the_walk_over_all_corrections(make_ambient, seed):
     assert aut.group.mul == walk.group.mul and aut.beta.images == walk.beta.images
 
 
+def mixed_ambient():
+    """The Klein ambient with M = Z/2 x Z/4, on which N's generator acts by
+    (a, b) -> (a, b + 2a): mixed invariant factors and an off-diagonal entry
+    of the scaled action."""
+    amb = klein_ambient()
+    M = direct_product(cyclic(2), cyclic(4))
+    moved = tuple(a * 4 + (b + 2 * a) % 4 for a in range(2) for b in range(4))
+    rows = tuple(moved if g // 2 else tuple(range(8)) for g in range(4))
+    amb = Ambient(ext=amb.ext, Mgrp=M, action=GroupAction(amb.G, M, rows))
+    amb.validate()
+    return amb
+
+
+def trivial_module_ambient():
+    """The Q8 ambient with M of order 1."""
+    amb = q8_ambient()
+    return Ambient(ext=amb.ext, Mgrp=cyclic(1), action=trivial_action(amb.G, cyclic(1)))
+
+
+DERIVATION_AMBIENTS = ALL_AMBIENTS + [mixed_ambient, trivial_module_ambient]
+
+
+@pytest.mark.parametrize("make_ambient", DERIVATION_AMBIENTS)
+def test_derivations_are_the_corrections_with_zero_coboundary(make_ambient):
+    # c(pq) = c(p) + p.c(q) checked on every correction c with c(1) = 0
+    amb = make_ambient()
+    N, M, A = amb.N, amb.Mgrp, amb.n_action().perms
+    c = all_corrections(amb)
+    p, q = np.indices((N.order, N.order))
+    brute = c[(c[:, N.table[p, q]] == M.table[c[:, p], A[p, c[:, q]]]).all(axis=(1, 2))]
+    z1 = amb.derivations()
+    assert len(z1) == amb.delta1().kernel_size() == len(np.unique(z1, axis=0))
+    assert np.array_equal(np.unique(z1, axis=0), brute)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DERIVATION_AMBIENTS), st.integers(0, 2 ** 32 - 1))
+def test_coboundary_solve_decides_the_zero_class_and_solves_it(make_ambient, seed):
+    # random normalized 2-cocycles on N, of a random class or of the zero class
+    amb = make_ambient()
+    rng = random.Random(seed)
+    module = amb.restricted_gmodule(amb.ext.kernel_hom)[0]
+    h2n = cohomology(amb.N, module, 2)
+    zs = [h2n.lift([rng.randrange(d) for d in h2n.invariant_factors] if i % 2 else
+                   [0] * len(h2n.invariant_factors)) + coboundary(random_cochain(module, 1, rng))
+          for i in range(6)]
+    tables = np.array([z.table for z in zs])
+    zero, cs = amb.coboundary_solve(tables)
+    assert zero.tolist() == [not any(cls) for cls in h2n.classes_of(tables)]
+    assert len(cs) == zero.sum() and (cs[:, amb.N.identity] == amb.Mgrp.identity).all()
+    for z, c in zip(tables[zero], cs):
+        assert np.array_equal(coboundary(amb.cochain(c, module)).table, z)
+
+
+def test_delta1_system_refused_above_the_cell_budget(monkeypatch):
+    # N = C4 with M = Z/2: 9 pairs (p, q) by 3 columns (n, j)
+    monkeypatch.setattr(crossed_pairs, "RESOLUTION_CELL_BUDGET", 20)
+    amb = q8_ambient()
+    with pytest.raises(CrossedPairError, match=r"the 9 x 3 d\^1 system of Z\^1\(N, M\) "
+                                               "exceeds RESOLUTION_CELL_BUDGET = 20"):
+        amb.derivations()
+    assert "delta1" not in amb._held
+    monkeypatch.setattr(crossed_pairs, "RESOLUTION_CELL_BUDGET", 27)
+    assert amb.delta1().kernel_size() == 2
+
+
 def j_map_via_extension(ambient, h_table):
     """The j map read off the built extension E of G by h (oracle of j_map)."""
     G, N, M, Q = ambient.G, ambient.N, ambient.Mgrp, ambient.Q
@@ -585,6 +656,22 @@ def test_metacyclic_delta_matches_crossed_module_class():
         mod = cyclic_unit_module(inst.s, inst.ell, inst.unit)
         z2 = Cochain(mod, 3, z.table.copy())
         assert cyclic_h3_equal(inst.xi, z2), args
+
+
+def test_metacyclic_instance_builds_no_cohomology(monkeypatch):
+    # |G| |Z^1(C_4, Z/2)| = 8 * 2 over a budget of 8: refused off the d^1
+    # elimination, with no cohomology of N, G or Q built; under the real
+    # budget Aut_G(e) is read off the same elimination, still with none
+    built = []
+    real, budget = gmod_cohomology._compute_core, crossed_pairs.PAIR_SEARCH_BUDGET
+    monkeypatch.setattr(gmod_cohomology, "_compute_core",
+                        lambda M, n: built.append((M.group.order, n)) or real(M, n))
+    monkeypatch.setattr(crossed_pairs, "PAIR_SEARCH_BUDGET", 8)
+    inst = metacyclic_instance(4, 2, 3, 2, 2)
+    assert inst.cp is None and "8 * 2 = 16 exceeds PAIR_SEARCH_BUDGET = 8" in inst.cp_skip_reason
+    assert built == []
+    monkeypatch.setattr(crossed_pairs, "PAIR_SEARCH_BUDGET", budget)
+    assert metacyclic_instance(4, 2, 3, 2, 2).cp is not None and built == []
 
 
 def test_metacyclic_t1_gives_zero_class():
