@@ -55,8 +55,8 @@ from .gmod_cohomology import (
     CohomologyGroup,
     GModule,
     ModuleMap,
-    _bar_terms,
-    _tilde_matrix,
+    _bar_positions,
+    bar_coboundary_matrix,
     cohomology,
     gmodule_of_action,
     inclusion_module_map,
@@ -72,7 +72,7 @@ from .crossed import (
     validate_crossed_module,
 )
 from .finrings import galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
-from .modlinalg import (HeldArrays, Holder, diagonalize_mod, first_nonmultiplicative_pair, held,
+from .modlinalg import (Holder, diagonalize_mod, first_nonmultiplicative_pair, held,
                         hold_arrays)
 from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
 
@@ -97,13 +97,14 @@ class Ambient(Holder):
     coordinate lookup (``_coords``), the module's restrictions
     (``restricted_gmodule``, keyed by the images of the restricting map), M^N
     as a Q-module (``fixed_submodule_gmodule``), the bar coboundary d^1 on N
-    diagonalized (``delta1``) with Z^1(N, M) (``derivations``), the
-    conjugation of G on N (``n_conjugation``), the Q-twist matrices per
-    degree and module (``twist_matrices``), one Aut_G(e) per normalized
-    cocycle table f on N (``aut_data``, keyed by the entries of f), and one
-    group per table (``group``) for every group derived over the ambient:
-    Gamma_f, Aut_G(e), Out_G(e) and B^psi.  ``_held`` takes no part in
-    construction, equality, hashing or the pickle.
+    (``gmod_cohomology.bar_coboundary_matrix``) diagonalized (``delta1``)
+    with Z^1(N, M) (``derivations``), the conjugation of G on N
+    (``n_conjugation``), the Q-twist matrices per degree and module
+    (``twist_matrices``), one Aut_G(e) per normalized cocycle table f on N
+    (``aut_data``, keyed by the entries of f), and one group per table
+    (``group``) for every group derived over the ambient: Gamma_f, Aut_G(e),
+    Out_G(e) and B^psi.  ``_held`` takes no part in construction, equality,
+    hashing or the pickle.
     """
 
     ext: GroupExtension          # N -> G -> Q
@@ -182,28 +183,22 @@ class Ambient(Holder):
 
     def delta1(self):
         """The normalized bar coboundary d: C^1(N, M) -> C^2(N, M), diagonalized
-        once (``diagonalize_mod``) and held.  Column (n, j), n != 1, holds
-        x_j(n) = (m/d_j) c_j(n), the action taken through ``_tilde_matrix``;
-        row (p, q, i), p, q != 1 (``_bar_terms``), is the scaled (dc)(p, q)_i,
-        and the rows d_j x_j(n) = 0 are stacked under them, as
-        ``_compute_core`` stacks its cocycle system.  Its kernel is Z^1(N, M).
-        The shape is checked against RESOLUTION_CELL_BUDGET before it is built."""
+        once (``diagonalize_mod``) and held.  Its rows (p, q, i) and columns
+        (n, j), p, q, n != 1, are those of ``bar_coboundary_matrix(module, 1)``
+        on x_j(n) = (m/d_j) c_j(n), with the rows d_j x_j(n) = 0 stacked under
+        them, as ``_compute_core`` stacks its cocycle system.  Its kernel is
+        Z^1(N, M).  The shape is checked against RESOLUTION_CELL_BUDGET before
+        it is built."""
         def build():
             N, module = self.N, self.restricted_gmodule(self.ext.kernel_hom)[0]
             d, m, k = module.factors, module.exponent, module.rank
-            _, p, (q, pq, _), _ = _bar_terms(N, 1)
             moduli = np.tile(d, N.order - 1) % m
-            shape = (len(p) * k + np.count_nonzero(moduli), (N.order - 1) * k)
+            shape = ((N.order - 1) ** 2 * k + np.count_nonzero(moduli), (N.order - 1) * k)
             if shape[0] * shape[1] > RESOLUTION_CELL_BUDGET:
                 raise CrossedPairError(f"the {shape[0]} x {shape[1]} d^1 system of Z^1(N, M) "
                                        f"exceeds RESOLUTION_CELL_BUDGET = {RESOLUTION_CELL_BUDGET}")
-            # (dc)(p, q) = p.c(q) - c(pq) + c(p)
-            A, at = np.zeros((len(p), k, N.order, k), dtype=np.int64), np.arange(len(p))
-            A[at, :, q] = _tilde_matrix(module.matrices, d, d, m)[p]
-            A[at, :, p] += np.eye(k, dtype=np.int64)
-            A[at, :, pq] -= np.eye(k, dtype=np.int64)
-            A = np.delete(A, N.identity, axis=2).reshape(len(p) * k, shape[1])
-            return diagonalize_mod(np.vstack([A, np.diag(moduli)[moduli != 0]]) % m, m)
+            return diagonalize_mod(np.vstack([bar_coboundary_matrix(module, 1),
+                                              np.diag(moduli)[moduli != 0]]), m)
         return held(self, "delta1", build)
 
     def _corrections(self, x: np.ndarray) -> np.ndarray:
@@ -241,7 +236,7 @@ class Ambient(Holder):
         cocycles z on N: which are coboundaries, and one c with dc = z for each
         of those, as rows of M elements, from one ``solve`` against ``delta1``."""
         diag, module = self.delta1(), self.restricted_gmodule(self.ext.kernel_hom)[0]
-        pos, k = _bar_terms(self.N, 1)[0], module.rank
+        pos, k = _bar_positions(self.N, 2), module.rank
         z = np.reshape(tables, (len(tables), self.N.order ** 2, k))[:, pos]
         rhs = np.zeros((diag.rows, len(z)), dtype=np.int64)
         rhs[:len(pos) * k] = (z * (module.exponent // module.factors)).reshape(len(z), -1).T
@@ -381,7 +376,7 @@ def _q_fixed(ambient: Ambient, H: CohomologyGroup, classes) -> np.ndarray:
 # Aut_G(e), Out_G(e), and the (diag1) checks
 
 @dataclass(eq=False)
-class AutGeGroup(HeldArrays, Holder):
+class AutGeGroup(Holder):
     """Aut_G(e), the pairs (alpha, x) of (diag1), with Out_G(e) and the maps
     of the structure diagram.
 
@@ -1111,7 +1106,7 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
 # crossed pair algebras (Q-normal Galois ring data)
 
 @dataclass(eq=False)
-class QNormalGaloisData(HeldArrays, Holder):
+class QNormalGaloisData(Holder):
     """A Q-normal Galois extension T|S with its structure extension.
 
     ``ambient`` is N >-> G ->> Q with M = U(T) and the kappa_G-action on

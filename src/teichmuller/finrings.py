@@ -29,7 +29,6 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .modlinalg import (
-    HeldArrays,
     Holder,
     ModDiagonalization,
     colspans_equal,
@@ -63,7 +62,7 @@ def _check_int64(m: int, rank: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class FinCommRing(HeldArrays, Holder):
+class FinCommRing(Holder):
     """Commutative ring, free of the given rank over Z/modulus.
 
     ``structure`` is a read-only int64 array of shape (rank, rank, rank):
@@ -416,7 +415,7 @@ def _fixed_module(T: FinCommRing, mats: Sequence[np.ndarray]) -> np.ndarray:
 # algebras over a base ring
 
 @dataclass(frozen=True, eq=False)
-class Algebra(HeldArrays, Holder):
+class Algebra(Holder):
     """Associative unital algebra, free over ``base`` with central embedding.
 
     ``structure`` is a read-only int64 array of shape (rank, rank, rank,
@@ -653,7 +652,7 @@ def _span_columns(T: FinCommRing, embed: np.ndarray, B: np.ndarray) -> np.ndarra
 # units
 
 @dataclass(frozen=True, eq=False)
-class UnitsGroup(HeldArrays):
+class UnitsGroup(Holder):
     """The units of a finite ring or algebra with their multiplication table.
 
     ``elements`` is a read-only int64 array of shape (|U|, flat rank) whose
@@ -802,7 +801,7 @@ class FixedRingMismatch(RingError):
 
 
 @dataclass(frozen=True, eq=False)
-class GaloisData(HeldArrays):
+class GaloisData(Holder):
     """A candidate Galois extension T|S with explicit group action.
 
     ``action`` is a read-only int64 array of shape (|N|, rank T, rank T), the

@@ -22,10 +22,14 @@ Phi Psi - 1 = ds + sd is built from the same contracting homotopy (Ellis,
 coboundary system of F and corrects the pushed solution by s, so nothing ever
 eliminates the bar complex itself, with its (|G| - 1)^n columns.
 
-The kernel/image linear algebra runs over Z/m: the mixed-modulus cochain
-groups embed into free (Z/m)-modules by scaling coordinate i with m/d_i,
-which turns the coboundary into an integer matrix over Z/m and makes kernels,
-coboundary spans and quotient presentations available through modlinalg.
+The normalized bar complex is described here once: ``_bar_positions`` lists
+the symbols [g_1|...|g_n], every g_i != 1, by flat table positions,
+``_bar_symbols`` reads a position back as a symbol, and ``_bar_terms`` lists
+the faces of d, which ``coboundary``, the cocycle checks, ``FreeResolution.psi``
+and ``bar_coboundary_matrix`` read.  The last is d on the free (Z/m)-module
+that the cochains embed in by scaling coordinate i with m/d_i, as the kernel
+and image linear algebra runs over Z/m (modlinalg); ``crossed_pairs``
+eliminates it in degree 1, and no other module reads the private helpers.
 
 For cyclic groups there is also a direct degree-3 class invariant obtained by
 pushing cocycles through the comparison maps between the bar resolution and
@@ -43,7 +47,6 @@ import numpy as np
 
 from .groups import FiniteGroup, GroupHom, abelian_structure, cyclic, same_group
 from .modlinalg import (
-    HeldArrays,
     Holder,
     ModCokernel,
     ModDiagonalization,
@@ -74,7 +77,7 @@ class NotACocycle(CohomologyError):
 
 
 @dataclass(frozen=True)
-class GModule(HeldArrays):
+class GModule(Holder):
     """Finite abelian group in invariant-factor coordinates with a G-action.
 
     action[g] is a k x k integer matrix acting on coordinate vectors; row i is
@@ -126,25 +129,18 @@ class GModule(HeldArrays):
 
     def validate(self) -> None:
         k = self.rank
-        d = self.invariant_factors
         G = self.group
-        acts, rows = self.matrices, np.array(d, dtype=np.int64)[:, None]
+        acts, rows = self.matrices, self.factors[:, None]
         if ((acts * rows.T) % rows).any():
             raise CohomologyError("action matrix not well defined on the module")
         if ((acts[G.identity] - np.eye(k, dtype=np.int64)) % rows).any():
             raise CohomologyError("identity must act as the identity matrix")
-        # homomorphism, row i taken mod d_i, and invertibility of each action map
+        # homomorphism, row i taken mod d_i.  No action map needs its own
+        # invertibility check: action(g^-1) action(g) = action(1) = 1 on M.
         if k:
             pair = first_nonmultiplicative_pair(acts, G, rows)
             if pair is not None:
                 raise CohomologyError(f"action is not a homomorphism at {pair}")
-            m = self.exponent
-            for tl in _tilde_matrix(acts, d, d, m):
-                stacked = np.vstack([tl, np.diag(np.array(d, dtype=np.int64))])
-                ker = diagonalize_mod(stacked % m, m, want_U=False).kernel()
-                if ker.size and any(self.reduce(_unembed(kcol, d, m)) != (0,) * k
-                                    for kcol in ker.T):
-                    raise CohomologyError("action matrix is not invertible on the module")
 
 
 def trivial_gmodule(G: FiniteGroup, factors: Sequence[int]) -> GModule:
@@ -167,10 +163,6 @@ def gmodule_of_action(G: FiniteGroup, M: FiniteGroup, act):
     cols = [[e2c[act(g, b)] for b in basis] for g in range(G.order)]
     mats = tuple(tuple(tuple(c[j][i] for j in range(k)) for i in range(k)) for c in cols)
     return GModule(G, factors, mats), e2c, c2e
-
-
-def _unembed(vec, factors, m):
-    return tuple(int(x) // (m // factors[i % len(factors)]) for i, x in enumerate(vec))
 
 
 def _tilde_matrix(mat, row_factors, col_factors, m) -> np.ndarray:
@@ -236,14 +228,11 @@ def zero_cochain(M: GModule, degree: int) -> Cochain:
 
 def random_cochain(M: GModule, degree: int, rng) -> Cochain:
     G = M.group
-    shape = (G.order,) * degree + (M.rank,)
-    table = np.zeros(shape, dtype=np.int64)
-    d = M.invariant_factors
-    for idx in np.ndindex(*shape[:-1]):
-        if G.identity in idx:
-            continue
-        table[idx] = [rng.randrange(di) for di in d]
-    return Cochain(M, degree, table)
+    pos = _bar_positions(G, degree)
+    table = np.zeros((G.order ** degree, M.rank), dtype=np.int64)
+    table[pos] = np.reshape([[rng.randrange(di) for di in M.invariant_factors] for _ in pos],
+                            (len(pos), M.rank))
+    return Cochain(M, degree, table.reshape((G.order,) * degree + (M.rank,)))
 
 
 def coboundary(c: Cochain) -> Cochain:
@@ -324,33 +313,31 @@ def _bar_positions(G: FiniteGroup, n: int) -> np.ndarray:
     return held(G, ("bar_positions", n), build)
 
 
-def _symbol_index(digits: np.ndarray, E: int) -> np.ndarray:
-    """Lexicographic index of each symbol (a column of letter digits in
-    0..E-1), or E^len for a symbol with an identity letter (digit -1)."""
-    idx = np.zeros(digits.shape[1], dtype=np.int64)
-    for row in digits:
-        idx = idx * E + row
-    idx[(digits < 0).any(axis=0)] = E ** len(digits)
-    return idx
+def _bar_symbols(G: FiniteGroup, n: int) -> np.ndarray:
+    """The symbol index, in the order of ``_bar_positions``, of each flat
+    position in a (|G|,)*n table, and E^n (E = |G| - 1) at the positions with
+    an identity argument, held by G per degree."""
+    def build():
+        index = np.full(G.order ** n, (G.order - 1) ** n, dtype=np.int64)
+        index[_bar_positions(G, n)] = np.arange((G.order - 1) ** n)
+        return index
+    return held(G, ("bar_symbols", n), build)
 
 
-def _bar_faces(table: np.ndarray, identity: int, n: int):
-    """(t_1, faces) for the symbols [t_1|...|t_n], t_i != 1, in order, with
-    d[t] = t_1 [face 0] + sum_i sign_i [face i] in the normalized bar
-    resolution; ``faces`` lists (sign_i, symbol index of face i), the index
-    E^(n-1) standing for a degenerate face."""
-    E = len(table) - 1
-    nonid = np.flatnonzero(np.arange(E + 1) != identity)
-    letter = np.full(E + 1, -1, dtype=np.int64)
-    letter[nonid] = np.arange(E)
-    digits = np.indices((E,) * n).reshape(n, -1)
-    faces = [(1, _symbol_index(digits[1:], E))]
-    for i in range(1, n):
-        merged = letter[table[nonid[digits[i - 1]], nonid[digits[i]]]]
-        face = np.concatenate([digits[:i - 1], merged[None], digits[i + 1:]])
-        faces.append(((-1) ** i, _symbol_index(face, E)))
-    faces.append(((-1) ** n, _symbol_index(digits[:-1], E)))
-    return nonid[digits[0]], faces
+def bar_coboundary_matrix(module: GModule, n: int) -> np.ndarray:
+    """d^n on the scaled free (Z/m) model, m the exponent: the k x k block at
+    row (s, i) and column (t, j) for each (n+1)-symbol s and n-symbol t, in the
+    order of ``_bar_positions``, sums the faces of s equal to t (``_bar_terms``)."""
+    G, k, m, d = module.group, module.rank, module.exponent, module.factors
+    E = G.order - 1
+    _, g1, faces, signs = _bar_terms(G, n)
+    cols, rows = _bar_symbols(G, n)[faces], np.arange(E ** (n + 1))
+    # column E^n takes the degenerate faces
+    out = np.zeros((E ** (n + 1), k, E ** n + 1, k), dtype=np.int64)
+    out[rows, :, cols[0], :] = _tilde_matrix(module.matrices, d, d, m)[g1]
+    for sign, col in zip(signs, cols[1:]):
+        out[rows, :, col, :] += sign * np.eye(k, dtype=np.int64)
+    return out[:, :, :E ** n].reshape(E ** (n + 1) * k, E ** n * k) % m
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +359,13 @@ class FreeResolution:
     F_n = R^{r_n}.  An element of F_n is an (r_n, |G|) array whose entry
     [j, g] is the coefficient of g e_j.  For n >= 1, ``diffs[n][j]`` is
     d(e_j) in F_{n-1}; ``diags[n]`` diagonalizes d_n as a Z/m-matrix from
-    F_n to F_{n-1}.  ``phis[n]``
-    (r_n x E^n, E = |G| - 1) gives Phi(e_j) as a Z/m-combination of the
-    normalized bar symbols [t_1|...|t_n], t_i != 1, in lexicographic order;
-    ``psis[n]`` (E^n x r_n x |G|) gives Psi([t]) in F_n; ``homotopies[n]``
-    (E^n x E^(n+1)) gives s([t]) with Phi Psi - 1 = ds + sd on the bar
-    resolution.  Each list grows one degree at a time, as far as a caller asks.
+    F_n to F_{n-1}.  ``phis[n]`` (r_n x E^n, E = |G| - 1) gives Phi(e_j) as a
+    Z/m-combination of the normalized bar symbols [t_1|...|t_n], t_i != 1, in
+    the order of ``_bar_positions``; ``psis[n]`` (E^n x r_n x |G|) gives
+    Psi([t]) in F_n, from the faces of d[t] that ``_bar_terms`` lists for the
+    group, which the resolution keeps; ``homotopies[n]`` (E^n x E^(n+1))
+    gives s([t]) with Phi Psi - 1 = ds + sd on the bar resolution.  Each list
+    grows one degree at a time, as far as a caller asks.
 
     d_(n+1) maps the generators of F_(n+1) onto K = ker d_n (the augmentation
     ideal for n = 0).  They start as the kernel columns of ``_radical_first``,
@@ -395,10 +383,9 @@ class FreeResolution:
         N = G.order
         self.m = m
         self.order = N
-        self.table = G.table
+        self.group = G
         # (h.x)[..., g] = x[..., shift[h, g]], since h^-1 g is where g came from
         self.shift = G.table[G.inverse]
-        self.identity = G.identity
         self.nonid = np.flatnonzero(np.arange(N) != G.identity)
         self.gens = G.minimal_generators()
         self.ranks = [1]
@@ -430,7 +417,7 @@ class FreeResolution:
             # the augmentation ideal, with basis g - 1 for g != 1
             kernel = np.zeros((N, N - 1), dtype=np.int64)
             kernel[self.nonid, np.arange(N - 1)] = 1
-            kernel[self.identity] = m - 1
+            kernel[self.group.identity] = m - 1
         gens = kernel[:, self._radical_first(kernel, r, n)]
         diag = self._diagonalize(gens, r, n)
         # fold the first kernel column k outside the R-span into the first
@@ -502,10 +489,11 @@ class FreeResolution:
             _check_budget(f"Psi_{k}", E ** k, max(r, self.ranks[k]) * N, m)
             # one zero row more stands for the degenerate symbols
             X = np.concatenate([prev, np.zeros((1, r, N), dtype=np.int64)])
-            t1, faces = _bar_faces(self.table, self.identity, k)
-            rhs = X[faces[0][1][:, None, None], np.arange(r)[None, :, None],
+            _, t1, faces, signs = _bar_terms(self.group, k - 1)
+            faces = _bar_symbols(self.group, k - 1)[faces]
+            rhs = X[faces[0][:, None, None], np.arange(r)[None, :, None],
                     self.shift[t1][:, None, :]]
-            for sign, face in faces[1:]:
+            for sign, face in zip(signs, faces[1:]):
                 rhs += sign * X[face]
             Y = solve_matrix_mod(self.diags[k], rhs.reshape(E ** k, r * N).T)
             if Y is None:
@@ -545,7 +533,6 @@ class _CoreCohomology(Holder):
     degree: int
     m: int
     resolution: FreeResolution
-    symbols: np.ndarray                # flat table positions of the bar symbols
     cocycle_gens: np.ndarray           # columns span the embedded cocycle module
     gens_diag: ModDiagonalization
     cok: ModCokernel
@@ -562,9 +549,9 @@ class _CoreCohomology(Holder):
     def _pulled_back(self, tables: np.ndarray) -> np.ndarray:
         """z(Phi e_j) for every generator e_j of F_n, scaled, one column per
         cochain z of a (count, |G|, .., |G|, k) stack."""
-        m, d = self.m, self.module.invariant_factors
+        m, d, G = self.m, self.module.invariant_factors, self.module.group
         w = (self.resolution.phis[self.degree]
-             @ tables.reshape(len(tables), -1, len(d))[:, self.symbols]) % m
+             @ tables.reshape(len(tables), -1, len(d))[:, _bar_positions(G, self.degree)]) % m
         return ((w * (m // np.array(d, dtype=np.int64))) % m).reshape(len(tables), -1).T
 
     def _along_psi(self, w: np.ndarray, deg: int) -> np.ndarray:
@@ -619,7 +606,7 @@ class _CoreCohomology(Holder):
         zero = bdiag.in_image(pulled)
         beta = bdiag.solve(pulled[:, zero])
         out = self._along_psi(beta.reshape(F.ranks[n - 1], k, -1), n - 1)
-        values = tables[zero].reshape(len(out), M.group.order ** n, k)[:, self.symbols]
+        values = tables[zero].reshape(len(out), M.group.order ** n, k)[:, _bar_positions(M.group, n)]
         out[:, _bar_positions(M.group, n - 1)] -= s @ values
         return zero, out.reshape((len(out),) + (M.group.order,) * (n - 1) + (k,))
 
@@ -663,8 +650,7 @@ def _compute_core(module: GModule, n: int) -> _CoreCohomology:
     # now rather than at the first class_of or lift
     F.psi(n)
     F.phi(n)
-    return _CoreCohomology(module=module, degree=n, m=m, resolution=F,
-                           symbols=_bar_positions(G, n), cocycle_gens=kernel,
+    return _CoreCohomology(module=module, degree=n, m=m, resolution=F, cocycle_gens=kernel,
                            gens_diag=gens_diag, cok=cok, bmat=bmat)
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact_linalg import abelian_quotient
-from .modlinalg import HeldArrays, Holder, held, hold_arrays
+from .modlinalg import Holder, held, hold_arrays
 
 DEFAULT_ORDER_CAP = 256
 ALL_GENERATORS_ORDER = 32  # up to this order every element is a generator
@@ -343,7 +343,7 @@ class GroupExtension:
 
 
 @dataclass(frozen=True)
-class GroupAction(HeldArrays):
+class GroupAction(Holder):
     """Action of ``actor`` on a carrier, stored as one permutation per element.
 
     When the carrier is a FiniteGroup the permutations must be automorphisms.

@@ -24,7 +24,9 @@ It also holds the package's one way to hold derived data: ``hold_arrays`` sets
 read-only int64 array fields (reduced mod m when asked), and ``held`` is the
 memo over an owner's ``_held`` dict that every owner (groups, homomorphisms,
 modules, ambients, rings, actions, Aut_G(e)) keeps its built data in.  Every
-such owner is a ``Holder``, whose pickle leaves the held data out.
+such owner, and every dataclass with read-only array fields, is a ``Holder``,
+whose pickle leaves the held data out and whose unpickling holds the arrays
+read-only again.
 """
 
 from __future__ import annotations
@@ -46,21 +48,19 @@ def as_mod_array(data, m: int) -> np.ndarray:
     return np.mod(a, m)
 
 
-class HeldArrays:
-    """Base of the dataclasses whose ``__post_init__`` holds their arrays read-only:
-    numpy's pickle does not keep the flag, so unpickling runs it again."""
+class Holder:
+    """Base of the owners of held data.  A pickle carries an owner's ``_held``
+    dict empty, so held data never rides along and an unpickled owner rebuilds
+    it, read-only; unpickling runs a ``__post_init__`` again, as it holds the
+    arrays read-only and numpy's pickle does not keep the flag."""
+
+    def __getstate__(self):
+        return {name: {} if name == "_held" else value for name, value in self.__dict__.items()}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.__post_init__()
-
-
-class Holder:
-    """Base of the owners of a ``_held`` dict: a pickle carries it empty, so held
-    data never rides along and an unpickled owner rebuilds it, read-only."""
-
-    def __getstate__(self):
-        return dict(self.__dict__, _held={})
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ from .finrings import (
     _module_basis_over_subring,
     _same_ring,
 )
-from .modlinalg import (HeldArrays, Holder, ModDiagonalization, colspans_equal,
+from .modlinalg import (Holder, ModDiagonalization, colspans_equal,
                         first_nonmultiplicative_pair, held, hold_arrays, invertible_mod,
                         submodule_size)
 
@@ -71,7 +71,7 @@ class NormalStructureError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class BaseAction(HeldArrays, Holder):
+class BaseAction(Holder):
     """kappa_Q: an action of Q on the commutative ring S (not nec. injective).
 
     ``matrices`` (|Q|, rank S, rank S) holds kappa(q) in row q.  ``_held``
@@ -132,7 +132,7 @@ def trivial_base_action(Q: FiniteGroup, S: FinCommRing) -> BaseAction:
 
 
 @dataclass(frozen=True, eq=False)
-class OutRep(HeldArrays, Holder):
+class OutRep(Holder):
     """A Q-normal structure: lift table q -> automorphism of A of grade q,
     ``lifts`` (|Q|, flat rank, flat rank) holding w_q in row q.  ``_held``
     keeps the inverse of each lift a defect reads and, per seed, the factor
@@ -320,7 +320,7 @@ def tensor_rep(rep1: OutRep, rep2: OutRep) -> tuple[OutRep, Algebra]:
 # crossed products
 
 @dataclass(frozen=True, eq=False)
-class CrossedProductSpec(HeldArrays):
+class CrossedProductSpec(Holder):
     """(A, Q, e_Q, theta): extension K >-> Gamma ->> Q with a morphism of
     crossed modules (i, theta): (K, Gamma, j) -> (U(A), Aut(A), inner).
 
@@ -404,7 +404,7 @@ class CrossedProductSpec(HeldArrays):
 
 
 @dataclass(eq=False)
-class CrossedProductResult(HeldArrays):
+class CrossedProductResult(Holder):
     spec: CrossedProductSpec
     C: Algebra                   # the crossed product, over R = S^Q
     R: FinCommRing
@@ -466,7 +466,7 @@ def crossed_product(spec: CrossedProductSpec, seed: int = 0) -> CrossedProductRe
 # the endomorphism side: _A End(M_e) and the induced structures
 
 @dataclass(eq=False)
-class EndSide(HeldArrays):
+class EndSide(Holder):
     """_A End(C) = M_{|Q|}(A^op) for a crossed product C, with translations.
 
     ``E`` is the endomorphism algebra over S on the basis f_{p,q,i} sending

@@ -6,8 +6,8 @@ is the elimination it replaced: the degree-n bar differential, with its
 (|G| - 1)^n columns per module coordinate, taken apart over Z/m.  Bar cochains
 enter and leave it through the scaled free (Z/m) model, coordinate i scaled by
 m/d_i (``_reduced_from_cochain``, ``_cochain_from_reduced``), and the
-differential is one dense matrix on that model (``_coboundary_matrix``).  Use
-it for |G| <= 8 and degrees <= 3.
+differential is the package's one dense matrix on that model
+(``bar_coboundary_matrix``).  Use it for |G| <= 8 and degrees <= 3.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from teichmuller.gmod_cohomology import (
     CohomologyError,
     CohomologyGroup,
     GModule,
-    _bar_faces,
     _bar_positions,
-    _tilde_matrix,
+    bar_coboundary_matrix,
 )
 from teichmuller.modlinalg import (
     ModCokernel,
@@ -50,24 +49,6 @@ def _cochain_from_reduced(v: np.ndarray, module: GModule, n: int, m: int) -> Coc
     table = np.zeros((module.group.order ** n, module.rank), dtype=np.int64)
     table[_bar_positions(module.group, n)] = x // scale
     return Cochain(module, n, table.reshape((module.group.order,) * n + (module.rank,)))
-
-
-def _coboundary_matrix(module: GModule, n: int, m: int) -> np.ndarray:
-    """D-tilde: the degree-n bar differential on the scaled free (Z/m) model,
-    one k x k block per pair of symbols (row: length n + 1, column: n)."""
-    G, k = module.group, module.rank
-    d = np.array(module.invariant_factors, dtype=np.int64)
-    E = G.order - 1
-    t1, faces = _bar_faces(G.table, G.identity, n + 1)
-    blocks = [_tilde_matrix(module.matrices, d, d, m)[t1]]
-    blocks += [sign * np.eye(k, dtype=np.int64) for sign, _ in faces[1:]]
-    out = np.zeros((E ** (n + 1), k, E ** n, k), dtype=np.int64)
-    rows = np.arange(E ** (n + 1))
-    for (_, cols), block in zip(faces, blocks):
-        # one column per row in each face, so no pair repeats within a face
-        keep = cols < E ** n
-        out[rows[keep], :, cols[keep], :] += block[keep] if block.ndim == 3 else block
-    return np.mod(out.reshape(E ** (n + 1) * k, E ** n * k), m)
 
 
 @dataclass
@@ -105,7 +86,7 @@ def bar_core(module: GModule, n: int) -> BarCore:
     d = np.array(module.invariant_factors, dtype=np.int64)
     m = module.exponent
     count = (G.order - 1) ** n * k
-    dmat = _coboundary_matrix(module, n, m)
+    dmat = bar_coboundary_matrix(module, n)
     moduli = np.tile(d, count // k) % m
     stacked = np.vstack([dmat, np.diag(moduli)[moduli != 0]])
     kernel = diagonalize_mod(stacked, m, want_U=False).kernel()
@@ -115,7 +96,7 @@ def bar_core(module: GModule, n: int) -> BarCore:
         bmat = np.zeros((count, 0), dtype=np.int64)
     else:
         scales = np.tile(m // d, (G.order - 1) ** (n - 1))
-        bmat = (_coboundary_matrix(module, n - 1, m) * scales[None, :]) % m
+        bmat = (bar_coboundary_matrix(module, n - 1) * scales[None, :]) % m
     gens_diag = diagonalize_mod(kernel, m, want_inverses=False)
     X = solve_matrix_mod(gens_diag, bmat)
     assert X is not None, "coboundaries escaped the cocycle module"

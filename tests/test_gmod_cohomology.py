@@ -23,12 +23,14 @@ from teichmuller.modlinalg import diagonalize_mod
 from teichmuller.gmod_cohomology import (
     BudgetExceeded,
     _bar_positions,
+    _bar_symbols,
     Cochain,
     CohomologyError,
     MAX_DEGREE,
     GModule,
     ModuleMap,
     NotACocycle,
+    bar_coboundary_matrix,
     coboundary,
     coboundary_preimage,
     cohomology,
@@ -49,6 +51,7 @@ from teichmuller.gmod_cohomology import (
 from teichmuller import gmod_cohomology
 
 from bar_oracle import bar_cohomology, coboundary_loop
+from test_class_stacks import modules
 
 
 def negation_module(G, ell):
@@ -141,6 +144,34 @@ def test_coboundary_matches_the_loop(n, seed):
     c = Cochain(M, n, np.array([rng.randrange(12) for _ in range(int(np.prod(shape)))],
                                dtype=np.int64).reshape(shape))
     assert np.array_equal(coboundary(c).table, coboundary_loop(c).table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(modules().values())), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_bar_coboundary_matrix_is_the_coboundary_on_the_scaled_model(M, n, seed):
+    # coordinate i of a value scaled by m/d_i, at the symbols with no identity argument
+    G, m = M.group, M.exponent
+    scale = m // np.array(M.invariant_factors, dtype=np.int64)
+
+    def scaled(c):
+        return (c.table.reshape(G.order ** c.degree, M.rank)[_bar_positions(G, c.degree)]
+                * scale % m).reshape(-1)
+
+    c = random_cochain(M, n, random.Random(seed))
+    d = bar_coboundary_matrix(M, n) @ scaled(c) % m
+    assert np.array_equal(d, scaled(coboundary(c)))
+    assert np.array_equal(d, scaled(coboundary_loop(c)))
+
+
+@pytest.mark.parametrize("G", [cyclic(1), cyclic(3), quaternion_table(), metacyclic(3, 2, 2, 0)[0]],
+                         ids=["C1", "C3", "Q8", "S3"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_bar_symbols_invert_bar_positions(G, n):
+    E, symbols, pos = G.order - 1, _bar_symbols(G, n), _bar_positions(G, n)
+    assert np.array_equal(symbols[pos], np.arange(E ** n))
+    degenerate = np.array([G.identity in args for args in np.ndindex(*(G.order,) * n)])
+    assert np.array_equal(np.flatnonzero(~degenerate), pos)
+    assert (symbols[degenerate] == E ** n).all()
 
 
 def test_d_squared_zero_twisted():
@@ -540,6 +571,14 @@ def test_module_validate_names_the_failing_pair():
     trivial_gmodule(G, [2, 4]).validate()
     # the action of 2 replaced by that of 1: 2 * 2 = 4 differs from the entry at 1 + 1 = 2
     bad = GModule(G, (5,), (((1,),), ((2,),), ((2,),), ((3,),)))
+    with pytest.raises(CohomologyError, match=r"action is not a homomorphism at \(1, 1\)"):
+        bad.validate()
+
+
+def test_a_singular_action_is_refused_as_not_a_homomorphism():
+    # C_2 acting on Z/4 through 2, which is not invertible: 2 * 2 = 0 differs
+    # from the entry 1 at 1 + 1 = 0, so no check of invertibility is needed
+    bad = GModule(cyclic(2), (4,), (((1,),), ((2,),)))
     with pytest.raises(CohomologyError, match=r"action is not a homomorphism at \(1, 1\)"):
         bad.validate()
 

@@ -152,6 +152,16 @@ def test_pickles_leave_held_data_out_and_it_comes_back_read_only():
     assert xpext_enumerate(back).verdicts == report.verdicts
 
 
+def test_a_module_and_an_action_come_back_from_a_pickle_with_read_only_arrays():
+    amb = AMBIENTS["Klein_Z2cubed"]()
+    for owner, names in ((amb.gmodule()[0], ("matrices", "factors")), (amb.action, ("perms",))):
+        back = pickle.loads(pickle.dumps(owner))
+        assert back == owner
+        for name in names:
+            assert np.array_equal(getattr(back, name), getattr(owner, name))
+            assert not getattr(back, name).flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # one group per table over an ambient
 

@@ -64,3 +64,33 @@ def test_scan_flags_an_unread_private_definition():
     sources = {"a": "def _used():\n    return 1\n\n\ndef _recursive(n):\n    return _recursive(n - 1)\n",
                "b": "from .a import _used\n\n\nclass _Lone:\n    pass\n"}
     assert unread_private_definitions(sources) == ["a._recursive", "b._Lone"]
+
+
+# the normalized bar model's symbols, faces and scaled action, private to gmod_cohomology
+BAR_MODEL = {"_bar_terms", "_bar_symbols", "_tilde_matrix"}
+
+
+def bar_model_reads(sources: dict) -> list[str]:
+    """The names of ``BAR_MODEL`` that a module of ``sources`` ({module name:
+    source}) other than gmod_cohomology imports, or reads as an attribute."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                found.update((module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                found.add((module, node.attr))
+    return sorted(f"{module}.{name}" for module, name in found
+                  if name in BAR_MODEL and module != "gmod_cohomology")
+
+
+def test_only_gmod_cohomology_reads_the_bar_model():
+    found = bar_model_reads({p.stem: p.read_text() for p in SRC.glob("*.py")})
+    assert not found, f"modules reading the bar model outside gmod_cohomology: {', '.join(found)}"
+
+
+def test_scan_flags_a_read_of_the_bar_model():
+    sources = {"gmod_cohomology": "def _bar_terms(G, n):\n    return _tilde_matrix(G, n)\n",
+               "a": "from .gmod_cohomology import _bar_positions, _bar_terms as terms\n",
+               "b": "from . import gmod_cohomology\n\nx = gmod_cohomology._tilde_matrix\n"}
+    assert bar_model_reads(sources) == ["a._bar_terms", "b._tilde_matrix"]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from teichmuller import modlinalg
-from teichmuller.gmod_cohomology import trivial_gmodule
+from teichmuller.gmod_cohomology import bar_coboundary_matrix, trivial_gmodule
 from teichmuller.groups import cyclic, quaternion_table
 from teichmuller.modlinalg import (
     SMALL_CELLS,
@@ -27,8 +27,6 @@ from teichmuller.modlinalg import (
     submodule_size,
     unit_multiplier,
 )
-
-from bar_oracle import _coboundary_matrix
 
 
 def random_matrix(rng, r, c, m):
@@ -192,7 +190,7 @@ def test_diagonalize_dispatches_on_the_largest_held_matrix(shape, loop, monkeypa
 def test_h2_q8_system_matches_oracle_with_and_without_zero_rows():
     # the stacked H^2(Q8, Z/2) system: the 343x49 bar differential over 49
     # zero rows (d_i = m), which cohomology no longer stacks
-    dmat = _coboundary_matrix(trivial_gmodule(quaternion_table(), (2,)), 2, 2)
+    dmat = bar_coboundary_matrix(trivial_gmodule(quaternion_table(), (2,)), 2)
     stacked = np.vstack([dmat, np.zeros((49, 49), dtype=np.int64)])
     assert stacked.shape == (392, 49)
     kernels = []
