@@ -101,9 +101,6 @@ class FinCommRing(Holder):
     def add(self, a, b) -> np.ndarray:
         return (np.asarray(a) + np.asarray(b)) % self.modulus
 
-    def neg(self, a) -> np.ndarray:
-        return (-np.asarray(a)) % self.modulus
-
     def mul(self, a, b) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(a, dtype=np.int64),
                          np.asarray(b, dtype=np.int64), self.structure) % self.modulus
@@ -269,33 +266,6 @@ def product_ring(factors: Sequence[FinCommRing], name: str = "") -> FinCommRing:
 def map_ring(points: int, k: FinCommRing, name: str = "") -> FinCommRing:
     """Functions from a finite set to k, with pointwise operations."""
     return product_ring([k] * points, name=name or f"Map({points} pts, {k.name})")
-
-
-def build_ring(spec) -> FinCommRing:
-    """Ring from a small spec language.
-
-    Accepted forms: {"zmod": m}, {"gf": [p, k]}, {"galois_ring": [p, n, k]},
-    {"product": [spec, ...]}, {"map_ring": [points, spec]}.
-    """
-    if isinstance(spec, FinCommRing):
-        return spec
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise RingError(f"malformed ring spec: {spec!r}")
-    kind, arg = next(iter(spec.items()))
-    if kind == "zmod":
-        return zmod(int(arg))
-    if kind == "gf":
-        p, k = arg
-        return gf(int(p), int(k))
-    if kind == "galois_ring":
-        p, n, k = arg
-        return galois_ring(int(p), int(n), int(k))
-    if kind == "product":
-        return product_ring([build_ring(s) for s in arg])
-    if kind == "map_ring":
-        pts, inner = arg
-        return map_ring(int(pts), build_ring(inner))
-    raise RingError(f"unknown ring spec kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -846,11 +816,12 @@ def primitive_idempotents(R: FinCommRing) -> list[np.ndarray]:
     return [e for e in idem if all(not (leq(f, e) and not np.array_equal(e, f)) for f in idem)]
 
 
-def _unit_in_corner(R: FinCommRing, e: np.ndarray, x: np.ndarray) -> bool:
-    """Is x*e a unit of the corner ring e*R?"""
+def _corner_unit_test(R: FinCommRing, e: np.ndarray):
+    """The test of whether x*e is a unit of the corner ring e*R, as a function of x."""
     m = R.modulus
     corner = R.mul_matrix(e)                  # its columns span eR
-    return submodule_size((R.mul_matrix(R.mul(x, e)) @ corner) % m, m) == submodule_size(corner, m)
+    size = submodule_size(corner, m)
+    return lambda x: submodule_size((R.mul_matrix(R.mul(x, e)) @ corner) % m, m) == size
 
 
 def galois_check(data: GaloisData) -> dict:
@@ -895,9 +866,12 @@ def galois_check(data: GaloisData) -> dict:
 
     # --- (iii) ideal separation: for each maximal ideal (primitive corner)
     # and n != 1 some t in T with t - n.t a unit in the corner ---------------
-    failures = [(tuple(int(x) for x in e), n) for e in primitive_idempotents(T)
-                for n in range(N.order) if n != N.identity and not any(
-                    _unit_in_corner(T, e, (t - data.action[n] @ t) % m) for t in T.elements())]
+    failures = []
+    for e in primitive_idempotents(T):
+        unit_in_corner = _corner_unit_test(T, e)
+        failures += [(tuple(int(x) for x in e), n) for n in range(N.order)
+                     if n != N.identity and not any(
+                         unit_in_corner((t - data.action[n] @ t) % m) for t in T.elements())]
     report["criterion_iii"] = not failures
     report["criterion_iii_failures"] = failures
 

@@ -52,12 +52,11 @@ from .modlinalg import (
     ModDiagonalization,
     cokernel_mod,
     diagonalize_mod,
-    extending_rows_mod_p,
     first_nonmultiplicative_pair,
     held,
     hold_arrays,
+    pivot_columns_mod_p,
     prime_factors,
-    row_basis_mod_p,
     solve_matrix_mod,
 )
 
@@ -368,15 +367,16 @@ class FreeResolution:
     grows one degree at a time, as far as a caller asks.
 
     d_(n+1) maps the generators of F_(n+1) onto K = ker d_n (the augmentation
-    ideal for n = 0).  They start as the kernel columns of ``_radical_first``,
-    which for a p-group are all of K, minimally.  Otherwise each kernel
-    column k still outside their R-span is folded into the first generator
-    g_i for which g_i <- g_i + k spans strictly more (by ``image_size``), and
-    is appended as a new generator only when no fold does.  Either step
-    enlarges the span strictly, and the span lies in the finite K, so the
-    search ends, exactly when every kernel column lies in the image.  Folding
-    keeps the ranks near those of the projective covers: S3 over Z/3 gets
-    1, 2, 2, 1, 1, 2 where one generator per missing column gave 1, 2, ..., 6.
+    ideal for n = 0).  They start as the kernel columns that ``_radical_first``
+    picks with ``pivot_columns_mod_p``, which for a p-group are all of K,
+    minimally.  Otherwise each kernel column k still outside their R-span is
+    folded into the first generator g_i for which g_i <- g_i + k spans
+    strictly more (by ``image_size``), and is appended as a new generator
+    only when no fold does.  Either step enlarges the span strictly, and the
+    span lies in the finite K, so the search ends, exactly when every kernel
+    column lies in the image.  Folding keeps the ranks near those of the
+    projective covers: S3 over Z/3 gets 1, 2, 2, 1, 1, 2 where one generator
+    per missing column gave 1, 2, ..., 6.
     """
 
     def __init__(self, G: FiniteGroup, m: int):
@@ -452,9 +452,11 @@ class FreeResolution:
         each prime p | m in turn.
 
         K is a direct summand of F_n over Z/m, so K meets pF_n in pK, and the
-        classes can be read mod p.  For a p-group these columns generate K,
-        minimally, and ``_next_degree`` folds nothing into them.  For any other
-        group they are where the folding starts.
+        classes can be read mod p.  The columns taken for p are the pivot
+        columns, over F_p, that follow the radical's columns (g - 1)K and the
+        columns taken before, in one matrix of the budget's size.  For a
+        p-group they generate K, minimally, and ``_next_degree`` folds nothing
+        into them.  For any other group they are where the folding starts.
         """
         N, c = self.order, kernel.shape[1]
         _check_budget(f"generators of F_{n + 1}", r * N, c * (len(self.gens) + 1), self.m)
@@ -462,8 +464,10 @@ class FreeResolution:
         radical = [(K[:, self.shift[g], :] - K).reshape(r * N, c) for g in self.gens]
         taken: list[int] = []
         for p in prime_factors(self.m):
-            B, piv = row_basis_mod_p(np.hstack(radical + [kernel[:, taken]]).T, p)
-            taken += extending_rows_mod_p(B, piv, kernel.T, p)
+            rest = [j for j in range(c) if j not in taken]
+            base = len(radical) * c + len(taken)
+            pivots = pivot_columns_mod_p(np.hstack(radical + [kernel[:, taken + rest]]), p)
+            taken += [rest[i - base] for i in pivots if i >= base]
         return taken
 
     def phi(self, n: int) -> np.ndarray:

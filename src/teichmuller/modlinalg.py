@@ -13,9 +13,10 @@ costs more than its arithmetic.  Dot products of r-term vectors reach
 r * (m - 1)^2, so ``diagonalize_mod`` refuses m with max(rows, cols) *
 (m - 1)^2 >= 2^63 before any work.
 
-Solving runs all right-hand sides of one system at once.  Over a prime
-field, ``row_basis_mod_p`` and ``extending_rows_mod_p`` pick, in order, the
-rows that enlarge a span.
+Solving runs all right-hand sides of one system at once.  The one
+elimination over a prime field F_p, ``pivot_columns_mod_p``, decides
+``invertible_mod`` (units of rings, lifts of an outer action) and picks the
+generators of the free resolutions in gmod_cohomology.
 
 This is the one exact linear-algebra layer of the package: cohomology, finite
 rings and the finite abelian presentations of exact_linalg all run on it.
@@ -434,83 +435,42 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
-def _full_rank_gf2(A: np.ndarray) -> bool:
-    """Full column rank of a square 0/1 matrix over GF(2), bit-packed."""
-    n = A.shape[0]
-    W = (n + 63) // 64
-    bits = np.zeros((n, W), dtype=np.uint64)
-    rr, cc = np.nonzero(A & 1)
-    np.bitwise_or.at(bits, (rr, cc // 64), np.uint64(1) << (cc % 64).astype(np.uint64))
-    for col in range(n):
-        w, b = divmod(col, 64)
-        mask = np.uint64(1) << np.uint64(b)
-        cand = np.nonzero(bits[col:, w] & mask)[0]
-        if cand.size == 0:
-            return False
-        piv = col + int(cand[0])
-        if piv != col:
-            bits[[col, piv]] = bits[[piv, col]]
-        below = col + 1 + np.nonzero(bits[col + 1:, w] & mask)[0]
-        if below.size:
-            bits[below] ^= bits[col]
-    return True
+def pivot_columns_mod_p(A, p: int) -> list[int]:
+    """The columns of A that, taken in order, each leave the span of the
+    columns before them over F_p: the pivot columns of a row echelon form.
 
-
-def _full_rank_mod_p(A: np.ndarray, p: int) -> bool:
-    """Full rank of a square matrix over the prime field F_p."""
-    if p == 2:
-        return _full_rank_gf2(A % 2)
-    return len(row_basis_mod_p(A, p)[1]) == A.shape[0]
-
-
-def row_basis_mod_p(A, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon basis (B, piv) of the row space of A over F_p.
-
-    B[:, piv] is the identity, so v - v[piv] @ B vanishes exactly when v lies
-    in the row space.
+    One walk over the columns, in which each pivot row clears its column from
+    the rows below it.  For p = 2 the rows are packed eight columns to a byte
+    and cleared by XOR; otherwise the pivot row is scaled to a leading 1, so
+    every product stays below p^2.  Raises ValueError when (p - 1)^2 >= 2^63.
     """
+    if (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"prime p={p} overflows int64 arithmetic")
     A = np.mod(np.asarray(A, dtype=np.int64), p)
+    rows, cols = A.shape
+    if p == 2:
+        A = np.packbits(A.astype(np.uint8), axis=1, bitorder="little")
     piv: list[int] = []
-    for col in range(A.shape[1]):
+    for col in range(cols):
         t = len(piv)
-        if t == A.shape[0]:
+        if t == rows:
             break
-        cand = np.flatnonzero(A[t:, col])
-        if cand.size == 0:
+        b = col >> 3 if p == 2 else col         # the byte or the entry of col in a row
+        on = np.flatnonzero(A[t:, b] & np.uint8(1 << (col & 7)) if p == 2 else A[t:, b])
+        if on.size == 0:
             continue
-        s = t + int(cand[0])
+        s = t + int(on[0])
         if s != t:
             A[[t, s]] = A[[s, t]]
-        A[t] = (A[t] * pow(int(A[t, col]), -1, p)) % p
-        others = np.flatnonzero(A[:, col])
-        others = others[others != t]
-        if others.size:
-            A[others] = (A[others] - np.outer(A[others, col], A[t])) % p
+        # the row swapped down to s is zero in this column
+        below = t + on[1:]
+        if p == 2:
+            A[below, b:] ^= A[t, b:]
+        else:
+            A[t, b:] = (A[t, b:] * pow(int(A[t, b]), -1, p)) % p
+            A[below, b:] = (A[below, b:] - np.outer(A[below, b], A[t, b:])) % p
         piv.append(col)
-    return A[:len(piv)], piv
-
-
-def extending_rows_mod_p(B: np.ndarray, piv: list[int], V, p: int) -> list[int]:
-    """Indices of the rows of V that, taken in order, each leave the span of
-    the rows of B and of the rows taken before them, over F_p.
-
-    (B, piv) is a basis from ``row_basis_mod_p``.  Each row taken costs one
-    update of the reduced candidates.
-    """
-    V = np.mod(np.asarray(V, dtype=np.int64), p)
-    if piv:
-        V = (V - V[:, piv] @ B) % p
-    taken = []
-    while True:
-        live = np.flatnonzero(V.any(axis=1))
-        if live.size == 0:
-            return taken
-        j = int(live[0])
-        taken.append(j)
-        v = V[j]
-        q = int(np.flatnonzero(v)[0])
-        v = (v * pow(int(v[q]), -1, p)) % p
-        V = (V - np.outer(V[:, q], v)) % p
+    return piv
 
 
 def invertible_mod(A, m: int) -> bool:
@@ -518,7 +478,7 @@ def invertible_mod(A, m: int) -> bool:
     if A.shape[0] != A.shape[1]:
         return False
     # invertible over Z/m iff invertible over F_p for every prime p | m
-    return all(_full_rank_mod_p(A, p) for p in prime_factors(m))
+    return all(len(pivot_columns_mod_p(A, p)) == len(A) for p in prime_factors(m))
 
 
 def inverse_mod(A, m: int) -> np.ndarray | None:
@@ -553,14 +513,14 @@ def first_nonmultiplicative_pair(mats, G, m) -> tuple[int, int] | None:
 
 def submodule_size(A, m: int) -> int:
     """Cardinality of the column span of A over Z/m."""
-    return diagonalize_mod(A, m).image_size()
+    return diagonalize_mod(A, m, want_U=False).image_size()
 
 
 def colspans_equal(A, B, m: int) -> bool:
     A = as_mod_array(np.asarray(A, dtype=np.int64), m)
     B = as_mod_array(np.asarray(B, dtype=np.int64), m)
     da = diagonalize_mod(A, m)
-    db = diagonalize_mod(B, m)
+    db = diagonalize_mod(B, m, want_U=False)
     if da.image_size() != db.image_size():
         return False
     return solve_matrix_mod(da, B) is not None
@@ -569,11 +529,9 @@ def colspans_equal(A, B, m: int) -> bool:
 def enumerate_colspan(A, m: int, cap: int = 1 << 16):
     """All elements of the column span of A over Z/m (deterministic order)."""
     A = as_mod_array(np.asarray(A, dtype=np.int64), m)
-    diag = diagonalize_mod(A, m)
-    size = diag.image_size()
+    size = diagonalize_mod(A, m, want_U=False).image_size()
     if size > cap:
         raise ValueError(f"span of size {size} exceeds cap {cap}")
-    # independent generators from the diagonal form: columns of U^-1 scaled
     elems = {tuple(np.zeros(A.shape[0], dtype=np.int64))}
     order = [tuple(np.zeros(A.shape[0], dtype=np.int64))]
     gens = [A[:, j] for j in range(A.shape[1])]

@@ -13,7 +13,6 @@ from teichmuller.finrings import (
     FixedRingMismatch,
     GaloisData,
     RingError,
-    build_ring,
     commutative_ring_as_algebra_over,
     conjugation_matrix,
     find_conjugator,
@@ -104,16 +103,6 @@ def test_large_prime_fields_fail_fast_at_the_int64_bound():
     F = gf(10007, 2)
     assert F.meta == (("poly", (1, 0, 1)), ("char_p", 10007))     # 10007 = 3 mod 4
     F.validate()
-
-
-def test_build_ring_spec_language():
-    assert build_ring({"zmod": 8}).size == 8
-    assert build_ring({"gf": [2, 2]}).size == 4
-    assert build_ring({"galois_ring": [2, 3, 2]}).size == 64
-    assert build_ring({"product": [{"zmod": 3}, {"zmod": 3}]}).size == 9
-    assert build_ring({"map_ring": [2, {"gf": [3, 1]}]}).size == 9
-    with pytest.raises(RingError):
-        build_ring({"nope": 1})
 
 
 def test_field_multiplication_f4():

@@ -762,11 +762,16 @@ def test_p_group_resolutions_are_the_radical_ones(G, digest):
     (C3xC2, 3, "2922d6391828b2b26b78f00e95118f3429011b26deb215196703cd9d4dcc48f0"),
     (C3xC2, 4, "3016324eb8f4ee7ec219293099a229d7412b4f6c14890cacb50d1b44d49cb093"),
     (S3xC2, 3, "d1c0df49c8a531137605ae9621ae0ddf9a37399d210632b69c7fdd3233ec7d0f"),
-    (D10, 5, "03ada63c37ade821dec6ad2366a4ac9e0c89305a87a9498f4834f28557d3f8bb")],
-    ids=RESOLUTION_IDS[-4:])
+    (D10, 5, "03ada63c37ade821dec6ad2366a4ac9e0c89305a87a9498f4834f28557d3f8bb"),
+    (S3, 6, "207df7af77762fb0e08541aabf23f842b443eb21c4052607dec294cab59e7d8f"),
+    (D10, 10, "9dbda7a1deae0b2cd5ab57fe423c2ee7bbfb427a65dc9e18181d74a08eff47a1"),
+    (C3xC2, 12, "25eff41842764e281feb103dfb539a87dd94d1c5f44de16e658dee7bf833a061"),
+    (quaternion_table(), 6, "9cab9eae81e49894e4100c2d99bc8a8de9cb9cd685f143a3b384778981b1a81c")],
+    ids=RESOLUTION_IDS[-4:] + ["S3_Z6", "D10_Z10", "C3xC2_Z12", "Q8_Z6"])
 def test_folded_resolutions_hash_to_the_stored_digest(G, m, digest):
     """For the groups that are not p-groups, d_1..d_4 with their generator
-    folds hash to the stored digest."""
+    folds hash to the stored digest.  Over Z/6, Z/10 and Z/12 the radical
+    step picks generators for a second prime."""
     assert differentials_digest(G, m) == digest
 
 

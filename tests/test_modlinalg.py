@@ -17,12 +17,11 @@ from teichmuller.modlinalg import (
     cokernel_mod,
     diagonalize_mod,
     enumerate_colspan,
-    extending_rows_mod_p,
     first_nonmultiplicative_pair,
     inverse_mod,
     invertible_mod,
     kernel_mod,
-    row_basis_mod_p,
+    pivot_columns_mod_p,
     solve_matrix_mod,
     submodule_size,
     unit_multiplier,
@@ -286,20 +285,62 @@ def test_solve_matrix():
 
 def test_inverse_mod():
     rng = random.Random(3)
-    found = 0
-    for _ in range(200):
-        m = rng.choice([2, 4, 5, 8, 9, 12])
-        n = rng.randrange(1, 4)
+    cases = [(rng.choice([2, 4, 5, 8, 9, 12]), rng.randrange(1, 4)) for _ in range(200)]
+    # 6 and 30 have two and three prime factors; F_2 rows of 63 to 70 columns
+    # pack into eight or nine bytes
+    cases += [(m, rng.randrange(1, 4)) for m in (6, 30) for _ in range(40)]
+    cases += [(2, n) for n in range(63, 71) for _ in range(4)]
+    found, seen = 0, set()
+    for m, n in cases:
         A = random_matrix(rng, n, n, m)
         inv = inverse_mod(A, m)
+        assert invertible_mod(A, m) == (inv is not None)
         if inv is not None:
             found += 1
             assert np.array_equal((A @ inv) % m, np.eye(n, dtype=np.int64))
             assert np.array_equal((inv @ A) % m, np.eye(n, dtype=np.int64))
-            assert invertible_mod(A, m)
-        else:
-            assert not invertible_mod(A, m)
+        seen.add(("F_2 wide" if n > 60 else m if m in (6, 30) else "small", inv is not None))
     assert found > 20
+    # every kind of input met both verdicts
+    assert seen == {(kind, v) for kind in ("small", 6, 30, "F_2 wide") for v in (False, True)}
+
+
+def det_mod(A, m: int) -> int:
+    """det A mod m by the Leibniz formula on Python ints."""
+    n = len(A)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i, j in enumerate(perm):
+            term *= int(A[i][j])
+        total += term
+    return total % m
+
+
+def test_invertible_mod_is_exact_up_to_the_int64_bound():
+    """p = 3037000493 is the largest prime with (p - 1)^2 < 2^63: there the
+    verdicts agree with a Python-int determinant.  The next prime, 3037000507,
+    is refused before any work."""
+    p = 3037000493
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randrange(1, 6)
+        A = random_matrix(rng, n, n, p)
+        if n > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randrange(p)
+            A[i] = [(c * int(x)) % p for x in A[j]]        # a dependent row
+        want = det_mod(A, p) != 0
+        assert invertible_mod(A, p) == want
+        verdicts.add(want)
+    assert verdicts == {False, True}
+    for q in (3037000507, 4294967291):
+        with pytest.raises(ValueError, match=f"p={q}"):
+            invertible_mod(np.eye(2, dtype=np.int64), q)
+        with pytest.raises(ValueError, match=f"p={q}"):
+            pivot_columns_mod_p(np.eye(2, dtype=np.int64), q)
 
 
 def test_cokernel_structure_and_coords():
@@ -509,26 +550,22 @@ def test_solve_is_exact_for_large_moduli(m, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(0, 6), st.integers(1, 5),
-       st.integers(0, 1 << 30))
-def test_extending_rows_mod_p_matches_greedy_rank(p, base_rows, cand_rows, width, seed):
-    """Each taken row raises the span's size, in order, over a basis from
-    row_basis_mod_p; sizes come from diagonalize_mod."""
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 12), st.sampled_from([1, 5, 8, 9, 40, 64, 65, 70]),
+       st.sampled_from([0.05, 0.3, 1.0]), st.integers(0, 1 << 30))
+def test_pivot_columns_mod_p_matches_greedy_rank(p, rows, width, density, seed):
+    """The pivot columns are, in order, the columns that raise the size of the
+    span of the columns before them; sizes come from diagonalize_mod.  Widths
+    past 8 and 64 columns fill more than one byte and one word of packed F_2
+    bits, and sparse draws put pivots there."""
     rng = random.Random(seed)
-    base = random_matrix(rng, base_rows, width, p).reshape(base_rows, width)
-    cands = random_matrix(rng, cand_rows, width, p).reshape(cand_rows, width)
-    if cand_rows > 1 and rng.random() < 0.5:
-        cands[-1] = (cands[0] + 2 * cands[1]) % p      # a dependent row
-    B, piv = row_basis_mod_p(base, p)
-    assert np.array_equal(B[:, piv], np.eye(len(piv), dtype=np.int64))
-    assert submodule_size(B.T.reshape(width, -1), p) == submodule_size(base.T.reshape(width, -1), p)
-
-    def size(rows):
-        return submodule_size(np.array(rows, dtype=np.int64).reshape(-1, width).T, p)
-
-    want, kept = [], list(base)
-    for j, row in enumerate(cands):
-        if size(kept + [row]) > size(kept):
+    A = np.array([[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(width)]
+                  for _ in range(rows)], dtype=np.int64).reshape(rows, width)
+    if width > 2:
+        k = rng.randrange(2, width)
+        i, j = rng.sample(range(k), 2)
+        A[:, k] = (A[:, i] + 2 * A[:, j]) % p          # a planted dependent column
+    want: list[int] = []
+    for j in range(width):
+        if submodule_size(A[:, want + [j]], p) > submodule_size(A[:, want], p):
             want.append(j)
-            kept.append(row)
-    assert extending_rows_mod_p(B, piv, cands, p) == want
+    assert pivot_columns_mod_p(A, p) == want
