@@ -242,7 +242,7 @@ def baer_sum(a: Crossed2Extension, b: Crossed2Extension) -> Crossed2Extension:
         raise CrossedModuleError("induced module structures differ")
     M, G = a.M, a.G
     CC = direct_product(a.C, b.C)
-    anti = sorted({a.iota(m) * b.C.order + b.iota(M.inv[m]) for m in range(M.order)})
+    anti = sorted({a.iota(m) * b.C.order + b.iota(int(M.inverse[m])) for m in range(M.order)})
     Cq, proj_c = quotient_group(CC, anti)
     Gm, p1, p2 = fiber_product(a.pi, b.pi)
     iota = GroupHom.checked(M, Cq, tuple(proj_c(a.iota(m) * b.C.order + b.C.identity)
@@ -259,6 +259,6 @@ def baer_sum(a: Crossed2Extension, b: Crossed2Extension) -> Crossed2Extension:
     boundary = GroupHom.checked(Cq, Gm, tuple(bnd.tolist()))
     pi = GroupHom.checked(Gm, G, tuple(np.array(a.pi.images)[p1s].tolist()))
     acted = a.action.perms[p1s[:, None], ca] * b.C.order + b.action.perms[p2s[:, None], cb]
-    action = GroupAction(Gm, Cq, tuple(map(tuple, np.array(proj_c.images)[acted].tolist())))
+    action = GroupAction(Gm, Cq, np.array(proj_c.images)[acted])
     return Crossed2Extension(M=M, C=Cq, Gamma=Gm, G=G,
                              iota=iota, boundary=boundary, pi=pi, action=action)

@@ -138,8 +138,8 @@ class Ambient(Holder):
 
     def n_action(self) -> GroupAction:
         """The action of G on M restricted to N, held."""
-        return held(self, "n_action", lambda: GroupAction(self.N, self.Mgrp, tuple(
-            self.action.table[g] for g in self.ext.kernel_hom.images)))
+        return held(self, "n_action", lambda: GroupAction(
+            self.N, self.Mgrp, self.action.perms[list(self.ext.kernel_hom.images)]))
 
     def validate(self) -> None:
         self.ext.validate()
@@ -173,9 +173,9 @@ class Ambient(Holder):
     def aut_data(self, f, cap: int = 96) -> "AutGeGroup":
         """Aut_G(e) of the extension of N by M with normalized cocycle table f,
         built by ``aut_g_of_e`` under cap on first use."""
-        key = tuple(map(tuple, np.asarray(f).tolist()))
-        return held(self, ("aut_data", key),
-                    lambda: aut_g_of_e(extension_from_cocycle(self, key), cap=cap))
+        f = np.asarray(f, dtype=np.int64)
+        return held(self, ("aut_data", f.tobytes()),
+                    lambda: aut_g_of_e(extension_from_cocycle(self, f.tolist()), cap=cap))
 
     def n_cohomology(self, n: int) -> CohomologyGroup:
         """H^n(N, M), over M restricted to N."""
@@ -483,7 +483,7 @@ class AutGeGroup(Holder):
     def _checked_crossed_module(self) -> tuple[CrossedModule, GroupHom]:
         amb, Gamma = self.ae.ambient, self.ae.Gamma
         _, MN, incl, _ = amb.fixed_submodule_gmodule()
-        action = GroupAction(self.group, Gamma, tuple(map(tuple, self.alphas.tolist())))
+        action = GroupAction(self.group, Gamma, self.alphas)
         cm = CrossedModule(Gamma, self.group, self.beta, action)
         iota = GroupHom(MN, Gamma, tuple(self.ae.gamma_index(incl(m), amb.N.identity)
                                          for m in range(MN.order)))
@@ -651,7 +651,7 @@ def _e_psi(aut: AutGeGroup, psi: tuple) -> Crossed2Extension:
         raise CrossedPairError("e_psi failed validation: exactness fails at B^psi")
     if not piB.is_surjective():
         raise CrossedPairError("e_psi failed validation: B^psi does not surject onto Q")
-    action = GroupAction(B, Gamma, tuple(cm.action.table[a] for a in members.tolist()))
+    action = GroupAction(B, Gamma, cm.action.perms[members])
     return Crossed2Extension(M=MN, C=Gamma, Gamma=B, G=Q,
                              iota=iota, boundary=bnd, pi=piB, action=action)
 
@@ -999,7 +999,7 @@ def pushout_extension(ae: AbExtension, target: FiniteGroup, phi_images) -> Group
         raise CrossedPairError("phi is not a homomorphism")
     if (phi[amb.n_action().perms] != phi).any():
         raise CrossedPairError("phi image must be N-fixed (central constants)")
-    anti = sorted({phi_images[m] * Gamma.order + ae.gamma_index(M.inv[m], N.identity)
+    anti = sorted({phi_images[m] * Gamma.order + ae.gamma_index(int(M.inverse[m]), N.identity)
                    for m in range(M.order)})
     Gq, proj = quotient_group(direct_product(target, Gamma), anti)
     kernel_hom = GroupHom.checked(
@@ -1160,7 +1160,7 @@ def qnormal_galois_product(gal, Q: FiniteGroup) -> QNormalGaloisData:
     kappa = gal.action[np.arange(G.order) // Q.order]       # (n, q) acts as n
     rows = units.index_of(np.einsum("gab,ub->gua", kappa, units.elements))
     amb = Ambient(ext=ext, Mgrp=units.group,
-                  action=GroupAction(G, units.group, tuple(map(tuple, rows.tolist()))))
+                  action=GroupAction(G, units.group, rows))
     return QNormalGaloisData(gal=gal, ambient=amb, units=units, kappa_G=kappa)
 
 

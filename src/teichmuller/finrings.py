@@ -70,8 +70,8 @@ class FinCommRing(Holder):
     read-only array of shape (rank,).  Both are reduced mod m on construction
     from any array-like, after m and the rank are checked against int64
     overflow (``RingError``).  Rings compare by identity.  ``_held`` keeps data
-    derived from the ring (``modlinalg.held``: its ``units_group``); it takes
-    no part in construction, the repr or the pickle.
+    derived from the ring (``modlinalg.held``: its ``units_group``, ``primes``);
+    it takes no part in construction, the repr or the pickle.
     """
 
     modulus: int
@@ -92,6 +92,11 @@ class FinCommRing(Holder):
     def size(self) -> int:
         return self.modulus ** self.rank
 
+    @property
+    def primes(self) -> list[int]:
+        """The primes dividing the modulus, factored once and held."""
+        return held(self, "primes", lambda: prime_factors(self.modulus))
+
     def zero(self) -> np.ndarray:
         return np.zeros(self.rank, dtype=np.int64)
 
@@ -110,7 +115,7 @@ class FinCommRing(Holder):
         return np.einsum("i,ijk->kj", np.asarray(a, dtype=np.int64), self.structure) % self.modulus
 
     def is_unit(self, a) -> bool:
-        return invertible_mod(self.mul_matrix(a), self.modulus)
+        return invertible_mod(self.mul_matrix(a), self.modulus, self.primes)
 
     def inv(self, a) -> np.ndarray:
         m = inverse_mod(self.mul_matrix(a), self.modulus)
@@ -449,7 +454,7 @@ class Algebra(Holder):
         return np.einsum("b,abc->ca", np.asarray(x, dtype=np.int64), self.flat_tensor) % self.modulus
 
     def is_unit(self, x) -> bool:
-        return invertible_mod(self.left_mul_matrix(x), self.modulus)
+        return invertible_mod(self.left_mul_matrix(x), self.modulus, self.base.primes)
 
     def inv(self, x) -> np.ndarray:
         m = inverse_mod(self.left_mul_matrix(x), self.modulus)

@@ -1,22 +1,20 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are integer indices 0..order-1.  ``FiniteGroup.from_table`` is the
-one constructor: it checks identity, associativity and inverses, and the
-group then holds its table once more as a read-only int64 array
-(``table``, ``inverse``), and an action its permutations (``perms``).  The
-checks on tables (associativity, homomorphisms, actions, the 2-cocycle
-identity, normality), the table of an extension built from a 2-cocycle and
-that of a quotient are gathers on those arrays.  Gathers whose results are only
-compared run in the narrowest unsigned dtype that holds an index; indices
-that are added to stay int64, since narrow integers wrap.  Homomorphisms,
-extensions, actions, subgroup/quotient plumbing and the metacyclic family
-also live here.
+one constructor: it checks identity, associativity and inverses.  A group's
+only tables are read-only int64 arrays (``table``, ``inverse``), an action's
+its permutations (``perms``); the tuple views ``mul``, ``inv`` and an action's
+``table`` are for readers outside the package.  The table checks, products,
+subgroups, quotients and extensions by a 2-cocycle are gathers on the arrays.
+Gathers whose results are only compared run in the narrowest unsigned dtype
+that holds an index; indices that are added to stay int64, since narrow
+integers wrap.  Homomorphisms, extensions, actions, subgroup/quotient
+plumbing and the metacyclic family also live here.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import prod
 from typing import Optional, Sequence
 
@@ -34,45 +32,66 @@ class GroupError(ValueError):
 
 
 def _generating_set(u: np.ndarray, ident: int) -> np.ndarray:
-    """Elements whose closure under products (rounds S <- S u SS) with the identity is
-    all of the table u, associative or not: all up to ``ALL_GENERATORS_ORDER``, where
-    one gather costs less than a search, else the least element outside, in turn."""
+    """Elements whose closure under products with the identity is all of the table u,
+    associative or not: all up to ``ALL_GENERATORS_ORDER``, where one gather costs less
+    than a search, else the least element outside, in turn.  Each closure grows only by
+    the products new x S and S x new of the elements that the last round added."""
     if len(u) <= ALL_GENERATORS_ORDER:
         return np.arange(len(u))
     gens, inside = [], np.zeros(len(u), dtype=bool)
     inside[ident] = True
     while not inside.all():
         gens.append(int(np.argmin(inside)))
-        inside[gens[-1]] = True
-        while True:
-            s = np.flatnonzero(inside)
-            inside[u[np.ix_(s, s)]] = True
-            if inside.sum() == len(s):
-                break
+        new = np.array(gens[-1:])
+        inside[new] = True
+        while new.size:
+            before, s = inside.copy(), np.flatnonzero(inside)
+            inside[u[new[:, None], s]] = True
+            inside[u[s[:, None], new]] = True
+            new = np.flatnonzero(inside & ~before)
     return np.array(gens)
 
 
-@dataclass(frozen=True)
-class FiniteGroup(Holder):
+def _tuple_view(arr: np.ndarray) -> tuple:
+    """arr as (nested) tuples of ints: a view for readers outside the package."""
+    return tuple(map(tuple, arr.tolist())) if arr.ndim > 1 else tuple(arr.tolist())
+
+
+class _ByEntries:
+    """Equality and hashing on the dataclass fields that compare, arrays by their entries."""
+
+    def _entries(self) -> list:
+        return [getattr(self, f.name) for f in fields(self) if f.compare]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                                    for a, b in zip(self._entries(), other._entries()))
+
+    def __hash__(self):
+        return hash(tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in self._entries()))
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteGroup(_ByEntries, Holder):
     """A group on 0..order-1 by its table.
 
-    ``table`` and ``inverse`` hold ``mul`` and ``inv`` once more as read-only
-    int64 arrays, ``gens`` the generators that the table checks run on; ``_held``
-    keeps derived data (``modlinalg.held``): the ``abelian_structure`` of an
-    abelian group and its ``coordinate_array``, and per modulus and degree the
-    free resolution, the bar-coboundary index grids and H^n of each module
-    content (``gmod_cohomology``).  None of them takes part in construction,
-    equality, hashing, the repr or the pickle.
+    The read-only int64 arrays ``table`` and ``inverse`` are its only tables,
+    ``gens`` the generators that the table checks run on; ``_held`` keeps derived
+    data (``modlinalg.held``): the tuple views ``mul`` and ``inv``, for readers
+    outside the package, the ``abelian_structure`` of an abelian group and its
+    ``coordinate_array``, and per modulus and degree the free resolution, the
+    bar-coboundary index grids and H^n of each module content
+    (``gmod_cohomology``).  Equality and hashing read ``table``; the pickle, the views.
     """
 
     order: int
-    mul: tuple[tuple[int, ...], ...]
     identity: int
-    inv: tuple[int, ...]
     labels: Optional[tuple[str, ...]] = None
     generators: Optional[tuple[int, ...]] = None
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    table: np.ndarray = field(init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False)
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
     gens: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -98,7 +117,8 @@ class FiniteGroup(Holder):
         ident = int(units[0])
         # associativity: t[t[x,a],y] == t[x,t[a,y]] for each a in gens, in the
         # narrowest index dtype, chunked over gens to bound memory
-        u, gens = t.astype(np.min_scalar_type(n - 1)), _generating_set(t, ident)
+        u = t.astype(np.min_scalar_type(n - 1))
+        gens = _generating_set(u, ident)
         step = max(1, (1 << 21) // (n * n))
         for lo in range(0, len(gens), step):
             g = gens[lo:lo + step] if len(gens) < n else slice(lo, lo + step)
@@ -107,23 +127,27 @@ class FiniteGroup(Holder):
         hits = t == ident
         if (hits.sum(axis=1) != 1).any():
             raise GroupError("element without unique inverse")
-        inverse = hits.argmax(axis=1)
-        G = FiniteGroup(order=n, mul=tuple(map(tuple, t.tolist())), identity=ident,
-                        inv=tuple(inverse.tolist()),
-                        labels=tuple(labels) if labels else None,
+        G = FiniteGroup(order=n, identity=ident, labels=tuple(labels) if labels else None,
                         generators=tuple(generators) if generators else None)
-        hold_arrays(G, table=t, inverse=inverse, gens=gens)
+        hold_arrays(G, table=t, inverse=hits.argmax(axis=1), gens=gens)
         return G
 
-    def __getstate__(self):
-        state = super().__getstate__()
-        del state["table"], state["inverse"], state["gens"]
-        return state
+    @property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        return held(self, "mul", lambda: _tuple_view(self.table))
+
+    @property
+    def inv(self) -> tuple[int, ...]:
+        return held(self, "inv", lambda: _tuple_view(self.inverse))
+
+    def __getstate__(self):  # the keys, in their order, of a group that held tuple tables
+        return dict(order=self.order, mul=_tuple_view(self.table), identity=self.identity,
+                    inv=_tuple_view(self.inverse), labels=self.labels, generators=self.generators, _held={})
 
     def __setstate__(self, state):
+        tables = {"table": state.pop("mul"), "inverse": state.pop("inv")}
         self.__dict__.update(state)
-        t = np.array(self.mul, dtype=np.int64)
-        hold_arrays(self, table=t, inverse=self.inv, gens=_generating_set(t, self.identity))
+        hold_arrays(self, **tables, gens=_generating_set(np.array(tables["table"]), self.identity))
 
     @property
     def gens_index(self):
@@ -131,27 +155,27 @@ class FiniteGroup(Holder):
         return self.gens if len(self.gens) < self.order else slice(None)
 
     def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
+        return int(self.table[a, b])
 
     def conj(self, a: int, b: int) -> int:
         """a b a^-1."""
-        return self.mul[self.mul[a][b]][self.inv[a]]
+        return int(self.table[self.table[a, b], self.inverse[a]])
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
-            return self.power(self.inv[a], -k)
+            return self.power(int(self.inverse[a]), -k)
         r = self.identity
         while k:
             if k & 1:
-                r = self.mul[r][a]
-            a = self.mul[a][a]
+                r = int(self.table[r, a])
+            a = int(self.table[a, a])
             k >>= 1
         return r
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
+        k, x, times_a = 1, a, self.table[:, a].tolist()
         while x != self.identity:
-            x = self.mul[x][a]
+            x = times_a[x]
             k += 1
         return k
 
@@ -166,18 +190,16 @@ class FiniteGroup(Holder):
         return bool((self.table == self.table.T).all())
 
     def closure(self, gens: Sequence[int]) -> list[int]:
-        seen = {self.identity}
-        out = [self.identity]
-        frontier = [self.identity]
+        # row i of each: x g_i and g_i x for every x
+        steps = self.table[:, list(gens)].T.tolist() + self.table[list(gens)].tolist()
+        seen, frontier = {self.identity}, [self.identity]
         while frontier:
             x = frontier.pop()
-            for g in gens:
-                for y in (self.mul[x][g], self.mul[g][x]):
-                    if y not in seen:
-                        seen.add(y)
-                        out.append(y)
-                        frontier.append(y)
-        return sorted(out)
+            for row in steps:
+                if row[x] not in seen:
+                    seen.add(row[x])
+                    frontier.append(row[x])
+        return sorted(seen)
 
     def minimal_generators(self) -> list[int]:
         gens: list[int] = []
@@ -342,39 +364,41 @@ class GroupExtension:
         return self.quotient_hom.section(seed)
 
 
-@dataclass(frozen=True)
-class GroupAction(Holder):
+@dataclass(frozen=True, eq=False)
+class GroupAction(_ByEntries, Holder):
     """Action of ``actor`` on a carrier, stored as one permutation per element.
 
     When the carrier is a FiniteGroup the permutations must be automorphisms.
-    ``perms`` holds ``table`` once more as a read-only int64 array (None for a
-    ragged table, which ``validate`` rejects); it takes no part in
-    construction, equality, hashing or the repr.
+    ``perms``, given as an array or a nested sequence, is its only table, a
+    read-only int64 array (None for a ragged table, which ``validate`` rejects);
+    ``_held`` keeps ``table``, a tuple view of it for readers outside the package.
     """
 
     actor: FiniteGroup
     carrier: FiniteGroup | int
-    table: tuple[tuple[int, ...], ...]
-    perms: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    perms: Optional[np.ndarray] = field(repr=False)
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            hold_arrays(self, perms=self.table)
+            hold_arrays(self, perms=self.perms)
         except ValueError:  # a ragged table
             object.__setattr__(self, "perms", None)
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return held(self, "table", lambda: _tuple_view(self.perms))
 
     @property
     def carrier_size(self) -> int:
         return self.carrier.order if isinstance(self.carrier, FiniteGroup) else self.carrier
 
     def act(self, g: int, x: int) -> int:
-        return self.table[g][x]
+        return int(self.perms[g, x])
 
     def validate(self) -> None:
         n = self.carrier_size
         G = self.actor
-        if len(self.table) != G.order:
-            raise GroupError("action table has wrong length")
         arr = self.perms
         if arr is None or arr.shape != (G.order, n):
             raise GroupError("action table has wrong shape")
@@ -383,12 +407,12 @@ class GroupAction(Holder):
         if not np.array_equal(arr[G.identity], np.arange(n)):
             raise GroupError("identity does not act trivially")
         arr = arr.astype(np.min_scalar_type(n - 1))
-        # table[g][table[h][x]] must equal table[gh][x], for each generator g
+        # perms[g][perms[h][x]] must equal perms[gh][x], for each generator g
         if not np.array_equal(arr[G.gens_index][:, arr], arr[G.table[G.gens_index]]):
             raise GroupError("action is not a homomorphism")
         if isinstance(self.carrier, FiniteGroup):
             # generators' distinct permutations, on the carrier's generators c: perm[cx] == perm[c] perm[x]
-            perms = np.array(list(dict.fromkeys(self.table[g] for g in G.gens.tolist())), dtype=arr.dtype)
+            perms = np.array(list(dict.fromkeys(map(tuple, arr[G.gens].tolist()))), dtype=arr.dtype)
             cmul, cg = self.carrier.table.astype(arr.dtype), self.carrier.gens_index
             if not np.array_equal(perms[:, cmul[cg]], cmul[perms[:, cg, None], perms[:, None, :]]):
                 raise GroupError("action is not by automorphisms")
@@ -396,24 +420,22 @@ class GroupAction(Holder):
 
 def trivial_action(G: FiniteGroup, carrier: FiniteGroup | int) -> GroupAction:
     n = carrier.order if isinstance(carrier, FiniteGroup) else carrier
-    row = tuple(range(n))
-    return GroupAction(G, carrier, tuple(row for _ in range(G.order)))
+    return GroupAction(G, carrier, np.broadcast_to(np.arange(n), (G.order, n)))
 
 
 # ---------------------------------------------------------------------------
 # standard constructions
 
 def cyclic(n: int) -> FiniteGroup:
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul = (np.arange(n)[:, None] + np.arange(n)) % n
     labels = [f"t^{i}" if i else "1" for i in range(n)]
     return FiniteGroup.from_table(mul, labels=labels, generators=[1 % n])
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     n, m = G.order, H.order
-    mul = [[0] * (n * m) for _ in range(n * m)]
-    for a, b, c, d in itertools.product(range(n), range(m), range(n), range(m)):
-        mul[a * m + b][c * m + d] = G.mul[a][c] * m + H.mul[b][d]
+    # axes (a, b, c, d): row a m + b times column c m + d
+    mul = (G.table[:, None, :, None] * m + H.table[None, :, None, :]).reshape(n * m, n * m)
     labels = None
     if G.labels and H.labels:
         labels = [f"({G.labels[a]},{H.labels[b]})" for a in range(n) for b in range(m)]
@@ -422,16 +444,15 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 def subgroup_of(G: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup, GroupHom]:
     """The subgroup on the given (closed) element set, with its inclusion."""
-    elems = sorted(set(elements))
-    index = {g: i for i, g in enumerate(elems)}
-    for a in elems:
-        for b in elems:
-            if G.mul[a][b] not in index:
-                raise GroupError("element set is not closed under multiplication")
-    mul = [[index[G.mul[a][b]] for b in elems] for a in elems]
+    elems = np.array(sorted(set(elements)), dtype=np.int64)
+    index = np.full(G.order, -1)
+    index[elems] = np.arange(len(elems))
+    mul = index[G.table[np.ix_(elems, elems)]]
+    if (mul < 0).any():
+        raise GroupError("element set is not closed under multiplication")
     labels = [G.label(g) for g in elems] if G.labels else None
     H = FiniteGroup.from_table(mul, labels=labels)
-    return H, GroupHom(H, G, tuple(elems))
+    return H, GroupHom(H, G, tuple(elems.tolist()))
 
 
 def quotient_group(G: FiniteGroup, normal_elements: Sequence[int],
@@ -460,13 +481,13 @@ def fiber_product(f: GroupHom, g: GroupHom) -> tuple[FiniteGroup, GroupHom, Grou
     if not same_group(f.target, g.target):
         raise GroupError("fiber product needs a common target")
     A, B = f.source, g.source
-    pairs = [(a, b) for a in range(A.order) for b in range(B.order) if f(a) == g(b)]
-    index = {p: i for i, p in enumerate(pairs)}
-    mul = [[index[(A.mul[a1][a2], B.mul[b1][b2])] for (a2, b2) in pairs] for (a1, b1) in pairs]
-    P = FiniteGroup.from_table(mul, cap=max(DEFAULT_ORDER_CAP, len(pairs)))
-    proj1 = GroupHom(P, A, tuple(p[0] for p in pairs))
-    proj2 = GroupHom(P, B, tuple(p[1] for p in pairs))
-    return P, proj1, proj2
+    # the pairs (a, b) in row-major order, and the index of each
+    a, b = np.nonzero(np.array(f.images)[:, None] == np.array(g.images))
+    index = np.full((A.order, B.order), -1)
+    index[a, b] = np.arange(len(a))
+    mul = index[A.table[np.ix_(a, a)], B.table[np.ix_(b, b)]]
+    P = FiniteGroup.from_table(mul, cap=max(DEFAULT_ORDER_CAP, len(a)))
+    return P, GroupHom(P, A, tuple(a.tolist())), GroupHom(P, B, tuple(b.tolist()))
 
 
 def mixed_radix_decode(i: int, factors: Sequence[int]) -> tuple[int, ...]:
@@ -522,7 +543,7 @@ def coordinate_array(M: FiniteGroup) -> np.ndarray:
 def _present(M: FiniteGroup):
     if not M.is_abelian():
         raise GroupError("abelian_structure needs an abelian group")
-    gens = M.minimal_generators()
+    gens, mul = M.minimal_generators(), M.table.tolist()
     g = len(gens)
     # exponent vectors: build the subgroup chain, recording how each element
     # is written in the generators
@@ -534,7 +555,7 @@ def _present(M: FiniteGroup):
         x = gen
         while x not in expo:
             k += 1
-            x = M.mul[x][gen]
+            x = mul[x][gen]
         rel = [-e for e in expo[x]]
         rel[j] = k
         relations.append(tuple(rel))
@@ -542,17 +563,17 @@ def _present(M: FiniteGroup):
         current = list(expo.items())
         x = M.identity
         for e in range(1, k):
-            x = M.mul[x][gen]
+            x = mul[x][gen]
             for elem, vec in current:
                 nv = list(vec)
                 nv[j] = e
-                expo[M.mul[elem][x]] = tuple(nv)
+                expo[mul[elem][x]] = tuple(nv)
     if len(expo) != M.order:
         raise GroupError("generator closure failed (group not abelian?)")
     # one relator per column, and one exponent vector per column
     pres = abelian_quotient(np.array(relations, dtype=np.int64).reshape(g, g).T, M.order)
     exponents = np.array([expo[e] for e in range(M.order)], dtype=np.int64).reshape(M.order, g)
-    elem_to_coords = tuple(map(tuple, pres.coords(exponents.T).T.tolist()))
+    elem_to_coords = _tuple_view(pres.coords(exponents.T).T)
     coords_to_elem = {c: e for e, c in enumerate(elem_to_coords)}
     if len(coords_to_elem) != M.order:
         raise GroupError("presentation does not separate elements")
@@ -575,16 +596,11 @@ def metacyclic(r: int, s: int, t: int, f: int) -> tuple[FiniteGroup, GroupExtens
     if (t * f - f) % r:
         raise GroupError("t*f = f (mod r) violated")
     n = r * s
-    tpow = [pow(t, j, r) for j in range(s)]
-    mul = [[0] * n for _ in range(n)]
-    for i, j, k, l in itertools.product(range(r), range(s), range(r), range(s)):
-        # (y^i x^j)(y^k x^l) = y^(i + k t^j) x^(j+l), with x^s = y^f
-        e = (i + k * tpow[j]) % r
-        jl = j + l
-        if jl >= s:
-            e = (e + f) % r
-            jl -= s
-        mul[i + r * j][k + r * l] = e + r * jl
+    i, j = np.arange(n) % r, np.arange(n) // r
+    # (y^i x^j)(y^k x^l) = y^(i + k t^j) x^(j+l), with x^s = y^f
+    jl = j[:, None] + j
+    tpow = np.array([pow(t, e, r) for e in range(s)])
+    mul = (i[:, None] + i * tpow[j][:, None] + f * (jl >= s)) % r + r * (jl % s)
     labels = [None] * n
     for i in range(r):
         for j in range(s):
@@ -645,10 +661,13 @@ def is_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> Op
 
     f may also be a stack of tables on a first axis; the witness then starts
     with the index of the first failing table.  A stack is checked a batch of
-    tables at a time, so no temporary exceeds ``COCYCLE_CHECK_CELLS`` cells.
+    tables at a time, so no temporary exceeds ``COCYCLE_CHECK_CELLS`` cells,
+    in the narrowest dtype that holds an element of M unless f leaves M.
     """
-    F, A, Mt = np.array(f, dtype=np.int64), action.perms, M.table
-    stack = F.reshape((-1,) + F.shape[-2:])
+    F = np.array(f, dtype=np.int64)
+    narrow = F.ndim > 2 and F.size and 0 <= F.min() and F.max() < M.order
+    dt = np.min_scalar_type(M.order - 1) if narrow else np.int64
+    stack, A, Mt = (x.astype(dt, copy=False) for x in (F.reshape((-1,) + F.shape[-2:]), action.perms, M.table))
     step = max(1, COCYCLE_CHECK_CELLS // Q.order ** 3)
     for lo in range(0, len(stack), step):
         B = stack[lo:lo + step]
@@ -709,6 +728,6 @@ def two_cocycle_of_extension(ext: GroupExtension, seed: int = 0):
     kh, sec = ext.kernel_hom, np.array(ext.section(seed))
     # row q: s(q) m s(q)^-1 for every m; f(p, q) = s(p) s(q) s(pq)^-1
     acted = kh.preimage(G.table[G.table[sec[:, None], list(kh.images)], G.inverse[sec][:, None]])
-    action = GroupAction(Q, M, tuple(map(tuple, acted.tolist())))
+    action = GroupAction(Q, M, acted)
     f = kh.preimage(G.table[G.table[sec[:, None], sec], G.inverse[sec[Q.table]]])
     return f.tolist(), action

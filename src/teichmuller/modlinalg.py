@@ -473,12 +473,13 @@ def pivot_columns_mod_p(A, p: int) -> list[int]:
     return piv
 
 
-def invertible_mod(A, m: int) -> bool:
+def invertible_mod(A, m: int, primes=None) -> bool:
+    """Is A invertible over Z/m?  ``primes``, those dividing m, saves factoring m."""
     A = np.asarray(A, dtype=np.int64)
     if A.shape[0] != A.shape[1]:
         return False
     # invertible over Z/m iff invertible over F_p for every prime p | m
-    return all(len(pivot_columns_mod_p(A, p)) == len(A) for p in prime_factors(m))
+    return all(len(pivot_columns_mod_p(A, p)) == len(A) for p in primes or prime_factors(m))
 
 
 def inverse_mod(A, m: int) -> np.ndarray | None:

@@ -164,7 +164,7 @@ class OutRep(Holder):
     def defect(self, p: int, q: int) -> np.ndarray:
         """w_p w_q w_{pq}^{-1}, an automorphism over S."""
         m, w = self.A.modulus, self.lifts
-        return (w[p] @ w[q] @ self.inverse_lift(self.Q.mul[p][q])) % m
+        return (w[p] @ w[q] @ self.inverse_lift(self.Q.table[p, q])) % m
 
     def factor_set(self, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(f, f^-1), (|Q|, |Q|, flat rank) each: units f(p, q) with
@@ -197,7 +197,7 @@ class OutRep(Holder):
         for q, w in enumerate(self.lifts):
             if not is_algebra_morphism(A, A, w):
                 raise NormalStructureError(f"lift {q} is not an algebra morphism")
-            if not invertible_mod(w, m):
+            if not invertible_mod(w, m, A.base.primes):
                 raise NormalStructureError(f"lift {q} is not invertible")
             if not np.array_equal((w @ emb) % m, (emb @ self.base_action.matrices[q]) % m):
                 raise NormalStructureError(f"lift {q} has the wrong grade on S")
@@ -363,7 +363,7 @@ class CrossedProductSpec(Holder):
             if (th.tobytes(), q) in checked:
                 continue
             checked.add((th.tobytes(), q))
-            if not is_algebra_morphism(A, A, th) or not invertible_mod(th, m):
+            if not is_algebra_morphism(A, A, th) or not invertible_mod(th, m, A.base.primes):
                 raise NormalStructureError(f"theta({g}) is not an algebra automorphism")
             if not np.array_equal((th @ emb) % m, (emb @ self.base_action.matrices[q]) % m):
                 raise NormalStructureError(f"theta({g}) has the wrong grade")

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from teichmuller.crossed import CrossedModule
-from teichmuller.groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupAction, GroupError, GroupHom
+from teichmuller.groups import (ALL_GENERATORS_ORDER, DEFAULT_ORDER_CAP, FiniteGroup, GroupAction,
+                                GroupError, GroupHom)
 
 ISO_SEARCH_CAP = 128
 AUT_SEARCH_CAP = 64
@@ -55,8 +56,6 @@ def action_validate_oracle(action: GroupAction) -> None:
     carrier."""
     n = action.carrier_size
     G = action.actor
-    if len(action.table) != G.order:
-        raise GroupError("action table has wrong length")
     arr = action.perms
     if arr is None or arr.shape != (G.order, n):
         raise GroupError("action table has wrong shape")
@@ -295,3 +294,32 @@ def automorphism_group(G: FiniteGroup, cap: int = AUT_SEARCH_CAP) -> tuple[Finit
             mul[i][j] = index[comp]
     A = FiniteGroup.from_table(mul, cap=max(DEFAULT_ORDER_CAP, k))
     return A, tuple(perms)
+
+
+def generating_set_oracle(u, ident: int) -> np.ndarray:
+    """``groups._generating_set`` with each closure grown by whole rounds
+    S <- S u SS, as it was before the rounds took only the new elements."""
+    u = np.asarray(u)
+    if len(u) <= ALL_GENERATORS_ORDER:
+        return np.arange(len(u))
+    gens, inside = [], np.zeros(len(u), dtype=bool)
+    inside[ident] = True
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        inside[gens[-1]] = True
+        while True:
+            s = np.flatnonzero(inside)
+            inside[u[np.ix_(s, s)]] = True
+            if inside.sum() == len(s):
+                break
+    return np.array(gens)
+
+
+def is_two_cocycle_int64_oracle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f):
+    """``is_two_cocycle`` in one batch with every gather in int64, as it was
+    before compared gathers ran in the narrowest dtype."""
+    F, A, Mt = np.array(f, dtype=np.int64), action.perms, M.table
+    B = F.reshape((-1,) + F.shape[-2:])
+    lhs = Mt[A[np.arange(Q.order)[:, None, None], B[:, None]], B[:, :, Q.table]]
+    bad = np.argwhere(lhs != Mt[B[..., None], B[:, Q.table]])
+    return tuple(int(i) for i in bad[0, 3 - F.ndim:]) if len(bad) else None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teichmuller.groups import cyclic
-from teichmuller import finrings
+from teichmuller import finrings, modlinalg
 from teichmuller.finrings import (
     Algebra,
     FinCommRing,
@@ -402,3 +402,21 @@ def test_identity_morphism_check_at_flat_rank_64_is_fast():
     start = time.perf_counter()
     assert is_algebra_morphism(A, A, eye)
     assert time.perf_counter() - start < 0.5
+
+
+def test_a_ring_factors_its_modulus_once(monkeypatch):
+    """2097143 is the largest prime a ring of rank 1 admits ((m - 1)^3 < 2^63);
+    trial division of it takes about 1,450 steps, which ``is_unit`` once paid per call."""
+    R = zmod(2097143)
+    A, real, factored = ring_as_algebra(R), modlinalg.prime_factors, []
+
+    def counting(m):
+        factored.append(m)
+        return real(m)
+
+    monkeypatch.setattr(modlinalg, "prime_factors", counting)
+    monkeypatch.setattr(finrings, "prime_factors", counting)
+    verdicts = [R.is_unit(np.array([x])) for x in range(20)]
+    assert verdicts == [False] + [True] * 19 and factored == [2097143]
+    assert [A.is_unit(np.array([x])) for x in (0, 1, 5)] == [False, True, True]
+    assert factored == [2097143]

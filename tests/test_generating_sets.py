@@ -21,6 +21,7 @@ from teichmuller.finrings import frobenius_lift, gf, map_ring, ring_as_algebra, 
 from teichmuller.groups import (
     ALL_GENERATORS_ORDER,
     FiniteGroup,
+    _generating_set,
     GroupAction,
     GroupError,
     GroupExtension,
@@ -38,6 +39,7 @@ from group_oracles import (
     action_validate_oracle,
     check_table_oracle,
     first_nonmultiplicative_pair_oracle,
+    generating_set_oracle,
     is_valid_oracle,
     validate_crossed_module_oracle,
 )
@@ -130,6 +132,43 @@ def test_generating_set_closes_to_the_whole_group(item):
         # so it at least doubles it
         assert 2 ** len(gens) <= G.order
         assert G.identity not in gens.tolist()
+
+
+FACTORS = [cyclic(k) for k in range(2, 13)] + [quaternion_table(), metacyclic(3, 2, 2, 0)[0]]
+
+
+@st.composite
+def products_and_extensions(draw) -> np.ndarray:
+    """The table of a direct product of two small groups, of a metacyclic
+    extension G(r, s, t, f) of C_r by C_s, or of the non-associative
+    ``twisted_product``, of order 33 to 200."""
+    kind = draw(st.sampled_from(["product", "metacyclic", "twisted"]))
+    if kind == "product":
+        A = draw(st.sampled_from([A for A in FACTORS if A.order * 12 >= 33]))
+        B = draw(st.sampled_from([B for B in FACTORS if 33 <= A.order * B.order <= 200]))
+        return direct_product(A, B).table
+    if kind == "twisted":
+        m = draw(st.integers(3, 8))
+        return np.array(twisted_product(draw(st.integers(-(-33 // m), 200 // m)), m))
+    s = draw(st.integers(2, 8))
+    r = draw(st.integers(-(-33 // s), 200 // s))
+    t = draw(st.sampled_from([t for t in range(1, r) if pow(t, s, r) == 1]))
+    f = draw(st.sampled_from([f for f in range(r) if (t * f - f) % r == 0]))
+    return metacyclic(r, s, t, f)[0].table
+
+
+@settings(max_examples=80, deadline=None)
+@given(products_and_extensions(), st.data())
+def test_generating_set_picks_what_the_whole_round_closure_picks(t, data):
+    """On the table relabeled at random, whose identity is then p[0]: the
+    same picks as the closure by whole rounds S <- S u SS."""
+    p = np.asarray(data.draw(st.permutations(range(len(t)))))
+    u = np.empty_like(t)
+    u[p[:, None], p[None, :]] = p[t]
+    want = generating_set_oracle(u, int(p[0]))
+    assert _generating_set(u, int(p[0])).tolist() == want.tolist()
+    if data.draw(st.booleans()):
+        assert _generating_set(u.astype(np.uint8), int(p[0])).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("make, digest", [

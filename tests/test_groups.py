@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from group_oracles import (
     automorphism_group,
     extension_table_oracle,
     find_isomorphism,
+    is_two_cocycle_int64_oracle,
     is_two_cocycle_oracle,
     is_valid_oracle,
 )
@@ -431,3 +433,74 @@ def test_quotient_group_matches_the_loop(G):
         assert (Q.mul, proj.images) == (want[0].mul, want[1].images)
     with pytest.raises(GroupError, match="must contain the identity"):
         quotient_group(G, [])
+
+
+# M of order 300 needs uint16 gathers; Q acts on M through a sign character
+# where it has one, by negation
+_Z300 = FiniteGroup.from_table((np.arange(300)[:, None] + np.arange(300)) % 300, cap=300)
+NARROW_CASES = [(Q, M, GroupAction(Q, M, [np.arange(M.order) if sign else (-np.arange(M.order)) % M.order
+                                          for sign in signs]))
+                for Q, signs in ((cyclic(2), (1, 0)), (cyclic(4), (1, 0, 1, 0)), (cyclic(3), (1, 1, 1)))
+                for M in (cyclic(2), cyclic(5), _Z300)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(NARROW_CASES), st.integers(1, 6), st.data())
+def test_narrow_cocycle_check_matches_the_int64_check(case, k, data):
+    """Stacks of coboundaries, each maybe with one entry changed, and of
+    random tables: the same verdict and the same first witness."""
+    Q, M, action = case
+    stack = []
+    for _ in range(k):
+        c = np.array(data.draw(st.lists(st.integers(0, M.order - 1), min_size=Q.order,
+                                        max_size=Q.order)))
+        c[Q.identity] = M.identity
+        # (dc)(p, q) = p.c(q) - c(pq) + c(p), a normalized 2-cocycle
+        f = M.table[M.table[action.perms[:, c], M.inverse[c[Q.table]]], c[:, None]]
+        kind = data.draw(st.sampled_from(["coboundary", "changed", "random"]))
+        if kind == "changed":
+            f[data.draw(st.integers(0, Q.order - 1)), data.draw(st.integers(0, Q.order - 1))] = \
+                data.draw(st.integers(0, M.order - 1))
+        elif kind == "random":
+            f = np.array(data.draw(st.lists(st.integers(0, M.order - 1), min_size=Q.order ** 2,
+                                            max_size=Q.order ** 2))).reshape(Q.order, Q.order)
+        stack.append(f)
+    assert is_two_cocycle(Q, M, action, stack) == is_two_cocycle_int64_oracle(Q, M, action, stack)
+    assert is_two_cocycle(Q, M, action, stack[0]) == is_two_cocycle_int64_oracle(Q, M, action, stack[0])
+
+
+def test_groups_are_equal_exactly_when_their_tables_and_fields_are():
+    t = (np.arange(6)[:, None] + np.arange(6)) % 6
+    G, H = FiniteGroup.from_table(t), FiniteGroup.from_table(t.tolist())
+    assert G == H and hash(G) == hash(H) and G is not H
+    assert G != 6 and G != "G"
+    # a changed label, or another identity-fixing relabeling of the same group
+    labels = [str(i) for i in range(6)]
+    assert FiniteGroup.from_table(t, labels=labels) == FiniteGroup.from_table(t, labels=labels)
+    assert FiniteGroup.from_table(t, labels=labels) != FiniteGroup.from_table(t, labels=labels[:5] + ["x"])
+    swap = np.array([0, 5, 2, 3, 4, 1])
+    moved = np.empty_like(t)
+    moved[swap[:, None], swap] = swap[t]
+    assert not np.array_equal(moved, t) and FiniteGroup.from_table(moved) != G
+    assert FiniteGroup.from_table(t, generators=[1]) != G
+    # actions compare by actor, carrier and permutations, however they were given
+    rows = ((0, 1, 2, 3), (0, 3, 2, 1))
+    C2, Z4 = cyclic(2), cyclic(4)
+    neg = GroupAction(C2, Z4, np.array(rows))
+    assert neg == GroupAction(C2, Z4, rows) and hash(neg) == hash(GroupAction(C2, Z4, rows))
+    assert neg != GroupAction(C2, Z4, (rows[0], rows[0])) and neg != GroupAction(C2, 4, rows)
+
+
+def test_a_group_of_order_1088_holds_its_table_once():
+    n, h = 1088, 544
+    # the dihedral group: a + h s for the rotation a and the reflection bit s
+    a, s = np.arange(n) % h, np.arange(n) // h
+    t = (a[:, None] + np.where(s[:, None] == 0, a, -a)) % h + h * ((s[:, None] + s) % 2)
+    tracemalloc.start()
+    try:
+        G = FiniteGroup.from_table(t, cap=n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order == n and held < 12e6 and peak < 40e6, (held, peak)
+    assert G.table.nbytes == 8 * n * n and G.mul[3][5] == int(t[3, 5])

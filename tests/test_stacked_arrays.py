@@ -201,8 +201,8 @@ def test_an_oversized_unit_extension_is_refused_before_the_units_are_enumerated(
     rep = BENCH_REPS["M2(Z8)_trivial"]()
     verdicts = []
 
-    def counting(A, m):
-        verdicts.append(invertible_mod(A, m))
+    def counting(*args):
+        verdicts.append(invertible_mod(*args))
         return verdicts[-1]
 
     monkeypatch.setattr(finrings, "invertible_mod", counting)
