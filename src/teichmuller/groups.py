@@ -66,7 +66,7 @@ class _ByEntries:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self is other or all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        return self is other or all(np.array_equal(a, b) if np.ndarray in (type(a), type(b)) else a == b
                                     for a, b in zip(self._entries(), other._entries()))
 
     def __hash__(self):
@@ -665,7 +665,7 @@ def is_two_cocycle(Q: FiniteGroup, M: FiniteGroup, action: GroupAction, f) -> Op
     in the narrowest dtype that holds an element of M unless f leaves M.
     """
     F = np.array(f, dtype=np.int64)
-    narrow = F.ndim > 2 and F.size and 0 <= F.min() and F.max() < M.order
+    narrow = F.size and 0 <= F.min() and F.max() < M.order
     dt = np.min_scalar_type(M.order - 1) if narrow else np.int64
     stack, A, Mt = (x.astype(dt, copy=False) for x in (F.reshape((-1,) + F.shape[-2:]), action.perms, M.table))
     step = max(1, COCYCLE_CHECK_CELLS // Q.order ** 3)

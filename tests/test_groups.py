@@ -489,6 +489,10 @@ def test_groups_are_equal_exactly_when_their_tables_and_fields_are():
     neg = GroupAction(C2, Z4, np.array(rows))
     assert neg == GroupAction(C2, Z4, rows) and hash(neg) == hash(GroupAction(C2, Z4, rows))
     assert neg != GroupAction(C2, Z4, (rows[0], rows[0])) and neg != GroupAction(C2, 4, rows)
+    # a ragged table, which ``validate`` rejects, is unequal to every valid one
+    ragged = (rows[0], rows[1][:3])
+    assert GroupAction(C2, Z4, ragged).perms is None and GroupAction(C2, Z4, ragged) == GroupAction(C2, Z4, ragged)
+    assert GroupAction(C2, Z4, ragged) != neg and neg != GroupAction(C2, Z4, ragged)
 
 
 def test_a_group_of_order_1088_holds_its_table_once():
