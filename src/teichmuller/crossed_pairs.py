@@ -35,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GroupAction,
     GroupExtension,
@@ -50,7 +49,6 @@ from .groups import (
     subgroup_of,
 )
 from .gmod_cohomology import (
-    RESOLUTION_CELL_BUDGET,
     Cochain,
     CohomologyGroup,
     GModule,
@@ -72,16 +70,13 @@ from .crossed import (
     validate_crossed_module,
 )
 from .finrings import galois_check, is_ring_morphism_matrix, ring_as_algebra, units_group
-from .modlinalg import (Holder, diagonalize_mod, first_nonmultiplicative_pair, held,
-                        hold_arrays)
+from .modlinalg import (BudgetExceeded, Holder, check_cells, diagonalize_mod,
+                        first_nonmultiplicative_pair, held, hold_arrays)
 from .normal_algebras import BaseAction, CrossedProductSpec, OutRep, crossed_product
 
 
 class CrossedPairError(ValueError):
     pass
-
-
-PAIR_SEARCH_BUDGET = 1 << 13    # bound on |G| |Z^1(N, M)|, the rows of one Aut_G(e)
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +119,16 @@ class Ambient(Holder):
     def Q(self) -> FiniteGroup:
         return self.ext.quotient_group
 
-    def group(self, table, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    def group(self, table) -> FiniteGroup:
         """The one group the ambient holds for the content of table, built by
         ``FiniteGroup.from_table``, with all its checks, on first use.  It is
         held by a hash of the table in its narrowest dtype; a held group is
-        returned only for an equal table of order at most cap, and any other
-        table goes to ``from_table``, which refuses it or builds it unheld."""
+        returned only for an equal table, and any other table goes to
+        ``from_table``, which refuses it or builds it unheld."""
         t = np.asarray(table)
         key = ("group", hash(t.astype(np.min_scalar_type(max(len(t) - 1, 0))).tobytes()))
-        G = held(self, key, lambda: FiniteGroup.from_table(t, cap=cap))
-        return G if G.order <= cap and np.array_equal(G.table, t) else \
-            FiniteGroup.from_table(t, cap=cap)
+        G = held(self, key, lambda: FiniteGroup.from_table(t))
+        return G if np.array_equal(G.table, t) else FiniteGroup.from_table(t)
 
     def n_action(self) -> GroupAction:
         """The action of G on M restricted to N, held."""
@@ -170,12 +164,12 @@ class Ambient(Holder):
             return moduleN, MN, incl, (moduleN.invariant_factors, e2cN, c2eN)
         return held(self, "fixed_submodule", build)
 
-    def aut_data(self, f, cap: int = 96) -> "AutGeGroup":
+    def aut_data(self, f) -> "AutGeGroup":
         """Aut_G(e) of the extension of N by M with normalized cocycle table f,
-        built by ``aut_g_of_e`` under cap on first use."""
+        built by ``aut_g_of_e`` on first use."""
         f = np.asarray(f, dtype=np.int64)
         return held(self, ("aut_data", f.tobytes()),
-                    lambda: aut_g_of_e(extension_from_cocycle(self, f.tolist()), cap=cap))
+                    lambda: aut_g_of_e(extension_from_cocycle(self, f.tolist())))
 
     def n_cohomology(self, n: int) -> CohomologyGroup:
         """H^n(N, M), over M restricted to N."""
@@ -187,16 +181,14 @@ class Ambient(Holder):
         (n, j), p, q, n != 1, are those of ``bar_coboundary_matrix(module, 1)``
         on x_j(n) = (m/d_j) c_j(n), with the rows d_j x_j(n) = 0 stacked under
         them, as ``_compute_core`` stacks its cocycle system.  Its kernel is
-        Z^1(N, M).  The shape is checked against RESOLUTION_CELL_BUDGET before
-        it is built."""
+        Z^1(N, M).  Its cells are checked against ``CELL_BUDGET`` before it is
+        built."""
         def build():
             N, module = self.N, self.restricted_gmodule(self.ext.kernel_hom)[0]
             d, m, k = module.factors, module.exponent, module.rank
             moduli = np.tile(d, N.order - 1) % m
             shape = ((N.order - 1) ** 2 * k + np.count_nonzero(moduli), (N.order - 1) * k)
-            if shape[0] * shape[1] > RESOLUTION_CELL_BUDGET:
-                raise CrossedPairError(f"the {shape[0]} x {shape[1]} d^1 system of Z^1(N, M) "
-                                       f"exceeds RESOLUTION_CELL_BUDGET = {RESOLUTION_CELL_BUDGET}")
+            check_cells(f"the {shape[0]} x {shape[1]} d^1 system of Z^1(N, M)", shape[0] * shape[1])
             return diagonalize_mod(np.vstack([bar_coboundary_matrix(module, 1),
                                               np.diag(moduli)[moduli != 0]]), m)
         return held(self, "delta1", build)
@@ -215,16 +207,14 @@ class Ambient(Holder):
         U d V = diag(e) (``delta1``), it is every sum of a_j (m/o_j) V[:, j]
         over the columns j, 0 <= a_j < o_j = gcd(e_j, m) (m past the diagonal);
         V is invertible, so the |Z^1| = ``kernel_size()`` rows, in lexicographic
-        order of a, are distinct.  Every Aut_G(e) has at most |G| |Z^1|
-        elements, which is checked against ``PAIR_SEARCH_BUDGET`` here alone,
-        before any row is listed."""
+        order of a, are distinct.  Every Aut_G(e) has at most |G| |Z^1| rows
+        of |Gamma| = |M| |N| images, whose cells are checked against
+        ``CELL_BUDGET`` here alone, before any row is listed."""
         def build():
-            G, diag = self.G, self.delta1()
+            G, diag, M, N = self.G, self.delta1(), self.Mgrp.order, self.N.order
             size = diag.kernel_size()
-            if G.order * size > PAIR_SEARCH_BUDGET:
-                raise CrossedPairError(
-                    f"Aut_G(e) search over |G| |Z^1(N, M)| = {G.order} * {size} = "
-                    f"{G.order * size} exceeds PAIR_SEARCH_BUDGET = {PAIR_SEARCH_BUDGET}")
+            check_cells(f"Aut_G(e) over |G| |Z^1(N, M)| |M| |N| = {G.order} * {size} * {M} * {N}",
+                        G.order * size * M * N)
             o = np.gcd(np.pad(diag.d, (0, diag.cols - len(diag.d))), diag.m)
             live = np.flatnonzero(o > 1)
             a = np.indices(o[live]).reshape(len(live), size) * (diag.m // o[live])[:, None]
@@ -417,7 +407,7 @@ class AutGeGroup(Holder):
         table = self.index_of(G.table[X[:, None], X], comp)
         if (table < 0).any():
             raise CrossedPairError("Aut_G(e) is not closed under composition")
-        self.group = amb.group(table, cap=max(256, k))
+        self.group = amb.group(table)
         y = np.arange(Gamma.order)
         conj = Gamma.table[Gamma.table[y[:, None], self.ae.lift_indices()], Gamma.inverse[:, None]]
         beta_images = self.index_of(np.array(amb.ext.kernel_hom.images)[y // M.order],
@@ -494,7 +484,7 @@ class AutGeGroup(Holder):
         return cm, iota
 
 
-def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
+def aut_g_of_e(ae: AbExtension, cap: Optional[int] = None) -> AutGeGroup:
     """Aut_G(e), the pairs (alpha, x) of (diag1), by the Wells sequence.
 
     alpha(m, n) = (l_x(m) + c(n), i_x(n)) is a homomorphism exactly when
@@ -503,10 +493,12 @@ def aut_g_of_e(ae: AbExtension, cap: int = 96) -> AutGeGroup:
     for any c'_x with dc'_x = x.f - f.  One solve of every twist x.f - f
     against the held d^1 (``Ambient.coboundary_solve``) gives them all, and
     Z^1(N, M) is read off the same elimination.  Every row is still checked.
+    ``Ambient.derivations`` checks the cells of the rows; a cap, when given,
+    also bounds |Gamma| and |G|.
     """
     amb = ae.ambient
     G, N, M, Gamma = amb.G, amb.N, amb.Mgrp, ae.Gamma
-    if Gamma.order > cap or G.order > cap:
+    if cap is not None and (Gamma.order > cap or G.order > cap):
         raise CrossedPairError(f"Aut_G(e) with |Gamma| = {Gamma.order} and |G| = {G.order} "
                                f"exceeds the size cap {cap}")
     z1 = amb.derivations()
@@ -642,8 +634,7 @@ def _e_psi(aut: AutGeGroup, psi: tuple) -> Crossed2Extension:
     into_b = np.full(aut.group.order * Q.order, -1)
     into_b[members * Q.order + qs] = np.arange(len(members))
     B = aut.ae.ambient.group(
-        into_b[aut.group.table[members[:, None], members] * Q.order + Q.table[qs[:, None], qs]],
-        cap=max(256, len(members)))
+        into_b[aut.group.table[members[:, None], members] * Q.order + Q.table[qs[:, None], qs]])
     bnd = GroupHom(Gamma, B, tuple(
         into_b[np.array(aut.beta.images) * Q.order + Q.identity].tolist()))
     piB = GroupHom(B, Q, tuple(qs.tolist()))
@@ -775,8 +766,7 @@ def congruence_key(cp: CrossedPair) -> tuple:
 
 def _canonical(aut: AutGeGroup) -> tuple:
     """(the class of f, a c with dc = f - f* for f* its lift, the Aut_G(e*) on
-    f*) for the table f of aut.  Aut_G(e*) is built under the cap aut passed:
-    |Gamma| is the same for cohomologous tables."""
+    f*) for the table f of aut."""
     amb = aut.ae.ambient
     h2n, coords = amb.n_cohomology(2), amb._coords()[0]
     f = coords[np.array(aut.ae.f, dtype=np.int64)][None]
@@ -785,7 +775,7 @@ def _canonical(aut: AutGeGroup) -> tuple:
     zero, c = amb.coboundary_solve(f - f_star)
     if not zero[0]:
         raise CrossedPairError("a table is not cohomologous to the lift of its class")
-    star = amb.aut_data(amb.elements(f_star[0]), cap=max(aut.ae.Gamma.order, amb.G.order))
+    star = amb.aut_data(amb.elements(f_star[0]))
     return cls, c[0], star
 
 
@@ -821,11 +811,10 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
 
         H^2(Q,M^N) -inf-> H^2(G,M) -j-> Xpext -Delta-> H^3(Q,M^N) -inf-> H^3(G,M)
 
-    Before any cohomology, |G| |Z^1(N, M)| is checked against
-    ``PAIR_SEARCH_BUDGET`` (``Ambient.derivations``), and before any pair is
-    built the |H^2(G, M)| |G|^2 rank cells of the j-image tables against
-    ``RESOLUTION_CELL_BUDGET``.  Every module and Aut_G(e) table comes from
-    what the ambient holds.
+    Before any cohomology, the cells of an Aut_G(e) are checked against
+    ``CELL_BUDGET`` (``Ambient.derivations``), and before any pair is built
+    the |H^2(G, M)| |G|^2 rank cells of the j-image tables.  Every module and
+    Aut_G(e) table comes from what the ambient holds.
     """
     amb = ambient
     amb.validate()
@@ -834,10 +823,7 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     moduleG, moduleQ = amb.gmodule()[0], amb.fixed_submodule_gmodule()[0]
     h2n, h2g, h3g = amb.n_cohomology(2), cohomology(G, moduleG, 2), cohomology(G, moduleG, 3)
     h2q, h3q = cohomology(Q, moduleQ, 2), cohomology(Q, moduleQ, 3)
-    cells = h2g.order * G.order ** 2 * moduleG.rank
-    if cells > RESOLUTION_CELL_BUDGET:
-        raise CrossedPairError(f"j-images of {h2g.order} classes: {cells} cells exceed "
-                               f"RESOLUTION_CELL_BUDGET = {RESOLUTION_CELL_BUDGET}")
+    check_cells(f"j-images of {h2g.order} classes", h2g.order * G.order ** 2 * moduleG.rank)
     classes = list(h2n.all_classes())
     fixed = [coords for coords, q_fixed in zip(classes, _q_fixed(amb, h2n, classes)) if q_fixed]
     by_key: dict = {}
@@ -1083,12 +1069,12 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
                               K=(t - 1) * f // r, unit=t % ell, cp=None)
     try:
         amb.derivations()
-    except CrossedPairError as refused:
+    except BudgetExceeded as refused:
         inst.cp_skip_reason = str(refused)
         return inst
     feuler = [[(1 if n1 + n2 >= r else 0) % ell for n2 in range(r)] for n1 in range(r)]
     ae = extension_from_cocycle(amb, feuler)
-    autdata = aut_g_of_e(ae, cap=max(96, ae.Gamma.order, G.order))
+    autdata = aut_g_of_e(ae)
     # psi from the crossed-module action: q = x^j acts by v -> v^(t^j), on
     # v = (m, n) at i = n + r m in C_{l r}
     L, y = ell * r, np.arange(ae.Gamma.order)

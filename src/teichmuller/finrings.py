@@ -31,6 +31,7 @@ from .groups import FiniteGroup
 from .modlinalg import (
     Holder,
     ModDiagonalization,
+    check_cells,
     colspans_equal,
     diagonalize_mod,
     enumerate_colspan,
@@ -43,10 +44,6 @@ from .modlinalg import (
     prime_factors,
     submodule_size,
 )
-
-UNITS_CAP = 1 << 16
-CONJUGATOR_SCAN_CAP = 1 << 16
-
 
 class RingError(ValueError):
     pass
@@ -429,8 +426,7 @@ class Algebra(Holder):
         """T[a, b, c] with (xy)_c = sum x_a y_b T[a,b,c] in flat coordinates, held."""
         def build():
             N, m = self.flat_rank, self.modulus
-            if N > 192:
-                raise RingError(f"flat multiplication tensor too large ({N})")
+            check_cells(f"the multiplication tensor of flat rank {N}", N ** 3)
             bt = self.base.structure
             # (e_i s_u)(e_j s_v) = sum_c (s_u s_v structure[i, j, c]) e_c
             coef = np.einsum("ijck,akw->ijcaw", self.structure, bt) % m
@@ -654,14 +650,15 @@ class UnitsGroup(Holder):
         return int(idx) if idx.ndim == 0 else idx
 
 
-def units_group(A, cap: int = UNITS_CAP) -> UnitsGroup:
+def units_group(A) -> UnitsGroup:
     """All invertible elements with their multiplication table.
 
-    A FinCommRing computes its units group once and holds it, so every caller
-    shares the same group and none may write into it.
+    The (size of A)^2 cells that bound the table are checked against
+    ``CELL_BUDGET`` before any element is scanned.  A FinCommRing computes
+    its units group once and holds it, so every caller shares the same group
+    and none may write into it.
     """
-    if A.size > cap:
-        raise RingError(f"unit enumeration capped at {cap} elements")
+    check_cells(f"the unit table of a ring of {A.size} elements", A.size ** 2)
     if isinstance(A, FinCommRing):
         return held(A, "units_group", lambda: _enumerate_units(ring_as_algebra(A)))
     return _enumerate_units(A)
@@ -674,21 +671,15 @@ def _codes(vecs, m: int) -> np.ndarray:
     return v @ m ** np.arange(v.shape[-1] - 1, -1, -1)
 
 
-def _enumerate_units(A: "Algebra", most: Optional[int] = None) -> Optional[UnitsGroup]:
-    """The units group of A; None as soon as more than ``most`` units are found."""
+def _enumerate_units(A: "Algebra") -> UnitsGroup:
+    """The units group of A."""
     m = A.modulus
-    found = []
-    for x in A.elements():
-        if A.is_unit(x):
-            found.append(x)
-            if most is not None and len(found) > most:
-                return None
-    U = np.array(found, dtype=np.int64).reshape(-1, A.flat_rank)
+    U = np.array([x for x in A.elements() if A.is_unit(x)], dtype=np.int64).reshape(-1, A.flat_rank)
     lookup = np.full(A.size, -1)
     lookup[_codes(U, m)] = np.arange(len(U))
     # every product in one batch, looked up by code (-1, refused, off the units)
     mul = lookup[_codes(np.einsum("ia,jb,abc->ijc", U, U, A.flat_tensor), m)]
-    G = FiniteGroup.from_table(mul, cap=max(len(U), 256))
+    G = FiniteGroup.from_table(mul)
     return UnitsGroup(group=G, modulus=m, elements=U, lookup=lookup)
 
 
@@ -700,12 +691,12 @@ def conjugation_matrix(A: Algebra, u) -> np.ndarray:
     return (A.left_mul_matrix(u) @ A.right_mul_matrix(A.inv(u))) % A.modulus
 
 
-def find_conjugator(A: Algebra, alpha: np.ndarray, seed: int = 0,
-                    scan_cap: int = CONJUGATOR_SCAN_CAP) -> Optional[np.ndarray]:
+def find_conjugator(A: Algebra, alpha: np.ndarray, seed: int = 0) -> Optional[np.ndarray]:
     """A unit u with u a u^-1 = alpha(a) for all a, or None.
 
     Solves the linear system u a - alpha(a) u = 0 over Z/m, then scans the
-    solution space (seed-rotated deterministic order) for an invertible u.
+    solution space (seed-rotated deterministic order) for an invertible u;
+    ``enumerate_colspan`` checks its cells against ``CELL_BUDGET`` first.
     """
     m, T = A.modulus, A.flat_tensor
     # rows (j, c): (u e_j - alpha(e_j) u)_c for the flat basis elements e_j
@@ -715,10 +706,7 @@ def find_conjugator(A: Algebra, alpha: np.ndarray, seed: int = 0,
     K = diag.kernel()
     if K.size == 0:
         return None
-    size = diag.kernel_size()
-    if size > scan_cap:
-        raise RingError(f"conjugator solution space of size {size} exceeds scan cap")
-    sols = enumerate_colspan(K, m, cap=scan_cap)
+    sols = enumerate_colspan(K, m)
     n = len(sols)
     for step in range(n):
         cand = np.array(sols[(step + seed * 7919) % n], dtype=np.int64)

@@ -47,9 +47,12 @@ import numpy as np
 
 from .groups import FiniteGroup, GroupHom, abelian_structure, cyclic, same_group
 from .modlinalg import (
+    CELL_BUDGET,
+    BudgetExceeded,
     Holder,
     ModCokernel,
     ModDiagonalization,
+    check_cells,
     cokernel_mod,
     diagonalize_mod,
     first_nonmultiplicative_pair,
@@ -62,10 +65,6 @@ from .modlinalg import (
 
 
 class CohomologyError(ValueError):
-    pass
-
-
-class BudgetExceeded(CohomologyError):
     pass
 
 
@@ -342,14 +341,8 @@ def bar_coboundary_matrix(module: GModule, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the free Z/m[G]-resolution of Z/m held by each group
 
-# cells of any one matrix the resolution path builds or eliminates
-RESOLUTION_CELL_BUDGET = 1 << 22
-
-
 def _check_budget(what: str, rows: int, cols: int, m: int) -> None:
-    if rows * cols > RESOLUTION_CELL_BUDGET:
-        raise BudgetExceeded(f"{what}: a {rows} x {cols} matrix over Z/{m} exceeds "
-                             f"RESOLUTION_CELL_BUDGET = {RESOLUTION_CELL_BUDGET} cells")
+    check_cells(f"{what}: a {rows} x {cols} matrix over Z/{m}", rows * cols)
 
 
 class FreeResolution:
@@ -747,11 +740,11 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
     and held (``free_resolution``).  H^n itself is built on the first call for
     a degree and module content (invariant factors and action) and held by the
     module's group too, so equal modules share one CohomologyGroup.  Every
-    matrix is checked against RESOLUTION_CELL_BUDGET before it is built or
+    matrix is checked against ``modlinalg.CELL_BUDGET`` before it is built or
     eliminated, the smallest comparison map (E^n x |G|) before any work; a
     refused build holds nothing.  So no matrix has more than that many rows,
     and ``diagonalize_mod`` keeps rows (m - 1)^2 below 2^63: a modulus with
-    RESOLUTION_CELL_BUDGET (m - 1)^2 >= 2^63 is refused before any elimination.
+    CELL_BUDGET (m - 1)^2 >= 2^63 is refused before any elimination.
     """
     if not same_group(M.group, G):
         raise CohomologyError("module is not over the given group")
@@ -763,9 +756,9 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
         if M.rank == 0:
             return CohomologyGroup(G, M, n, ())
         m = M.exponent
-        if RESOLUTION_CELL_BUDGET * (m - 1) ** 2 >= 1 << 63:
+        if CELL_BUDGET * (m - 1) ** 2 >= 1 << 63:
             raise CohomologyError(f"H^{n}: modulus m={m} at rank {M.rank} overflows int64 "
-                                  f"elimination: RESOLUTION_CELL_BUDGET (m - 1)^2 >= 2^63")
+                                  f"elimination: CELL_BUDGET (m - 1)^2 >= 2^63")
         _check_budget(f"Psi_{n}", (G.order - 1) ** n, G.order, m)
         core = _compute_core(M, n)
         return CohomologyGroup(G, M, n, core.invariant_factors, _core=core)
@@ -950,7 +943,7 @@ def coboundary_preimage(H: CohomologyGroup, z: Cochain) -> Optional[Cochain]:
     (``_CoreCohomology.preimage`` of one table).  In degree 0 it always
     returns None: there are no (-1)-cochains.  Raises BudgetExceeded before
     any elimination when s_(n-1), (|G| - 1)^(n-1) x (|G| - 1)^n cells,
-    exceeds RESOLUTION_CELL_BUDGET.
+    exceeds ``modlinalg.CELL_BUDGET``.
     """
     H.class_of(z)  # the degree, group and cocycle checks
     if H.degree == 0:

@@ -21,9 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact_linalg import abelian_quotient
-from .modlinalg import Holder, held, hold_arrays
+from .modlinalg import Holder, _read_only, check_cells, held, hold_arrays
 
-DEFAULT_ORDER_CAP = 256
 ALL_GENERATORS_ORDER = 32  # up to this order every element is a generator
 
 
@@ -96,17 +95,16 @@ class FiniteGroup(_ByEntries, Holder):
     gens: np.ndarray = field(init=False, repr=False, compare=False)
 
     @staticmethod
-    def from_table(mul: Sequence[Sequence[int]], labels=None, generators=None,
-                   cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
-        """Checks identity, inverses and associativity, the last by Light's test on ``gens``:
-        the a with (xa)y = x(ay) for all x, y are closed under products (Clifford-Preston,
-        *The Algebraic Theory of Semigroups* I, section 1.2), so they are all once they hold
-        1 and ``gens``; likewise the a with f(xa) = f(x) f(a) for all x, for homomorphisms."""
+    def from_table(mul: Sequence[Sequence[int]], labels=None, generators=None) -> "FiniteGroup":
+        """Checks the n^2 cells against ``CELL_BUDGET`` first, then identity, inverses and
+        associativity, the last by Light's test on ``gens``: the a with (xa)y = x(ay) for all
+        x, y are closed under products (Clifford-Preston, *The Algebraic Theory of Semigroups*
+        I, section 1.2), so they are all once they hold 1 and ``gens``; likewise the a with
+        f(xa) = f(x) f(a) for all x, for homomorphisms.  The checked table is held as is."""
         n = len(mul)
         if n == 0:
             raise GroupError("empty table")
-        if n > cap:
-            raise GroupError(f"order {n} exceeds cap {cap}")
+        check_cells(f"a group table of order {n}", n * n)
         t = np.array(mul, dtype=np.int64)
         if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             raise GroupError("malformed multiplication table")
@@ -129,7 +127,7 @@ class FiniteGroup(_ByEntries, Holder):
             raise GroupError("element without unique inverse")
         G = FiniteGroup(order=n, identity=ident, labels=tuple(labels) if labels else None,
                         generators=tuple(generators) if generators else None)
-        hold_arrays(G, table=t, inverse=hits.argmax(axis=1), gens=gens)
+        hold_arrays(G, table=_read_only(t), inverse=hits.argmax(axis=1), gens=gens)
         return G
 
     @property
@@ -486,7 +484,7 @@ def fiber_product(f: GroupHom, g: GroupHom) -> tuple[FiniteGroup, GroupHom, Grou
     index = np.full((A.order, B.order), -1)
     index[a, b] = np.arange(len(a))
     mul = index[A.table[np.ix_(a, a)], B.table[np.ix_(b, b)]]
-    P = FiniteGroup.from_table(mul, cap=max(DEFAULT_ORDER_CAP, len(a)))
+    P = FiniteGroup.from_table(mul)
     return P, GroupHom(P, A, tuple(a.tolist())), GroupHom(P, B, tuple(b.tolist()))
 
 
@@ -511,8 +509,7 @@ def abelian_group_from_factors(factors: Sequence[int]) -> FiniteGroup:
     """The group Z/d_1 + ... + Z/d_k with mixed-radix element indexing."""
     factors = [int(d) for d in factors]
     n = prod(factors)
-    if n > DEFAULT_ORDER_CAP:
-        raise GroupError("abelian group too large for a table")
+    check_cells(f"a group table of order {n}", n * n)
     digits = [mixed_radix_decode(i, factors) for i in range(n)]
     mul = [[mixed_radix_encode([a + b for a, b in zip(x, y)], factors) for y in digits]
            for x in digits]

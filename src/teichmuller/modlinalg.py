@@ -21,6 +21,12 @@ generators of the free resolutions in gmod_cohomology.
 This is the one exact linear-algebra layer of the package: cohomology, finite
 rings and the finite abelian presentations of exact_linalg all run on it.
 
+The package's one size limit is here too: ``check_cells`` refuses a step,
+before it allocates, whose cells exceed ``CELL_BUDGET``: n^2 for a group
+table, |G| |Z^1(N, M)| |Gamma| for an Aut_G(e), (ring size)^2 for a unit
+table, (span size) rows for a span, N^3 for a flat tensor, rows x cols for
+a matrix.
+
 It also holds the package's one way to hold derived data: ``hold_arrays`` sets
 read-only int64 array fields (reduced mod m when asked), and ``held`` is the
 memo over an owner's ``_held`` dict that every owner (groups, homomorphisms,
@@ -40,6 +46,19 @@ import numpy as np
 # diagonalize_mod eliminates on Python ints when A, U and V each have at most
 # this many cells
 SMALL_CELLS = 400
+
+# cells of any one table, matrix or enumeration a step builds or eliminates
+CELL_BUDGET = 1 << 22
+
+
+class BudgetExceeded(ValueError):
+    pass
+
+
+def check_cells(what: str, cells: int) -> None:
+    """Refuse the step ``what``, before it allocates, when its cells exceed ``CELL_BUDGET``."""
+    if cells > CELL_BUDGET:
+        raise BudgetExceeded(f"{what}: {cells} cells exceed CELL_BUDGET = {CELL_BUDGET}")
 
 
 def as_mod_array(data, m: int) -> np.ndarray:
@@ -71,9 +90,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def hold_arrays(owner, m: int | None = None, **values) -> None:
     """Set each named field of owner, a frozen dataclass or not, to a read-only
-    int64 copy of its array-like value, reduced mod m unless m is None."""
+    int64 copy of its array-like value, reduced mod m unless m is None.  A
+    value that is already a read-only int64 array is shared when m is None."""
     for name, value in values.items():
-        arr = np.array(value, dtype=np.int64)
+        shared = (m is None and isinstance(value, np.ndarray) and value.dtype == np.int64
+                  and not value.flags.writeable)
+        arr = value if shared else np.array(value, dtype=np.int64)
         if m is not None:
             arr %= m
         object.__setattr__(owner, name, _read_only(arr))
@@ -527,12 +549,12 @@ def colspans_equal(A, B, m: int) -> bool:
     return solve_matrix_mod(da, B) is not None
 
 
-def enumerate_colspan(A, m: int, cap: int = 1 << 16):
-    """All elements of the column span of A over Z/m (deterministic order)."""
+def enumerate_colspan(A, m: int):
+    """All elements of the column span of A over Z/m (deterministic order);
+    its size times the rows of A is checked against ``CELL_BUDGET`` first."""
     A = as_mod_array(np.asarray(A, dtype=np.int64), m)
     size = diagonalize_mod(A, m, want_U=False).image_size()
-    if size > cap:
-        raise ValueError(f"span of size {size} exceeds cap {cap}")
+    check_cells(f"a span of {size} vectors in (Z/{m})^{A.shape[0]}", size * A.shape[0])
     elems = {tuple(np.zeros(A.shape[0], dtype=np.int64))}
     order = [tuple(np.zeros(A.shape[0], dtype=np.int64))]
     gens = [A[:, j] for j in range(A.shape[1])]

@@ -41,10 +41,10 @@ from .crossed import obstruction_cocycle
 from .groups import FiniteGroup, GroupExtension, GroupHom, coordinate_array
 from .gmod_cohomology import Cochain, GModule, gmodule_of_action
 from .finrings import (
-    UNITS_CAP,
     Algebra,
     FinCommRing,
     UnitsGroup,
+    center_submodule,
     diagonalize_mod,
     find_conjugator,
     fixed_subring,
@@ -56,12 +56,11 @@ from .finrings import (
     opposite_algebra,
     tensor_algebra,
     units_group,
-    _enumerate_units,
     _expand_over_subring,
     _module_basis_over_subring,
     _same_ring,
 )
-from .modlinalg import (Holder, ModDiagonalization, colspans_equal,
+from .modlinalg import (Holder, ModDiagonalization, check_cells, colspans_equal,
                         first_nonmultiplicative_pair, held, hold_arrays, invertible_mod,
                         submodule_size)
 
@@ -201,6 +200,10 @@ class OutRep(Holder):
                 raise NormalStructureError(f"lift {q} is not invertible")
             if not np.array_equal((w @ emb) % m, (emb @ self.base_action.matrices[q]) % m):
                 raise NormalStructureError(f"lift {q} has the wrong grade on S")
+        center, base = submodule_size(center_submodule(A), m), A.base_diag.image_size()
+        if center > base:
+            raise NormalStructureError(f"A is not central: its center has {center} elements, "
+                                       f"the image of the base {base}")
         # w_1 = 1, so a defect at p = 1 or q = 1 is 1, inner
         self.factor_set(seed)
 
@@ -634,18 +637,18 @@ def chi_checks(rep: OutRep, res: CrossedProductResult) -> dict:
             "chi_multiplicative_mod_UA": sols is not None and all(A.is_unit(x) for x in sols.T)}
 
 
-def semidirect_splitting(rep: OutRep, cap: int = 256):
+def semidirect_splitting(rep: OutRep):
     """The split extension U(A) x| Q with theta(u,q) = Inn(u) w_q.
 
     Only valid when the rep is equivariant (the split extension realizes the
-    vanishing certificate f = 1); sizes capped by the group-table limit.
+    vanishing certificate f = 1).
     """
     if not rep.is_equivariant():
         raise NormalStructureError("semidirect splitting needs an equivariant rep")
-    return _twisted_unit_extension(rep, phi_units=None, cap=cap)
+    return _twisted_unit_extension(rep, phi_units=None)
 
 
-def splitting_from_coboundary(witness: TeichWitness, c: Cochain, cap: int = 256):
+def splitting_from_coboundary(witness: TeichWitness, c: Cochain):
     """Splitting data from a certificate dc = xi.
 
     Corrects the conjugator table f by the central units gamma = c so that the
@@ -663,21 +666,19 @@ def splitting_from_coboundary(witness: TeichWitness, c: Cochain, cap: int = 256)
     gamma = np.array([um.unit_vec_of_coords(x) for x in coords]) @ A.base_embedding().T % m
     phi_units = np.einsum("xa,xb,abc->xc", np.reshape(witness.f, (nq * nq, -1)), gamma,
                           A.flat_tensor) % m
-    return _twisted_unit_extension(rep, phi_units=phi_units.reshape(nq, nq, -1), cap=cap)
+    return _twisted_unit_extension(rep, phi_units=phi_units.reshape(nq, nq, -1))
 
 
-def _twisted_unit_extension(rep: OutRep, phi_units, cap: int):
+def _twisted_unit_extension(rep: OutRep, phi_units):
     """Gamma = U(A) x Q with (u,p)(v,q) = (u w_p(v) phi(p,q), pq), the pair
     (u, q) at u * |Q| + q; phi_units[p, q] is phi(p, q), None for phi = 1.
     Returns the extension, i (the units of A, as rows) and theta(u, q) =
-    Inn(u) w_q."""
+    Inn(u) w_q.  The (|A| |Q|)^2 cells that bound Gamma's table are checked
+    against ``CELL_BUDGET`` before any unit is scanned."""
     A, Q = rep.A, rep.Q
     m, T, nq = A.modulus, A.flat_tensor, Q.order
-    # units_group refuses an A past UNITS_CAP; within it, the enumeration
-    # stops as soon as more than cap // |Q| units show |U(A)| |Q| > cap
-    units = units_group(A) if A.size > UNITS_CAP else _enumerate_units(A, most=cap // nq)
-    if units is None:
-        raise NormalStructureError("unit extension exceeds the table cap")
+    check_cells(f"a unit extension of {A.size} x {nq} elements", (A.size * nq) ** 2)
+    units = units_group(A)
     U, K = units.elements, units.group
     nu = K.order
     if phi_units is None:
@@ -687,7 +688,7 @@ def _twisted_unit_extension(rep: OutRep, phi_units, cap: int):
     uw = np.einsum("ua,pvac->upvc", U, np.einsum("pvb,abc->pvac", moved, T) % m) % m
     prods = np.einsum("upva,pqac->upvqc", uw, np.einsum("pqb,abc->pqac", phi_units, T) % m) % m
     mul = units.index_of(prods) * nq + Q.table[:, None, :]
-    Gamma = FiniteGroup.from_table(mul.reshape(nu * nq, nu * nq), cap=max(cap, 256))
+    Gamma = FiniteGroup.from_table(mul.reshape(nu * nq, nu * nq))
     kernel_hom = GroupHom.checked(K, Gamma, tuple(u * nq + Q.identity for u in range(nu)))
     quotient_hom = GroupHom.checked(Gamma, Q, tuple(g % nq for g in range(nu * nq)))
     ext = GroupExtension(kernel_hom, quotient_hom)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from teichmuller.crossed import CrossedModule
-from teichmuller.groups import (ALL_GENERATORS_ORDER, DEFAULT_ORDER_CAP, FiniteGroup, GroupAction,
+from teichmuller.groups import (ALL_GENERATORS_ORDER, FiniteGroup, GroupAction,
                                 GroupError, GroupHom)
 
 ISO_SEARCH_CAP = 128
@@ -292,7 +292,7 @@ def automorphism_group(G: FiniteGroup, cap: int = AUT_SEARCH_CAP) -> tuple[Finit
         for j, q in enumerate(perms):
             comp = tuple(p[q[x]] for x in range(G.order))  # p after q
             mul[i][j] = index[comp]
-    A = FiniteGroup.from_table(mul, cap=max(DEFAULT_ORDER_CAP, k))
+    A = FiniteGroup.from_table(mul)
     return A, tuple(perms)
 
 

@@ -63,7 +63,8 @@ from teichmuller.crossed_pairs import (
     qnormal_galois_product,
     xpext_enumerate,
 )
-from teichmuller import crossed_pairs, gmod_cohomology
+from teichmuller import crossed_pairs, gmod_cohomology, modlinalg
+from teichmuller.modlinalg import BudgetExceeded
 from teichmuller.normal_algebras import BaseAction, teichmuller_cocycle, unit_module
 
 from group_oracles import (
@@ -209,7 +210,7 @@ def test_aut_g_of_e_and_extension_match_the_loops(make_ambient, seed):
 
 def elementary_ambient():
     """N = (Z/2)^3 in G = (Z/2)^4 ->> C_2 with M = (Z/2)^4 trivial: |Z^1(N, M)|
-    = |Hom(N, M)| = 4096, so |G| |Z^1| = 65536."""
+    = |Hom(N, M)| = 4096, so an Aut_G(e) has |G| |Z^1| |M| |N| = 8388608 cells."""
     C2 = cyclic(2)
     N = direct_product(direct_product(C2, C2), C2)
     G = direct_product(N, C2)
@@ -222,20 +223,21 @@ def test_aut_g_of_e_refuses_a_search_over_budget():
     # refused before Z^1(N, M), or any pair, is built
     amb = elementary_ambient()
     ae = extension_from_cocycle(amb, [[0] * 8 for _ in range(8)])
-    with pytest.raises(CrossedPairError, match=r"\|G\| \|Z\^1\(N, M\)\| = 16 \* 4096 = 65536 "
-                                               "exceeds PAIR_SEARCH_BUDGET = 8192"):
-        aut_g_of_e(ae, cap=128)
+    with pytest.raises(BudgetExceeded, match=r"\|G\| \|Z\^1\(N, M\)\| \|M\| \|N\| = 16 \* 4096 \* 16 "
+                                             r"\* 8: 8388608 cells exceed CELL_BUDGET = 4194304"):
+        aut_g_of_e(ae)
     assert "derivations" not in amb._held
 
 
 def test_aut_g_of_e_refuses_past_its_cap_with_the_numbers():
-    # |Gamma| = 144 over GR(9, 2): the cap the caller passes admits it
+    # |Gamma| = 144 over GR(9, 2): a cap of 96 refuses it, and the default,
+    # no cap, admits it under the cell budget
     amb = gr9_data().ambient
     ae = extension_from_cocycle(amb, [[amb.Mgrp.identity] * 2] * 2)
     with pytest.raises(CrossedPairError, match=r"\|Gamma\| = 144 and \|G\| = 4 exceeds the size "
                                                "cap 96"):
-        aut_g_of_e(ae)
-    assert aut_g_of_e(ae, cap=144).group.order > 0
+        aut_g_of_e(ae, cap=96)
+    assert aut_g_of_e(ae).group.order > 0
 
 
 def test_aut_g_of_e_keys_pairs_past_the_int64_range():
@@ -247,7 +249,7 @@ def test_aut_g_of_e_keys_pairs_past_the_int64_range():
     amb = Ambient(ext=ext, Mgrp=cyclic(4), action=trivial_action(G, cyclic(4)))
     assert G.order * 4 ** 31 >= 1 << 63
     f = amb.table(amb.n_cohomology(2).lift([1]))
-    aut = aut_g_of_e(extension_from_cocycle(amb, f), cap=128)
+    aut = aut_g_of_e(extension_from_cocycle(amb, f))
     assert len(aut.xs) == 64 * 4 and diag1_report(aut)["all"]
     assert np.array_equal(aut.lookup(aut.alphas, aut.xs), np.arange(len(aut.xs)))
     assert (aut.index_of(aut.xs, (aut.corrections + 1) % 4) == -1).all()
@@ -358,28 +360,45 @@ def test_xpext_q8_full_exactness():
 
 
 def test_xpext_budget_checked_before_cohomology(monkeypatch):
-    # |G| |Z^1(N, M)| = 65536 is read off the d^1 elimination on N, and no
+    # |Z^1(N, M)| = 4096 is read off the d^1 elimination on N, and no
     # cohomology is computed before the refusal
     amb = elementary_ambient()
     computed = []
     real = crossed_pairs.cohomology
     monkeypatch.setattr(crossed_pairs, "cohomology",
                         lambda G, M, n: computed.append((G, n)) or real(G, M, n))
-    with pytest.raises(CrossedPairError, match="65536 exceeds PAIR_SEARCH_BUDGET"):
+    with pytest.raises(BudgetExceeded, match="8388608 cells exceed CELL_BUDGET"):
         xpext_enumerate(amb)
     assert computed == []
 
 
+def test_xpext_answers_c2_in_c4_with_z64_under_the_default_budget():
+    # |Gamma| = 2 * 64 = 128: an order cap of 96 refused it, though an
+    # Aut_G(e) here has |G| |Z^1(N, M)| |Gamma| = 4 * 2 * 128 = 1024 cells
+    G, N, Q, M = cyclic(4), cyclic(2), cyclic(2), cyclic(64)
+    ext = GroupExtension(GroupHom.checked(N, G, (0, 2)), GroupHom.checked(G, Q, (0, 1, 0, 1)))
+    report = xpext_enumerate(Ambient(ext=ext, Mgrp=M, action=trivial_action(G, M)))
+    assert report.verdicts["all"] and all(report.verdicts.values())
+    assert len(report.buckets) == 4
+
+
 def test_xpext_j_image_budget_checked_before_any_pair(monkeypatch):
-    # H^2(V, Z/2) = (Z/2)^3: 8 tables of 4 x 4 values of rank 1
+    # H^2(V, Z/2) = (Z/2)^3: 8 tables of 4 x 4 values of rank 1; the
+    # cohomology read before the check is built, and held, under the real budget
     def refuse(*args, **kwargs):
         raise AssertionError("Aut_G(e) searched past the budget")
 
-    monkeypatch.setattr(crossed_pairs, "RESOLUTION_CELL_BUDGET", 100)
+    amb = klein_ambient()
+    amb.derivations()
+    amb.n_cohomology(2)
+    for G, module in ((amb.G, amb.gmodule()[0]), (amb.Q, amb.fixed_submodule_gmodule()[0])):
+        for n in (2, 3):
+            cohomology(G, module, n)
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 100)
     monkeypatch.setattr(crossed_pairs, "aut_g_of_e", refuse)
-    with pytest.raises(CrossedPairError, match="j-images of 8 classes: 128 cells exceed "
-                                               "RESOLUTION_CELL_BUDGET = 100"):
-        xpext_enumerate(klein_ambient())
+    with pytest.raises(BudgetExceeded, match="j-images of 8 classes: 128 cells exceed "
+                                             "CELL_BUDGET = 100"):
+        xpext_enumerate(amb)
 
 
 # Q8 with Z/4; Q16 with Z/2, Z/4 and Z/8; Q32 with Z/2
@@ -546,13 +565,13 @@ def test_coboundary_solve_decides_the_zero_class_and_solves_it(make_ambient, see
 
 def test_delta1_system_refused_above_the_cell_budget(monkeypatch):
     # N = C4 with M = Z/2: 9 pairs (p, q) by 3 columns (n, j)
-    monkeypatch.setattr(crossed_pairs, "RESOLUTION_CELL_BUDGET", 20)
     amb = q8_ambient()
-    with pytest.raises(CrossedPairError, match=r"the 9 x 3 d\^1 system of Z\^1\(N, M\) "
-                                               "exceeds RESOLUTION_CELL_BUDGET = 20"):
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 20)
+    with pytest.raises(BudgetExceeded, match=r"the 9 x 3 d\^1 system of Z\^1\(N, M\): 27 cells "
+                                             "exceed CELL_BUDGET = 20"):
         amb.derivations()
     assert "delta1" not in amb._held
-    monkeypatch.setattr(crossed_pairs, "RESOLUTION_CELL_BUDGET", 27)
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 27)
     assert amb.delta1().kernel_size() == 2
 
 
@@ -659,18 +678,19 @@ def test_metacyclic_delta_matches_crossed_module_class():
 
 
 def test_metacyclic_instance_builds_no_cohomology(monkeypatch):
-    # |G| |Z^1(C_4, Z/2)| = 8 * 2 over a budget of 8: refused off the d^1
-    # elimination, with no cohomology of N, G or Q built; under the real
-    # budget Aut_G(e) is read off the same elimination, still with none
+    # |G| |Z^1(C_4, Z/2)| |M| |N| = 8 * 2 * 2 * 4 cells over a budget of 100:
+    # refused off the d^1 elimination, with no cohomology of N, G or Q built;
+    # under the real budget Aut_G(e) is read off the same elimination, still
+    # with none
     built = []
-    real, budget = gmod_cohomology._compute_core, crossed_pairs.PAIR_SEARCH_BUDGET
+    real, budget = gmod_cohomology._compute_core, modlinalg.CELL_BUDGET
     monkeypatch.setattr(gmod_cohomology, "_compute_core",
                         lambda M, n: built.append((M.group.order, n)) or real(M, n))
-    monkeypatch.setattr(crossed_pairs, "PAIR_SEARCH_BUDGET", 8)
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 100)
     inst = metacyclic_instance(4, 2, 3, 2, 2)
-    assert inst.cp is None and "8 * 2 = 16 exceeds PAIR_SEARCH_BUDGET = 8" in inst.cp_skip_reason
+    assert inst.cp is None and "8 * 2 * 2 * 4: 128 cells exceed CELL_BUDGET = 100" in inst.cp_skip_reason
     assert built == []
-    monkeypatch.setattr(crossed_pairs, "PAIR_SEARCH_BUDGET", budget)
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", budget)
     assert metacyclic_instance(4, 2, 3, 2, 2).cp is not None and built == []
 
 
@@ -724,7 +744,7 @@ def test_congruence_key_on_gr9_2_reads_aut_ge_star_under_the_pair_cap():
     for m in fixed[:3]:
         f = [[M.identity, M.identity], [M.identity, m]]
         ae = extension_from_cocycle(amb, f)
-        pairs += crossed_pair_structures(aut_g_of_e(ae, cap=max(112, ae.Gamma.order)))
+        pairs += crossed_pair_structures(aut_g_of_e(ae))
     keys = [congruence_key(cp) for cp in pairs]
     assert pairs
     for cp1, k1 in zip(pairs, keys):
@@ -733,7 +753,7 @@ def test_congruence_key_on_gr9_2_reads_aut_ge_star_under_the_pair_cap():
 
 
 def all_crossed_pairs(data):
-    return enumerated_pairs(data.ambient, cap=112)
+    return enumerated_pairs(data.ambient)
 
 
 def bridge_module_map(data, w_unit_mod, moduleQ, MNgrp, bridge):

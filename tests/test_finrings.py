@@ -37,6 +37,8 @@ from teichmuller.finrings import (
     zmod,
 )
 
+from teichmuller.modlinalg import BudgetExceeded
+
 from group_oracles import find_isomorphism
 
 
@@ -179,7 +181,7 @@ def test_fixed_subring_of_frobenius():
     assert np.array_equal(sq, (5 * GR.one()) % 8)
 
 
-def test_find_conjugator_identity_and_inner():
+def test_find_conjugator_identity_and_inner(monkeypatch):
     A = matrix_algebra(gf(2, 1), 2)
     ident = np.eye(A.flat_rank, dtype=np.int64)
     u = find_conjugator(A, ident)
@@ -191,9 +193,20 @@ def test_find_conjugator_identity_and_inner():
     u1 = find_conjugator(A, alpha)
     assert u1 is not None
     assert np.array_equal(conjugation_matrix(A, u1), alpha)
-    # the solutions of u a = a u form the center, of size 2 here
-    with pytest.raises(RingError, match="solution space of size 2 exceeds scan cap"):
-        find_conjugator(A, ident, scan_cap=1)
+    # the solutions of u a = a u form the center, of size 2 here, in 2 x 4 cells
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 7)
+    with pytest.raises(BudgetExceeded, match=r"a span of 2 vectors in \(Z/2\)\^4: 8 cells exceed "
+                                             "CELL_BUDGET = 7"):
+        find_conjugator(A, ident)
+
+
+def test_the_flat_tensor_is_refused_past_the_budget(monkeypatch):
+    A = matrix_algebra(gf(2, 1), 2)
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 63)
+    with pytest.raises(BudgetExceeded, match="flat rank 4: 64 cells exceed CELL_BUDGET = 63"):
+        A.flat_tensor
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 64)
+    assert A.flat_tensor.shape == (4, 4, 4)
 
 
 def test_find_conjugator_frobenius_none():
@@ -356,14 +369,29 @@ def test_galois_action_names_the_failing_pair():
         bad.validate_action()
 
 
-def test_a_ring_holds_its_units_group():
+def test_a_ring_holds_its_units_group(monkeypatch):
     R = gf(3, 2)
     U = units_group(R)
     assert units_group(R) is U and U.group.order == 8
     # an equal ring built anew enumerates its own, equal group
     assert units_group(gf(3, 2)).group.mul == U.group.mul
-    with pytest.raises(RingError, match="capped at 4"):
-        units_group(R, cap=4)
+    # the budget is checked before the held group is looked up
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 80)
+    with pytest.raises(BudgetExceeded, match="a ring of 9 elements: 81 cells exceed CELL_BUDGET = 80"):
+        units_group(R)
+
+
+def test_the_unit_table_of_f_65536_is_refused_before_any_element_is_scanned(monkeypatch):
+    # its unit table would have 65535^2 entries; 65536^2 cells exceed the budget
+    R = gf(2, 16)
+
+    def refuse(*args):
+        raise AssertionError("a unit was tested past the budget")
+
+    monkeypatch.setattr(finrings, "invertible_mod", refuse)
+    with pytest.raises(BudgetExceeded, match="a ring of 65536 elements: 4294967296 cells exceed "
+                                             "CELL_BUDGET = 4194304"):
+        units_group(R)
 
 
 def morphism_one_einsum(source_tensor, source_unit, target_tensor, target_unit, mat, m):

@@ -89,7 +89,7 @@ def relabeled(G: FiniteGroup, perm) -> tuple[FiniteGroup, np.ndarray]:
     p = np.asarray(perm, dtype=np.int64)
     t = np.empty_like(G.table)
     t[p[:, None], p[None, :]] = p[G.table]
-    return FiniteGroup.from_table(t, cap=max(G.order, 256)), p
+    return FiniteGroup.from_table(t), p
 
 
 @st.composite
@@ -238,7 +238,7 @@ def test_from_table_finds_failures_off_the_first_generator(k, m, data):
     for table in (t, t2):
         assert outcome(check_table_oracle, table) == "multiplication table is not associative"
         with pytest.raises(GroupError, match="not associative"):
-            FiniteGroup.from_table(table, cap=k * m)
+            FiniteGroup.from_table(table)
 
 
 @settings(max_examples=100, deadline=None)

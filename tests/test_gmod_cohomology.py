@@ -48,7 +48,7 @@ from teichmuller.gmod_cohomology import (
     trivial_gmodule,
     zero_cochain,
 )
-from teichmuller import gmod_cohomology
+from teichmuller import gmod_cohomology, modlinalg
 
 from bar_oracle import bar_cohomology, coboundary_loop
 from test_class_stacks import modules
@@ -325,8 +325,8 @@ def test_resolution_budget_refuses_before_any_elimination(monkeypatch):
         raise AssertionError("elimination started on a refused system")
 
     monkeypatch.setattr(gmod_cohomology, "diagonalize_mod", refuse)
-    with pytest.raises(BudgetExceeded, match=r"Psi_3: a 250047 x 64 matrix over Z/2 exceeds "
-                                             r"RESOLUTION_CELL_BUDGET = 4194304 cells"):
+    with pytest.raises(BudgetExceeded, match=r"Psi_3: a 250047 x 64 matrix over Z/2: 16003008 "
+                                             r"cells exceed CELL_BUDGET = 4194304"):
         cohomology(G, M, 3)
 
 
@@ -338,19 +338,19 @@ def test_resolution_budget_is_checked_before_each_elimination(monkeypatch):
     (49 x 16) last."""
 
     def checked(A, m, *args, **kwargs):
-        assert np.size(A) <= gmod_cohomology.RESOLUTION_CELL_BUDGET, np.shape(A)
+        assert np.size(A) <= modlinalg.CELL_BUDGET, np.shape(A)
         return diagonalize_mod(A, m, *args, **kwargs)
 
     monkeypatch.setattr(gmod_cohomology, "diagonalize_mod", checked)
     refused = []
-    for budget in (60, 400, 500, 1000):
-        monkeypatch.setattr(gmod_cohomology, "RESOLUTION_CELL_BUDGET", budget)
-        Q8 = quaternion_table()
+    # a fresh Q8 per budget, built before any budget is lowered
+    for budget, Q8 in zip((60, 400, 500, 1000), [quaternion_table() for _ in range(4)]):
+        monkeypatch.setattr(modlinalg, "CELL_BUDGET", budget)
         try:
             H = cohomology(Q8, trivial_gmodule(Q8, [2]), 2)
         except BudgetExceeded as exc:
-            found = re.fullmatch(rf"(.+): a (\d+) x (\d+) matrix over Z/2 exceeds "
-                                 rf"RESOLUTION_CELL_BUDGET = {budget} cells", str(exc))
+            found = re.fullmatch(rf"(.+): a (\d+) x (\d+) matrix over Z/2: \d+ cells exceed "
+                                 rf"CELL_BUDGET = {budget}", str(exc))
             assert found and int(found[2]) * int(found[3]) > budget, str(exc)
             refused.append(found.groups())
         else:
@@ -368,12 +368,12 @@ def test_cohomology_is_held_per_degree_and_module_content(monkeypatch):
     assert cohomology(G, negation_module(G, 4), 2) is not H
     # a refused build holds nothing, and a later admitted one is held
     Q8 = quaternion_table()
-    budget = gmod_cohomology.RESOLUTION_CELL_BUDGET
-    monkeypatch.setattr(gmod_cohomology, "RESOLUTION_CELL_BUDGET", 60)
+    budget = modlinalg.CELL_BUDGET
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 60)
     with pytest.raises(BudgetExceeded):
         cohomology(Q8, trivial_gmodule(Q8, [2]), 2)
     assert not [key for key in Q8._held if key[0] == "cohomology"]
-    monkeypatch.setattr(gmod_cohomology, "RESOLUTION_CELL_BUDGET", budget)
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", budget)
     H = cohomology(Q8, trivial_gmodule(Q8, [2]), 2)
     assert H.invariant_factors == (2, 2) and cohomology(Q8, trivial_gmodule(Q8, [2]), 2) is H
 
@@ -391,7 +391,7 @@ def test_coboundary_preimage_budget_refuses_before_any_elimination(monkeypatch):
 
     monkeypatch.setattr(gmod_cohomology, "diagonalize_mod", refuse)
     with pytest.raises(BudgetExceeded, match=r"homotopy s_3: a 3375 x 50625 "
-                                             r"matrix over Z/2 exceeds RESOLUTION_CELL_BUDGET"):
+                                             r"matrix over Z/2: 170859375 cells exceed CELL_BUDGET"):
         coboundary_preimage(H, z)
 
 
@@ -843,7 +843,7 @@ def test_homotopy_joins_phi_psi_to_the_identity(G, m):
 
     assert not F.homotopy(0).any()
     # up to degree 3, as far as s_n (E^n x E^(n+1), E = |G| - 1) fits the budget
-    budget = gmod_cohomology.RESOLUTION_CELL_BUDGET
+    budget = modlinalg.CELL_BUDGET
     top = max(n for n in (1, 2, 3) if (N - 1) ** (2 * n + 1) <= budget)
     for n in range(1, top + 1):
         z = random_cochain(M, n, rng)
@@ -973,8 +973,8 @@ def test_gmodule_arithmetic_is_exact_below_the_int64_bound_and_refused_above(k, 
 
 
 def largest_cohomology_modulus():
-    """The largest m with RESOLUTION_CELL_BUDGET (m - 1)^2 < 2^63."""
-    budget = gmod_cohomology.RESOLUTION_CELL_BUDGET
+    """The largest m with CELL_BUDGET (m - 1)^2 < 2^63."""
+    budget = modlinalg.CELL_BUDGET
     c = isqrt(((1 << 63) - 1) // budget)
     while budget * (c + 1) ** 2 < 1 << 63:
         c += 1

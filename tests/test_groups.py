@@ -28,7 +28,8 @@ from teichmuller.groups import (
     two_cocycle_of_extension,
 )
 
-from teichmuller import groups
+from teichmuller import groups, modlinalg
+from teichmuller.modlinalg import BudgetExceeded
 
 from group_oracles import (
     quotient_group_oracle,
@@ -240,17 +241,31 @@ def perturbed(n: int) -> list:
 
 
 @pytest.mark.parametrize("n", [130, 256, 257])
-def test_from_table_chunked_and_at_the_dtype_boundary(n):
+def test_from_table_chunked_and_at_the_dtype_boundary(n, monkeypatch):
     # orders above 32 check associativity on a greedy generating set, here
     # the one generator 1; 256 is the last order whose indices fit in uint8,
-    # 257 the first to need uint16
-    G = FiniteGroup.from_table(cyclic_table(n), cap=n)
+    # 257 the first to need uint16; the default budget admits all three
+    G = FiniteGroup.from_table(cyclic_table(n))
     assert G.identity == 0 and G.inv[1] == n - 1 and G.mul[n - 1][2] == 1
     with pytest.raises(GroupError, match="not associative"):
-        FiniteGroup.from_table(perturbed(n), cap=n)
-    if n > 256:
-        with pytest.raises(GroupError, match="exceeds cap"):
-            FiniteGroup.from_table(cyclic_table(n))
+        FiniteGroup.from_table(perturbed(n))
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", n * n - 1)
+    with pytest.raises(BudgetExceeded, match=f"a group table of order {n}: {n * n} cells exceed "
+                                             f"CELL_BUDGET = {n * n - 1}"):
+        FiniteGroup.from_table(cyclic_table(n))
+
+
+def test_from_table_refuses_a_table_past_the_budget_before_reading_it():
+    # 2049^2 = 4198401 cells, one row more than the default budget admits
+    class Unread:
+        def __len__(self):
+            return 2049
+
+        def __getitem__(self, i):
+            raise AssertionError("a refused table was read")
+
+    with pytest.raises(BudgetExceeded, match="order 2049: 4198401 cells exceed CELL_BUDGET = 4194304"):
+        FiniteGroup.from_table(Unread())
 
 
 def test_from_table_checks_every_chunk():
@@ -437,7 +452,7 @@ def test_quotient_group_matches_the_loop(G):
 
 # M of order 300 needs uint16 gathers; Q acts on M through a sign character
 # where it has one, by negation
-_Z300 = FiniteGroup.from_table((np.arange(300)[:, None] + np.arange(300)) % 300, cap=300)
+_Z300 = FiniteGroup.from_table((np.arange(300)[:, None] + np.arange(300)) % 300)
 NARROW_CASES = [(Q, M, GroupAction(Q, M, [np.arange(M.order) if sign else (-np.arange(M.order)) % M.order
                                           for sign in signs]))
                 for Q, signs in ((cyclic(2), (1, 0)), (cyclic(4), (1, 0, 1, 0)), (cyclic(3), (1, 1, 1)))
@@ -502,9 +517,11 @@ def test_a_group_of_order_1088_holds_its_table_once():
     t = (a[:, None] + np.where(s[:, None] == 0, a, -a)) % h + h * ((s[:, None] + s) % 2)
     tracemalloc.start()
     try:
-        G = FiniteGroup.from_table(t, cap=n)
+        G = FiniteGroup.from_table(t)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert G.order == n and held < 12e6 and peak < 40e6, (held, peak)
+    # the checked table is held as it is, not copied: peak 17.8 MB, 22.5 MB
+    # when the held table was a copy
+    assert G.order == n and held < 12e6 and peak < 20e6, (held, peak)
     assert G.table.nbytes == 8 * n * n and G.mul[3][5] == int(t[3, 5])

@@ -25,12 +25,12 @@ from test_aut_ge_arrays import q_fixed_auts
 from test_class_stacks import AMBIENTS
 from test_crossed_pairs import all_crossed_pairs, battery_a
 from test_normal_algebras import frobenius_rep_on_f4, swap_rep_on_f3xf3
-from teichmuller import crossed, crossed_pairs, normal_algebras
+from teichmuller import crossed, crossed_pairs, modlinalg, normal_algebras
 from teichmuller.crossed import cocycle_of_crossed2
 from teichmuller.crossed_pairs import crossed_pair_algebra, crossed_pair_structures, delta
 from teichmuller.crossed_pairs import five_term_report, metacyclic_crossed2, xpext_enumerate
 from teichmuller.groups import FiniteGroup, GroupError, coordinate_array, cyclic
-from teichmuller.modlinalg import Holder
+from teichmuller.modlinalg import BudgetExceeded, Holder
 from teichmuller.normal_algebras import teichmuller_cocycle
 
 HERE = Path(__file__).resolve().parent
@@ -185,15 +185,18 @@ def test_equal_tables_over_an_ambient_are_one_group(monkeypatch):
     assert len(auts) > len({aut.out.table.tobytes() for aut in auts})
 
 
-def test_a_held_group_is_refused_above_the_cap_and_its_hash_is_confirmed():
-    amb = AMBIENTS["Klein_Z2cubed"]()
+def test_a_held_group_is_refused_above_the_cap_and_its_hash_is_confirmed(monkeypatch):
+    amb, fresh = AMBIENTS["Klein_Z2cubed"](), AMBIENTS["Klein_Z2cubed"]()
     B = next(q_fixed_auts(amb)).group
-    assert amb.group(B.table, cap=B.order) is B
-    with pytest.raises(GroupError, match=f"order {B.order} exceeds cap {B.order - 1}"):
-        amb.group(B.table, cap=B.order - 1)
+    assert amb.group(B.table) is B
     # the same bytes in the narrowest dtype, but not a group table
     with pytest.raises(GroupError, match="malformed"):
         amb.group(B.table + 256)
+    # one cell past the budget: refused, and nothing is held
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", B.order ** 2 - 1)
+    with pytest.raises(BudgetExceeded, match=f"order {B.order}: {B.order ** 2} cells exceed"):
+        fresh.group(B.table)
+    assert not [key for key in fresh._held if key[0] == "group"]
 
 
 # ---------------------------------------------------------------------------

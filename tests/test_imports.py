@@ -1,6 +1,6 @@
 """Every name a ``teichmuller`` module imports is read somewhere in that module;
-the package reads its group and action tables as arrays only; and its paths
-leave ``numpy.ma`` unimported."""
+the package reads its group and action tables as arrays only; its one size
+limit is ``modlinalg.CELL_BUDGET``; and its paths leave ``numpy.ma`` unimported."""
 
 import ast
 import os
@@ -158,6 +158,46 @@ def test_scan_flags_a_tuple_table():
     assert tuple_table_uses(sources) == [
         "a:10 .table", "a:2 .inv", "a:2 .mul", "a:3 .table", "a:3 .table", "a:4 .inv",
         "a:5 tuple(map(tuple"]
+
+
+# parameter names that would bound the size of a step beside the cell budget
+CAP_PARAMETERS = {"cap", "scan_cap", "most"}
+
+
+def size_limits(sources: dict) -> list[str]:
+    """In ``sources`` ({module name: source}): module-level names ending in
+    ``_CAP`` or ``_BUDGET`` outside modlinalg, and parameters named in
+    ``CAP_PARAMETERS`` other than the optional ``cap`` of ``aut_g_of_e``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+                [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            found += [f"{module}.{node.id}" for target in targets for node in ast.walk(target)
+                      if isinstance(node, ast.Name) and node.id.endswith(("_CAP", "_BUDGET"))
+                      and module != "modlinalg"]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name, a = getattr(node, "name", "<lambda>"), node.args
+                found += [f"{module}.{name}({arg.arg})" for arg in a.posonlyargs + a.args + a.kwonlyargs
+                          if arg.arg in CAP_PARAMETERS
+                          and (module, name, arg.arg) != ("crossed_pairs", "aut_g_of_e", "cap")]
+    return sorted(found)
+
+
+def test_the_cell_budget_is_the_one_size_limit():
+    found = size_limits({p.stem: p.read_text() for p in SRC.glob("*.py")})
+    assert not found, f"size limits besides modlinalg.CELL_BUDGET: {', '.join(found)}"
+
+
+def test_scan_flags_every_size_limit():
+    sources = {"modlinalg": "CELL_BUDGET = 1 << 22\n",
+               "a": ("X_CAP = 1\nY_BUDGET: int = 2\n(P, Q_CAP) = 3, 4\n\n\n"
+                     "def f(x, cap=3, *, most=None):\n    return lambda scan_cap: x\n"),
+               "crossed_pairs": "def aut_g_of_e(ae, cap=None):\n    pass\n\n\ndef g(cap):\n    pass\n"}
+    assert size_limits(sources) == ["a.<lambda>(scan_cap)", "a.Q_CAP", "a.X_CAP", "a.Y_BUDGET",
+                                    "a.f(cap)", "a.f(most)", "crossed_pairs.g(cap)"]
 
 
 NUMPY_MA_PROBE = """

@@ -83,6 +83,18 @@ def test_equivariant_reps_validate():
         rep.validate()
 
 
+def test_a_non_central_algebra_is_refused_with_both_sizes():
+    # F_9 as an F_3-algebra: its center, all of F_9, is larger than the base,
+    # so trivial C_2 lifts are no Q-normal structure on a central algebra
+    T, S = gf(3, 2), gf(3, 1)
+    A, _ = commutative_ring_as_algebra_over(T, S, T.one().reshape(-1, 1))
+    eye = np.eye(A.flat_rank, dtype=np.int64)
+    rep = OutRep(base_action=trivial_base_action(cyclic(2), S), A=A, lifts=[eye, eye])
+    with pytest.raises(NormalStructureError, match="not central: its center has 9 elements, "
+                                                   "the image of the base 3"):
+        rep.validate()
+
+
 def test_teichmuller_of_equivariant_is_zero():
     for rep in (frobenius_rep_on_f4(), swap_rep_on_f3xf3(), trivial_rep_on_z8_m2()):
         w = teichmuller_cocycle(rep)

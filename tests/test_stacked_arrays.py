@@ -22,7 +22,7 @@ from algebra_oracles import (
     units_oracle,
 )
 from test_algebra_arrays import PAIR_GALOIS
-from teichmuller import finrings
+from teichmuller import finrings, modlinalg
 from teichmuller.crossed_pairs import qnormal_galois_product
 from teichmuller.finrings import (
     FinCommRing,
@@ -45,10 +45,9 @@ from teichmuller.gmod_cohomology import (
     trivial_gmodule,
 )
 from teichmuller.groups import GroupError, GroupExtension, GroupHom, cyclic, same_group
-from teichmuller.modlinalg import invertible_mod
+from teichmuller.modlinalg import BudgetExceeded, invertible_mod
 from teichmuller.normal_algebras import (
     BaseAction,
-    NormalStructureError,
     OutRep,
     chi_checks,
     deuring_embedding_from_splitting,
@@ -190,14 +189,20 @@ def test_semidirect_splittings_match_the_entrywise_builder(label):
     assert_same_extension(semidirect_splitting(rep), rep)
 
 
-def test_the_unit_extension_cap_holds():
-    # |U(M_2(F_2))| |Q| = 12
-    with pytest.raises(NormalStructureError, match="exceeds the table cap"):
-        semidirect_splitting(BENCH_REPS["M2(F2)_trivial"](), cap=11)
+def test_the_unit_extension_cap_holds(monkeypatch):
+    # |M_2(F_2)| |Q| = 32 bounds the table of U(M_2(F_2)) x| Q by 1024 cells
+    rep = BENCH_REPS["M2(F2)_trivial"]()
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 1023)
+    with pytest.raises(BudgetExceeded, match="a unit extension of 16 x 2 elements: 1024 cells "
+                                             "exceed CELL_BUDGET = 1023"):
+        semidirect_splitting(rep)
+    monkeypatch.setattr(modlinalg, "CELL_BUDGET", 1024)
+    assert semidirect_splitting(rep)[0].middle.order == 12
 
 
 def test_an_oversized_unit_extension_is_refused_before_the_units_are_enumerated(monkeypatch):
-    # |U(M_2(Z/8))| |Q| = 1536 * 2 passes the default cap 256 at the 129th unit
+    # (|M_2(Z/8)| |Q|)^2 = (4096 * 2)^2 cells exceed the default budget, so
+    # no element of M_2(Z/8) is tested for a unit
     rep = BENCH_REPS["M2(Z8)_trivial"]()
     verdicts = []
 
@@ -206,9 +211,9 @@ def test_an_oversized_unit_extension_is_refused_before_the_units_are_enumerated(
         return verdicts[-1]
 
     monkeypatch.setattr(finrings, "invertible_mod", counting)
-    with pytest.raises(NormalStructureError, match="exceeds the table cap"):
+    with pytest.raises(BudgetExceeded, match="4096 x 2 elements: 67108864 cells exceed CELL_BUDGET"):
         semidirect_splitting(rep)
-    assert 0 < sum(verdicts) <= 256 // rep.Q.order + 1
+    assert verdicts == []
 
 
 @pytest.mark.parametrize("make, seed", [(BENCH_REPS["M2(F2)_trivial"], 0),

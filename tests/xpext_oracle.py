@@ -84,7 +84,7 @@ def same_partition(keys_a, keys_b) -> bool:
                for a2, b2 in zip(keys_a, keys_b))
 
 
-def enumerated_pairs(amb, cap=96):
+def enumerated_pairs(amb):
     """The crossed pairs on every normalized cocycle table on N with a Q-fixed
     class, in table order, on Aut_G(e) tables built here."""
     M, N = amb.Mgrp, amb.N
@@ -101,7 +101,7 @@ def enumerated_pairs(amb, cap=96):
         if not class_is_q_fixed(amb, f, h2n):
             continue
         ae = extension_from_cocycle(amb, f)
-        out.extend(crossed_pair_structures(aut_g_of_e(ae, cap=cap)))
+        out.extend(crossed_pair_structures(aut_g_of_e(ae)))
     return out
 
 
@@ -307,8 +307,7 @@ def aut_g_of_e_rows(ae) -> RowKeyedAut:
     X = np.array([x for _, x in pairs], dtype=np.int64)
     index = {key: i for i, key in enumerate(_pair_keys(A, X, dt))}
     comp = _pair_keys(A[:, A], G.table[X[:, None], X], dt)
-    group = FiniteGroup.from_table(np.array([index[key] for key in comp]).reshape(k, k),
-                                   cap=max(256, k))
+    group = FiniteGroup.from_table(np.array([index[key] for key in comp]).reshape(k, k))
     conj = Gamma.table[Gamma.table, Gamma.inverse[:, None]].astype(dt)
     beta_images = [index[key] for key in _pair_keys(conj, kh[np.arange(ng) // nm], dt)]
     beta = GroupHom.checked(Gamma, group, tuple(beta_images))
@@ -327,7 +326,7 @@ def delta_rows(aut: RowKeyedAut, psi, section_seed: int = 0):
     bindex = {p: i for i, p in enumerate(belems)}
     bmul = [[bindex[(aut.group.mul[a1][a2], Q.mul[q1][q2])]
              for (a2, q2) in belems] for (a1, q1) in belems]
-    B = FiniteGroup.from_table(bmul, cap=max(256, len(belems)))
+    B = FiniteGroup.from_table(bmul)
     bnd = GroupHom.checked(Gamma, B, tuple(bindex[(aut.beta(y), Q.identity)]
                                            for y in range(Gamma.order)))
     piB = GroupHom.checked(B, Q, tuple(q for (_, q) in belems))
