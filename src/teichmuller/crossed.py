@@ -30,9 +30,11 @@ from .groups import (
     GroupError,
     GroupHom,
     abelian_group_from_factors,
+    abelian_structure,
     coordinate_array,
     direct_product,
     fiber_product,
+    identity_hom,
     mixed_radix_decode,
     mixed_radix_encode,
     quotient_group,
@@ -134,13 +136,13 @@ class Crossed2Extension(Holder):
         return report
 
     def gmodule(self):
-        """M as a G-module (action induced through lifts), plus translation maps, held.
-
-        Returns (GModule, elem_to_coords, coords_to_elem).
-        """
-        sect = self.pi.section()
-        return held(self, "gmodule", lambda: gmodule_of_action(self.G, self.M, lambda g, m: int(
-            self.iota.preimage(self.action.act(sect[g], self.iota(m))))))
+        """(M as a G-module, the action induced through lifts, elem_to_coords,
+        coords_to_elem), held; the last two are ``groups.abelian_structure`` views."""
+        def build():
+            sect = np.array(self.pi.section())
+            perms = self.iota.preimage(self.action.perms[sect[:, None], list(self.iota.images)])
+            return (gmodule_of_action(self.G, self.M, perms), *abelian_structure(self.M)[1:])
+        return held(self, "gmodule", build)
 
 
 def obstruction_cocycle(module: GModule, V, h, h_inv, act, into, coords) -> Cochain:
@@ -219,14 +221,12 @@ def trivial_crossed2(Q: FiniteGroup, M: GModule) -> Crossed2Extension:
         raise CrossedModuleError("module must be over Q")
     factors = M.invariant_factors
     Mgrp = abelian_group_from_factors(factors)
-    action = GroupAction(Q, Mgrp, tuple(
-        tuple(mixed_radix_encode(M.act(q, mixed_radix_decode(i, factors)), factors)
-              for i in range(Mgrp.order)) for q in range(Q.order)))
-    iota = GroupHom(Mgrp, Mgrp, tuple(range(Mgrp.order)))
-    boundary = GroupHom(Mgrp, Q, tuple(Q.identity for _ in range(Mgrp.order)))
-    pi = GroupHom(Q, Q, tuple(range(Q.order)))
-    return Crossed2Extension(M=Mgrp, C=Mgrp, Gamma=Q, G=Q,
-                             iota=iota, boundary=boundary, pi=pi, action=action)
+    # q on the element with digits v: the element with digits M.matrices[q] v
+    digits = mixed_radix_decode(np.arange(Mgrp.order), factors)
+    perms = mixed_radix_encode(np.einsum("qij,nj->qni", M.matrices, digits), factors)
+    return Crossed2Extension(M=Mgrp, C=Mgrp, Gamma=Q, G=Q, iota=identity_hom(Mgrp),
+                             boundary=GroupHom(Mgrp, Q, (Q.identity,) * Mgrp.order),
+                             pi=identity_hom(Q), action=GroupAction(Q, Mgrp, perms))
 
 
 def baer_sum(a: Crossed2Extension, b: Crossed2Extension) -> Crossed2Extension:
@@ -236,9 +236,9 @@ def baer_sum(a: Crossed2Extension, b: Crossed2Extension) -> Crossed2Extension:
         raise CrossedModuleError("extensions end at different groups")
     if not same_group(a.M, b.M):
         raise CrossedModuleError("extensions start at different modules")
-    mod_a, _, _ = a.gmodule()
-    mod_b, _, _ = b.gmodule()
-    if mod_a.invariant_factors != mod_b.invariant_factors or mod_a.action != mod_b.action:
+    mod_a, mod_b = a.gmodule()[0], b.gmodule()[0]
+    if (mod_a.invariant_factors != mod_b.invariant_factors
+            or not np.array_equal(mod_a.matrices, mod_b.matrices)):
         raise CrossedModuleError("induced module structures differ")
     M, G = a.M, a.G
     CC = direct_product(a.C, b.C)

@@ -39,8 +39,10 @@ from .groups import (
     GroupAction,
     GroupExtension,
     GroupHom,
+    abelian_structure,
     check_normalized_two_cocycle,
     coordinate_array,
+    coordinate_elements,
     cyclic,
     direct_product,
     group_from_2cocycle,
@@ -88,18 +90,19 @@ class Ambient(Holder):
 
     The ambient holds in ``_held`` (``modlinalg.held``) what the maps of the
     eight-term sequence read, each built on first use and keyed by content:
-    the N-action on M (``n_action``), M as a G-module (``gmodule``) with its
-    coordinate lookup (``_coords``), the module's restrictions
-    (``restricted_gmodule``, keyed by the images of the restricting map), M^N
-    as a Q-module (``fixed_submodule_gmodule``), the bar coboundary d^1 on N
-    (``gmod_cohomology.bar_coboundary_matrix``) diagonalized (``delta1``)
-    with Z^1(N, M) (``derivations``), the conjugation of G on N
-    (``n_conjugation``), the Q-twist matrices per degree and module
-    (``twist_matrices``), one Aut_G(e) per normalized cocycle table f on N
-    (``aut_data``, keyed by the entries of f), and one group per table
+    the N-action on M (``n_action``), M as a G-module (``gmodule``), its
+    restrictions (``restricted_gmodule``, keyed by the images of the
+    restricting map), M^N as a Q-module (``fixed_submodule_gmodule``), the bar
+    coboundary d^1 on N (``gmod_cohomology.bar_coboundary_matrix``)
+    diagonalized (``delta1``) with Z^1(N, M) (``derivations``), the
+    conjugation of G on N (``n_conjugation``), the Q-twist matrices per degree
+    and module (``twist_matrices``), one Aut_G(e) per normalized cocycle table
+    f on N (``aut_data``, keyed by the entries of f), and one group per table
     (``group``) for every group derived over the ambient: Gamma_f, Aut_G(e),
     Out_G(e) and B^psi.  ``_held`` takes no part in construction, equality,
-    hashing or the pickle.
+    hashing or the pickle.  M's coordinates are arrays held by M
+    (``groups.abelian_presentation``); the coordinate tuples and dicts that
+    the module getters also return are ``groups.abelian_structure`` views.
     """
 
     ext: GroupExtension          # N -> G -> Q
@@ -142,26 +145,26 @@ class Ambient(Holder):
             raise CrossedPairError("M must be abelian")
 
     def gmodule(self):
-        """M as a G-module in invariant-factor coordinates, with bridges."""
-        return held(self, "gmodule", lambda: gmodule_of_action(self.G, self.Mgrp, self.action.act))
+        """(M as a G-module, elem_to_coords, coords_to_elem), held."""
+        return held(self, "gmodule", lambda: (
+            gmodule_of_action(self.G, self.Mgrp, self.action.perms), *abelian_structure(self.Mgrp)[1:]))
 
     def restricted_gmodule(self, hom: GroupHom):
         """The same module over the source of the injective hom: H -> G."""
         def build():
             module, e2c, c2e = self.gmodule()
             return GModule(hom.source, module.invariant_factors,
-                           tuple(module.action[g] for g in hom.images)), e2c, c2e
+                           module.matrices[list(hom.images)]), e2c, c2e
         return held(self, ("restricted", hom.images), build)
 
     def fixed_submodule_gmodule(self):
-        """M^N as a Q-module plus the inclusion M^N -> M over G ->> Q."""
+        """(M^N as a Q-module, M^N, its inclusion into M, abelian_structure(M^N)), held."""
         def build():
             MN, incl = subgroup_of(self.Mgrp, self.fixed_elements())
             # Q-action: lift q to G (well defined on fixed points)
-            sec = self.ext.section()
-            moduleN, e2cN, c2eN = gmodule_of_action(
-                self.Q, MN, lambda q, b: int(incl.preimage(self.action.act(sec[q], incl(b)))))
-            return moduleN, MN, incl, (moduleN.invariant_factors, e2cN, c2eN)
+            sec = np.array(self.ext.section())
+            perms = incl.preimage(self.action.perms[sec[:, None], list(incl.images)])
+            return gmodule_of_action(self.Q, MN, perms), MN, incl, abelian_structure(MN)
         return held(self, "fixed_submodule", build)
 
     def aut_data(self, f) -> "AutGeGroup":
@@ -200,7 +203,7 @@ class Ambient(Holder):
         c = np.zeros((x.shape[1], N.order, module.rank), dtype=np.int64)
         c[:, np.arange(N.order) != N.identity] = x.T.reshape(
             len(c), N.order - 1, module.rank) // (module.exponent // module.factors)
-        return self.elements(c)
+        return coordinate_elements(self.Mgrp, c)
 
     def derivations(self) -> np.ndarray:
         """Z^1(N, M), the kernel of Aut_G(e) -> G, as rows of M elements.  With
@@ -250,42 +253,21 @@ class Ambient(Holder):
 
     def inflation_map(self) -> ModuleMap:
         """mu: M^N -> M over pi: G ->> Q (inflation H^*(Q, M^N) -> H^*(G, M))."""
-        module, e2c, _ = self.gmodule()
-        moduleN, _, incl, (factorsN, _, c2eN) = self.fixed_submodule_gmodule()
-        kN = len(factorsN)
-        cols = [e2c[incl(c2eN[tuple(int(j == i) for j in range(kN))])] for i in range(kN)]
-        mat = tuple(tuple(cols[j][i] for j in range(kN)) for i in range(module.rank))
+        moduleN, MN, incl, _ = self.fixed_submodule_gmodule()
+        basis = coordinate_elements(MN, np.eye(moduleN.rank, dtype=np.int64))
+        mat = coordinate_array(self.Mgrp)[np.array(incl.images)[basis]].T
         return ModuleMap(group_map=self.ext.quotient_hom, source=moduleN,
-                         target=module, matrix=mat)
+                         target=self.gmodule()[0], matrix=mat)
 
     def cochain(self, table, module: GModule) -> Cochain:
         """The cochain over ``module`` (M over G or a subgroup) with the M-element
         values ``table``: a list over the group for degree 1, nested for degree 2."""
-        coords, _, _ = self._coords()
         t = np.asarray(table, dtype=np.int64)
-        return Cochain(module, t.ndim, coords[t])
+        return Cochain(module, t.ndim, coordinate_array(self.Mgrp)[t])
 
     def table(self, z: Cochain) -> list:
         """The M-element values of a cochain over M, nested as ``cochain`` takes them."""
-        return self.elements(z.table).tolist()
-
-    def elements(self, values: np.ndarray) -> np.ndarray:
-        """The M elements of reduced coordinate vectors, on the last axis of values."""
-        _, lookup, strides = self._coords()
-        return lookup[values @ strides]
-
-    def _coords(self):
-        """M's coordinates as an array with one row per element, and their
-        inverse: the element at each mixed-radix index of the coordinates
-        (the last coordinate varying fastest), with the radix strides."""
-        def build():
-            coords, factors = coordinate_array(self.Mgrp), self.gmodule()[0].invariant_factors
-            strides = np.array([int(np.prod(factors[i + 1:])) for i in range(len(factors))],
-                               dtype=np.int64)
-            lookup = np.empty(self.Mgrp.order, dtype=np.int64)
-            lookup[coords @ strides] = np.arange(self.Mgrp.order)
-            return coords, lookup, strides
-        return held(self, "coords", build)
+        return coordinate_elements(self.Mgrp, z.table).tolist()
 
     def twist_matrices(self, H: CohomologyGroup) -> np.ndarray:
         """The Q-twist on H = H^n(N, M) as matrices, one per lift x != 1 in
@@ -296,13 +278,13 @@ class Ambient(Holder):
         def build():
             xs = np.array([x for x in self.ext.section() if x != self.G.identity], dtype=np.int64)
             t = len(H.invariant_factors)
-            twisted = [self._coords()[0][self.twist(self.table(H.generator(i)), xs)]
+            twisted = [coordinate_array(self.Mgrp)[self.twist(self.table(H.generator(i)), xs)]
                        for i in range(t)]                                    # [i][x]
             shape = (t * len(xs),) + (self.N.order,) * H.degree + (H.module.rank,)
             return np.array(H.classes_of(np.reshape(twisted, shape)),
                             dtype=np.int64).reshape(t, len(xs), t).transpose(1, 0, 2)
         return held(self, ("twist_matrices", H.degree, H.module.invariant_factors,
-                           H.module.action), build)
+                           H.module.matrices.tobytes()), build)
 
     def twist(self, table, xs) -> np.ndarray:
         """x.c for an M-element table c over N and x in G, or for each x of an
@@ -502,7 +484,7 @@ def aut_g_of_e(ae: AbExtension, cap: Optional[int] = None) -> AutGeGroup:
         raise CrossedPairError(f"Aut_G(e) with |Gamma| = {Gamma.order} and |G| = {G.order} "
                                f"exceeds the size cap {cap}")
     z1 = amb.derivations()
-    ix, lx, coords = amb.n_conjugation(), amb.action.perms, amb._coords()[0]   # i_x(n), l_x(m)
+    ix, lx, coords = amb.n_conjugation(), amb.action.perms, coordinate_array(M)   # i_x(n), l_x(m)
     fixed, pre = amb.coboundary_solve(coords[amb.twist(ae.f, np.arange(G.order))]
                                       - coords[np.array(ae.f)])
     xs, at = np.flatnonzero(fixed), ix[fixed]
@@ -730,7 +712,7 @@ def find_congruence(cp1: CrossedPair, cp2: CrossedPair) -> Optional[list[int]]:
     ae1, ae2, amb = cp1.ae, cp2.ae, cp1.ae.ambient
     if ae2.ambient is not amb and ae2.ambient != amb:
         raise CrossedPairError("pairs live over different ambients")
-    coords, M = amb._coords()[0], amb.Mgrp
+    coords, M = coordinate_array(amb.Mgrp), amb.Mgrp
     zero, c0 = amb.coboundary_solve(coords[np.array([ae1.f])] - coords[np.array([ae2.f])])
     if not zero[0]:
         return None
@@ -768,14 +750,14 @@ def _canonical(aut: AutGeGroup) -> tuple:
     """(the class of f, a c with dc = f - f* for f* its lift, the Aut_G(e*) on
     f*) for the table f of aut."""
     amb = aut.ae.ambient
-    h2n, coords = amb.n_cohomology(2), amb._coords()[0]
+    h2n, coords = amb.n_cohomology(2), coordinate_array(amb.Mgrp)
     f = coords[np.array(aut.ae.f, dtype=np.int64)][None]
     cls = h2n.classes_of(f)[0]
     f_star = h2n.lifts([cls])
     zero, c = amb.coboundary_solve(f - f_star)
     if not zero[0]:
         raise CrossedPairError("a table is not cohomologous to the lift of its class")
-    star = amb.aut_data(amb.elements(f_star[0]))
+    star = amb.aut_data(coordinate_elements(amb.Mgrp, f_star[0]))
     return cls, c[0], star
 
 
@@ -828,7 +810,7 @@ def xpext_enumerate(ambient: Ambient, seed: int = 0) -> XpextReport:
     fixed = [coords for coords, q_fixed in zip(classes, _q_fixed(amb, h2n, classes)) if q_fixed]
     by_key: dict = {}
     for coords, table in zip(fixed, h2n.lifts(fixed)):
-        aut = amb.aut_data(amb.elements(table))           # f = f*, reached along phi_0
+        aut = amb.aut_data(coordinate_elements(amb.Mgrp, table))  # f = f*, reached along phi_0
         held(aut, "canonical", lambda: (coords, np.full(N.order, M.identity), aut))
         for cp in crossed_pair_structures(aut):
             by_key.setdefault(congruence_key(cp), []).append(cp)
@@ -861,7 +843,7 @@ def _j_images(amb: Ambient, h2g: CohomologyGroup, bucket_of: dict) -> dict:
     """The bucket of j(h) for each class h of H^2(G, M), keyed by its coords,
     from one stack of lifted classes read as M-element tables."""
     classes = list(h2g.all_classes())
-    pairs = _j_pairs(amb, amb.elements(h2g.lifts(classes)))
+    pairs = _j_pairs(amb, coordinate_elements(amb.Mgrp, h2g.lifts(classes)))
     # the key depends only on (f, psi): transport along phi_c carries the
     # image of beta onto the image of beta
     bucket_of_pair, j_images = {}, {}
@@ -1039,10 +1021,15 @@ def _metacyclic_crossed2(G: FiniteGroup, ext: GroupExtension, M: FiniteGroup, r:
     C = cyclic(L)
     iota = GroupHom.checked(M, C, tuple((m * r) % L for m in range(M.order)))
     boundary = GroupHom.checked(C, G, tuple(i % r for i in range(L)))
-    rows = [tuple((c * pow(t, g // r, L)) % L for c in range(L)) for g in range(G.order)]
-    action = GroupAction(G, C, tuple(rows))
+    action = GroupAction(G, C, _power_action(G, r, t, L))
     return Crossed2Extension(M=M, C=C, Gamma=G, G=ext.quotient_group, iota=iota,
                              boundary=boundary, pi=ext.quotient_hom, action=action)
+
+
+def _power_action(G: FiniteGroup, r: int, t: int, n: int) -> np.ndarray:
+    """g = y^i x^j of G(r,s,t,f) acting on Z/n by t^j, as (|G|, n) permutations."""
+    powers = np.array([pow(t, j, n) for j in range(G.order // r)])
+    return np.arange(n) * powers[np.arange(G.order) // r, None] % n
 
 
 def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
@@ -1062,9 +1049,7 @@ def metacyclic_instance(r: int, s: int, t: int, f: int, ell: int,
     if rep:
         raise CrossedPairError(f"crossed 2-fold extension invalid: {rep[:2]}")
     xi = cocycle_of_crossed2(e2, section_seed=seed)
-    # g = y^i x^j acts on Z/l by t^j
-    rows = tuple(tuple(m * pow(t, g // r, ell) % ell for m in range(ell)) for g in range(G.order))
-    amb = Ambient(ext=ext, Mgrp=Mgrp, action=GroupAction(G, Mgrp, rows))
+    amb = Ambient(ext=ext, Mgrp=Mgrp, action=GroupAction(G, Mgrp, _power_action(G, r, t, ell)))
     inst = MetacyclicInstance(r=r, s=s, t=t, f=f, ell=ell, G=G, ambient=amb, e2=e2, xi=xi,
                               K=(t - 1) * f // r, unit=t % ell, cp=None)
     try:

@@ -3,7 +3,7 @@
 A finite abelian group of known order is a quotient of Z^n by a relation
 lattice that contains order * Z^n, so it equals (Z/order)^n modulo the same
 relations; ``modlinalg.cokernel_mod`` gives its invariant factors, coordinates
-and lifts.  ``groups.abelian_structure`` presents table groups through
+and lifts.  ``groups.abelian_presentation`` presents table groups through
 ``abelian_quotient``.
 """
 

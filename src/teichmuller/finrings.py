@@ -397,7 +397,8 @@ class Algebra(Holder):
     array-like, after m and the flat rank are checked against int64 overflow
     (``RingError``).  Flat coordinates interleave: index i * base.rank + u is
     basis element e_i with base coordinate u.  Algebras compare by identity.
-    ``_held`` keeps ``flat_tensor`` and ``base_diag``, outside the repr and pickle.
+    ``_held`` keeps ``flat_tensor``, ``base_diag`` and the center check of
+    ``normal_algebras``, outside the repr and pickle.
     """
 
     base: FinCommRing
@@ -718,12 +719,12 @@ def find_conjugator(A: Algebra, alpha: np.ndarray, seed: int = 0) -> Optional[np
 # ---------------------------------------------------------------------------
 # Azumaya test
 
-def center_submodule(A: Algebra) -> np.ndarray:
-    """Generators (columns) of the center as a Z/m-submodule."""
+def center_diag(A: Algebra) -> ModDiagonalization:
+    """The map x -> (e_j x - x e_j)_j diagonalized: its kernel is the center."""
     T = A.flat_tensor
     # rows (j, c): (e_j x - x e_j)_c
-    return kernel_mod((T - T.transpose(1, 0, 2)).transpose(0, 2, 1).reshape(-1, A.flat_rank),
-                      A.modulus)
+    return diagonalize_mod((T - T.transpose(1, 0, 2)).transpose(0, 2, 1).reshape(-1, A.flat_rank),
+                           A.modulus, want_U=False)
 
 
 def is_azumaya(A: Algebra) -> tuple[bool, dict]:
@@ -738,7 +739,7 @@ def is_azumaya(A: Algebra) -> tuple[bool, dict]:
     st = A.structure
     # center == embedded base?
     emb = A.base_embedding()
-    cen = center_submodule(A)
+    cen = center_diag(A).kernel()
     center_ok = colspans_equal(cen, emb, m)
     # eta over S, flattened: size (n^2 * sR)^2
     # column (i,j): endo c -> e_i c e_j; rows indexed by End_S(A) basis (k,l, u)

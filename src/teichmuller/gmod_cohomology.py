@@ -2,10 +2,13 @@
 abelian G-module, computed on a free resolution held by the group.
 
 A GModule stores the coefficient group in invariant-factor coordinates
-(M = Z/d_1 + ... + Z/d_k, d_1 | d_2 | ...) together with one integer action
-matrix per group element.  Callers see normalized bar cochains: dense integer
-tables indexed by full tuples of group elements, zero whenever an argument is
-the identity.
+(M = Z/d_1 + ... + Z/d_k, d_1 | d_2 | ...) and its action as one table, the
+read-only int64 array ``matrices`` of shape (|G|, k, k); a ModuleMap holds its
+matrix as one read-only array too.  Both compare and hash by their entries.
+``gmodule_of_action`` builds the module of a permutation action on an abelian
+table group with one gather.  Callers see normalized bar cochains: dense
+integer tables indexed by full tuples of group elements, zero whenever an
+argument is the identity.
 
 Underneath, H^n is the cohomology of Hom_G(F, M) = M^{r_n}, where F is a free
 Z/m[G]-resolution of Z/m (m = d_k) that G builds one degree at a time and
@@ -40,12 +43,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupHom, abelian_structure, cyclic, same_group
+from .groups import (FiniteGroup, GroupHom, _ByEntries, _tuple_view, abelian_presentation,
+                     coordinate_elements, cyclic, same_group)
 from .modlinalg import (
     CELL_BUDGET,
     BudgetExceeded,
@@ -74,22 +78,23 @@ class NotACocycle(CohomologyError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class GModule(Holder):
+@dataclass(frozen=True, eq=False)
+class GModule(_ByEntries, Holder):
     """Finite abelian group in invariant-factor coordinates with a G-action.
 
-    action[g] is a k x k integer matrix acting on coordinate vectors; row i is
-    taken mod invariant_factors[i].  ``matrices`` holds the action once more
-    as a read-only int64 array of shape (|G|, k, k), and ``factors`` the
-    invariant factors as one of shape (k,); they take no part in
-    construction, equality, hashing or the repr.
+    ``matrices``, given as an array or a nested sequence, is the action's one
+    table, a read-only int64 array of shape (|G|, k, k): matrices[g] acts on
+    coordinate vectors, row i taken mod invariant_factors[i].  ``factors``
+    holds the invariant factors as an array of shape (k,), outside equality,
+    hashing and the repr; ``_held`` keeps ``action``, a nested-tuple view of
+    ``matrices`` for readers outside the package, and its ``_tilde_matrix``.
     """
 
     group: FiniteGroup
     invariant_factors: tuple[int, ...]
-    action: tuple[tuple[tuple[int, ...], ...], ...]
-    matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    matrices: np.ndarray = field(repr=False)
     factors: np.ndarray = field(init=False, repr=False, compare=False)
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
@@ -97,15 +102,22 @@ class GModule(Holder):
                 raise CohomologyError("invariant factors must form a divisibility chain")
         if any(d < 2 for d in self.invariant_factors):
             raise CohomologyError("invariant factors must be >= 2")
-        if len(self.action) != self.group.order:
+        if len(self.matrices) != self.group.order:
             raise CohomologyError("need one action matrix per group element")
         # an action matrix on a vector, and each entry of a bar coboundary,
         # sum up to k (m - 1)^2 + (MAX_DEGREE + 1)(m - 1) in absolute value
         m, k = self.exponent, self.rank
         if k * (m - 1) ** 2 + (MAX_DEGREE + 1) * (m - 1) >= 1 << 63:
             raise CohomologyError(f"modulus m={m} at rank {k} overflows int64 arithmetic")
-        hold_arrays(self, matrices=np.reshape(self.action, (self.group.order, k, k)),
-                    factors=self.invariant_factors)
+        want = (self.group.order, k, k)
+        acts = _as_table(self.matrices, want, "the action")
+        if acts.shape != want:
+            raise CohomologyError(f"the action must have shape {want}, not {acts.shape}")
+        hold_arrays(self, matrices=acts, factors=self.invariant_factors)
+
+    @property
+    def action(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return held(self, "action", lambda: _tuple_view(self.matrices))
 
     @property
     def rank(self) -> int:
@@ -141,36 +153,40 @@ class GModule(Holder):
                 raise CohomologyError(f"action is not a homomorphism at {pair}")
 
 
+def _as_table(value, want: tuple, what: str) -> np.ndarray:
+    """value as an int64 array, shaped ``want`` when both are empty; CohomologyError if ragged."""
+    try:
+        arr = np.asarray(value, dtype=np.int64)
+    except ValueError:
+        raise CohomologyError(f"{what} must have shape {want}, not a ragged table") from None
+    return arr.reshape(want) if arr.size == 0 == prod(want) else arr
+
+
 def trivial_gmodule(G: FiniteGroup, factors: Sequence[int]) -> GModule:
     factors = tuple(int(d) for d in factors)
-    k = len(factors)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    return GModule(G, factors, tuple(ident for _ in range(G.order)))
+    eye = np.eye(len(factors), dtype=np.int64)
+    return GModule(G, factors, np.broadcast_to(eye, (G.order,) + eye.shape))
 
 
-def gmodule_of_action(G: FiniteGroup, M: FiniteGroup, act):
-    """The abelian table group M as a G-module, with act(g, m) an M element.
-
-    Returns (GModule, elem_to_coords, coords_to_elem) in the invariant-factor
-    coordinates of ``abelian_structure(M)``; column i of each action matrix is
-    the image of the i-th unit-coordinate basis element.
-    """
-    factors, e2c, c2e = abelian_structure(M)
-    k = len(factors)
-    basis = [c2e[tuple(int(j == i) for j in range(k))] for i in range(k)]
-    cols = [[e2c[act(g, b)] for b in basis] for g in range(G.order)]
-    mats = tuple(tuple(tuple(c[j][i] for j in range(k)) for i in range(k)) for c in cols)
-    return GModule(G, factors, mats), e2c, c2e
+def gmodule_of_action(G: FiniteGroup, M: FiniteGroup, perms) -> GModule:
+    """The abelian table group M as a G-module, with g sending m to perms[g, m]
+    (a (|G|, |M|) array), in the coordinates of ``abelian_presentation(M)``:
+    column i of matrices[g] holds the coordinates of g applied to the i-th
+    unit-coordinate element, all read with one gather."""
+    factors, coords, _, _ = abelian_presentation(M)
+    basis = coordinate_elements(M, np.eye(len(factors), dtype=np.int64))
+    return GModule(G, factors, coords[np.asarray(perms)[:, basis]].transpose(0, 2, 1))
 
 
-def _tilde_matrix(mat, row_factors, col_factors, m) -> np.ndarray:
-    """Rescale integer module-map matrices (the last two axes) to act on the
-    free (Z/m) model."""
-    num = np.asarray(mat, dtype=np.int64) * np.array(col_factors, dtype=np.int64)
-    rows = np.array(row_factors, dtype=np.int64)[:, None]
-    if (num % rows).any():
-        raise CohomologyError("module map is not well defined")
-    return (num // rows) % m
+def _tilde_matrix(module: GModule) -> np.ndarray:
+    """The action matrices rescaled to act on the free (Z/m) model, m the
+    exponent, held by the module."""
+    def build():
+        num, rows = module.matrices * module.factors, module.factors[:, None]
+        if (num % rows).any():
+            raise CohomologyError("action matrix not well defined on the module")
+        return (num // rows) % module.exponent
+    return held(module, "tilde", build)
 
 
 @dataclass
@@ -182,17 +198,11 @@ class Cochain:
     table: np.ndarray
 
     def __post_init__(self):
-        G = self.module.group
-        k = self.module.rank
-        want = (G.order,) * self.degree + (k,)
+        want = (self.module.group.order,) * self.degree + (self.module.rank,)
         self.table = np.asarray(self.table, dtype=np.int64)
         if self.table.shape != want:
             raise CohomologyError(f"cochain table must have shape {want}")
-        self._reduce_inplace()
-
-    def _reduce_inplace(self):
-        if self.module.rank:
-            self.table = np.mod(self.table, self.module.factors)
+        self.table = np.mod(self.table, self.module.factors)
 
     def copy(self) -> "Cochain":
         return Cochain(self.module, self.degree, self.table.copy())
@@ -326,13 +336,13 @@ def bar_coboundary_matrix(module: GModule, n: int) -> np.ndarray:
     """d^n on the scaled free (Z/m) model, m the exponent: the k x k block at
     row (s, i) and column (t, j) for each (n+1)-symbol s and n-symbol t, in the
     order of ``_bar_positions``, sums the faces of s equal to t (``_bar_terms``)."""
-    G, k, m, d = module.group, module.rank, module.exponent, module.factors
+    G, k, m = module.group, module.rank, module.exponent
     E = G.order - 1
     _, g1, faces, signs = _bar_terms(G, n)
     cols, rows = _bar_symbols(G, n)[faces], np.arange(E ** (n + 1))
     # column E^n takes the degenerate faces
     out = np.zeros((E ** (n + 1), k, E ** n + 1, k), dtype=np.int64)
-    out[rows, :, cols[0], :] = _tilde_matrix(module.matrices, d, d, m)[g1]
+    out[rows, :, cols[0], :] = _tilde_matrix(module)[g1]
     for sign, col in zip(signs, cols[1:]):
         out[rows, :, col, :] += sign * np.eye(k, dtype=np.int64)
     return out[:, :, :E ** n].reshape(E ** (n + 1) * k, E ** n * k) % m
@@ -557,7 +567,7 @@ class _CoreCohomology(Holder):
         unscaled) along its last axis."""
         M = self.module
         G, k = M.group, M.rank
-        d = np.array(M.invariant_factors, dtype=np.int64)
+        d = M.factors
         moved = np.einsum("gab,jbs->jgas", M.matrices, w) % d[:, None]
         values = np.einsum("ujg,jgas->sua", self.resolution.psis[deg], moved) % d
         tables = np.zeros((w.shape[2], G.order ** deg, k), dtype=np.int64)
@@ -580,7 +590,7 @@ class _CoreCohomology(Holder):
         """The cocycle w_s lifted from each unit class coordinate s, unscaled,
         pushed along Psi."""
         M, m, n, k = self.module, self.m, self.degree, self.module.rank
-        d = np.array(M.invariant_factors, dtype=np.int64)
+        d = M.factors
         t = len(self.cok.factors)
         coeffs = np.array([self.cok.lift(u) for u in np.eye(t, dtype=np.int64)],
                           dtype=np.int64).reshape(t, self.cocycle_gens.shape[1])
@@ -610,10 +620,10 @@ class _CoreCohomology(Holder):
 
 def _compute_core(module: GModule, n: int) -> _CoreCohomology:
     G, k, m = module.group, module.rank, module.exponent
-    d = np.array(module.invariant_factors, dtype=np.int64)
+    d = module.factors
     F = free_resolution(G, m)
     F.extend(n + 1)
-    tilde = _tilde_matrix(module.matrices, d, d, m)
+    tilde = _tilde_matrix(module)
 
     def coboundary_matrix(deg):
         # (delta w)(e_j) = w(d e_j) = sum_(i, g) d(e_j)[i, g] g.w(e_i)
@@ -700,9 +710,7 @@ class CohomologyGroup:
         return self._core.class_vectors(tables)
 
     def generator(self, index: int) -> Cochain:
-        coords = [0] * len(self.invariant_factors)
-        coords[index] = 1
-        return self.lift(coords)
+        return self.lift(np.eye(len(self.invariant_factors), dtype=np.int64)[index])
 
     def lift(self, coords) -> Cochain:
         if self.module.rank == 0:
@@ -719,14 +727,10 @@ class CohomologyGroup:
 
     def all_classes(self):
         """All coordinate tuples, lexicographic."""
-        ranges = [range(f) for f in self.invariant_factors]
-        yield from itertools.product(*ranges)
+        yield from itertools.product(*map(range, self.invariant_factors))
 
     def class_order(self, coords) -> int:
-        k = 1
-        while any((c * k) % f for c, f in zip(coords, self.invariant_factors)):
-            k += 1
-        return k
+        return lcm(*(f // gcd(c, f) for c, f in zip(coords, self.invariant_factors)))
 
 
 MAX_DEGREE = 4
@@ -762,21 +766,26 @@ def cohomology(G: FiniteGroup, M: GModule, n: int) -> CohomologyGroup:
         _check_budget(f"Psi_{n}", (G.order - 1) ** n, G.order, m)
         core = _compute_core(M, n)
         return CohomologyGroup(G, M, n, core.invariant_factors, _core=core)
-    return held(M.group, ("cohomology", n, M.invariant_factors, M.action), build)
+    return held(M.group, ("cohomology", n, M.invariant_factors, M.matrices.tobytes()), build)
 
 
 # ---------------------------------------------------------------------------
 # functoriality
 
-@dataclass(frozen=True)
-class ModuleMap:
+@dataclass(frozen=True, eq=False)
+class ModuleMap(_ByEntries, Holder):
     """mu: M -> M' over a group map phi: G' -> G, with
-    mu(phi(g') . m) = g' . mu(m)."""
+    mu(phi(g') . m) = g' . mu(m).  ``matrix``, given as an array or a nested
+    sequence, is held as one read-only int64 array, of shape (k', k) when valid."""
 
     group_map: GroupHom
     source: GModule
     target: GModule
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        hold_arrays(self, matrix=_as_table(self.matrix, (self.target.rank, self.source.rank),
+                                           "module map matrix"))
 
     def validate(self) -> None:
         phi = self.group_map
@@ -784,11 +793,10 @@ class ModuleMap:
             raise CohomologyError("source module must live over the map's target group")
         if not same_group(self.target.group, phi.source):
             raise CohomologyError("target module must live over the map's source group")
-        kd, ks = self.target.rank, self.source.rank
-        mat = self.matrix
-        if len(mat) != kd or any(len(r) != ks for r in mat):
-            raise CohomologyError("module map matrix has wrong shape")
-        mu, rows = np.array(mat, dtype=np.int64).reshape(kd, ks), self.target.factors[:, None]
+        mu, rows = self.matrix, self.target.factors[:, None]
+        if mu.shape != (self.target.rank, self.source.rank):
+            raise CohomologyError(f"module map matrix has wrong shape {mu.shape}, "
+                                  f"not {(self.target.rank, self.source.rank)}")
         if ((mu * self.source.factors) % rows).any():
             raise CohomologyError("module map not well defined")
         # mu(phi(g') . m) = g' . mu(m), row i taken mod the target's d_i
@@ -798,18 +806,10 @@ class ModuleMap:
 
 def pullback_cochain(mm: ModuleMap, z: Cochain) -> Cochain:
     """z'(g'_1..g'_n) = mu(z(phi g'_1, ..., phi g'_n))."""
-    phi = mm.group_map
-    n = z.degree
-    Gp = phi.source
-    kd = mm.target.rank
-    out = np.zeros((Gp.order,) * n + (kd,), dtype=np.int64)
-    if kd and mm.source.rank:
-        mu = np.array(mm.matrix, dtype=np.int64)
-        src = z.table[np.ix_(*[np.array(phi.images, dtype=np.int64)] * n)]
-        out = np.einsum("ij,...j->...i", mu, src)
-    c = Cochain(mm.target, n, out)
+    phi, n = mm.group_map, z.degree
+    c = Cochain(mm.target, n, z.table[np.ix_(*[np.array(phi.images)] * n)] @ mm.matrix.T)
     for axis in range(n):
-        np.moveaxis(c.table, axis, 0)[Gp.identity] = 0
+        np.moveaxis(c.table, axis, 0)[phi.source.identity] = 0
     return c
 
 
@@ -842,11 +842,9 @@ def map_on_classes(mm: ModuleMap, source_h: CohomologyGroup,
 
 def inclusion_module_map(phi: GroupHom, M: GModule) -> ModuleMap:
     """Restrict the module along phi with mu = identity (restriction maps)."""
-    k = M.rank
-    restricted = GModule(phi.source, M.invariant_factors,
-                         tuple(M.action[phi(g)] for g in range(phi.source.order)))
-    eye = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    return ModuleMap(group_map=phi, source=M, target=restricted, matrix=eye)
+    restricted = GModule(phi.source, M.invariant_factors, M.matrices[list(phi.images)])
+    return ModuleMap(group_map=phi, source=M, target=restricted,
+                     matrix=np.eye(M.rank, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -856,12 +854,11 @@ def cyclic_unit_module(s: int, ell: int, unit: int = 1) -> GModule:
     """Z/ell as a C_s-module where the canonical generator acts by ``unit``."""
     G = cyclic(s)
     if ell == 1:
-        return GModule(G, (), tuple(() for _ in range(s)))
+        return GModule(G, (), np.zeros((s, 0, 0), dtype=np.int64))
     unit %= ell
     if pow(unit, s, ell) != 1 % ell:
         raise CohomologyError("unit^s must be 1 mod ell")
-    acts = tuple(((pow(unit, a, ell),),) for a in range(s))
-    return GModule(G, (ell,), acts)
+    return GModule(G, (ell,), np.reshape([pow(unit, a, ell) for a in range(s)], (s, 1, 1)))
 
 
 def cyclic_reference_generator(s: int, ell: int, unit: int = 1) -> Cochain:
@@ -875,18 +872,13 @@ def cyclic_reference_generator(s: int, ell: int, unit: int = 1) -> Cochain:
     order gcd(ell, s).
     """
     M = cyclic_unit_module(s, ell, unit)
-    if ell == 1:
+    alpha = cyclic_h3_values(M)[0]
+    if not alpha:
         return zero_cochain(M, 3)
-    u = unit % ell
-    norm = sum(pow(u, i, ell) for i in range(s)) % ell
-    alpha = ell // gcd(norm, ell)
-    if alpha == ell:
-        return zero_cochain(M, 3)
-    geo = [0] * s  # geo[a] = 1 + u + ... + u^(a-1)
-    for a in range(1, s):
-        geo[a] = (geo[a - 1] + pow(u, a - 1, ell)) % ell
+    # geo[a] = 1 + u + ... + u^(a-1)
+    geo = np.cumsum([0] + [pow(unit % ell, a, ell) for a in range(s - 1)]) % ell
     carry = np.add.outer(np.arange(s), np.arange(s)) >= s    # [b, c]: b + c >= s
-    table = (alpha * np.array(geo))[:, None, None, None] * carry[None, :, :, None] % ell
+    table = (alpha * geo)[:, None, None, None] * carry[None, :, :, None] % ell
     return Cochain(M, 3, table)
 
 
@@ -912,7 +904,7 @@ def cyclic_h3_values(module: GModule) -> tuple[int, int]:
     ell = module.invariant_factors[0] if module.rank else 1
     if ell == 1:
         return 0, 1
-    u = int(module.action[1 % s][0][0]) % ell if s > 1 else 1
+    u = int(module.matrices[1 % s, 0, 0]) % ell
     norm = sum(pow(u, i, ell) for i in range(s)) % ell
     alpha = ell // gcd(norm, ell)
     g1 = gcd(u - 1, ell)

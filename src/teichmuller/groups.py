@@ -52,7 +52,9 @@ def _generating_set(u: np.ndarray, ident: int) -> np.ndarray:
 
 
 def _tuple_view(arr: np.ndarray) -> tuple:
-    """arr as (nested) tuples of ints: a view for readers outside the package."""
+    """arr as tuples of ints nested one level per axis: a view for readers outside the package."""
+    if arr.ndim > 2:
+        return tuple(map(_tuple_view, arr))
     return tuple(map(tuple, arr.tolist())) if arr.ndim > 1 else tuple(arr.tolist())
 
 
@@ -79,8 +81,8 @@ class FiniteGroup(_ByEntries, Holder):
     The read-only int64 arrays ``table`` and ``inverse`` are its only tables,
     ``gens`` the generators that the table checks run on; ``_held`` keeps derived
     data (``modlinalg.held``): the tuple views ``mul`` and ``inv``, for readers
-    outside the package, the ``abelian_structure`` of an abelian group and its
-    ``coordinate_array``, and per modulus and degree the free resolution, the
+    outside the package, the ``abelian_presentation`` of an abelian group and its
+    views (``abelian_structure``), and per modulus and degree the free resolution, the
     bar-coboundary index grids and H^n of each module content
     (``gmod_cohomology``).  Equality and hashing read ``table``; the pickle, the views.
     """
@@ -488,21 +490,18 @@ def fiber_product(f: GroupHom, g: GroupHom) -> tuple[FiniteGroup, GroupHom, Grou
     return P, GroupHom(P, A, tuple(a.tolist())), GroupHom(P, B, tuple(b.tolist()))
 
 
-def mixed_radix_decode(i: int, factors: Sequence[int]) -> tuple[int, ...]:
-    """Digits of the index i in prod Z/factors, the last digit varying fastest."""
-    out = []
-    for d in reversed(factors):
-        out.append(i % d)
-        i //= d
-    return tuple(reversed(out))
+def mixed_radix_decode(i, factors) -> np.ndarray:
+    """Digits in prod Z/factors of the index i, or of each index of an array i,
+    on a last axis, the last digit varying fastest."""
+    d = np.array(factors, dtype=np.int64)
+    return np.asarray(i, dtype=np.int64)[..., None] // (np.prod(d) // np.cumprod(d)) % d
 
 
-def mixed_radix_encode(v: Sequence[int], factors: Sequence[int]) -> int:
-    """Index of the digit vector v (reduced mod factors); inverse of the decode."""
-    i = 0
-    for x, d in zip(v, factors):
-        i = i * d + (x % d)
-    return i
+def mixed_radix_encode(v, factors):
+    """Index of the digit vector v (reduced mod factors), or of each on the last
+    axis of an array v; inverse of the decode."""
+    d = np.array(factors, dtype=np.int64)
+    return np.asarray(v, dtype=np.int64) % d @ (np.prod(d) // np.cumprod(d))
 
 
 def abelian_group_from_factors(factors: Sequence[int]) -> FiniteGroup:
@@ -510,71 +509,79 @@ def abelian_group_from_factors(factors: Sequence[int]) -> FiniteGroup:
     factors = [int(d) for d in factors]
     n = prod(factors)
     check_cells(f"a group table of order {n}", n * n)
-    digits = [mixed_radix_decode(i, factors) for i in range(n)]
-    mul = [[mixed_radix_encode([a + b for a, b in zip(x, y)], factors) for y in digits]
-           for x in digits]
-    labels = ["+".join(f"{x}" for x in v) for v in digits] if factors else ["0"]
+    digits = mixed_radix_decode(np.arange(n), factors)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for a, d in zip(digits.T, factors):  # Horner's rule, one digit at a time
+        mul = mul * d + (a[:, None] + a) % d
+    labels = ["+".join(map(str, v)) for v in digits.tolist()] if factors else ["0"]
     return FiniteGroup.from_table(mul, labels=labels)
 
 
-def abelian_structure(M: FiniteGroup):
-    """Invariant-factor presentation of an abelian table group.
-
-    Returns (invariant_factors, elem_to_coords, coords_to_elem): coordinates
-    are tuples in prod Z/d_i, additive for the group law; elem_to_coords is a
-    tuple over M and coords_to_elem a dict.  The presentation is computed
-    once and held by M, so every caller shares it and none may write into it.
-    """
-    return held(M, "abelian_structure", lambda: _present(M))
+def abelian_presentation(M: FiniteGroup) -> tuple:
+    """Invariant-factor presentation of an abelian table group, computed once
+    and held by M: (invariant_factors, coords, lookup, strides).  The read-only
+    int64 arrays are the primary form: row e of coords, of shape (|M|, k),
+    holds the coordinates in prod Z/d_i of element e, additive for the group
+    law, and lookup the element at each mixed-radix index coords @ strides."""
+    return held(M, "presentation", lambda: _present(M))
 
 
 def coordinate_array(M: FiniteGroup) -> np.ndarray:
-    """elem_to_coords of ``abelian_structure(M)`` as one read-only (|M|, k)
-    int64 array, held by M; it reads the held presentation directly, so
-    building it makes no further ``abelian_structure`` call."""
+    """The primary form of M's coordinates: the read-only (|M|, k) array of
+    ``abelian_presentation(M)``, one row per element."""
+    return abelian_presentation(M)[1]
+
+
+def coordinate_elements(M: FiniteGroup, coords) -> np.ndarray:
+    """The elements of M at reduced coordinate vectors, on the last axis of
+    coords: the inverse of ``coordinate_array``."""
+    _, _, lookup, strides = abelian_presentation(M)
+    return lookup[np.asarray(coords, dtype=np.int64) @ strides]
+
+
+def abelian_structure(M: FiniteGroup):
+    """``abelian_presentation(M)`` as views for readers outside the package,
+    held by M: (invariant_factors, elem_to_coords, coords_to_elem), with
+    elem_to_coords a tuple over M of coordinate tuples and coords_to_elem a
+    dict.  None may write into them."""
     def build():
-        return np.array(held(M, "abelian_structure", lambda: _present(M))[1], dtype=np.int64)
-    return held(M, "coordinate_array", build)
+        elem_to_coords = _tuple_view(coordinate_array(M))
+        return abelian_presentation(M)[0], elem_to_coords, {c: e for e, c in enumerate(elem_to_coords)}
+    return held(M, "abelian_structure", build)
 
 
 def _present(M: FiniteGroup):
     if not M.is_abelian():
-        raise GroupError("abelian_structure needs an abelian group")
-    gens, mul = M.minimal_generators(), M.table.tolist()
+        raise GroupError("abelian_presentation needs an abelian group")
+    gens = M.minimal_generators()
     g = len(gens)
-    # exponent vectors: build the subgroup chain, recording how each element
-    # is written in the generators
-    expo = {M.identity: tuple([0] * g)}
-    relations = []
+    # the span of the first j generators, each element's exponent vector in
+    # them, and a mask of the span
+    span, expo, relations = np.array([M.identity]), np.zeros((1, g), dtype=np.int64), []
+    inside = np.zeros(M.order, dtype=bool)
     for j, gen in enumerate(gens):
-        # minimal k with gen^k in the previous span
-        k = 1
-        x = gen
-        while x not in expo:
-            k += 1
-            x = mul[x][gen]
-        rel = [-e for e in expo[x]]
-        rel[j] = k
-        relations.append(tuple(rel))
-        # extend the span by powers of gen
-        current = list(expo.items())
-        x = M.identity
-        for e in range(1, k):
-            x = mul[x][gen]
-            for elem, vec in current:
-                nv = list(vec)
-                nv[j] = e
-                expo[mul[elem][x]] = tuple(nv)
-    if len(expo) != M.order:
+        inside[span] = True
+        powers = [M.identity]  # gen^e for e < k, k least with gen^k in the span
+        while not inside[x := M.table[powers[-1], gen]]:
+            powers.append(x)
+        relations.append(-expo[np.flatnonzero(span == x)[0]])
+        relations[-1][j] = len(powers)
+        span = M.table[span[:, None], powers].ravel()
+        expo = np.repeat(expo, len(powers), axis=0)
+        expo[:, j] = np.arange(len(expo)) % len(powers)
+    if len(span) != M.order:
         raise GroupError("generator closure failed (group not abelian?)")
+    exponents = np.empty_like(expo)
+    exponents[span] = expo
     # one relator per column, and one exponent vector per column
     pres = abelian_quotient(np.array(relations, dtype=np.int64).reshape(g, g).T, M.order)
-    exponents = np.array([expo[e] for e in range(M.order)], dtype=np.int64).reshape(M.order, g)
-    elem_to_coords = _tuple_view(pres.coords(exponents.T).T)
-    coords_to_elem = {c: e for e, c in enumerate(elem_to_coords)}
-    if len(coords_to_elem) != M.order:
+    coords = pres.coords(exponents.T).T
+    strides = mixed_radix_encode(np.eye(len(pres.factors), dtype=np.int64), pres.factors)
+    lookup = np.full(prod(pres.factors), -1)
+    lookup[coords @ strides] = np.arange(M.order)
+    if len(lookup) != M.order or (lookup < 0).any():
         raise GroupError("presentation does not separate elements")
-    return pres.factors, elem_to_coords, coords_to_elem
+    return pres.factors, coords, lookup, strides
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,14 @@ from typing import Optional
 import numpy as np
 
 from .crossed import obstruction_cocycle
-from .groups import FiniteGroup, GroupExtension, GroupHom, coordinate_array
+from .groups import (FiniteGroup, GroupExtension, GroupHom, abelian_structure, coordinate_array,
+                     coordinate_elements)
 from .gmod_cohomology import Cochain, GModule, gmodule_of_action
 from .finrings import (
     Algebra,
     FinCommRing,
     UnitsGroup,
-    center_submodule,
+    center_diag,
     diagonalize_mod,
     find_conjugator,
     fixed_subring,
@@ -200,15 +201,22 @@ class OutRep(Holder):
                 raise NormalStructureError(f"lift {q} is not invertible")
             if not np.array_equal((w @ emb) % m, (emb @ self.base_action.matrices[q]) % m):
                 raise NormalStructureError(f"lift {q} has the wrong grade on S")
-        center, base = submodule_size(center_submodule(A), m), A.base_diag.image_size()
-        if center > base:
-            raise NormalStructureError(f"A is not central: its center has {center} elements, "
-                                       f"the image of the base {base}")
+        _check_central(A)
         # w_1 = 1, so a defect at p = 1 or q = 1 is 1, inner
         self.factor_set(seed)
 
     def is_equivariant(self) -> bool:
         return first_nonmultiplicative_pair(self.lifts, self.Q, self.A.modulus) is None
+
+
+def _check_central(A: Algebra) -> None:
+    """NormalStructureError unless A is central, from the sizes of its center
+    and of the image of its base, held by A."""
+    center, base = held(A, "center_sizes", lambda: (center_diag(A).kernel_size(),
+                                                    A.base_diag.image_size()))
+    if center > base:
+        raise NormalStructureError(f"A is not central: its center has {center} elements, "
+                                   f"the image of the base {base}")
 
 
 def equivariant_rep(base_action: BaseAction, A: Algebra, lifts, name: str = "") -> OutRep:
@@ -225,18 +233,22 @@ def equivariant_rep(base_action: BaseAction, A: Algebra, lifts, name: str = "") 
 
 @dataclass(frozen=True)
 class UnitModule:
-    """U(S) in invariant-factor coordinates with the Q-action from kappa."""
+    """U(S) in the invariant-factor coordinates of its unit group, with the
+    Q-action from kappa; ``elem_to_coords`` is a view for readers outside the package."""
 
     units: UnitsGroup
     module: GModule
-    elem_to_coords: tuple
-    coords_to_elem: dict
+
+    @property
+    def elem_to_coords(self) -> tuple:
+        return abelian_structure(self.units.group)[1]
 
     def coords_of_unit_vec(self, vec) -> tuple[int, ...]:
-        return self.elem_to_coords[self.units.index_of(vec)]
+        return tuple(coordinate_array(self.units.group)[self.units.index_of(vec)].tolist())
 
     def unit_vec_of_coords(self, coords) -> np.ndarray:
-        return self.units.elements[self.coords_to_elem[tuple(coords)]]
+        """The unit at reduced coordinates, or at each such vector on the last axis of coords."""
+        return self.units.elements[coordinate_elements(self.units.group, coords)]
 
 
 def unit_module(base_action: BaseAction) -> UnitModule:
@@ -245,10 +257,7 @@ def unit_module(base_action: BaseAction) -> UnitModule:
         units = units_group(base_action.S)
         # acted[q, u]: the index of kappa(q) applied to unit u
         acted = units.index_of(np.einsum("qab,ub->qua", base_action.matrices, units.elements))
-        module, e2c, c2e = gmodule_of_action(base_action.Q, units.group,
-                                             lambda q, u: acted[q, u])
-        return UnitModule(units=units, module=module, elem_to_coords=tuple(e2c),
-                          coords_to_elem=c2e)
+        return UnitModule(units=units, module=gmodule_of_action(base_action.Q, units.group, acted))
     return held(base_action, "unit_module", build)
 
 
@@ -272,9 +281,10 @@ def teichmuller_cocycle(rep: OutRep, seed: int = 0,
 
         xi(p,q,r) = f(p,q) f(pq,r) ( w_p(f(q,r)) f(p,qr) )^{-1}
 
-    read in U(S) through the base embedding.  Raises when some defect is not
-    inner ("not Q-normal").
+    read in U(S) through the base embedding.  Raises, as ``OutRep.validate``
+    does, when A is not central or some defect is not inner ("not Q-normal").
     """
+    _check_central(rep.A)
     if unit_mod is None:
         unit_mod = unit_module(rep.base_action)
     f, f_inv = rep.factor_set(seed)
@@ -662,8 +672,7 @@ def splitting_from_coboundary(witness: TeichWitness, c: Cochain):
     A, um, nq = rep.A, witness.unit_mod, rep.Q.order
     m = A.modulus
     # gamma(p, q): the unit of S with coordinates c(p, q), embedded in A
-    coords = c.table.reshape(nq * nq, um.module.rank).tolist()
-    gamma = np.array([um.unit_vec_of_coords(x) for x in coords]) @ A.base_embedding().T % m
+    gamma = um.unit_vec_of_coords(c.table.reshape(nq * nq, um.module.rank)) @ A.base_embedding().T % m
     phi_units = np.einsum("xa,xb,abc->xc", np.reshape(witness.f, (nq * nq, -1)), gamma,
                           A.flat_tensor) % m
     return _twisted_unit_extension(rep, phi_units=phi_units.reshape(nq, nq, -1))

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from teichmuller.crossed_pairs import Ambient
 from teichmuller.groups import (
     FiniteGroup,
+    GroupExtension,
     GroupHom,
     abelian_group_from_factors,
     cyclic,
     direct_product,
     metacyclic,
     quaternion_table,
+    trivial_action,
 )
 from teichmuller.modlinalg import diagonalize_mod
 from teichmuller.gmod_cohomology import (
@@ -360,10 +363,22 @@ def test_resolution_budget_is_checked_before_each_elimination(monkeypatch):
 
 
 def test_cohomology_is_held_per_degree_and_module_content(monkeypatch):
-    G = cyclic(2)
-    M, twin = trivial_gmodule(G, [4]), trivial_gmodule(G, [4])
+    # Z/4 under the trivial C_2 = N of Klein >-> C_2, from three builders:
+    # equal content, so one H^2 and one _compute_core
+    klein, C2 = direct_product(cyclic(2), cyclic(2)), cyclic(2)
+    ext = GroupExtension(GroupHom.checked(C2, klein, (0, 2)),
+                         GroupHom.checked(klein, C2, (0, 1, 0, 1)))
+    amb = Ambient(ext=ext, Mgrp=cyclic(4), action=trivial_action(klein, cyclic(4)))
+    G, cores, real = C2, [], gmod_cohomology._compute_core
+    monkeypatch.setattr(gmod_cohomology, "_compute_core",
+                        lambda *args: cores.append(args) or real(*args))
+    M = trivial_gmodule(G, [4])
     H = cohomology(G, M, 2)
-    assert twin is not M and cohomology(G, twin, 2) is H
+    for twin in (trivial_gmodule(G, [4]), GModule(G, (4,), (((1,),), ((1,),))),
+                 amb.restricted_gmodule(amb.ext.kernel_hom)[0]):
+        assert twin is not M and twin == M and hash(twin) == hash(M)
+        assert cohomology(G, twin, 2) is H
+    assert len(cores) == 1
     assert cohomology(G, M, 3) is not H
     assert cohomology(G, negation_module(G, 4), 2) is not H
     # a refused build holds nothing, and a later admitted one is held
@@ -573,6 +588,21 @@ def test_module_validate_names_the_failing_pair():
     bad = GModule(G, (5,), (((1,),), ((2,),), ((2,),), ((3,),)))
     with pytest.raises(CohomologyError, match=r"action is not a homomorphism at \(1, 1\)"):
         bad.validate()
+
+
+def test_a_wrong_shaped_table_is_refused_with_both_shapes():
+    G = cyclic(2)
+    with pytest.raises(CohomologyError, match=r"action must have shape \(2, 1, 1\), not \(2, 1, 2\)"):
+        GModule(G, (4,), (((1, 0),), ((3, 0),)))
+    with pytest.raises(CohomologyError, match=r"action must have shape \(2, 1, 1\), not a ragged"):
+        GModule(G, (4,), (((1,),), ((3, 0),)))
+    with pytest.raises(CohomologyError, match="need one action matrix per group element"):
+        GModule(G, (4,), (((1,),),))
+    M = trivial_gmodule(G, [4])
+    with pytest.raises(CohomologyError, match=r"matrix has wrong shape \(1, 2\), not \(1, 1\)"):
+        ModuleMap(GroupHom(G, G, (0, 1)), M, M, ((1, 0),)).validate()
+    with pytest.raises(CohomologyError, match=r"matrix must have shape \(1, 1\), not a ragged"):
+        ModuleMap(GroupHom(G, G, (0, 1)), M, M, ((1,), (2, 3)))
 
 
 def test_a_singular_action_is_refused_as_not_a_homomorphism():

@@ -106,12 +106,22 @@ def tuple_table_uses(sources: dict) -> list[str]:
     ``.mul`` or ``.inv`` other than as a method call (rings and algebras have
     ``mul`` and ``inv`` methods), ``.table`` of an action (an expression whose
     name ends in ``action``, or ``self`` in ``GroupAction``), or builds
-    ``tuple(map(tuple, ...))`` outside ``_tuple_view``, the builder of the views."""
+    ``tuple(map(tuple, ...))`` or ``tuple(tuple(...) for ...)`` from generators
+    (a table built element by element) outside ``_tuple_view``, the builder of
+    the views."""
     found = []
 
     def name(node) -> str:
         node = node.func if isinstance(node, ast.Call) else node
         return getattr(node, "id", getattr(node, "attr", ""))
+
+    def tuple_of(node, inner) -> bool:
+        """node is tuple(...) called on one argument that satisfies inner."""
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple" and len(node.args) == 1 and inner(node.args[0]))
+
+    def generator(node) -> bool:
+        return isinstance(node, ast.GeneratorExp)
 
     def visit(module, node, cls, func):
         for child in ast.iter_child_nodes(node):
@@ -126,6 +136,9 @@ def tuple_table_uses(sources: dict) -> list[str]:
                   and name(child.args[0]) == "map" and child.args[0].args
                   and name(child.args[0].args[0]) == "tuple" and func != "_tuple_view"):
                 found.append(f"{module}:{child.lineno} tuple(map(tuple")
+            elif func != "_tuple_view" and tuple_of(child, lambda arg: generator(arg) and tuple_of(
+                    arg.elt, generator)):
+                found.append(f"{module}:{child.lineno} tuple(tuple(")
             if called is not None and isinstance(called, ast.Attribute) and called.attr in ("mul", "inv"):
                 # a method call: skip the attribute, visit its receiver and arguments
                 for part in [called.value, *child.args, *(k.value for k in child.keywords)]:
@@ -154,10 +167,13 @@ def test_scan_flags_a_tuple_table():
                      "    def act(self, g, x):\n"
                      "        return self.table[g][x]\n\n\n"
                      "def _tuple_view(arr):\n"
-                     "    return tuple(map(tuple, arr.tolist()))\n")}
+                     "    return tuple(map(tuple, arr)), tuple(tuple(x for x in r) for r in arr)\n\n\n"
+                     "def rows(f, k, n):\n"
+                     "    eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))\n"
+                     "    return eye, tuple(tuple(row) for row in f), tuple(tuple(x for x in n))\n")}
     assert tuple_table_uses(sources) == [
-        "a:10 .table", "a:2 .inv", "a:2 .mul", "a:3 .table", "a:3 .table", "a:4 .inv",
-        "a:5 tuple(map(tuple"]
+        "a:10 .table", "a:18 tuple(tuple(", "a:2 .inv", "a:2 .mul", "a:3 .table", "a:3 .table",
+        "a:4 .inv", "a:5 tuple(map(tuple"]
 
 
 # parameter names that would bound the size of a step beside the cell budget

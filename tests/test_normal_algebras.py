@@ -84,15 +84,18 @@ def test_equivariant_reps_validate():
 
 
 def test_a_non_central_algebra_is_refused_with_both_sizes():
+    """By ``OutRep.validate`` and by ``teichmuller_cocycle``, which reads the
+    same check, held by the algebra."""
     # F_9 as an F_3-algebra: its center, all of F_9, is larger than the base,
     # so trivial C_2 lifts are no Q-normal structure on a central algebra
     T, S = gf(3, 2), gf(3, 1)
     A, _ = commutative_ring_as_algebra_over(T, S, T.one().reshape(-1, 1))
     eye = np.eye(A.flat_rank, dtype=np.int64)
     rep = OutRep(base_action=trivial_base_action(cyclic(2), S), A=A, lifts=[eye, eye])
-    with pytest.raises(NormalStructureError, match="not central: its center has 9 elements, "
-                                                   "the image of the base 3"):
-        rep.validate()
+    for refuse in (rep.validate, lambda: teichmuller_cocycle(rep)):
+        with pytest.raises(NormalStructureError, match="not central: its center has 9 elements, "
+                                                       "the image of the base 3"):
+            refuse()
 
 
 def test_teichmuller_of_equivariant_is_zero():
