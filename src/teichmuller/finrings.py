@@ -29,6 +29,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .modlinalg import (
+    CELL_BUDGET,
     Holder,
     ModDiagonalization,
     check_cells,
@@ -676,10 +677,18 @@ def _enumerate_units(A: "Algebra") -> UnitsGroup:
     """The units group of A."""
     m = A.modulus
     U = np.array([x for x in A.elements() if A.is_unit(x)], dtype=np.int64).reshape(-1, A.flat_rank)
+    n, r = U.shape
     lookup = np.full(A.size, -1)
-    lookup[_codes(U, m)] = np.arange(len(U))
-    # every product in one batch, looked up by code (-1, refused, off the units)
-    mul = lookup[_codes(np.einsum("ia,jb,abc->ijc", U, U, A.flat_tensor), m)]
+    lookup[_codes(U, m)] = np.arange(n)
+    # every product, looked up by code (-1, refused, off the units), in row
+    # chunks whose (rows, n, r) products hold at most CELL_BUDGET cells: the
+    # left factors times the tensor, reduced, then the right factors
+    T = A.flat_tensor.reshape(r, r * r)
+    step = max(1, CELL_BUDGET // (n * r))
+    mul = np.empty((n, n), dtype=np.int64)
+    for i in range(0, n, step):
+        left = (U[i:i + step] @ T).reshape(-1, r, r) % m
+        mul[i:i + step] = lookup[_codes(U @ left, m)]
     G = FiniteGroup.from_table(mul)
     return UnitsGroup(group=G, modulus=m, elements=U, lookup=lookup)
 

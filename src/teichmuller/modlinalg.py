@@ -8,10 +8,11 @@ matrices are int64 numpy arrays with entries reduced into [0, m).
 The elimination in ``diagonalize_mod`` scans the active block once per pivot
 (an argmin over a narrow gcd array) and updates only the rows and columns the
 pivot changes, so a sparse system costs about its nonzeros plus that scan.
-Blocks up to 20 x 20 take the same steps on Python ints, where a numpy call
-costs more than its arithmetic.  Dot products of r-term vectors reach
-r * (m - 1)^2, so ``diagonalize_mod`` refuses m with max(rows, cols) *
-(m - 1)^2 >= 2^63 before any work.
+Blocks up to 20 x 20 (``SMALL_CELLS``) take the same steps on Python ints,
+where a numpy call costs more than its arithmetic, and so does the F_p walk
+of ``pivot_columns_mod_p`` up to ``SMALL_CELLS`` cells.  Dot products of
+r-term vectors reach r * (m - 1)^2, so ``diagonalize_mod`` refuses m with
+max(rows, cols) * (m - 1)^2 >= 2^63 before any work.
 
 Solving runs all right-hand sides of one system at once.  The one
 elimination over a prime field F_p, ``pivot_columns_mod_p``, decides
@@ -44,7 +45,7 @@ from math import gcd, prod
 import numpy as np
 
 # diagonalize_mod eliminates on Python ints when A, U and V each have at most
-# this many cells
+# this many cells, and pivot_columns_mod_p when A has at most this many
 SMALL_CELLS = 400
 
 # cells of any one table, matrix or enumeration a step builds or eliminates
@@ -151,9 +152,9 @@ class ModDiagonalization:
         # (U A V)[i, i] = row_divisors[i]: U b lies in the image of the
         # diagonal exactly when each entry i is a multiple of it (m past the
         # diagonal)
-        g = np.full(self.rows, self.m, dtype=np.int64)
-        g[:len(self.d)] = np.gcd(self.d, self.m)
-        self.row_divisors = g
+        m = self.m
+        self.row_divisors = np.array([gcd(x, m) for x in self.d.tolist()]
+                                     + [m] * (self.rows - len(self.d)), dtype=np.int64)
 
     def solve(self, b: np.ndarray):
         """One x with A x = b (mod m), or None; for a 2-D b, one column of x
@@ -218,8 +219,9 @@ def diagonalize_mod(A, m: int, want_inverses: bool = False,
     recomputes gcds only there.  That is about 25 numpy calls a pivot, so
     when A, U and V each have at most ``SMALL_CELLS`` cells the same steps
     run on Python ints, with the same d, U, V and U^-1.  On a 2 vCPU Xeon
-    the Python loop wins up to about 16 x 16 dense and 24 x 24 sparse, and
-    numpy from 32 x 32 and on tall blocks from about 24 x 1.  Raises
+    the Python loop wins on every square block up to 40 x 40 dense over
+    Z/9 and 48 x 48 over Z/2 or sparse, so the crossover is past
+    ``SMALL_CELLS``; on tall blocks numpy catches up from about 24 x 1.  Raises
     ValueError when max(rows, cols) * (m - 1)^2 >= 2^63, which bounds the
     int64 dot products here, in ``solve`` and in ``inverse_mod``.
     """
@@ -307,10 +309,12 @@ def _diagonalize_arrays(A: np.ndarray, m: int, want_inverses: bool,
                               U_inv=Ui % m if Ui is not None else None)
 
 
-def _sub(row: list, c: int, line, m: int) -> None:
-    """row[j] -= c * x (mod m) for each (j, x) in line."""
-    for j, x in line:
-        row[j] = (row[j] - c * x) % m
+def _eye(n: int, m: int) -> list:
+    """The n x n identity over Z/m as lists of Python ints."""
+    eye = [[0] * n for _ in range(n)]
+    for i in range(n):
+        eye[i][i] = 1 % m
+    return eye
 
 
 def _diagonalize_lists(A: np.ndarray, m: int, want_inverses: bool,
@@ -319,67 +323,97 @@ def _diagonalize_lists(A: np.ndarray, m: int, want_inverses: bool,
     U^-1 are held transposed, so that every operation on a transform is one
     on its rows, and each clear runs over the nonzeros of the pivot's lines."""
     rows, cols = A.shape
-    shapes = ((rows, want_U), (cols, True), (rows, want_inverses and want_U))
-    if not A.any():  # no pivot: every transform stays the identity
-        U, V, Ui = (np.eye(n, dtype=np.int64) % m if keep else None for n, keep in shapes)
-        return ModDiagonalization(m=m, rows=rows, cols=cols, U=U, V=V, U_inv=Ui,
-                                  d=np.full(min(rows, cols), m, dtype=np.int64))
     a = A.tolist()
-    U, Vt, Uit = ([[1 % m if i == j else 0 for j in range(n)] for i in range(n)] if keep else None
-                  for n, keep in shapes)
+    U = _eye(rows, m) if want_U else None
+    Vt = _eye(cols, m)
+    Uit = _eye(rows, m) if want_inverses and want_U else None
     t, limit = 0, min(rows, cols)
     while t < limit:
-        # least gcd with m, then row-major position; zero entries never qualify
-        pivot = min(((gcd(x, m), i, j) for i in range(t, rows)
-                     for j, x in enumerate(a[i][t:], t) if x), default=None)
-        if pivot is None:
+        # least gcd with m, then row-major position, over the nonzero entries
+        # (each has gcd < m)
+        g, p, q = m, -1, -1
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                if row[j] and (h := gcd(row[j], m)) < g:
+                    g, p, q = h, i, j
+                    if g == 1:
+                        break
+            if g == 1:
+                break
+        if p < 0:
             break
-        _, p, q = pivot
-        for T, k in ((a, p), (U, p), (Uit, p), (Vt, q)):
-            if T is not None:
-                T[t], T[k] = T[k], T[t]
-        for row in a if q != t else ():
-            row[t], row[q] = row[q], row[t]
-        u = unit_multiplier(a[t][t], m)
-        for T, w in ((a, u), (U, u), (Uit, pow(u, -1, m))) if u != 1 else ():
-            if T is not None:
-                T[t] = [x * w % m for x in T[t]]
-        piv, g = a[t], a[t][t]
-        # clear column t below by row operations, then row t to the right by
-        # column operations
-        lines = [(T, [(j, x) for j, x in enumerate(T[t]) if x]) for T in (a, U) if T is not None]
+        if p != t:
+            a[t], a[p] = a[p], a[t]
+            if U is not None:
+                U[t], U[p] = U[p], U[t]
+            if Uit is not None:
+                Uit[t], Uit[p] = Uit[p], Uit[t]
+        if q != t:
+            for row in a:
+                row[t], row[q] = row[q], row[t]
+            Vt[t], Vt[q] = Vt[q], Vt[t]
+        # normalize the pivot to g = gcd(pivot, m)
+        piv = a[t]
+        if piv[t] != g:
+            u = unit_multiplier(piv[t], m)
+            a[t] = piv = [x * u % m for x in piv]
+            if U is not None:
+                U[t] = [x * u % m for x in U[t]]
+            if Uit is not None:
+                w = pow(u, -1, m)
+                Uit[t] = [x * w % m for x in Uit[t]]
+        # clear column t below by row operations: A[i] -= c A[t], U[i] -= c U[t],
+        # U^-1[:, t] += c U^-1[:, i]; a residue below g is left in A[i, t]
+        line = [(j, x) for j, x in enumerate(piv) if x]
+        uline = None if U is None else [(j, x) for j, x in enumerate(U[t]) if x]
         for i in range(t + 1, rows):
-            c = a[i][t] // g
+            row = a[i]
+            c = row[t] // g
             if c:
-                for T, line in lines:
-                    _sub(T[i], c, line, m)
+                for j, x in line:
+                    row[j] = (row[j] - c * x) % m
+                if U is not None:
+                    urow = U[i]
+                    for j, x in uline:
+                        urow[j] = (urow[j] - c * x) % m
                 if Uit is not None:
-                    _sub(Uit[t], -c, enumerate(Uit[i]), m)
-        on_col = [row for row in a if row[t]]
-        on_V = [(j, x) for j, x in enumerate(Vt[t]) if x]
-        for j in range(t + 1, cols):
-            c = piv[j] // g
-            if c:
-                for row in on_col:
-                    row[j] = (row[j] - c * row[t]) % m
-                _sub(Vt[j], c, on_V, m)
-        if any(row[t] for row in a[t + 1:]) or any(piv[t + 1:]):
-            continue  # residues left a smaller pivot candidate
-        # divisibility of the remaining block by the pivot (always true for g = 1):
-        # A[t] += A[bad], U[t] += U[bad], U^-1[:, bad] -= U^-1[:, t]
-        if g > 1 and t + 1 < limit:
-            bad = next((i for i in range(t + 1, rows) if any(x % g for x in a[i][t + 1:])), None)
-            if bad is not None:
-                for T, src, dst, c in ((a, bad, t, -1), (U, bad, t, -1), (Uit, t, bad, 1)):
-                    if T is not None:
-                        _sub(T[dst], c, enumerate(T[src]), m)
+                    Uit[t] = [(x + c * y) % m for x, y in zip(Uit[t], Uit[i])]
+        # then row t to the right by column operations: A[:, j] -= c A[:, t],
+        # V[:, j] -= c V[:, t]
+        steps = [(j, piv[j] // g) for j in range(t + 1, cols) if piv[j] >= g]
+        if steps:
+            for row in a:
+                x = row[t]
+                if x:
+                    for j, c in steps:
+                        row[j] = (row[j] - c * x) % m
+            vline = [(k, x) for k, x in enumerate(Vt[t]) if x]
+            for j, c in steps:
+                vrow = Vt[j]
+                for k, x in vline:
+                    vrow[k] = (vrow[k] - c * x) % m
+        # residues left a smaller pivot candidate, or the remaining block is
+        # not divisible by the pivot: A[t] += A[bad], U[t] += U[bad],
+        # U^-1[:, bad] -= U^-1[:, t] (no residues and no repair for g = 1)
+        if g > 1:
+            if any(piv[t + 1:]) or any(a[i][t] for i in range(t + 1, rows)):
+                continue
+            bad = next((i for i in range(t + 1, rows) if any(x % g for x in a[i][t + 1:])), -1)
+            if bad >= 0:
+                a[t] = [(x + y) % m for x, y in zip(piv, a[bad])]
+                if U is not None:
+                    U[t] = [(x + y) % m for x, y in zip(U[t], U[bad])]
+                if Uit is not None:
+                    Uit[bad] = [(x - y) % m for x, y in zip(Uit[bad], Uit[t])]
                 continue
         t += 1
     d = np.array([gcd(a[i][i], m) for i in range(limit)], dtype=np.int64)
-    U, V, Ui = (None if T is None else np.array(T, dtype=np.int64).reshape(n, n)
-                for T, n in ((U, rows), (Vt, cols), (Uit, rows)))
-    return ModDiagonalization(m=m, rows=rows, cols=cols, d=d, U=U, V=V.T.copy(),
-                              U_inv=None if Ui is None else Ui.T.copy())
+    return ModDiagonalization(
+        m=m, rows=rows, cols=cols, d=d,
+        U=None if U is None else np.array(U, dtype=np.int64).reshape(rows, rows),
+        V=np.array(Vt, dtype=np.int64).reshape(cols, cols).T,
+        U_inv=None if Uit is None else np.array(Uit, dtype=np.int64).reshape(rows, rows).T)
 
 
 def kernel_mod(A, m: int) -> np.ndarray:
@@ -461,14 +495,23 @@ def pivot_columns_mod_p(A, p: int) -> list[int]:
     """The columns of A that, taken in order, each leave the span of the
     columns before them over F_p: the pivot columns of a row echelon form.
 
-    One walk over the columns, in which each pivot row clears its column from
-    the rows below it.  For p = 2 the rows are packed eight columns to a byte
-    and cleared by XOR; otherwise the pivot row is scaled to a leading 1, so
-    every product stays below p^2.  Raises ValueError when (p - 1)^2 >= 2^63.
+    One walk over the columns, in which each pivot row is scaled to a leading
+    1 and clears its column from the rows below it, so every product stays
+    below p^2.  Up to ``SMALL_CELLS`` cells the walk runs on Python ints,
+    where a numpy call costs more than its arithmetic; above that on numpy
+    rows, and for p = 2 on rows packed eight columns to a byte and cleared by
+    XOR.  Raises ValueError when (p - 1)^2 >= 2^63.
     """
     if (p - 1) ** 2 >= 1 << 63:
         raise ValueError(f"prime p={p} overflows int64 arithmetic")
     A = np.mod(np.asarray(A, dtype=np.int64), p)
+    if A.size <= SMALL_CELLS:
+        return _pivot_columns_lists(A.tolist(), p)
+    return _pivot_columns_arrays(A, p)
+
+
+def _pivot_columns_arrays(A: np.ndarray, p: int) -> list[int]:
+    """The walk of ``pivot_columns_mod_p`` on numpy rows, for a reduced A it owns."""
     rows, cols = A.shape
     if p == 2:
         A = np.packbits(A.astype(np.uint8), axis=1, bitorder="little")
@@ -491,6 +534,32 @@ def pivot_columns_mod_p(A, p: int) -> list[int]:
         else:
             A[t, b:] = (A[t, b:] * pow(int(A[t, b]), -1, p)) % p
             A[below, b:] = (A[below, b:] - np.outer(A[below, b], A[t, b:])) % p
+        piv.append(col)
+    return piv
+
+
+def _pivot_columns_lists(a: list, p: int) -> list[int]:
+    """The walk of ``pivot_columns_mod_p`` on the rows of A, lists of Python
+    ints reduced mod p, which it owns.  Rows above the next pivot and columns
+    left of the next one are never read again, so a clear writes only the
+    entries right of its column, and the pivot row is scaled only there."""
+    rows = len(a)
+    piv: list[int] = []
+    for col in range(len(a[0]) if a else 0):
+        t = len(piv)
+        if t == rows:
+            break
+        on = [i for i in range(t, rows) if a[i][col]]
+        if not on:
+            continue
+        s = on[0]
+        a[t], a[s] = a[s], a[t]
+        # the row swapped down to s is zero in this column
+        w = pow(a[t][col], -1, p)
+        right = [x * w % p for x in a[t][col + 1:]]
+        for i in on[1:] if right else ():
+            row, c = a[i], a[i][col]
+            row[col + 1:] = [(x - c * y) % p for x, y in zip(row[col + 1:], right)]
         piv.append(col)
     return piv
 

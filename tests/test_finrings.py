@@ -140,6 +140,24 @@ def test_units_table_matches_the_product_pair_by_pair():
                 assert U.group.mul[a][b] == U.index_of(A.mul(U.elements[a], U.elements[b]))
 
 
+def test_units_table_in_row_chunks_matches_the_one_shot_einsum(monkeypatch):
+    """The table is built in row chunks of at most CELL_BUDGET product cells;
+    in one chunk, in one-row chunks and in ragged three-row chunks it is the
+    table of the one three-operand einsum over every pair."""
+    for A in (matrix_algebra(gf(3, 1), 2), ring_as_algebra(gf(5, 2)),
+              ring_as_algebra(galois_ring(2, 3, 2)), ring_as_algebra(galois_ring(3, 2, 2)),
+              ring_as_algebra(map_ring(2, gf(3, 1)))):
+        U = finrings._enumerate_units(A)
+        n, r = U.elements.shape
+        products = np.einsum("ia,jb,abc->ijc", U.elements, U.elements, A.flat_tensor)
+        want = U.lookup[finrings._codes(products, A.modulus)]
+        assert np.array_equal(U.group.table, want)
+        for rows in (1, 3):
+            monkeypatch.setattr(finrings, "CELL_BUDGET", rows * n * r)
+            assert np.array_equal(finrings._enumerate_units(A).group.table, want)
+        monkeypatch.undo()
+
+
 def test_units_gr82():
     gr = galois_ring(2, 3, 2)
     u = units_group(gr)

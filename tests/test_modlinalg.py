@@ -320,8 +320,8 @@ def det_mod(A, m: int) -> int:
 
 def test_invertible_mod_is_exact_up_to_the_int64_bound():
     """p = 3037000493 is the largest prime with (p - 1)^2 < 2^63: there the
-    verdicts agree with a Python-int determinant.  The next prime, 3037000507,
-    is refused before any work."""
+    verdicts of both pivot walks agree with a Python-int determinant.  The
+    next prime, 3037000507, is refused before any work."""
     p = 3037000493
     rng = random.Random(17)
     verdicts = set()
@@ -334,6 +334,10 @@ def test_invertible_mod_is_exact_up_to_the_int64_bound():
             A[i] = [(c * int(x)) % p for x in A[j]]        # a dependent row
         want = det_mod(A, p) != 0
         assert invertible_mod(A, p) == want
+        # the Python-int walk, which invertible_mod takes here, and the numpy walk
+        for walk in (modlinalg._pivot_columns_lists(A.tolist(), p),
+                     modlinalg._pivot_columns_arrays(A.copy(), p)):
+            assert (len(walk) == n) == want
         verdicts.add(want)
     assert verdicts == {False, True}
     for q in (3037000507, 4294967291):
@@ -406,6 +410,18 @@ def test_snf_hand_example():
     dg = diagonalize_mod(A, 16)
     assert dg.d.tolist() == [2, 4]
     assert np.array_equal((dg.U @ A @ dg.V) % 16, np.diag([2, 4]))
+
+
+def test_divisibility_repair_tracks_the_inverse_on_the_python_int_loop():
+    """diag(2, 3) over Z/6: the least gcd, 2, leaves 3 below it, not a
+    multiple of 2, so the repair A[0] += A[1] must fire to reach d = (1, 6);
+    U^-1 follows it, as in the dense oracle."""
+    A = np.array([[2, 0], [0, 3]], dtype=np.int64)
+    got = modlinalg._diagonalize_lists(A.copy(), 6, True, True)
+    assert_same_diagonalization(got, dense_diagonalize_mod(A.copy(), 6, want_inverses=True))
+    assert got.d.tolist() == [1, 6]
+    assert np.array_equal((got.U @ A @ got.V) % 6, np.diag([1, 0]))
+    assert np.array_equal((got.U @ got.U_inv) % 6, np.eye(2, dtype=np.int64))
 
 
 def test_snf_transforms_are_inverse_pairs():
@@ -549,14 +565,26 @@ def test_solve_is_exact_for_large_moduli(m, n):
                for row, brow in zip(A, B) for col, b in zip(Y.T, brow))
 
 
+def around_small_cells(test):
+    """Examples for each p on the shapes at and just past SMALL_CELLS cells,
+    where pivot_columns_mod_p turns from the Python-int walk to numpy."""
+    for p in (2, 3, 5):
+        for rows, width in ((1, SMALL_CELLS), (SMALL_CELLS, 1), (SMALL_SIDE, SMALL_SIDE),
+                            (SMALL_SIDE + 1, SMALL_SIDE)):
+            test = example(p, rows, width, 0.3, p * rows + width)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 12), st.sampled_from([1, 5, 8, 9, 40, 64, 65, 70]),
        st.sampled_from([0.05, 0.3, 1.0]), st.integers(0, 1 << 30))
+@around_small_cells
 def test_pivot_columns_mod_p_matches_greedy_rank(p, rows, width, density, seed):
     """The pivot columns are, in order, the columns that raise the size of the
     span of the columns before them; sizes come from diagonalize_mod.  Widths
     past 8 and 64 columns fill more than one byte and one word of packed F_2
-    bits, and sparse draws put pivots there."""
+    bits, and sparse draws put pivots there.  The Python-int walk and the
+    numpy walk both pick them, whichever side of SMALL_CELLS the shape is on."""
     rng = random.Random(seed)
     A = np.array([[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(width)]
                   for _ in range(rows)], dtype=np.int64).reshape(rows, width)
@@ -569,3 +597,5 @@ def test_pivot_columns_mod_p_matches_greedy_rank(p, rows, width, density, seed):
         if submodule_size(A[:, want + [j]], p) > submodule_size(A[:, want], p):
             want.append(j)
     assert pivot_columns_mod_p(A, p) == want
+    assert modlinalg._pivot_columns_lists(A.tolist(), p) == want
+    assert modlinalg._pivot_columns_arrays(A.copy(), p) == want
